@@ -2,9 +2,11 @@
 """Record the interval-filling sweep as the interval length shrinks.
 
 For a flat unit disk the scaled interval filling eps^-1 FillVol(bd(T x I_eps))
-is bounded by the disk mass pi; the sweep records how the value moves as eps
-decreases.  The trend is reported, never asserted: no convergence claim is
-made.
+is bounded by the disk mass pi.  The fill is posed in the prism complex over
+supp T, where T x I_eps is the only filling, so IFV/eps equals M(T) up to
+metric rounding by construction and the sweep is flat.  It shows a trend only
+once the fill is posed in an ambient complex that has (k+1)-simplices of its
+own.  The trend is reported, never asserted.
 
 Run: python3 scripts/ifv_epsilon_sweep.py [mesh_h] [eps1,eps2,...]
 """

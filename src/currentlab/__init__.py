@@ -8,6 +8,7 @@ tetrahedral property, interval products, and convergence experiments.
 from .metricspace import (
     ArgumentError,
     FiniteMetricSpace,
+    InvariantError,
     MetricError,
     PackingReport,
     diameter,

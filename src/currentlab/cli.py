@@ -2,7 +2,7 @@
 
 Reports are JSON with lexicographic field order; floats use the shortest
 round-trip representation.  Exit codes: 0 success, 1 internal invariant
-violation, 2 malformed input or arguments.
+violation (InvariantError), 2 malformed input or arguments.
 """
 from __future__ import annotations
 
@@ -30,6 +30,7 @@ from .fillvol import filling_volume, filling_volume_0d, flat_distance
 from .metricspace import (
     ArgumentError,
     FiniteMetricSpace,
+    InvariantError,
     MetricError,
     gh_bounds,
     load_distance_csv,
@@ -43,7 +44,7 @@ from .slicedfill import ball_context, sf_k, sliced_fill, tetra_check
 logger = logging.getLogger("currentlab")
 
 EXIT_OK = 0
-EXIT_ASSERTION = 1
+EXIT_INVARIANT = 1
 EXIT_INPUT = 2
 
 
@@ -63,7 +64,6 @@ class RunConfig:
     C: float = 0.1
     k: int = 1
     candidates: int = 6
-    seed: int = 0
     exact_limit: int = 7
     center: int = 0
     level: float = 0.0
@@ -346,7 +346,7 @@ def _cmd_lab(cfg: RunConfig):
         "radius": cfg.radius or 0.5,
         "grid": cfg.grid,
         "epsilon": cfg.epsilon,
-        "center_point": (0.0, 0.0),
+        "center_point": family.center,
         "threads": cfg.threads,
     }
     return continuity_sweep(family, cfg.quantity, params)
@@ -393,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--C", type=float, default=0.1)
         p.add_argument("--k", type=int, default=1)
         p.add_argument("--candidates", type=int, default=6)
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--exact-limit", dest="exact_limit", type=int, default=7)
         p.add_argument("--center", type=int, default=0)
         p.add_argument("--level", type=float, default=0.0)
@@ -424,7 +423,6 @@ def _config_from_args(args) -> RunConfig:
         C=args.C,
         k=args.k,
         candidates=args.candidates,
-        seed=args.seed,
         exact_limit=args.exact_limit,
         center=args.center,
         level=args.level,
@@ -449,7 +447,6 @@ def dispatch(cfg: RunConfig) -> int:
     warnings = result.pop("warnings", []) if isinstance(result, dict) else []
     report = {
         "command": cfg.command,
-        "seed": cfg.seed,
         "result": result,
         "warnings": warnings,
     }
@@ -468,9 +465,9 @@ def main(argv=None) -> int:
         logger.error("input error: %s", exc)
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT
-    except AssertionError as exc:
+    except InvariantError as exc:
         sys.stderr.write(f"invariant violated: {exc}\n")
-        return EXIT_ASSERTION
+        return EXIT_INVARIANT
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ from .currents import SimplicialCurrent, boundary, mass, push_forward
 from .fillvol import filling_volume, flat_distance
 from .metricspace import ArgumentError, FiniteMetricSpace
 from .meshes import add_spikes, disk_mesh, full_torus_mesh, nearest_vertex, sphere_mesh
-from .product import interval_filling_volume, sliced_interval_fill
+from .product import interval_filling_volume, sliced_interval_fill, staircase
 from .slicing import subdivide_at_level, _sublevel_indicator
 from .slicedfill import ball_context, sliced_fill
 
@@ -34,6 +34,7 @@ class SequenceFamily:
     generator: object
     expected_limit: tuple | None = None
     meta: dict = field(default_factory=dict)
+    center: tuple = (0.0, 0.0)
 
     def members(self):
         return [self.generator(p) for p in self.schedule]
@@ -48,6 +49,9 @@ def build_family(name: str, schedule) -> SequenceFamily:
         width 1/j^2; the limit member is the bare sphere.
     thin_torus: eps values, flat 3-torus with circumferences
         (2 pi, 2 pi, 2 eps).
+
+    Each family's `center` is its default ball centre in its own
+    coordinates: the north pole for the spheres, the origin otherwise.
     """
     schedule = list(schedule)
     if not schedule:
@@ -57,7 +61,9 @@ def build_family(name: str, schedule) -> SequenceFamily:
         return SequenceFamily(name, schedule, gen, expected_limit=gen(min(schedule)))
     if name == "refined_sphere":
         gen = lambda n: sphere_mesh(int(n), 2 * int(n))
-        return SequenceFamily(name, schedule, gen, expected_limit=gen(max(schedule)))
+        return SequenceFamily(
+            name, schedule, gen, expected_limit=gen(max(schedule)), center=(0.0, 0.0, 1.0)
+        )
     if name == "sphere_splines":
         base = sphere_mesh(16, 32, metric="euclidean")
         tips: dict = {}
@@ -70,13 +76,13 @@ def build_family(name: str, schedule) -> SequenceFamily:
             base_pts[j] = base_ids
             return C, T
 
-        fam = SequenceFamily(name, schedule, gen, expected_limit=base)
+        fam = SequenceFamily(name, schedule, gen, expected_limit=base, center=(0.0, 0.0, 1.0))
         fam.meta["tips"] = tips
         fam.meta["bases"] = base_pts
         return fam
     if name == "thin_torus":
         gen = lambda eps: full_torus_mesh(eps, cells=(6, 6, 4))
-        return SequenceFamily(name, schedule, gen, expected_limit=None)
+        return SequenceFamily(name, schedule, gen, expected_limit=None, center=(0.0, 0.0, 0.0))
     raise ArgumentError(f"unknown family {name!r}")
 
 
@@ -221,10 +227,7 @@ def joined_complex(CA, TA, CB, TB, correspondence=None, delta=None, mode="auto")
         image = [match.get(v) for v in s]
         if any(v is None for v in image):
             continue
-        bottom = list(s)
-        top = [v + na for v in image]
-        for i in range(dim + 1):
-            prism = tuple(bottom[: i + 1] + top[i:])
+        for prism in staircase(list(s), [v + na for v in image]):
             if len(set(prism)) != len(prism):
                 continue
             try:
@@ -369,7 +372,7 @@ def continuity_sweep(family: SequenceFamily, quantity: str, params=None) -> dict
     checks = []
     if quantity == "fillvol" and len(members) > 1:
         r = params.get("radius", 0.5)
-        center = params.get("center_point", (0.0, 0.0))
+        center = params.get("center_point", family.center)
         tol = params.get("tolerance", 1e-6)
         for (CA, TA), (CB, TB) in zip(members, members[1:]):
             K, TA_K, TB_K, emb, _ = joined_complex(CA, TA, CB, TB)

@@ -16,7 +16,7 @@ from scipy.sparse import coo_matrix, eye, hstack
 
 from .complexes import GeometricComplex
 from .currents import SimplicialCurrent, boundary, mass
-from .metricspace import ArgumentError, FiniteMetricSpace
+from .metricspace import ArgumentError, FiniteMetricSpace, InvariantError
 
 INTEGRALITY_TOL = 1e-6
 RESIDUAL_TOL = 1e-8
@@ -35,7 +35,7 @@ class FillingReport:
 
     def check(self):
         if not (self.lower_bound <= self.value + 1e-9 and self.value <= self.upper_bound + 1e-9):
-            raise ArgumentError(
+            raise InvariantError(
                 f"filling report bounds out of order: {self.lower_bound}, {self.value}, {self.upper_bound}"
             )
 
@@ -96,6 +96,32 @@ def _certificate_from_vector(vec, tol=INTEGRALITY_TOL):
     return integral, cert
 
 
+def _lp_report(blocks, rhs, weights, names, upper, infeasible) -> FillingReport:
+    """Solve a weighted-L1 chain program and report it, checked.
+
+    `names` labels each block's certificate, `upper` is the cost of a known
+    feasible point and `infeasible` the input-error message when none exists.
+    """
+    value, parts = _solve_weighted_l1(blocks, rhs, weights)
+    if value is None:
+        raise ArgumentError(infeasible)
+    residual = float(np.abs(sum(b @ x for b, x in zip(blocks, parts)) - rhs).max(initial=0.0))
+    certs = [_certificate_from_vector(x) for x in parts]
+    report = FillingReport(
+        value=value,
+        lower_bound=value,
+        upper_bound=max(value, upper),
+        certificate={name: cert for name, (_, cert) in zip(names, certs)},
+        integral=all(integral for integral, _ in certs),
+        method="lp",
+        residual=residual,
+    )
+    if residual > RESIDUAL_TOL:
+        report.warnings.append(f"LP residual {residual} above tolerance")
+    report.check()
+    return report
+
+
 def flat_distance(S: SimplicialCurrent, T: SimplicialCurrent, K: GeometricComplex | None = None) -> FillingReport:
     """Flat distance between same-dimensional currents in a common complex.
 
@@ -115,27 +141,11 @@ def flat_distance(S: SimplicialCurrent, T: SimplicialCurrent, K: GeometricComple
     rhs = _chain_vector(S) - _chain_vector(T)
     ident = eye(K.count(m), format="coo")
     D = boundary_matrix(K, m + 1)
-    value, parts = _solve_weighted_l1([ident, D], rhs, [K.masses(m), K.masses(m + 1)])
-    if value is None:
-        raise ArgumentError("flat distance LP infeasible")
-    u_vec, v_vec = parts
-    residual = float(np.abs(ident @ u_vec + D @ v_vec - rhs).max(initial=0.0))
-    int_u, cert_u = _certificate_from_vector(u_vec)
-    int_v, cert_v = _certificate_from_vector(v_vec)
     trivial_upper = float(K.masses(m) @ np.abs(rhs))
-    report = FillingReport(
-        value=value,
-        lower_bound=value,
-        upper_bound=max(value, trivial_upper),
-        certificate={"U": cert_u, "V": cert_v},
-        integral=int_u and int_v,
-        method="lp",
-        residual=residual,
+    return _lp_report(
+        [ident, D], rhs, [K.masses(m), K.masses(m + 1)], ["U", "V"], trivial_upper,
+        "flat distance LP infeasible",
     )
-    if residual > RESIDUAL_TOL:
-        report.warnings.append(f"LP residual {residual} above tolerance")
-    report.check()
-    return report
 
 
 def cone_bound(B: SimplicialCurrent) -> float:
@@ -171,26 +181,10 @@ def filling_volume(B: SimplicialCurrent, K: GeometricComplex | None = None) -> F
         raise ArgumentError(f"ambient complex has no {k + 1}-simplices")
     D = boundary_matrix(K, k + 1)
     rhs = _chain_vector(B)
-    value, parts = _solve_weighted_l1([D], rhs, [K.masses(k + 1)])
-    if value is None:
-        raise ArgumentError("filling LP infeasible: cycle does not bound in this complex")
-    s_vec = parts[0]
-    residual = float(np.abs(D @ s_vec - rhs).max(initial=0.0))
-    integral, cert = _certificate_from_vector(s_vec)
-    cone = cone_bound(B)
-    report = FillingReport(
-        value=value,
-        lower_bound=value,
-        upper_bound=max(value, cone),
-        certificate={"S": cert},
-        integral=integral,
-        method="lp",
-        residual=residual,
+    return _lp_report(
+        [D], rhs, [K.masses(k + 1)], ["S"], cone_bound(B),
+        "filling LP infeasible: cycle does not bound in this complex",
     )
-    if residual > RESIDUAL_TOL:
-        report.warnings.append(f"LP residual {residual} above tolerance")
-    report.check()
-    return report
 
 
 def exhaustive_flat_distance(
@@ -372,5 +366,6 @@ def fillvol_continuity_gap(M1: SimplicialCurrent, M2: SimplicialCurrent, K: Geom
     f2 = filling_volume(boundary(M2), K)
     gap = abs(f1.value - f2.value)
     bound = flat_distance(M1, M2, K).value
-    assert gap <= bound + 1e-6, f"continuity gap {gap} exceeds flat distance {bound}"
+    if gap > bound + 1e-6:
+        raise InvariantError(f"continuity gap {gap} exceeds flat distance {bound}")
     return gap, bound

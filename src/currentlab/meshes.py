@@ -385,4 +385,7 @@ def nearest_vertex(C: GeometricComplex, point) -> int:
     coords = C.coords()
     if coords is None:
         raise ArgumentError("nearest_vertex needs coordinates")
-    return int(np.argmin(np.linalg.norm(coords - np.asarray(point, dtype=float), axis=1)))
+    point = np.asarray(point, dtype=float)
+    if point.shape != coords.shape[1:]:
+        raise ArgumentError(f"point of shape {point.shape} for {coords.shape[1]}-d vertex coordinates")
+    return int(np.argmin(np.linalg.norm(coords - point, axis=1)))

@@ -18,6 +18,10 @@ class ArgumentError(ValueError):
     """An operation received arguments outside its domain."""
 
 
+class InvariantError(RuntimeError):
+    """A computed result broke an inequality or identity that must hold."""
+
+
 @dataclass(frozen=True)
 class PackingReport:
     """Greedy packing certificate: pairwise distances of centers are >= 2*radius."""

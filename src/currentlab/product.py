@@ -13,7 +13,7 @@ import numpy as np
 
 from .complexes import CallableMetric, EuclideanMetric, GeometricComplex, MatrixMetric
 from .currents import SimplicialCurrent, boundary, mass, push_forward
-from .fillvol import FillingReport, filling_volume
+from .fillvol import FillingReport
 from .metricspace import ArgumentError
 
 
@@ -71,6 +71,13 @@ def _product_metric(base_metric, heights):
     raise ArgumentError(f"unsupported base metric {type(base_metric).__name__}")
 
 
+def staircase(bottom, top) -> list[tuple[int, ...]]:
+    """The staircase triangulation of the prism between two lifts of one
+    simplex: simplex i takes bottom vertices 0..i and top vertices i..k, and
+    carries sign (-1)^i."""
+    return [tuple(bottom[: i + 1] + top[i:]) for i in range(len(bottom))]
+
+
 def build_product_complex(base: GeometricComplex, epsilon: float, layers: int = 1) -> ProductComplex:
     """Triangulated base x [0, eps] with `layers` equal slabs."""
     if epsilon <= 0:
@@ -81,14 +88,10 @@ def build_product_complex(base: GeometricComplex, epsilon: float, layers: int = 
     heights = np.linspace(0.0, epsilon, layers + 1)
     metric = _product_metric(base.metric, heights)
     tops: list[tuple[int, ...]] = []
-    top_dim = base.top_dim
     for layer in range(layers):
         lo, hi = layer * n, (layer + 1) * n
-        for s in base.simplices[top_dim]:
-            bottom = [v + lo for v in s]
-            top = [v + hi for v in s]
-            for i in range(top_dim + 1):
-                tops.append(tuple(bottom[: i + 1] + top[i:]))
+        for s in base.simplices[base.top_dim]:
+            tops.extend(staircase([v + lo for v in s], [v + hi for v in s]))
     C = GeometricComplex.from_top_simplices(metric, tops)
     return ProductComplex(
         base=base,
@@ -101,58 +104,17 @@ def build_product_complex(base: GeometricComplex, epsilon: float, layers: int = 
 
 
 def product_current(T: SimplicialCurrent, epsilon: float, layers: int = 1):
-    """The current T x interval on a fresh prism complex.
+    """The current T x interval on a fresh prism complex over supp T.
 
     Returns (product current, ProductComplex).  The prism over an oriented
     k-simplex is the alternating staircase sum; per slab each staircase
     simplex carries the parent coefficient times (-1)^i.
     """
-    if epsilon <= 0:
-        raise ArgumentError("interval length must be positive")
-    if layers < 1:
-        raise ArgumentError("need at least one layer")
     base = T.complex
-    if T.is_zero():
-        pc = build_product_complex(base, epsilon, layers)
-        return SimplicialCurrent.zero(pc.complex, T.dim + 1), pc
-
-    n = base.n_vertices
-    support_tops = [T.simplex(i) for i in T.coeffs]
-    heights = np.linspace(0.0, epsilon, layers + 1)
-    metric = _product_metric(base.metric, heights)
-    k = T.dim
-    tops = []
-    for layer in range(layers):
-        lo, hi = layer * n, (layer + 1) * n
-        for s in support_tops:
-            bottom = [v + lo for v in s]
-            top = [v + hi for v in s]
-            for i in range(k + 1):
-                tops.append(tuple(bottom[: i + 1] + top[i:]))
-    C = GeometricComplex.from_top_simplices(metric, tops)
-    pc = ProductComplex(
-        base=base,
-        complex=C,
-        epsilon=epsilon,
-        layers=layers,
-        lift_bottom=list(range(n)),
-        lift_top=list(range(layers * n, (layers + 1) * n)),
-    )
-    idx = C.index(k + 1)
-    coeffs: dict[int, int] = {}
-    parity = 1 if k % 2 == 0 else -1
-    for simplex_idx, c in T.coeffs.items():
-        s = T.simplex(simplex_idx)
-        for layer in range(layers):
-            lo, hi = layer * n, (layer + 1) * n
-            bottom = [v + lo for v in s]
-            top = [v + hi for v in s]
-            for i in range(k + 1):
-                prism = tuple(bottom[: i + 1] + top[i:])
-                sign = parity * (1 if i % 2 == 0 else -1)
-                j = idx[prism]
-                coeffs[j] = coeffs.get(j, 0) + sign * c
-    return SimplicialCurrent(C, k + 1, coeffs), pc
+    if not T.is_zero():
+        base = GeometricComplex.from_top_simplices(base.metric, T.support_simplices())
+    pc = build_product_complex(base, epsilon, layers)
+    return _staircase_chain(T, pc), pc
 
 
 def interval_boundary_lift(T: SimplicialCurrent, pc: ProductComplex) -> SimplicialCurrent:
@@ -164,8 +126,8 @@ def interval_boundary_lift(T: SimplicialCurrent, pc: ProductComplex) -> Simplici
 
 
 def _staircase_chain(S: SimplicialCurrent, pc: ProductComplex) -> SimplicialCurrent:
-    """The product of a lower-dimensional chain S inside an existing product
-    complex (S's prisms must be faces of the complex's top prisms)."""
+    """The product S x interval inside an existing product complex (S's
+    prisms must be simplices of the complex)."""
     n = S.complex.n_vertices
     k = S.dim
     idx = pc.complex.index(k + 1)
@@ -175,10 +137,7 @@ def _staircase_chain(S: SimplicialCurrent, pc: ProductComplex) -> SimplicialCurr
         s = S.simplex(simplex_idx)
         for layer in range(pc.layers):
             lo, hi = layer * n, (layer + 1) * n
-            bottom = [v + lo for v in s]
-            top = [v + hi for v in s]
-            for i in range(k + 1):
-                prism = tuple(bottom[: i + 1] + top[i:])
+            for i, prism in enumerate(staircase([v + lo for v in s], [v + hi for v in s])):
                 if prism not in idx:
                     raise ArgumentError(f"prism {prism} missing from product complex")
                 sign = parity * (1 if i % 2 == 0 else -1)
@@ -273,16 +232,28 @@ def sliced_interval_fill(
 def interval_filling_volume(T: SimplicialCurrent, epsilon: float, layers: int = 1) -> FillingReport:
     """Filling volume of the boundary of T x interval, within the prism complex.
 
-    The prism itself fills, so the value is at most eps * M(T); the report
-    notes when the mass bound M(T) >= value / eps fails numerically.
+    The prism complex over the k-chain T has no (k+2)-simplices, and its
+    (k+1)-homology is that of supp T x [0, eps], which vanishes because supp T
+    is k-dimensional.  So it carries no nonzero (k+1)-cycle, the boundary map
+    on (k+1)-chains is injective, and T x interval is the unique filling, real
+    or integral.  The value is therefore its mass eps * M(T), up to metric
+    rounding, with the prism's coefficients as certificate; the report notes
+    when the mass bound M(T) >= value / eps fails numerically.
     """
-    prod, pc = product_current(T, epsilon, layers)
-    B = boundary(prod)
-    report = filling_volume(B, pc.complex)
-    report.method = "lp"
+    prod, _ = product_current(T, epsilon, layers)
+    value = mass(prod)
+    report = FillingReport(
+        value=value,
+        lower_bound=value,
+        upper_bound=value,
+        certificate={"S": dict(prod.coeffs)},
+        integral=True,
+        method="prism",
+        residual=0.0,
+    )
     bound = mass(T) + 1e-9 * max(mass(T), 1.0)
-    if report.value / epsilon > bound:
+    if value / epsilon > bound:
         report.warnings.append(
-            f"interval filling {report.value} exceeds eps * mass bound {epsilon * mass(T)}"
+            f"interval filling {value} exceeds eps * mass bound {epsilon * mass(T)}"
         )
     return report

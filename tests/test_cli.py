@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from currentlab.cli import EXIT_INPUT, EXIT_OK, main
+from currentlab.cli import EXIT_INPUT, EXIT_INVARIANT, EXIT_OK, main
 from currentlab.currents import chain_from_json, chain_to_json, mass
 from currentlab.meshes import disk_mesh, interval_chain, square_complex
 
@@ -161,6 +161,14 @@ class TestDispatch:
         rep = json.loads(proc.stdout)
         assert rep["result"]["passed"] is True
 
+    def test_lab_fillvol_on_sphere_family(self):
+        proc = run_cli(
+            ["lab", "--family", "refined_sphere", "--quantity", "fillvol", "--schedule", "4,6"]
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        rep = json.loads(proc.stdout)
+        assert rep["result"]["passed"] is True
+
 
 class TestErrors:
     def test_missing_file(self):
@@ -187,6 +195,14 @@ class TestErrors:
         path.write_text(json.dumps(data))
         proc = run_cli(["mass", "--input", str(path)])
         assert proc.returncode == EXIT_INPUT
+
+    def test_invariant_violation_exits_1(self, triangle_cycle_path, monkeypatch, capsys):
+        import currentlab.cli as cli
+        from currentlab.fillvol import FillingReport
+
+        monkeypatch.setattr(cli, "filling_volume", lambda *a: FillingReport(1.0, 2.0, 3.0))
+        assert main(["fillvol", "--input", str(triangle_cycle_path)]) == EXIT_INVARIANT
+        assert "invariant violated" in capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -110,6 +110,15 @@ class TestFamilies:
         # spike area scales like j * (1/j^2) / 2 -> 0
         assert extras[-1] < extras[0] / 2
 
+    def test_default_centres_match_coordinates(self):
+        for name, schedule in [("refined_disk", [0.3]), ("refined_sphere", [4]), ("thin_torus", [1.0])]:
+            fam = build_family(name, schedule)
+            C, _ = fam.members()[0]
+            p = nearest_vertex(C, fam.center)
+            assert np.allclose(C.coords()[p], fam.center)
+        with pytest.raises(ArgumentError):
+            nearest_vertex(C, (0.0, 0.0))  # a 2-d point on the 3-d torus
+
     def test_unknown_family(self):
         with pytest.raises(ArgumentError):
             build_family("moebius", [1])

@@ -6,6 +6,7 @@ import pytest
 from currentlab.complexes import EuclideanMetric, GeometricComplex
 from currentlab.currents import SimplicialCurrent, boundary, mass
 from currentlab.fillvol import (
+    FillingReport,
     cone_bound,
     exhaustive_flat_distance,
     filling_volume,
@@ -14,7 +15,7 @@ from currentlab.fillvol import (
     flat_distance,
 )
 from currentlab.meshes import disk_mesh, grid_mesh, sphere_mesh, square_complex
-from currentlab.metricspace import ArgumentError, FiniteMetricSpace
+from currentlab.metricspace import ArgumentError, FiniteMetricSpace, InvariantError
 
 from oracles import transport_oracle
 
@@ -217,3 +218,18 @@ class TestContinuityGap:
         gap, bound = fillvol_continuity_gap(M1, M2, C)
         assert gap <= bound + 1e-6
         assert bound > 0
+
+    def test_gap_above_flat_distance_raises(self, monkeypatch):
+        import currentlab.fillvol as fillvol
+
+        C, _ = square_complex()
+        idx = C.index(1)
+        path = SimplicialCurrent(C, 1, {idx[(0, 1)]: 1, idx[(1, 3)]: 1})
+        monkeypatch.setattr(fillvol, "flat_distance", lambda *a: FillingReport(0.0, 0.0, 0.0))
+        with pytest.raises(InvariantError):
+            fillvol_continuity_gap(path, SimplicialCurrent.zero(C, 1), C)
+
+
+def test_corrupted_report_raises_invariant_error():
+    with pytest.raises(InvariantError):
+        FillingReport(value=1.0, lower_bound=2.0, upper_bound=3.0).check()

@@ -5,8 +5,8 @@ import pytest
 
 from currentlab.complexes import EuclideanMetric, GeometricComplex
 from currentlab.currents import SimplicialCurrent, boundary, mass, push_forward
-from currentlab.fillvol import flat_distance
-from currentlab.meshes import disk_mesh, grid_mesh, interval_chain, square_complex
+from currentlab.fillvol import boundary_matrix, filling_volume, flat_distance
+from currentlab.meshes import disk_mesh, grid_mesh, interval_chain, sphere_mesh, square_complex
 from currentlab.metricspace import ArgumentError
 from currentlab.product import (
     _staircase_chain,
@@ -132,6 +132,28 @@ class TestIntervalFilling:
         P2 = _staircase_chain(T2, pc)
         prod_flat = flat_distance(P1, P2, pc.complex).value
         assert prod_flat <= (2 + eps) * base + 1e-8
+
+
+class TestPrismFilling:
+    """The prism over supp T carries no (k+1)-cycle, so T x I is the only
+    filling of its boundary; the LP stays here as the reference."""
+
+    def test_prism_is_the_unique_filling(self):
+        rng = np.random.default_rng(42)
+        chains = [random_chain(rng) for _ in range(14)]
+        bases = [T for T in chains if not T.is_zero()] + [sphere_mesh(8, 16)[1]]
+        eps = 0.3
+        for T in bases:
+            for layers in (1, 2):
+                prod, pc = product_current(T, eps, layers)
+                D = boundary_matrix(pc.complex, T.dim + 1).toarray()
+                assert np.linalg.matrix_rank(D) == D.shape[1]
+                rep = interval_filling_volume(T, eps, layers)
+                ref = filling_volume(boundary(prod), pc.complex)
+                assert rep.value == pytest.approx(ref.value, rel=1e-12)
+                assert rep.certificate["S"] == prod.coeffs
+                assert rep.lower_bound == rep.value == rep.upper_bound
+                assert rep.integral and rep.method == "prism" and rep.residual == 0.0
 
 
 class TestSlicedIntervalFill:
