@@ -145,11 +145,22 @@ def _metric_space_from(path):
     raise ArgumentError(f"{path}: expected a distance/point CSV or JSON")
 
 
+def _numbers(text: str, kind, option: str) -> tuple:
+    """Comma-separated values of one type; a malformed entry is an input error."""
+    try:
+        return tuple(kind(x) for x in text.split(",") if x.strip())
+    except ValueError as exc:
+        raise ArgumentError(f"--{option}: expected comma-separated {kind.__name__} values, got {text!r}") from exc
+
+
 def _function_on(complex, spec: str, data=None) -> PLFunction:
-    if spec.startswith("coord:"):
-        return coordinate_function(complex, int(spec.split(":", 1)[1]))
-    if spec.startswith("dist:"):
-        return distance_function(complex, int(spec.split(":", 1)[1]))
+    kind, _, arg = spec.partition(":")
+    if kind in ("coord", "dist"):
+        try:
+            n = int(arg)
+        except ValueError as exc:
+            raise ArgumentError(f"function spec {spec!r}: expected {kind}:<integer>") from exc
+        return coordinate_function(complex, n) if kind == "coord" else distance_function(complex, n)
     if spec == "json":
         if not data or "function" not in data:
             raise ArgumentError("function spec 'json' needs a 'function' value array")
@@ -406,8 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> RunConfig:
-    witnesses = tuple(int(w) for w in args.witnesses.split(",") if w.strip())
-    schedule = tuple(float(s) for s in args.schedule.split(",") if s.strip())
+    witnesses = _numbers(args.witnesses, int, "witnesses")
+    schedule = _numbers(args.schedule, float, "schedule")
     return RunConfig(
         command=args.command,
         input=args.input,
@@ -458,9 +469,8 @@ def main(argv=None) -> int:
     _configure_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = _config_from_args(args)
     try:
-        return dispatch(cfg)
+        return dispatch(_config_from_args(args))
     except (ArgumentError, MetricError, ComplexError, FileNotFoundError) as exc:
         logger.error("input error: %s", exc)
         sys.stderr.write(f"input error: {exc}\n")

@@ -41,11 +41,17 @@ class EuclideanMetric:
         return len(self.coords)
 
     def dist(self, i, j):
-        return float(np.linalg.norm(self.coords[i] - self.coords[j]))
+        """Distance from vertex i to vertex j, or to each vertex of an id array j."""
+        diff = self.coords[i] - self.coords[j]
+        if np.ndim(j) == 0:
+            return float(np.linalg.norm(diff))
+        # row-wise x @ x: the BLAS dot np.linalg.norm takes on one vector
+        return np.sqrt(diff[:, None, :] @ diff[:, :, None])[:, 0, 0]
 
     def pairwise_sq(self, ids):
-        pts = self.coords[list(ids)]
-        diff = pts[:, None, :] - pts[None, :, :]
+        """Squared distances (..., m, m) among each row of an (..., m) id array."""
+        pts = self.coords[np.asarray(ids, dtype=np.intp)]
+        diff = pts[..., :, None, :] - pts[..., None, :, :]
         return (diff**2).sum(axis=-1)
 
     def row(self, i):
@@ -81,14 +87,25 @@ class CallableMetric:
         return len(self.points)
 
     def dist(self, i, j):
-        return float(self.fn(self.points[i][None, :], self.points[j][None, :])[0])
+        """Distance from vertex i to vertex j, or to each vertex of an id array j."""
+        others = self.points[np.atleast_1d(j)]
+        d = self.fn(np.repeat(self.points[i][None, :], len(others), axis=0), others)
+        return float(d[0]) if np.ndim(j) == 0 else d
 
     def pairwise_sq(self, ids):
-        pts = self.points[list(ids)]
-        m = len(pts)
-        out = np.zeros((m, m))
-        for a in range(m):
-            out[a, :] = self.fn(np.repeat(pts[a][None, :], m, axis=0), pts)
+        """Squared distances (..., m, m) among each row of an (..., m) id array.
+
+        One `fn` call covers the pairs a <= b of every row; the diagonal is
+        evaluated, not assumed 0, since d(x, x) may round away from 0.
+        """
+        ids = np.asarray(ids, dtype=np.intp)
+        a, b = np.triu_indices(ids.shape[-1])
+        dim = self.points.shape[1]
+        d = self.fn(self.points[ids[..., a]].reshape(-1, dim), self.points[ids[..., b]].reshape(-1, dim))
+        d = np.reshape(d, ids.shape[:-1] + a.shape)
+        out = np.empty(ids.shape + ids.shape[-1:])
+        out[..., a, b] = d
+        out[..., b, a] = d
         return out**2
 
     def row(self, i):
@@ -143,11 +160,14 @@ class MatrixMetric:
         return len(self.mat)
 
     def dist(self, i, j):
-        return float(self.mat[i, j])
+        """Distance from vertex i to vertex j, or to each vertex of an id array j."""
+        d = self.mat[i, j]
+        return float(d) if np.ndim(j) == 0 else d.copy()
 
     def pairwise_sq(self, ids):
-        sub = self.mat[np.ix_(list(ids), list(ids))]
-        return sub**2
+        """Squared distances (..., m, m) among each row of an (..., m) id array."""
+        ids = np.asarray(ids, dtype=np.intp)
+        return self.mat[ids[..., :, None], ids[..., None, :]] ** 2
 
     def row(self, i):
         return self.mat[i].copy()
@@ -182,47 +202,77 @@ class MatrixMetric:
 # simplex volumes
 
 
-def simplex_volume_from_sq(d2) -> float:
-    """Unsigned k-volume from squared pairwise distances (Cayley-Menger).
+def cayley_menger(d2):
+    """Unsigned k-volumes of an (n, k+1, k+1) stack of squared pairwise
+    distances, and the mask of stack entries that are not flat-realizable.
 
-    0-simplices have volume 1.  A significantly negative determinant means
-    the distances are not flat-realizable and raises ComplexError.
+    Triangles use Heron's formula in its stable (sorted-sides) form, larger
+    simplices the Cayley-Menger determinant; 0-simplices have volume 1.  A
+    significantly negative squared volume marks the entry non-realizable
+    (its volume is reported as 0).
     """
     d2 = np.asarray(d2, dtype=float)
-    k = d2.shape[0] - 1
+    n, k = d2.shape[0], d2.shape[-1] - 1
     if k == 0:
-        return 1.0
+        return np.ones(n), np.zeros(n, dtype=bool)
     if k == 1:
-        return float(math.sqrt(max(d2[0, 1], 0.0)))
+        return np.sqrt(np.maximum(d2[:, 0, 1], 0.0)), np.zeros(n, dtype=bool)
     if k == 2:
-        a, b, c = math.sqrt(d2[0, 1]), math.sqrt(d2[0, 2]), math.sqrt(d2[1, 2])
-        x, y, z = sorted((a, b, c), reverse=True)
+        sides = np.sqrt(np.stack([d2[:, 0, 1], d2[:, 0, 2], d2[:, 1, 2]], axis=1))
+        x, y, z = np.sort(sides, axis=1)[:, ::-1].T
         h = (x + (y + z)) * (z - (x - y)) * (z + (x - y)) * (x + (y - z))
-        if h < 0:
-            if h < -EMBED_TOL * max(x, 1.0) ** 4:
-                raise ComplexError(f"triangle inequality violated in simplex: {a},{b},{c}")
-            h = 0.0
-        return 0.25 * math.sqrt(h)
-    m = np.ones((k + 2, k + 2))
-    m[0, 0] = 0.0
-    m[1:, 1:] = d2
-    det = np.linalg.det(m)
-    v2 = ((-1) ** (k + 1)) * det / (2**k * math.factorial(k) ** 2)
-    scale = max(d2.max(), 1.0) ** k
-    if v2 < -EMBED_TOL * scale:
+        bad = h < -EMBED_TOL * np.maximum(x, 1.0) ** 4
+        return 0.25 * np.sqrt(np.where(h < 0, 0.0, h)), bad
+    v2 = _squared_volumes(d2)
+    bad = v2 < -EMBED_TOL * np.maximum(d2.max(axis=(1, 2)), 1.0) ** k
+    return np.sqrt(np.maximum(v2, 0.0)), bad
+
+
+def _squared_volumes(d2):
+    """Signed squared k-volumes of an (n, k+1, k+1) stack via the bordered
+    Cayley-Menger determinant, all in one stacked det."""
+    n, k = d2.shape[0], d2.shape[-1] - 1
+    m = np.ones((n, k + 2, k + 2))
+    m[:, 0, 0] = 0.0
+    m[:, 1:, 1:] = d2
+    return ((-1) ** (k + 1)) * np.linalg.det(m) / (2**k * math.factorial(k) ** 2)
+
+
+def simplex_volume_from_sq(d2):
+    """Unsigned k-volume from squared pairwise distances (Cayley-Menger).
+
+    Takes one (m, m) matrix, returning a float, or an (n, m, m) stack,
+    returning an array.  0-simplices have volume 1.  A significantly
+    negative determinant means the distances are not flat-realizable and
+    raises ComplexError for the first such entry.
+    """
+    d2 = np.asarray(d2, dtype=float)
+    stack = d2[None] if d2.ndim == 2 else d2
+    vols, bad = cayley_menger(stack)
+    if bad.any():
+        first = stack[int(np.argmax(bad))]
+        k = first.shape[0] - 1
+        if k == 2:
+            a, b, c = (math.sqrt(first[i, j]) for i, j in ((0, 1), (0, 2), (1, 2)))
+            raise ComplexError(f"triangle inequality violated in simplex: {a},{b},{c}")
+        v2 = float(_squared_volumes(first[None])[0])
         raise ComplexError(f"non-embeddable {k}-simplex (CM determinant {v2})")
-    return float(math.sqrt(max(v2, 0.0)))
+    return float(vols[0]) if d2.ndim == 2 else vols
+
+
+def simplex_volumes(metric, simplices):
+    """k-volumes of an (n, k+1) array (or list) of vertex-id tuples, batched."""
+    ids = np.asarray(simplices, dtype=np.intp)
+    if ids.size == 0:
+        return np.empty(len(ids))
+    return simplex_volume_from_sq(metric.pairwise_sq(ids))
 
 
 def gram_from_sq(d2):
-    """Gram matrix of edge vectors (v_i - v_0) from squared distances."""
+    """Gram matrix of edge vectors (v_i - v_0) from squared distances; works
+    on one (m, m) matrix or on a stack (..., m, m)."""
     d2 = np.asarray(d2, dtype=float)
-    k = d2.shape[0] - 1
-    g = np.empty((k, k))
-    for i in range(1, k + 1):
-        for j in range(1, k + 1):
-            g[i - 1, j - 1] = 0.5 * (d2[0, i] + d2[0, j] - d2[i, j])
-    return g
+    return 0.5 * (d2[..., 0, 1:, None] + d2[..., 0, None, 1:] - d2[..., 1:, 1:])
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +297,7 @@ class GeometricComplex:
     simplices: dict[int, list[tuple[int, ...]]]
     _masses: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
     _index: dict[int, dict[tuple[int, ...], int]] = field(default_factory=dict, repr=False)
+    _arrays: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
     _adjacency = None
 
     @classmethod
@@ -278,12 +329,16 @@ class GeometricComplex:
             self._index[k] = {s: i for i, s in enumerate(self.simplices.get(k, []))}
         return self._index[k]
 
+    def simplex_array(self, k):
+        """The k-simplices as an (n, k+1) vertex-id array, in list order."""
+        if k not in self._arrays:
+            sims = self.simplices.get(k, [])
+            self._arrays[k] = np.array(sims, dtype=np.intp).reshape(len(sims), k + 1)
+        return self._arrays[k]
+
     def masses(self, k):
         if k not in self._masses:
-            vols = np.empty(self.count(k))
-            for i, s in enumerate(self.simplices.get(k, [])):
-                vols[i] = simplex_volume_from_sq(self.metric.pairwise_sq(s))
-            self._masses[k] = vols
+            self._masses[k] = simplex_volumes(self.metric, self.simplex_array(k))
         return self._masses[k]
 
     def validate(self):
@@ -310,11 +365,9 @@ class GeometricComplex:
     def barycenter_values(self, k, values):
         """Mean of a vertex function over the vertices of each k-simplex."""
         vals = np.asarray(values, dtype=float)
-        sims = self.simplices.get(k, [])
-        if not sims:
+        if not self.count(k):
             return np.zeros(0)
-        arr = np.array(sims)
-        return vals[arr].mean(axis=1)
+        return vals[self.simplex_array(k)].mean(axis=1)
 
     def edges_sparse(self):
         if self._adjacency is None:
@@ -372,14 +425,13 @@ class PLFunction:
         worst = 0.0
         vals = self.values
         for k in self.complex.dims:
-            if k == 0:
+            ids = self.complex.simplex_array(k)
+            if k == 0 or not len(ids):
                 continue
-            for s in self.complex.simplices[k]:
-                d2 = self.complex.metric.pairwise_sq(s)
-                g = gram_from_sq(d2)
-                b = vals[list(s[1:])] - vals[s[0]]
-                if not np.any(b):
-                    continue
+            grams = gram_from_sq(self.complex.metric.pairwise_sq(ids))
+            rhs = vals[ids[:, 1:]] - vals[ids[:, :1]]
+            live = rhs.any(axis=1)
+            for g, b in zip(grams[live], rhs[live]):
                 try:
                     sol = np.linalg.solve(g, b)
                     sq = float(b @ sol)
@@ -403,6 +455,8 @@ def distance_function(complex: GeometricComplex, p: int, mode="auto") -> PLFunct
     1-skeleton.  Metric distance functions are 1-Lipschitz; graph distances
     record their computed PL constant.
     """
+    if not 0 <= p < complex.n_vertices:
+        raise ArgumentError(f"vertex {p} out of range (the complex has {complex.n_vertices} vertices)")
     if mode == "graph":
         vals = complex.graph_distances(p)
         if np.isinf(vals).any():
@@ -418,4 +472,6 @@ def coordinate_function(complex: GeometricComplex, axis: int) -> PLFunction:
     coords = complex.coords()
     if coords is None:
         raise ArgumentError("coordinate functions need coordinate-backed metrics")
+    if not 0 <= axis < coords.shape[1]:
+        raise ArgumentError(f"coordinate axis {axis} out of range for {coords.shape[1]}-D coordinates")
     return PLFunction(complex, coords[:, axis].copy(), source=("coord", axis))

@@ -12,11 +12,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .complexes import (
-    ComplexError,
     GeometricComplex,
     MatrixMetric,
+    cayley_menger,
     distance_function,
-    simplex_volume_from_sq,
 )
 from .currents import SimplicialCurrent, boundary, mass, push_forward
 from .fillvol import filling_volume, flat_distance
@@ -222,19 +221,16 @@ def joined_complex(CA, TA, CB, TB, correspondence=None, delta=None, mode="auto")
     dim = CA.top_dim
     tops = list(CA.simplices[dim])
     tops += [tuple(v + na for v in s) for s in CB.simplices[CB.top_dim]]
-    dropped = 0
+    prisms = []
     for s in CA.simplices[dim]:
         image = [match.get(v) for v in s]
         if any(v is None for v in image):
             continue
-        for prism in staircase(list(s), [v + na for v in image]):
-            if len(set(prism)) != len(prism):
-                continue
-            try:
-                simplex_volume_from_sq(metric.pairwise_sq(tuple(sorted(prism))))
-                tops.append(prism)
-            except ComplexError:
-                dropped += 1
+        prisms += [p for p in staircase(list(s), [v + na for v in image]) if len(set(p)) == len(p)]
+    # prisms whose distances are not flat-realizable are left out
+    bad = cayley_menger(metric.pairwise_sq(np.sort(prisms, axis=1)))[1] if prisms else np.zeros(0, bool)
+    tops += [p for p, b in zip(prisms, bad.tolist()) if not b]
+    dropped = int(bad.sum())
     if natural:
         # cone fillers from one apex over every top simplex: genuine
         # Euclidean simplices, so any top-dimensional cycle bounds in K at

@@ -238,20 +238,17 @@ def evaluate(T: SimplicialCurrent, f: PLFunction, pis) -> float:
     k = T.dim
     total = 0.0
     fact = math.factorial(k)
-    fv = f.values
-    pv = [p.values for p in pis]
-    for idx, c in T.coeffs.items():
-        s = T.simplex(idx)
-        fbar = fv[list(s)].mean()
-        if k == 0:
+    ids = T.complex.simplex_array(k)[list(T.coeffs)].reshape(-1, k + 1)
+    fbars = f.values[ids].mean(axis=1)
+    if k == 0:
+        for c, fbar in zip(T.coeffs.values(), fbars):
             total += c * fbar
-            continue
-        m = np.empty((k, k))
-        for a in range(k):
-            base = pv[a][s[0]]
-            for b in range(k):
-                m[a, b] = pv[a][s[b + 1]] - base
-        total += c * fbar * float(np.linalg.det(m)) / fact
+        return float(total)
+    pv = np.array([p.values for p in pis])
+    # m[n, a, b] = pi_a(v_{b+1}) - pi_a(v_0) on simplex n, one stacked det
+    dets = np.linalg.det((pv[:, ids[:, 1:]] - pv[:, ids[:, :1]]).transpose(1, 0, 2))
+    for c, fbar, det in zip(T.coeffs.values(), fbars, dets.tolist()):
+        total += c * fbar * det / fact
     return float(total)
 
 

@@ -7,7 +7,6 @@ complex are upper bounds for the corresponding intrinsic quantities.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,9 +153,7 @@ def cone_bound(B: SimplicialCurrent) -> float:
     if not verts:
         return 0.0
     metric = B.complex.metric
-    diam = 0.0
-    for a, b in itertools.combinations(verts, 2):
-        diam = max(diam, metric.dist(a, b))
+    diam = max((float(metric.dist(a, verts[i + 1 :]).max()) for i, a in enumerate(verts[:-1])), default=0.0)
     return diam * mass(B)
 
 

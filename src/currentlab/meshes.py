@@ -15,6 +15,18 @@ from .currents import SimplicialCurrent
 from .metricspace import ArgumentError
 
 
+def _oriented(idx, simplices, frames, what=None):
+    """Coefficients +-1 of canonical simplices from the signs of their frame
+    determinants (one stacked det over an (n, k, k) array); a zero
+    determinant raises ArgumentError when `what` names the simplex kind."""
+    coeffs = {}
+    for s, det in zip(simplices, np.linalg.det(frames).tolist()):
+        if what and det == 0.0:
+            raise ArgumentError(f"degenerate {what} {s}")
+        coeffs[idx[s]] = 1 if det > 0 else -1
+    return coeffs
+
+
 def interval_chain(n: int, length: float = 1.0):
     """n edges along a segment, oriented left to right."""
     coords = np.linspace(0.0, length, n + 1)[:, None]
@@ -31,14 +43,9 @@ def square_complex(size: float = 1.0):
     metric = EuclideanMetric(pts)
     tris = [(0, 1, 3), (0, 3, 2)]
     C = GeometricComplex.from_top_simplices(metric, tris)
-    pairs = []
-    for tri in tris:
-        ids = tuple(sorted(tri))
-        p = pts[list(ids)]
-        det = float(np.linalg.det(p[1:] - p[0]))
-        pairs.append((ids, 1 if det > 0 else -1))
-    T = SimplicialCurrent(C, 2, {C.index(2)[ids]: s for ids, s in pairs})
-    return C, T
+    ids = [tuple(sorted(t)) for t in tris]
+    p = pts[np.array(ids)]
+    return C, SimplicialCurrent(C, 2, _oriented(C.index(2), ids, p[:, 1:] - p[:, :1]))
 
 
 def grid_mesh(nx: int, ny: int, size_x: float = 1.0, size_y: float = 1.0):
@@ -50,7 +57,6 @@ def grid_mesh(nx: int, ny: int, size_x: float = 1.0, size_y: float = 1.0):
     def vid(i, j):
         return j * (nx + 1) + i
 
-    coeffs = {}
     tris = []
     for j in range(ny):
         for i in range(nx):
@@ -59,13 +65,9 @@ def grid_mesh(nx: int, ny: int, size_x: float = 1.0, size_y: float = 1.0):
             tris.extend([(a, b, d), (a, d, c)])
     metric = EuclideanMetric(pts)
     C = GeometricComplex.from_top_simplices(metric, tris)
-    idx = C.index(2)
-    for tri in tris:
-        ids = tuple(sorted(tri))
-        p = pts[list(ids)]
-        det = float(np.linalg.det(p[1:] - p[0]))
-        coeffs[idx[ids]] = 1 if det > 0 else -1
-    return C, SimplicialCurrent(C, 2, coeffs)
+    ids = [tuple(sorted(t)) for t in tris]
+    p = pts[np.array(ids)]
+    return C, SimplicialCurrent(C, 2, _oriented(C.index(2), ids, p[:, 1:] - p[:, :1]))
 
 
 def disk_mesh(h: float = 0.05, radius: float = 1.0):
@@ -100,16 +102,9 @@ def disk_mesh(h: float = 0.05, radius: float = 1.0):
     pts = np.array(pts)
     metric = EuclideanMetric(pts)
     C = GeometricComplex.from_top_simplices(metric, tris)
-    idx = C.index(2)
-    coeffs = {}
-    for tri in tris:
-        ids = tuple(sorted(tri))
-        p = pts[list(ids)]
-        det = float(np.linalg.det(p[1:] - p[0]))
-        if det == 0.0:
-            raise ArgumentError(f"degenerate disk triangle {ids}")
-        coeffs[idx[ids]] = 1 if det > 0 else -1
-    return C, SimplicialCurrent(C, 2, coeffs)
+    ids = [tuple(sorted(t)) for t in tris]
+    p = pts[np.array(ids)]
+    return C, SimplicialCurrent(C, 2, _oriented(C.index(2), ids, p[:, 1:] - p[:, :1], "disk triangle"))
 
 
 # ---------------------------------------------------------------------------
@@ -172,16 +167,10 @@ def sphere_mesh(n_lat: int, n_lon: int, metric: str = "geodesic"):
     else:
         raise ArgumentError(f"unknown sphere metric {metric!r}")
     C = GeometricComplex.from_top_simplices(m, tris)
-    idx = C.index(2)
-    coeffs = {}
-    for tri in tris:
-        ids = tuple(sorted(tri))
-        p = pts[list(ids)]
-        det = float(np.linalg.det(np.array([p[0], p[1] - p[0], p[2] - p[0]])))
-        if det == 0.0:
-            raise ArgumentError(f"degenerate sphere triangle {ids}")
-        coeffs[idx[ids]] = 1 if det > 0 else -1
-    return C, SimplicialCurrent(C, 2, coeffs)
+    ids = [tuple(sorted(t)) for t in tris]
+    p = pts[np.array(ids)]
+    frames = np.concatenate([p[:, :1], p[:, 1:] - p[:, :1]], axis=1)
+    return C, SimplicialCurrent(C, 2, _oriented(C.index(2), ids, frames, "sphere triangle"))
 
 
 def equator_vertex(C: GeometricComplex, n_lat: int, n_lon: int) -> int:
@@ -304,16 +293,9 @@ def box_mesh(origin, lengths, cells, periodic=(False, False, False), metric_fn=N
             raise ArgumentError("periodic box too coarse: duplicate tetrahedra")
         seen.add(key)
     C = GeometricComplex.from_top_simplices(metric, tets)
-    idx = C.index(3)
-    coeffs = {}
-    for t, loc in zip(tets, local):
-        ids = tuple(sorted(t))
-        pts = np.array([loc[g] for g in ids])
-        det = float(np.linalg.det(pts[1:] - pts[0]))
-        if det == 0.0:
-            raise ArgumentError(f"degenerate tetrahedron {ids}")
-        coeffs[idx[ids]] = 1 if det > 0 else -1
-    return C, SimplicialCurrent(C, 3, coeffs)
+    ids = [tuple(sorted(t)) for t in tets]
+    p = np.array([[loc[g] for g in key] for key, loc in zip(ids, local)])
+    return C, SimplicialCurrent(C, 3, _oriented(C.index(3), ids, p[:, 1:] - p[:, :1], "tetrahedron"))
 
 
 def torus_metric(circumferences):

@@ -178,6 +178,12 @@ def sliced_interval_fill(
     1/eps, so the product over Lipschitz constants again bounds the ball's
     mass from below.  Up to dim(T) slicing functions are allowed since the
     product raises the dimension by one.
+
+    The filling of each leaf is the prism itself (see
+    `interval_filling_volume`), so every leaf value is exactly eps * M(slice)
+    and the result is the coarea integral of slice masses divided by the
+    Lipschitz constants: a coarea mass bound, not an independent filling
+    bound.
     """
     from .slicedfill import SlicedFillReport, _tensor_eval, _tensor_trapezoid, ball_context
     from .complexes import distance_function

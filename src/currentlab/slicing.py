@@ -16,7 +16,7 @@ from .complexes import (
     PLFunction,
     VOLUME_FLOOR,
     distance_function,
-    simplex_volume_from_sq,
+    simplex_volumes,
 )
 from .currents import SimplicialCurrent, boundary, mass
 from .metricspace import ArgumentError
@@ -48,17 +48,14 @@ class Refinement:
 
     def transfer_function(self, f: PLFunction, own_level=False) -> PLFunction:
         old = f.values
-        cut_vals = np.empty(len(self.cut_edges))
+        n_cut = len(self.cut_edges)
         if own_level:
-            cut_vals[:] = self.level
+            cut_vals = np.full(n_cut, self.level)
         elif f.source is not None and f.source[0] == "dist":
-            p = f.source[1]
-            metric = self.complex.metric
-            for i in range(len(self.cut_edges)):
-                cut_vals[i] = metric.dist(p, self.n_old_vertices + i)
+            cut_ids = np.arange(self.n_old_vertices, self.n_old_vertices + n_cut)
+            cut_vals = self.complex.metric.dist(f.source[1], cut_ids)
         else:
-            for i, (u, v, t) in enumerate(self.cut_edges):
-                cut_vals[i] = (1.0 - t) * old[u] + t * old[v]
+            cut_vals = np.array([(1.0 - t) * old[u] + t * old[v] for (u, v, t) in self.cut_edges])
         return PLFunction(self.complex, np.concatenate([old, cut_vals]), source=f.source)
 
 
@@ -176,7 +173,10 @@ def subdivide_at_level(C: GeometricComplex, values, s, snap_rel=SNAP_REL) -> Ref
 
     Per-simplex volume is preserved by construction (children partition their
     parent); shared faces of neighbouring simplices are split identically via
-    canonical global-id rules.
+    canonical global-id rules.  Only crossing simplices are visited: the
+    refined lists are the untouched simplices plus the pieces and their new
+    faces (those through a cut point), which relies on C being closed under
+    faces.
     """
     values = np.asarray(values, dtype=float)
     level, snapped, warning = snap_level(values, s, snap_rel)
@@ -184,110 +184,104 @@ def subdivide_at_level(C: GeometricComplex, values, s, snap_rel=SNAP_REL) -> Ref
 
     n_old = C.n_vertices
     below_vertex = values < level
+    crossing = {}
+    for k in C.dims:
+        side = below_vertex[C.simplex_array(k)]
+        crossing[k] = np.flatnonzero(side.any(axis=1) & ~side.all(axis=1))
 
-    cut: dict[tuple[int, int], int] = {}
-    cut_edges: list[tuple[int, int, float]] = []
-    raw_points = []
-    next_id = n_old
-    for (u, v) in C.simplices.get(1, []):
-        if below_vertex[u] != below_vertex[v]:
-            lo, hi = (u, v) if below_vertex[u] else (v, u)
-            t = (level - values[lo]) / (values[hi] - values[lo])
-            t_edge = t if (u, v) == (lo, hi) else 1.0 - t
-            cut[(u, v)] = next_id
-            cut_edges.append((u, v, t_edge))
-            raw_points.append(((u, v), t_edge))
-            next_id += 1
+    # one cut point per crossing edge, numbered in edge order
+    edges = C.simplex_array(1)[crossing.get(1, [])]
+    u_below = below_vertex[edges[:, 0]]
+    lo = np.where(u_below, edges[:, 0], edges[:, 1])
+    hi = np.where(u_below, edges[:, 1], edges[:, 0])
+    t = (level - values[lo]) / (values[hi] - values[lo])
+    t_edge = np.where(u_below, t, 1.0 - t)
+    cut_edges = list(zip(*edges.T.tolist(), t_edge.tolist()))
+    cut = {(u, v): n_old + i for i, (u, v, _) in enumerate(cut_edges)}
 
     metric = C.metric.copy()
     if cut_edges:
         specs = [metric.interpolate((u, v), (1.0 - t, t)) for (u, v, t) in cut_edges]
         metric.add_points(specs)
 
-    children_tuples: dict[int, dict[int, list[tuple[int, ...]]]] = {}
+    # pieces of crossing simplices; new faces (through a cut point) of pieces
+    # from the dimension above join the new simplices one dimension down
+    pieces: dict[int, list[list[tuple[int, ...]]]] = {}
+    new: dict[int, set] = {k: set() for k in C.dims}
+    for k in sorted(C.dims, reverse=True):
+        sims = C.simplices[k]
+        pieces[k] = []
+        for idx in crossing[k].tolist():
+            simplex = sims[idx]
+            lo_pieces, hi_pieces = _split_pieces(simplex, [bool(below_vertex[v]) for v in simplex], cut)
+            pieces[k].append([tuple(sorted(p)) for p in lo_pieces + hi_pieces])
+            new[k].update(pieces[k][-1])
+        if k >= 1:
+            for simplex in new[k]:
+                for i in range(k + 1):
+                    face = simplex[:i] + simplex[i + 1 :]
+                    if face[-1] >= n_old:
+                        new[k - 1].add(face)
+
+    # merged, sorted lists; untouched simplices keep their volumes
+    new_lists, new_arrays, new_masses, old_pos, new_pos = {}, {}, {}, {}, {}
+    for k in C.dims:
+        keep = np.ones(C.count(k), dtype=bool)
+        keep[crossing[k]] = False
+        added = list(new[k])
+        added_arr = np.array(added, dtype=np.intp).reshape(len(added), k + 1)
+        merged = np.concatenate([C.simplex_array(k)[keep], added_arr])
+        order = np.lexsort(merged.T[::-1])
+        rank = np.empty(len(order), dtype=np.intp)
+        rank[order] = np.arange(len(order))
+        n_keep = int(keep.sum())
+        pos = np.full(len(keep), -1, dtype=np.intp)
+        pos[keep] = rank[:n_keep]
+        old_pos[k] = pos.tolist()
+        new_pos[k] = dict(zip(added, rank[n_keep:].tolist()))
+        new_arrays[k] = merged[order]
+        # untouched simplices keep their tuple objects
+        tuples = [C.simplices[k][i] for i in np.flatnonzero(keep).tolist()] + added
+        new_lists[k] = [tuples[i] for i in order.tolist()]
+        vols = np.concatenate([C.masses(k)[keep], simplex_volumes(metric, added_arr)])
+        new_masses[k] = vols[order]
+    new_complex = GeometricComplex(metric, new_lists, _masses=new_masses, _arrays=new_arrays)
+
+    # signed children mapping with volume-fraction sanity check; orientations
+    # are determinants of the pieces' barycentric coordinates in the parent
+    children: dict[int, dict[int, list[tuple[int, int]]]] = {}
     dropped = 0
     for k in C.dims:
-        table: dict[int, list[tuple[int, ...]]] = {}
-        for idx, simplex in enumerate(C.simplices[k]):
-            if k == 0:
-                table[idx] = [simplex]
-                continue
-            mask = [bool(below_vertex[v]) for v in simplex]
-            if all(mask) or not any(mask):
-                table[idx] = [simplex]
-                continue
-            lo_pieces, hi_pieces = _split_pieces(simplex, mask, cut)
-            table[idx] = lo_pieces + hi_pieces
-        children_tuples[k] = table
-
-    # barycentric coordinates of every vertex relative to a parent simplex
-    bary_cache = {gid - n_old: (edge, t) for gid, (edge, t) in
-                  zip(range(n_old, next_id), raw_points)}
-
-    def bary_in(parent, gid):
-        coords = np.zeros(len(parent))
-        if gid < n_old:
-            coords[parent.index(gid)] = 1.0
-        else:
-            (u, v), t = bary_cache[gid - n_old]
-            coords[parent.index(u)] = 1.0 - t
-            coords[parent.index(v)] = t
-        return coords
-
-    # assemble simplex lists: children plus faces of higher-dimensional children
-    new_lists: dict[int, list[tuple[int, ...]]] = {}
-    face_pool: dict[int, set] = {k: set() for k in C.dims}
-    for k in sorted(C.dims, reverse=True):
-        pool = face_pool[k]
-        for table in (children_tuples[k],):
-            for pieces in table.values():
-                pool.update(tuple(sorted(p)) for p in pieces)
-        for s_tuple in pool:
-            if k >= 1:
-                for i in range(len(s_tuple)):
-                    face_pool[k - 1].add(s_tuple[:i] + s_tuple[i + 1 :])
-        new_lists[k] = sorted(pool)
-
-    new_complex = GeometricComplex(metric, new_lists)
-
-    # reuse volumes of untouched simplices
-    old_masses = {k: C.masses(k) for k in C.dims}
-    for k in C.dims:
-        old_index = C.index(k)
-        vols = np.empty(new_complex.count(k))
-        for i, s_tuple in enumerate(new_lists[k]):
-            j = old_index.get(s_tuple)
-            vols[i] = old_masses[k][j] if j is not None else simplex_volume_from_sq(
-                metric.pairwise_sq(s_tuple)
+        table = {idx: [(p, 1)] for idx, p in enumerate(old_pos[k])}
+        if pieces[k]:
+            parents = C.simplex_array(k)[np.repeat(crossing[k], [len(p) for p in pieces[k]])]
+            keys = np.array([key for pcs in pieces[k] for key in pcs], dtype=np.intp)
+            is_cut = keys >= n_old
+            e = np.where(is_cut, keys - n_old, 0)
+            a = np.where(is_cut, edges[e, 0], keys)
+            b = np.where(is_cut, edges[e, 1], -1)
+            w = np.where(is_cut, t_edge[e], 0.0)[:, :, None]
+            # rows[n, j]: barycentric coordinates in the parent of vertex j of
+            # piece n; a cut point at t on edge (u, v) is (1 - t) u + t v
+            rows = np.where(parents[:, None, :] == a[:, :, None], 1.0 - w, 0.0) + np.where(
+                parents[:, None, :] == b[:, :, None], w, 0.0
             )
-        new_complex._masses[k] = vols
-
-    # signed children mapping with volume-fraction sanity check
-    children: dict[int, dict[int, list[tuple[int, int]]]] = {}
-    for k in C.dims:
-        table = {}
-        index = new_complex.index(k)
-        for idx, pieces in children_tuples[k].items():
-            parent = C.simplices[k][idx]
-            if len(pieces) == 1 and tuple(sorted(pieces[0])) == parent:
-                table[idx] = [(index[parent], 1)]
-                continue
-            entries = []
-            frac = 0.0
-            for piece in pieces:
-                key = tuple(sorted(piece))
-                rows = np.array([bary_in(parent, g) for g in key])
-                det = float(np.linalg.det(rows))
-                frac += abs(det)
-                if abs(det) < VOLUME_FLOOR:
-                    dropped += 1
-                    continue
-                entries.append((index[key], 1 if det > 0 else -1))
-            if abs(frac - 1.0) > 1e-6:
-                warnings.append(
-                    f"split of {parent} covers volume fraction {frac} (expected 1)"
-                )
-            table[idx] = entries
+            dets = iter(np.linalg.det(rows).tolist())
+            for idx, pcs in zip(crossing[k].tolist(), pieces[k]):
+                entries = []
+                frac = 0.0
+                for key in pcs:
+                    det = next(dets)
+                    frac += abs(det)
+                    if abs(det) < VOLUME_FLOOR:
+                        dropped += 1
+                        continue
+                    entries.append((new_pos[k][key], 1 if det > 0 else -1))
+                if abs(frac - 1.0) > 1e-6:
+                    warnings.append(
+                        f"split of {C.simplices[k][idx]} covers volume fraction {frac} (expected 1)"
+                    )
+                table[idx] = entries
         children[k] = table
 
     return Refinement(

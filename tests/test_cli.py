@@ -196,6 +196,28 @@ class TestErrors:
         proc = run_cli(["mass", "--input", str(path)])
         assert proc.returncode == EXIT_INPUT
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["slice", "--function", "coord:x"],
+            ["slice", "--function", "dist:x"],
+            ["slice", "--function", "coord:5"],
+            ["slice", "--function", "dist:4"],
+            ["ball", "--radius", "0.5", "--center", "9"],
+            ["sf", "--radius", "0.5", "--witnesses", "a"],
+            ["lab", "--schedule", "a,b"],
+        ],
+        ids=["coord-axis-text", "dist-vertex-text", "coord-axis-range", "dist-vertex-range",
+             "center-range", "witnesses-text", "schedule-text"],
+    )
+    def test_malformed_option_values_exit_2(self, square_chain_path, args):
+        if args[0] != "lab":
+            args = args + ["--input", str(square_chain_path)]
+        proc = run_cli(args)
+        assert proc.returncode == EXIT_INPUT
+        assert "input error" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_invariant_violation_exits_1(self, triangle_cycle_path, monkeypatch, capsys):
         import currentlab.cli as cli
         from currentlab.fillvol import FillingReport

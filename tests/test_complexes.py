@@ -15,7 +15,7 @@ from currentlab.complexes import (
     gram_from_sq,
     simplex_volume_from_sq,
 )
-from currentlab.meshes import grid_mesh, square_complex
+from currentlab.meshes import _sphere_arc_metric, grid_mesh, square_complex
 
 from oracles import simplex_volume_from_coords
 
@@ -134,3 +134,82 @@ class TestCallableMetric:
         # midpoint across the wrap sits at 0 (mod 2), not at 1
         circ = min(new[0] % 2.0, 2.0 - new[0] % 2.0)
         assert circ == pytest.approx(0.0, abs=1e-12)
+
+
+def _backends(rng):
+    pts = rng.normal(size=(12, 3))
+    torus = lambda A, B: np.sqrt((np.minimum(np.abs(A - B), 2.0 - np.abs(A - B)) ** 2).sum(axis=1))
+    return [
+        EuclideanMetric(pts),
+        CallableMetric(np.mod(pts, 2.0), torus, wrap=(2.0, 2.0, 2.0)),
+        MatrixMetric(np.linalg.norm(pts[:, None] - pts[None], axis=-1)),
+    ]
+
+
+class TestBatchedKernels:
+    @pytest.mark.parametrize("backend", [0, 1, 2], ids=["euclidean", "callable", "matrix"])
+    def test_pairwise_sq_stack_equals_single_calls(self, backend):
+        rng = np.random.default_rng(21)
+        metric = _backends(rng)[backend]
+        for m in (1, 2, 3, 4):
+            ids = np.array([rng.choice(metric.n, m, replace=False) for _ in range(30)])
+            stack = metric.pairwise_sq(ids)
+            assert stack.shape == (30, m, m)
+            for row, d2 in zip(ids, stack):
+                assert np.array_equal(d2, metric.pairwise_sq(tuple(row.tolist())))
+            # any leading axes act as the batch
+            assert np.array_equal(metric.pairwise_sq(ids.reshape(5, 6, m)), stack.reshape(5, 6, m, m))
+
+    def test_callable_pairwise_sq_evaluates_every_pair(self):
+        # the arc metric's d(x, x) can round away from 0; it is evaluated, not assumed
+        fn = _sphere_arc_metric()
+        pts = np.random.default_rng(25).normal(size=(20, 3))
+        metric = CallableMetric(pts, fn)
+        ids = np.arange(20).reshape(5, 4)
+        want = np.array([[[fn(pts[a][None], pts[b][None])[0] ** 2 for b in row] for a in row] for row in ids])
+        assert np.array_equal(metric.pairwise_sq(ids), want)
+
+    @pytest.mark.parametrize("backend", [0, 1, 2], ids=["euclidean", "callable", "matrix"])
+    def test_dist_to_many_equals_single_calls(self, backend):
+        metric = _backends(np.random.default_rng(22))[backend]
+        ids = np.arange(metric.n)
+        assert np.array_equal(metric.dist(3, ids), [metric.dist(3, int(j)) for j in ids])
+
+    def test_volume_stack_equals_single_calls(self):
+        rng = np.random.default_rng(23)
+        metric = EuclideanMetric(rng.normal(size=(40, 3)))
+        for k in (0, 1, 2, 3):
+            ids = np.array([rng.choice(metric.n, k + 1, replace=False) for _ in range(50)])
+            stack = metric.pairwise_sq(ids)
+            vols = simplex_volume_from_sq(stack)
+            assert isinstance(vols, np.ndarray) and vols.shape == (50,)
+            single = [simplex_volume_from_sq(d2) for d2 in stack]
+            assert all(isinstance(v, float) for v in single)
+            assert np.array_equal(vols, single)
+
+    def test_one_bad_tetrahedron_fails_the_stack(self):
+        good = np.ones((4, 4)) - np.eye(4)
+        bad = good.copy()
+        bad[0, 1] = bad[1, 0] = 16.0  # an edge of length 4 beside edges of length 1
+        with pytest.raises(ComplexError):
+            simplex_volume_from_sq(bad)
+        with pytest.raises(ComplexError, match="non-embeddable 3-simplex"):
+            simplex_volume_from_sq(np.stack([good, good, bad, good]))
+        assert np.array_equal(simplex_volume_from_sq(np.stack([good, good])), [simplex_volume_from_sq(good)] * 2)
+
+    def test_masses_and_lip_on_a_callable_mesh(self):
+        # batched masses and Lipschitz constants equal one-simplex evaluations
+        rng = np.random.default_rng(24)
+        metric = _backends(rng)[1]
+        C = GeometricComplex.from_top_simplices(metric, [(0, 1, 2, 3), (1, 2, 3, 4), (4, 5, 6)])
+        for k in C.dims:
+            want = [simplex_volume_from_sq(metric.pairwise_sq(s)) for s in C.simplices[k]]
+            assert np.array_equal(C.masses(k), want)
+        f = PLFunction(C, rng.normal(size=C.n_vertices))
+        worst = 0.0
+        for k in (1, 2, 3):
+            for s in C.simplices[k]:
+                g = gram_from_sq(metric.pairwise_sq(s))
+                b = f.values[list(s[1:])] - f.values[s[0]]
+                worst = max(worst, float(b @ np.linalg.solve(g, b)))
+        assert f.lip == math.sqrt(worst)

@@ -6,6 +6,7 @@ import pytest
 from currentlab.complexes import (
     EuclideanMetric,
     GeometricComplex,
+    MatrixMetric,
     PLFunction,
     coordinate_function,
     distance_function,
@@ -19,6 +20,7 @@ from currentlab.meshes import (
     nearest_vertex,
     sphere_mesh,
     square_complex,
+    torus_patch_mesh,
 )
 from currentlab.metricspace import ArgumentError
 from currentlab.slicing import (
@@ -33,6 +35,8 @@ from currentlab.slicing import (
     support_closure,
     _sublevel_indicator,
 )
+
+from oracles import subdivide_oracle
 
 
 def random_mesh_chain(rng):
@@ -167,6 +171,57 @@ class TestSubdivide:
         C = GeometricComplex.from_top_simplices(EuclideanMetric(pts), [tuple(range(5))])
         with pytest.raises(ArgumentError, match="dimension"):
             subdivide_at_level(C, pts[:, 0], 0.5)
+
+
+def _metric_state(metric):
+    return getattr(metric, "coords", getattr(metric, "points", getattr(metric, "mat", None)))
+
+
+def _subdivide_cases():
+    """(complex, vertex values) over every metric backend and dimension."""
+    disk, disk_T = disk_mesh(h=0.25)
+    sph, _ = sphere_mesh(8, 16)
+    tor, _ = torus_patch_mesh(0.4, 0.3, 4)
+    grid, _ = grid_mesh(3, 3)
+    pts = grid.coords()
+    mat = GeometricComplex(
+        MatrixMetric(np.linalg.norm(pts[:, None] - pts[None], axis=-1)), grid.simplices
+    )
+    ball_T = ball(disk_T, nearest_vertex(disk, (0.2, 0.1)), 0.55)
+    closure = support_closure(ball_T).complex
+    cases = [
+        ("disk", disk, distance_function(disk, nearest_vertex(disk, (0.3, -0.2))).values),
+        ("sphere", sph, distance_function(sph, 37).values),
+        ("torus", tor, distance_function(tor, nearest_vertex(tor, (0.05, 0.1, 0.0))).values),
+        ("matrix", mat, distance_function(mat, 7).values),
+        ("ball_closure", closure, np.random.default_rng(5).normal(size=closure.n_vertices)),
+    ]
+    return [pytest.param(C, values, id=name) for name, C, values in cases]
+
+
+@pytest.mark.parametrize("C, values", _subdivide_cases())
+def test_subdivide_matches_oracle(C, values):
+    """Crossing-only batched subdivision reproduces the one-simplex-at-a-time
+    reference bit for bit, the snapped level included."""
+    C.validate()
+    rng = np.random.default_rng([11, len(values)])
+    used = values[np.unique(C.simplex_array(C.top_dim))]
+    # seeded levels, then a vertex value, which must be snapped off
+    levels = list(rng.uniform(used.min(), used.max(), size=4)) + [float(np.sort(used)[len(used) // 2])]
+    for level in levels:
+        ref = subdivide_at_level(C, values, level)
+        want = subdivide_oracle(C, values, level)
+        assert ref.level == want.level and ref.snapped == want.snapped
+        assert ref.n_old_vertices == want.n_old_vertices
+        assert ref.cut_edges == want.cut_edges
+        assert ref.children == want.children
+        assert ref.dropped == want.dropped
+        assert ref.warnings == want.warnings
+        assert ref.complex.simplices == want.complex.simplices
+        assert np.array_equal(_metric_state(ref.complex.metric), _metric_state(want.complex.metric))
+        for k in want.complex.dims:
+            assert np.array_equal(ref.complex.masses(k), want.complex.masses(k))
+    assert any(subdivide_at_level(C, values, lv).snapped for lv in levels)
 
 
 class TestSlice:
