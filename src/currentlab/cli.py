@@ -17,10 +17,10 @@ import numpy as np
 
 from .complexes import ComplexError, PLFunction, coordinate_function, distance_function
 from .currents import (
-    SimplicialCurrent,
     boundary,
     chain_from_json,
     chain_to_json,
+    current_from_json,
     evaluate,
     load_chain,
     mass,
@@ -46,6 +46,7 @@ logger = logging.getLogger("currentlab")
 EXIT_OK = 0
 EXIT_INVARIANT = 1
 EXIT_INPUT = 2
+EXIT_INTERNAL = 3
 
 
 @dataclass
@@ -244,10 +245,10 @@ def _cmd_flatnorm(cfg: RunConfig):
     T, data = _chain_and_data(cfg.input)
     if "current_b" not in data:
         raise ArgumentError("flatnorm input needs 'current' and 'current_b' on one complex")
-    other = data["current_b"]
-    S = SimplicialCurrent(
-        T.complex, int(other["dim"]), {int(i): int(c) for i, c in other.get("coeffs", [])}
-    )
+    try:
+        S = current_from_json(T.complex, data["current_b"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ArgumentError(f"{cfg.input}: bad current_b payload: {exc}") from exc
     report = flat_distance(T, S, T.complex)
     report.check()
     return report.to_json()
@@ -478,6 +479,10 @@ def main(argv=None) -> int:
     except InvariantError as exc:
         sys.stderr.write(f"invariant violated: {exc}\n")
         return EXIT_INVARIANT
+    except Exception as exc:  # any other failure is a defect of the program, not of the input
+        logger.debug("internal error", exc_info=True)
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

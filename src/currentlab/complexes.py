@@ -14,7 +14,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .metricspace import ArgumentError, FiniteMetricSpace
+from .metricspace import ArgumentError
 
 VOLUME_FLOOR = 1e-12
 EMBED_TOL = 1e-9
@@ -151,10 +151,6 @@ class MatrixMetric:
     def __init__(self, dist):
         self.mat = np.asarray(dist, dtype=float)
 
-    @classmethod
-    def from_space(cls, space: FiniteMetricSpace):
-        return cls(space.dist.copy())
-
     @property
     def n(self):
         return len(self.mat)
@@ -176,23 +172,29 @@ class MatrixMetric:
         return (list(ids), np.asarray(weights, dtype=float))
 
     def add_points(self, raw_points):
+        """Append flat interpolations (ids, barycentric weights) of existing
+        points, growing the matrix once: with weight rows W and squared
+        distances S, d(p_i, v)^2 = (W S)_iv - q_i / 2 and d(p_i, p_j)^2 =
+        (W S W^T)_ij - (q_i + q_j) / 2, where q_i = (W S W^T)_ii."""
         specs = raw_points if isinstance(raw_points, list) else [raw_points]
-        out = []
-        for ids, w in specs:
-            ids = list(ids)
-            w = np.asarray(w, dtype=float)
-            n = self.n
-            rows_sq = self.mat[ids] ** 2
-            cross = self.mat[np.ix_(ids, ids)] ** 2
-            new_sq = w @ rows_sq - 0.5 * float(w @ cross @ w)
-            new_row = np.sqrt(np.maximum(new_sq, 0.0))
-            grown = np.zeros((n + 1, n + 1))
-            grown[:n, :n] = self.mat
-            grown[n, :n] = new_row
-            grown[:n, n] = new_row
-            self.mat = grown
-            out.append(n)
-        return out
+        n, m = self.n, len(specs)
+        # ids and weights padded with weight 0 to the longest spec
+        ids = np.zeros((m, max(len(spec[0]) for spec in specs)), dtype=np.intp)
+        W = np.zeros(ids.shape)
+        for i, (spec_ids, w) in enumerate(specs):
+            ids[i, : len(spec_ids)], W[i, : len(spec_ids)] = spec_ids, w
+        WSW = np.einsum("ia,jb,iajb->ij", W, W, self.mat[ids[:, :, None, None], ids] ** 2)
+        q = np.diag(WSW)
+        new_sq = np.einsum("ia,ian->in", W, self.mat[ids] ** 2) - 0.5 * q[:, None]
+        among_sq = WSW - 0.5 * (q[:, None] + q[None, :])
+        grown = np.zeros((n + m, n + m))
+        grown[:n, :n] = self.mat
+        grown[n:, :n] = np.sqrt(np.maximum(new_sq, 0.0))
+        grown[:n, n:] = grown[n:, :n].T
+        among = np.sqrt(np.maximum(np.triu(among_sq, 1), 0.0))
+        grown[n:, n:] = among + among.T
+        self.mat = grown
+        return list(range(n, n + m))
 
     def copy(self):
         return MatrixMetric(self.mat.copy())
@@ -298,6 +300,7 @@ class GeometricComplex:
     _masses: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
     _index: dict[int, dict[tuple[int, ...], int]] = field(default_factory=dict, repr=False)
     _arrays: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
+    _faces: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
     _adjacency = None
 
     @classmethod
@@ -336,6 +339,31 @@ class GeometricComplex:
             self._arrays[k] = np.array(sims, dtype=np.intp).reshape(len(sims), k + 1)
         return self._arrays[k]
 
+    def face_index(self, k):
+        """The boundary operator of dimension k as an (n, k+1) array: entry
+        (i, j) is the index of the (k-1)-face of k-simplex i opposite its
+        vertex j (sign (-1)^j).  Raises ComplexError for a missing face."""
+        if k not in self._faces:
+            lower = self.simplex_array(k - 1)
+            faces = self.simplex_array(k)[:, [[c for c in range(k + 1) if c != j] for j in range(k + 1)]]
+            # rank the lower simplices and the face rows together (one column
+            # per vertex position): equal rows get equal ranks
+            cols = np.concatenate([lower.T, faces.transpose(2, 0, 1).reshape(k, -1)], axis=1)
+            order = np.lexsort(cols[::-1])
+            ranked = cols[:, order]
+            step = np.concatenate(([True], (ranked[:, 1:] != ranked[:, :-1]).any(axis=0)))
+            rank = np.empty(len(order), dtype=np.intp)
+            rank[order] = np.cumsum(step) - 1
+            owner = np.full(len(order), -1)
+            owner[rank[: len(lower)]] = np.arange(len(lower))
+            index = owner[rank[len(lower) :]].reshape(faces.shape[:2])
+            if (index < 0).any():
+                i = np.flatnonzero((index < 0).any(axis=1))[0]
+                j = np.flatnonzero(index[i] < 0)[-1]  # its first missing face in lexicographic order
+                raise ComplexError(f"missing face {tuple(faces[i, j].tolist())} of {self.simplices[k][i]}")
+            self._faces[k] = index
+        return self._faces[k]
+
     def masses(self, k):
         if k not in self._masses:
             self._masses[k] = simplex_volumes(self.metric, self.simplex_array(k))
@@ -350,13 +378,8 @@ class GeometricComplex:
                 if s in seen:
                     raise ComplexError(f"duplicate simplex {s}")
                 seen.add(s)
-            if k == 0:
-                continue
-            below = set(self.simplices.get(k - 1, []))
-            for s in self.simplices[k]:
-                for face in itertools.combinations(s, k):
-                    if face not in below:
-                        raise ComplexError(f"missing face {face} of {s}")
+            if k > 0:
+                self.face_index(k)
 
     def coords(self):
         m = self.metric
@@ -371,17 +394,9 @@ class GeometricComplex:
 
     def edges_sparse(self):
         if self._adjacency is None:
-            edges = self.simplices.get(1, [])
-            if edges:
-                ii = [e[0] for e in edges]
-                jj = [e[1] for e in edges]
-                ww = self.masses(1)
-                n = self.n_vertices
-                g = coo_matrix((np.concatenate([ww, ww]), (ii + jj, jj + ii)), shape=(n, n))
-                self._adjacency = g.tocsr()
-            else:
-                n = self.n_vertices
-                self._adjacency = coo_matrix((n, n)).tocsr()
+            ends, w, n = self.simplex_array(1), self.masses(1), self.n_vertices
+            both = (np.concatenate([ends[:, 0], ends[:, 1]]), np.concatenate([ends[:, 1], ends[:, 0]]))
+            self._adjacency = coo_matrix((np.concatenate([w, w]), both), shape=(n, n)).tocsr()
         return self._adjacency
 
     def graph_distances(self, source):

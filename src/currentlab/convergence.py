@@ -17,7 +17,7 @@ from .complexes import (
     cayley_menger,
     distance_function,
 )
-from .currents import SimplicialCurrent, boundary, mass, push_forward
+from .currents import boundary, mass, push_forward
 from .fillvol import filling_volume, flat_distance
 from .metricspace import ArgumentError, FiniteMetricSpace
 from .meshes import add_spikes, disk_mesh, full_torus_mesh, nearest_vertex, sphere_mesh
@@ -269,9 +269,7 @@ def matched_balls(K, TA_K, TB_K, pa, pb, r):
     K2 = ref2.complex
     keep_a = _sublevel_indicator(K2, TA2.dim, rho_a2.values, ref1.level)
     keep_b = _sublevel_indicator(K2, TB2.dim, rho_b2.values, ref2.level)
-    ball_a = SimplicialCurrent(K2, TA2.dim, {i: c for i, c in TA2.coeffs.items() if keep_a[i]})
-    ball_b = SimplicialCurrent(K2, TB2.dim, {i: c for i, c in TB2.coeffs.items() if keep_b[i]})
-    return ball_a, ball_b
+    return TA2.restricted(keep_a), TB2.restricted(keep_b)
 
 
 # ---------------------------------------------------------------------------

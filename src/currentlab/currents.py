@@ -2,18 +2,24 @@
 
 A current of dimension k is a sparse map from k-simplex indices to nonzero
 integer coefficients; the sign is the orientation relative to the canonical
-sorted vertex order.
+sorted vertex order.  It is stored as two int64 arrays: the simplex indices,
+sorted and distinct, and their nonzero coefficients.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from functools import cached_property
 
 import numpy as np
 
 from .complexes import EuclideanMetric, GeometricComplex, MatrixMetric, PLFunction
 from .metricspace import ArgumentError
+
+COEFF_LIMIT = 2**62
+"""A chain's |coefficients| sum below this, so the sum of two chains and
+every boundary coefficient stay inside int64 without wrapping."""
 
 
 def permutation_sign(seq) -> int:
@@ -38,16 +44,66 @@ def permutation_sign(seq) -> int:
     return sign
 
 
-@dataclass
-class SimplicialCurrent:
-    complex: GeometricComplex
-    dim: int
-    coeffs: dict[int, int] = field(default_factory=dict)
+class Coefficients(Mapping):
+    """Read-only {simplex index: coefficient} view of a chain's arrays.
 
-    def __post_init__(self):
-        self.coeffs = {i: int(c) for i, c in self.coeffs.items() if int(c) != 0}
+    Its length and iteration read the arrays; lookups build the dict once.
+    """
+
+    def __init__(self, idx, coeff):
+        self._idx, self._coeff = idx, coeff
+
+    @cached_property
+    def _dict(self):
+        return dict(zip(self._idx.tolist(), self._coeff.tolist()))
+
+    def __len__(self):
+        return len(self._idx)
+
+    def __iter__(self):
+        return iter(self._idx.tolist())
+
+    def __getitem__(self, i):
+        return self._dict[i]
+
+
+class SimplicialCurrent:
+    """A k-chain: sorted distinct simplex indices `idx` and their nonzero
+    coefficients `coeff` (int64 arrays, never modified in place).
+
+    `SimplicialCurrent(complex, dim, {index: coefficient})` drops zero
+    coefficients; `coeffs` is the read-only mapping view of the arrays.
+    Every construction raises ArgumentError unless the |coefficients| it is
+    given sum below COEFF_LIMIT.
+    """
+
+    def __init__(self, complex: GeometricComplex, dim: int, coeffs=None):
+        coeffs = coeffs or {}
+        self._set(complex, dim, list(coeffs), list(map(int, coeffs.values())))
+
+    def _set(self, complex, dim, idx, coeff):
+        """Store the chain summing coefficients over repeated indices."""
+        try:
+            idx, coeff = np.asarray(idx, np.int64).ravel(), np.asarray(coeff, np.int64).ravel()
+            if np.fabs(coeff).sum() >= COEFF_LIMIT:
+                raise OverflowError
+        except OverflowError:
+            raise ArgumentError("chain coefficients must sum below 2**62 in absolute value") from None
+        if len(idx) and not (idx[1:] > idx[:-1]).all():
+            order = np.argsort(idx, kind="stable")
+            idx, coeff = idx[order], coeff[order]
+            first = np.flatnonzero(np.concatenate(([True], idx[1:] != idx[:-1])))
+            idx, coeff = idx[first], np.add.reduceat(coeff, first)
+        nonzero = coeff != 0
+        self.complex, self.dim, self.idx, self.coeff = complex, dim, idx[nonzero], coeff[nonzero]
+        return self
 
     # -- construction -------------------------------------------------------
+
+    @classmethod
+    def from_arrays(cls, complex, dim, idx, coeff):
+        """Chain from index and coefficient arrays, in any order, repeats summed."""
+        return cls.__new__(cls)._set(complex, dim, idx, coeff)
 
     @classmethod
     def from_simplices(cls, complex, dim, pairs):
@@ -68,34 +124,36 @@ class SimplicialCurrent:
 
     @classmethod
     def zero(cls, complex, dim):
-        return cls(complex, dim, {})
+        return cls(complex, dim)
 
     @classmethod
     def full(cls, complex, dim, coefficient=1):
-        return cls(complex, dim, {i: coefficient for i in range(complex.count(dim))})
+        n = complex.count(dim)
+        return cls.from_arrays(complex, dim, np.arange(n), np.full(n, int(coefficient), dtype=object))
+
+    @cached_property
+    def coeffs(self) -> Coefficients:
+        return Coefficients(self.idx, self.coeff)
 
     # -- chain algebra -------------------------------------------------------
 
     def copy(self):
-        return SimplicialCurrent(self.complex, self.dim, dict(self.coeffs))
+        return self.from_arrays(self.complex, self.dim, self.idx, self.coeff)
 
     def __add__(self, other):
         self._check_compatible(other)
-        out = dict(self.coeffs)
-        for i, c in other.coeffs.items():
-            out[i] = out.get(i, 0) + c
-        return SimplicialCurrent(self.complex, self.dim, out)
+        idx, coeff = np.concatenate([self.idx, other.idx]), np.concatenate([self.coeff, other.coeff])
+        return self.from_arrays(self.complex, self.dim, idx, coeff)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return SimplicialCurrent(self.complex, self.dim, {i: -c for i, c in self.coeffs.items()})
+        return self.from_arrays(self.complex, self.dim, self.idx, -self.coeff)
 
     def __mul__(self, scalar: int):
-        return SimplicialCurrent(
-            self.complex, self.dim, {i: c * int(scalar) for i, c in self.coeffs.items()}
-        )
+        # exact products, range-checked on the way back to int64
+        return self.from_arrays(self.complex, self.dim, self.idx, self.coeff.astype(object) * int(scalar))
 
     __rmul__ = __mul__
 
@@ -104,31 +162,35 @@ class SimplicialCurrent:
             isinstance(other, SimplicialCurrent)
             and self.complex is other.complex
             and self.dim == other.dim
-            and self.coeffs == other.coeffs
+            and np.array_equal(self.idx, other.idx)
+            and np.array_equal(self.coeff, other.coeff)
         )
 
     def _check_compatible(self, other):
         if self.complex is not other.complex or self.dim != other.dim:
             raise ArgumentError("currents live on different complexes or dimensions")
 
+    def restricted(self, keep) -> SimplicialCurrent:
+        """The chain on the simplices where the boolean array `keep` (one
+        entry per dim-simplex of the complex) is true."""
+        mask = np.asarray(keep, dtype=bool)[self.idx]
+        return self.from_arrays(self.complex, self.dim, self.idx[mask], self.coeff[mask])
+
     def is_zero(self):
-        return not self.coeffs
+        return not len(self.idx)
 
     def simplex(self, idx):
         return self.complex.simplices[self.dim][idx]
 
     def support_simplices(self):
-        return [self.simplex(i) for i in sorted(self.coeffs)]
+        return [self.simplex(i) for i in self.idx.tolist()]
 
     def support_vertices(self):
-        verts: set[int] = set()
-        for i in self.coeffs:
-            verts.update(self.simplex(i))
-        return sorted(verts)
+        return np.unique(self.complex.simplex_array(self.dim)[self.idx]).tolist()
 
     def signature(self):
         """Canonical content representation, independent of simplex indexing."""
-        return tuple(sorted((self.simplex(i), c) for i, c in self.coeffs.items()))
+        return tuple(sorted(zip(self.support_simplices(), self.coeff.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -136,28 +198,25 @@ class SimplicialCurrent:
 
 
 def boundary(T: SimplicialCurrent) -> SimplicialCurrent:
-    """Alternating-sign chain boundary; the zero current for dimension 0."""
+    """Alternating-sign chain boundary; the zero current for dimension 0.
+
+    One gather through the complex's face-index array and one integer
+    scatter-add onto the (k-1)-simplices.
+    """
     if T.dim == 0:
         return SimplicialCurrent.zero(T.complex, 0)
     k = T.dim
-    faces = T.complex.index(k - 1)
-    out: dict[int, int] = {}
-    simplices = T.complex.simplices[k]
-    for idx, c in T.coeffs.items():
-        s = simplices[idx]
-        for i in range(k + 1):
-            face = s[:i] + s[i + 1 :]
-            sign = -1 if i % 2 else 1
-            j = faces[face]
-            out[j] = out.get(j, 0) + sign * c
-    return SimplicialCurrent(T.complex, k - 1, out)
+    faces = T.complex.face_index(k)[T.idx]
+    out = np.zeros(T.complex.count(k - 1), dtype=np.int64)
+    np.add.at(out, faces, T.coeff[:, None] * np.where(np.arange(k + 1) % 2, -1, 1))
+    nonzero = np.flatnonzero(out)
+    return SimplicialCurrent.from_arrays(T.complex, k - 1, nonzero, out[nonzero])
 
 
 def mass(T: SimplicialCurrent) -> float:
-    if not T.coeffs:
+    if T.is_zero():
         return 0.0
-    w = T.complex.masses(T.dim)
-    return float(sum(abs(c) * w[i] for i, c in T.coeffs.items()))
+    return float(np.abs(T.coeff) @ T.complex.masses(T.dim)[T.idx])
 
 
 def total_mass(T: SimplicialCurrent) -> float:
@@ -203,26 +262,15 @@ def restrict(T: SimplicialCurrent, predicate, mode="barycenter") -> SimplicialCu
             from .slicing import restrict_sublevel
 
             return restrict_sublevel(T, f, level)
-        values = f.values
-
-        def keep(bary_val):
-            return bary_val <= level
-
-        bary = T.complex.barycenter_values(T.dim, values)
-        kept = {i: c for i, c in T.coeffs.items() if keep(bary[i])}
-        return SimplicialCurrent(T.complex, T.dim, kept)
+        return T.restricted(T.complex.barycenter_values(T.dim, f.values) <= level)
     if mode == "subdivided":
         raise ArgumentError("subdivided mode needs a (PLFunction, level) predicate")
     coords = T.complex.coords()
-    kept = {}
-    for i, c in T.coeffs.items():
-        s = T.simplex(i)
-        # coordinate-backed complexes pass the barycenter, abstract ones the
-        # vertex-id tuple
-        probe = coords[list(s)].mean(axis=0) if coords is not None else s
-        if predicate(probe):
-            kept[i] = c
-    return SimplicialCurrent(T.complex, T.dim, kept)
+    # coordinate-backed complexes pass the barycenter, abstract ones the
+    # vertex-id tuple
+    probes = (coords[list(s)].mean(axis=0) if coords is not None else s for s in T.support_simplices())
+    keep = np.array([bool(predicate(probe)) for probe in probes], dtype=bool)
+    return SimplicialCurrent.from_arrays(T.complex, T.dim, T.idx[keep], T.coeff[keep])
 
 
 def evaluate(T: SimplicialCurrent, f: PLFunction, pis) -> float:
@@ -236,20 +284,14 @@ def evaluate(T: SimplicialCurrent, f: PLFunction, pis) -> float:
     if len(pis) != T.dim:
         raise ArgumentError(f"need {T.dim} projection functions, got {len(pis)}")
     k = T.dim
-    total = 0.0
-    fact = math.factorial(k)
-    ids = T.complex.simplex_array(k)[list(T.coeffs)].reshape(-1, k + 1)
-    fbars = f.values[ids].mean(axis=1)
+    ids = T.complex.simplex_array(k)[T.idx]
+    weights = T.coeff * f.values[ids].mean(axis=1)
     if k == 0:
-        for c, fbar in zip(T.coeffs.values(), fbars):
-            total += c * fbar
-        return float(total)
+        return float(weights.sum())
     pv = np.array([p.values for p in pis])
     # m[n, a, b] = pi_a(v_{b+1}) - pi_a(v_0) on simplex n, one stacked det
     dets = np.linalg.det((pv[:, ids[:, 1:]] - pv[:, ids[:, :1]]).transpose(1, 0, 2))
-    for c, fbar, det in zip(T.coeffs.values(), fbars, dets.tolist()):
-        total += c * fbar * det / fact
-    return float(total)
+    return float(weights @ dets / math.factorial(k))
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +313,7 @@ def chain_to_json(T: SimplicialCurrent) -> dict:
         "complex": complex_to_json(T.complex),
         "current": {
             "dim": T.dim,
-            "coeffs": [[int(i), int(c)] for i, c in sorted(T.coeffs.items())],
+            "coeffs": [list(pair) for pair in zip(T.idx.tolist(), T.coeff.tolist())],
         },
     }
 
@@ -294,16 +336,18 @@ def complex_from_json(data: dict) -> GeometricComplex:
     return C
 
 
-def chain_from_json(data: dict) -> SimplicialCurrent:
-    C = complex_from_json(data["complex"])
-    cur = data["current"]
+def current_from_json(C: GeometricComplex, cur: dict) -> SimplicialCurrent:
+    """The chain {"dim": k, "coeffs": [[index, coefficient], ...]} on C."""
     dim = int(cur["dim"])
     coeffs = {int(i): int(c) for i, c in cur.get("coeffs", [])}
-    nmax = C.count(dim)
     for i in coeffs:
-        if not (0 <= i < nmax):
+        if not (0 <= i < C.count(dim)):
             raise ArgumentError(f"coefficient references missing {dim}-simplex {i}")
     return SimplicialCurrent(C, dim, coeffs)
+
+
+def chain_from_json(data: dict) -> SimplicialCurrent:
+    return current_from_json(complex_from_json(data["complex"]), data["current"])
 
 
 def load_chain(path) -> SimplicialCurrent:

@@ -52,22 +52,17 @@ class FillingReport:
 
 
 def boundary_matrix(C: GeometricComplex, k: int):
-    """Sparse boundary operator from k-chains to (k-1)-chains."""
-    rows, cols, vals = [], [], []
-    faces = C.index(k - 1)
-    for j, s in enumerate(C.simplices.get(k, [])):
-        for i in range(k + 1):
-            face = s[:i] + s[i + 1 :]
-            rows.append(faces[face])
-            cols.append(j)
-            vals.append(-1.0 if i % 2 else 1.0)
-    return coo_matrix((vals, (rows, cols)), shape=(C.count(k - 1), C.count(k)))
+    """Sparse boundary operator from k-chains to (k-1)-chains: the
+    complex's face-index array with signs (-1)^j."""
+    faces = C.face_index(k)
+    vals = np.tile(np.where(np.arange(k + 1) % 2, -1.0, 1.0), len(faces))
+    cols = np.repeat(np.arange(len(faces)), k + 1)
+    return coo_matrix((vals, (faces.ravel(), cols)), shape=(C.count(k - 1), C.count(k)))
 
 
 def _chain_vector(T: SimplicialCurrent):
     v = np.zeros(T.complex.count(T.dim))
-    for i, c in T.coeffs.items():
-        v[i] = c
+    v[T.idx] = T.coeff
     return v
 
 
@@ -91,7 +86,8 @@ def _solve_weighted_l1(blocks, rhs, weights):
 def _certificate_from_vector(vec, tol=INTEGRALITY_TOL):
     rounded = np.round(vec)
     integral = bool(np.abs(vec - rounded).max(initial=0.0) <= tol)
-    cert = {int(i): float(v) for i, v in enumerate(vec) if abs(v) > tol}
+    support = np.flatnonzero(np.abs(vec) > tol)
+    cert = dict(zip(support.tolist(), vec[support].tolist()))
     return integral, cert
 
 
@@ -170,7 +166,7 @@ def filling_volume(B: SimplicialCurrent, K: GeometricComplex | None = None) -> F
         raise ArgumentError("cycle must live on the ambient complex")
     res = boundary(B)
     if not res.is_zero():
-        raise ArgumentError(f"filling_volume input is not a cycle; boundary residual {res.coeffs}")
+        raise ArgumentError(f"filling_volume input is not a cycle; boundary residual {dict(res.coeffs)}")
     k = B.dim
     if B.is_zero():
         return FillingReport(0.0, 0.0, 0.0, certificate={"S": {}}, integral=True, method="lp")

@@ -86,11 +86,6 @@ class FiniteMetricSpace:
         d = np.sqrt((diff**2).sum(axis=-1))
         return cls(d, labels=labels, validate=False)
 
-    def subspace(self, ids):
-        ids = list(ids)
-        lab = [self.labels[i] for i in ids] if self.labels else None
-        return FiniteMetricSpace(self.dist[np.ix_(ids, ids)], labels=lab, validate=False)
-
 
 def diameter(space: FiniteMetricSpace) -> float:
     """Largest pairwise distance; 0 for the empty and one-point space."""

@@ -79,10 +79,7 @@ def ball_context(T: SimplicialCurrent, p: int, r: float, mode="auto") -> BallCon
     ref = subdivide_at_level(T.complex, rho.values, r)
     T2 = ref.transfer_current(T)
     rho2 = ref.transfer_function(rho, own_level=True)
-    keep = _sublevel_indicator(ref.complex, T.dim, rho2.values, ref.level)
-    current = SimplicialCurrent(
-        ref.complex, T.dim, {i: c for i, c in T2.coeffs.items() if keep[i]}
-    )
+    current = T2.restricted(_sublevel_indicator(ref.complex, T.dim, rho2.values, ref.level))
     # vertex ids and the metric survive re-rooting, so the distance values
     # and any externally supplied witness ids stay valid
     current = support_closure(current)
@@ -185,13 +182,8 @@ def _tensor_eval(start: SimplicialCurrent, functions, grids, leaf):
 
 
 def _support_atoms(Z: SimplicialCurrent):
-    ids, theta, sigma = [], [], []
-    for i, c in Z.coeffs.items():
-        (v,) = Z.simplex(i)
-        ids.append(v)
-        theta.append(abs(c))
-        sigma.append(1 if c > 0 else -1)
-    return ids, theta, sigma
+    ids = Z.complex.simplex_array(0)[Z.idx, 0]
+    return ids.tolist(), np.abs(Z.coeff).tolist(), np.sign(Z.coeff).tolist()
 
 
 def _merged_support_points(Z: SimplicialCurrent, merge_tol: float):

@@ -7,6 +7,7 @@ holds as an integer chain identity by construction.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,27 +25,53 @@ from .metricspace import ArgumentError
 SNAP_REL = 1e-7
 
 
+class ChildTable(Mapping):
+    """Signed transfer table of one dimension in CSR form: old simplex i has
+    the children child[ptr[i]:ptr[i+1]] with orientations sign[ptr[i]:ptr[i+1]].
+
+    Read as a mapping it is {old index: [(new index, sign), ...]}.
+    """
+
+    def __init__(self, ptr, child, sign):
+        self.ptr, self.child, self.sign = ptr, child, sign
+
+    def __len__(self):
+        return len(self.ptr) - 1
+
+    def __iter__(self):
+        return iter(range(len(self)))
+
+    def __getitem__(self, i):
+        if not 0 <= i < len(self):
+            raise KeyError(i)
+        a, b = self.ptr[i], self.ptr[i + 1]
+        return list(zip(self.child[a:b].tolist(), self.sign[a:b].tolist()))
+
+
 @dataclass
 class Refinement:
-    """Result of splitting a complex along a PL level set."""
+    """Result of splitting a complex along a PL level set; `children` maps
+    each dimension to its ChildTable."""
 
     source: GeometricComplex
     complex: GeometricComplex
     level: float
     snapped: bool
-    children: dict[int, dict[int, list[tuple[int, int]]]]
+    children: dict[int, ChildTable]
     cut_edges: list[tuple[int, int, float]]
     n_old_vertices: int
     dropped: int = 0
     warnings: list = field(default_factory=list)
 
     def transfer_current(self, T: SimplicialCurrent) -> SimplicialCurrent:
-        table = self.children.get(T.dim, {})
-        out: dict[int, int] = {}
-        for old_idx, c in T.coeffs.items():
-            for new_idx, sign in table[old_idx]:
-                out[new_idx] = out.get(new_idx, 0) + c * sign
-        return SimplicialCurrent(self.complex, T.dim, out)
+        table = self.children[T.dim]
+        start = table.ptr[T.idx]
+        counts = table.ptr[T.idx + 1] - start
+        # slot of every child entry of T's simplices, in one gather
+        pos = np.repeat(start - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
+        child, coeff = table.child[pos], np.repeat(T.coeff, counts) * table.sign[pos]
+        order = np.argsort(child, kind="stable")  # children of distinct parents are distinct
+        return SimplicialCurrent.from_arrays(self.complex, T.dim, child[order], coeff[order])
 
     def transfer_function(self, f: PLFunction, own_level=False) -> PLFunction:
         old = f.values
@@ -84,14 +111,15 @@ def snap_level(values, s, snap_rel=SNAP_REL):
         return float(s), False, None
     rng = float(uniq[-1] - uniq[0]) if len(uniq) > 1 else 1.0
     tol = snap_rel * (rng if rng > 0 else 1.0)
-    if len(uniq) == 1:
-        clusters = [(float(uniq[0]), float(uniq[0]))]
-    else:
-        breaks = np.where(np.diff(uniq) > 2 * tol)[0]
-        starts = np.concatenate([[0], breaks + 1])
-        ends = np.concatenate([breaks, [len(uniq) - 1]])
-        clusters = [(float(uniq[a]), float(uniq[b])) for a, b in zip(starts, ends)]
-    for clo, chi in clusters:
+    # cluster j spans uniq[starts[j]] .. uniq[ends[j]]; the windows
+    # (lo - tol, hi + tol) are disjoint, and only the clusters of the two
+    # values around s can hold it
+    breaks = np.flatnonzero(np.diff(uniq) > 2 * tol)
+    starts = np.concatenate([[0], breaks + 1])
+    ends = np.concatenate([breaks, [len(uniq) - 1]])
+    near = int(np.searchsorted(uniq, s))
+    for j in np.searchsorted(ends, [max(near - 1, 0), min(near, len(uniq) - 1)]).tolist():
+        clo, chi = float(uniq[starts[j]]), float(uniq[ends[j]])
         if clo - tol < s < chi + tol:
             up, down = chi + tol, clo - tol
             if clo <= uniq[0]:
@@ -208,12 +236,13 @@ def subdivide_at_level(C: GeometricComplex, values, s, snap_rel=SNAP_REL) -> Ref
     # from the dimension above join the new simplices one dimension down
     pieces: dict[int, list[list[tuple[int, ...]]]] = {}
     new: dict[int, set] = {k: set() for k in C.dims}
+    below = below_vertex.tolist()
     for k in sorted(C.dims, reverse=True):
         sims = C.simplices[k]
         pieces[k] = []
         for idx in crossing[k].tolist():
             simplex = sims[idx]
-            lo_pieces, hi_pieces = _split_pieces(simplex, [bool(below_vertex[v]) for v in simplex], cut)
+            lo_pieces, hi_pieces = _split_pieces(simplex, [below[v] for v in simplex], cut)
             pieces[k].append([tuple(sorted(p)) for p in lo_pieces + hi_pieces])
             new[k].update(pieces[k][-1])
         if k >= 1:
@@ -224,10 +253,11 @@ def subdivide_at_level(C: GeometricComplex, values, s, snap_rel=SNAP_REL) -> Ref
                         new[k - 1].add(face)
 
     # merged, sorted lists; untouched simplices keep their volumes
-    new_lists, new_arrays, new_masses, old_pos, new_pos = {}, {}, {}, {}, {}
+    new_lists, new_arrays, new_masses, untouched, old_pos, piece_pos = {}, {}, {}, {}, {}, {}
     for k in C.dims:
         keep = np.ones(C.count(k), dtype=bool)
         keep[crossing[k]] = False
+        untouched[k] = np.flatnonzero(keep)
         added = list(new[k])
         added_arr = np.array(added, dtype=np.intp).reshape(len(added), k + 1)
         merged = np.concatenate([C.simplex_array(k)[keep], added_arr])
@@ -235,54 +265,57 @@ def subdivide_at_level(C: GeometricComplex, values, s, snap_rel=SNAP_REL) -> Ref
         rank = np.empty(len(order), dtype=np.intp)
         rank[order] = np.arange(len(order))
         n_keep = int(keep.sum())
-        pos = np.full(len(keep), -1, dtype=np.intp)
-        pos[keep] = rank[:n_keep]
-        old_pos[k] = pos.tolist()
-        new_pos[k] = dict(zip(added, rank[n_keep:].tolist()))
+        old_pos[k] = rank[:n_keep]
+        added_pos = dict(zip(added, rank[n_keep:].tolist()))
+        piece_pos[k] = np.array([added_pos[key] for pcs in pieces[k] for key in pcs], dtype=np.int64)
         new_arrays[k] = merged[order]
         # untouched simplices keep their tuple objects
-        tuples = [C.simplices[k][i] for i in np.flatnonzero(keep).tolist()] + added
+        tuples = [C.simplices[k][i] for i in untouched[k].tolist()] + added
         new_lists[k] = [tuples[i] for i in order.tolist()]
         vols = np.concatenate([C.masses(k)[keep], simplex_volumes(metric, added_arr)])
         new_masses[k] = vols[order]
     new_complex = GeometricComplex(metric, new_lists, _masses=new_masses, _arrays=new_arrays)
 
-    # signed children mapping with volume-fraction sanity check; orientations
-    # are determinants of the pieces' barycentric coordinates in the parent
-    children: dict[int, dict[int, list[tuple[int, int]]]] = {}
+    # signed transfer tables: an untouched simplex has itself as its one
+    # child; a split one its pieces, oriented by the determinants of their
+    # barycentric coordinates in the parent, those below VOLUME_FLOOR dropped
+    children: dict[int, ChildTable] = {}
     dropped = 0
     for k in C.dims:
-        table = {idx: [(p, 1)] for idx, p in enumerate(old_pos[k])}
-        if pieces[k]:
-            parents = C.simplex_array(k)[np.repeat(crossing[k], [len(p) for p in pieces[k]])]
-            keys = np.array([key for pcs in pieces[k] for key in pcs], dtype=np.intp)
-            is_cut = keys >= n_old
-            e = np.where(is_cut, keys - n_old, 0)
-            a = np.where(is_cut, edges[e, 0], keys)
-            b = np.where(is_cut, edges[e, 1], -1)
-            w = np.where(is_cut, t_edge[e], 0.0)[:, :, None]
-            # rows[n, j]: barycentric coordinates in the parent of vertex j of
-            # piece n; a cut point at t on edge (u, v) is (1 - t) u + t v
-            rows = np.where(parents[:, None, :] == a[:, :, None], 1.0 - w, 0.0) + np.where(
-                parents[:, None, :] == b[:, :, None], w, 0.0
+        n_pieces = [len(pcs) for pcs in pieces[k]]
+        parent_of = np.repeat(crossing[k], n_pieces)
+        if not len(parent_of):
+            children[k] = ChildTable(np.arange(C.count(k) + 1), old_pos[k], np.ones(C.count(k), dtype=np.int64))
+            continue
+        parents = C.simplex_array(k)[parent_of]
+        keys = np.array([key for pcs in pieces[k] for key in pcs], dtype=np.intp)
+        is_cut = keys >= n_old
+        e = np.where(is_cut, keys - n_old, 0)
+        a = np.where(is_cut, edges[e, 0], keys)
+        b = np.where(is_cut, edges[e, 1], -1)
+        w = np.where(is_cut, t_edge[e], 0.0)[:, :, None]
+        # rows[n, j]: barycentric coordinates in the parent of vertex j of
+        # piece n; a cut point at t on edge (u, v) is (1 - t) u + t v
+        rows = np.where(parents[:, None, :] == a[:, :, None], 1.0 - w, 0.0) + np.where(
+            parents[:, None, :] == b[:, :, None], w, 0.0
+        )
+        dets = np.linalg.det(rows)
+        # volume fraction per parent; bincount adds the pieces in order
+        frac = np.bincount(parent_of, weights=np.abs(dets))[crossing[k]]
+        for j in np.flatnonzero(np.abs(frac - 1.0) > 1e-6).tolist():
+            warnings.append(
+                f"split of {C.simplices[k][crossing[k][j]]} covers volume fraction {float(frac[j])} (expected 1)"
             )
-            dets = iter(np.linalg.det(rows).tolist())
-            for idx, pcs in zip(crossing[k].tolist(), pieces[k]):
-                entries = []
-                frac = 0.0
-                for key in pcs:
-                    det = next(dets)
-                    frac += abs(det)
-                    if abs(det) < VOLUME_FLOOR:
-                        dropped += 1
-                        continue
-                    entries.append((new_pos[k][key], 1 if det > 0 else -1))
-                if abs(frac - 1.0) > 1e-6:
-                    warnings.append(
-                        f"split of {C.simplices[k][idx]} covers volume fraction {frac} (expected 1)"
-                    )
-                table[idx] = entries
-        children[k] = table
+        kept = np.abs(dets) >= VOLUME_FLOOR
+        dropped += len(dets) - int(np.count_nonzero(kept))
+        # one entry per child: an untouched simplex is its own child; the
+        # stable sort by parent keeps each parent's pieces in piece order
+        parent = np.concatenate([untouched[k], parent_of[kept]])
+        order = np.argsort(parent, kind="stable")
+        child = np.concatenate([old_pos[k], piece_pos[k][kept]])[order]
+        sign = np.concatenate([np.ones(len(old_pos[k]), dtype=np.int64), np.where(dets[kept] > 0, 1, -1)])[order]
+        ptr = np.searchsorted(parent[order], np.arange(C.count(k) + 1))
+        children[k] = ChildTable(ptr, child, sign)
 
     return Refinement(
         source=C,
@@ -307,39 +340,35 @@ def support_closure(T: SimplicialCurrent) -> SimplicialCurrent:
 
     Vertex ids and the metric are shared with the parent complex, so vertex
     functions and distance rows stay valid; only the simplex lists shrink,
-    which keeps later subdivisions proportional to the support size.
+    which keeps later subdivisions proportional to the support size.  The
+    faces come from the parent's face-index arrays, each dimension listed
+    in lexicographic vertex order.
     """
-    from .complexes import close_under_faces
-
+    C = T.complex
     if T.is_zero():
-        C2 = GeometricComplex(T.complex.metric, {k: [] for k in T.complex.dims})
+        C2 = GeometricComplex(C.metric, {k: [] for k in C.dims})
         return SimplicialCurrent(C2, T.dim, {})
-    tops = T.support_simplices()
-    sub = close_under_faces(tops)
-    for k in range(T.dim + 1):
-        sub.setdefault(k, [])
-    C2 = GeometricComplex(T.complex.metric, sub)
-    for k in sub:
-        parent_index = T.complex.index(k)
-        parent_masses = T.complex.masses(k)
-        vols = np.empty(C2.count(k))
-        for i, s in enumerate(C2.simplices[k]):
-            vols[i] = parent_masses[parent_index[s]]
-        C2._masses[k] = vols
-    index = C2.index(T.dim)
-    coeffs = {index[T.simplex(i)]: c for i, c in T.coeffs.items()}
-    return SimplicialCurrent(C2, T.dim, coeffs)
+    chosen = {T.dim: T.idx}
+    for k in range(T.dim, 0, -1):
+        chosen[k - 1] = np.unique(C.face_index(k)[chosen[k]])
+    lists, arrays, masses, orders = {}, {}, {}, {}
+    for k, ids in chosen.items():
+        orders[k] = np.lexsort(C.simplex_array(k)[ids].T[::-1])
+        ids = ids[orders[k]]
+        lists[k] = [C.simplices[k][i] for i in ids.tolist()]
+        arrays[k] = C.simplex_array(k)[ids]
+        masses[k] = C.masses(k)[ids]
+    C2 = GeometricComplex(C.metric, lists, _masses=masses, _arrays=arrays)
+    new_idx = np.empty(len(T.idx), dtype=np.int64)
+    new_idx[orders[T.dim]] = np.arange(len(T.idx))
+    return SimplicialCurrent.from_arrays(C2, T.dim, new_idx, T.coeff)
 
 
 def restrict_sublevel(T: SimplicialCurrent, f: PLFunction, s, side="below") -> SimplicialCurrent:
     """Exact restriction of T to {f <= s} (or {f >= s}) after refinement."""
     ref = subdivide_at_level(T.complex, f.values, s)
-    T2 = ref.transfer_current(T)
     keep = _sublevel_indicator(ref.complex, T.dim, ref.transfer_function(f, own_level=True).values, ref.level)
-    if side == "above":
-        keep = ~keep
-    coeffs = {i: c for i, c in T2.coeffs.items() if keep[i]}
-    return SimplicialCurrent(ref.complex, T.dim, coeffs)
+    return ref.transfer_current(T).restricted(~keep if side == "above" else keep)
 
 
 def slice_current(T: SimplicialCurrent, f: PLFunction, s) -> SliceResult:
@@ -350,15 +379,8 @@ def slice_current(T: SimplicialCurrent, f: PLFunction, s) -> SliceResult:
     ref = subdivide_at_level(T.complex, f.values, s)
     T2 = ref.transfer_current(T)
     f2 = ref.transfer_function(f, own_level=True)
-    keep_k = _sublevel_indicator(ref.complex, T.dim, f2.values, ref.level)
-    restricted = SimplicialCurrent(
-        ref.complex, T.dim, {i: c for i, c in T2.coeffs.items() if keep_k[i]}
-    )
-    bdry = boundary(T2)
-    keep_b = _sublevel_indicator(ref.complex, T.dim - 1, f2.values, ref.level)
-    bdry_restricted = SimplicialCurrent(
-        ref.complex, T.dim - 1, {i: c for i, c in bdry.coeffs.items() if keep_b[i]}
-    )
+    restricted = T2.restricted(_sublevel_indicator(ref.complex, T.dim, f2.values, ref.level))
+    bdry_restricted = boundary(T2).restricted(_sublevel_indicator(ref.complex, T.dim - 1, f2.values, ref.level))
     sliced = boundary(restricted) - bdry_restricted
     warnings = list(ref.warnings)
     flat = _flat_region_mass(ref.complex, T2, f2.values, float(s))
@@ -374,13 +396,8 @@ def slice_current(T: SimplicialCurrent, f: PLFunction, s) -> SliceResult:
 
 
 def _flat_region_mass(complex, T, values, level):
-    total = 0.0
-    w = complex.masses(T.dim)
-    for i, c in T.coeffs.items():
-        s_tuple = complex.simplices[T.dim][i]
-        if all(values[v] == level for v in s_tuple):
-            total += abs(c) * w[i]
-    return total
+    flat = (values[complex.simplex_array(T.dim)[T.idx]] == level).all(axis=1)
+    return float(np.abs(T.coeff[flat]) @ complex.masses(T.dim)[T.idx[flat]])
 
 
 def iterated_slice(T: SimplicialCurrent, functions, levels) -> SliceResult:
@@ -448,17 +465,9 @@ def annulus_mass(T: SimplicialCurrent, f: PLFunction, a: float, b: float) -> flo
     if b <= a:
         return 0.0
     ref1 = subdivide_at_level(T.complex, f.values, a)
-    T1 = ref1.transfer_current(T)
     f1 = ref1.transfer_function(f, own_level=True)
-    keep = ~_sublevel_indicator(ref1.complex, T.dim, f1.values, ref1.level)
-    T1 = SimplicialCurrent(
-        ref1.complex, T.dim, {i: c for i, c in T1.coeffs.items() if keep[i]}
-    )
+    T1 = ref1.transfer_current(T).restricted(~_sublevel_indicator(ref1.complex, T.dim, f1.values, ref1.level))
     ref2 = subdivide_at_level(ref1.complex, f1.values, b)
-    T2 = ref2.transfer_current(T1)
     f2 = ref2.transfer_function(f1, own_level=True)
-    keep2 = _sublevel_indicator(ref2.complex, T.dim, f2.values, ref2.level)
-    T2 = SimplicialCurrent(
-        ref2.complex, T.dim, {i: c for i, c in T2.coeffs.items() if keep2[i]}
-    )
+    T2 = ref2.transfer_current(T1).restricted(_sublevel_indicator(ref2.complex, T.dim, f2.values, ref2.level))
     return mass(T2)

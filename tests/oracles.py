@@ -6,7 +6,13 @@ import math
 
 import numpy as np
 
-from currentlab.complexes import VOLUME_FLOOR, GeometricComplex, simplex_volume_from_sq
+from currentlab.complexes import (
+    VOLUME_FLOOR,
+    GeometricComplex,
+    close_under_faces,
+    simplex_volume_from_sq,
+)
+from currentlab.currents import SimplicialCurrent
 from currentlab.slicing import SNAP_REL, Refinement, _split_pieces, snap_level
 
 
@@ -253,3 +259,117 @@ def subdivide_oracle(C: GeometricComplex, values, s, snap_rel=SNAP_REL) -> Refin
         dropped=dropped,
         warnings=warnings,
     )
+
+
+# ---------------------------------------------------------------------------
+# chain operations one coefficient at a time, through dict indices: the
+# array-native `boundary`, `Refinement.transfer_current` and
+# `support_closure` must reproduce them exactly.
+
+
+def boundary_oracle(T: SimplicialCurrent) -> SimplicialCurrent:
+    """Alternating-sign chain boundary; the zero current for dimension 0."""
+    if T.dim == 0:
+        return SimplicialCurrent.zero(T.complex, 0)
+    k = T.dim
+    faces = T.complex.index(k - 1)
+    out: dict[int, int] = {}
+    simplices = T.complex.simplices[k]
+    for idx, c in T.coeffs.items():
+        s = simplices[idx]
+        for i in range(k + 1):
+            face = s[:i] + s[i + 1 :]
+            sign = -1 if i % 2 else 1
+            j = faces[face]
+            out[j] = out.get(j, 0) + sign * c
+    return SimplicialCurrent(T.complex, k - 1, out)
+
+
+def transfer_oracle(ref: Refinement, T: SimplicialCurrent) -> SimplicialCurrent:
+    table = ref.children.get(T.dim, {})
+    out: dict[int, int] = {}
+    for old_idx, c in T.coeffs.items():
+        for new_idx, sign in table[old_idx]:
+            out[new_idx] = out.get(new_idx, 0) + c * sign
+    return SimplicialCurrent(ref.complex, T.dim, out)
+
+
+def support_closure_oracle(T: SimplicialCurrent) -> SimplicialCurrent:
+    """The same current re-rooted on the face closure of its support."""
+    if T.is_zero():
+        C2 = GeometricComplex(T.complex.metric, {k: [] for k in T.complex.dims})
+        return SimplicialCurrent(C2, T.dim, {})
+    tops = T.support_simplices()
+    sub = close_under_faces(tops)
+    for k in range(T.dim + 1):
+        sub.setdefault(k, [])
+    C2 = GeometricComplex(T.complex.metric, sub)
+    for k in sub:
+        parent_index = T.complex.index(k)
+        parent_masses = T.complex.masses(k)
+        vols = np.empty(C2.count(k))
+        for i, s in enumerate(C2.simplices[k]):
+            vols[i] = parent_masses[parent_index[s]]
+        C2._masses[k] = vols
+    index = C2.index(T.dim)
+    coeffs = {index[T.simplex(i)]: c for i, c in T.coeffs.items()}
+    return SimplicialCurrent(C2, T.dim, coeffs)
+
+
+def matrix_add_points_oracle(mat, specs):
+    """A distance matrix grown by flat interpolations (ids, weights), one
+    point at a time: each new row comes from the matrix grown so far."""
+    mat = np.asarray(mat, dtype=float)
+    for ids, w in specs:
+        ids = list(ids)
+        w = np.asarray(w, dtype=float)
+        n = len(mat)
+        rows_sq = mat[ids] ** 2
+        cross = mat[np.ix_(ids, ids)] ** 2
+        new_sq = w @ rows_sq - 0.5 * float(w @ cross @ w)
+        new_row = np.sqrt(np.maximum(new_sq, 0.0))
+        grown = np.zeros((n + 1, n + 1))
+        grown[:n, :n] = mat
+        grown[n, :n] = new_row
+        grown[:n, n] = new_row
+        mat = grown
+    return mat
+
+
+# ---------------------------------------------------------------------------
+# level snapping by a scan over every cluster of vertex values:
+# `slicing.snap_level` looks up the one cluster around s and must agree.
+
+
+def snap_level_oracle(values, s, snap_rel=SNAP_REL):
+    """Move s off vertex values; returns (level, snapped?, warning or None).
+
+    Vertex values within 2*tol of each other are treated as one cluster and
+    the level is pushed just past the cluster, towards the interior of the
+    value range when the cluster contains an extreme value.
+    """
+    uniq = np.unique(np.asarray(values, dtype=float))
+    if len(uniq) == 0:
+        return float(s), False, None
+    rng = float(uniq[-1] - uniq[0]) if len(uniq) > 1 else 1.0
+    tol = snap_rel * (rng if rng > 0 else 1.0)
+    if len(uniq) == 1:
+        clusters = [(float(uniq[0]), float(uniq[0]))]
+    else:
+        breaks = np.where(np.diff(uniq) > 2 * tol)[0]
+        starts = np.concatenate([[0], breaks + 1])
+        ends = np.concatenate([breaks, [len(uniq) - 1]])
+        clusters = [(float(uniq[a]), float(uniq[b])) for a, b in zip(starts, ends)]
+    for clo, chi in clusters:
+        if clo - tol < s < chi + tol:
+            up, down = chi + tol, clo - tol
+            if clo <= uniq[0]:
+                moved = up
+            elif chi >= uniq[-1]:
+                moved = down
+            elif s - down <= up - s:
+                moved = down
+            else:
+                moved = up
+            return float(moved), True, f"level {s} snapped to {moved} (vertex-value collision)"
+    return float(s), False, None

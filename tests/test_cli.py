@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from currentlab.cli import EXIT_INPUT, EXIT_INVARIANT, EXIT_OK, main
+from currentlab.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_INVARIANT, EXIT_OK, main
 from currentlab.currents import chain_from_json, chain_to_json, mass
 from currentlab.meshes import disk_mesh, interval_chain, square_complex
 
@@ -225,6 +225,49 @@ class TestErrors:
         monkeypatch.setattr(cli, "filling_volume", lambda *a: FillingReport(1.0, 2.0, 3.0))
         assert main(["fillvol", "--input", str(triangle_cycle_path)]) == EXIT_INVARIANT
         assert "invariant violated" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("coefficient", [2**63, -(2**63) - 1, 2**62])
+    def test_coefficient_out_of_range_exits_2(self, tmp_path, capsys, coefficient):
+        data = {
+            "complex": {"vertices": [[0, 0], [1, 0]], "simplices": {"1": [[0, 1]]}},
+            "current": {"dim": 1, "coeffs": [[0, coefficient]]},
+        }
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(data))
+        assert main(["mass", "--input", str(path)]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("input error")
+
+    def test_flatnorm_second_current_missing_simplex_exits_2(self, tmp_path, capsys):
+        data = {
+            "complex": {
+                "vertices": [[0, 0], [1, 0], [0, 1]],
+                "simplices": {"1": [[0, 1], [0, 2], [1, 2]], "2": [[0, 1, 2]]},
+            },
+            "current": {"dim": 1, "coeffs": [[0, 1]]},
+            "current_b": {"dim": 1, "coeffs": [[7, 1]]},
+        }
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps(data))
+        assert main(["flatnorm", "--input", str(path)]) == EXIT_INPUT
+        assert "missing 1-simplex 7" in capsys.readouterr().err
+
+    def test_internal_error_exits_3(self, square_chain_path, monkeypatch, capsys, caplog):
+        import logging
+
+        import currentlab.cli as cli
+
+        def broken(config):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "dispatch", broken)
+        assert main(["mass", "--input", str(square_chain_path)]) == EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert err == "internal error: RuntimeError: boom\n"
+        assert not [r for r in caplog.records if r.exc_info]
+        with caplog.at_level(logging.DEBUG, logger="currentlab"):
+            assert main(["mass", "--input", str(square_chain_path)]) == EXIT_INTERNAL
+        assert [r for r in caplog.records if r.exc_info and r.levelno == logging.DEBUG]
 
 
 class TestDeterminism:

@@ -17,7 +17,7 @@ from currentlab.complexes import (
 )
 from currentlab.meshes import _sphere_arc_metric, grid_mesh, square_complex
 
-from oracles import simplex_volume_from_coords
+from oracles import matrix_add_points_oracle, simplex_volume_from_coords
 
 
 def euclid_sq(coords):
@@ -213,3 +213,34 @@ class TestBatchedKernels:
                 b = f.values[list(s[1:])] - f.values[s[0]]
                 worst = max(worst, float(b @ np.linalg.solve(g, b)))
         assert f.lip == math.sqrt(worst)
+
+
+class TestChainCore:
+    def test_missing_face_raises(self):
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        C = GeometricComplex(EuclideanMetric(pts), {0: [(0,), (1,), (2,)], 1: [(0, 1), (1, 2)], 2: [(0, 1, 2)]})
+        with pytest.raises(ComplexError, match=r"missing face \(0, 2\) of \(0, 1, 2\)"):
+            C.face_index(2)
+        # two faces missing: the first in lexicographic order is named, as validate always did
+        C = GeometricComplex(EuclideanMetric(pts), {0: [(0,), (1,), (2,)], 1: [(1, 2)], 2: [(0, 1, 2)]})
+        with pytest.raises(ComplexError, match=r"missing face \(0, 1\) of \(0, 1, 2\)"):
+            C.validate()
+
+    def test_matrix_add_points_matches_one_at_a_time(self):
+        """One batch of edge and triangle interpolations gives the matrix the
+        per-point growth gives, to 1e-12."""
+        rng = np.random.default_rng(17)
+        pts = rng.normal(size=(30, 3))
+        metric = MatrixMetric(np.linalg.norm(pts[:, None] - pts[None], axis=-1))
+        specs = []
+        for _ in range(25):
+            ids = rng.choice(30, size=int(rng.integers(2, 4)), replace=False)
+            w = rng.random(len(ids))
+            specs.append((ids.tolist(), w / w.sum()))
+        want = matrix_add_points_oracle(metric.mat, specs)
+        assert metric.add_points(specs) == list(range(30, 55))
+        assert np.allclose(metric.mat, want, rtol=0, atol=1e-12)
+        assert np.array_equal(metric.mat, metric.mat.T) and not np.diag(metric.mat).any()
+        single = metric.add_points(metric.interpolate((0, 1), (0.25, 0.75)))
+        assert single == [55]
+        assert np.allclose(metric.mat, matrix_add_points_oracle(want, [((0, 1), [0.25, 0.75])]), rtol=0, atol=1e-12)

@@ -22,6 +22,8 @@ from currentlab.currents import (
 from currentlab.meshes import grid_mesh, interval_chain, square_complex
 from currentlab.metricspace import ArgumentError
 
+from oracles import boundary_oracle
+
 
 def triangle_complex(side=1.0):
     pts = np.array([[0.0, 0.0], [side, 0.0], [side / 2, side * math.sqrt(3) / 2]])
@@ -310,3 +312,41 @@ class TestInterchange:
         C = load_off(path)
         assert C.count(2) == 1 and C.count(1) == 3 and C.count(0) == 3
         assert C.masses(2)[0] == pytest.approx(0.5)
+
+
+def test_coefficient_view_reads_the_arrays():
+    C, T = grid_mesh(2, 2)
+    view = T.coeffs
+    assert len(view) == len(T.idx) == C.count(2)
+    assert list(view) == T.idx.tolist()
+    assert "_dict" not in vars(view)  # neither len nor iteration builds the dict
+    assert dict(view) == dict(zip(T.idx.tolist(), T.coeff.tolist()))
+    S = SimplicialCurrent.from_arrays(C, 2, [3, 1, 3, 0], [1, 2, -1, 0])
+    assert S.idx.tolist() == [1] and S.coeff.tolist() == [2]
+
+
+class TestCoefficientRange:
+    """Coefficients are int64: construction rejects magnitudes summing to
+    2**62 or more, so chain arithmetic raises instead of wrapping."""
+
+    def test_out_of_range_input_rejected(self):
+        C, _ = grid_mesh(2, 2)
+        for coeffs in ({0: 2**63}, {0: -(2**63)}, {0: 2**62}, {0: 2**61, 1: -(2**61)}):
+            with pytest.raises(ArgumentError, match=r"2\*\*62"):
+                SimplicialCurrent(C, 2, coeffs)
+        with pytest.raises(ArgumentError):
+            SimplicialCurrent.from_arrays(C, 2, [0, 0], [2**61, 2**61])
+        with pytest.raises(ArgumentError):
+            SimplicialCurrent.full(C, 2, 2**61)
+
+    def test_arithmetic_raises_instead_of_wrapping(self):
+        C, _ = grid_mesh(2, 2)
+        T = SimplicialCurrent(C, 2, {0: 2**61, 1: -(2**60)})
+        for op in (lambda: T * 4, lambda: T * 2**70, lambda: T + T, lambda: T - (-T), lambda: boundary(T)):
+            with pytest.raises(ArgumentError):
+                op()
+        S = SimplicialCurrent(C, 2, {0: 2**59, 3: -5})
+        assert dict((S * 3).coeffs) == {0: 3 * 2**59, 3: -15}
+        assert dict((S + S).coeffs) == {0: 2**60, 3: -10}
+        assert dict(boundary(S).coeffs) == dict(boundary_oracle(S).coeffs)
+        assert (SimplicialCurrent.zero(C, 2) * 2**70).is_zero()
