@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,12 +59,19 @@ class EuclideanMetric:
         return np.linalg.norm(self.coords - self.coords[i], axis=1)
 
     def interpolate(self, ids, weights):
-        return np.asarray(weights, dtype=float) @ self.coords[list(ids)]
+        """The point with barycentric `weights` on the vertices `ids`, or the
+        (n, d) points of an (n, m) stack of ids and weights."""
+        w = np.asarray(weights, dtype=float)
+        return np.matmul(w[..., None, :], self.coords[np.asarray(ids, dtype=np.intp)])[..., 0, :]
+
+    def grown(self, raw_points):
+        """A new metric with the given points appended."""
+        raw = np.asarray(raw_points, dtype=float).reshape(-1, self.coords.shape[1])
+        return EuclideanMetric(np.vstack([self.coords, raw]))
 
     def add_points(self, raw_points):
-        raw = np.atleast_2d(np.asarray(raw_points, dtype=float))
         start = self.n
-        self.coords = np.vstack([self.coords, raw])
+        self.coords = self.grown(raw_points).coords
         return list(range(start, self.n))
 
     def copy(self):
@@ -112,28 +120,34 @@ class CallableMetric:
         return self.fn(np.repeat(self.points[i][None, :], self.n, axis=0), self.points)
 
     def interpolate(self, ids, weights):
-        pts = self.points[list(ids)].copy()
+        """The point with barycentric `weights` on the vertices `ids`, or the
+        (n, d) points of an (n, m) stack of ids and weights."""
+        pts = self.points[np.asarray(ids, dtype=np.intp)]
         w = np.asarray(weights, dtype=float)
         if self.wrap is not None:
             # unwrap into the chart of the first vertex before averaging
             for axis, period in enumerate(self.wrap):
                 if period <= 0:
                     continue
-                ref = pts[0, axis]
-                delta = pts[:, axis] - ref
+                ref = pts[..., :1, axis]
+                delta = pts[..., axis] - ref
                 delta -= period * np.round(delta / period)
-                pts[:, axis] = ref + delta
-        new = w @ pts
+                pts[..., axis] = ref + delta
+        new = np.matmul(w[..., None, :], pts)[..., 0, :]
         if self.wrap is not None:
             for axis, period in enumerate(self.wrap):
                 if period > 0:
-                    new[axis] = new[axis] % period
+                    new[..., axis] = new[..., axis] % period
         return new
 
+    def grown(self, raw_points):
+        """A new metric with the given points appended."""
+        raw = np.asarray(raw_points, dtype=float).reshape(-1, self.points.shape[1])
+        return CallableMetric(np.vstack([self.points, raw]), self.fn, wrap=self.wrap)
+
     def add_points(self, raw_points):
-        raw = np.atleast_2d(np.asarray(raw_points, dtype=float))
         start = self.n
-        self.points = np.vstack([self.points, raw])
+        self.points = self.grown(raw_points).points
         return list(range(start, self.n))
 
     def copy(self):
@@ -169,20 +183,18 @@ class MatrixMetric:
         return self.mat[i].copy()
 
     def interpolate(self, ids, weights):
-        return (list(ids), np.asarray(weights, dtype=float))
+        """The flat interpolation with barycentric `weights` on the vertices
+        `ids` as an (ids, weights) pair; an (n, m) stack gives n points."""
+        return np.asarray(ids, dtype=np.intp), np.asarray(weights, dtype=float)
 
-    def add_points(self, raw_points):
-        """Append flat interpolations (ids, barycentric weights) of existing
-        points, growing the matrix once: with weight rows W and squared
-        distances S, d(p_i, v)^2 = (W S)_iv - q_i / 2 and d(p_i, p_j)^2 =
-        (W S W^T)_ij - (q_i + q_j) / 2, where q_i = (W S W^T)_ii."""
-        specs = raw_points if isinstance(raw_points, list) else [raw_points]
-        n, m = self.n, len(specs)
-        # ids and weights padded with weight 0 to the longest spec
-        ids = np.zeros((m, max(len(spec[0]) for spec in specs)), dtype=np.intp)
-        W = np.zeros(ids.shape)
-        for i, (spec_ids, w) in enumerate(specs):
-            ids[i, : len(spec_ids)], W[i, : len(spec_ids)] = spec_ids, w
+    def grown(self, points):
+        """A new metric with flat interpolations appended, given as the
+        (ids, weights) pair of `interpolate` (one point or an (m, j) stack),
+        the matrix grown once: with weight rows W and squared distances S,
+        d(p_i, v)^2 = (W S)_iv - q_i / 2 and d(p_i, p_j)^2 = (W S W^T)_ij -
+        (q_i + q_j) / 2, where q_i = (W S W^T)_ii."""
+        ids, W = (np.atleast_2d(a) for a in points)
+        n, m = self.n, len(ids)
         WSW = np.einsum("ia,jb,iajb->ij", W, W, self.mat[ids[:, :, None, None], ids] ** 2)
         q = np.diag(WSW)
         new_sq = np.einsum("ia,ian->in", W, self.mat[ids] ** 2) - 0.5 * q[:, None]
@@ -193,8 +205,19 @@ class MatrixMetric:
         grown[:n, n:] = grown[n:, :n].T
         among = np.sqrt(np.maximum(np.triu(among_sq, 1), 0.0))
         grown[n:, n:] = among + among.T
-        self.mat = grown
-        return list(range(n, n + m))
+        return MatrixMetric(grown)
+
+    def add_points(self, raw_points):
+        """Append one (ids, weights) spec or a list of them, padded with
+        weight 0 to the longest."""
+        specs = raw_points if isinstance(raw_points, list) else [raw_points]
+        ids = np.zeros((len(specs), max(len(spec[0]) for spec in specs)), dtype=np.intp)
+        W = np.zeros(ids.shape)
+        for i, (spec_ids, w) in enumerate(specs):
+            ids[i, : len(spec_ids)], W[i, : len(spec_ids)] = spec_ids, w
+        start = self.n
+        self.mat = self.grown((ids, W)).mat
+        return list(range(start, self.n))
 
     def copy(self):
         return MatrixMetric(self.mat.copy())
@@ -293,10 +316,56 @@ def close_under_faces(top_simplices):
     return {k: sorted(faces) for k, faces in by_dim.items()}
 
 
+def row_ranks(rows):
+    """Dense lexicographic ranks of the rows of an (n, m) integer array:
+    equal rows share a rank, and ranks follow lexicographic row order."""
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    step = np.ones(len(rows), dtype=np.intp)
+    step[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    rank = np.empty(len(rows), dtype=np.intp)
+    rank[order] = np.cumsum(step) - 1
+    return rank
+
+
+def lookup_rows(table, queries):
+    """Index of each row of `queries` among the distinct rows of `table`,
+    -1 where it is absent; both are ranked together in one lexsort."""
+    rank = row_ranks(np.concatenate([table, queries]))
+    owner = np.full(len(rank), -1)
+    owner[rank[: len(table)]] = np.arange(len(table))
+    return owner[rank[len(table) :]]
+
+
+class SimplexLists(Mapping):
+    """Read-only {k: [vertex tuple, ...]} view of (n, k+1) id arrays; the
+    tuple list of a dimension is built when it is first read."""
+
+    def __init__(self, arrays):
+        self._arrays, self._lists = arrays, {}
+
+    def __len__(self):
+        return len(self._arrays)
+
+    def __iter__(self):
+        return iter(self._arrays)
+
+    def __contains__(self, k):
+        return k in self._arrays
+
+    def __getitem__(self, k):
+        if k not in self._lists:
+            self._lists[k] = list(map(tuple, self._arrays[k].tolist()))
+        return self._lists[k]
+
+
 @dataclass
 class GeometricComplex:
+    """Simplex lists per dimension (a dict of tuple lists, or a SimplexLists
+    view for complexes built from id arrays by `from_arrays`)."""
+
     metric: object
-    simplices: dict[int, list[tuple[int, ...]]]
+    simplices: Mapping[int, list[tuple[int, ...]]]
     _masses: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
     _index: dict[int, dict[tuple[int, ...], int]] = field(default_factory=dict, repr=False)
     _arrays: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
@@ -312,6 +381,12 @@ class GeometricComplex:
             simp[0] = sorted(simp.get(0, []) + extra)
         return cls(metric, simp)
 
+    @classmethod
+    def from_arrays(cls, metric, arrays, masses=None):
+        """A complex over canonical (n, k+1) id arrays, closed under faces;
+        its tuple lists are built only when read."""
+        return cls(metric, SimplexLists(dict(arrays)), _masses=dict(masses or {}), _arrays=dict(arrays))
+
     @property
     def dims(self):
         return sorted(self.simplices)
@@ -325,6 +400,8 @@ class GeometricComplex:
         return self.metric.n
 
     def count(self, k):
+        if k in self._arrays:
+            return len(self._arrays[k])
         return len(self.simplices.get(k, []))
 
     def index(self, k):
@@ -344,23 +421,13 @@ class GeometricComplex:
         (i, j) is the index of the (k-1)-face of k-simplex i opposite its
         vertex j (sign (-1)^j).  Raises ComplexError for a missing face."""
         if k not in self._faces:
-            lower = self.simplex_array(k - 1)
             faces = self.simplex_array(k)[:, [[c for c in range(k + 1) if c != j] for j in range(k + 1)]]
-            # rank the lower simplices and the face rows together (one column
-            # per vertex position): equal rows get equal ranks
-            cols = np.concatenate([lower.T, faces.transpose(2, 0, 1).reshape(k, -1)], axis=1)
-            order = np.lexsort(cols[::-1])
-            ranked = cols[:, order]
-            step = np.concatenate(([True], (ranked[:, 1:] != ranked[:, :-1]).any(axis=0)))
-            rank = np.empty(len(order), dtype=np.intp)
-            rank[order] = np.cumsum(step) - 1
-            owner = np.full(len(order), -1)
-            owner[rank[: len(lower)]] = np.arange(len(lower))
-            index = owner[rank[len(lower) :]].reshape(faces.shape[:2])
+            index = lookup_rows(self.simplex_array(k - 1), faces.reshape(-1, k)).reshape(faces.shape[:2])
             if (index < 0).any():
                 i = np.flatnonzero((index < 0).any(axis=1))[0]
                 j = np.flatnonzero(index[i] < 0)[-1]  # its first missing face in lexicographic order
-                raise ComplexError(f"missing face {tuple(faces[i, j].tolist())} of {self.simplices[k][i]}")
+                simplex = tuple(self.simplex_array(k)[i].tolist())
+                raise ComplexError(f"missing face {tuple(faces[i, j].tolist())} of {simplex}")
             self._faces[k] = index
         return self._faces[k]
 

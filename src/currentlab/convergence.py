@@ -7,6 +7,7 @@ inequality compares quantities computed in one ambient chain complex.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,6 +56,8 @@ def build_family(name: str, schedule) -> SequenceFamily:
     schedule = list(schedule)
     if not schedule:
         raise ArgumentError("schedule must be nonempty")
+    if not all(math.isfinite(x) and x > 0 for x in schedule):
+        raise ArgumentError(f"schedule values must be finite and positive, got {schedule}")
     if name == "refined_disk":
         gen = lambda h: disk_mesh(h=h)
         return SequenceFamily(name, schedule, gen, expected_limit=gen(min(schedule)))

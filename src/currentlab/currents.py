@@ -180,10 +180,10 @@ class SimplicialCurrent:
         return not len(self.idx)
 
     def simplex(self, idx):
-        return self.complex.simplices[self.dim][idx]
+        return tuple(self.complex.simplex_array(self.dim)[idx].tolist())
 
     def support_simplices(self):
-        return [self.simplex(i) for i in self.idx.tolist()]
+        return list(map(tuple, self.complex.simplex_array(self.dim)[self.idx].tolist()))
 
     def support_vertices(self):
         return np.unique(self.complex.simplex_array(self.dim)[self.idx]).tolist()
@@ -299,7 +299,7 @@ def evaluate(T: SimplicialCurrent, f: PLFunction, pis) -> float:
 
 
 def complex_to_json(C: GeometricComplex) -> dict:
-    out: dict = {"simplices": {str(k): [list(s) for s in C.simplices[k]] for k in C.dims}}
+    out: dict = {"simplices": {str(k): C.simplex_array(k).tolist() for k in C.dims}}
     coords = C.coords()
     if coords is not None:
         out["vertices"] = [list(map(float, row)) for row in coords]

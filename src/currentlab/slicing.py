@@ -7,16 +7,21 @@ holds as an integer chain identity by construction.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .complexes import (
+    ComplexError,
     GeometricComplex,
     PLFunction,
     VOLUME_FLOOR,
     distance_function,
+    lookup_rows,
+    row_ranks,
     simplex_volumes,
 )
 from .currents import SimplicialCurrent, boundary, mass
@@ -196,15 +201,91 @@ def _split_pieces(simplex, below_mask, cut):
     raise ArgumentError(f"level-set subdivision implemented for simplices of dimension <= 3, got {k}")
 
 
+_AFTER_EVERY_ID = np.iinfo(np.intp).max
+
+
+@functools.cache
+def _template(k, pattern, perm):
+    """The cells a crossing k-simplex is split into, as sorted rows of column
+    indices into [its k+1 sorted vertices, the cut points of its edges in
+    lexicographic edge order]: entry j lists the j-cells inside the simplex
+    (those no proper face contains), for j = k its pieces in `_split_pieces`
+    order.  `pattern` holds each vertex's below flag and `perm` the
+    positions of its crossing edges in increasing cut-id order.
+
+    Every choice `_split_pieces` makes depends only on the order of the ids,
+    and cut ids exceed all vertex ids, so all simplices with the same
+    (pattern, perm) follow one template, built on first use from the local
+    simplex (0..k) and cached.
+    """
+    edges = list(itertools.combinations(range(k + 1), 2))
+    # local ids: vertex j is j, the cut point of rank r is k + 1 + r
+    cut = {edges[e]: k + 1 + r for r, e in enumerate(perm)}
+    spans = {**{v: {v} for v in range(k + 1)}, **{c: set(e) for e, c in cut.items()}}
+    column = list(range(k + 1)) + [k + 1 + e for e in perm]
+    lo, hi = _split_pieces(tuple(range(k + 1)), list(pattern), cut)
+    pieces = [tuple(sorted(p)) for p in lo + hi]
+    # a face of a piece lies inside the simplex when its vertices and its
+    # cut points' edges span all k + 1 vertices
+    faces = {f for p in pieces for j in range(1, k + 1) for f in itertools.combinations(p, j)}
+    inside = sorted(f for f in faces if len(set().union(*map(spans.get, f))) == k + 1)
+    cells = [[f for f in inside if len(f) == j + 1] for j in range(k)] + [pieces]
+    return [
+        np.array([[column[v] for v in c] for c in cs], dtype=np.intp).reshape(-1, j + 1) for j, cs in enumerate(cells)
+    ]
+
+
+def _split(sims, side, edges, n_old):
+    """The cells of the crossing k-simplices `sims` (rows in canonical order,
+    `side` their vertices' below flags) given the crossing `edges`, whose
+    cut points are n_old, n_old + 1, ...
+
+    Returns, for j = 0..k, the j-cells inside the simplices as sorted id
+    rows (for j = k the pieces, each parent's together and in
+    `_split_pieces` order), and the number of pieces of each parent.
+    """
+    k = sims.shape[1] - 1
+    if not len(sims):
+        return [np.empty((0, d + 1), dtype=np.intp) for d in range(k + 1)], np.empty(0, dtype=np.intp)
+    i, j = np.array(list(itertools.combinations(range(k + 1), 2)), dtype=np.intp).T
+    crosses = side[:, i] != side[:, j]
+    # cut id of every crossing edge of every parent, found among the crossing
+    # edges; the other edges hold a placeholder that sorts after every id
+    cuts = np.full(crosses.shape, _AFTER_EVERY_ID)
+    cuts[crosses] = n_old + lookup_rows(edges, np.stack([sims[:, i][crosses], sims[:, j][crosses]], axis=1))
+    if (cuts < n_old).any():
+        raise ComplexError("a crossing simplex has an edge missing from the complex")
+    cols = np.concatenate([sims, cuts], axis=1)
+    perm = np.argsort(cuts, axis=1, kind="stable")
+    group = row_ranks(np.concatenate([side, perm], axis=1))
+    firsts = np.unique(group, return_index=True)[1]
+    templates = [
+        _template(k, tuple(side[f].tolist()), tuple(perm[f, : crosses[f].sum()].tolist())) for f in firsts.tolist()
+    ]
+    # per dimension, one gather through the templates padded to a common
+    # length, then the padding rows dropped: each parent's cells stay
+    # together and in template order
+    cells = []
+    for d in range(k + 1):
+        counts = np.array([len(t[d]) for t in templates], dtype=np.intp)
+        table = np.zeros((len(templates), counts.max(initial=0), d + 1), dtype=np.intp)
+        for g, template in enumerate(templates):
+            table[g, : counts[g]] = template[d]
+        rows = cols[np.arange(len(cols))[:, None, None], table[group]]
+        cells.append(rows[np.arange(table.shape[1]) < counts[group][:, None]])
+    return cells, counts[group]
+
+
 def subdivide_at_level(C: GeometricComplex, values, s, snap_rel=SNAP_REL) -> Refinement:
     """Split every simplex crossing {f = s} so {f <= s} becomes a subcomplex.
 
     Per-simplex volume is preserved by construction (children partition their
     parent); shared faces of neighbouring simplices are split identically via
-    canonical global-id rules.  Only crossing simplices are visited: the
-    refined lists are the untouched simplices plus the pieces and their new
-    faces (those through a cut point), which relies on C being closed under
-    faces.
+    canonical global-id rules.  Only crossing simplices are visited, each
+    split by its (pattern, perm) template: the refined complex, built from
+    id arrays, holds the untouched simplices plus the cells inside crossing
+    simplices (those through a cut point), which relies on C being closed
+    under faces.
     """
     values = np.asarray(values, dtype=float)
     level, snapped, warning = snap_level(values, s, snap_rel)
@@ -212,10 +293,11 @@ def subdivide_at_level(C: GeometricComplex, values, s, snap_rel=SNAP_REL) -> Ref
 
     n_old = C.n_vertices
     below_vertex = values < level
-    crossing = {}
+    crossing, sides = {}, {}
     for k in C.dims:
         side = below_vertex[C.simplex_array(k)]
         crossing[k] = np.flatnonzero(side.any(axis=1) & ~side.all(axis=1))
+        sides[k] = side[crossing[k]]
 
     # one cut point per crossing edge, numbered in edge order
     edges = C.simplex_array(1)[crossing.get(1, [])]
@@ -225,56 +307,31 @@ def subdivide_at_level(C: GeometricComplex, values, s, snap_rel=SNAP_REL) -> Ref
     t = (level - values[lo]) / (values[hi] - values[lo])
     t_edge = np.where(u_below, t, 1.0 - t)
     cut_edges = list(zip(*edges.T.tolist(), t_edge.tolist()))
-    cut = {(u, v): n_old + i for i, (u, v, _) in enumerate(cut_edges)}
+    metric = C.metric.grown(C.metric.interpolate(edges, np.stack([1.0 - t_edge, t_edge], axis=1)))
 
-    metric = C.metric.copy()
-    if cut_edges:
-        specs = [metric.interpolate((u, v), (1.0 - t, t)) for (u, v, t) in cut_edges]
-        metric.add_points(specs)
+    # the new simplices of a dimension are the cells inside crossing simplices
+    # of that dimension or above (each has one carrier), pieces first
+    cells, n_pieces = {}, {}
+    for k in C.dims:
+        cells[k], n_pieces[k] = _split(C.simplex_array(k)[crossing[k]], sides[k], edges, n_old)
+    new = {k: np.concatenate([cells[j][k] for j in C.dims if j >= k]) for k in C.dims}
 
-    # pieces of crossing simplices; new faces (through a cut point) of pieces
-    # from the dimension above join the new simplices one dimension down
-    pieces: dict[int, list[list[tuple[int, ...]]]] = {}
-    new: dict[int, set] = {k: set() for k in C.dims}
-    below = below_vertex.tolist()
-    for k in sorted(C.dims, reverse=True):
-        sims = C.simplices[k]
-        pieces[k] = []
-        for idx in crossing[k].tolist():
-            simplex = sims[idx]
-            lo_pieces, hi_pieces = _split_pieces(simplex, [below[v] for v in simplex], cut)
-            pieces[k].append([tuple(sorted(p)) for p in lo_pieces + hi_pieces])
-            new[k].update(pieces[k][-1])
-        if k >= 1:
-            for simplex in new[k]:
-                for i in range(k + 1):
-                    face = simplex[:i] + simplex[i + 1 :]
-                    if face[-1] >= n_old:
-                        new[k - 1].add(face)
-
-    # merged, sorted lists; untouched simplices keep their volumes
-    new_lists, new_arrays, new_masses, untouched, old_pos, piece_pos = {}, {}, {}, {}, {}, {}
+    # merged, lexicographically sorted arrays; untouched simplices keep their
+    # volumes, and every new simplex contains a cut point, so all rows differ
+    new_arrays, new_masses, untouched, old_pos, piece_pos = {}, {}, {}, {}, {}
     for k in C.dims:
         keep = np.ones(C.count(k), dtype=bool)
         keep[crossing[k]] = False
         untouched[k] = np.flatnonzero(keep)
-        added = list(new[k])
-        added_arr = np.array(added, dtype=np.intp).reshape(len(added), k + 1)
-        merged = np.concatenate([C.simplex_array(k)[keep], added_arr])
+        merged = np.concatenate([C.simplex_array(k)[keep], new[k]])
         order = np.lexsort(merged.T[::-1])
-        rank = np.empty(len(order), dtype=np.intp)
-        rank[order] = np.arange(len(order))
-        n_keep = int(keep.sum())
-        old_pos[k] = rank[:n_keep]
-        added_pos = dict(zip(added, rank[n_keep:].tolist()))
-        piece_pos[k] = np.array([added_pos[key] for pcs in pieces[k] for key in pcs], dtype=np.int64)
+        pos = np.empty(len(order), dtype=np.intp)
+        pos[order] = np.arange(len(order))
+        old_pos[k] = pos[: len(untouched[k])]
+        piece_pos[k] = pos[len(untouched[k]) :][: len(cells[k][k])]
         new_arrays[k] = merged[order]
-        # untouched simplices keep their tuple objects
-        tuples = [C.simplices[k][i] for i in untouched[k].tolist()] + added
-        new_lists[k] = [tuples[i] for i in order.tolist()]
-        vols = np.concatenate([C.masses(k)[keep], simplex_volumes(metric, added_arr)])
-        new_masses[k] = vols[order]
-    new_complex = GeometricComplex(metric, new_lists, _masses=new_masses, _arrays=new_arrays)
+        new_masses[k] = np.concatenate([C.masses(k)[keep], simplex_volumes(metric, new[k])])[order]
+    new_complex = GeometricComplex.from_arrays(metric, new_arrays, new_masses)
 
     # signed transfer tables: an untouched simplex has itself as its one
     # child; a split one its pieces, oriented by the determinants of their
@@ -282,13 +339,12 @@ def subdivide_at_level(C: GeometricComplex, values, s, snap_rel=SNAP_REL) -> Ref
     children: dict[int, ChildTable] = {}
     dropped = 0
     for k in C.dims:
-        n_pieces = [len(pcs) for pcs in pieces[k]]
-        parent_of = np.repeat(crossing[k], n_pieces)
+        parent_of = np.repeat(crossing[k], n_pieces[k])
         if not len(parent_of):
             children[k] = ChildTable(np.arange(C.count(k) + 1), old_pos[k], np.ones(C.count(k), dtype=np.int64))
             continue
         parents = C.simplex_array(k)[parent_of]
-        keys = np.array([key for pcs in pieces[k] for key in pcs], dtype=np.intp)
+        keys = cells[k][k]
         is_cut = keys >= n_old
         e = np.where(is_cut, keys - n_old, 0)
         a = np.where(is_cut, edges[e, 0], keys)
@@ -303,9 +359,8 @@ def subdivide_at_level(C: GeometricComplex, values, s, snap_rel=SNAP_REL) -> Ref
         # volume fraction per parent; bincount adds the pieces in order
         frac = np.bincount(parent_of, weights=np.abs(dets))[crossing[k]]
         for j in np.flatnonzero(np.abs(frac - 1.0) > 1e-6).tolist():
-            warnings.append(
-                f"split of {C.simplices[k][crossing[k][j]]} covers volume fraction {float(frac[j])} (expected 1)"
-            )
+            parent = tuple(C.simplex_array(k)[crossing[k][j]].tolist())
+            warnings.append(f"split of {parent} covers volume fraction {float(frac[j])} (expected 1)")
         kept = np.abs(dets) >= VOLUME_FLOOR
         dropped += len(dets) - int(np.count_nonzero(kept))
         # one entry per child: an untouched simplex is its own child; the
@@ -342,7 +397,7 @@ def support_closure(T: SimplicialCurrent) -> SimplicialCurrent:
     functions and distance rows stay valid; only the simplex lists shrink,
     which keeps later subdivisions proportional to the support size.  The
     faces come from the parent's face-index arrays, each dimension listed
-    in lexicographic vertex order.
+    in lexicographic vertex order as an id array (tuple lists on demand).
     """
     C = T.complex
     if T.is_zero():
@@ -351,14 +406,13 @@ def support_closure(T: SimplicialCurrent) -> SimplicialCurrent:
     chosen = {T.dim: T.idx}
     for k in range(T.dim, 0, -1):
         chosen[k - 1] = np.unique(C.face_index(k)[chosen[k]])
-    lists, arrays, masses, orders = {}, {}, {}, {}
+    arrays, masses, orders = {}, {}, {}
     for k, ids in chosen.items():
         orders[k] = np.lexsort(C.simplex_array(k)[ids].T[::-1])
         ids = ids[orders[k]]
-        lists[k] = [C.simplices[k][i] for i in ids.tolist()]
         arrays[k] = C.simplex_array(k)[ids]
         masses[k] = C.masses(k)[ids]
-    C2 = GeometricComplex(C.metric, lists, _masses=masses, _arrays=arrays)
+    C2 = GeometricComplex.from_arrays(C.metric, arrays, masses)
     new_idx = np.empty(len(T.idx), dtype=np.int64)
     new_idx[orders[T.dim]] = np.arange(len(T.idx))
     return SimplicialCurrent.from_arrays(C2, T.dim, new_idx, T.coeff)

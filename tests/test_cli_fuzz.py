@@ -1,0 +1,118 @@
+"""Hypothesis fuzz of the command line, run in-process through `cli.main`.
+
+Malformed and edge inputs (wrong dimensions, empty currents, levels off the
+value range, disconnected complexes, 3-D chains and families) must end in
+exit 0 with exactly one report, or in exit 1 or 2 with a one-line message:
+never in a traceback or in exit 3, which marks a defect of the program.
+"""
+import contextlib
+import io
+import json
+import math
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from currentlab.cli import EXIT_INPUT, EXIT_INVARIANT, EXIT_OK, main
+from currentlab.currents import chain_to_json
+from currentlab.meshes import euclidean_box_mesh, square_complex
+
+TRIANGLE = [[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3) / 2]]
+
+
+def _chain(vertices, simplices, dim, coeffs):
+    return {
+        "complex": {"vertices": vertices, "simplices": {str(k): v for k, v in simplices.items()}},
+        "current": {"dim": dim, "coeffs": coeffs},
+    }
+
+
+def _inputs():
+    """Named JSON payloads (a str is written verbatim)."""
+    _, square = square_complex()
+    _, box = euclidean_box_mesh(0.5, 1)
+    cycle = {0: [[0], [1], [2]], 1: [[0, 1], [0, 2], [1, 2]], 2: [[0, 1, 2]]}
+    two_edges = {0: [[0], [1], [2], [3]], 1: [[0, 1], [2, 3]]}
+    return {
+        "square": chain_to_json(square),
+        "cycle": _chain(TRIANGLE, cycle, 1, [[0, 1], [1, -1], [2, 1]]),
+        "empty_current": _chain(TRIANGLE, cycle, 1, []),
+        "zero_coefficients": _chain(TRIANGLE, cycle, 2, [[0, 0]]),
+        "disconnected": _chain([[0, 0], [1, 0], [5, 5], [6, 5]], two_edges, 1, [[0, 1], [1, -1]]),
+        "dim_above_complex": _chain(TRIANGLE, cycle, 3, [[0, 1]]),
+        "negative_dim": _chain(TRIANGLE, cycle, -1, [[0, 1]]),
+        "simplex_too_long": _chain(TRIANGLE, {0: [[0], [1], [2]], 1: [[0, 1, 2]]}, 1, [[0, 1]]),
+        "vertex_out_of_range": _chain(TRIANGLE, {0: [[0], [1]], 1: [[0, 7]]}, 1, [[0, 1]]),
+        "index_out_of_range": _chain(TRIANGLE, cycle, 1, [[9, 1]]),
+        "missing_face": _chain(TRIANGLE, {0: [[0], [1], [2]], 1: [[0, 1]], 2: [[0, 1, 2]]}, 2, [[0, 1]]),
+        "ragged_vertices": _chain([[0, 0], [1]], {0: [[0], [1]], 1: [[0, 1]]}, 1, [[0, 1]]),
+        "tetrahedra": chain_to_json(box),
+        "no_current": {"complex": {"vertices": TRIANGLE, "simplices": {}}},
+        "not_json": "{ not json",
+        "list_payload": "[1, 2, 3]",
+    }
+
+
+@pytest.fixture(scope="module")
+def input_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    paths = {}
+    for name, payload in _inputs().items():
+        path = root / f"{name}.json"
+        path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+        paths[name] = str(path)
+    paths["missing_file"] = str(root / "absent.json")
+    return paths
+
+
+CHAIN_COMMANDS = ["mass", "boundary", "slice", "ball", "sphere", "coarea", "fillvol", "flatnorm"]
+NUMBERS = st.sampled_from([-1e9, -1.0, 0.0, 1e-12, 0.3, 0.5, 1.0, 2.5, 1e9, math.inf, -math.inf, math.nan])
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the option itself
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _check(argv, code, out, err):
+    assert code in (EXIT_OK, EXIT_INVARIANT, EXIT_INPUT), (argv, code, err)
+    assert "Traceback" not in err, (argv, err)
+    if code == EXIT_OK:
+        json.loads(out)  # exactly one report: one JSON document and nothing else
+    else:
+        assert not out, (argv, out)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    command=st.sampled_from(CHAIN_COMMANDS),
+    name=st.sampled_from(sorted(_inputs()) + ["missing_file"]),
+    second=st.sampled_from(["square", "cycle", "empty_current", "tetrahedra", "not_json"]),
+    function=st.sampled_from(["coord:0", "coord:1", "coord:2", "coord:-1", "dist:0", "dist:99", "json", "coord"]),
+    level=NUMBERS,
+    radius=NUMBERS,
+    center=st.integers(min_value=-2, max_value=12),
+    samples=st.integers(min_value=-1, max_value=3),
+)
+def test_chain_commands_fuzz(input_paths, command, name, second, function, level, radius, center, samples):
+    argv = [command, "--input", input_paths[name], "--function", function, "--level", repr(level)]
+    argv += ["--radius", repr(radius), "--center", str(center), "--samples", str(samples)]
+    if command == "flatnorm":
+        argv += ["--input2", input_paths[second]]
+    _check(argv, *_run(argv))
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    family=st.sampled_from(["refined_disk", "thin_torus", "refined_sphere", "no_such_family"]),
+    quantity=st.sampled_from(["semicontinuity", "mass", "fillvol", "nonsense"]),
+    schedule=st.sampled_from(["", "0.5", "4", "0,0.5", "-1", "a,b", "nan"]),
+)
+def test_lab_fuzz(family, quantity, schedule):
+    argv = ["lab", "--family", family, "--quantity", quantity, "--schedule", schedule, "--grid", "2"]
+    _check(argv, *_run(argv))

@@ -15,7 +15,7 @@ from currentlab.complexes import (
     gram_from_sq,
     simplex_volume_from_sq,
 )
-from currentlab.meshes import _sphere_arc_metric, grid_mesh, square_complex
+from currentlab.meshes import _sphere_arc_metric, grid_mesh, square_complex, torus_patch_mesh
 
 from oracles import matrix_add_points_oracle, simplex_volume_from_coords
 
@@ -244,3 +244,70 @@ class TestChainCore:
         single = metric.add_points(metric.interpolate((0, 1), (0.25, 0.75)))
         assert single == [55]
         assert np.allclose(metric.mat, matrix_add_points_oracle(want, [((0, 1), [0.25, 0.75])]), rtol=0, atol=1e-12)
+
+
+class TestStackedInterpolation:
+    """An (n, m) stack of ids and weights interpolates every row exactly as
+    the one-point call does, and `grown` appends them without touching the
+    source metric."""
+
+    @staticmethod
+    def _edges_and_weights(rng, n_vertices, n):
+        ids = np.stack([rng.choice(n_vertices, size=2, replace=False) for _ in range(n)])
+        t = rng.random(n)
+        return ids, np.stack([1.0 - t, t], axis=1)
+
+    def test_euclidean(self):
+        rng = np.random.default_rng(51)
+        metric = EuclideanMetric(rng.normal(size=(20, 3)))
+        ids, W = self._edges_and_weights(rng, 20, 40)
+        stacked = metric.interpolate(ids, W)
+        assert stacked.shape == (40, 3)
+        for i in range(40):
+            assert np.array_equal(stacked[i], metric.interpolate(ids[i], W[i]))
+            assert np.array_equal(stacked[i], W[i] @ metric.coords[list(ids[i])])
+
+    def test_callable_across_the_seam(self):
+        C, _ = torus_patch_mesh(0.2, 0.3, 4)
+        metric = C.metric
+        z = metric.points[:, 2]
+        period = metric.wrap[2]
+        edges = C.simplex_array(1)
+        across = np.abs(z[edges[:, 0]] - z[edges[:, 1]]) > period / 2
+        assert across.any() and not across.all()
+        t = np.random.default_rng(52).random(len(edges))
+        W = np.stack([1.0 - t, t], axis=1)
+        stacked = metric.interpolate(edges, W)
+        for i in range(len(edges)):
+            assert np.array_equal(stacked[i], metric.interpolate(edges[i], W[i]))
+        assert ((stacked[:, 2] >= 0) & (stacked[:, 2] < period)).all()
+
+    def test_matrix(self):
+        rng = np.random.default_rng(53)
+        pts = rng.normal(size=(15, 3))
+        source = MatrixMetric(np.linalg.norm(pts[:, None] - pts[None], axis=-1))
+        ids, W = self._edges_and_weights(rng, 15, 10)
+        stacked_ids, stacked_w = source.interpolate(ids, W)
+        for i in range(10):
+            one_ids, one_w = source.interpolate(ids[i], W[i])
+            assert np.array_equal(stacked_ids[i], one_ids) and np.array_equal(stacked_w[i], one_w)
+        before = source.mat.copy()
+        grown = source.grown((stacked_ids, stacked_w))
+        one_at_a_time = MatrixMetric(before.copy())
+        one_at_a_time.add_points([source.interpolate(ids[i], W[i]) for i in range(10)])
+        assert np.array_equal(grown.mat, one_at_a_time.mat)
+        assert np.array_equal(source.mat, before)
+
+    @pytest.mark.parametrize("kind", ["euclidean", "callable", "matrix"])
+    def test_grown_by_nothing_is_a_copy(self, kind):
+        pts = np.random.default_rng(54).normal(size=(6, 2))
+        metric = {
+            "euclidean": EuclideanMetric(pts),
+            "callable": CallableMetric(pts, lambda A, B: np.linalg.norm(A - B, axis=1)),
+            "matrix": MatrixMetric(np.linalg.norm(pts[:, None] - pts[None], axis=-1)),
+        }[kind]
+        empty = metric.interpolate(np.zeros((0, 2), dtype=np.intp), np.zeros((0, 2)))
+        grown = metric.grown(empty)
+        assert grown is not metric and grown.n == metric.n
+        for a, b in ((0, 1), (2, 5)):
+            assert grown.dist(a, b) == metric.dist(a, b)

@@ -8,6 +8,7 @@ from currentlab.complexes import (
     GeometricComplex,
     MatrixMetric,
     PLFunction,
+    SimplexLists,
     coordinate_function,
     distance_function,
 )
@@ -195,14 +196,35 @@ def _subdivide_cases():
     )
     ball_T = ball(disk_T, nearest_vertex(disk, (0.2, 0.1)), 0.55)
     closure = support_closure(ball_T).complex
+    # z meshed periodically: cut points of edges across the seam are
+    # interpolated in the chart of the edge's first vertex
+    seam, _ = torus_patch_mesh(0.2, 0.3, 4)
     cases = [
         ("disk", disk, distance_function(disk, nearest_vertex(disk, (0.3, -0.2))).values),
         ("sphere", sph, distance_function(sph, 37).values),
         ("torus", tor, distance_function(tor, nearest_vertex(tor, (0.05, 0.1, 0.0))).values),
         ("matrix", mat, distance_function(mat, 7).values),
         ("ball_closure", closure, np.random.default_rng(5).normal(size=closure.n_vertices)),
+        ("periodic_torus", seam, distance_function(seam, nearest_vertex(seam, (0.05, -0.1, 0.0))).values),
     ]
     return [pytest.param(C, values, id=name) for name, C, values in cases]
+
+
+def _oracle_levels(C, values):
+    """Seeded levels, then a vertex value, which must be snapped off."""
+    rng = np.random.default_rng([11, len(values)])
+    used = values[np.unique(C.simplex_array(C.top_dim))]
+    return list(rng.uniform(used.min(), used.max(), size=4)) + [float(np.sort(used)[len(used) // 2])]
+
+
+def _below_patterns(C, values, level):
+    """(k, below flags) of every crossing simplex of C at the snapped level."""
+    below = values < snap_level(values, level)[0]
+    found = set()
+    for k in C.dims:
+        side = below[C.simplex_array(k)]
+        found.update((k, tuple(row)) for row in side[side.any(axis=1) & ~side.all(axis=1)].tolist())
+    return found
 
 
 @pytest.mark.parametrize("C, values", _subdivide_cases())
@@ -210,10 +232,7 @@ def test_subdivide_matches_oracle(C, values):
     """Crossing-only batched subdivision reproduces the one-simplex-at-a-time
     reference bit for bit, the snapped level included."""
     C.validate()
-    rng = np.random.default_rng([11, len(values)])
-    used = values[np.unique(C.simplex_array(C.top_dim))]
-    # seeded levels, then a vertex value, which must be snapped off
-    levels = list(rng.uniform(used.min(), used.max(), size=4)) + [float(np.sort(used)[len(used) // 2])]
+    levels = _oracle_levels(C, values)
     for level in levels:
         ref = subdivide_at_level(C, values, level)
         want = subdivide_oracle(C, values, level)
@@ -228,6 +247,92 @@ def test_subdivide_matches_oracle(C, values):
         for k in want.complex.dims:
             assert np.array_equal(ref.complex.masses(k), want.complex.masses(k))
     assert any(subdivide_at_level(C, values, lv).snapped for lv in levels)
+
+
+def test_oracle_cases_cover_every_split_template():
+    """The oracle comparison splits simplices of all 2 + 6 + 14 below
+    patterns of edges, triangles and tetrahedra, so every piece template is
+    checked against `_split_pieces` applied one simplex at a time."""
+    hit = set()
+    for case in _subdivide_cases():
+        C, values = case.values
+        for level in _oracle_levels(C, values):
+            hit |= _below_patterns(C, values, level)
+    for k, n_patterns in ((1, 2), (2, 6), (3, 14)):
+        assert len({p for j, p in hit if j == k}) == n_patterns
+
+
+def test_subdivide_matches_oracle_on_unsorted_edge_list():
+    """Cut points are numbered in the complex's edge order; with a shuffled
+    edge list their order within a simplex is no longer lexicographic, and
+    the split still matches the one-simplex-at-a-time reference."""
+    C0, _ = torus_patch_mesh(0.4, 0.3, 3)
+    rng = np.random.default_rng(17)
+    lists = dict(C0.simplices)
+    lists[1] = [lists[1][i] for i in rng.permutation(len(lists[1]))]
+    C = GeometricComplex(C0.metric, lists)
+    values = distance_function(C, 5).values
+    for level in _oracle_levels(C, values):
+        ref, want = subdivide_at_level(C, values, level), subdivide_oracle(C, values, level)
+        assert ref.cut_edges == want.cut_edges and ref.children == want.children
+        assert ref.complex.simplices == want.complex.simplices
+        for k in want.complex.dims:
+            assert np.array_equal(ref.complex.masses(k), want.complex.masses(k))
+
+
+@pytest.mark.parametrize("C, values", _subdivide_cases())
+def test_subdivide_leaves_source_metric_unchanged(C, values):
+    """The refined complex grows a new metric; the source's state is intact."""
+    before = _metric_state(C.metric).copy()
+    ref = subdivide_at_level(C, values, float(np.median(values)))
+    assert ref.complex.metric is not C.metric
+    assert np.array_equal(_metric_state(C.metric), before)
+    assert ref.complex.n_vertices == C.n_vertices + len(ref.cut_edges)
+
+
+def test_split_pieces_only_builds_templates(monkeypatch):
+    """`_split_pieces` runs once per (dimension, pattern) template, not once
+    per crossing simplex, and the cut points come from one interpolation."""
+    import currentlab.slicing as slicing
+
+    C, _ = torus_patch_mesh(0.4, 0.3, 4)
+    calls = {"split": 0, "interpolate": 0}
+    split, interpolate = slicing._split_pieces, type(C.metric).interpolate
+
+    def counted_split(*args):
+        calls["split"] += 1
+        return split(*args)
+
+    def counted_interpolate(self, *args):
+        calls["interpolate"] += 1
+        return interpolate(self, *args)
+
+    slicing._template.cache_clear()
+    monkeypatch.setattr(slicing, "_split_pieces", counted_split)
+    monkeypatch.setattr(type(C.metric), "interpolate", counted_interpolate)
+    values = distance_function(C, 40).values
+    levels = np.linspace(values.min(), values.max(), 9)[1:-1]
+    for level in levels:
+        ref = subdivide_at_level(C, values, level)
+    assert len(ref.cut_edges) > 22
+    assert 0 < calls["split"] <= 22
+    assert calls["interpolate"] == len(levels)
+    first = calls["split"]
+    subdivide_at_level(C, values, float(levels[0]))
+    assert calls["split"] == first
+
+
+def test_slicing_builds_no_tuple_lists():
+    """Refined and support-closure complexes keep their simplices as id
+    arrays: slicing, restricting and transferring read no tuple list."""
+    C, T = sphere_mesh(8, 16)
+    ball_T = support_closure(ball(T, 0, 1.2))
+    res = slice_current(ball_T, distance_function(ball_T.complex, 0), 0.8)
+    for complex in (ball_T.complex, res.complex):
+        assert isinstance(complex.simplices, SimplexLists)
+        assert not complex.simplices._lists
+    assert res.complex.simplices[1] == [tuple(e) for e in res.complex.simplex_array(1).tolist()]
+    assert set(res.complex.simplices._lists) == {1}
 
 
 class TestSlice:
