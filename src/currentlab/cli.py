@@ -73,7 +73,6 @@ class RunConfig:
     family: str = "refined_disk"
     quantity: str = "fillvol"
     schedule: tuple = ()
-    threads: int = 1
 
 
 def _configure_logging():
@@ -359,7 +358,6 @@ def _cmd_lab(cfg: RunConfig):
         "grid": cfg.grid,
         "epsilon": cfg.epsilon,
         "center_point": family.center,
-        "threads": cfg.threads,
     }
     return continuity_sweep(family, cfg.quantity, params)
 
@@ -413,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--family", default="refined_disk")
         p.add_argument("--quantity", default="fillvol")
         p.add_argument("--schedule", default="")
-        p.add_argument("--threads", type=int, default=1)
     return parser
 
 
@@ -443,7 +440,6 @@ def _config_from_args(args) -> RunConfig:
         family=args.family,
         quantity=args.quantity,
         schedule=schedule,
-        threads=args.threads,
     )
 
 

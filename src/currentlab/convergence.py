@@ -1,9 +1,15 @@
 """Constructed sequence families, common embeddings, and convergence sweeps.
 
-Flat distances are always computed inside an explicitly constructed common
-complex (disjoint union glued through a correspondence), so every reported
-distance is an upper bound for the intrinsic one and every asserted
-inequality compares quantities computed in one ambient chain complex.
+Both members of a pair are placed in one explicitly constructed common
+complex (disjoint union glued through a correspondence), and every asserted
+inequality compares quantities computed in one ambient.  In glue mode, and
+for any dimension other than top-dimensional currents in the plane, that
+ambient is the complex itself and the quantities are its LP optima.  In
+planar natural mode (2-currents with Euclidean coordinates in R^2) the
+filling volumes and the flat distance are taken in the ambient R^2 in
+closed form (see `fillvol`); they are at most the in-complex optima, and
+R^2 being a common isometric embedding, every reported distance is still
+an upper bound for the intrinsic one.
 """
 from __future__ import annotations
 
@@ -350,21 +356,12 @@ def continuity_sweep(family: SequenceFamily, quantity: str, params=None) -> dict
 
     For the fillvol quantity, consecutive members are joined in a common
     complex, matched balls are cut on one shared refinement, and the filling
-    gap is checked against the flat distance between the balls computed in
-    that same complex.
+    gap is checked against the flat distance between the balls, both taken
+    in the same ambient (the complex, or R^2 for planar natural mode).
     """
     params = dict(params or {})
     members = family.members()
-    threads = int(params.get("threads", 1))
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(
-                pool.map(lambda ct: _member_value(ct[0], ct[1], quantity, params), members)
-            )
-    else:
-        values = [_member_value(C, T, quantity, params) for (C, T) in members]
+    values = [_member_value(C, T, quantity, params) for (C, T) in members]
     rows = [{"param": prm, "value": v} for prm, v in zip(family.schedule, values)]
     checks = []
     if quantity == "fillvol" and len(members) > 1:

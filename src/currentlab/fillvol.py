@@ -4,6 +4,15 @@ Chain problems are weighted-L1 linear programs with split variables solved
 by scipy's HiGHS; 0-dimensional fillings are solved exactly by a
 successive-shortest-path min-cost flow.  Values computed inside a fixed
 complex are upper bounds for the corresponding intrinsic quantities.
+
+Planar closed forms replace the LP where the answer is known: on a complex
+whose metric is Euclidean on two coordinate columns, a compactly supported
+2-current is fixed by its boundary, with density the winding number w of
+that boundary, and R^2 carries no 3-currents (constancy theorem, Federer
+4.1.7).  So the filling volume of a 1-cycle C is the integral of |w_C|, and
+the flat distance of two 2-currents S, T is M(S - T), the integral of
+|w_{bd(S - T)}|.  Both are taken in the ambient R^2 by one slab sweep
+(`_winding_integral`, method "winding"), not inside the complex.
 """
 from __future__ import annotations
 
@@ -13,12 +22,14 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import coo_matrix, eye, hstack
 
-from .complexes import GeometricComplex
+from .complexes import EuclideanMetric, GeometricComplex
 from .currents import SimplicialCurrent, boundary, mass
 from .metricspace import ArgumentError, FiniteMetricSpace, InvariantError
 
 INTEGRALITY_TOL = 1e-6
 RESIDUAL_TOL = 1e-8
+SWEEP_BLOCK = 1 << 16
+"""Entries per block of the winding sweep's crossing test and slab arrays."""
 
 
 @dataclass
@@ -117,12 +128,122 @@ def _lp_report(blocks, rhs, weights, names, upper, infeasible) -> FillingReport:
     return report
 
 
+# ---------------------------------------------------------------------------
+# planar closed forms: the winding-number integral
+
+
+def _planar(K: GeometricComplex) -> bool:
+    return isinstance(K.metric, EuclideanMetric) and K.metric.coords.shape[1] == 2
+
+
+def _orient(p, q, r):
+    """Twice the signed area of each triangle (p, q, r) of (n, 2) point arrays."""
+    return (q[:, 0] - p[:, 0]) * (r[:, 1] - p[:, 1]) - (q[:, 1] - p[:, 1]) * (r[:, 0] - p[:, 0])
+
+
+def _crossing_xs(lo, hi):
+    """x of every proper crossing of two segments lo[i] -> hi[i] (lo x < hi x).
+
+    Only pairs whose x-ranges overlap are tested: with segments sorted by
+    left end, segment i meets the run of j > i whose left end lies left of
+    its right end.  The flattened pair list is taken SWEEP_BLOCK pairs at a
+    time.
+    """
+    order = np.argsort(lo[:, 0], kind="stable")
+    lo, hi = lo[order], hi[order]
+    first = np.arange(1, len(lo) + 1)
+    count = np.maximum(np.searchsorted(lo[:, 0], hi[:, 0], "left") - first, 0)
+    offsets = np.concatenate([[0], np.cumsum(count)])
+    xs = [np.zeros(0)]
+    total = int(offsets[-1])
+    for start in range(0, total, SWEEP_BLOCK):
+        flat = np.arange(start, min(start + SWEEP_BLOCK, total))
+        i = np.searchsorted(offsets, flat, "right") - 1
+        j = first[i] + flat - offsets[i]
+        j_sides = np.sign(_orient(lo[i], hi[i], lo[j])) * np.sign(_orient(lo[i], hi[i], hi[j]))
+        d_lo = _orient(lo[j], hi[j], lo[i])
+        d_hi = _orient(lo[j], hi[j], hi[i])
+        proper = (j_sides < 0) & (np.sign(d_lo) * np.sign(d_hi) < 0)
+        i, d_lo, d_hi = i[proper], d_lo[proper], d_hi[proper]
+        xs.append(lo[i, 0] + d_lo / (d_lo - d_hi) * (hi[i, 0] - lo[i, 0]))
+    return np.concatenate(xs)
+
+
+def _winding_integral(C: SimplicialCurrent) -> float:
+    """The integral over R^2 of |w_C| for a 1-cycle C on a planar complex.
+
+    Vertical slab sweep.  Breakpoints are the x of every segment end and of
+    every proper crossing, so inside a slab the spanning segments keep one
+    order; sorted by y at the slab's midpoint, the winding number between
+    neighbours is the sum of the signed coefficients above them (a segment
+    directed right to left counts +c), and each gap is a trapezoid of area
+    width times midpoint gap.  Vertical and zero-length segments span no
+    slab (their ends share one breakpoint).  The slab x segment incidences are taken in runs of whole slabs
+    holding at most SWEEP_BLOCK entries (one slab may exceed it alone).
+    """
+    pts = C.complex.metric.coords
+    ends = C.complex.simplex_array(1)[C.idx]
+    a, b = pts[ends[:, 0]], pts[ends[:, 1]]
+    flip = a[:, 0] > b[:, 0]
+    lo = np.where(flip[:, None], b, a)
+    hi = np.where(flip[:, None], a, b)
+    sign = np.where(flip, C.coeff, -C.coeff)
+    X = np.unique(np.concatenate([lo[:, 0], hi[:, 0], _crossing_xs(lo, hi)]))
+    kl = np.searchsorted(X, lo[:, 0])
+    kr = np.searchsorted(X, hi[:, 0])
+    n_slabs = max(len(X) - 1, 0)
+    cover = np.cumsum(np.bincount(kl, minlength=len(X)) - np.bincount(kr, minlength=len(X)))[:n_slabs]
+    cum = np.concatenate([[0], np.cumsum(cover)])
+    total = 0.0
+    k0 = 0
+    while k0 < n_slabs:
+        k1 = max(int(np.searchsorted(cum, cum[k0] + SWEEP_BLOCK, "right")) - 1, k0 + 1)
+        sel = np.flatnonzero((kl < k1) & (kr > k0))
+        start = np.maximum(kl[sel], k0)
+        reps = np.minimum(kr[sel], k1) - start
+        seg = np.repeat(sel, reps)
+        slab = np.repeat(start - np.cumsum(reps) + reps, reps) + np.arange(len(seg))
+        mid = 0.5 * (X[slab] + X[slab + 1])
+        l, h = lo[seg], hi[seg]
+        y = l[:, 1] + (h[:, 1] - l[:, 1]) * ((mid - l[:, 0]) / (h[:, 0] - l[:, 0]))
+        order = np.lexsort((y, slab))
+        slab, y, s = slab[order], y[order], sign[seg[order]]
+        cs = np.cumsum(s)
+        above = cs[np.searchsorted(slab, slab, "right") - 1] - cs  # coefficients above each segment
+        gap = slab[1:] == slab[:-1]
+        width = X[slab[:-1] + 1] - X[slab[:-1]]
+        total += float(np.sum((width * np.abs(above[:-1]) * (y[1:] - y[:-1]))[gap]))
+        k0 = k1
+    return total
+
+
+def _winding_report(value, certificate) -> FillingReport:
+    report = FillingReport(
+        value=value,
+        lower_bound=value,
+        upper_bound=value,
+        certificate=certificate,
+        integral=True,
+        method="winding",
+        residual=0.0,
+    )
+    report.check()
+    return report
+
+
 def flat_distance(S: SimplicialCurrent, T: SimplicialCurrent, K: GeometricComplex | None = None) -> FillingReport:
     """Flat distance between same-dimensional currents in a common complex.
 
     Minimizes M(U) + M(V) over real chains with S - T = U + bd(V); reports
     whether the relaxation came out integral.  The value is an upper bound
     for the intrinsic flat distance realized inside this complex.
+
+    For 2-currents on a complex whose metric is Euclidean on two coordinate
+    columns there is no LP: R^2 carries no 3-currents, so the flat distance
+    in the ambient R^2 is M(S - T), the integral of the winding number of
+    bd(S - T) (method "winding", certificate U = S - T, V = {}).  It is at
+    most the in-complex LP optimum and, R^2 being a common isometric
+    embedding, still an upper bound for the intrinsic flat distance.
     """
     if K is None:
         K = S.complex
@@ -133,6 +254,10 @@ def flat_distance(S: SimplicialCurrent, T: SimplicialCurrent, K: GeometricComple
     m = S.dim
     if m + 1 not in K.simplices:
         raise ArgumentError(f"ambient complex has no {m + 1}-simplices")
+    if m == 2 and _planar(K):
+        U = S - T
+        cert_u = dict(zip(U.idx.tolist(), U.coeff.astype(float).tolist()))
+        return _winding_report(_winding_integral(boundary(U)), {"U": cert_u, "V": {}})
     rhs = _chain_vector(S) - _chain_vector(T)
     ident = eye(K.count(m), format="coo")
     D = boundary_matrix(K, m + 1)
@@ -158,7 +283,17 @@ def filling_volume(B: SimplicialCurrent, K: GeometricComplex | None = None) -> F
 
     B must be a cycle.  The LP optimum is exact for real chains, hence a
     lower bound for integer fillings in this complex and an upper bound for
-    the intrinsic filling volume.
+    the intrinsic filling volume.  The zero cycle is filled by the zero
+    chain with no LP (method "zero").
+
+    For a 1-cycle on a complex whose metric is Euclidean on two coordinate
+    columns there is no LP: the filling is taken in the ambient R^2, where
+    a 2-current is fixed by its boundary, so the value is the integral of
+    |w_B| for the winding number w_B (method "winding", no K-chain
+    certificate).  It is at most the in-complex LP optimum, equals it
+    whenever K holds the filling, and is still an upper bound for the
+    intrinsic filling volume; a cycle that bounds in R^2 but not in K gets
+    its R^2 value instead of an infeasibility error.
     """
     if K is None:
         K = B.complex
@@ -169,9 +304,11 @@ def filling_volume(B: SimplicialCurrent, K: GeometricComplex | None = None) -> F
         raise ArgumentError(f"filling_volume input is not a cycle; boundary residual {dict(res.coeffs)}")
     k = B.dim
     if B.is_zero():
-        return FillingReport(0.0, 0.0, 0.0, certificate={"S": {}}, integral=True, method="lp")
+        return FillingReport(0.0, 0.0, 0.0, certificate={"S": {}}, integral=True, method="zero")
     if k + 1 not in K.simplices:
         raise ArgumentError(f"ambient complex has no {k + 1}-simplices")
+    if k == 1 and _planar(K):
+        return _winding_report(_winding_integral(B), {})
     D = boundary_matrix(K, k + 1)
     rhs = _chain_vector(B)
     return _lp_report(

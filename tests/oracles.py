@@ -5,7 +5,9 @@ import itertools
 import math
 
 import numpy as np
+from scipy.sparse import eye
 
+from currentlab import fillvol
 from currentlab.complexes import (
     VOLUME_FLOOR,
     GeometricComplex,
@@ -373,3 +375,58 @@ def snap_level_oracle(values, s, snap_rel=SNAP_REL):
                 moved = up
             return float(moved), True, f"level {s} snapped to {moved} (vertex-value collision)"
     return float(s), False, None
+
+
+def lp_filling_volume(B: SimplicialCurrent, K: GeometricComplex):
+    """The in-complex weighted-L1 filling LP: minimal mass of a real chain
+    on K with boundary B.  The reference for the planar winding integral."""
+    k = B.dim
+    return fillvol._lp_report(
+        [fillvol.boundary_matrix(K, k + 1)], fillvol._chain_vector(B), [K.masses(k + 1)], ["S"],
+        fillvol.cone_bound(B), "filling LP infeasible",
+    )
+
+
+def lp_flat_distance(S: SimplicialCurrent, T: SimplicialCurrent, K: GeometricComplex):
+    """The in-complex flat-norm LP: min M(U) + M(V) over real chains on K
+    with S - T = U + bd(V)."""
+    m = S.dim
+    rhs = fillvol._chain_vector(S) - fillvol._chain_vector(T)
+    return fillvol._lp_report(
+        [eye(K.count(m), format="coo"), fillvol.boundary_matrix(K, m + 1)], rhs,
+        [K.masses(m), K.masses(m + 1)], ["U", "V"], float(K.masses(m) @ np.abs(rhs)), "flat LP infeasible",
+    )
+
+
+def raster_winding_integral(pts, triangles, weights, n):
+    """Midpoint rule for the integral of |sum_i c_i o_i 1_{t_i}| over R^2,
+    where o_i is the orientation sign of triangle t_i (rows of vertex ids
+    into `pts`) and c_i its weight.  Returns (value, bound) with
+    |value - exact| <= bound.
+
+    The grid is n x n cells of size hx x hy over the bounding box, sampled
+    at cell centres.  A cell whose interior misses the boundary of t_i sees
+    1_{t_i} constant, so the error of a cell is at most hx * hy times the
+    sum of |c_i| over the triangles whose boundary crosses its interior, and
+    a segment crosses the interiors of at most |dx| / hx + |dy| / hy + 3
+    cells.
+    """
+    pts = np.asarray(pts, dtype=float)
+    tri = pts[np.asarray(triangles)]
+    weights = np.asarray(weights, dtype=float)
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    hx, hy = (hi - lo) / n
+    gx = lo[0] + hx * (np.arange(n) + 0.5)
+    gy = lo[1] + hy * (np.arange(n) + 0.5)
+    X, Y = np.meshgrid(gx, gy, indexing="ij")
+    W = np.zeros_like(X)
+    bound = 0.0
+    for (a, b, c), w in zip(tri, weights):
+        orient = np.sign((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
+        inside = np.ones_like(X, dtype=bool)
+        for p, q in ((a, b), (b, c), (c, a)):
+            side = (q[0] - p[0]) * (Y - p[1]) - (q[1] - p[1]) * (X - p[0])
+            inside &= orient * side >= 0
+            bound += abs(w) * (abs(q[0] - p[0]) / hx + abs(q[1] - p[1]) / hy + 3) * hx * hy
+        W += w * orient * inside
+    return float(np.abs(W).sum() * hx * hy), bound

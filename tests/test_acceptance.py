@@ -335,6 +335,7 @@ def test_criterion_9_continuity_bounds():
     gap = abs(fa - fb)
     bound = flat_distance(ball_a, ball_b, K2).value
     assert gap <= bound + 1e-6
+    assert bound < 0.01 * (mass(ball_a) + mass(ball_b))
 
     # slice-shift bound on 50 perturbed-function pairs
     rng = np.random.default_rng(909)
