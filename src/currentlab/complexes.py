@@ -74,9 +74,6 @@ class EuclideanMetric:
         self.coords = self.grown(raw_points).coords
         return list(range(start, self.n))
 
-    def copy(self):
-        return EuclideanMetric(self.coords.copy())
-
 
 class CallableMetric:
     """Raw points plus a vectorized distance function d(A, B) on point arrays.
@@ -150,9 +147,6 @@ class CallableMetric:
         self.points = self.grown(raw_points).points
         return list(range(start, self.n))
 
-    def copy(self):
-        return CallableMetric(self.points.copy(), self.fn, wrap=self.wrap)
-
 
 class MatrixMetric:
     """Backed by an explicit distance matrix.
@@ -218,9 +212,6 @@ class MatrixMetric:
         start = self.n
         self.mat = self.grown((ids, W)).mat
         return list(range(start, self.n))
-
-    def copy(self):
-        return MatrixMetric(self.mat.copy())
 
 
 # ---------------------------------------------------------------------------

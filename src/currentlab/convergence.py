@@ -4,12 +4,14 @@ Both members of a pair are placed in one explicitly constructed common
 complex (disjoint union glued through a correspondence), and every asserted
 inequality compares quantities computed in one ambient.  In glue mode, and
 for any dimension other than top-dimensional currents in the plane, that
-ambient is the complex itself and the quantities are its LP optima.  In
-planar natural mode (2-currents with Euclidean coordinates in R^2) the
-filling volumes and the flat distance are taken in the ambient R^2 in
-closed form (see `fillvol`); they are at most the in-complex optima, and
-R^2 being a common isometric embedding, every reported distance is still
-an upper bound for the intrinsic one.
+ambient is the complex itself, the quantities are its LP optima, and the
+complex carries connector prisms (and, in natural mode, cone fillers) as
+the LPs' (m+1)-simplices.  In planar natural mode (2-currents with
+Euclidean coordinates in R^2) the filling volumes and the flat distance are
+taken in the ambient R^2 in closed form (see `fillvol`), so the joined
+complex is just the two meshes, with no (m+1)-simplices; the values are at
+most the in-complex optima, and R^2 being a common isometric embedding,
+every reported distance is still an upper bound for the intrinsic one.
 """
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ from .complexes import (
     distance_function,
 )
 from .currents import boundary, mass, push_forward
-from .fillvol import filling_volume, flat_distance
+from .fillvol import filling_volume, flat_distance, planar_top
 from .metricspace import ArgumentError, FiniteMetricSpace
 from .meshes import add_spikes, disk_mesh, full_torus_mesh, nearest_vertex, sphere_mesh
 from .product import interval_filling_volume, sliced_interval_fill, staircase
@@ -117,23 +119,17 @@ def _full_matrix(metric):
 
 
 def nearest_vertex_correspondence(CA: GeometricComplex, CB: GeometricComplex):
-    """Match every vertex of each complex with its nearest in the other."""
+    """Match every vertex of each complex with its nearest in the other:
+    (a, nearest b) by a, then each new (nearest a, b) by b; ties go low."""
     pa = CA.coords()
     pb = CB.coords()
     if pa is None or pb is None:
         raise ArgumentError("nearest-vertex matching needs coordinates")
-    pairs = []
-    for a in range(len(pa)):
-        pairs.append((a, int(np.argmin(np.linalg.norm(pb - pa[a], axis=1)))))
-    for b in range(len(pb)):
-        pairs.append((int(np.argmin(np.linalg.norm(pa - pb[b], axis=1))), b))
-    seen: set = set()
-    out = []
-    for pr in pairs:
-        if pr not in seen:
-            seen.add(pr)
-            out.append(pr)
-    return out
+    dist = np.linalg.norm(pa[:, None, :] - pb[None, :, :], axis=2)
+    to_b, to_a = dist.argmin(axis=1), dist.argmin(axis=0)
+    pairs = list(enumerate(to_b.tolist()))
+    new = np.flatnonzero(to_b[to_a] != np.arange(len(pb)))
+    return pairs + list(zip(to_a[new].tolist(), new.tolist()))
 
 
 def common_embed(CA: GeometricComplex, CB: GeometricComplex, correspondence=None, delta=None) -> CommonEmbedding:
@@ -180,18 +176,22 @@ def common_embed(CA: GeometricComplex, CB: GeometricComplex, correspondence=None
 
 
 def joined_complex(CA, TA, CB, TB, correspondence=None, delta=None, mode="auto"):
-    """One complex containing both meshes plus connector prisms.
+    """One complex containing both meshes, plus the fillers its LPs need.
 
     Returns (K, TA_in_K, TB_in_K, embedding, dropped).  In "natural" mode
     (default whenever both meshes carry coordinates in the same space) the
-    ambient is the shared Euclidean space, every injection is exactly
-    isometric, and connector prisms between matched simplices are genuine
-    Euclidean simplices (possibly of zero volume when the meshes are
-    coplanar, which makes them free fillers for the flat-norm programs).
-    In "glue" mode the two vertex metrics are joined through the
-    delta-weighted correspondence; the glued metric is degenerate across
-    the seam, so cross prisms that fail flat realizability are dropped
-    (they never carry the input currents).
+    ambient is the shared Euclidean space and every injection is exactly
+    isometric.  For top-dimensional currents in the plane
+    (`fillvol.planar_top`) K is just the disjoint union of the two meshes:
+    their fills and flat distance are winding integrals over R^2 that read
+    no (m+1)-simplex.  Otherwise K also carries connector prisms between
+    matched simplices and, in natural mode, cone fillers from vertex 0 over
+    every top simplex, so the flat-norm and filling LPs have (m+1)-chains
+    to work with (genuine Euclidean simplices, of zero volume when the
+    meshes are coplanar).  In "glue" mode the two vertex metrics are joined
+    through the delta-weighted correspondence; the glued metric is
+    degenerate across the seam, so cross prisms that fail flat
+    realizability are dropped (they never carry the input currents).
     """
     from .complexes import EuclideanMetric
 
@@ -224,35 +224,35 @@ def joined_complex(CA, TA, CB, TB, correspondence=None, delta=None, mode="auto")
     else:
         emb = common_embed(CA, CB, correspondence, delta)
         metric = MatrixMetric(emb.ambient.dist.copy())
-    match: dict[int, int] = {}
-    for (a, b) in emb.correspondence:
-        match.setdefault(a, b)
     dim = CA.top_dim
-    tops = list(CA.simplices[dim])
-    tops += [tuple(v + na for v in s) for s in CB.simplices[CB.top_dim]]
-    prisms = []
-    for s in CA.simplices[dim]:
-        image = [match.get(v) for v in s]
-        if any(v is None for v in image):
-            continue
-        prisms += [p for p in staircase(list(s), [v + na for v in image]) if len(set(p)) == len(p)]
-    # prisms whose distances are not flat-realizable are left out
-    bad = cayley_menger(metric.pairwise_sq(np.sort(prisms, axis=1)))[1] if prisms else np.zeros(0, bool)
-    tops += [p for p, b in zip(prisms, bad.tolist()) if not b]
-    dropped = int(bad.sum())
-    if natural:
-        # cone fillers from one apex over every top simplex: genuine
-        # Euclidean simplices, so any top-dimensional cycle bounds in K at
-        # its honest ambient cost
-        apex = 0
-        cones = []
+    dropped = 0
+    if natural and planar_top(metric, dim):  # the disjoint union of the meshes, no fillers
+        dims = set(CA.dims) | set(CB.dims)
+        K = GeometricComplex.from_arrays(
+            metric, {k: np.vstack([CA.simplex_array(k), CB.simplex_array(k) + na]) for k in dims}
+        )
+    else:
+        tops = list(CA.simplices[dim])
+        tops += [tuple(v + na for v in s) for s in CB.simplices[CB.top_dim]]
+        match = dict(reversed(emb.correspondence))  # the first b listed for each a
+        prisms = []
         for s in CA.simplices[dim]:
-            if apex not in s:
-                cones.append(tuple(sorted((apex,) + s)))
-        for s in CB.simplices[CB.top_dim]:
-            cones.append(tuple(sorted((apex,) + tuple(v + na for v in s))))
-        tops.extend(cones)
-    K = GeometricComplex.from_top_simplices(metric, tops)
+            image = [match.get(v) for v in s]
+            if any(v is None for v in image):
+                continue
+            prisms += [p for p in staircase(list(s), [v + na for v in image]) if len(set(p)) == len(p)]
+        # prisms whose distances are not flat-realizable are left out
+        bad = cayley_menger(metric.pairwise_sq(np.sort(prisms, axis=1)))[1] if prisms else np.zeros(0, bool)
+        tops += [p for p, b in zip(prisms, bad.tolist()) if not b]
+        dropped = int(bad.sum())
+        if natural:
+            # cone fillers from one apex over every top simplex: genuine
+            # Euclidean simplices, so any top-dimensional cycle bounds in K
+            # at its honest ambient cost
+            apex = 0
+            tops += [tuple(sorted((apex,) + s)) for s in CA.simplices[dim] if apex not in s]
+            tops += [tuple(sorted((apex,) + tuple(v + na for v in s))) for s in CB.simplices[CB.top_dim]]
+        K = GeometricComplex.from_top_simplices(metric, tops)
     TA_K = push_forward(TA, list(range(na)), K)
     TB_K = push_forward(TB, [v + na for v in range(CB.n_vertices)], K)
     return K, TA_K, TB_K, emb, dropped

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .complexes import EuclideanMetric, GeometricComplex, MatrixMetric, PLFunction
+from .complexes import EuclideanMetric, GeometricComplex, MatrixMetric, PLFunction, lookup_rows
 from .metricspace import ArgumentError
 
 COEFF_LIMIT = 2**62
@@ -227,26 +227,28 @@ def push_forward(T: SimplicialCurrent, vmap, target: GeometricComplex) -> Simpli
     """Push a current through a vertex map into another complex.
 
     Simplices with repeated image vertices are dropped (degenerate image);
-    the image simplex must exist in the target complex.  Coefficients pick up
-    the sign of the permutation sorting the image tuple.
+    the image simplices must exist in the target complex (one `lookup_rows`).
+    Coefficients pick up the sign of the permutation sorting the image.
     """
-    index = target.index(T.dim)
-    out: dict[int, int] = {}
-    for idx, c in T.coeffs.items():
-        s = T.simplex(idx)
+    k = T.dim
+    rows = T.complex.simplex_array(k)[T.idx]
+    verts, inverse = np.unique(rows, return_inverse=True)
+    images = []
+    for v in verts.tolist():
         try:
-            image = tuple(vmap[v] for v in s)
+            images.append(vmap[v])
         except (KeyError, IndexError) as exc:
+            s = tuple(rows[(rows == v).any(axis=1)][0].tolist())
             raise ArgumentError(f"vertex map does not cover simplex {s}") from exc
-        sign = permutation_sign(image)
-        if sign == 0:
-            continue
-        key = tuple(sorted(image))
-        if key not in index:
-            raise ArgumentError(f"image simplex {key} not in target complex")
-        j = index[key]
-        out[j] = out.get(j, 0) + sign * c
-    return SimplicialCurrent(target, T.dim, out)
+    image = np.array(images, dtype=np.int64)[inverse.reshape(rows.shape)]
+    a, b = np.triu_indices(k + 1, 1)
+    keep = (image[:, a] != image[:, b]).all(axis=1)
+    image, key = image[keep], np.sort(image[keep], axis=1)
+    j = lookup_rows(target.simplex_array(k), key)
+    if (j < 0).any():
+        raise ArgumentError(f"image simplex {tuple(key[j < 0][0].tolist())} not in target complex")
+    sign = 1 - 2 * ((image[:, a] > image[:, b]).sum(axis=1) % 2)
+    return SimplicialCurrent.from_arrays(target, k, j, sign * T.coeff[keep])
 
 
 def restrict(T: SimplicialCurrent, predicate, mode="barycenter") -> SimplicialCurrent:

@@ -132,8 +132,11 @@ def _lp_report(blocks, rhs, weights, names, upper, infeasible) -> FillingReport:
 # planar closed forms: the winding-number integral
 
 
-def _planar(K: GeometricComplex) -> bool:
-    return isinstance(K.metric, EuclideanMetric) and K.metric.coords.shape[1] == 2
+def planar_top(metric, m: int) -> bool:
+    """Whether m-currents under `metric` are top-dimensional in the plane
+    (m = 2, Euclidean on two coordinate columns): their fills and flat
+    distances are then winding-number integrals over R^2, with no LP."""
+    return m == 2 and isinstance(metric, EuclideanMetric) and metric.coords.shape[1] == 2
 
 
 def _orient(p, q, r):
@@ -239,11 +242,12 @@ def flat_distance(S: SimplicialCurrent, T: SimplicialCurrent, K: GeometricComple
     for the intrinsic flat distance realized inside this complex.
 
     For 2-currents on a complex whose metric is Euclidean on two coordinate
-    columns there is no LP: R^2 carries no 3-currents, so the flat distance
-    in the ambient R^2 is M(S - T), the integral of the winding number of
-    bd(S - T) (method "winding", certificate U = S - T, V = {}).  It is at
-    most the in-complex LP optimum and, R^2 being a common isometric
-    embedding, still an upper bound for the intrinsic flat distance.
+    columns there is no LP and K needs no 3-simplices: R^2 carries no
+    3-currents, so the flat distance in the ambient R^2 is M(S - T), the
+    integral of the winding number of bd(S - T) (method "winding",
+    certificate U = S - T, V = {}).  It is at most the in-complex LP optimum
+    and, R^2 being a common isometric embedding, still an upper bound for
+    the intrinsic flat distance.
     """
     if K is None:
         K = S.complex
@@ -252,12 +256,12 @@ def flat_distance(S: SimplicialCurrent, T: SimplicialCurrent, K: GeometricComple
     if S.dim != T.dim:
         raise ArgumentError("flat_distance needs currents of equal dimension")
     m = S.dim
-    if m + 1 not in K.simplices:
-        raise ArgumentError(f"ambient complex has no {m + 1}-simplices")
-    if m == 2 and _planar(K):
+    if planar_top(K.metric, m):
         U = S - T
         cert_u = dict(zip(U.idx.tolist(), U.coeff.astype(float).tolist()))
         return _winding_report(_winding_integral(boundary(U)), {"U": cert_u, "V": {}})
+    if m + 1 not in K.simplices:
+        raise ArgumentError(f"ambient complex has no {m + 1}-simplices")
     rhs = _chain_vector(S) - _chain_vector(T)
     ident = eye(K.count(m), format="coo")
     D = boundary_matrix(K, m + 1)
@@ -307,7 +311,7 @@ def filling_volume(B: SimplicialCurrent, K: GeometricComplex | None = None) -> F
         return FillingReport(0.0, 0.0, 0.0, certificate={"S": {}}, integral=True, method="zero")
     if k + 1 not in K.simplices:
         raise ArgumentError(f"ambient complex has no {k + 1}-simplices")
-    if k == 1 and _planar(K):
+    if planar_top(K.metric, k + 1):
         return _winding_report(_winding_integral(B), {})
     D = boundary_matrix(K, k + 1)
     rhs = _chain_vector(B)

@@ -11,10 +11,12 @@ from currentlab import fillvol
 from currentlab.complexes import (
     VOLUME_FLOOR,
     GeometricComplex,
+    MatrixMetric,
     close_under_faces,
     simplex_volume_from_sq,
 )
-from currentlab.currents import SimplicialCurrent
+from currentlab.currents import SimplicialCurrent, permutation_sign
+from currentlab.metricspace import ArgumentError
 from currentlab.slicing import SNAP_REL, Refinement, _split_pieces, snap_level
 
 
@@ -159,10 +161,12 @@ def subdivide_oracle(C: GeometricComplex, values, s, snap_rel=SNAP_REL) -> Refin
             raw_points.append(((u, v), t_edge))
             next_id += 1
 
-    metric = C.metric.copy()
+    metric = C.metric
     if cut_edges:
         specs = [metric.interpolate((u, v), (1.0 - t, t)) for (u, v, t) in cut_edges]
-        metric.add_points(specs)
+        if isinstance(metric, MatrixMetric):  # stack the (ids, weights) pairs
+            specs = tuple(np.array(part) for part in zip(*specs))
+        metric = metric.grown(specs)
 
     children_tuples: dict[int, dict[int, list[tuple[int, ...]]]] = {}
     dropped = 0
@@ -265,8 +269,9 @@ def subdivide_oracle(C: GeometricComplex, values, s, snap_rel=SNAP_REL) -> Refin
 
 # ---------------------------------------------------------------------------
 # chain operations one coefficient at a time, through dict indices: the
-# array-native `boundary`, `Refinement.transfer_current` and
-# `support_closure` must reproduce them exactly.
+# array-native `boundary`, `push_forward`, `Refinement.transfer_current`
+# and `support_closure` (and `nearest_vertex_correspondence`, one vertex at
+# a time) must reproduce them exactly.
 
 
 def boundary_oracle(T: SimplicialCurrent) -> SimplicialCurrent:
@@ -285,6 +290,46 @@ def boundary_oracle(T: SimplicialCurrent) -> SimplicialCurrent:
             j = faces[face]
             out[j] = out.get(j, 0) + sign * c
     return SimplicialCurrent(T.complex, k - 1, out)
+
+
+def push_forward_oracle(T: SimplicialCurrent, vmap, target: GeometricComplex) -> SimplicialCurrent:
+    """Push a current through a vertex map, one coefficient at a time."""
+    index = target.index(T.dim)
+    out: dict[int, int] = {}
+    for idx, c in T.coeffs.items():
+        s = T.simplex(idx)
+        try:
+            image = tuple(vmap[v] for v in s)
+        except (KeyError, IndexError) as exc:
+            raise ArgumentError(f"vertex map does not cover simplex {s}") from exc
+        sign = permutation_sign(image)
+        if sign == 0:
+            continue
+        key = tuple(sorted(image))
+        if key not in index:
+            raise ArgumentError(f"image simplex {key} not in target complex")
+        j = index[key]
+        out[j] = out.get(j, 0) + sign * c
+    return SimplicialCurrent(target, T.dim, out)
+
+
+def correspondence_oracle(CA: GeometricComplex, CB: GeometricComplex):
+    """Nearest-vertex pairs in both directions, one vertex at a time,
+    duplicates removed in first-seen order."""
+    pa = CA.coords()
+    pb = CB.coords()
+    pairs = []
+    for a in range(len(pa)):
+        pairs.append((a, int(np.argmin(np.linalg.norm(pb - pa[a], axis=1)))))
+    for b in range(len(pb)):
+        pairs.append((int(np.argmin(np.linalg.norm(pa - pb[b], axis=1))), b))
+    seen: set = set()
+    out = []
+    for pr in pairs:
+        if pr not in seen:
+            seen.add(pr)
+            out.append(pr)
+    return out
 
 
 def transfer_oracle(ref: Refinement, T: SimplicialCurrent) -> SimplicialCurrent:

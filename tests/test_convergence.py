@@ -14,12 +14,14 @@ from currentlab.convergence import (
     nearest_vertex_correspondence,
     semicontinuity_report,
 )
-from currentlab.currents import boundary, mass
+from currentlab.currents import boundary, mass, push_forward
 from currentlab.fillvol import filling_volume, flat_distance
 from currentlab.meshes import disk_mesh, grid_mesh, nearest_vertex
 from currentlab.metricspace import ArgumentError
 from currentlab.slicing import annulus_mass, slice_current
 from currentlab.complexes import PLFunction, distance_function
+
+from oracles import correspondence_oracle
 
 
 class TestCommonEmbedding:
@@ -58,6 +60,24 @@ class TestCommonEmbedding:
         emb = common_embed(CA, CB, pairs)
         assert emb.distortion <= 0.1 + 0.05 + 1e-9
 
+    def test_correspondence_matches_oracle(self):
+        """Broadcast matching gives the per-vertex loop's pair list exactly,
+        in the same order, ties included (points on a small integer grid)."""
+        from currentlab.complexes import EuclideanMetric, GeometricComplex
+
+        rng = np.random.default_rng(17)
+        cases = [(disk_mesh(h=0.25)[0], disk_mesh(h=0.2)[0])]
+        for _ in range(30):
+            d = int(rng.integers(1, 4))
+            pts = [rng.integers(0, 4, size=(int(rng.integers(1, 25)), d)).astype(float) for _ in range(2)]
+            if rng.integers(2):
+                pts = [p + rng.normal(scale=0.3, size=p.shape) for p in pts]
+            cases.append(tuple(
+                GeometricComplex.from_top_simplices(EuclideanMetric(p), [(v,) for v in range(len(p))]) for p in pts
+            ))
+        for CA, CB in cases:
+            assert nearest_vertex_correspondence(CA, CB) == correspondence_oracle(CA, CB)
+
 
 class TestJoinedComplex:
     def test_currents_preserved(self):
@@ -67,12 +87,33 @@ class TestJoinedComplex:
         assert emb.distortion == 0.0  # natural embedding
         assert mass(TA_K) == pytest.approx(mass(TA), rel=1e-12)
         assert mass(TB_K) == pytest.approx(mass(TB), rel=1e-12)
-        # joined complex provides volume chains for flat-norm decompositions
-        assert K.count(3) > 0
+        # a planar join is the two meshes alone: its flat distance is a
+        # winding integral over R^2 and needs no 3-simplices
+        assert K.top_dim == 2 and dropped == 0
         rep = flat_distance(TA_K, TB_K, K)
+        assert rep.method == "winding"
         # an upper bound for the intrinsic flat distance, strictly better
         # than the no-filling decomposition
         assert 0 < rep.value < mass(TA) + mass(TB) - 1e-6
+
+    def test_non_planar_natural_join_keeps_fillers(self):
+        """Disks lifted to z = 0 in R^3 are not top-dimensional there: the
+        join keeps its cone and prism 3-simplices and the flat LP."""
+        from currentlab.complexes import EuclideanMetric, GeometricComplex
+
+        def lifted(h):
+            C, T = disk_mesh(h=h)
+            pts = np.hstack([C.coords(), np.zeros((C.n_vertices, 1))])
+            C3 = GeometricComplex.from_top_simplices(EuclideanMetric(pts), C.simplices[2])
+            return C3, push_forward(T, list(range(C.n_vertices)), C3)
+
+        (CA, TA), (CB, TB) = lifted(0.5), lifted(0.4)
+        K, TA_K, TB_K, emb, _ = joined_complex(CA, TA, CB, TB)
+        assert emb.distortion == 0.0 and K.count(3) > 0
+        assert mass(TA_K) == pytest.approx(mass(TA), rel=1e-12)
+        rep = flat_distance(TA_K, TB_K, K)
+        assert rep.method == "lp"
+        assert 0 <= rep.value < mass(TA) + mass(TB) - 1e-6
 
     def test_matched_balls_share_complex(self):
         CA, TA = disk_mesh(h=0.25)

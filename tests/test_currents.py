@@ -22,7 +22,7 @@ from currentlab.currents import (
 from currentlab.meshes import grid_mesh, interval_chain, square_complex
 from currentlab.metricspace import ArgumentError
 
-from oracles import boundary_oracle
+from oracles import boundary_oracle, push_forward_oracle
 
 
 def triangle_complex(side=1.0):
@@ -196,6 +196,54 @@ class TestPushForward:
         C, T = interval_chain(1)
         with pytest.raises(ArgumentError):
             push_forward(T, {0: 0}, C)
+
+    def test_matches_oracle_on_random_vertex_maps(self):
+        """The array code gives the per-coefficient oracle's (idx, coeff)
+        arrays exactly: signs of permuted images, degenerate images dropped,
+        and ArgumentError from both for uncovered vertices and missing image
+        simplices."""
+        rng = np.random.default_rng(41)
+        raised, flipped, dropped = set(), 0, 0
+        for _ in range(80):
+            for kind, T, vmap, target in _vertex_map_cases(rng):
+                try:
+                    want = push_forward_oracle(T, vmap, target)
+                except ArgumentError:
+                    with pytest.raises(ArgumentError):
+                        push_forward(T, vmap, target)
+                    raised.add(kind)
+                    continue
+                got = push_forward(T, vmap, target)
+                assert got.complex is target and got.dim == T.dim
+                assert np.array_equal(got.idx, want.idx) and np.array_equal(got.coeff, want.coeff)
+                flipped += any(permutation_sign([vmap[v] for v in T.simplex(i)]) < 0 for i in T.idx.tolist())
+                dropped += any(permutation_sign([vmap[v] for v in T.simplex(i)]) == 0 for i in T.idx.tolist())
+        assert {"uncovered", "missing"} <= raised and flipped and dropped
+
+
+def _vertex_map_cases(rng):
+    """(kind, chain, vertex map, target) over seeded random vertex maps."""
+    T = random_chain(rng)
+    C = T.complex
+    n = C.n_vertices
+    kind = ["permuted", "collapsing", "uncovered", "missing"][int(rng.integers(4))]
+    m = n - 1 if kind == "collapsing" else n
+    vmap = [int(v) for v in (rng.integers(0, m, n) if kind == "collapsing" else rng.permutation(n))]
+    tops = {tuple(sorted(vmap[v] for v in s)) for s in C.simplices[2]}
+    tops = sorted(s for s in tops if len(set(s)) == 3)
+    if kind == "missing":
+        tops = tops[1:]
+    target = GeometricComplex.from_top_simplices(EuclideanMetric(rng.uniform(-1, 1, (m, 2))), tops)
+    if kind == "uncovered":
+        gone = int(rng.choice(T.support_vertices()))
+        vmap = {v: w for v, w in enumerate(vmap) if v != gone} if rng.integers(2) else vmap[:gone]
+    chains = [
+        T,
+        boundary(T),
+        SimplicialCurrent(C, 1, {i: int(rng.integers(-3, 4)) for i in range(C.count(1))}),
+        SimplicialCurrent(C, 0, {i: int(rng.integers(-3, 4)) for i in range(n)}),
+    ]
+    return [(kind, chain, vmap, target) for chain in chains]
 
 
 class TestRestrict:

@@ -76,9 +76,24 @@ class TestFlatDistance:
                 assert rep.value == pytest.approx(oracle.value, abs=1e-6)
 
     def test_missing_top_dimension_rejected(self):
-        C, T = square_complex()
+        # the two triangles of the square in R^3 (one corner lifted): the
+        # flat LP needs 3-simplices and the complex has none
+        square, T2 = square_complex()
+        pts = np.hstack([square.coords(), [[0.0], [0.0], [0.0], [0.5]]])
+        C = GeometricComplex.from_top_simplices(EuclideanMetric(pts), square.simplices[2])
+        T = SimplicialCurrent(C, 2, dict(T2.coeffs))
         with pytest.raises(ArgumentError):
             flat_distance(T, T, C)
+
+    def test_planar_flat_needs_no_top_dimension(self):
+        # in the plane the flat distance is M(S - T), taken in R^2
+        C, T = square_complex()
+        assert 3 not in C.simplices
+        S = SimplicialCurrent(C, 2, {0: 2})
+        rep = flat_distance(S, T, C)
+        assert rep.method == "winding"
+        assert rep.value == pytest.approx(mass(S - T), rel=1e-12)
+        assert rep.value > 0
 
 
 class TestFillingVolume:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from currentlab.metricspace import (
     ArgumentError,
@@ -105,10 +105,15 @@ class TestPacking:
 
     @settings(max_examples=25, deadline=None)
     @given(point_sets, st.floats(min_value=0.05, max_value=2.0))
-    def test_greedy_at_least_half_of_exact(self, pts, r):
+    @example([(-1.0, 1.0), (0.0, 0.0), (0.0, 4.0), (-4.0, 0.0)], 2.0)
+    def test_greedy_at_least_exact_at_double_radius(self, pts, r):
+        # greedy picks a maximal 2r-separated set N, so the balls B(n, 2r)
+        # cover X and each holds at most one point of a 4r-separated set:
+        # greedy(r) >= exact(2r).  Greedy >= exact(r) / 2 is false: the
+        # example gives greedy(2) = 1, exact(2) = 3.
         X = points_space(pts)
-        exact = exhaustive_max_packing(X.dist, r)
-        assert packing_number(X, r).count >= exact / 2
+        exact = exhaustive_max_packing(X.dist, 2 * r)
+        assert packing_number(X, r).count >= exact
 
 
 class TestHausdorff:
