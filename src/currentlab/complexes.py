@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -295,16 +295,39 @@ def gram_from_sq(d2):
 # the complex
 
 
-def close_under_faces(top_simplices):
-    """All faces of the given simplices, grouped and sorted per dimension."""
-    by_dim: dict[int, set] = {}
-    for simplex in top_simplices:
-        s = tuple(sorted(simplex))
-        if len(set(s)) != len(s):
-            raise ComplexError(f"degenerate simplex {simplex}")
-        for size in range(1, len(s) + 1):
-            by_dim.setdefault(size - 1, set()).update(itertools.combinations(s, size))
-    return {k: sorted(faces) for k, faces in by_dim.items()}
+def close_under_faces(*blocks):
+    """All faces of the given simplices, as {k: (n, k+1) id array} with
+    distinct rows in lexicographic order.  Each block is an id array of one
+    simplex size or a list of vertex sequences of any sizes; a simplex with
+    a repeated vertex raises ComplexError."""
+    arrays = []
+    for block in blocks:
+        if isinstance(block, np.ndarray):
+            arrays.append(block)
+            continue
+        by_size: dict[int, list] = {}
+        for s in block:
+            by_size.setdefault(len(s), []).append(s)
+        arrays += [np.array(rows, dtype=np.intp) for rows in by_size.values()]
+    faces: dict[int, list] = {}
+    for block in arrays:
+        rows = np.sort(block, axis=1)
+        repeated = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
+        if repeated.any():
+            raise ComplexError(f"degenerate simplex {tuple(block[np.argmax(repeated)].tolist())}")
+        m = rows.shape[1]
+        for k in range(m):
+            cols = list(itertools.combinations(range(m), k + 1))
+            faces.setdefault(k, []).append(rows[:, cols].reshape(-1, k + 1))
+    return {k: distinct_rows(np.concatenate(f)) for k, f in faces.items()}
+
+
+def distinct_rows(rows):
+    """The distinct rows of an (n, m) integer array in lexicographic order."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    keep = np.ones(len(rows), dtype=bool)
+    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[keep]
 
 
 def row_ranks(rows):
@@ -350,62 +373,55 @@ class SimplexLists(Mapping):
         return self._lists[k]
 
 
-@dataclass
 class GeometricComplex:
-    """Simplex lists per dimension (a dict of tuple lists, or a SimplexLists
-    view for complexes built from id arrays by `from_arrays`)."""
+    """The k-simplices of each dimension as an (n, k+1) vertex-id array; a
+    simplex's index is its row.  `GeometricComplex(metric, {k: simplices})`
+    takes id arrays or lists of vertex tuples, kept in their order, and
+    optionally their known k-volumes; `simplices` is the read-only
+    {k: [vertex tuple, ...]} view, whose lists are built only when read."""
 
-    metric: object
-    simplices: Mapping[int, list[tuple[int, ...]]]
-    _masses: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
-    _index: dict[int, dict[tuple[int, ...], int]] = field(default_factory=dict, repr=False)
-    _arrays: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
-    _faces: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
-    _adjacency = None
-
-    @classmethod
-    def from_top_simplices(cls, metric, top_simplices, include_isolated_vertices=True):
-        simp = close_under_faces(top_simplices)
-        if include_isolated_vertices:
-            listed = {v for (v,) in simp.get(0, [])}
-            extra = [(v,) for v in range(metric.n) if v not in listed]
-            simp[0] = sorted(simp.get(0, []) + extra)
-        return cls(metric, simp)
+    def __init__(self, metric, simplices, masses=None):
+        self.metric = metric
+        self._arrays = {k: np.asarray(s, dtype=np.intp).reshape(len(s), k + 1) for k, s in simplices.items()}
+        self.simplices = SimplexLists(self._arrays)
+        self._masses: dict[int, np.ndarray] = dict(masses or {})
+        self._index: dict[int, dict[tuple[int, ...], int]] = {}
+        self._faces: dict[int, np.ndarray] = {}
+        self._adjacency = None
 
     @classmethod
-    def from_arrays(cls, metric, arrays, masses=None):
-        """A complex over canonical (n, k+1) id arrays, closed under faces;
-        its tuple lists are built only when read."""
-        return cls(metric, SimplexLists(dict(arrays)), _masses=dict(masses or {}), _arrays=dict(arrays))
+    def from_top_simplices(cls, metric, *blocks):
+        """The face closure of the given simplices (blocks as for
+        `close_under_faces`), with every vertex of the metric."""
+        arrays = close_under_faces(*blocks)
+        listed = arrays.get(0, np.empty((0, 1), dtype=np.intp))
+        arrays[0] = np.union1d(listed, np.arange(metric.n))[:, None]
+        return cls(metric, arrays)
 
     @property
     def dims(self):
-        return sorted(self.simplices)
+        return sorted(self._arrays)
 
     @property
     def top_dim(self):
-        return max(self.simplices) if self.simplices else 0
+        return max(self._arrays) if self._arrays else 0
 
     @property
     def n_vertices(self):
         return self.metric.n
 
     def count(self, k):
-        if k in self._arrays:
-            return len(self._arrays[k])
-        return len(self.simplices.get(k, []))
+        return len(self._arrays[k]) if k in self._arrays else 0
 
     def index(self, k):
+        """{vertex tuple: index} of the k-simplices (a reference for tests)."""
         if k not in self._index:
             self._index[k] = {s: i for i, s in enumerate(self.simplices.get(k, []))}
         return self._index[k]
 
     def simplex_array(self, k):
-        """The k-simplices as an (n, k+1) vertex-id array, in list order."""
-        if k not in self._arrays:
-            sims = self.simplices.get(k, [])
-            self._arrays[k] = np.array(sims, dtype=np.intp).reshape(len(sims), k + 1)
-        return self._arrays[k]
+        """The k-simplices as an (n, k+1) vertex-id array."""
+        return self._arrays[k] if k in self._arrays else np.empty((0, k + 1), dtype=np.intp)
 
     def face_index(self, k):
         """The boundary operator of dimension k as an (n, k+1) array: entry
@@ -428,14 +444,20 @@ class GeometricComplex:
         return self._masses[k]
 
     def validate(self):
+        """Raise ComplexError unless every row lists distinct vertices in
+        increasing order, no row repeats, and every face is present."""
         for k in self.dims:
-            seen = set()
-            for s in self.simplices[k]:
-                if tuple(sorted(s)) != s:
-                    raise ComplexError(f"simplex not in canonical order: {s}")
-                if s in seen:
-                    raise ComplexError(f"duplicate simplex {s}")
-                seen.add(s)
+            rows = self._arrays[k]
+            unordered = (rows[:, 1:] <= rows[:, :-1]).any(axis=1)
+            if unordered.any():
+                s = tuple(rows[np.argmax(unordered)].tolist())
+                if len(set(s)) < len(s):
+                    raise ComplexError(f"degenerate simplex {s}")
+                raise ComplexError(f"simplex not in canonical order: {s}")
+            rank = row_ranks(rows)
+            if len(np.unique(rank)) < len(rows):
+                repeated = np.bincount(rank)[rank] > 1
+                raise ComplexError(f"duplicate simplex {tuple(rows[np.argmax(repeated)].tolist())}")
             if k > 0:
                 self.face_index(k)
 
@@ -445,10 +467,7 @@ class GeometricComplex:
 
     def barycenter_values(self, k, values):
         """Mean of a vertex function over the vertices of each k-simplex."""
-        vals = np.asarray(values, dtype=float)
-        if not self.count(k):
-            return np.zeros(0)
-        return vals[self.simplex_array(k)].mean(axis=1)
+        return np.asarray(values, dtype=float)[self.simplex_array(k)].mean(axis=1)
 
     def edges_sparse(self):
         if self._adjacency is None:

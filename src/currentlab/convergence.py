@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .complexes import (
+    EuclideanMetric,
     GeometricComplex,
     MatrixMetric,
     cayley_menger,
@@ -102,7 +103,10 @@ def build_family(name: str, schedule) -> SequenceFamily:
 
 @dataclass
 class CommonEmbedding:
-    ambient: FiniteMetricSpace
+    """How two complexes share one ambient: the glued finite metric space,
+    or None when the ambient is their shared Euclidean space."""
+
+    ambient: FiniteMetricSpace | None
     inject_a: list[int]
     inject_b: list[int]
     correspondence: list[tuple[int, int]]
@@ -180,7 +184,8 @@ def joined_complex(CA, TA, CB, TB, correspondence=None, delta=None, mode="auto")
 
     Returns (K, TA_in_K, TB_in_K, embedding, dropped).  In "natural" mode
     (default whenever both meshes carry coordinates in the same space) the
-    ambient is the shared Euclidean space and every injection is exactly
+    ambient is the shared Euclidean space (`embedding.ambient` is None, as
+    distances are read from the coordinates) and every injection is exactly
     isometric.  For top-dimensional currents in the plane
     (`fillvol.planar_top`) K is just the disjoint union of the two meshes:
     their fills and flat distance are winding integrals over R^2 that read
@@ -193,8 +198,6 @@ def joined_complex(CA, TA, CB, TB, correspondence=None, delta=None, mode="auto")
     degenerate across the seam, so cross prisms that fail flat
     realizability are dropped (they never carry the input currents).
     """
-    from .complexes import EuclideanMetric
-
     pa, pb = CA.coords(), CB.coords()
     if mode == "auto":
         natural = (
@@ -210,11 +213,9 @@ def joined_complex(CA, TA, CB, TB, correspondence=None, delta=None, mode="auto")
     if correspondence is None:
         correspondence = nearest_vertex_correspondence(CA, CB)
     if natural:
-        coords = np.vstack([pa, pb])
-        metric = EuclideanMetric(coords)
-        ambient = FiniteMetricSpace.from_points(coords)
+        metric = EuclideanMetric(np.vstack([pa, pb]))
         emb = CommonEmbedding(
-            ambient=ambient,
+            ambient=None,
             inject_a=list(range(na)),
             inject_b=list(range(na, na + CB.n_vertices)),
             correspondence=list(correspondence),
@@ -228,31 +229,30 @@ def joined_complex(CA, TA, CB, TB, correspondence=None, delta=None, mode="auto")
     dropped = 0
     if natural and planar_top(metric, dim):  # the disjoint union of the meshes, no fillers
         dims = set(CA.dims) | set(CB.dims)
-        K = GeometricComplex.from_arrays(
+        K = GeometricComplex(
             metric, {k: np.vstack([CA.simplex_array(k), CB.simplex_array(k) + na]) for k in dims}
         )
     else:
-        tops = list(CA.simplices[dim])
-        tops += [tuple(v + na for v in s) for s in CB.simplices[CB.top_dim]]
-        match = dict(reversed(emb.correspondence))  # the first b listed for each a
-        prisms = []
-        for s in CA.simplices[dim]:
-            image = [match.get(v) for v in s]
-            if any(v is None for v in image):
-                continue
-            prisms += [p for p in staircase(list(s), [v + na for v in image]) if len(set(p)) == len(p)]
+        ra, rb = CA.simplex_array(dim), CB.simplex_array(CB.top_dim) + na
+        pairs = np.array(emb.correspondence, dtype=np.intp).reshape(-1, 2)
+        matched, first = np.unique(pairs[:, 0], return_index=True)
+        image = np.full(na, -1)
+        image[matched] = pairs[first, 1]  # the first b listed for each a
+        covered = (image[ra] >= 0).all(axis=1)
+        prisms = np.sort(staircase(ra[covered], image[ra[covered]] + na).reshape(-1, dim + 2), axis=1)
+        prisms = prisms[(prisms[:, 1:] != prisms[:, :-1]).all(axis=1)]
         # prisms whose distances are not flat-realizable are left out
-        bad = cayley_menger(metric.pairwise_sq(np.sort(prisms, axis=1)))[1] if prisms else np.zeros(0, bool)
-        tops += [p for p, b in zip(prisms, bad.tolist()) if not b]
+        bad = cayley_menger(metric.pairwise_sq(prisms))[1]
+        fillers = [prisms[~bad]]
         dropped = int(bad.sum())
         if natural:
             # cone fillers from one apex over every top simplex: genuine
             # Euclidean simplices, so any top-dimensional cycle bounds in K
             # at its honest ambient cost
             apex = 0
-            tops += [tuple(sorted((apex,) + s)) for s in CA.simplices[dim] if apex not in s]
-            tops += [tuple(sorted((apex,) + tuple(v + na for v in s))) for s in CB.simplices[CB.top_dim]]
-        K = GeometricComplex.from_top_simplices(metric, tops)
+            for rows in (ra[(ra != apex).all(axis=1)], rb):
+                fillers.append(np.hstack([np.full((len(rows), 1), apex), rows]))
+        K = GeometricComplex.from_top_simplices(metric, ra, rb, *fillers)
     TA_K = push_forward(TA, list(range(na)), K)
     TB_K = push_forward(TB, [v + na for v in range(CB.n_vertices)], K)
     return K, TA_K, TB_K, emb, dropped

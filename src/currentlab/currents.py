@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .complexes import EuclideanMetric, GeometricComplex, MatrixMetric, PLFunction, lookup_rows
+from .complexes import EuclideanMetric, GeometricComplex, MatrixMetric, PLFunction, distinct_rows, lookup_rows
 from .metricspace import ArgumentError
 
 COEFF_LIMIT = 2**62
@@ -22,8 +22,19 @@ COEFF_LIMIT = 2**62
 every boundary coefficient stay inside int64 without wrapping."""
 
 
+def sorted_with_sign(rows):
+    """The rows of an (n, m) vertex-id array sorted, and the sign of each
+    sorting permutation (the parity of its inversions); 0 where a vertex
+    repeats."""
+    a, b = np.triu_indices(rows.shape[1], 1)
+    sign = 1 - 2 * ((rows[:, a] > rows[:, b]).sum(axis=1) % 2)
+    sign[(rows[:, a] == rows[:, b]).any(axis=1)] = 0
+    return np.sort(rows, axis=1), sign
+
+
 def permutation_sign(seq) -> int:
-    """Sign of the permutation sorting `seq`; 0 if entries repeat."""
+    """Sign of the permutation sorting `seq`; 0 if entries repeat (the
+    one-tuple reference for `sorted_with_sign`)."""
     seq = list(seq)
     if len(set(seq)) != len(seq):
         return 0
@@ -109,18 +120,17 @@ class SimplicialCurrent:
     def from_simplices(cls, complex, dim, pairs):
         """Build from (vertex tuple, coefficient) pairs; permuted tuples
         contribute the sign of the sorting permutation."""
-        index = complex.index(dim)
-        coeffs: dict[int, int] = {}
-        for simplex, c in pairs:
-            sign = permutation_sign(simplex)
-            if sign == 0:
-                raise ArgumentError(f"degenerate simplex {simplex}")
-            key = tuple(sorted(simplex))
-            if key not in index:
-                raise ArgumentError(f"simplex {key} not in complex")
-            idx = index[key]
-            coeffs[idx] = coeffs.get(idx, 0) + sign * int(c)
-        return cls(complex, dim, coeffs)
+        pairs = list(pairs)
+        rows = np.array([s for s, _ in pairs], dtype=np.int64).reshape(len(pairs), dim + 1)
+        key, sign = sorted_with_sign(rows)
+        j = lookup_rows(complex.simplex_array(dim), key)
+        bad = (sign == 0) | (j < 0)
+        if bad.any():
+            i = int(np.argmax(bad))
+            if sign[i] == 0:
+                raise ArgumentError(f"degenerate simplex {pairs[i][0]}")
+            raise ArgumentError(f"simplex {tuple(key[i].tolist())} not in complex")
+        return cls.from_arrays(complex, dim, j, [s * int(c) for s, (_, c) in zip(sign.tolist(), pairs)])
 
     @classmethod
     def zero(cls, complex, dim):
@@ -240,15 +250,12 @@ def push_forward(T: SimplicialCurrent, vmap, target: GeometricComplex) -> Simpli
         except (KeyError, IndexError) as exc:
             s = tuple(rows[(rows == v).any(axis=1)][0].tolist())
             raise ArgumentError(f"vertex map does not cover simplex {s}") from exc
-    image = np.array(images, dtype=np.int64)[inverse.reshape(rows.shape)]
-    a, b = np.triu_indices(k + 1, 1)
-    keep = (image[:, a] != image[:, b]).all(axis=1)
-    image, key = image[keep], np.sort(image[keep], axis=1)
-    j = lookup_rows(target.simplex_array(k), key)
+    key, sign = sorted_with_sign(np.array(images, dtype=np.int64)[inverse.reshape(rows.shape)])
+    keep = sign != 0
+    j = lookup_rows(target.simplex_array(k), key[keep])
     if (j < 0).any():
-        raise ArgumentError(f"image simplex {tuple(key[j < 0][0].tolist())} not in target complex")
-    sign = 1 - 2 * ((image[:, a] > image[:, b]).sum(axis=1) % 2)
-    return SimplicialCurrent.from_arrays(target, k, j, sign * T.coeff[keep])
+        raise ArgumentError(f"image simplex {tuple(key[keep][j < 0][0].tolist())} not in target complex")
+    return SimplicialCurrent.from_arrays(target, k, j, sign[keep] * T.coeff[keep])
 
 
 def restrict(T: SimplicialCurrent, predicate, mode="barycenter") -> SimplicialCurrent:
@@ -327,13 +334,12 @@ def complex_from_json(data: dict) -> GeometricComplex:
         metric = EuclideanMetric(np.asarray(data["vertices"], dtype=float))
     else:
         raise ArgumentError("complex JSON needs 'vertices' or 'distances'")
-    simplices = {}
+    arrays = {}
     for key, sims in data.get("simplices", {}).items():
         k = int(key)
-        simplices[k] = [tuple(sorted(int(v) for v in s)) for s in sims]
-    if 0 not in simplices:
-        simplices[0] = [(v,) for v in range(metric.n)]
-    C = GeometricComplex(metric, {k: sorted(set(v)) for k, v in simplices.items()})
+        arrays[k] = distinct_rows(np.sort(np.array(sims, dtype=np.intp).reshape(len(sims), k + 1), axis=1))
+    arrays.setdefault(0, np.arange(metric.n)[:, None])
+    C = GeometricComplex(metric, arrays)
     C.validate()
     return C
 

@@ -78,12 +78,17 @@ def _chain_vector(T: SimplicialCurrent):
 
 
 def _solve_weighted_l1(blocks, rhs, weights):
-    """min sum w_i |x_i| subject to A x = rhs, via split positive parts."""
+    """min sum w_i |x_i| subject to A x = rhs, via split positive parts;
+    (None, None) when HiGHS proves the program infeasible.  Any other
+    failure (with nonnegative costs the program is never unbounded) is a
+    solver fault and raises RuntimeError."""
     A = hstack([hstack([b, -b]) for b in blocks], format="csc")
     cost = np.concatenate([np.concatenate([w, w]) for w in weights])
     res = linprog(cost, A_eq=A, b_eq=rhs, bounds=(0, None), method="highs")
-    if not res.success:
+    if res.status == 2:
         return None, None
+    if not res.success:
+        raise RuntimeError(f"HiGHS status {res.status}: {res.message}")
     x = res.x
     parts = []
     offset = 0

@@ -10,64 +10,49 @@ import math
 
 import numpy as np
 
-from .complexes import CallableMetric, EuclideanMetric, GeometricComplex
+from .complexes import CallableMetric, EuclideanMetric, GeometricComplex, distinct_rows, lookup_rows
 from .currents import SimplicialCurrent
 from .metricspace import ArgumentError
 
 
-def _oriented(idx, simplices, frames, what=None):
-    """Coefficients +-1 of canonical simplices from the signs of their frame
-    determinants (one stacked det over an (n, k, k) array); a zero
-    determinant raises ArgumentError when `what` names the simplex kind."""
-    coeffs = {}
-    for s, det in zip(simplices, np.linalg.det(frames).tolist()):
-        if what and det == 0.0:
-            raise ArgumentError(f"degenerate {what} {s}")
-        coeffs[idx[s]] = 1 if det > 0 else -1
-    return coeffs
+def _fundamental(metric, ids, frames, what=None):
+    """The face closure of the canonical top simplices `ids` (an (n, k+1)
+    array of sorted rows), and its chain with coefficient +-1 on each, the
+    sign of its frame determinant (one stacked det over an (n, k, k) array);
+    a zero determinant raises ArgumentError when `what` names the simplex
+    kind."""
+    C = GeometricComplex.from_top_simplices(metric, ids)
+    det = np.linalg.det(frames)
+    if what and (det == 0.0).any():
+        raise ArgumentError(f"degenerate {what} {tuple(ids[np.argmax(det == 0.0)].tolist())}")
+    k = ids.shape[1] - 1
+    idx = lookup_rows(C.simplex_array(k), ids)
+    return C, SimplicialCurrent.from_arrays(C, k, idx, np.where(det > 0, 1, -1))
 
 
 def interval_chain(n: int, length: float = 1.0):
     """n edges along a segment, oriented left to right."""
     coords = np.linspace(0.0, length, n + 1)[:, None]
-    metric = EuclideanMetric(coords)
-    edges = [(i, i + 1) for i in range(n)]
-    C = GeometricComplex.from_top_simplices(metric, edges)
-    T = SimplicialCurrent.from_simplices(C, 1, [(e, 1) for e in edges])
-    return C, T
+    edges = np.column_stack([np.arange(n), np.arange(1, n + 1)])
+    C = GeometricComplex.from_top_simplices(EuclideanMetric(coords), edges)
+    return C, SimplicialCurrent.full(C, 1)
 
 
 def square_complex(size: float = 1.0):
     """Unit square as two positively oriented triangles."""
-    pts = np.array([[0, 0], [size, 0], [0, size], [size, size]], dtype=float)
-    metric = EuclideanMetric(pts)
-    tris = [(0, 1, 3), (0, 3, 2)]
-    C = GeometricComplex.from_top_simplices(metric, tris)
-    ids = [tuple(sorted(t)) for t in tris]
-    p = pts[np.array(ids)]
-    return C, SimplicialCurrent(C, 2, _oriented(C.index(2), ids, p[:, 1:] - p[:, :1]))
+    return grid_mesh(1, 1, size, size)
 
 
 def grid_mesh(nx: int, ny: int, size_x: float = 1.0, size_y: float = 1.0):
     """Rectangular grid of crossed-diagonal triangles, oriented positively."""
     xs = np.linspace(0, size_x, nx + 1)
     ys = np.linspace(0, size_y, ny + 1)
-    pts = np.array([[x, y] for y in ys for x in xs])
-
-    def vid(i, j):
-        return j * (nx + 1) + i
-
-    tris = []
-    for j in range(ny):
-        for i in range(nx):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, d = vid(i, j + 1), vid(i + 1, j + 1)
-            tris.extend([(a, b, d), (a, d, c)])
-    metric = EuclideanMetric(pts)
-    C = GeometricComplex.from_top_simplices(metric, tris)
-    ids = [tuple(sorted(t)) for t in tris]
-    p = pts[np.array(ids)]
-    return C, SimplicialCurrent(C, 2, _oriented(C.index(2), ids, p[:, 1:] - p[:, :1]))
+    pts = np.stack(np.meshgrid(xs, ys), axis=-1).reshape(-1, 2)
+    vid = np.arange(len(pts)).reshape(ny + 1, nx + 1)  # vid[j, i] is the point (xs[i], ys[j])
+    a, b, c, d = vid[:-1, :-1], vid[:-1, 1:], vid[1:, :-1], vid[1:, 1:]
+    ids = np.sort(np.stack([a, b, d, a, d, c], axis=-1).reshape(-1, 3), axis=1)
+    p = pts[ids]
+    return _fundamental(EuclideanMetric(pts), ids, p[:, 1:] - p[:, :1])
 
 
 def disk_mesh(h: float = 0.05, radius: float = 1.0):
@@ -100,11 +85,9 @@ def disk_mesh(h: float = 0.05, radius: float = 1.0):
                 tris.append((a_ids[i % na], b_ids[j % nb], b_ids[(j + 1) % nb]))
                 j += 1
     pts = np.array(pts)
-    metric = EuclideanMetric(pts)
-    C = GeometricComplex.from_top_simplices(metric, tris)
-    ids = [tuple(sorted(t)) for t in tris]
-    p = pts[np.array(ids)]
-    return C, SimplicialCurrent(C, 2, _oriented(C.index(2), ids, p[:, 1:] - p[:, :1], "disk triangle"))
+    ids = np.sort(tris, axis=1)
+    p = pts[ids]
+    return _fundamental(EuclideanMetric(pts), ids, p[:, 1:] - p[:, :1], "disk triangle")
 
 
 # ---------------------------------------------------------------------------
@@ -131,34 +114,24 @@ def sphere_mesh(n_lat: int, n_lon: int, metric: str = "geodesic"):
     if n_lat < 2 or n_lon < 3:
         raise ArgumentError("sphere mesh needs n_lat >= 2 and n_lon >= 3")
     pts = [(0.0, 0.0, 1.0)]
-    rows = []
     for i in range(1, n_lat):
         theta = math.pi * i / n_lat
-        row = []
         for j in range(n_lon):
             phi = 2 * math.pi * j / n_lon
-            row.append(len(pts))
             pts.append(
                 (math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta))
             )
-        rows.append(row)
-    south = len(pts)
     pts.append((0.0, 0.0, -1.0))
     pts = np.array(pts)
 
-    tris = []
-    top = rows[0]
-    for j in range(n_lon):
-        tris.append((0, top[j], top[(j + 1) % n_lon]))
-    for i in range(len(rows) - 1):
-        a_row, b_row = rows[i], rows[i + 1]
-        for j in range(n_lon):
-            a, a2 = a_row[j], a_row[(j + 1) % n_lon]
-            b, b2 = b_row[j], b_row[(j + 1) % n_lon]
-            tris.extend([(a, b, b2), (a, b2, a2)])
-    bottom = rows[-1]
-    for j in range(n_lon):
-        tris.append((south, bottom[(j + 1) % n_lon], bottom[j]))
+    rows = 1 + np.arange(n_lat - 1)[:, None] * n_lon + np.arange(n_lon)  # vertex ids per latitude
+    nxt = np.roll(rows, -1, axis=1)  # each vertex's neighbour along its latitude
+    band = np.stack([rows[:-1], rows[1:], nxt[1:], rows[:-1], nxt[1:], nxt[:-1]], axis=-1)
+    tris = np.vstack([
+        np.column_stack([np.zeros(n_lon, dtype=int), rows[0], nxt[0]]),
+        band.reshape(-1, 3),
+        np.column_stack([np.full(n_lon, len(pts) - 1), nxt[-1], rows[-1]]),
+    ])
 
     if metric == "geodesic":
         m = CallableMetric(pts, _sphere_arc_metric())
@@ -166,11 +139,9 @@ def sphere_mesh(n_lat: int, n_lon: int, metric: str = "geodesic"):
         m = EuclideanMetric(pts)
     else:
         raise ArgumentError(f"unknown sphere metric {metric!r}")
-    C = GeometricComplex.from_top_simplices(m, tris)
-    ids = [tuple(sorted(t)) for t in tris]
-    p = pts[np.array(ids)]
-    frames = np.concatenate([p[:, :1], p[:, 1:] - p[:, :1]], axis=1)
-    return C, SimplicialCurrent(C, 2, _oriented(C.index(2), ids, frames, "sphere triangle"))
+    ids = np.sort(tris, axis=1)
+    p = pts[ids]
+    return _fundamental(m, ids, np.concatenate([p[:, :1], p[:, 1:] - p[:, :1]], axis=1), "sphere triangle")
 
 
 def equator_vertex(C: GeometricComplex, n_lat: int, n_lon: int) -> int:
@@ -200,7 +171,6 @@ def add_spikes(C: GeometricComplex, T: SimplicialCurrent, count: int, width: flo
     new_pts = []
     new_tris = []
     tips = []
-    side_ids = []
     for b in bases:
         v = coords[b]
         dist = np.linalg.norm(coords - v, axis=1)
@@ -213,66 +183,30 @@ def add_spikes(C: GeometricComplex, T: SimplicialCurrent, count: int, width: flo
         new_pts.append(v + height * v / np.linalg.norm(v))
         new_tris.append((b, a_id, tip_id))
         tips.append(tip_id)
-        side_ids.append(a_id)
     all_pts = np.vstack([coords, np.array(new_pts)])
-    top = [T.simplex(i) for i in T.coeffs] + new_tris
-    metric = EuclideanMetric(all_pts)
-    C2 = GeometricComplex.from_top_simplices(metric, top)
-    idx = C2.index(2)
-    coeffs = {}
-    for i, c in T.coeffs.items():
-        coeffs[idx[T.simplex(i)]] = c
-    for tri in new_tris:
-        coeffs[idx[tuple(sorted(tri))]] = 1
-    return C2, SimplicialCurrent(C2, 2, coeffs), tips, bases
+    # each fin (base, side, tip) is already in canonical order
+    top = np.vstack([T.complex.simplex_array(2)[T.idx], new_tris])
+    C2 = GeometricComplex.from_top_simplices(EuclideanMetric(all_pts), top)
+    idx = lookup_rows(C2.simplex_array(2), top)
+    S = SimplicialCurrent.from_arrays(C2, 2, idx, np.concatenate([T.coeff, np.ones(len(new_tris), np.int64)]))
+    return C2, S, tips, bases
 
 
 # ---------------------------------------------------------------------------
 # 3-dimensional boxes and tori
 
 
-_KUHN_PERMS = list(itertools.permutations(range(3)))
+# the four lattice points of each of the six Kuhn tetrahedra of a unit cell:
+# from its corner along the three axes, in each order
+_KUHN_WALKS = np.array(
+    [np.cumsum(np.vstack([np.zeros(3, dtype=int), np.eye(3, dtype=int)[list(p)]]), axis=0)
+     for p in itertools.permutations(range(3))]
+)
 
 
-def _box_cells(origin, lengths, cells, periodic):
-    n = list(cells)
-    steps = [lengths[a] / n[a] for a in range(3)]
-    sizes = [n[a] if periodic[a] else n[a] + 1 for a in range(3)]
-
-    def vid(i, j, k):
-        ii = i % sizes[0] if periodic[0] else i
-        jj = j % sizes[1] if periodic[1] else j
-        kk = k % sizes[2] if periodic[2] else k
-        return (kk * sizes[1] + jj) * sizes[0] + ii
-
-    coords = np.zeros((sizes[0] * sizes[1] * sizes[2], 3))
-    for k in range(sizes[2]):
-        for j in range(sizes[1]):
-            for i in range(sizes[0]):
-                coords[vid(i, j, k)] = (
-                    origin[0] + i * steps[0],
-                    origin[1] + j * steps[1],
-                    origin[2] + k * steps[2],
-                )
-    tets = []
-    local = []
-    for k in range(n[2]):
-        for j in range(n[1]):
-            for i in range(n[0]):
-                corner = np.array([i, j, k])
-                for perm in _KUHN_PERMS:
-                    offs = [np.zeros(3, dtype=int)]
-                    for axis in perm:
-                        nxt = offs[-1].copy()
-                        nxt[axis] += 1
-                        offs.append(nxt)
-                    ids = tuple(vid(*(corner + o)) for o in offs)
-                    if len(set(ids)) != 4:
-                        raise ArgumentError("periodic box too coarse: repeated vertex in a cell")
-                    pts = [(corner + o) * steps for o in offs]
-                    tets.append(ids)
-                    local.append({g: p for g, p in zip(ids, pts)})
-    return coords, tets, local, sizes
+def _lattice(shape):
+    """The points (i, j, k) of a box lattice of the given shape, i fastest."""
+    return np.indices(tuple(shape)[::-1]).reshape(3, -1)[::-1].T
 
 
 def box_mesh(origin, lengths, cells, periodic=(False, False, False), metric_fn=None, wrap=None):
@@ -281,21 +215,24 @@ def box_mesh(origin, lengths, cells, periodic=(False, False, False), metric_fn=N
     With `metric_fn` the vertices keep raw chart coordinates and distances
     come from the callable (used for flat tori); otherwise Euclidean.
     """
-    coords, tets, local, _ = _box_cells(origin, lengths, cells, periodic)
-    if metric_fn is None:
-        metric = EuclideanMetric(coords)
-    else:
-        metric = CallableMetric(coords, metric_fn, wrap=wrap)
-    seen = set()
-    for t in tets:
-        key = tuple(sorted(t))
-        if key in seen:
-            raise ArgumentError("periodic box too coarse: duplicate tetrahedra")
-        seen.add(key)
-    C = GeometricComplex.from_top_simplices(metric, tets)
-    ids = [tuple(sorted(t)) for t in tets]
-    p = np.array([[loc[g] for g in key] for key, loc in zip(ids, local)])
-    return C, SimplicialCurrent(C, 3, _oriented(C.index(3), ids, p[:, 1:] - p[:, :1], "tetrahedron"))
+    n = np.array(cells)
+    steps = np.array([lengths[a] / n[a] for a in range(3)])
+    sizes = np.where(periodic, n, n + 1)
+    coords = np.asarray(origin, dtype=float) + _lattice(sizes) * steps
+    # each tetrahedron's lattice points, unwrapped within its own cell
+    local = (_lattice(n)[:, None, None, :] + _KUHN_WALKS).reshape(-1, 4, 3)
+    wrapped = np.where(periodic, local % sizes, local)
+    tets = (wrapped[..., 2] * sizes[1] + wrapped[..., 1]) * sizes[0] + wrapped[..., 0]
+    order = np.argsort(tets, axis=1)
+    ids = np.take_along_axis(tets, order, axis=1)
+    if (ids[:, 1:] == ids[:, :-1]).any():
+        raise ArgumentError("periodic box too coarse: repeated vertex in a cell")
+    if len(distinct_rows(ids)) < len(ids):
+        raise ArgumentError("periodic box too coarse: duplicate tetrahedra")
+    metric = EuclideanMetric(coords) if metric_fn is None else CallableMetric(coords, metric_fn, wrap=wrap)
+    # the frames are taken in the chart of each tetrahedron's own cell
+    p = np.take_along_axis(local, order[:, :, None], axis=1) * steps
+    return _fundamental(metric, ids, p[:, 1:] - p[:, :1], "tetrahedron")
 
 
 def torus_metric(circumferences):

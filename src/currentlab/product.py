@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import CallableMetric, EuclideanMetric, GeometricComplex, MatrixMetric
+from .complexes import CallableMetric, EuclideanMetric, GeometricComplex, MatrixMetric, lookup_rows
 from .currents import SimplicialCurrent, boundary, mass, push_forward
 from .fillvol import FillingReport
 from .metricspace import ArgumentError
@@ -71,11 +71,14 @@ def _product_metric(base_metric, heights):
     raise ArgumentError(f"unsupported base metric {type(base_metric).__name__}")
 
 
-def staircase(bottom, top) -> list[tuple[int, ...]]:
-    """The staircase triangulation of the prism between two lifts of one
-    simplex: simplex i takes bottom vertices 0..i and top vertices i..k, and
-    carries sign (-1)^i."""
-    return [tuple(bottom[: i + 1] + top[i:]) for i in range(len(bottom))]
+def staircase(bottom, top):
+    """The staircase triangulations of the prisms between two lifts of a
+    stack of k-simplices, given as (..., k+1) vertex-id arrays: a
+    (..., k+1, k+2) array whose simplex i takes bottom vertices 0..i and top
+    vertices i..k, and carries sign (-1)^i."""
+    i, j = np.ogrid[: bottom.shape[-1], : bottom.shape[-1] + 1]
+    column = np.where(j <= i, j, j - 1)  # of bottom for j <= i, else of top
+    return np.where(j <= i, bottom[..., column], top[..., column])
 
 
 def build_product_complex(base: GeometricComplex, epsilon: float, layers: int = 1) -> ProductComplex:
@@ -87,12 +90,8 @@ def build_product_complex(base: GeometricComplex, epsilon: float, layers: int = 
     n = base.n_vertices
     heights = np.linspace(0.0, epsilon, layers + 1)
     metric = _product_metric(base.metric, heights)
-    tops: list[tuple[int, ...]] = []
-    for layer in range(layers):
-        lo, hi = layer * n, (layer + 1) * n
-        for s in base.simplices[base.top_dim]:
-            tops.extend(staircase([v + lo for v in s], [v + hi for v in s]))
-    C = GeometricComplex.from_top_simplices(metric, tops)
+    rows = base.simplex_array(base.top_dim) + n * np.arange(layers)[:, None, None]
+    C = GeometricComplex.from_top_simplices(metric, staircase(rows, rows + n).reshape(-1, base.top_dim + 2))
     return ProductComplex(
         base=base,
         complex=C,
@@ -112,7 +111,7 @@ def product_current(T: SimplicialCurrent, epsilon: float, layers: int = 1):
     """
     base = T.complex
     if not T.is_zero():
-        base = GeometricComplex.from_top_simplices(base.metric, T.support_simplices())
+        base = GeometricComplex.from_top_simplices(base.metric, base.simplex_array(T.dim)[T.idx])
     pc = build_product_complex(base, epsilon, layers)
     return _staircase_chain(T, pc), pc
 
@@ -128,21 +127,17 @@ def interval_boundary_lift(T: SimplicialCurrent, pc: ProductComplex) -> Simplici
 def _staircase_chain(S: SimplicialCurrent, pc: ProductComplex) -> SimplicialCurrent:
     """The product S x interval inside an existing product complex (S's
     prisms must be simplices of the complex)."""
-    n = S.complex.n_vertices
-    k = S.dim
-    idx = pc.complex.index(k + 1)
+    n, k = S.complex.n_vertices, S.dim
+    # (simplex, layer) lifts, each prism's staircase simplices in order
+    rows = S.complex.simplex_array(k)[S.idx][:, None, :] + n * np.arange(pc.layers)[:, None]
+    prisms = staircase(rows, rows + n).reshape(-1, k + 2)
+    j = lookup_rows(pc.complex.simplex_array(k + 1), prisms)
+    if (j < 0).any():
+        raise ArgumentError(f"prism {tuple(prisms[np.argmax(j < 0)].tolist())} missing from product complex")
     parity = 1 if k % 2 == 0 else -1
-    coeffs: dict[int, int] = {}
-    for simplex_idx, c in S.coeffs.items():
-        s = S.simplex(simplex_idx)
-        for layer in range(pc.layers):
-            lo, hi = layer * n, (layer + 1) * n
-            for i, prism in enumerate(staircase([v + lo for v in s], [v + hi for v in s])):
-                if prism not in idx:
-                    raise ArgumentError(f"prism {prism} missing from product complex")
-                sign = parity * (1 if i % 2 == 0 else -1)
-                coeffs[idx[prism]] = coeffs.get(idx[prism], 0) + sign * c
-    return SimplicialCurrent(pc.complex, k + 1, coeffs)
+    sign = parity * np.where(np.arange(k + 1) % 2, -1, 1)
+    coeff = np.broadcast_to(S.coeff[:, None, None] * sign, (len(S.idx), pc.layers, k + 1))
+    return SimplicialCurrent.from_arrays(pc.complex, k + 1, j, coeff.ravel())
 
 
 def check_product_boundary(T: SimplicialCurrent, epsilon: float, layers: int = 1):

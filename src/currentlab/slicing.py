@@ -331,7 +331,7 @@ def subdivide_at_level(C: GeometricComplex, values, s, snap_rel=SNAP_REL) -> Ref
         piece_pos[k] = pos[len(untouched[k]) :][: len(cells[k][k])]
         new_arrays[k] = merged[order]
         new_masses[k] = np.concatenate([C.masses(k)[keep], simplex_volumes(metric, new[k])])[order]
-    new_complex = GeometricComplex.from_arrays(metric, new_arrays, new_masses)
+    new_complex = GeometricComplex(metric, new_arrays, new_masses)
 
     # signed transfer tables: an untouched simplex has itself as its one
     # child; a split one its pieces, oriented by the determinants of their
@@ -412,7 +412,7 @@ def support_closure(T: SimplicialCurrent) -> SimplicialCurrent:
         ids = ids[orders[k]]
         arrays[k] = C.simplex_array(k)[ids]
         masses[k] = C.masses(k)[ids]
-    C2 = GeometricComplex.from_arrays(C.metric, arrays, masses)
+    C2 = GeometricComplex(C.metric, arrays, masses)
     new_idx = np.empty(len(T.idx), dtype=np.int64)
     new_idx[orders[T.dim]] = np.arange(len(T.idx))
     return SimplicialCurrent.from_arrays(C2, T.dim, new_idx, T.coeff)

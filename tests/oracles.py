@@ -10,6 +10,7 @@ from scipy.sparse import eye
 from currentlab import fillvol
 from currentlab.complexes import (
     VOLUME_FLOOR,
+    ComplexError,
     GeometricComplex,
     MatrixMetric,
     close_under_faces,
@@ -269,9 +270,11 @@ def subdivide_oracle(C: GeometricComplex, values, s, snap_rel=SNAP_REL) -> Refin
 
 # ---------------------------------------------------------------------------
 # chain operations one coefficient at a time, through dict indices: the
-# array-native `boundary`, `push_forward`, `Refinement.transfer_current`
-# and `support_closure` (and `nearest_vertex_correspondence`, one vertex at
-# a time) must reproduce them exactly.
+# array-native `boundary`, `push_forward`, `Refinement.transfer_current`,
+# `support_closure` and `SimplicialCurrent.from_simplices` (and
+# `nearest_vertex_correspondence`, one vertex at a time, and
+# `close_under_faces`, one simplex at a time through tuple sets) must
+# reproduce them exactly.
 
 
 def boundary_oracle(T: SimplicialCurrent) -> SimplicialCurrent:
@@ -361,6 +364,35 @@ def support_closure_oracle(T: SimplicialCurrent) -> SimplicialCurrent:
     index = C2.index(T.dim)
     coeffs = {index[T.simplex(i)]: c for i, c in T.coeffs.items()}
     return SimplicialCurrent(C2, T.dim, coeffs)
+
+
+def close_under_faces_oracle(top_simplices):
+    """All faces of the given simplices, grouped and sorted per dimension."""
+    by_dim: dict[int, set] = {}
+    for simplex in top_simplices:
+        s = tuple(sorted(simplex))
+        if len(set(s)) != len(s):
+            raise ComplexError(f"degenerate simplex {simplex}")
+        for size in range(1, len(s) + 1):
+            by_dim.setdefault(size - 1, set()).update(itertools.combinations(s, size))
+    return {k: sorted(faces) for k, faces in by_dim.items()}
+
+
+def from_simplices_oracle(complex, dim, pairs) -> SimplicialCurrent:
+    """A chain from (vertex tuple, coefficient) pairs, one pair at a time:
+    permuted tuples contribute the sign of the sorting permutation."""
+    index = complex.index(dim)
+    coeffs: dict[int, int] = {}
+    for simplex, c in pairs:
+        sign = permutation_sign(simplex)
+        if sign == 0:
+            raise ArgumentError(f"degenerate simplex {simplex}")
+        key = tuple(sorted(simplex))
+        if key not in index:
+            raise ArgumentError(f"simplex {key} not in complex")
+        idx = index[key]
+        coeffs[idx] = coeffs.get(idx, 0) + sign * int(c)
+    return SimplicialCurrent(complex, dim, coeffs)
 
 
 def matrix_add_points_oracle(mat, specs):

@@ -238,6 +238,16 @@ class TestErrors:
         assert main(["mass", "--input", str(path)]) == EXIT_INPUT
         assert capsys.readouterr().err.startswith("input error")
 
+    def test_repeated_vertex_exits_2(self, tmp_path, capsys):
+        data = {
+            "complex": {"vertices": [[0.0, 0.0], [1.0, 0.0]], "simplices": {"1": [[0, 0]]}},
+            "current": {"dim": 1, "coeffs": [[0, 1]]},
+        }
+        path = tmp_path / "degenerate.json"
+        path.write_text(json.dumps(data))
+        assert main(["mass", "--input", str(path)]) == EXIT_INPUT
+        assert "degenerate simplex (0, 0)" in capsys.readouterr().err
+
     def test_flatnorm_second_current_missing_simplex_exits_2(self, tmp_path, capsys):
         data = {
             "complex": {

@@ -69,6 +69,13 @@ class TestComplexStructure:
                 m, {0: [(0,), (1,), (2,)], 1: [(0, 1), (0, 1), (0, 2), (1, 2)], 2: [(0, 1, 2)]}
             ).validate()
 
+    def test_repeated_vertex_rejected(self):
+        m = EuclideanMetric(np.array([[0.0, 0], [1, 0], [0, 1]]))
+        with pytest.raises(ComplexError, match=r"degenerate simplex \(0, 0\)"):
+            GeometricComplex(m, {0: [(0,), (1,), (2,)], 1: [(0, 1), (0, 0)]}).validate()
+        with pytest.raises(ComplexError, match=r"not in canonical order: \(1, 0\)"):
+            GeometricComplex(m, {0: [(0,), (1,), (2,)], 1: [(1, 0)]}).validate()
+
     def test_missing_face_rejected(self):
         m = EuclideanMetric(np.array([[0.0, 0], [1, 0], [0, 1]]))
         with pytest.raises(ComplexError, match="missing face"):

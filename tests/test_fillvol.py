@@ -245,6 +245,23 @@ class TestContinuityGap:
             fillvol_continuity_gap(path, SimplicialCurrent.zero(C, 1), C)
 
 
+@pytest.mark.parametrize("status, error", [(2, ArgumentError), (3, RuntimeError)])
+def test_only_a_proven_infeasible_lp_is_an_input_error(monkeypatch, status, error):
+    """HiGHS status 2 (infeasible) means the cycle does not bound: bad
+    input.  Any other failure, such as presolve's spurious "unbounded" on
+    nonnegative costs, is a solver fault reported with its status."""
+    import currentlab.fillvol as fillvol
+    from scipy.optimize import OptimizeResult
+
+    pts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]])
+    C = GeometricComplex.from_top_simplices(EuclideanMetric(pts), [(0, 1, 2)])
+    B = boundary(SimplicialCurrent.full(C, 2))
+    failed = OptimizeResult(status=status, success=False, message="stub", x=None, fun=None)
+    monkeypatch.setattr(fillvol, "linprog", lambda *a, **kw: failed)
+    with pytest.raises(error, match="infeasible" if status == 2 else "HiGHS status 3: stub"):
+        filling_volume(B, C)
+
+
 def test_corrupted_report_raises_invariant_error():
     with pytest.raises(InvariantError):
         FillingReport(value=1.0, lower_bound=2.0, upper_bound=3.0).check()
