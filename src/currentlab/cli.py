@@ -11,7 +11,6 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,7 +38,7 @@ from .metricspace import (
 )
 from .product import interval_filling_volume, product_current, sliced_interval_fill
 from .slicing import ball, coarea_profile, slice_current, sphere
-from .slicedfill import ball_context, sf_k, sliced_fill, tetra_check
+from .slicedfill import sf_k, sliced_fill, tetra_check
 
 logger = logging.getLogger("currentlab")
 
@@ -47,32 +46,6 @@ EXIT_OK = 0
 EXIT_INVARIANT = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
-
-
-@dataclass
-class RunConfig:
-    command: str
-    input: str | None = None
-    input_b: str | None = None
-    output: str | None = None
-    format: str = "json"
-    radius: float | None = None
-    epsilon: float = 0.1
-    layers: int = 1
-    grid: int = 32
-    samples: int = 5
-    beta: float = 0.5
-    C: float = 0.1
-    k: int = 1
-    candidates: int = 6
-    exact_limit: int = 7
-    center: int = 0
-    level: float = 0.0
-    function: str = "coord:0"
-    witnesses: tuple = ()
-    family: str = "refined_disk"
-    quantity: str = "fillvol"
-    schedule: tuple = ()
 
 
 def _configure_logging():
@@ -174,6 +147,7 @@ def _summary(current) -> dict:
         "boundary_mass": mass(boundary(current)),
         "dim": current.dim,
         "support_size": len(current.coeffs),
+        "chain": chain_to_json(current),
     }
 
 
@@ -181,21 +155,18 @@ def _summary(current) -> dict:
 # handlers
 
 
-def _cmd_mass(cfg: RunConfig):
-    T, _ = _chain_and_data(cfg.input)
+def _cmd_mass(args):
+    T, _ = _chain_and_data(args.input)
     return {"mass": mass(T), "boundary_mass": mass(boundary(T)), "total_mass": total_mass(T)}
 
 
-def _cmd_boundary(cfg: RunConfig):
-    T, _ = _chain_and_data(cfg.input)
-    B = boundary(T)
-    out = _summary(B)
-    out["chain"] = chain_to_json(B)
-    return out
+def _cmd_boundary(args):
+    T, _ = _chain_and_data(args.input)
+    return _summary(boundary(T))
 
 
-def _cmd_evaluate(cfg: RunConfig):
-    T, data = _chain_and_data(cfg.input)
+def _cmd_evaluate(args):
+    T, data = _chain_and_data(args.input)
     fns = data.get("functions", {})
     if "f" not in fns or "pis" not in fns:
         raise ArgumentError("evaluate needs a 'functions' object with 'f' and 'pis' arrays")
@@ -204,162 +175,143 @@ def _cmd_evaluate(cfg: RunConfig):
     return {"value": evaluate(T, f, pis)}
 
 
-def _cmd_slice(cfg: RunConfig):
-    T, data = _chain_and_data(cfg.input)
-    f = _function_on(T.complex, cfg.function, data)
-    res = slice_current(T, f, cfg.level)
+def _cmd_slice(args):
+    T, data = _chain_and_data(args.input)
+    f = _function_on(T.complex, args.function, data)
+    res = slice_current(T, f, args.level)
     out = _summary(res.current)
-    out.update({"levels": list(res.levels), "warnings": res.warnings, "chain": chain_to_json(res.current)})
+    out.update({"levels": list(res.levels), "warnings": res.warnings})
     return out
 
 
-def _cmd_ball(cfg: RunConfig):
-    T, _ = _chain_and_data(cfg.input)
-    if cfg.radius is None:
-        raise ArgumentError("ball needs --radius")
-    B = ball(T, cfg.center, cfg.radius)
-    out = _summary(B)
-    out["chain"] = chain_to_json(B)
-    return out
+def _cmd_ball(args):
+    T, _ = _chain_and_data(args.input)
+    return _summary(ball(T, args.center, args.radius))
 
 
-def _cmd_sphere(cfg: RunConfig):
-    T, _ = _chain_and_data(cfg.input)
-    if cfg.radius is None:
-        raise ArgumentError("sphere needs --radius")
-    res = sphere(T, cfg.center, cfg.radius)
+def _cmd_sphere(args):
+    T, _ = _chain_and_data(args.input)
+    res = sphere(T, args.center, args.radius)
     out = _summary(res.current)
-    out.update({"levels": list(res.levels), "warnings": res.warnings, "chain": chain_to_json(res.current)})
+    out.update({"levels": list(res.levels), "warnings": res.warnings})
     return out
 
 
-def _cmd_coarea(cfg: RunConfig):
-    T, data = _chain_and_data(cfg.input)
-    f = _function_on(T.complex, cfg.function, data)
-    integral, bound = coarea_profile(T, f, cfg.samples)
-    return {"integral": integral, "bound": bound, "samples": cfg.samples, "lipschitz": f.lip}
+def _cmd_coarea(args):
+    T, data = _chain_and_data(args.input)
+    f = _function_on(T.complex, args.function, data)
+    integral, bound = coarea_profile(T, f, args.samples)
+    return {"integral": integral, "bound": bound, "samples": args.samples, "lipschitz": f.lip}
 
 
-def _cmd_flatnorm(cfg: RunConfig):
-    T, data = _chain_and_data(cfg.input)
+def _cmd_flatnorm(args):
+    T, data = _chain_and_data(args.input)
     if "current_b" not in data:
         raise ArgumentError("flatnorm input needs 'current' and 'current_b' on one complex")
     try:
         S = current_from_json(T.complex, data["current_b"])
     except (KeyError, TypeError, ValueError) as exc:
-        raise ArgumentError(f"{cfg.input}: bad current_b payload: {exc}") from exc
+        raise ArgumentError(f"{args.input}: bad current_b payload: {exc}") from exc
     report = flat_distance(T, S, T.complex)
     report.check()
     return report.to_json()
 
 
-def _cmd_fillvol(cfg: RunConfig):
-    T, _ = _chain_and_data(cfg.input)
+def _cmd_fillvol(args):
+    T, _ = _chain_and_data(args.input)
     report = filling_volume(T, T.complex)
     report.check()
     return report.to_json()
 
 
-def _cmd_fillvol0(cfg: RunConfig):
-    data = _load_chain_file(cfg.input)
+def _cmd_fillvol0(args):
+    data = _load_chain_file(args.input)
     if "theta" not in data or "sigma" not in data:
         raise ArgumentError("fillvol0 input needs 'theta' and 'sigma' arrays")
-    space = _metric_space_from(cfg.input)
+    space = _metric_space_from(args.input)
     report = filling_volume_0d(space, data["theta"], data["sigma"])
     report.check()
     return report.to_json()
 
 
-def _cmd_sf(cfg: RunConfig):
-    T, _ = _chain_and_data(cfg.input)
-    if cfg.radius is None:
-        raise ArgumentError("sf needs --radius")
-    ctx = ball_context(T, cfg.center, cfg.radius)
-    witnesses = list(cfg.witnesses) or [ctx.sphere_vertices()[0]]
-    rep = sliced_fill(T, cfg.center, cfg.radius, witnesses=witnesses, grid=cfg.grid, context=ctx)
+def _cmd_sf(args):
+    T, _ = _chain_and_data(args.input)
+    if not args.witnesses:  # the first vertex of the discrete sphere
+        return sf_k(T, args.center, args.radius, 1, candidates=1, grid=args.grid).to_json()
+    return sliced_fill(T, args.center, args.radius, witnesses=args.witnesses, grid=args.grid).to_json()
+
+
+def _cmd_sfk(args):
+    T, _ = _chain_and_data(args.input)
+    rep = sf_k(T, args.center, args.radius, args.k, candidates=args.candidates, grid=args.grid)
     return rep.to_json()
 
 
-def _cmd_sfk(cfg: RunConfig):
-    T, _ = _chain_and_data(cfg.input)
-    if cfg.radius is None:
-        raise ArgumentError("sfk needs --radius")
-    rep = sf_k(T, cfg.center, cfg.radius, cfg.k, candidates=cfg.candidates, grid=cfg.grid)
-    return rep.to_json()
-
-
-def _cmd_tetra(cfg: RunConfig):
-    T, _ = _chain_and_data(cfg.input)
-    if cfg.radius is None:
-        raise ArgumentError("tetra needs --radius")
+def _cmd_tetra(args):
+    T, _ = _chain_and_data(args.input)
     rep = tetra_check(
-        T, cfg.center, cfg.radius, C=cfg.C, beta=cfg.beta,
-        samples=cfg.samples, candidates=cfg.candidates,
+        T, args.center, args.radius, C=args.C, beta=args.beta,
+        samples=args.samples, candidates=args.candidates,
     )
     return rep.to_json()
 
 
-def _cmd_product(cfg: RunConfig):
-    T, _ = _chain_and_data(cfg.input)
-    prod, pc = product_current(T, cfg.epsilon, cfg.layers)
+def _cmd_product(args):
+    T, _ = _chain_and_data(args.input)
+    prod, pc = product_current(T, args.epsilon, args.layers)
     out = _summary(prod)
-    out["expected_mass"] = cfg.epsilon * mass(T)
-    out["chain"] = chain_to_json(prod)
+    out["expected_mass"] = args.epsilon * mass(T)
     return out
 
 
-def _cmd_ifv(cfg: RunConfig):
-    T, _ = _chain_and_data(cfg.input)
-    report = interval_filling_volume(T, cfg.epsilon, cfg.layers)
+def _cmd_ifv(args):
+    T, _ = _chain_and_data(args.input)
+    report = interval_filling_volume(T, args.epsilon, args.layers)
     report.check()
     out = report.to_json()
-    out["epsilon"] = cfg.epsilon
-    out["mass_bound"] = out["value"] / cfg.epsilon
+    out["epsilon"] = args.epsilon
+    out["mass_bound"] = out["value"] / args.epsilon
     return out
 
 
-def _cmd_sif(cfg: RunConfig):
-    T, _ = _chain_and_data(cfg.input)
-    if cfg.radius is None:
-        raise ArgumentError("sif needs --radius")
+def _cmd_sif(args):
+    T, _ = _chain_and_data(args.input)
     rep = sliced_interval_fill(
-        T, cfg.center, cfg.radius,
-        witnesses=list(cfg.witnesses) or None,
-        epsilon=cfg.epsilon, grid=cfg.grid, layers=cfg.layers,
+        T, args.center, args.radius,
+        witnesses=args.witnesses or None,
+        epsilon=args.epsilon, grid=args.grid, layers=args.layers,
     )
     return rep.to_json()
 
 
-def _cmd_gh(cfg: RunConfig):
-    X = _metric_space_from(cfg.input)
-    Y = _metric_space_from(cfg.input_b)
-    lower, upper = gh_bounds(X, Y, exact_limit=cfg.exact_limit)
-    return {"lower": lower, "upper": upper, "exact": bool(max(X.n, Y.n) <= cfg.exact_limit)}
+def _cmd_gh(args):
+    X = _metric_space_from(args.input)
+    Y = _metric_space_from(args.input_b)
+    lower, upper = gh_bounds(X, Y, exact_limit=args.exact_limit)
+    return {"lower": lower, "upper": upper, "exact": bool(max(X.n, Y.n) <= args.exact_limit)}
 
 
-def _cmd_pack(cfg: RunConfig):
-    X = _metric_space_from(cfg.input)
-    if cfg.radius is None:
-        raise ArgumentError("pack needs --radius")
-    rep = packing_number(X, cfg.radius)
+def _cmd_pack(args):
+    X = _metric_space_from(args.input)
+    rep = packing_number(X, args.radius)
     return {"radius": rep.radius, "count": rep.count, "centers": list(rep.centers)}
 
 
-def _cmd_lab(cfg: RunConfig):
+def _cmd_lab(args):
     from .convergence import build_family, continuity_sweep, semicontinuity_report
 
-    if not cfg.schedule:
+    if not args.schedule:
         raise ArgumentError("lab needs --schedule")
-    family = build_family(cfg.family, list(cfg.schedule))
-    if cfg.quantity == "semicontinuity":
+    family = build_family(args.family, list(args.schedule))
+    if args.quantity == "semicontinuity":
         return semicontinuity_report(family)
     params = {
-        "radius": cfg.radius or 0.5,
-        "grid": cfg.grid,
-        "epsilon": cfg.epsilon,
+        "radius": args.radius or 0.5,
+        "grid": args.grid,
+        "epsilon": args.epsilon,
         "center_point": family.center,
     }
-    return continuity_sweep(family, cfg.quantity, params)
+    return continuity_sweep(family, args.quantity, params)
 
 
 _HANDLERS = {
@@ -383,6 +335,7 @@ _HANDLERS = {
     "pack": _cmd_pack,
     "lab": _cmd_lab,
 }
+_NEEDS_RADIUS = {"ball", "sphere", "sf", "sfk", "tetra", "sif", "pack"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -414,51 +367,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    witnesses = _numbers(args.witnesses, int, "witnesses")
-    schedule = _numbers(args.schedule, float, "schedule")
-    return RunConfig(
-        command=args.command,
-        input=args.input,
-        input_b=args.input_b,
-        output=args.output,
-        format=args.format,
-        radius=args.radius,
-        epsilon=args.epsilon,
-        layers=args.layers,
-        grid=args.grid,
-        samples=args.samples,
-        beta=args.beta,
-        C=args.C,
-        k=args.k,
-        candidates=args.candidates,
-        exact_limit=args.exact_limit,
-        center=args.center,
-        level=args.level,
-        function=args.function,
-        witnesses=witnesses,
-        family=args.family,
-        quantity=args.quantity,
-        schedule=schedule,
-    )
-
-
-def dispatch(cfg: RunConfig) -> int:
-    """Run one command and write exactly one report."""
-    handler = _HANDLERS.get(cfg.command)
+def dispatch(args) -> int:
+    """Run one parsed command line and write exactly one report."""
+    handler = _HANDLERS.get(args.command)
     if handler is None:
-        raise ArgumentError(f"unknown command {cfg.command!r}")
-    needs_input = cfg.command != "lab"
-    if needs_input and not cfg.input:
-        raise ArgumentError(f"{cfg.command} needs --input")
-    result = handler(cfg)
+        raise ArgumentError(f"unknown command {args.command!r}")
+    if args.command != "lab" and not args.input:
+        raise ArgumentError(f"{args.command} needs --input")
+    if args.command in _NEEDS_RADIUS and args.radius is None:
+        raise ArgumentError(f"{args.command} needs --radius")
+    result = handler(args)
     warnings = result.pop("warnings", []) if isinstance(result, dict) else []
     report = {
-        "command": cfg.command,
+        "command": args.command,
         "result": result,
         "warnings": warnings,
     }
-    write_report(report, cfg.output, cfg.format)
+    write_report(report, args.output, args.format)
     return EXIT_OK
 
 
@@ -467,7 +392,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return dispatch(_config_from_args(args))
+        args.witnesses = _numbers(args.witnesses, int, "witnesses")
+        args.schedule = _numbers(args.schedule, float, "schedule")
+        return dispatch(args)
     except (ArgumentError, MetricError, ComplexError, FileNotFoundError) as exc:
         logger.error("input error: %s", exc)
         sys.stderr.write(f"input error: {exc}\n")

@@ -444,10 +444,15 @@ class GeometricComplex:
         return self._masses[k]
 
     def validate(self):
-        """Raise ComplexError unless every row lists distinct vertices in
-        increasing order, no row repeats, and every face is present."""
+        """Raise ComplexError unless every row lists distinct vertices of the
+        metric in increasing order, no row repeats, and every face is
+        present."""
         for k in self.dims:
             rows = self._arrays[k]
+            outside = ((rows < 0) | (rows >= self.n_vertices)).any(axis=1)
+            if outside.any():
+                s = tuple(rows[np.argmax(outside)].tolist())
+                raise ComplexError(f"simplex {s} names a vertex outside 0..{self.n_vertices - 1}")
             unordered = (rows[:, 1:] <= rows[:, :-1]).any(axis=1)
             if unordered.any():
                 s = tuple(rows[np.argmax(unordered)].tolist())

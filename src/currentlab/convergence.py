@@ -33,7 +33,7 @@ from .metricspace import ArgumentError, FiniteMetricSpace
 from .meshes import add_spikes, disk_mesh, full_torus_mesh, nearest_vertex, sphere_mesh
 from .product import interval_filling_volume, sliced_interval_fill, staircase
 from .slicing import subdivide_at_level, _sublevel_indicator
-from .slicedfill import ball_context, sliced_fill
+from .slicedfill import ball_context, sf_k, sliced_fill
 
 
 @dataclass
@@ -331,11 +331,11 @@ def _member_value(C, T, quantity, params):
         ctx = ball_context(T, p, r)
         return filling_volume(boundary(ctx.current), ctx.complex).value
     if quantity == "sf":
-        ctx = ball_context(T, p, r)
         wp = params.get("witness_point")
-        w = nearest_vertex(C, wp) if wp is not None else ctx.sphere_vertices()[0]
-        rep = sliced_fill(T, p, r, witnesses=[w], grid=int(params.get("grid", 32)), context=ctx)
-        return rep.integral
+        grid = int(params.get("grid", 32))
+        if wp is None:  # the first vertex of the discrete sphere
+            return sf_k(T, p, r, 1, candidates=1, grid=grid).integral
+        return sliced_fill(T, p, r, witnesses=[nearest_vertex(C, wp)], grid=grid).integral
     if quantity == "ifv":
         return interval_filling_volume(T, float(params.get("epsilon", 0.2))).value
     if quantity == "sif":

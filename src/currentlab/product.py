@@ -15,6 +15,7 @@ from .complexes import CallableMetric, EuclideanMetric, GeometricComplex, Matrix
 from .currents import SimplicialCurrent, boundary, mass, push_forward
 from .fillvol import FillingReport
 from .metricspace import ArgumentError
+from .slicedfill import _level_box, ball_context
 
 
 @dataclass
@@ -31,25 +32,22 @@ class ProductComplex:
         return push_forward(T, vmap, self.complex)
 
 
+def _lifted(points, heights):
+    """One copy of `points` per height, with the height as a last coordinate."""
+    return np.vstack([np.hstack([points, np.full((len(points), 1), t)]) for t in heights])
+
+
 def _product_metric(base_metric, heights):
     """Metric on base x {heights} given the base metric."""
     n = base_metric.n
     heights = np.asarray(heights, dtype=float)
     L = len(heights)
     if isinstance(base_metric, EuclideanMetric):
-        blocks = []
-        for t in heights:
-            col = np.full((n, 1), t)
-            blocks.append(np.hstack([base_metric.coords, col]))
-        return EuclideanMetric(np.vstack(blocks))
+        return EuclideanMetric(_lifted(base_metric.coords, heights))
     if isinstance(base_metric, CallableMetric):
         d = base_metric.points.shape[1]
         base_fn = base_metric.fn
-        blocks = []
-        for t in heights:
-            col = np.full((n, 1), t)
-            blocks.append(np.hstack([base_metric.points, col]))
-        pts = np.vstack(blocks)
+        pts = _lifted(base_metric.points, heights)
 
         def fn(A, B):
             db = base_fn(A[:, :d], B[:, :d])
@@ -169,10 +167,10 @@ def sliced_interval_fill(
     """Interval-filling variant of the sliced filling of a ball.
 
     Per level tuple the slice is crossed with an interval of length eps and
-    the boundary of the product is filled; the quadrature is scaled by
-    1/eps, so the product over Lipschitz constants again bounds the ball's
-    mass from below.  Up to dim(T) slicing functions are allowed since the
-    product raises the dimension by one.
+    the boundary of the product is filled; the level box integrates that
+    filling volume over eps, so the product over Lipschitz constants again
+    bounds the ball's mass from below.  Up to dim(T) slicing functions are
+    allowed since the product raises the dimension by one.
 
     The filling of each leaf is the prism itself (see
     `interval_filling_volume`), so every leaf value is exactly eps * M(slice)
@@ -180,54 +178,16 @@ def sliced_interval_fill(
     Lipschitz constants: a coarea mass bound, not an independent filling
     bound.
     """
-    from .slicedfill import SlicedFillReport, _tensor_eval, _tensor_trapezoid, ball_context
-    from .complexes import distance_function
-
     if epsilon <= 0:
         raise ArgumentError("interval length must be positive")
-    ctx = context or ball_context(T, p, r)
-    wit = tuple(witnesses) if witnesses else ()
-    if witnesses:
-        fns = [distance_function(ctx.complex, w) for w in wit]
-    else:
-        fns = [ctx.refinement.transfer_function(f) for f in (functions or [])]
-    k = len(fns)
-    if k > T.dim:
-        raise ArgumentError("at most dim(T) slicing functions for interval fills")
-    ball_m = mass(ctx.current)
 
     def leaf(current):
         if current.is_zero():
             return 0.0
-        return interval_filling_volume(current, epsilon, layers).value
+        return interval_filling_volume(current, epsilon, layers).value / epsilon
 
-    if k == 0:
-        value = leaf(ctx.current) / epsilon
-        return SlicedFillReport(
-            center=p, radius=r, grid_axes=[], values=np.array([value]),
-            integral=value, lipschitz=[], mass_lower_bound=value,
-            ball_mass=ball_m, witnesses=wit,
-        )
-    grids = []
-    for f in fns:
-        lo, hi = ctx.support_range(f)
-        grids.append(np.linspace(lo, hi, grid))
-    values, skipped = _tensor_eval(ctx.current, fns, grids, leaf)
-    integral = _tensor_trapezoid(values, grids) / epsilon
-    lips = [f.lip for f in fns]
-    lam = 1.0
-    for L in lips:
-        lam *= 1.0 / L if L > 0 else 0.0
-    report = SlicedFillReport(
-        center=p, radius=r, grid_axes=grids, values=values / epsilon,
-        integral=integral, lipschitz=lips, mass_lower_bound=lam * integral,
-        ball_mass=ball_m, skipped=skipped, witnesses=wit,
-    )
-    if report.mass_lower_bound > ball_m + 1e-6:
-        report.warnings.append(
-            f"mass lower bound {report.mass_lower_bound} exceeds ball mass {ball_m}"
-        )
-    return report
+    ctx = context or ball_context(T, p, r)
+    return _level_box(ctx, leaf, grid, functions, witnesses, max_axes=T.dim)
 
 
 def interval_filling_volume(T: SimplicialCurrent, epsilon: float, layers: int = 1) -> FillingReport:

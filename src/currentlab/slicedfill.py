@@ -4,12 +4,15 @@ The sliced filling of a ball integrates, over a box of level tuples, the
 minimal filling mass of the boundary of each iterated slice; 0-dimensional
 fillings are solved by exact transport and the product over the slicing
 functions' Lipschitz constants turns the integral into a lower bound for
-the ball's mass.
+the ball's mass.  One level-box routine does this quadrature for every leaf:
+the sliced filling, the interval variant in `product`, and the band integral
+of h behind the tetrahedral check.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -87,8 +90,22 @@ def ball_context(T: SimplicialCurrent, p: int, r: float, mode="auto") -> BallCon
     return BallContext(current=current, refinement=ref, center=p, radius=r, rho=rho2)
 
 
+def _json_value(value):
+    """A report field as plain JSON values: arrays and sequences become lists."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_json_value(v) for v in value]
+    return value
+
+
+class _Report:
+    def to_json(self):
+        return {f.name: _json_value(getattr(self, f.name)) for f in fields(self)}
+
+
 @dataclass
-class SlicedFillReport:
+class SlicedFillReport(_Report):
     center: int
     radius: float
     grid_axes: list
@@ -102,25 +119,9 @@ class SlicedFillReport:
     witnesses: tuple = ()
     warnings: list = field(default_factory=list)
 
-    def to_json(self):
-        return {
-            "center": self.center,
-            "radius": self.radius,
-            "grid_axes": [list(map(float, g)) for g in self.grid_axes],
-            "values": self.values.tolist(),
-            "integral": self.integral,
-            "lipschitz": list(map(float, self.lipschitz)),
-            "mass_lower_bound": self.mass_lower_bound,
-            "ball_mass": self.ball_mass,
-            "error_estimate": self.error_estimate,
-            "skipped": self.skipped,
-            "witnesses": list(self.witnesses),
-            "warnings": list(self.warnings),
-        }
-
 
 @dataclass
-class TetraReport:
+class TetraReport(_Report):
     center: int
     radius: float
     witnesses: tuple
@@ -134,23 +135,6 @@ class TetraReport:
     required_integral: float
     ball_mass: float
     warnings: list = field(default_factory=list)
-
-    def to_json(self):
-        return {
-            "center": self.center,
-            "radius": self.radius,
-            "witnesses": list(self.witnesses),
-            "C": self.C,
-            "beta": self.beta,
-            "grid_axes": [list(map(float, g)) for g in self.grid_axes],
-            "h_values": self.h_values.tolist(),
-            "passed": self.passed,
-            "integral_passed": self.integral_passed,
-            "integral": self.integral,
-            "required_integral": self.required_integral,
-            "ball_mass": self.ball_mass,
-            "warnings": list(self.warnings),
-        }
 
 
 def _tensor_eval(start: SimplicialCurrent, functions, grids, leaf):
@@ -236,25 +220,26 @@ def h_function(T, p, r, levels, witnesses, context: BallContext | None = None) -
     return float(vals.reshape(-1)[0])
 
 
-def sliced_fill(
-    T: SimplicialCurrent,
-    p: int,
-    r: float,
-    functions=None,
-    witnesses=None,
-    grid: int = 32,
-    context: BallContext | None = None,
-) -> SlicedFillReport:
-    """Quadrature of level -> FillVol(boundary of slice) over the level box.
-
-    `functions` are PL functions on T's complex, or `witnesses` are vertex
-    ids whose distance functions are used.  The level box spans the range of
-    each function over the closed ball.  The integral divided by the product
-    of Lipschitz constants is a lower bound for the ball's mass.
-    """
+def _level_axes(ranges, grid):
+    """`grid` equally spaced levels on each (lo, hi) range; the trapezoid
+    rule needs at least two per axis."""
     if grid < 2:
         raise ArgumentError("grid must have at least 2 nodes per axis")
-    ctx = context or ball_context(T, p, r)
+    return [np.linspace(lo, hi, grid) for lo, hi in ranges]
+
+
+def _level_box(ctx: BallContext, leaf, grid, functions=None, witnesses=None, box=None, *, max_axes):
+    """The level-box quadrature behind every sliced quantity.
+
+    The slicing functions are `functions` (PL functions on the ball's
+    original complex) or the distance functions of the vertex ids in
+    `witnesses`, at most `max_axes` of them.  Each axis has `grid` levels
+    spanning the function's range over the closed ball, or the fixed
+    interval `box`; `leaf` is evaluated on every iterated slice and
+    integrated by the trapezoid rule.  The integral divided by the product
+    of Lipschitz constants is the report's mass lower bound, flagged when
+    it exceeds the ball's mass by more than twice the Richardson estimate.
+    """
     if witnesses is not None and functions is not None:
         raise ArgumentError("pass either functions or witnesses, not both")
     wit = tuple(witnesses) if witnesses is not None else ()
@@ -262,38 +247,18 @@ def sliced_fill(
         fns = [distance_function(ctx.complex, w) for w in wit]
     else:
         fns = [ctx.refinement.transfer_function(f) for f in (functions or [])]
-    k = len(fns)
-    m = T.dim
-    if k > m - 1:
-        raise ArgumentError("sliced filling needs at most dim - 1 slicing functions")
-    ball_m = mass(ctx.current)
-    if k == 0:
-        value = fill_value_of_boundary(ctx.current)
-        return SlicedFillReport(
-            center=p,
-            radius=r,
-            grid_axes=[],
-            values=np.array([value]),
-            integral=value,
-            lipschitz=[],
-            mass_lower_bound=value,
-            ball_mass=ball_m,
-            witnesses=wit,
-        )
-    grids = []
-    for f in fns:
-        lo, hi = ctx.support_range(f)
-        grids.append(np.linspace(lo, hi, grid))
-    values, skipped = _tensor_eval(ctx.current, fns, grids, fill_value_of_boundary)
+    if len(fns) > max_axes:
+        raise ArgumentError(f"at most {max_axes} slicing functions on a {ctx.current.dim}-current")
+    grids = _level_axes([box or ctx.support_range(f) for f in fns], grid)
+    values, skipped = _tensor_eval(ctx.current, fns, grids, leaf)
     integral = _tensor_trapezoid(values, grids)
     estimate = _richardson_estimate(values, grids)
     lips = [f.lip for f in fns]
-    lam = 1.0
-    for L in lips:
-        lam *= 1.0 / L if L > 0 else 0.0
+    lam = math.prod(1.0 / L if L > 0 else 0.0 for L in lips)
+    ball_m = mass(ctx.current)
     report = SlicedFillReport(
-        center=p,
-        radius=r,
+        center=ctx.center,
+        radius=ctx.radius,
         grid_axes=grids,
         values=values,
         integral=integral,
@@ -311,7 +276,29 @@ def sliced_fill(
     return report
 
 
+def sliced_fill(
+    T: SimplicialCurrent,
+    p: int,
+    r: float,
+    functions=None,
+    witnesses=None,
+    grid: int = 32,
+    context: BallContext | None = None,
+) -> SlicedFillReport:
+    """Quadrature of level -> FillVol(boundary of slice) over the level box.
+
+    `functions` are PL functions on T's complex, or `witnesses` are vertex
+    ids whose distance functions are used.  The level box spans the range of
+    each function over the closed ball.  The integral divided by the product
+    of Lipschitz constants is a lower bound for the ball's mass.
+    """
+    ctx = context or ball_context(T, p, r)
+    return _level_box(ctx, fill_value_of_boundary, grid, functions, witnesses, max_axes=T.dim - 1)
+
+
 def _tensor_trapezoid(values, grids):
+    if not grids:
+        return float(values[0])
     acc = values
     for axis in range(len(grids) - 1, -1, -1):
         acc = np.trapezoid(acc, grids[axis], axis=axis)
@@ -319,7 +306,7 @@ def _tensor_trapezoid(values, grids):
 
 
 def _richardson_estimate(values, grids):
-    if any((len(g) - 1) % 2 or len(g) < 3 for g in grids):
+    if not grids or any((len(g) - 1) % 2 or len(g) < 3 for g in grids):
         return None
     sub_vals = values[tuple(slice(None, None, 2) for _ in grids)]
     sub_grids = [g[::2] for g in grids]
@@ -344,14 +331,34 @@ def _witness_tuples(sphere, k, budget):
                 idx = [(start + j * n // frac) % n for j in range(k)]
                 if len(set(idx)) == k:
                     tuples.append(tuple(sphere[i] for i in idx))
-        seen = set()
-        uniq = []
-        for t in tuples:
-            if t not in seen:
-                seen.add(t)
-                uniq.append(t)
-        tuples = uniq[: max(budget, 1)]
+        tuples = list(dict.fromkeys(tuples))[: max(budget, 1)]  # distinct, in order
     return tuples or [tuple(sphere[:k])]
+
+
+EMPTY_SPHERE = "discrete sphere is empty"
+
+
+def _witness_search(ctx: BallContext, k, candidates, leaf, grid, box=None) -> SlicedFillReport:
+    """The level-box report of the first witness tuple with the largest
+    integral, over the k-tuples `_witness_tuples` draws from the discrete
+    sphere.  An empty sphere has no witness: its report is zero over the
+    fixed box, or over no axes when the box would follow the witnesses."""
+    sphere = ctx.sphere_vertices()
+    if k > 0 and not sphere:
+        grids = _level_axes([box] * k if box else [], grid)
+        report = SlicedFillReport(
+            center=ctx.center, radius=ctx.radius, grid_axes=grids,
+            values=np.zeros(tuple(len(g) for g in grids) or (1,)), integral=0.0,
+            lipschitz=[1.0] * k, mass_lower_bound=0.0, ball_mass=mass(ctx.current),
+        )
+        report.warnings.append(EMPTY_SPHERE)
+        return report
+    best = None
+    for wit in _witness_tuples(sphere, k, candidates):
+        report = _level_box(ctx, leaf, grid, witnesses=wit, box=box, max_axes=ctx.current.dim - 1)
+        if best is None or report.integral > best.integral:
+            best = report
+    return best
 
 
 def sf_k(
@@ -369,23 +376,10 @@ def sf_k(
     value is a certified lower bound for the supremum.  Returns the report
     of the best tuple found.
     """
+    if k < 0:
+        raise ArgumentError("need k >= 0 witnesses")
     ctx = context or ball_context(T, p, r)
-    if k == 0:
-        return sliced_fill(T, p, r, witnesses=(), grid=grid, context=ctx)
-    sphere = ctx.sphere_vertices()
-    if not sphere:
-        rep = SlicedFillReport(
-            center=p, radius=r, grid_axes=[], values=np.zeros(1), integral=0.0,
-            lipschitz=[1.0] * k, mass_lower_bound=0.0, ball_mass=mass(ctx.current),
-        )
-        rep.warnings.append("discrete sphere is empty")
-        return rep
-    best = None
-    for wit in _witness_tuples(sphere, k, candidates):
-        rep = sliced_fill(T, p, r, witnesses=wit, grid=grid, context=ctx)
-        if best is None or rep.integral > best.integral:
-            best = rep
-    return best
+    return _witness_search(ctx, k, candidates, fill_value_of_boundary, grid)
 
 
 def tetra_check(
@@ -408,50 +402,34 @@ def tetra_check(
         raise ArgumentError("need C > 0 and beta in (0, 1)")
     ctx = context or ball_context(T, p, r)
     m = T.dim
-    k = m - 1
-    sphere = ctx.sphere_vertices()
-    band = np.linspace((1 - beta) * r, (1 + beta) * r, samples)
     merge_tol = POINT_MERGE_REL * r
-    required = C * (2 * beta) ** k * r**m
-
-    def band_integral(wit):
-        fns = [distance_function(ctx.complex, w) for w in wit]
-        vals, _ = _tensor_eval(
-            ctx.current, fns, [band] * k, lambda cur: h_min_distance(cur, merge_tol)
-        )
-        return vals
-
-    best_wit, best_vals, best_int = (), np.zeros([samples] * max(k, 1)), 0.0
-    if not sphere and k > 0:
-        warnings = ["discrete sphere is empty"]
-    else:
-        warnings = []
-        for wit in _witness_tuples(sphere, k, candidates):
-            vals = band_integral(wit)
-            integral = _tensor_trapezoid(vals, [band] * k) if k else float(vals.reshape(-1)[0])
-            if best_wit == () or integral > best_int:
-                best_wit, best_vals, best_int = wit, vals, integral
-    passed = bool(best_vals.min() >= C * r) if best_vals.size else False
-    integral_passed = bool(best_int >= required)
-    ball_m = mass(ctx.current)
+    best = _witness_search(
+        ctx, m - 1, candidates, lambda cur: h_min_distance(cur, merge_tol), samples,
+        box=((1 - beta) * r, (1 + beta) * r),
+    )
+    required = C * (2 * beta) ** (m - 1) * r**m
+    passed = bool(best.values.min() >= C * r)
+    integral_passed = bool(best.integral >= required)
     report = TetraReport(
         center=p,
         radius=r,
-        witnesses=best_wit,
+        witnesses=best.witnesses,
         C=C,
         beta=beta,
-        grid_axes=[band] * k,
-        h_values=best_vals,
+        grid_axes=best.grid_axes,
+        h_values=best.values,
         passed=passed,
         integral_passed=integral_passed,
-        integral=best_int,
+        integral=best.integral,
         required_integral=required,
-        ball_mass=ball_m,
-        warnings=warnings,
+        ball_mass=best.ball_mass,
+        # the band integral of h bounds no mass: only the search's own
+        # warning applies
+        warnings=[w for w in best.warnings if w == EMPTY_SPHERE],
     )
-    if (passed or integral_passed) and ball_m + 1e-9 < required:
+    if (passed or integral_passed) and best.ball_mass + 1e-9 < required:
         report.warnings.append(
-            f"ball mass {ball_m} below the tetra volume bound {required}"
+            f"ball mass {best.ball_mass} below the tetra volume bound {required}"
         )
     return report
 

@@ -327,3 +327,84 @@ class TestDeterminism:
         back = chain_from_json(json.loads(text))
         assert back.signature() == T.signature()
         assert json.dumps(chain_to_json(back), sort_keys=True) == text
+
+
+def _main_json(argv, capsys):
+    """Exit code, parsed report (None unless exit 0) and stderr of one in-process run."""
+    code = main(argv)
+    out, err = capsys.readouterr()
+    return code, json.loads(out) if code == EXIT_OK else None, err
+
+
+class TestLevelBoxCommands:
+    @pytest.fixture()
+    def disk_path(self, tmp_path):
+        C, T = disk_mesh(h=0.25)
+        path = tmp_path / "disk.json"
+        path.write_text(json.dumps(chain_to_json(T)))
+        return str(path)
+
+    def test_sf_default_witness_is_the_first_sphere_vertex(self, disk_path, capsys):
+        from currentlab.slicedfill import ball_context
+
+        T = chain_from_json(json.loads(open(disk_path).read()))
+        first = ball_context(T, 0, 0.6).sphere_vertices()[0]
+        args = ["sf", "--input", disk_path, "--radius", "0.6", "--grid", "5"]
+        code, default, _ = _main_json(args, capsys)
+        code2, explicit, _ = _main_json(args + ["--witnesses", str(first)], capsys)
+        assert code == code2 == EXIT_OK
+        assert default == explicit
+        assert default["result"]["witnesses"] == [first]
+
+    def test_sf_on_an_empty_sphere_reports_zero(self, disk_path, capsys):
+        # radius 5 swallows the unit disk: the ball has no cut vertices
+        code, rep, err = _main_json(["sf", "--input", disk_path, "--radius", "5"], capsys)
+        assert code == EXIT_OK, err
+        assert rep["result"]["integral"] == 0.0
+        assert rep["warnings"] == ["discrete sphere is empty"]
+
+    def test_lab_sf_on_an_empty_sphere_reports_zero(self, capsys):
+        argv = ["lab", "--family", "refined_disk", "--quantity", "sf", "--schedule", "0.3,0.2", "--radius", "5"]
+        code, rep, err = _main_json(argv, capsys)
+        assert code == EXIT_OK, err
+        assert [row["value"] for row in rep["result"]["rows"]] == [0.0, 0.0]
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["sif", "--witnesses", "5", "--grid", "0"],
+            ["sif", "--witnesses", "5", "--grid", "1"],
+            ["sif", "--grid", "1"],
+            ["tetra", "--samples", "1"],
+            ["tetra", "--samples", "0"],
+            ["tetra", "--samples", "-1"],
+            ["sf", "--grid", "1"],
+            ["sfk", "--grid", "1"],
+            ["sfk", "--grid", "1", "--radius", "5"],
+            ["tetra", "--samples", "1", "--radius", "5"],
+        ],
+    )
+    def test_fewer_than_two_level_nodes_exit_2(self, disk_path, capsys, args):
+        argv = args[:1] + ["--input", disk_path, "--radius", "0.6"] + args[1:]
+        code, _, err = _main_json(argv, capsys)
+        assert code == EXIT_INPUT
+        assert "at least 2 nodes" in err
+
+
+class TestVertexIds:
+    @pytest.mark.parametrize(
+        "complex_json, vertex",
+        [
+            # vertex 7 of 3: indexing the coordinates failed with exit 3
+            ({"vertices": [[0, 0], [1, 0], [0, 1]], "simplices": {"0": [[0], [1], [2], [7]], "1": [[0, 7]]}}, 7),
+            # vertex -1 of 2: wrapped to vertex 1 and reported mass 1.0
+            ({"distances": [[0, 1], [1, 0]], "simplices": {"0": [[0], [-1]], "1": [[0, -1]]}}, -1),
+        ],
+        ids=["above", "negative"],
+    )
+    def test_vertex_outside_the_metric_exits_2(self, tmp_path, capsys, complex_json, vertex):
+        path = tmp_path / "ids.json"
+        path.write_text(json.dumps({"complex": complex_json, "current": {"dim": 1, "coeffs": [[0, 1]]}}))
+        code, _, err = _main_json(["mass", "--input", str(path)], capsys)
+        assert code == EXIT_INPUT
+        assert f"simplex ({vertex},) names a vertex outside" in err

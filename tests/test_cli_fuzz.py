@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from currentlab.cli import EXIT_INPUT, EXIT_INVARIANT, EXIT_OK, main
 from currentlab.currents import chain_to_json
-from currentlab.meshes import euclidean_box_mesh, square_complex
+from currentlab.meshes import disk_mesh, euclidean_box_mesh, square_complex
 
 TRIANGLE = [[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3) / 2]]
 
@@ -115,4 +115,33 @@ def test_chain_commands_fuzz(input_paths, command, name, second, function, level
 )
 def test_lab_fuzz(family, quantity, schedule):
     argv = ["lab", "--family", family, "--quantity", quantity, "--schedule", schedule, "--grid", "2"]
+    _check(argv, *_run(argv))
+
+
+@pytest.fixture(scope="module")
+def level_box_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("level_box")
+    payloads = {name: _inputs()[name] for name in ("tetrahedra", "cycle", "empty_current")}
+    payloads["disk"] = chain_to_json(disk_mesh(0.3)[1])
+    paths = {}
+    for name, payload in payloads.items():
+        path = root / f"{name}.json"
+        path.write_text(json.dumps(payload))
+        paths[name] = str(path)
+    return paths
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    command=st.sampled_from(["sf", "sfk", "sif", "tetra"]),
+    name=st.sampled_from(["disk", "tetrahedra", "cycle", "empty_current"]),
+    radius=st.sampled_from([0.6, 5.0]),  # 5 lies beyond every mesh: the discrete sphere is empty
+    nodes=st.integers(min_value=-1, max_value=4),
+    k=st.integers(min_value=-1, max_value=3),
+    candidates=st.integers(min_value=0, max_value=2),
+    witnesses=st.sampled_from(["", "0", "1", "99", "-1", "0,1"]),
+)
+def test_level_box_commands_fuzz(level_box_paths, command, name, radius, nodes, k, candidates, witnesses):
+    argv = [command, "--input", level_box_paths[name], "--radius", repr(radius), "--grid", str(nodes)]
+    argv += ["--samples", str(nodes), "--k", str(k), "--candidates", str(candidates), "--witnesses", witnesses]
     _check(argv, *_run(argv))
