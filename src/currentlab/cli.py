@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 
@@ -21,7 +22,6 @@ from .currents import (
     chain_to_json,
     current_from_json,
     evaluate,
-    load_chain,
     mass,
     total_mass,
 )
@@ -106,9 +106,11 @@ def _chain_and_data(path):
 
 def _metric_space_from(path):
     if path.endswith(".csv"):
+        # a square, symmetric, zero-diagonal CSV is a distance matrix, whose
+        # axiom violations are input errors; any other shape is a point cloud
         try:
             return load_distance_csv(path)
-        except (MetricError, ArgumentError):
+        except ArgumentError:
             return load_points_csv(path)
     data = _load_chain_file(path)
     if "distances" in data:
@@ -116,6 +118,14 @@ def _metric_space_from(path):
     if "points" in data:
         return FiniteMetricSpace.from_points(np.asarray(data["points"], dtype=float))
     raise ArgumentError(f"{path}: expected a distance/point CSV or JSON")
+
+
+def finite(text: str) -> float:
+    """The argparse type of every float option: nan and +-inf are bad input."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
 
 
 def _numbers(text: str, kind, option: str) -> tuple:
@@ -212,16 +222,12 @@ def _cmd_flatnorm(args):
         S = current_from_json(T.complex, data["current_b"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ArgumentError(f"{args.input}: bad current_b payload: {exc}") from exc
-    report = flat_distance(T, S, T.complex)
-    report.check()
-    return report.to_json()
+    return flat_distance(T, S, T.complex).to_json()
 
 
 def _cmd_fillvol(args):
     T, _ = _chain_and_data(args.input)
-    report = filling_volume(T, T.complex)
-    report.check()
-    return report.to_json()
+    return filling_volume(T, T.complex).to_json()
 
 
 def _cmd_fillvol0(args):
@@ -229,9 +235,7 @@ def _cmd_fillvol0(args):
     if "theta" not in data or "sigma" not in data:
         raise ArgumentError("fillvol0 input needs 'theta' and 'sigma' arrays")
     space = _metric_space_from(args.input)
-    report = filling_volume_0d(space, data["theta"], data["sigma"])
-    report.check()
-    return report.to_json()
+    return filling_volume_0d(space, data["theta"], data["sigma"]).to_json()
 
 
 def _cmd_sf(args):
@@ -243,17 +247,15 @@ def _cmd_sf(args):
 
 def _cmd_sfk(args):
     T, _ = _chain_and_data(args.input)
-    rep = sf_k(T, args.center, args.radius, args.k, candidates=args.candidates, grid=args.grid)
-    return rep.to_json()
+    return sf_k(T, args.center, args.radius, args.k, candidates=args.candidates, grid=args.grid).to_json()
 
 
 def _cmd_tetra(args):
     T, _ = _chain_and_data(args.input)
-    rep = tetra_check(
+    return tetra_check(
         T, args.center, args.radius, C=args.C, beta=args.beta,
         samples=args.samples, candidates=args.candidates,
-    )
-    return rep.to_json()
+    ).to_json()
 
 
 def _cmd_product(args):
@@ -266,9 +268,7 @@ def _cmd_product(args):
 
 def _cmd_ifv(args):
     T, _ = _chain_and_data(args.input)
-    report = interval_filling_volume(T, args.epsilon, args.layers)
-    report.check()
-    out = report.to_json()
+    out = interval_filling_volume(T, args.epsilon, args.layers).to_json()
     out["epsilon"] = args.epsilon
     out["mass_bound"] = out["value"] / args.epsilon
     return out
@@ -276,12 +276,11 @@ def _cmd_ifv(args):
 
 def _cmd_sif(args):
     T, _ = _chain_and_data(args.input)
-    rep = sliced_interval_fill(
+    return sliced_interval_fill(
         T, args.center, args.radius,
         witnesses=args.witnesses or None,
         epsilon=args.epsilon, grid=args.grid, layers=args.layers,
-    )
-    return rep.to_json()
+    ).to_json()
 
 
 def _cmd_gh(args):
@@ -292,9 +291,7 @@ def _cmd_gh(args):
 
 
 def _cmd_pack(args):
-    X = _metric_space_from(args.input)
-    rep = packing_number(X, args.radius)
-    return {"radius": rep.radius, "count": rep.count, "centers": list(rep.centers)}
+    return packing_number(_metric_space_from(args.input), args.radius).to_json()
 
 
 def _cmd_lab(args):
@@ -306,7 +303,7 @@ def _cmd_lab(args):
     if args.quantity == "semicontinuity":
         return semicontinuity_report(family)
     params = {
-        "radius": args.radius or 0.5,
+        "radius": 0.5 if args.radius is None else args.radius,
         "grid": args.grid,
         "epsilon": args.epsilon,
         "center_point": family.center,
@@ -347,18 +344,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input2", dest="input_b", help="second input (flatnorm, gh)")
         p.add_argument("--output", help="report path (stdout if omitted)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--radius", type=float)
-        p.add_argument("--epsilon", type=float, default=0.1)
+        p.add_argument("--radius", type=finite)
+        p.add_argument("--epsilon", type=finite, default=0.1)
         p.add_argument("--layers", type=int, default=1)
         p.add_argument("--grid", type=int, default=32)
         p.add_argument("--samples", type=int, default=5)
-        p.add_argument("--beta", type=float, default=0.5)
-        p.add_argument("--C", type=float, default=0.1)
+        p.add_argument("--beta", type=finite, default=0.5)
+        p.add_argument("--C", type=finite, default=0.1)
         p.add_argument("--k", type=int, default=1)
         p.add_argument("--candidates", type=int, default=6)
         p.add_argument("--exact-limit", dest="exact_limit", type=int, default=7)
         p.add_argument("--center", type=int, default=0)
-        p.add_argument("--level", type=float, default=0.0)
+        p.add_argument("--level", type=finite, default=0.0)
         p.add_argument("--function", default="coord:0")
         p.add_argument("--witnesses", default="")
         p.add_argument("--family", default="refined_disk")

@@ -104,11 +104,10 @@ def build_family(name: str, schedule) -> SequenceFamily:
 @dataclass
 class CommonEmbedding:
     """How two complexes share one ambient: the glued finite metric space,
-    or None when the ambient is their shared Euclidean space."""
+    or None when the ambient is their shared Euclidean space.  A's vertices
+    come first in the ambient, then B's, each in its own order."""
 
     ambient: FiniteMetricSpace | None
-    inject_a: list[int]
-    inject_b: list[int]
     correspondence: list[tuple[int, int]]
     delta: float
     distortion: float
@@ -171,19 +170,17 @@ def common_embed(CA: GeometricComplex, CB: GeometricComplex, correspondence=None
     ambient = FiniteMetricSpace(big, validate=True)
     return CommonEmbedding(
         ambient=ambient,
-        inject_a=list(range(na)),
-        inject_b=list(range(na, na + nb)),
         correspondence=pairs,
         delta=delta,
         distortion=dis,
     )
 
 
-def joined_complex(CA, TA, CB, TB, correspondence=None, delta=None, mode="auto"):
+def joined_complex(CA, TA, CB, TB):
     """One complex containing both meshes, plus the fillers its LPs need.
 
-    Returns (K, TA_in_K, TB_in_K, embedding, dropped).  In "natural" mode
-    (default whenever both meshes carry coordinates in the same space) the
+    Returns (K, TA_in_K, TB_in_K, embedding, dropped).  In natural mode
+    (whenever both meshes carry Euclidean coordinates in the same space) the
     ambient is the shared Euclidean space (`embedding.ambient` is None, as
     distances are read from the coordinates) and every injection is exactly
     isometric.  For top-dimensional currents in the plane
@@ -193,37 +190,31 @@ def joined_complex(CA, TA, CB, TB, correspondence=None, delta=None, mode="auto")
     matched simplices and, in natural mode, cone fillers from vertex 0 over
     every top simplex, so the flat-norm and filling LPs have (m+1)-chains
     to work with (genuine Euclidean simplices, of zero volume when the
-    meshes are coplanar).  In "glue" mode the two vertex metrics are joined
-    through the delta-weighted correspondence; the glued metric is
+    meshes are coplanar).  Otherwise, in glue mode, the two vertex metrics
+    are joined through `common_embed`'s nearest-vertex correspondence at its
+    least admissible delta; the glued metric is
     degenerate across the seam, so cross prisms that fail flat
     realizability are dropped (they never carry the input currents).
     """
     pa, pb = CA.coords(), CB.coords()
-    if mode == "auto":
-        natural = (
-            pa is not None
-            and pb is not None
-            and isinstance(CA.metric, EuclideanMetric)
-            and isinstance(CB.metric, EuclideanMetric)
-            and pa.shape[1] == pb.shape[1]
-        )
-    else:
-        natural = mode == "natural"
+    natural = (
+        pa is not None
+        and pb is not None
+        and isinstance(CA.metric, EuclideanMetric)
+        and isinstance(CB.metric, EuclideanMetric)
+        and pa.shape[1] == pb.shape[1]
+    )
     na = CA.n_vertices
-    if correspondence is None:
-        correspondence = nearest_vertex_correspondence(CA, CB)
     if natural:
         metric = EuclideanMetric(np.vstack([pa, pb]))
         emb = CommonEmbedding(
             ambient=None,
-            inject_a=list(range(na)),
-            inject_b=list(range(na, na + CB.n_vertices)),
-            correspondence=list(correspondence),
+            correspondence=nearest_vertex_correspondence(CA, CB),
             delta=0.0,
             distortion=0.0,
         )
     else:
-        emb = common_embed(CA, CB, correspondence, delta)
+        emb = common_embed(CA, CB)
         metric = MatrixMetric(emb.ambient.dist.copy())
     dim = CA.top_dim
     dropped = 0

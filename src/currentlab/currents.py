@@ -7,7 +7,6 @@ sorted and distinct, and their nonzero coefficients.
 """
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Mapping
 from functools import cached_property
@@ -356,11 +355,6 @@ def current_from_json(C: GeometricComplex, cur: dict) -> SimplicialCurrent:
 
 def chain_from_json(data: dict) -> SimplicialCurrent:
     return current_from_json(complex_from_json(data["complex"]), data["current"])
-
-
-def load_chain(path) -> SimplicialCurrent:
-    with open(path, "r", encoding="utf-8") as fh:
-        return chain_from_json(json.load(fh))
 
 
 def load_off(path) -> GeometricComplex:

@@ -24,7 +24,7 @@ from scipy.sparse import coo_matrix, eye, hstack
 
 from .complexes import EuclideanMetric, GeometricComplex
 from .currents import SimplicialCurrent, boundary, mass
-from .metricspace import ArgumentError, FiniteMetricSpace, InvariantError
+from .metricspace import ArgumentError, FiniteMetricSpace, InvariantError, Report
 
 INTEGRALITY_TOL = 1e-6
 RESIDUAL_TOL = 1e-8
@@ -33,7 +33,10 @@ SWEEP_BLOCK = 1 << 16
 
 
 @dataclass
-class FillingReport:
+class FillingReport(Report):
+    """A filling volume or flat distance as the bracket lower_bound <= value
+    <= upper_bound, checked when the report is built."""
+
     value: float
     lower_bound: float
     upper_bound: float
@@ -43,23 +46,20 @@ class FillingReport:
     residual: float = 0.0
     warnings: list = field(default_factory=list)
 
+    def __post_init__(self):
+        self.check()
+
+    @classmethod
+    def exact(cls, value, method, certificate) -> FillingReport:
+        """A value known exactly (a closed form or an exhaustive search): its
+        own lower and upper bound, integral, with no LP residual."""
+        return cls(value, value, value, certificate, integral=True, method=method, residual=0.0)
+
     def check(self):
         if not (self.lower_bound <= self.value + 1e-9 and self.value <= self.upper_bound + 1e-9):
             raise InvariantError(
                 f"filling report bounds out of order: {self.lower_bound}, {self.value}, {self.upper_bound}"
             )
-
-    def to_json(self):
-        return {
-            "value": self.value,
-            "lower_bound": self.lower_bound,
-            "upper_bound": self.upper_bound,
-            "integral": self.integral,
-            "method": self.method,
-            "residual": self.residual,
-            "certificate": {str(k): v for k, v in self.certificate.items()},
-            "warnings": list(self.warnings),
-        }
 
 
 def boundary_matrix(C: GeometricComplex, k: int):
@@ -108,7 +108,7 @@ def _certificate_from_vector(vec, tol=INTEGRALITY_TOL):
 
 
 def _lp_report(blocks, rhs, weights, names, upper, infeasible) -> FillingReport:
-    """Solve a weighted-L1 chain program and report it, checked.
+    """Solve a weighted-L1 chain program and report its bracket.
 
     `names` labels each block's certificate, `upper` is the cost of a known
     feasible point and `infeasible` the input-error message when none exists.
@@ -129,7 +129,6 @@ def _lp_report(blocks, rhs, weights, names, upper, infeasible) -> FillingReport:
     )
     if residual > RESIDUAL_TOL:
         report.warnings.append(f"LP residual {residual} above tolerance")
-    report.check()
     return report
 
 
@@ -225,20 +224,6 @@ def _winding_integral(C: SimplicialCurrent) -> float:
     return total
 
 
-def _winding_report(value, certificate) -> FillingReport:
-    report = FillingReport(
-        value=value,
-        lower_bound=value,
-        upper_bound=value,
-        certificate=certificate,
-        integral=True,
-        method="winding",
-        residual=0.0,
-    )
-    report.check()
-    return report
-
-
 def flat_distance(S: SimplicialCurrent, T: SimplicialCurrent, K: GeometricComplex | None = None) -> FillingReport:
     """Flat distance between same-dimensional currents in a common complex.
 
@@ -264,7 +249,7 @@ def flat_distance(S: SimplicialCurrent, T: SimplicialCurrent, K: GeometricComple
     if planar_top(K.metric, m):
         U = S - T
         cert_u = dict(zip(U.idx.tolist(), U.coeff.astype(float).tolist()))
-        return _winding_report(_winding_integral(boundary(U)), {"U": cert_u, "V": {}})
+        return FillingReport.exact(_winding_integral(boundary(U)), "winding", {"U": cert_u, "V": {}})
     if m + 1 not in K.simplices:
         raise ArgumentError(f"ambient complex has no {m + 1}-simplices")
     rhs = _chain_vector(S) - _chain_vector(T)
@@ -313,11 +298,11 @@ def filling_volume(B: SimplicialCurrent, K: GeometricComplex | None = None) -> F
         raise ArgumentError(f"filling_volume input is not a cycle; boundary residual {dict(res.coeffs)}")
     k = B.dim
     if B.is_zero():
-        return FillingReport(0.0, 0.0, 0.0, certificate={"S": {}}, integral=True, method="zero")
+        return FillingReport.exact(0.0, "zero", {"S": {}})
     if k + 1 not in K.simplices:
         raise ArgumentError(f"ambient complex has no {k + 1}-simplices")
     if planar_top(K.metric, k + 1):
-        return _winding_report(_winding_integral(B), {})
+        return FillingReport.exact(_winding_integral(B), "winding", {})
     D = boundary_matrix(K, k + 1)
     rhs = _chain_vector(B)
     return _lp_report(
@@ -353,14 +338,7 @@ def exhaustive_flat_distance(
     value = float(costs[best])
     cert_v = {int(i): float(v) for i, v in enumerate(V[best]) if v}
     cert_u = {int(i): float(u) for i, u in enumerate(U[best]) if u}
-    return FillingReport(
-        value=value,
-        lower_bound=value,
-        upper_bound=value,
-        certificate={"U": cert_u, "V": cert_v},
-        integral=True,
-        method="exhaustive",
-    )
+    return FillingReport.exact(value, "exhaustive", {"U": cert_u, "V": cert_v})
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +445,7 @@ def filling_volume_0d(space, theta, sigma, point_ids=None) -> FillingReport:
     else:
         dist = space.dist
     if n == 0:
-        return FillingReport(0.0, 0.0, 0.0, certificate={"flow": []}, integral=True, method="transport")
+        return FillingReport.exact(0.0, "transport", {"flow": []})
     pos = [k for k in range(n) if sigma[k] > 0]
     neg = [k for k in range(n) if sigma[k] < 0]
     costs = np.array([[dist(ids[i], ids[j]) for j in neg] for i in pos])
@@ -487,7 +465,6 @@ def filling_volume_0d(space, theta, sigma, point_ids=None) -> FillingReport:
     )
     if lower > value + 1e-9:
         report.warnings.append(f"atom lower bound {lower} exceeds transport value {value}")
-    report.check()
     return report
 
 

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -22,8 +22,24 @@ class InvariantError(RuntimeError):
     """A computed result broke an inequality or identity that must hold."""
 
 
+def _json_value(value):
+    """A report field as plain JSON values: arrays and sequences become lists."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_json_value(v) for v in value]
+    return value
+
+
+class Report:
+    """Base of the report dataclasses: one JSON walk over their fields."""
+
+    def to_json(self):
+        return {f.name: _json_value(getattr(self, f.name)) for f in fields(self)}
+
+
 @dataclass(frozen=True)
-class PackingReport:
+class PackingReport(Report):
     """Greedy packing certificate: pairwise distances of centers are >= 2*radius."""
 
     radius: float
@@ -250,7 +266,12 @@ def gh_bounds(X: FiniteMetricSpace, Y: FiniteMetricSpace, exact_limit: int = GH_
 
 
 def load_distance_csv(path) -> FiniteMetricSpace:
-    """Distance matrix CSV: n rows of n floats, optional leading label row."""
+    """Distance matrix CSV: n rows of n floats, optional leading label row.
+
+    Cells that do not form a square, symmetric, zero-diagonal matrix raise
+    ArgumentError (the file is not a distance matrix); such a matrix that
+    breaks nonnegativity or the triangle inequality raises MetricError.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         rows = [line.strip() for line in fh if line.strip()]
     if not rows:
@@ -274,6 +295,8 @@ def load_distance_csv(path) -> FiniteMetricSpace:
                 raise ArgumentError(f"bad float at row {i}, column {j}: {cell!r}") from exc
     if labels is not None and len(labels) != n:
         raise ArgumentError("label row length does not match matrix size")
+    if n and max(np.abs(np.diag(mat)).max(), np.abs(mat - mat.T).max()) > METRIC_TOL:
+        raise ArgumentError("not a distance matrix: nonzero diagonal or asymmetric")
     return FiniteMetricSpace(mat, labels=labels)
 
 

@@ -203,15 +203,7 @@ def interval_filling_volume(T: SimplicialCurrent, epsilon: float, layers: int = 
     """
     prod, _ = product_current(T, epsilon, layers)
     value = mass(prod)
-    report = FillingReport(
-        value=value,
-        lower_bound=value,
-        upper_bound=value,
-        certificate={"S": dict(prod.coeffs)},
-        integral=True,
-        method="prism",
-        residual=0.0,
-    )
+    report = FillingReport.exact(value, "prism", {"S": dict(prod.coeffs)})
     bound = mass(T) + 1e-9 * max(mass(T), 1.0)
     if value / epsilon > bound:
         report.warnings.append(

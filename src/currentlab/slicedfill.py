@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .complexes import GeometricComplex, PLFunction, distance_function
 from .currents import SimplicialCurrent, boundary, mass
 from .fillvol import filling_volume, filling_volume_0d
-from .metricspace import ArgumentError
+from .metricspace import ArgumentError, Report
 from .slicing import (
     Refinement,
     slice_current,
@@ -90,22 +90,8 @@ def ball_context(T: SimplicialCurrent, p: int, r: float, mode="auto") -> BallCon
     return BallContext(current=current, refinement=ref, center=p, radius=r, rho=rho2)
 
 
-def _json_value(value):
-    """A report field as plain JSON values: arrays and sequences become lists."""
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (list, tuple)):
-        return [_json_value(v) for v in value]
-    return value
-
-
-class _Report:
-    def to_json(self):
-        return {f.name: _json_value(getattr(self, f.name)) for f in fields(self)}
-
-
 @dataclass
-class SlicedFillReport(_Report):
+class SlicedFillReport(Report):
     center: int
     radius: float
     grid_axes: list
@@ -121,7 +107,7 @@ class SlicedFillReport(_Report):
 
 
 @dataclass
-class TetraReport(_Report):
+class TetraReport(Report):
     center: int
     radius: float
     witnesses: tuple
@@ -228,6 +214,11 @@ def _level_axes(ranges, grid):
     return [np.linspace(lo, hi, grid) for lo, hi in ranges]
 
 
+def _check_axis_count(count, max_axes, dim):
+    if count > max_axes:
+        raise ArgumentError(f"at most {max_axes} slicing functions on a {dim}-current")
+
+
 def _level_box(ctx: BallContext, leaf, grid, functions=None, witnesses=None, box=None, *, max_axes):
     """The level-box quadrature behind every sliced quantity.
 
@@ -247,8 +238,7 @@ def _level_box(ctx: BallContext, leaf, grid, functions=None, witnesses=None, box
         fns = [distance_function(ctx.complex, w) for w in wit]
     else:
         fns = [ctx.refinement.transfer_function(f) for f in (functions or [])]
-    if len(fns) > max_axes:
-        raise ArgumentError(f"at most {max_axes} slicing functions on a {ctx.current.dim}-current")
+    _check_axis_count(len(fns), max_axes, ctx.current.dim)
     grids = _level_axes([box or ctx.support_range(f) for f in fns], grid)
     values, skipped = _tensor_eval(ctx.current, fns, grids, leaf)
     integral = _tensor_trapezoid(values, grids)
@@ -342,7 +332,9 @@ def _witness_search(ctx: BallContext, k, candidates, leaf, grid, box=None) -> Sl
     """The level-box report of the first witness tuple with the largest
     integral, over the k-tuples `_witness_tuples` draws from the discrete
     sphere.  An empty sphere has no witness: its report is zero over the
-    fixed box, or over no axes when the box would follow the witnesses."""
+    fixed box, or over no axes when the box would follow the witnesses.
+    A k beyond the level box's axes is an input error either way."""
+    _check_axis_count(k, ctx.current.dim - 1, ctx.current.dim)
     sphere = ctx.sphere_vertices()
     if k > 0 and not sphere:
         grids = _level_axes([box] * k if box else [], grid)

@@ -218,6 +218,42 @@ class TestErrors:
         assert "input error" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["ifv", "--epsilon", "nan"],
+            ["ifv", "--epsilon", "inf"],
+            ["product", "--epsilon", "nan"],
+            ["sif", "--radius", "0.5", "--epsilon", "nan"],
+            ["ball", "--radius", "nan"],
+            ["sphere", "--radius", "nan"],
+            ["tetra", "--radius", "nan"],
+            ["tetra", "--radius", "0.5", "--beta=-inf"],
+            ["tetra", "--radius", "0.5", "--C", "inf"],
+            ["slice", "--level", "nan"],
+        ],
+    )
+    def test_non_finite_float_options_exit_2(self, square_chain_path, capsys, args):
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--input", str(square_chain_path)])
+        assert exc.value.code == EXIT_INPUT
+        assert "invalid finite value" in capsys.readouterr().err
+
+    def test_distance_csv_breaking_the_axioms_exits_2(self, tmp_path, capsys):
+        # square, symmetric and zero-diagonal: a distance matrix with
+        # d(0,2) = 5 > d(0,1) + d(1,2), never re-read as three points
+        bad = tmp_path / "bad.csv"
+        bad.write_text("0,1,5\n1,0,1\n5,1,0\n")
+        good = tmp_path / "good.csv"
+        good.write_text("0,1,1\n1,0,1\n1,1,0\n")
+        assert main(["pack", "--input", str(bad), "--radius", "0.6"]) == EXIT_INPUT
+        assert main(["gh", "--input", str(good), "--input2", str(bad)]) == EXIT_INPUT
+        assert capsys.readouterr().err.count("triangle inequality violated") == 2
+
+    def test_lab_radius_zero_exits_2(self, capsys):
+        assert main(["lab", "--schedule", "0.3", "--radius", "0"]) == EXIT_INPUT
+        assert "radius must be positive" in capsys.readouterr().err
+
     def test_invariant_violation_exits_1(self, triangle_cycle_path, monkeypatch, capsys):
         import currentlab.cli as cli
         from currentlab.fillvol import FillingReport
@@ -389,6 +425,13 @@ class TestLevelBoxCommands:
         code, _, err = _main_json(argv, capsys)
         assert code == EXIT_INPUT
         assert "at least 2 nodes" in err
+
+    @pytest.mark.parametrize("radius", ["0.6", "5"])  # 5: the discrete sphere is empty
+    def test_sfk_too_many_witnesses_exit_2(self, disk_path, capsys, radius):
+        argv = ["sfk", "--input", disk_path, "--radius", radius, "--k", "2"]
+        code, _, err = _main_json(argv, capsys)
+        assert code == EXIT_INPUT
+        assert "at most 1 slicing functions on a 2-current" in err
 
 
 class TestVertexIds:

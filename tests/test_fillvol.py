@@ -265,3 +265,22 @@ def test_only_a_proven_infeasible_lp_is_an_input_error(monkeypatch, status, erro
 def test_corrupted_report_raises_invariant_error():
     with pytest.raises(InvariantError):
         FillingReport(value=1.0, lower_bound=2.0, upper_bound=3.0).check()
+
+
+def test_report_is_checked_where_it_is_built():
+    with pytest.raises(InvariantError):
+        FillingReport(1.0, 2.0, 3.0)
+    with pytest.raises(InvariantError):
+        FillingReport.exact(math.nan, "winding", {})
+    rep = FillingReport.exact(0.5, "winding", {})
+    assert (rep.lower_bound, rep.value, rep.upper_bound) == (0.5, 0.5, 0.5)
+    assert rep.integral and rep.residual == 0.0
+
+
+def test_exhaustive_report_is_checked(monkeypatch):
+    """A NaN optimum of the exhaustive search stops where its report is built."""
+    C, T = square_complex()
+    bottom = SimplicialCurrent(C, 1, {C.index(1)[(0, 1)]: 1})
+    monkeypatch.setattr(C, "masses", lambda k: np.full(C.count(k), np.nan))
+    with pytest.raises(InvariantError):
+        exhaustive_flat_distance(bottom, SimplicialCurrent.zero(C, 1), C)

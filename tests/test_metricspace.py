@@ -223,6 +223,12 @@ class TestCsv:
         with pytest.raises(ArgumentError, match="ragged"):
             load_distance_csv(path)
 
+    def test_square_point_cloud_is_not_a_distance_matrix(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("0,0\n3,4\n")  # square, but its diagonal is not zero
+        with pytest.raises(ArgumentError, match="not a distance matrix"):
+            load_distance_csv(path)
+
     def test_points(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("0,0\n3,4\n")

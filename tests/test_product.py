@@ -7,7 +7,7 @@ from currentlab.complexes import EuclideanMetric, GeometricComplex
 from currentlab.currents import SimplicialCurrent, boundary, mass, push_forward
 from currentlab.fillvol import boundary_matrix, filling_volume, flat_distance
 from currentlab.meshes import disk_mesh, grid_mesh, interval_chain, sphere_mesh, square_complex
-from currentlab.metricspace import ArgumentError
+from currentlab.metricspace import ArgumentError, InvariantError
 from currentlab.product import (
     _staircase_chain,
     build_product_complex,
@@ -98,6 +98,15 @@ class TestProductCurrent:
 
 
 class TestIntervalFilling:
+    def test_report_is_checked(self, monkeypatch):
+        """A NaN prism mass stops where the report is built."""
+        import currentlab.product as product
+
+        C, T = interval_chain(1)
+        monkeypatch.setattr(product, "mass", lambda current: math.nan)
+        with pytest.raises(InvariantError):
+            interval_filling_volume(T, 0.1)
+
     def test_unit_edge_rectangle(self):
         C, T = interval_chain(1)
         rep = interval_filling_volume(T, 0.1)
