@@ -69,11 +69,6 @@ class EuclideanMetric:
         raw = np.asarray(raw_points, dtype=float).reshape(-1, self.coords.shape[1])
         return EuclideanMetric(np.vstack([self.coords, raw]))
 
-    def add_points(self, raw_points):
-        start = self.n
-        self.coords = self.grown(raw_points).coords
-        return list(range(start, self.n))
-
 
 class CallableMetric:
     """Raw points plus a vectorized distance function d(A, B) on point arrays.
@@ -141,11 +136,6 @@ class CallableMetric:
         """A new metric with the given points appended."""
         raw = np.asarray(raw_points, dtype=float).reshape(-1, self.points.shape[1])
         return CallableMetric(np.vstack([self.points, raw]), self.fn, wrap=self.wrap)
-
-    def add_points(self, raw_points):
-        start = self.n
-        self.points = self.grown(raw_points).points
-        return list(range(start, self.n))
 
 
 class MatrixMetric:

@@ -28,12 +28,15 @@ from .complexes import (
     distance_function,
 )
 from .currents import boundary, mass, push_forward
-from .fillvol import filling_volume, flat_distance, planar_top
+from .fillvol import filling_volume, fillvol_continuity_gap, planar_top
 from .metricspace import ArgumentError, FiniteMetricSpace
 from .meshes import add_spikes, disk_mesh, full_torus_mesh, nearest_vertex, sphere_mesh
 from .product import interval_filling_volume, sliced_interval_fill, staircase
 from .slicing import subdivide_at_level, _sublevel_indicator
 from .slicedfill import ball_context, sf_k, sliced_fill
+
+SEMICONTINUITY_TOL = 1e-9  # absolute slack of the mass and diameter checks
+TRIVIAL_REL = 1e-9  # a pair bound is informative below (1 - TRIVIAL_REL) * (M(A) + M(B))
 
 
 @dataclass
@@ -114,10 +117,7 @@ class CommonEmbedding:
 
 
 def _full_matrix(metric):
-    n = metric.n
-    mat = np.zeros((n, n))
-    for i in range(n):
-        mat[i] = metric.row(i)
+    mat = np.array([metric.row(i) for i in range(metric.n)])
     return 0.5 * (mat + mat.T)
 
 
@@ -140,18 +140,21 @@ def common_embed(CA: GeometricComplex, CB: GeometricComplex, correspondence=None
 
     Cross distances are inf over matched pairs (x, y) of
     d_A(a, x) + delta + d_B(y, b); delta below half the correspondence
-    distortion is rejected, and the glued matrix is fully validated (the
-    first violating triple is reported).
+    distortion is rejected.  The glued matrix is then a metric (Burago-Burago-
+    Ivanov, Thm 7.3.25) and is not re-validated; a `MatrixMetric` block,
+    being outside data, is validated before gluing.
     """
     DA = _full_matrix(CA.metric)
     DB = _full_matrix(CB.metric)
+    for C, D in ((CA, DA), (CB, DB)):
+        if isinstance(C.metric, MatrixMetric):
+            FiniteMetricSpace(D)
     if correspondence is None:
         correspondence = nearest_vertex_correspondence(CA, CB)
     pairs = list(correspondence)
     if not pairs:
         raise ArgumentError("correspondence must be nonempty")
-    xs = [x for x, _ in pairs]
-    ys = [y for _, y in pairs]
+    xs, ys = np.array(pairs, dtype=np.intp).T
     sub = np.abs(DA[np.ix_(xs, xs)] - DB[np.ix_(ys, ys)])
     dis = float(sub.max())
     if delta is None:
@@ -159,17 +162,15 @@ def common_embed(CA: GeometricComplex, CB: GeometricComplex, correspondence=None
     if delta < dis / 2.0:
         raise ArgumentError(f"delta {delta} below half the correspondence distortion {dis / 2}")
     na, nb = len(DA), len(DB)
+    # min over x's pairs (x, y) of d_B(y, .) first: rounding is monotone, so bit-identical
+    order = np.argsort(xs, kind="stable")
+    ux, first = np.unique(xs[order], return_index=True)
+    h = np.minimum.reduceat(DB[ys[order]], first, axis=0)
     cross = np.full((na, nb), np.inf)
-    for (x, y) in pairs:
-        cross = np.minimum(cross, DA[:, x][:, None] + delta + DB[y, :][None, :])
-    big = np.zeros((na + nb, na + nb))
-    big[:na, :na] = DA
-    big[na:, na:] = DB
-    big[:na, na:] = cross
-    big[na:, :na] = cross.T
-    ambient = FiniteMetricSpace(big, validate=True)
+    for x, hx in zip(ux, h):
+        np.minimum(cross, (DA[:, x] + delta)[:, None] + hx[None, :], out=cross)
     return CommonEmbedding(
-        ambient=ambient,
+        ambient=FiniteMetricSpace(np.block([[DA, cross], [cross.T, DB]]), validate=False),
         correspondence=pairs,
         delta=delta,
         distortion=dis,
@@ -215,7 +216,7 @@ def joined_complex(CA, TA, CB, TB):
         )
     else:
         emb = common_embed(CA, CB)
-        metric = MatrixMetric(emb.ambient.dist.copy())
+        metric = MatrixMetric(emb.ambient.dist)
     dim = CA.top_dim
     dropped = 0
     if natural and planar_top(metric, dim):  # the disjoint union of the meshes, no fillers
@@ -283,7 +284,7 @@ def diameter_of(C: GeometricComplex) -> float:
     return worst
 
 
-def semicontinuity_report(family: SequenceFamily, tolerance=1e-9) -> dict:
+def semicontinuity_report(family: SequenceFamily) -> dict:
     """Mass and diameter along the schedule against the expected limit."""
     if family.expected_limit is None:
         raise ArgumentError("semicontinuity report needs an expected limit")
@@ -300,8 +301,8 @@ def semicontinuity_report(family: SequenceFamily, tolerance=1e-9) -> dict:
                 "param": param,
                 "mass": m,
                 "diameter": d,
-                "mass_ok": bool(m >= limit_mass - tolerance),
-                "diameter_ok": bool(d >= limit_diam - tolerance),
+                "mass_ok": bool(m >= limit_mass - SEMICONTINUITY_TOL),
+                "diameter_ok": bool(d >= limit_diam - SEMICONTINUITY_TOL),
             }
         )
     last = rows[-1]
@@ -346,9 +347,10 @@ def continuity_sweep(family: SequenceFamily, quantity: str, params=None) -> dict
     """Quantity per member plus gap-versus-bound checks on consecutive pairs.
 
     For the fillvol quantity, consecutive members are joined in a common
-    complex, matched balls are cut on one shared refinement, and the filling
-    gap is checked against the flat distance between the balls, both taken
-    in the same ambient (the complex, or R^2 for planar natural mode).
+    complex, matched balls are cut on one shared refinement, and
+    `fillvol_continuity_gap` checks the gap against their flat distance in one
+    ambient (the complex, or R^2 for planar natural mode).  A row whose bound
+    is not below the trivial M(ball_a) + M(ball_b) cannot fail.
     """
     params = dict(params or {})
     members = family.members()
@@ -358,23 +360,20 @@ def continuity_sweep(family: SequenceFamily, quantity: str, params=None) -> dict
     if quantity == "fillvol" and len(members) > 1:
         r = params.get("radius", 0.5)
         center = params.get("center_point", family.center)
-        tol = params.get("tolerance", 1e-6)
         for (CA, TA), (CB, TB) in zip(members, members[1:]):
             K, TA_K, TB_K, emb, _ = joined_complex(CA, TA, CB, TB)
             pa = nearest_vertex(CA, center)
             pb = nearest_vertex(CB, center) + CA.n_vertices
             ball_a, ball_b = matched_balls(K, TA_K, TB_K, pa, pb, r)
-            K2 = ball_a.complex
-            fa = filling_volume(boundary(ball_a), K2).value
-            fb = filling_volume(boundary(ball_b), K2).value
-            bound = flat_distance(ball_a, ball_b, K2).value
-            gap = abs(fa - fb)
+            gap, bound = fillvol_continuity_gap(ball_a, ball_b, ball_a.complex)
+            trivial = mass(ball_a) + mass(ball_b)
             checks.append(
                 {
                     "gap": gap,
                     "bound": bound,
                     "delta": emb.delta,
-                    "ok": bool(gap <= bound + tol),
+                    "trivial": trivial,
+                    "informative": bool(bound < (1.0 - TRIVIAL_REL) * trivial),
                 }
             )
     return {
@@ -382,5 +381,5 @@ def continuity_sweep(family: SequenceFamily, quantity: str, params=None) -> dict
         "quantity": quantity,
         "rows": rows,
         "pair_checks": checks,
-        "passed": bool(all(c["ok"] for c in checks)) if checks else True,
+        "passed": True,  # a pair whose gap exceeds its bound raises InvariantError
     }

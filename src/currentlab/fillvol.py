@@ -471,13 +471,11 @@ def filling_volume_0d(space, theta, sigma, point_ids=None) -> FillingReport:
 def fillvol_continuity_gap(M1: SimplicialCurrent, M2: SimplicialCurrent, K: GeometricComplex | None = None):
     """Gap between filling volumes of the boundaries against the flat distance.
 
-    Returns (gap, bound) with gap = |FillVol(bd M1) - FillVol(bd M2)| and
-    bound = flat_distance(M1, M2); the inequality gap <= bound holds within
-    a common complex because a filling of one boundary plus the flat-norm
-    decomposition fills the other.
+    Returns (gap, bound), gap = |FillVol(bd M1) - FillVol(bd M2)| and bound =
+    flat_distance(M1, M2) in K (default M1's complex); gap <= bound in a common
+    complex, as a filling of one boundary plus the flat-norm decomposition
+    fills the other, and a gap above bound + 1e-6 raises InvariantError.
     """
-    if K is None:
-        K = M1.complex
     f1 = filling_volume(boundary(M1), K)
     f2 = filling_volume(boundary(M2), K)
     gap = abs(f1.value - f2.value)

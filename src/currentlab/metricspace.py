@@ -117,7 +117,7 @@ def packing_number(space: FiniteMetricSpace, r: float) -> PackingReport:
     center when it is at distance >= 2r from every center chosen so far.  The
     count is a lower bound on the true packing number.
     """
-    if r <= 0:
+    if not r > 0:
         raise ArgumentError(f"packing radius must be positive, got {r}")
     centers: list[int] = []
     for i in range(space.n):
@@ -128,7 +128,7 @@ def packing_number(space: FiniteMetricSpace, r: float) -> PackingReport:
 
 def exhaustive_packing_number(space: FiniteMetricSpace, r: float, limit=12) -> PackingReport:
     """Exact maximum packing by subset enumeration; only for n <= limit."""
-    if r <= 0:
+    if not r > 0:
         raise ArgumentError(f"packing radius must be positive, got {r}")
     if space.n > limit:
         raise ArgumentError(f"exhaustive packing limited to n <= {limit}")

@@ -81,7 +81,7 @@ def staircase(bottom, top):
 
 def build_product_complex(base: GeometricComplex, epsilon: float, layers: int = 1) -> ProductComplex:
     """Triangulated base x [0, eps] with `layers` equal slabs."""
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ArgumentError("interval length must be positive")
     if layers < 1:
         raise ArgumentError("need at least one layer")
@@ -178,7 +178,7 @@ def sliced_interval_fill(
     Lipschitz constants: a coarea mass bound, not an independent filling
     bound.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ArgumentError("interval length must be positive")
 
     def leaf(current):

@@ -76,7 +76,7 @@ class BallContext:
 
 
 def ball_context(T: SimplicialCurrent, p: int, r: float, mode="auto") -> BallContext:
-    if r <= 0:
+    if not r > 0:
         raise ArgumentError("ball radius must be positive")
     rho = distance_function(T.complex, p, mode=mode)
     ref = subdivide_at_level(T.complex, rho.values, r)
@@ -390,7 +390,7 @@ def tetra_check(
     pointwise flag needs h >= C r at every sampled node, the integral flag
     needs the band integral to reach C (2 beta)^(m-1) r^m.
     """
-    if C <= 0 or not (0 < beta < 1):
+    if not C > 0 or not (0 < beta < 1):
         raise ArgumentError("need C > 0 and beta in (0, 1)")
     ctx = context or ball_context(T, p, r)
     m = T.dim

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
@@ -502,7 +503,7 @@ def coarea_profile(T: SimplicialCurrent, f: PLFunction, samples: int):
 
 def ball(T: SimplicialCurrent, p: int, r: float, mode="auto") -> SimplicialCurrent:
     """Subdivided restriction of T to the open metric ball around vertex p."""
-    if r <= 0:
+    if not r > 0:
         raise ArgumentError("ball radius must be positive")
     rho = distance_function(T.complex, p, mode=mode)
     return restrict_sublevel(T, rho, r, side="below")
@@ -516,6 +517,8 @@ def sphere(T: SimplicialCurrent, p: int, r: float, mode="auto") -> SliceResult:
 
 def annulus_mass(T: SimplicialCurrent, f: PLFunction, a: float, b: float) -> float:
     """Mass of T restricted to {a < f < b}, computed exactly by refinement."""
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ArgumentError(f"annulus bounds must be finite, got {a}, {b}")
     if b <= a:
         return 0.0
     ref1 = subdivide_at_level(T.complex, f.values, a)

@@ -335,6 +335,23 @@ def correspondence_oracle(CA: GeometricComplex, CB: GeometricComplex):
     return out
 
 
+def glued_matrix_oracle(CA: GeometricComplex, CB: GeometricComplex, pairs, delta):
+    """The glued distance matrix of two vertex metrics, one matched pair at a
+    time: cross distances are the least d_A(a, x) + delta + d_B(y, b)."""
+
+    def full(metric):
+        mat = np.zeros((metric.n, metric.n))
+        for i in range(metric.n):
+            mat[i] = metric.row(i)
+        return 0.5 * (mat + mat.T)
+
+    DA, DB = full(CA.metric), full(CB.metric)
+    cross = np.full((len(DA), len(DB)), np.inf)
+    for (x, y) in pairs:
+        cross = np.minimum(cross, DA[:, x][:, None] + delta + DB[y, :][None, :])
+    return np.block([[DA, cross], [cross.T, DB]])
+
+
 def transfer_oracle(ref: Refinement, T: SimplicialCurrent) -> SimplicialCurrent:
     table = ref.children.get(T.dim, {})
     out: dict[int, int] = {}
