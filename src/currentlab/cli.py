@@ -341,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in _HANDLERS:
         p = sub.add_parser(name)
         p.add_argument("--input", help="input chain JSON / CSV")
-        p.add_argument("--input2", dest="input_b", help="second input (flatnorm, gh)")
+        p.add_argument("--input2", dest="input_b", help="second input (gh)")
         p.add_argument("--output", help="report path (stdout if omitted)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--radius", type=finite)

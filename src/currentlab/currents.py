@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .complexes import EuclideanMetric, GeometricComplex, MatrixMetric, PLFunction, distinct_rows, lookup_rows
-from .metricspace import ArgumentError
+from .metricspace import ArgumentError, FiniteMetricSpace
 
 COEFF_LIMIT = 2**62
 """A chain's |coefficients| sum below this, so the sum of two chains and
@@ -328,7 +328,7 @@ def chain_to_json(T: SimplicialCurrent) -> dict:
 
 def complex_from_json(data: dict) -> GeometricComplex:
     if "distances" in data:
-        metric = MatrixMetric(np.asarray(data["distances"], dtype=float))
+        metric = MatrixMetric(FiniteMetricSpace(np.asarray(data["distances"], dtype=float)).dist)
     elif "vertices" in data:
         metric = EuclideanMetric(np.asarray(data["vertices"], dtype=float))
     else:

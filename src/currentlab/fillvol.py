@@ -16,6 +16,7 @@ the flat distance of two 2-currents S, T is M(S - T), the integral of
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -430,12 +431,11 @@ def filling_volume_0d(space, theta, sigma, point_ids=None) -> FillingReport:
     geodesic segments, hence an upper bound on the minimal filling mass; the
     reported lower bound is max_j theta_j * min_{i != j} d(p_i, p_j).
     """
-    theta = [int(t) for t in theta]
-    sigma = [int(s) for s in sigma]
-    if any(t <= 0 for t in theta):
+    if not all((isinstance(t, numbers.Integral) or isinstance(t, float) and t.is_integer()) and t > 0 for t in theta):
         raise ArgumentError("weights must be positive integers")
     if any(s not in (-1, 1) for s in sigma):
         raise ArgumentError("signs must be +1 or -1")
+    theta, sigma = [int(t) for t in theta], [int(s) for s in sigma]
     if sum(t * s for t, s in zip(theta, sigma)) != 0:
         raise ArgumentError("signed weights must sum to zero")
     n = len(theta)

@@ -140,66 +140,37 @@ def snap_level(values, s, snap_rel=SNAP_REL):
     return float(s), False, None
 
 
-def _quad_triangles(a, b, c, d):
-    """Split the cycle (a,b,c,d) along the diagonal through its smallest id."""
-    m = min(a, b, c, d)
-    if m == a or m == c:
-        return [(a, b, c), (a, c, d)]
-    return [(a, b, d), (b, c, d)]
-
-
-def _prism_tets(t0, t1):
-    """Triangulate a prism given matching triangles; canonical in global ids."""
-    six = list(t0) + list(t1)
-    apex = min(six)
-    tris = [tuple(t0), tuple(t1)]
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        tris.extend(_quad_triangles(t0[i], t0[j], t1[j], t1[i]))
-    return [(apex,) + tri for tri in tris if apex not in tri]
-
-
 def _split_pieces(simplex, below_mask, cut):
-    """Children (as unsorted vertex tuples) of a crossing simplex.
+    """Children (as unsorted vertex tuples) of a crossing simplex, by the
+    pulling triangulation of each side in increasing id order (De Loera,
+    Rambau and Santos, *Triangulations*, 2010).
 
     `cut[(u, v)]` is the id of the point where the level crosses edge {u,v}.
-    Returns (below_children, above_children).
+    A cell (P, Q, side), P the vertices of one side and Q of the other, is
+    the convex hull of the cut points of P x Q, plus P when `side`: the side
+    of the face P + Q, or else its cut face Delta_P x Delta_Q.  Its smallest
+    vertex is coned over the pulled facets that miss it; the rule restricts
+    to faces, so shared faces split alike.  Returns (below_children,
+    above_children).
     """
-    k = len(simplex) - 1
-    below = [v for v, b in zip(simplex, below_mask) if b]
-    above = [v for v, b in zip(simplex, below_mask) if not b]
+    below = tuple(v for v, b in zip(simplex, below_mask) if b)
+    above = tuple(v for v, b in zip(simplex, below_mask) if not b)
 
-    def cut_of(u, v):
-        return cut[(u, v) if u < v else (v, u)]
+    def vertices(P, Q, side):
+        return (P if side else ()) + tuple(cut[(p, q) if p < q else (q, p)] for p in P for q in Q)
 
-    if k == 1:
-        u, v = below[0], above[0]
-        c = cut_of(u, v)
-        return [(u, c)], [(c, v)]
-    if k == 2:
-        if len(below) == 1:
-            w = below[0]
-            x, y = above
-            p, q = cut_of(w, x), cut_of(w, y)
-            return [(w, p, q)], _quad_triangles(p, x, y, q)
-        w, x = below
-        y = above[0]
-        p, q = cut_of(w, y), cut_of(x, y)
-        return _quad_triangles(w, x, q, p), [(p, q, y)]
-    if k == 3:
-        if len(below) == 1 or len(above) == 1:
-            flip = len(above) == 1
-            lone = above[0] if flip else below[0]
-            rest = below if flip else above
-            cuts = [cut_of(lone, v) for v in rest]
-            tet = [(lone,) + tuple(cuts)]
-            prism = _prism_tets(tuple(cuts), tuple(rest))
-            return (prism, tet) if flip else (tet, prism)
-        w1, w2 = below
-        x, y = above
-        below_prism = _prism_tets((w1, cut_of(w1, x), cut_of(w1, y)), (w2, cut_of(w2, x), cut_of(w2, y)))
-        above_prism = _prism_tets((x, cut_of(w1, x), cut_of(w2, x)), (y, cut_of(w1, y), cut_of(w2, y)))
-        return below_prism, above_prism
-    raise ArgumentError(f"level-set subdivision implemented for simplices of dimension <= 3, got {k}")
+    def pull(P, Q, side):
+        verts = vertices(P, Q, side)
+        if len(verts) == len(P) + len(Q) - (not side):  # dim + 1 vertices
+            return [verts]
+        apex = min(verts)
+        # facets: drop one vertex of P or of Q, and a side's cut face
+        facets = [(P[:i] + P[i + 1 :], Q, side) for i in range(len(P)) if len(P) > 1]
+        facets += [(P, Q[:i] + Q[i + 1 :], side) for i in range(len(Q)) if side or len(Q) > 1]
+        facets += [(P, Q, False)] if side else []
+        return [(apex,) + piece for F in facets if apex not in vertices(*F) for piece in pull(*F)]
+
+    return pull(below, above, True), pull(above, below, True)
 
 
 _AFTER_EVERY_ID = np.iinfo(np.intp).max

@@ -128,6 +128,73 @@ def exhaustive_max_packing(dist, r):
 
 
 # ---------------------------------------------------------------------------
+# crossing-simplex splits written out per dimension (k <= 3): a quad is cut
+# along the diagonal through its smallest id, a prism is coned from its
+# smallest id over its other faces.  The one pulling rule of
+# `slicing._split_pieces` must give the same piece sets.
+
+
+def _quad_triangles(a, b, c, d):
+    """Split the cycle (a,b,c,d) along the diagonal through its smallest id."""
+    m = min(a, b, c, d)
+    if m == a or m == c:
+        return [(a, b, c), (a, c, d)]
+    return [(a, b, d), (b, c, d)]
+
+
+def _prism_tets(t0, t1):
+    """Triangulate a prism given matching triangles; canonical in global ids."""
+    six = list(t0) + list(t1)
+    apex = min(six)
+    tris = [tuple(t0), tuple(t1)]
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        tris.extend(_quad_triangles(t0[i], t0[j], t1[j], t1[i]))
+    return [(apex,) + tri for tri in tris if apex not in tri]
+
+
+def split_pieces_oracle(simplex, below_mask, cut):
+    """Children (as unsorted vertex tuples) of a crossing simplex of
+    dimension <= 3; `cut[(u, v)]` is the id of the cut point on edge {u,v}.
+    Returns (below_children, above_children)."""
+    k = len(simplex) - 1
+    below = [v for v, b in zip(simplex, below_mask) if b]
+    above = [v for v, b in zip(simplex, below_mask) if not b]
+
+    def cut_of(u, v):
+        return cut[(u, v) if u < v else (v, u)]
+
+    if k == 1:
+        u, v = below[0], above[0]
+        c = cut_of(u, v)
+        return [(u, c)], [(c, v)]
+    if k == 2:
+        if len(below) == 1:
+            w = below[0]
+            x, y = above
+            p, q = cut_of(w, x), cut_of(w, y)
+            return [(w, p, q)], _quad_triangles(p, x, y, q)
+        w, x = below
+        y = above[0]
+        p, q = cut_of(w, y), cut_of(x, y)
+        return _quad_triangles(w, x, q, p), [(p, q, y)]
+    if k == 3:
+        if len(below) == 1 or len(above) == 1:
+            flip = len(above) == 1
+            lone = above[0] if flip else below[0]
+            rest = below if flip else above
+            cuts = [cut_of(lone, v) for v in rest]
+            tet = [(lone,) + tuple(cuts)]
+            prism = _prism_tets(tuple(cuts), tuple(rest))
+            return (prism, tet) if flip else (tet, prism)
+        w1, w2 = below
+        x, y = above
+        below_prism = _prism_tets((w1, cut_of(w1, x), cut_of(w1, y)), (w2, cut_of(w2, x), cut_of(w2, y)))
+        above_prism = _prism_tets((x, cut_of(w1, x), cut_of(w2, x)), (y, cut_of(w1, y), cut_of(w2, y)))
+        return below_prism, above_prism
+    raise ArgumentError(f"level-set subdivision implemented for simplices of dimension <= 3, got {k}")
+
+
+# ---------------------------------------------------------------------------
 # level-set subdivision, one simplex at a time: every simplex of the complex
 # is visited, volumes come from one Cayley-Menger call per new simplex and
 # orientations from one determinant per child.  The batched, crossing-only

