@@ -136,6 +136,13 @@ def _numbers(text: str, kind, option: str) -> tuple:
         raise ArgumentError(f"--{option}: expected comma-separated {kind.__name__} values, got {text!r}") from exc
 
 
+def _float_array(value, what) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ArgumentError(f"{what} must be an array of numbers: {exc}") from None
+
+
 def _function_on(complex, spec: str, data=None) -> PLFunction:
     kind, _, arg = spec.partition(":")
     if kind in ("coord", "dist"):
@@ -147,7 +154,7 @@ def _function_on(complex, spec: str, data=None) -> PLFunction:
     if spec == "json":
         if not data or "function" not in data:
             raise ArgumentError("function spec 'json' needs a 'function' value array")
-        return PLFunction(complex, np.asarray(data["function"], dtype=float))
+        return PLFunction(complex, _float_array(data["function"], "'function'"))
     raise ArgumentError(f"unknown function spec {spec!r} (use coord:<axis>, dist:<vertex>, json)")
 
 
@@ -180,8 +187,8 @@ def _cmd_evaluate(args):
     fns = data.get("functions", {})
     if "f" not in fns or "pis" not in fns:
         raise ArgumentError("evaluate needs a 'functions' object with 'f' and 'pis' arrays")
-    f = PLFunction(T.complex, np.asarray(fns["f"], dtype=float))
-    pis = [PLFunction(T.complex, np.asarray(v, dtype=float)) for v in fns["pis"]]
+    f = PLFunction(T.complex, _float_array(fns["f"], "'f'"))
+    pis = [PLFunction(T.complex, _float_array(v, "'pis'")) for v in fns["pis"]]
     return {"value": evaluate(T, f, pis)}
 
 

@@ -17,7 +17,6 @@ from scipy.sparse.csgraph import dijkstra
 
 from .metricspace import ArgumentError
 
-VOLUME_FLOOR = 1e-12
 EMBED_TOL = 1e-9
 
 
@@ -498,6 +497,8 @@ class PLFunction:
         self.values = np.asarray(self.values, dtype=float)
         if len(self.values) != self.complex.n_vertices:
             raise ArgumentError("function values must cover every vertex")
+        if not np.isfinite(self.values).all():
+            raise ArgumentError("function values must be finite")
 
     @property
     def lip(self) -> float:

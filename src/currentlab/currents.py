@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .complexes import EuclideanMetric, GeometricComplex, MatrixMetric, PLFunction, distinct_rows, lookup_rows
-from .metricspace import ArgumentError, FiniteMetricSpace
+from .metricspace import ArgumentError, FiniteMetricSpace, as_integers
 
 COEFF_LIMIT = 2**62
 """A chain's |coefficients| sum below this, so the sum of two chains and
@@ -327,16 +327,27 @@ def chain_to_json(T: SimplicialCurrent) -> dict:
 
 
 def complex_from_json(data: dict) -> GeometricComplex:
+    """The complex {"vertices": rows of finite coordinates, or "distances":
+    a distance matrix, "simplices": {"k": [[vertex id, ...], ...]}}."""
     if "distances" in data:
         metric = MatrixMetric(FiniteMetricSpace(np.asarray(data["distances"], dtype=float)).dist)
     elif "vertices" in data:
-        metric = EuclideanMetric(np.asarray(data["vertices"], dtype=float))
+        coords = np.asarray(data["vertices"], dtype=float)
+        if coords.ndim not in (1, 2) or not np.isfinite(coords).all():
+            raise ArgumentError("'vertices' must be rows of finite coordinates")
+        metric = EuclideanMetric(coords)
     else:
         raise ArgumentError("complex JSON needs 'vertices' or 'distances'")
+    simplices = data.get("simplices", {})
+    if not isinstance(simplices, dict):
+        raise ArgumentError("'simplices' must map each dimension to its vertex-id rows")
     arrays = {}
-    for key, sims in data.get("simplices", {}).items():
+    for key, sims in simplices.items():
         k = int(key)
-        arrays[k] = distinct_rows(np.sort(np.array(sims, dtype=np.intp).reshape(len(sims), k + 1), axis=1))
+        if k < 0:
+            raise ArgumentError(f"simplex dimension {key!r} is negative")
+        rows = as_integers(sims, f"{k}-simplex vertex ids").reshape(len(sims), k + 1)
+        arrays[k] = distinct_rows(np.sort(rows, axis=1))
     arrays.setdefault(0, np.arange(metric.n)[:, None])
     C = GeometricComplex(metric, arrays)
     C.validate()
@@ -344,13 +355,22 @@ def complex_from_json(data: dict) -> GeometricComplex:
 
 
 def current_from_json(C: GeometricComplex, cur: dict) -> SimplicialCurrent:
-    """The chain {"dim": k, "coeffs": [[index, coefficient], ...]} on C."""
-    dim = int(cur["dim"])
-    coeffs = {int(i): int(c) for i, c in cur.get("coeffs", [])}
-    for i in coeffs:
-        if not (0 <= i < C.count(dim)):
-            raise ArgumentError(f"coefficient references missing {dim}-simplex {i}")
-    return SimplicialCurrent(C, dim, coeffs)
+    """The chain {"dim": k, "coeffs": [[index, coefficient], ...]} on C, each
+    index listed once."""
+    dim = as_integers(cur["dim"], "chain dim")
+    if dim.ndim or dim < 0:
+        raise ArgumentError(f"chain dim must be a nonnegative integer, got {cur['dim']!r}")
+    dim = int(dim)
+    pairs = as_integers(cur.get("coeffs", []), "chain indices and coefficients")
+    if pairs.size and pairs.shape[1:] != (2,):
+        raise ArgumentError("chain coeffs must be [index, coefficient] pairs")
+    idx, coeff = pairs.reshape(-1, 2).T
+    outside = (idx < 0) | (idx >= C.count(dim))
+    if outside.any():
+        raise ArgumentError(f"coefficient references missing {dim}-simplex {idx[outside][0]}")
+    if len(np.unique(idx)) < len(idx):
+        raise ArgumentError("chain coeffs list a simplex index twice")
+    return SimplicialCurrent.from_arrays(C, dim, idx, coeff)
 
 
 def chain_from_json(data: dict) -> SimplicialCurrent:

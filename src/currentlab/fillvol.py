@@ -16,7 +16,6 @@ the flat distance of two 2-currents S, T is M(S - T), the integral of
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +24,7 @@ from scipy.sparse import coo_matrix, eye, hstack
 
 from .complexes import EuclideanMetric, GeometricComplex
 from .currents import SimplicialCurrent, boundary, mass
-from .metricspace import ArgumentError, FiniteMetricSpace, InvariantError, Report
+from .metricspace import ArgumentError, FiniteMetricSpace, InvariantError, Report, as_integers
 
 INTEGRALITY_TOL = 1e-6
 RESIDUAL_TOL = 1e-8
@@ -426,20 +425,27 @@ def filling_volume_0d(space, theta, sigma, point_ids=None) -> FillingReport:
     """Exact minimal transport between the positive and negative atoms.
 
     `space` is a FiniteMetricSpace (or complex metric) carrying the ground
-    distance; theta are positive integer weights and sigma their signs.  The
-    signed weights must cancel.  The transport value is realizable by
+    distance; theta are positive integer weights and sigma their signs, one
+    per point of the space, or per entry of `point_ids` when it is given.
+    The signed weights must cancel.  The transport value is realizable by
     geodesic segments, hence an upper bound on the minimal filling mass; the
     reported lower bound is max_j theta_j * min_{i != j} d(p_i, p_j).
     """
-    if not all((isinstance(t, numbers.Integral) or isinstance(t, float) and t.is_integer()) and t > 0 for t in theta):
+    try:
+        theta, sigma = as_integers(theta, "weights"), as_integers(sigma, "signs")
+    except ArgumentError as exc:
+        raise ArgumentError(f"weights must be positive integers and signs +1 or -1 ({exc})") from None
+    if theta.ndim != 1 or (theta <= 0).any():
         raise ArgumentError("weights must be positive integers")
-    if any(s not in (-1, 1) for s in sigma):
+    if sigma.ndim != 1 or not np.isin(sigma, (-1, 1)).all():
         raise ArgumentError("signs must be +1 or -1")
-    theta, sigma = [int(t) for t in theta], [int(s) for s in sigma]
+    theta, sigma = theta.tolist(), sigma.tolist()
+    ids = list(range(space.n)) if point_ids is None else list(point_ids)
+    if not len(theta) == len(sigma) == len(ids):
+        raise ArgumentError(f"need one weight and sign per point: got {len(theta)}, {len(sigma)} for {len(ids)}")
     if sum(t * s for t, s in zip(theta, sigma)) != 0:
         raise ArgumentError("signed weights must sum to zero")
     n = len(theta)
-    ids = list(point_ids) if point_ids is not None else list(range(n))
     if isinstance(space, FiniteMetricSpace):
         dist = lambda a, b: float(space.dist[a, b])
     else:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import reprlib
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -20,6 +21,24 @@ class ArgumentError(ValueError):
 
 class InvariantError(RuntimeError):
     """A computed result broke an inequality or identity that must hold."""
+
+
+def as_integers(values, what) -> np.ndarray:
+    """`values` (a number or nested lists) as an int64 array under the one
+    integer rule of the input readers: every entry is an int or a float with
+    an integer value (2.0), below 2**62 in absolute value.  Anything else,
+    a bool, string, fraction or non-finite number, raises ArgumentError."""
+    try:
+        arr = np.asarray(values)
+    except ValueError as exc:  # ragged nesting
+        raise ArgumentError(f"{what} must be integers: {exc}") from None
+    if arr.dtype.kind not in "iuf":
+        raise ArgumentError(f"{what} must be integers, got {reprlib.repr(values)}")
+    real = arr.astype(float)
+    bad = ~((np.abs(real) < 2.0**62) & (real == np.floor(real)))
+    if bad.any():
+        raise ArgumentError(f"{what} must be integers below 2**62 in absolute value, got {arr[bad][0].item()!r}")
+    return arr.astype(np.int64)
 
 
 def _json_value(value):
@@ -50,9 +69,9 @@ class PackingReport(Report):
 class FiniteMetricSpace:
     """A finite metric space given by an n x n symmetric distance matrix.
 
-    Validation checks symmetry, zero diagonal, nonnegativity and the triangle
-    inequality to an absolute tolerance; the first offending triple is
-    reported.
+    Validation checks that distances are finite, then symmetry, zero
+    diagonal, nonnegativity and the triangle inequality to an absolute
+    tolerance; the first offending entry or triple is reported.
     """
 
     def __init__(self, dist, labels=None, validate=True, tol=METRIC_TOL):
@@ -71,6 +90,7 @@ class FiniteMetricSpace:
         d = self.dist
         if self.n == 0:
             return
+        _check_finite(d)
         bad = np.abs(np.diag(d)).argmax()
         if abs(d[bad, bad]) > tol:
             raise MetricError(f"nonzero diagonal at index {bad}: {d[bad, bad]}")
@@ -94,13 +114,21 @@ class FiniteMetricSpace:
 
     @classmethod
     def from_points(cls, points, labels=None):
-        """Euclidean metric on a point cloud (rows are points)."""
+        """Euclidean metric on a point cloud (rows are points): a metric by
+        construction, so only finiteness is checked."""
         pts = np.asarray(points, dtype=float)
         if pts.ndim == 1:
             pts = pts[:, None]
         diff = pts[:, None, :] - pts[None, :, :]
         d = np.sqrt((diff**2).sum(axis=-1))
+        _check_finite(d)
         return cls(d, labels=labels, validate=False)
+
+
+def _check_finite(d):
+    if not np.isfinite(d).all():
+        i, j = np.unravel_index(np.argmin(np.isfinite(d)), d.shape)
+        raise MetricError(f"non-finite distance at ({i},{j}): {d[i, j]}")
 
 
 def diameter(space: FiniteMetricSpace) -> float:

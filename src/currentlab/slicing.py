@@ -19,14 +19,13 @@ from .complexes import (
     ComplexError,
     GeometricComplex,
     PLFunction,
-    VOLUME_FLOOR,
     distance_function,
     lookup_rows,
     row_ranks,
     simplex_volumes,
 )
 from .currents import SimplicialCurrent, boundary, mass
-from .metricspace import ArgumentError
+from .metricspace import ArgumentError, InvariantError
 
 SNAP_REL = 1e-7
 
@@ -57,7 +56,8 @@ class ChildTable(Mapping):
 @dataclass
 class Refinement:
     """Result of splitting a complex along a PL level set; `children` maps
-    each dimension to its ChildTable."""
+    each dimension to its ChildTable.  Every piece of a split simplex is
+    kept, so `dropped` is always 0."""
 
     source: GeometricComplex
     complex: GeometricComplex
@@ -183,12 +183,15 @@ def _template(k, pattern, perm):
     lexicographic edge order]: entry j lists the j-cells inside the simplex
     (those no proper face contains), for j = k its pieces in `_split_pieces`
     order.  `pattern` holds each vertex's below flag and `perm` the
-    positions of its crossing edges in increasing cut-id order.
+    positions of its crossing edges in increasing cut-id order.  Also
+    returns each piece's orientation in the simplex, +1 or -1.
 
     Every choice `_split_pieces` makes depends only on the order of the ids,
     and cut ids exceed all vertex ids, so all simplices with the same
     (pattern, perm) follow one template, built on first use from the local
-    simplex (0..k) and cached.
+    simplex (0..k) and cached.  No piece degenerates at a level strictly
+    inside the simplex, so its orientation is the sign of its barycentric
+    determinant at the midpoint cut (t = 1/2 on every crossing edge).
     """
     edges = list(itertools.combinations(range(k + 1), 2))
     # local ids: vertex j is j, the cut point of rank r is k + 1 + r
@@ -202,9 +205,14 @@ def _template(k, pattern, perm):
     faces = {f for p in pieces for j in range(1, k + 1) for f in itertools.combinations(p, j)}
     inside = sorted(f for f in faces if len(set().union(*map(spans.get, f))) == k + 1)
     cells = [[f for f in inside if len(f) == j + 1] for j in range(k)] + [pieces]
-    return [
+    # barycentric coordinates of the pieces' vertices at the midpoint cut
+    dets = np.linalg.det([[np.isin(range(k + 1), list(spans[v])) / len(spans[v]) for v in p] for p in pieces])
+    if abs(np.abs(dets).sum() - 1.0) > 1e-9:
+        raise InvariantError(f"split template {k, pattern, perm} covers volume {np.abs(dets).sum()} (expected 1)")
+    arrays = [
         np.array([[column[v] for v in c] for c in cs], dtype=np.intp).reshape(-1, j + 1) for j, cs in enumerate(cells)
     ]
+    return arrays, np.where(dets > 0, 1, -1)
 
 
 def _split(sims, side, edges, n_old):
@@ -214,11 +222,12 @@ def _split(sims, side, edges, n_old):
 
     Returns, for j = 0..k, the j-cells inside the simplices as sorted id
     rows (for j = k the pieces, each parent's together and in
-    `_split_pieces` order), and the number of pieces of each parent.
+    `_split_pieces` order), the number of pieces of each parent and the
+    pieces' orientations.
     """
     k = sims.shape[1] - 1
     if not len(sims):
-        return [np.empty((0, d + 1), dtype=np.intp) for d in range(k + 1)], np.empty(0, dtype=np.intp)
+        return [np.empty((0, d + 1), dtype=np.intp) for d in range(k + 1)], *np.empty((2, 0), dtype=np.intp)
     i, j = np.array(list(itertools.combinations(range(k + 1), 2)), dtype=np.intp).T
     crosses = side[:, i] != side[:, j]
     # cut id of every crossing edge of every parent, found among the crossing
@@ -239,13 +248,16 @@ def _split(sims, side, edges, n_old):
     # together and in template order
     cells = []
     for d in range(k + 1):
-        counts = np.array([len(t[d]) for t in templates], dtype=np.intp)
+        counts = np.array([len(t[d]) for t, _ in templates], dtype=np.intp)
         table = np.zeros((len(templates), counts.max(initial=0), d + 1), dtype=np.intp)
-        for g, template in enumerate(templates):
+        for g, (template, _) in enumerate(templates):
             table[g, : counts[g]] = template[d]
         rows = cols[np.arange(len(cols))[:, None, None], table[group]]
-        cells.append(rows[np.arange(table.shape[1]) < counts[group][:, None]])
-    return cells, counts[group]
+        keep = np.arange(table.shape[1]) < counts[group][:, None]
+        cells.append(rows[keep])
+    # the pieces' signs through the same padded gather (table, keep: d = k)
+    signs = np.stack([np.pad(sign, (0, table.shape[1] - len(sign))) for _, sign in templates])
+    return cells, counts[group], signs[group][keep]
 
 
 def subdivide_at_level(C: GeometricComplex, values, s, snap_rel=SNAP_REL) -> Refinement:
@@ -283,9 +295,9 @@ def subdivide_at_level(C: GeometricComplex, values, s, snap_rel=SNAP_REL) -> Ref
 
     # the new simplices of a dimension are the cells inside crossing simplices
     # of that dimension or above (each has one carrier), pieces first
-    cells, n_pieces = {}, {}
+    cells, n_pieces, signs = {}, {}, {}
     for k in C.dims:
-        cells[k], n_pieces[k] = _split(C.simplex_array(k)[crossing[k]], sides[k], edges, n_old)
+        cells[k], n_pieces[k], signs[k] = _split(C.simplex_array(k)[crossing[k]], sides[k], edges, n_old)
     new = {k: np.concatenate([cells[j][k] for j in C.dims if j >= k]) for k in C.dims}
 
     # merged, lexicographically sorted arrays; untouched simplices keep their
@@ -305,42 +317,15 @@ def subdivide_at_level(C: GeometricComplex, values, s, snap_rel=SNAP_REL) -> Ref
         new_masses[k] = np.concatenate([C.masses(k)[keep], simplex_volumes(metric, new[k])])[order]
     new_complex = GeometricComplex(metric, new_arrays, new_masses)
 
-    # signed transfer tables: an untouched simplex has itself as its one
-    # child; a split one its pieces, oriented by the determinants of their
-    # barycentric coordinates in the parent, those below VOLUME_FLOOR dropped
+    # signed transfer tables: an untouched simplex is its own child, a split
+    # one has all its pieces with their template orientations; the stable
+    # sort by parent keeps each parent's pieces in piece order
     children: dict[int, ChildTable] = {}
-    dropped = 0
     for k in C.dims:
-        parent_of = np.repeat(crossing[k], n_pieces[k])
-        if not len(parent_of):
-            children[k] = ChildTable(np.arange(C.count(k) + 1), old_pos[k], np.ones(C.count(k), dtype=np.int64))
-            continue
-        parents = C.simplex_array(k)[parent_of]
-        keys = cells[k][k]
-        is_cut = keys >= n_old
-        e = np.where(is_cut, keys - n_old, 0)
-        a = np.where(is_cut, edges[e, 0], keys)
-        b = np.where(is_cut, edges[e, 1], -1)
-        w = np.where(is_cut, t_edge[e], 0.0)[:, :, None]
-        # rows[n, j]: barycentric coordinates in the parent of vertex j of
-        # piece n; a cut point at t on edge (u, v) is (1 - t) u + t v
-        rows = np.where(parents[:, None, :] == a[:, :, None], 1.0 - w, 0.0) + np.where(
-            parents[:, None, :] == b[:, :, None], w, 0.0
-        )
-        dets = np.linalg.det(rows)
-        # volume fraction per parent; bincount adds the pieces in order
-        frac = np.bincount(parent_of, weights=np.abs(dets))[crossing[k]]
-        for j in np.flatnonzero(np.abs(frac - 1.0) > 1e-6).tolist():
-            parent = tuple(C.simplex_array(k)[crossing[k][j]].tolist())
-            warnings.append(f"split of {parent} covers volume fraction {float(frac[j])} (expected 1)")
-        kept = np.abs(dets) >= VOLUME_FLOOR
-        dropped += len(dets) - int(np.count_nonzero(kept))
-        # one entry per child: an untouched simplex is its own child; the
-        # stable sort by parent keeps each parent's pieces in piece order
-        parent = np.concatenate([untouched[k], parent_of[kept]])
+        parent = np.concatenate([untouched[k], np.repeat(crossing[k], n_pieces[k])])
         order = np.argsort(parent, kind="stable")
-        child = np.concatenate([old_pos[k], piece_pos[k][kept]])[order]
-        sign = np.concatenate([np.ones(len(old_pos[k]), dtype=np.int64), np.where(dets[kept] > 0, 1, -1)])[order]
+        child = np.concatenate([old_pos[k], piece_pos[k]])[order]
+        sign = np.concatenate([np.ones(len(untouched[k]), dtype=np.int64), signs[k]])[order]
         ptr = np.searchsorted(parent[order], np.arange(C.count(k) + 1))
         children[k] = ChildTable(ptr, child, sign)
 
@@ -352,7 +337,6 @@ def subdivide_at_level(C: GeometricComplex, values, s, snap_rel=SNAP_REL) -> Ref
         children=children,
         cut_edges=cut_edges,
         n_old_vertices=n_old,
-        dropped=dropped,
         warnings=warnings,
     )
 

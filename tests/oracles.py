@@ -9,7 +9,6 @@ from scipy.sparse import eye
 
 from currentlab import fillvol
 from currentlab.complexes import (
-    VOLUME_FLOOR,
     ComplexError,
     GeometricComplex,
     MatrixMetric,
@@ -197,7 +196,8 @@ def split_pieces_oracle(simplex, below_mask, cut):
 # ---------------------------------------------------------------------------
 # level-set subdivision, one simplex at a time: every simplex of the complex
 # is visited, volumes come from one Cayley-Menger call per new simplex and
-# orientations from one determinant per child.  The batched, crossing-only
+# orientations from one determinant per child at the midpoint cut (t = 1/2 on
+# every crossing edge), where no child is degenerate.  The batched, crossing-only
 # `slicing.subdivide_at_level` must reproduce its Refinement exactly.
 
 
@@ -237,7 +237,6 @@ def subdivide_oracle(C: GeometricComplex, values, s, snap_rel=SNAP_REL) -> Refin
         metric = metric.grown(specs)
 
     children_tuples: dict[int, dict[int, list[tuple[int, ...]]]] = {}
-    dropped = 0
     for k in C.dims:
         table: dict[int, list[tuple[int, ...]]] = {}
         for idx, simplex in enumerate(C.simplices[k]):
@@ -256,12 +255,13 @@ def subdivide_oracle(C: GeometricComplex, values, s, snap_rel=SNAP_REL) -> Refin
     bary_cache = {gid - n_old: (edge, t) for gid, (edge, t) in
                   zip(range(n_old, next_id), raw_points)}
 
-    def bary_in(parent, gid):
+    def bary_in(parent, gid, midpoint=False):
         coords = np.zeros(len(parent))
         if gid < n_old:
             coords[parent.index(gid)] = 1.0
         else:
             (u, v), t = bary_cache[gid - n_old]
+            t = 0.5 if midpoint else t
             coords[parent.index(u)] = 1.0 - t
             coords[parent.index(v)] = t
         return coords
@@ -294,7 +294,8 @@ def subdivide_oracle(C: GeometricComplex, values, s, snap_rel=SNAP_REL) -> Refin
             )
         new_complex._masses[k] = vols
 
-    # signed children mapping with volume-fraction sanity check
+    # signed children mapping, oriented at the midpoint cut, with a
+    # volume-fraction sanity check at the actual cut
     children: dict[int, dict[int, list[tuple[int, int]]]] = {}
     for k in C.dims:
         table = {}
@@ -308,12 +309,8 @@ def subdivide_oracle(C: GeometricComplex, values, s, snap_rel=SNAP_REL) -> Refin
             frac = 0.0
             for piece in pieces:
                 key = tuple(sorted(piece))
-                rows = np.array([bary_in(parent, g) for g in key])
-                det = float(np.linalg.det(rows))
-                frac += abs(det)
-                if abs(det) < VOLUME_FLOOR:
-                    dropped += 1
-                    continue
+                frac += abs(float(np.linalg.det([bary_in(parent, g) for g in key])))
+                det = float(np.linalg.det([bary_in(parent, g, midpoint=True) for g in key]))
                 entries.append((index[key], 1 if det > 0 else -1))
             if abs(frac - 1.0) > 1e-6:
                 warnings.append(
@@ -330,7 +327,6 @@ def subdivide_oracle(C: GeometricComplex, values, s, snap_rel=SNAP_REL) -> Refin
         children=children,
         cut_edges=cut_edges,
         n_old_vertices=n_old,
-        dropped=dropped,
         warnings=warnings,
     )
 

@@ -268,8 +268,9 @@ class TestErrors:
             ([[0, 1, 1], [2, 0, 1], [1, 1, 0]], "fillvol", "asymmetry at (0,1)"),
             ([[0, -1, 1], [-1, 0, 1], [1, 1, 0]], "fillvol", "negative distance at (0,1)"),
             ([[0.5, 1, 1], [1, 0, 1], [1, 1, 0]], "fillvol", "nonzero diagonal at index 0"),
+            ([[0, math.nan, 1], [math.nan, 0, 1], [1, 1, 0]], "mass", "non-finite distance at (0,1)"),
         ],
-        ids=["triangle", "asymmetric", "negative", "diagonal"],
+        ids=["triangle", "asymmetric", "negative", "diagonal", "non-finite"],
     )
     def test_chain_distances_breaking_the_axioms_exit_2(self, tmp_path, capsys, distances, command, message):
         # each exited 0: mass 7.0 over the triangle-breaking matrix, fillvol
@@ -292,6 +293,78 @@ class TestErrors:
         code, _, err = _main_json(["fillvol0", "--input", str(path)], capsys)
         assert code == EXIT_INPUT
         assert "weights must be positive integers" in err
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            # each exited 0 at first: coefficient 1.5 read as 1, index 0.9 as
+            # simplex 0, edge [1, 2.7] as [1, 2], a repeated index by its last
+            # coefficient, a nan vertex into a report with a bare NaN
+            (("current", "coeffs", 0, 1), 1.5, "must be integers"),
+            (("current", "coeffs", 0, 0), 0.9, "must be integers"),
+            (("complex", "simplices", "1", 2, 1), 2.7, "1-simplex vertex ids must be integers"),
+            (("current", "coeffs", 1), [0, 1], "list a simplex index twice"),
+            (("complex", "vertices", 1, 0), math.nan, "finite coordinates"),
+            (("complex", "vertices", 2, 1), -math.inf, "finite coordinates"),
+            (("current", "dim"), -1, "nonnegative integer"),  # exit 3
+            (("current", "dim"), 1.5, "chain dim must be integers"),
+            (("current", "dim"), "1", "chain dim must be integers"),
+            (("complex", "simplices", "-1"), [[0]], "negative"),
+        ],
+        ids=["coefficient", "index", "vertex-id", "repeated-index", "nan-vertex", "inf-vertex",
+             "negative-dim", "fractional-dim", "string-dim", "negative-simplex-dim"],
+    )
+    def test_malformed_chain_payload_exits_2(self, triangle_cycle_path, capsys, path, value, message):
+        data = json.loads(triangle_cycle_path.read_text())
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        triangle_cycle_path.write_text(json.dumps(data))
+        code, _, err = _main_json(["mass", "--input", str(triangle_cycle_path)], capsys)
+        assert code == EXIT_INPUT
+        assert "bad chain payload" in err and message in err
+
+    def test_integer_valued_floats_are_integers(self, triangle_cycle_path, capsys):
+        want = _main_json(["mass", "--input", str(triangle_cycle_path)], capsys)
+        data = json.loads(triangle_cycle_path.read_text())
+        data["current"] = {"dim": 1.0, "coeffs": [[0.0, 1.0], [1, -1.0], [2.0, 1]]}
+        data["complex"]["simplices"]["2"] = [[0.0, 1.0, 2.0]]
+        triangle_cycle_path.write_text(json.dumps(data))
+        assert _main_json(["mass", "--input", str(triangle_cycle_path)], capsys) == want
+
+    @pytest.mark.parametrize("points, theta, sigma", [(2, [1, 1, 1, 1], [1, -1, 1, -1]), (3, [1, 1], [1, -1])])
+    def test_fillvol0_needs_one_weight_per_point(self, tmp_path, capsys, points, theta, sigma):
+        # 4 weights on 2 points exited 3 (IndexError); 2 weights on 3 points
+        # exited 0 and ignored the third
+        path = tmp_path / "pts.json"
+        data = {"points": [[0.0, 0.0], [5.0, 0.0], [9.0, 0.0]][:points], "theta": theta, "sigma": sigma}
+        path.write_text(json.dumps(data))
+        code, _, err = _main_json(["fillvol0", "--input", str(path)], capsys)
+        assert code == EXIT_INPUT
+        assert "one weight and sign per point" in err
+
+    def test_non_finite_distance_csv_exits_2(self, tmp_path, capsys):
+        # pack found 2 centers and gh reported lower = upper = 0: every
+        # comparison with nan is false, so nan passed the axiom checks
+        bad = tmp_path / "nan.csv"
+        bad.write_text("0,nan,1\nnan,0,1\n1,1,0\n")
+        two = tmp_path / "two.csv"
+        two.write_text("0,1\n1,0\n")
+        assert main(["pack", "--input", str(bad), "--radius", "0.3"]) == EXIT_INPUT
+        assert main(["gh", "--input", str(bad), "--input2", str(two)]) == EXIT_INPUT
+        assert capsys.readouterr().err.count("non-finite distance at (0,1): nan") == 2
+
+    @pytest.mark.parametrize(
+        "function, message", [([0.0, math.nan, 1.0], "must be finite"), ([0, "a", 1], "array of numbers")]
+    )
+    def test_slice_by_a_malformed_json_function_exits_2(self, triangle_cycle_path, capsys, function, message):
+        # a nan value exited 0, a string exited 3
+        data = json.loads(triangle_cycle_path.read_text())
+        data["function"] = function
+        triangle_cycle_path.write_text(json.dumps(data))
+        code, _, err = _main_json(["slice", "--input", str(triangle_cycle_path), "--function", "json"], capsys)
+        assert code == EXIT_INPUT and message in err
 
     def test_lab_radius_zero_exits_2(self, capsys):
         assert main(["lab", "--schedule", "0.3", "--radius", "0"]) == EXIT_INPUT

@@ -4,6 +4,8 @@ Malformed and edge inputs (wrong dimensions, empty currents, levels off the
 value range, disconnected complexes, 3-D chains and families) must end in
 exit 0 with exactly one report, or in exit 1 or 2 with a one-line message:
 never in a traceback or in exit 3, which marks a defect of the program.
+A malformed chain payload must end in exit 0 with a strict JSON report (no
+NaN or Infinity) or in exit 2.
 """
 import contextlib
 import io
@@ -145,3 +147,59 @@ def test_level_box_commands_fuzz(level_box_paths, command, name, radius, nodes, 
     argv = [command, "--input", level_box_paths[name], "--radius", repr(radius), "--grid", str(nodes)]
     argv += ["--samples", str(nodes), "--k", str(k), "--candidates", str(candidates), "--witnesses", witnesses]
     _check(argv, *_run(argv))
+
+
+def _no_constant(name):
+    raise ValueError(f"report holds {name}, which is not JSON")
+
+
+# one field of a valid chain payload replaced by a float, string, negative,
+# bool, null, oversized or non-finite value, or a pair or simplex repeated
+FIELD_VALUES = st.sampled_from([2.0, 1.5, 0.9, -1, -7, 0, 2**63, "1", "a", None, True, math.nan, math.inf, -math.inf])
+FIELDS = ["coefficient", "index", "vertex_id", "dim", "coordinate", "distance", "simplex_key"]
+
+
+@st.composite
+def malformed_chains(draw):
+    cycle = {0: [[0], [1], [2]], 1: [[0, 1], [0, 2], [1, 2]], 2: [[0, 1, 2]]}
+    data = _chain(TRIANGLE, cycle, 1, [[0, 1], [1, -1], [2, 1]])
+    field = draw(st.sampled_from(FIELDS + ["repeated_pair", "repeated_simplex"]))
+    value = draw(FIELD_VALUES)
+    cx, cur = data["complex"], data["current"]
+    row, col = draw(st.integers(0, 2)), draw(st.integers(0, 1))
+    if field == "coefficient":
+        cur["coeffs"][row][1] = value
+    elif field == "index":
+        cur["coeffs"][row][0] = value
+    elif field == "vertex_id":
+        cx["simplices"]["1"][row][col] = value
+    elif field == "dim":
+        cur["dim"] = value
+    elif field == "coordinate":
+        cx["vertices"][row][col] = value
+    elif field == "distance":
+        cx["distances"] = [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]
+        other = (row + col + 1) % 3
+        cx["distances"][row][other] = cx["distances"][other][row] = value
+    elif field == "simplex_key":
+        cx["simplices"][str(value)] = cx["simplices"].pop("1")
+    elif field == "repeated_pair":
+        cur["coeffs"].append(list(cur["coeffs"][row]))
+    else:
+        cx["simplices"]["2"].append(list(cx["simplices"]["2"][0]))
+    return field, data
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(["mass", "boundary", "fillvol", "slice", "sphere"]), chain=malformed_chains())
+def test_malformed_chain_payloads_fuzz(tmp_path, command, chain):
+    field, data = chain
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(data))
+    argv = [command, "--input", str(path), "--level", "0.3", "--radius", "0.6"]
+    code, out, err = _run(argv)
+    assert code in (EXIT_OK, EXIT_INPUT), (field, data, code, err)
+    if code == EXIT_OK:
+        json.loads(out, parse_constant=_no_constant)
+    else:
+        assert not out and "Traceback" not in err, (field, data, err)

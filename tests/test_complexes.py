@@ -15,6 +15,7 @@ from currentlab.complexes import (
     gram_from_sq,
     simplex_volume_from_sq,
 )
+from currentlab.metricspace import ArgumentError
 from currentlab.meshes import _sphere_arc_metric, grid_mesh, square_complex, torus_patch_mesh
 
 from oracles import matrix_add_points_oracle, simplex_volume_from_coords
@@ -118,6 +119,12 @@ class TestPLFunction:
         C = GeometricComplex.from_top_simplices(m, [(0, 1), (1, 2)])
         rho = distance_function(C, 0, mode="graph")
         assert rho.values[2] == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, value):
+        C, _ = square_complex()
+        with pytest.raises(ArgumentError, match="function values must be finite"):
+            PLFunction(C, np.array([0.0, value, 1.0, 2.0]))
 
     def test_coordinate_function(self):
         C, _ = square_complex()

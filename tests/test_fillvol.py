@@ -189,6 +189,20 @@ class TestTransport:
         X = FiniteMetricSpace.from_points(np.array([[0.0], [2.5]]))
         assert filling_volume_0d(X, [2.0, 2.0], [1.0, -1.0]).value == filling_volume_0d(X, [2, 2], [1, -1]).value
 
+    @pytest.mark.parametrize("theta, sigma", [([1, 1, 1, 1], [1, -1, 1, -1]), ([1, 1], [1, -1]), ([1, 1, 2], [1, -1])])
+    def test_one_weight_and_sign_per_point(self, theta, sigma):
+        # 4 weights on 2 points ended in an IndexError; 2 weights on 3
+        # points ignored the third
+        X = FiniteMetricSpace.from_points(np.array([[0.0], [1.0], [5.0]])[: 2 if len(theta) == 4 else 3])
+        with pytest.raises(ArgumentError, match="one weight and sign per point"):
+            filling_volume_0d(X, theta, sigma)
+
+    def test_point_ids_set_the_count(self):
+        X = FiniteMetricSpace.from_points(np.array([[0.0], [1.0], [5.0]]))
+        assert filling_volume_0d(X, [1, 1], [1, -1], point_ids=[0, 2]).value == pytest.approx(5.0)
+        with pytest.raises(ArgumentError, match="one weight and sign per point"):
+            filling_volume_0d(X, [1, 1, 1, 1], [1, -1, 1, -1], point_ids=[0, 2])
+
     def test_unbalanced_rejected(self):
         X = FiniteMetricSpace.from_points(np.array([[0.0], [1.0]]))
         with pytest.raises(ArgumentError, match="sum to zero"):

@@ -8,6 +8,7 @@ from currentlab.metricspace import (
     ArgumentError,
     FiniteMetricSpace,
     MetricError,
+    as_integers,
     diameter,
     exhaustive_packing_number,
     gh_bounds,
@@ -53,6 +54,31 @@ class TestValidation:
     def test_nonzero_diagonal(self):
         with pytest.raises(MetricError, match="diagonal"):
             FiniteMetricSpace(np.array([[1.0]]))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_distance_rejected(self, value):
+        # every comparison with nan is false, so nan passed every axiom check
+        bad = np.array([[0.0, value, 1.0], [value, 0.0, 1.0], [1.0, 1.0, 0.0]])
+        with pytest.raises(MetricError, match=r"non-finite distance at \(0,1\)"):
+            FiniteMetricSpace(bad)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 1e200])
+    def test_point_cloud_with_non_finite_distances_rejected(self, value):
+        # a nan coordinate gave nan distances, which no packing check rejects
+        with pytest.raises(MetricError, match="non-finite distance"):
+            FiniteMetricSpace.from_points([[0.0, 0.0], [value, 1.0], [2.0, 2.0]])
+
+
+class TestIntegerRule:
+    def test_ints_and_integer_valued_floats_accepted(self):
+        got = as_integers([[1, 2.0], [-3, 0.0]], "ids")
+        assert got.dtype == np.int64 and got.tolist() == [[1, 2], [-3, 0]]
+        assert as_integers(4.0, "dim").ndim == 0
+
+    @pytest.mark.parametrize("value", [1.5, 0.9, math.nan, math.inf, -math.inf, "1", True, None, 2**62, [[1], [1, 2]]])
+    def test_everything_else_rejected(self, value):
+        with pytest.raises(ArgumentError, match="must be integers"):
+            as_integers([value] if not isinstance(value, list) else value, "ids")
 
 
 class TestDiameter:

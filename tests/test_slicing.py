@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
 
 from currentlab.complexes import (
     EuclideanMetric,
@@ -14,6 +15,8 @@ from currentlab.complexes import (
     distance_function,
 )
 from currentlab.currents import SimplicialCurrent, boundary, mass, push_forward
+from currentlab.fillvol import boundary_matrix
+from currentlab.metricspace import InvariantError
 from currentlab.meshes import (
     disk_mesh,
     euclidean_box_mesh,
@@ -197,20 +200,19 @@ class TestSubdivide:
     def test_four_simplices_split_like_the_oracle(self):
         """A jittered Kuhn 4-cube splits exactly like the one-simplex-at-a-time
         reference; the refinement is a valid complex whose pieces fill their
-        parents, and transfer keeps the mass and commutes with boundary
-        wherever no sliver piece is dropped (only at the snapped level)."""
+        parents, and transfer keeps the mass and commutes with boundary at
+        every level, the snapped one included."""
         C, T = kuhn_mesh((1, 1, 1, 1), seed=2)
         values = distance_function(C, 3).values
         for level in _oracle_levels(C, values):
             ref = subdivide_at_level(C, values, level)
             _assert_same_refinement(ref, subdivide_oracle(C, values, level))
-            assert ref.cut_edges and (ref.snapped or not ref.dropped)
+            assert ref.cut_edges
             ref.complex.validate()
             assert not [w for w in ref.warnings if "volume fraction" in w]
             T2 = ref.transfer_current(T)
             assert mass(T2) == pytest.approx(mass(T), rel=1e-9)
-            if not ref.dropped:
-                assert (boundary(T2) - ref.transfer_current(boundary(T))).is_zero()
+            assert (boundary(T2) - ref.transfer_current(boundary(T))).is_zero()
 
 
 def _metric_state(metric):
@@ -284,6 +286,74 @@ def test_subdivide_matches_oracle(C, values):
     for level in levels:
         _assert_same_refinement(subdivide_at_level(C, values, level), subdivide_oracle(C, values, level))
     assert any(subdivide_at_level(C, values, lv).snapped for lv in levels)
+
+
+def _transfer_matrix(ref, k):
+    """The transfer of k-chains as a sparse integer matrix, new x old."""
+    table = ref.children[k]
+    parent = np.repeat(np.arange(len(table)), np.diff(table.ptr))
+    return coo_matrix((table.sign, (table.child, parent)), shape=(ref.complex.count(k), ref.source.count(k))).tocsr()
+
+
+def _cut_determinants(ref, k):
+    """The sign of every child of every k-simplex and its barycentric
+    determinant in the parent at the actual cut (1 for an untouched simplex)."""
+    table = ref.children[k]
+    parents = ref.source.simplex_array(k)[np.repeat(np.arange(len(table)), np.diff(table.ptr))]
+    pieces = ref.complex.simplex_array(k)[table.child]
+    ends = np.array([(u, v) for u, v, _ in ref.cut_edges])
+    t = np.array([t for _, _, t in ref.cut_edges])
+    is_cut = pieces >= ref.n_old_vertices
+    e = np.where(is_cut, pieces - ref.n_old_vertices, 0)
+    a = np.where(is_cut, ends[e, 0], pieces)
+    b = np.where(is_cut, ends[e, 1], -1)
+    w = np.where(is_cut, t[e], 0.0)[:, :, None]
+    # rows[n, j]: barycentric coordinates in the parent of vertex j of child
+    # n; a cut point at t on edge (u, v) is (1 - t) u + t v
+    rows = np.where(parents[:, None, :] == a[:, :, None], 1.0 - w, 0.0)
+    rows += np.where(parents[:, None, :] == b[:, :, None], w, 0.0)
+    return table.sign, np.linalg.det(rows)
+
+
+@pytest.mark.parametrize("C, values", _subdivide_cases())
+def test_transfer_is_a_chain_map_at_every_level(C, values):
+    """Every piece is kept, so boundary and transfer commute on every
+    j-simplex, j >= 1, at every level, the snapped one included."""
+    for level in _oracle_levels(C, values):
+        ref = subdivide_at_level(C, values, level)
+        assert ref.dropped == 0
+        for j in range(1, C.top_dim + 1):
+            lhs = boundary_matrix(ref.complex, j) @ _transfer_matrix(ref, j)
+            rhs = _transfer_matrix(ref, j - 1) @ boundary_matrix(C, j)
+            assert (lhs != rhs).nnz == 0, (level, j)
+
+
+@pytest.mark.parametrize("C, values", _subdivide_cases())
+def test_template_signs_match_the_actual_cut(C, values):
+    """A piece's template sign, taken at the midpoint cut, is the sign of its
+    barycentric determinant at the actual cut wherever that determinant is
+    not a rounding-level sliver (at a snapped level some are)."""
+    compared = 0
+    for level in _oracle_levels(C, values):
+        ref = subdivide_at_level(C, values, level)
+        for k in C.dims[1:]:
+            sign, det = _cut_determinants(ref, k)
+            clear = np.abs(det) >= 1e-12
+            assert np.array_equal(sign[clear], np.sign(det[clear]).astype(sign.dtype))
+            compared += int(clear.sum())
+    assert compared > 0
+
+
+def test_template_checks_that_its_pieces_cover_the_simplex(monkeypatch):
+    """A template whose pieces miss part of the simplex at the midpoint cut
+    raises InvariantError instead of orienting what is left."""
+    import currentlab.slicing as slicing
+
+    split = slicing._split_pieces
+    monkeypatch.setattr(slicing, "_split_pieces", lambda *args: (split(*args)[0], split(*args)[1][1:]))
+    slicing._template.cache_clear()
+    with pytest.raises(InvariantError, match="covers volume"):
+        slicing._template(2, (True, False, False), (1, 0))
 
 
 def test_oracle_cases_cover_every_split_template():
