@@ -64,7 +64,7 @@ def write_report(report: dict, path: str | None, format: str = "json"):
     if format == "csv":
         text = _report_csv(report)
     else:
-        text = json.dumps(report, sort_keys=True, indent=1)
+        text = json.dumps(report, sort_keys=True, indent=1, allow_nan=False)
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

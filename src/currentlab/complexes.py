@@ -340,6 +340,21 @@ def lookup_rows(table, queries):
     return owner[rank[len(table) :]]
 
 
+def facet_lookup(table, rows):
+    """Index among the rows of `table` of every facet of every row of an
+    (n, k+1) id array, as an (n, k+1) array whose entry (i, j) is the facet
+    of row i opposite its vertex j; one `lookup_rows`.  Raises ComplexError
+    for a facet missing from `table`."""
+    k = rows.shape[1] - 1
+    faces = rows[:, [[c for c in range(k + 1) if c != j] for j in range(k + 1)]]
+    index = lookup_rows(table, faces.reshape(-1, k)).reshape(faces.shape[:2])
+    if (index < 0).any():
+        i = np.flatnonzero((index < 0).any(axis=1))[0]
+        j = np.flatnonzero(index[i] < 0)[-1]  # its first missing face in lexicographic order
+        raise ComplexError(f"missing face {tuple(faces[i, j].tolist())} of {tuple(rows[i].tolist())}")
+    return index
+
+
 class SimplexLists(Mapping):
     """Read-only {k: [vertex tuple, ...]} view of (n, k+1) id arrays; the
     tuple list of a dimension is built when it is first read."""
@@ -366,16 +381,18 @@ class GeometricComplex:
     """The k-simplices of each dimension as an (n, k+1) vertex-id array; a
     simplex's index is its row.  `GeometricComplex(metric, {k: simplices})`
     takes id arrays or lists of vertex tuples, kept in their order, and
-    optionally their known k-volumes; `simplices` is the read-only
+    optionally their known k-volumes and face-index arrays (`faces`: per
+    dimension an array, or a function of no arguments that builds it on the
+    first `face_index`); `simplices` is the read-only
     {k: [vertex tuple, ...]} view, whose lists are built only when read."""
 
-    def __init__(self, metric, simplices, masses=None):
+    def __init__(self, metric, simplices, masses=None, faces=None):
         self.metric = metric
         self._arrays = {k: np.asarray(s, dtype=np.intp).reshape(len(s), k + 1) for k, s in simplices.items()}
         self.simplices = SimplexLists(self._arrays)
         self._masses: dict[int, np.ndarray] = dict(masses or {})
         self._index: dict[int, dict[tuple[int, ...], int]] = {}
-        self._faces: dict[int, np.ndarray] = {}
+        self._faces: dict = dict(faces or {})
         self._adjacency = None
 
     @classmethod
@@ -415,17 +432,21 @@ class GeometricComplex:
     def face_index(self, k):
         """The boundary operator of dimension k as an (n, k+1) array: entry
         (i, j) is the index of the (k-1)-face of k-simplex i opposite its
-        vertex j (sign (-1)^j).  Raises ComplexError for a missing face."""
+        vertex j (sign (-1)^j).  Built on first use and cached: taken from
+        the `faces` the complex was built with when they hold dimension k
+        (a refined or support-closure complex derives them from its
+        parent's, see `slicing`), else looked up among all (k-1)-simplices.
+        Raises ComplexError for a missing face."""
         if k not in self._faces:
-            faces = self.simplex_array(k)[:, [[c for c in range(k + 1) if c != j] for j in range(k + 1)]]
-            index = lookup_rows(self.simplex_array(k - 1), faces.reshape(-1, k)).reshape(faces.shape[:2])
-            if (index < 0).any():
-                i = np.flatnonzero((index < 0).any(axis=1))[0]
-                j = np.flatnonzero(index[i] < 0)[-1]  # its first missing face in lexicographic order
-                simplex = tuple(self.simplex_array(k)[i].tolist())
-                raise ComplexError(f"missing face {tuple(faces[i, j].tolist())} of {simplex}")
-            self._faces[k] = index
+            self._faces[k] = facet_lookup(self.simplex_array(k - 1), self.simplex_array(k))
+        elif callable(self._faces[k]):
+            self._faces[k] = self._faces[k]()
         return self._faces[k]
+
+    def face_index_deferred(self, k):
+        """Whether face_index(k) is still to be built by a function given
+        in `faces`."""
+        return callable(self._faces.get(k))
 
     def masses(self, k):
         if k not in self._masses:

@@ -328,7 +328,8 @@ def chain_to_json(T: SimplicialCurrent) -> dict:
 
 def complex_from_json(data: dict) -> GeometricComplex:
     """The complex {"vertices": rows of finite coordinates, or "distances":
-    a distance matrix, "simplices": {"k": [[vertex id, ...], ...]}}."""
+    a distance matrix, "simplices": {"k": [[vertex id, ...], ...]}}, whose
+    simplex volumes must be finite."""
     if "distances" in data:
         metric = MatrixMetric(FiniteMetricSpace(np.asarray(data["distances"], dtype=float)).dist)
     elif "vertices" in data:
@@ -351,6 +352,13 @@ def complex_from_json(data: dict) -> GeometricComplex:
     arrays.setdefault(0, np.arange(metric.n)[:, None])
     C = GeometricComplex(metric, arrays)
     C.validate()
+    # huge but finite coordinates or distances overflow the volumes
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in C.dims:
+            finite = np.isfinite(C.masses(k))
+            if not finite.all():
+                s = tuple(C.simplex_array(k)[np.argmin(finite)].tolist())
+                raise ArgumentError(f"{k}-simplex {s} has a non-finite volume (coordinates or distances too large)")
     return C
 
 

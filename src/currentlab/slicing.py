@@ -20,6 +20,7 @@ from .complexes import (
     GeometricComplex,
     PLFunction,
     distance_function,
+    facet_lookup,
     lookup_rows,
     row_ranks,
     simplex_volumes,
@@ -176,6 +177,45 @@ def _split_pieces(simplex, below_mask, cut):
 _AFTER_EVERY_ID = np.iinfo(np.intp).max
 
 
+def _others(n, ids):
+    """The indices 0..n-1 not in `ids`, in increasing order."""
+    keep = np.ones(n, dtype=bool)
+    keep[ids] = False
+    return np.flatnonzero(keep)
+
+
+def _inherited_faces(parent, arrays, crossing, positions, k):
+    """The face index of dimension k >= 1 of a complex refined from
+    `parent`, built from the parent's.
+
+    `positions[k]` holds the refined position of each merged k-row: first
+    the parent's untouched k-simplices (those not in `crossing[k]`) in
+    parent order, then the new k-cells.  An untouched simplex has untouched
+    faces, so its row is its parent row gathered through the new positions
+    of the untouched (k-1)-simplices.  The faces of the new cells take one
+    `facet_lookup` among the new (k-1)-cells and the untouched facets of
+    crossing k-simplices, which hold them all: a face without a cut point,
+    joined with the endpoint of its cell's cut edge on the other side of
+    the level, is a crossing k-face of the cell's carrier.
+    """
+    if parent.face_index_deferred(k):
+        # a parent refined in turn would build dimension k for this complex
+        # alone, at more cost than one lookup here
+        return facet_lookup(arrays[k - 1], arrays[k])
+    kept, kept_faces = _others(parent.count(k), crossing[k]), _others(parent.count(k - 1), crossing[k - 1])
+    # refined position of every parent (k-1)-simplex, -1 where it crosses
+    moved = np.full(parent.count(k - 1), -1, dtype=np.intp)
+    moved[kept_faces] = positions[k - 1][: len(kept_faces)]
+    parent_faces = parent.face_index(k)
+    index = np.empty((len(arrays[k]), k + 1), dtype=np.intp)
+    index[positions[k][: len(kept)]] = moved[parent_faces[kept]]
+    facets = moved[np.unique(parent_faces[crossing[k]])]
+    table = np.concatenate([positions[k - 1][len(kept_faces) :], facets[facets >= 0]])
+    new = positions[k][len(kept) :]
+    index[new] = table[facet_lookup(arrays[k - 1][table], arrays[k][new])]
+    return index
+
+
 @functools.cache
 def _template(k, pattern, perm):
     """The cells a crossing k-simplex is split into, as sorted rows of column
@@ -245,18 +285,20 @@ def _split(sims, side, edges, n_old):
     ]
     # per dimension, one gather through the templates padded to a common
     # length, then the padding rows dropped: each parent's cells stay
-    # together and in template order
+    # together and in template order; the pieces' signs (d = k) take the
+    # same padded gather
     cells = []
     for d in range(k + 1):
         counts = np.array([len(t[d]) for t, _ in templates], dtype=np.intp)
         table = np.zeros((len(templates), counts.max(initial=0), d + 1), dtype=np.intp)
-        for g, (template, _) in enumerate(templates):
+        signs = np.zeros(table.shape[:2], dtype=np.int64)
+        for g, (template, sign) in enumerate(templates):
             table[g, : counts[g]] = template[d]
+            if d == k:
+                signs[g, : counts[g]] = sign
         rows = cols[np.arange(len(cols))[:, None, None], table[group]]
         keep = np.arange(table.shape[1]) < counts[group][:, None]
         cells.append(rows[keep])
-    # the pieces' signs through the same padded gather (table, keep: d = k)
-    signs = np.stack([np.pad(sign, (0, table.shape[1] - len(sign))) for _, sign in templates])
     return cells, counts[group], signs[group][keep]
 
 
@@ -269,7 +311,9 @@ def subdivide_at_level(C: GeometricComplex, values, s, snap_rel=SNAP_REL) -> Ref
     split by its (pattern, perm) template: the refined complex, built from
     id arrays, holds the untouched simplices plus the cells inside crossing
     simplices (those through a cut point), which relies on C being closed
-    under faces.
+    under faces.  Its face index is derived from C's (`_inherited_faces`)
+    on the first `face_index` of each dimension, so a dimension nobody
+    reads costs nothing.
     """
     values = np.asarray(values, dtype=float)
     level, snapped, warning = snap_level(values, s, snap_rel)
@@ -302,20 +346,17 @@ def subdivide_at_level(C: GeometricComplex, values, s, snap_rel=SNAP_REL) -> Ref
 
     # merged, lexicographically sorted arrays; untouched simplices keep their
     # volumes, and every new simplex contains a cut point, so all rows differ
-    new_arrays, new_masses, untouched, old_pos, piece_pos = {}, {}, {}, {}, {}
+    new_arrays, new_masses, untouched, positions = {}, {}, {}, {}
     for k in C.dims:
-        keep = np.ones(C.count(k), dtype=bool)
-        keep[crossing[k]] = False
-        untouched[k] = np.flatnonzero(keep)
-        merged = np.concatenate([C.simplex_array(k)[keep], new[k]])
+        untouched[k] = _others(C.count(k), crossing[k])
+        merged = np.concatenate([C.simplex_array(k)[untouched[k]], new[k]])
         order = np.lexsort(merged.T[::-1])
-        pos = np.empty(len(order), dtype=np.intp)
-        pos[order] = np.arange(len(order))
-        old_pos[k] = pos[: len(untouched[k])]
-        piece_pos[k] = pos[len(untouched[k]) :][: len(cells[k][k])]
+        positions[k] = np.empty(len(order), dtype=np.intp)
+        positions[k][order] = np.arange(len(order))
         new_arrays[k] = merged[order]
-        new_masses[k] = np.concatenate([C.masses(k)[keep], simplex_volumes(metric, new[k])])[order]
-    new_complex = GeometricComplex(metric, new_arrays, new_masses)
+        new_masses[k] = np.concatenate([C.masses(k)[untouched[k]], simplex_volumes(metric, new[k])])[order]
+    faces = {k: functools.partial(_inherited_faces, C, new_arrays, crossing, positions, k) for k in C.dims if k > 0}
+    new_complex = GeometricComplex(metric, new_arrays, new_masses, faces)
 
     # signed transfer tables: an untouched simplex is its own child, a split
     # one has all its pieces with their template orientations; the stable
@@ -324,7 +365,7 @@ def subdivide_at_level(C: GeometricComplex, values, s, snap_rel=SNAP_REL) -> Ref
     for k in C.dims:
         parent = np.concatenate([untouched[k], np.repeat(crossing[k], n_pieces[k])])
         order = np.argsort(parent, kind="stable")
-        child = np.concatenate([old_pos[k], piece_pos[k]])[order]
+        child = positions[k][: len(untouched[k]) + len(cells[k][k])][order]
         sign = np.concatenate([np.ones(len(untouched[k]), dtype=np.int64), signs[k]])[order]
         ptr = np.searchsorted(parent[order], np.arange(C.count(k) + 1))
         children[k] = ChildTable(ptr, child, sign)
@@ -353,7 +394,8 @@ def support_closure(T: SimplicialCurrent) -> SimplicialCurrent:
     functions and distance rows stay valid; only the simplex lists shrink,
     which keeps later subdivisions proportional to the support size.  The
     faces come from the parent's face-index arrays, each dimension listed
-    in lexicographic vertex order as an id array (tuple lists on demand).
+    in lexicographic vertex order as an id array (tuple lists on demand),
+    and the closure's face index is the parent's, renumbered.
     """
     C = T.complex
     if T.is_zero():
@@ -362,15 +404,18 @@ def support_closure(T: SimplicialCurrent) -> SimplicialCurrent:
     chosen = {T.dim: T.idx}
     for k in range(T.dim, 0, -1):
         chosen[k - 1] = np.unique(C.face_index(k)[chosen[k]])
-    arrays, masses, orders = {}, {}, {}
-    for k, ids in chosen.items():
-        orders[k] = np.lexsort(C.simplex_array(k)[ids].T[::-1])
-        ids = ids[orders[k]]
+    arrays, masses, faces, renamed = {}, {}, {}, {}
+    for k in range(T.dim + 1):
+        ids = chosen[k][np.lexsort(C.simplex_array(k)[chosen[k]].T[::-1])]
         arrays[k] = C.simplex_array(k)[ids]
         masses[k] = C.masses(k)[ids]
-    C2 = GeometricComplex(C.metric, arrays, masses)
-    new_idx = np.empty(len(T.idx), dtype=np.int64)
-    new_idx[orders[T.dim]] = np.arange(len(T.idx))
+        # closure index of each chosen parent simplex (other entries unread)
+        renamed[k] = np.empty(C.count(k), dtype=np.intp)
+        renamed[k][ids] = np.arange(len(ids))
+        if k:
+            faces[k] = renamed[k - 1][C.face_index(k)[ids]]
+    C2 = GeometricComplex(C.metric, arrays, masses, faces)
+    new_idx = renamed[T.dim][T.idx]
     return SimplicialCurrent.from_arrays(C2, T.dim, new_idx, T.coeff)
 
 

@@ -13,6 +13,7 @@ from currentlab.complexes import (
     GeometricComplex,
     MatrixMetric,
     close_under_faces,
+    lookup_rows,
     simplex_volume_from_sq,
 )
 from currentlab.currents import SimplicialCurrent, permutation_sign
@@ -356,6 +357,15 @@ def boundary_oracle(T: SimplicialCurrent) -> SimplicialCurrent:
             j = faces[face]
             out[j] = out.get(j, 0) + sign * c
     return SimplicialCurrent(T.complex, k - 1, out)
+
+
+def face_index_oracle(C: GeometricComplex, k: int) -> np.ndarray:
+    """The face index of dimension k by one `lookup_rows` of every facet
+    among all (k-1)-simplices of C, the path of a complex built without
+    known faces."""
+    rows = C.simplex_array(k)
+    faces = np.stack([np.delete(rows, j, axis=1) for j in range(k + 1)], axis=1)
+    return lookup_rows(C.simplex_array(k - 1), faces.reshape(-1, k)).reshape(len(rows), k + 1)
 
 
 def push_forward_oracle(T: SimplicialCurrent, vmap, target: GeometricComplex) -> SimplicialCurrent:

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from currentlab.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_INVARIANT, EXIT_OK, main
+from currentlab.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_INVARIANT, EXIT_OK, main, write_report
 from currentlab.currents import chain_from_json, chain_to_json, mass
 from currentlab.meshes import disk_mesh, interval_chain, square_complex
 
@@ -284,6 +284,25 @@ class TestErrors:
         code, _, err = _main_json([command, "--input", str(path)], capsys)
         assert code == EXIT_INPUT
         assert "bad chain payload" in err and message in err
+
+    def test_overflowing_simplex_volumes_exit_2(self, tmp_path):
+        # exited 0 after numpy overflow warnings, printing "mass": NaN and
+        # "boundary_mass": Infinity, which is not JSON
+        data = {
+            "complex": {
+                "vertices": [[1e200, 0.0], [1.0, 0.0], [0.0, 1.0]],
+                "simplices": {"1": [[0, 1], [0, 2], [1, 2]], "2": [[0, 1, 2]]},
+            },
+            "current": {"dim": 2, "coeffs": [[0, 1]]},
+        }
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data))
+        proc = run_cli(["mass", "--input", str(path)])
+        assert proc.returncode == EXIT_INPUT
+        assert "NaN" not in proc.stdout and "Infinity" not in proc.stdout
+        assert "non-finite volume" in proc.stderr and "RuntimeWarning" not in proc.stderr
+        with pytest.raises(ValueError):
+            write_report({"result": {"mass": math.nan}}, None)
 
     @pytest.mark.parametrize("theta", [[1.5, 1.5], [0.9, 0.9]])
     def test_fillvol0_non_integer_weights_exit_2(self, tmp_path, capsys, theta):
