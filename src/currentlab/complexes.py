@@ -190,18 +190,6 @@ class MatrixMetric:
         grown[n:, n:] = among + among.T
         return MatrixMetric(grown)
 
-    def add_points(self, raw_points):
-        """Append one (ids, weights) spec or a list of them, padded with
-        weight 0 to the longest."""
-        specs = raw_points if isinstance(raw_points, list) else [raw_points]
-        ids = np.zeros((len(specs), max(len(spec[0]) for spec in specs)), dtype=np.intp)
-        W = np.zeros(ids.shape)
-        for i, (spec_ids, w) in enumerate(specs):
-            ids[i, : len(spec_ids)], W[i, : len(spec_ids)] = spec_ids, w
-        start = self.n
-        self.mat = self.grown((ids, W)).mat
-        return list(range(start, self.n))
-
 
 # ---------------------------------------------------------------------------
 # simplex volumes

@@ -32,7 +32,7 @@ from .fillvol import filling_volume, fillvol_continuity_gap, planar_top
 from .metricspace import ArgumentError, FiniteMetricSpace
 from .meshes import add_spikes, disk_mesh, full_torus_mesh, nearest_vertex, sphere_mesh
 from .product import interval_filling_volume, sliced_interval_fill, staircase
-from .slicing import subdivide_at_level, _sublevel_indicator
+from .slicing import subdivide_at_level
 from .slicedfill import ball_context, sf_k, sliced_fill
 
 SEMICONTINUITY_TOL = 1e-9  # absolute slack of the mass and diameter checks
@@ -251,26 +251,17 @@ def joined_complex(CA, TA, CB, TB):
 
 
 def matched_balls(K, TA_K, TB_K, pa, pb, r):
-    """Both currents restricted to open balls, on one shared refinement of K.
+    """Both currents restricted to open balls, on one shared refinement of K:
+    ball A is the sublevel set of the cut at rho_a = r, ball B that of the
+    cut at rho_b = r made after it.
 
     Returns (ball_A, ball_B) living on the same complex.
     """
-    rho_a = distance_function(K, pa)
-    rho_b = distance_function(K, pb)
-    ref1 = subdivide_at_level(K, rho_a.values, r)
-    TA1 = ref1.transfer_current(TA_K)
-    TB1 = ref1.transfer_current(TB_K)
-    rho_a1 = ref1.transfer_function(rho_a, own_level=True)
-    rho_b1 = ref1.transfer_function(rho_b)
-    ref2 = subdivide_at_level(ref1.complex, rho_b1.values, r)
-    TA2 = ref2.transfer_current(TA1)
-    TB2 = ref2.transfer_current(TB1)
-    rho_a2 = ref2.transfer_function(rho_a1)
-    rho_b2 = ref2.transfer_function(rho_b1, own_level=True)
-    K2 = ref2.complex
-    keep_a = _sublevel_indicator(K2, TA2.dim, rho_a2.values, ref1.level)
-    keep_b = _sublevel_indicator(K2, TB2.dim, rho_b2.values, ref2.level)
-    return TA2.restricted(keep_a), TB2.restricted(keep_b)
+    ref_a = subdivide_at_level(K, distance_function(K, pa).values, r)
+    ball_a = ref_a.transfer_current(TA_K).restricted(ref_a.below(TA_K.dim))
+    ref_b = subdivide_at_level(ref_a.complex, ref_a.transfer_function(distance_function(K, pb)).values, r)
+    ball_b = ref_b.transfer_current(ref_a.transfer_current(TB_K)).restricted(ref_b.below(TB_K.dim))
+    return ref_b.transfer_current(ball_a), ball_b
 
 
 # ---------------------------------------------------------------------------

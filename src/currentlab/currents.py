@@ -262,7 +262,8 @@ def restrict(T: SimplicialCurrent, predicate, mode="barycenter") -> SimplicialCu
 
     `predicate` is either a callable on barycenters (barycenter mode only) or
     a (PLFunction, level) pair meaning the sublevel set {f <= s}.  Subdivided
-    mode refines along the PL level set first, so the restriction is exact.
+    mode refines along the PL level set first, so the restriction is exact
+    (to {f < s}, s snapped off the vertex values).
     """
     if isinstance(predicate, tuple) and isinstance(predicate[0], PLFunction):
         f, level = predicate

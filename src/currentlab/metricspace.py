@@ -119,8 +119,11 @@ class FiniteMetricSpace:
         pts = np.asarray(points, dtype=float)
         if pts.ndim == 1:
             pts = pts[:, None]
-        diff = pts[:, None, :] - pts[None, :, :]
-        d = np.sqrt((diff**2).sum(axis=-1))
+        # huge or non-finite coordinates overflow to inf or nan here, which
+        # _check_finite reports
+        with np.errstate(over="ignore", invalid="ignore"):
+            diff = pts[:, None, :] - pts[None, :, :]
+            d = np.sqrt((diff**2).sum(axis=-1))
         _check_finite(d)
         return cls(d, labels=labels, validate=False)
 

@@ -20,13 +20,7 @@ from .complexes import GeometricComplex, PLFunction, distance_function
 from .currents import SimplicialCurrent, boundary, mass
 from .fillvol import filling_volume, filling_volume_0d
 from .metricspace import ArgumentError, Report
-from .slicing import (
-    Refinement,
-    slice_current,
-    subdivide_at_level,
-    support_closure,
-    _sublevel_indicator,
-)
+from .slicing import Refinement, slice_current, subdivide_at_level, support_closure
 
 # Euclidean 3-space constants for the band [(1-beta) r, (1+beta) r]^2 at
 # beta = 1/2, witnesses at mutual distance r on the sphere of radius r.
@@ -80,13 +74,10 @@ def ball_context(T: SimplicialCurrent, p: int, r: float, mode="auto") -> BallCon
         raise ArgumentError("ball radius must be positive")
     rho = distance_function(T.complex, p, mode=mode)
     ref = subdivide_at_level(T.complex, rho.values, r)
-    T2 = ref.transfer_current(T)
-    rho2 = ref.transfer_function(rho, own_level=True)
-    current = T2.restricted(_sublevel_indicator(ref.complex, T.dim, rho2.values, ref.level))
     # vertex ids and the metric survive re-rooting, so the distance values
     # and any externally supplied witness ids stay valid
-    current = support_closure(current)
-    rho2 = PLFunction(current.complex, rho2.values, source=rho2.source)
+    current = support_closure(ref.transfer_current(T).restricted(ref.below(T.dim)))
+    rho2 = PLFunction(current.complex, ref.values, source=rho.source)
     return BallContext(current=current, refinement=ref, center=p, radius=r, rho=rho2)
 
 

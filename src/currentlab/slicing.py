@@ -57,12 +57,14 @@ class ChildTable(Mapping):
 @dataclass
 class Refinement:
     """Result of splitting a complex along a PL level set; `children` maps
-    each dimension to its ChildTable.  Every piece of a split simplex is
-    kept, so `dropped` is always 0."""
+    each dimension to its ChildTable and `values` is the cutting function on
+    the refined vertices, exactly `level` at the cut points.  Every piece of
+    a split simplex is kept, so `dropped` is always 0."""
 
     source: GeometricComplex
     complex: GeometricComplex
     level: float
+    values: np.ndarray
     snapped: bool
     children: dict[int, ChildTable]
     cut_edges: list[tuple[int, int, float]]
@@ -80,12 +82,16 @@ class Refinement:
         order = np.argsort(child, kind="stable")  # children of distinct parents are distinct
         return SimplicialCurrent.from_arrays(self.complex, T.dim, child[order], coeff[order])
 
-    def transfer_function(self, f: PLFunction, own_level=False) -> PLFunction:
+    def below(self, k) -> np.ndarray:
+        """Mask of the refined k-simplices in {f < level}: no refined simplex
+        has vertices on both sides, and cells of cut points alone lie on the
+        level."""
+        return (self.values < self.level)[self.complex.simplex_array(k)].any(axis=1)
+
+    def transfer_function(self, f: PLFunction) -> PLFunction:
         old = f.values
         n_cut = len(self.cut_edges)
-        if own_level:
-            cut_vals = np.full(n_cut, self.level)
-        elif f.source is not None and f.source[0] == "dist":
+        if f.source is not None and f.source[0] == "dist":
             cut_ids = np.arange(self.n_old_vertices, self.n_old_vertices + n_cut)
             cut_vals = self.complex.metric.dist(f.source[1], cut_ids)
         else:
@@ -302,7 +308,7 @@ def _split(sims, side, edges, n_old):
     return cells, counts[group], signs[group][keep]
 
 
-def subdivide_at_level(C: GeometricComplex, values, s, snap_rel=SNAP_REL) -> Refinement:
+def subdivide_at_level(C: GeometricComplex, values, s) -> Refinement:
     """Split every simplex crossing {f = s} so {f <= s} becomes a subcomplex.
 
     Per-simplex volume is preserved by construction (children partition their
@@ -316,7 +322,7 @@ def subdivide_at_level(C: GeometricComplex, values, s, snap_rel=SNAP_REL) -> Ref
     reads costs nothing.
     """
     values = np.asarray(values, dtype=float)
-    level, snapped, warning = snap_level(values, s, snap_rel)
+    level, snapped, warning = snap_level(values, s)
     warnings = [warning] if warning else []
 
     n_old = C.n_vertices
@@ -374,17 +380,13 @@ def subdivide_at_level(C: GeometricComplex, values, s, snap_rel=SNAP_REL) -> Ref
         source=C,
         complex=new_complex,
         level=level,
+        values=np.concatenate([values, np.full(len(cut_edges), level)]),
         snapped=snapped,
         children=children,
         cut_edges=cut_edges,
         n_old_vertices=n_old,
         warnings=warnings,
     )
-
-
-def _sublevel_indicator(complex, dim, values, level):
-    bary = complex.barycenter_values(dim, values)
-    return bary < level
 
 
 def support_closure(T: SimplicialCurrent) -> SimplicialCurrent:
@@ -420,9 +422,10 @@ def support_closure(T: SimplicialCurrent) -> SimplicialCurrent:
 
 
 def restrict_sublevel(T: SimplicialCurrent, f: PLFunction, s, side="below") -> SimplicialCurrent:
-    """Exact restriction of T to {f <= s} (or {f >= s}) after refinement."""
+    """Exact restriction of T to {f < level} (side="above": to {f > level})
+    on the refinement at s, where level is s snapped off the vertex values."""
     ref = subdivide_at_level(T.complex, f.values, s)
-    keep = _sublevel_indicator(ref.complex, T.dim, ref.transfer_function(f, own_level=True).values, ref.level)
+    keep = ref.below(T.dim)
     return ref.transfer_current(T).restricted(~keep if side == "above" else keep)
 
 
@@ -433,18 +436,15 @@ def slice_current(T: SimplicialCurrent, f: PLFunction, s) -> SliceResult:
         raise ArgumentError("slicing needs a current of dimension >= 1")
     ref = subdivide_at_level(T.complex, f.values, s)
     T2 = ref.transfer_current(T)
-    f2 = ref.transfer_function(f, own_level=True)
-    restricted = T2.restricted(_sublevel_indicator(ref.complex, T.dim, f2.values, ref.level))
-    bdry_restricted = boundary(T2).restricted(_sublevel_indicator(ref.complex, T.dim - 1, f2.values, ref.level))
-    sliced = boundary(restricted) - bdry_restricted
+    sliced = boundary(T2.restricted(ref.below(T.dim))) - boundary(T2).restricted(ref.below(T.dim - 1))
     warnings = list(ref.warnings)
-    flat = _flat_region_mass(ref.complex, T2, f2.values, float(s))
+    flat = _flat_region_mass(ref.complex, T2, ref.values, float(s))
     if flat > 0:
         warnings.append(f"non-generic level: function is flat at the level on mass {flat}")
     return SliceResult(
         current=sliced,
         levels=(ref.level,),
-        functions=[f2],
+        functions=[PLFunction(ref.complex, ref.values, source=f.source)],
         refinement=ref,
         warnings=warnings,
     )
@@ -522,9 +522,6 @@ def annulus_mass(T: SimplicialCurrent, f: PLFunction, a: float, b: float) -> flo
     if b <= a:
         return 0.0
     ref1 = subdivide_at_level(T.complex, f.values, a)
-    f1 = ref1.transfer_function(f, own_level=True)
-    T1 = ref1.transfer_current(T).restricted(~_sublevel_indicator(ref1.complex, T.dim, f1.values, ref1.level))
-    ref2 = subdivide_at_level(ref1.complex, f1.values, b)
-    f2 = ref2.transfer_function(f1, own_level=True)
-    T2 = ref2.transfer_current(T1).restricted(_sublevel_indicator(ref2.complex, T.dim, f2.values, ref2.level))
-    return mass(T2)
+    T1 = ref1.transfer_current(T).restricted(~ref1.below(T.dim))
+    ref2 = subdivide_at_level(ref1.complex, ref1.values, b)
+    return mass(ref2.transfer_current(T1).restricted(ref2.below(T.dim)))

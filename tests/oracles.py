@@ -324,6 +324,7 @@ def subdivide_oracle(C: GeometricComplex, values, s, snap_rel=SNAP_REL) -> Refin
         source=C,
         complex=new_complex,
         level=level,
+        values=np.concatenate([values, np.full(len(cut_edges), level)]),
         snapped=snapped,
         children=children,
         cut_edges=cut_edges,

@@ -31,7 +31,6 @@ from currentlab.slicing import (
     coarea_profile,
     slice_current,
     subdivide_at_level,
-    _sublevel_indicator,
 )
 from currentlab.slicedfill import C_E3_BAND_INTEGRAL, ball_context, sliced_fill, tetra_check
 
@@ -275,13 +274,12 @@ def test_criterion_8_property_suite():
         refg = subdivide_at_level(C, g.values, u)
         Tg = refg.transfer_current(T)
         fg = refg.transfer_function(f)
-        gg = refg.transfer_function(g, own_level=True)
-        keep = _sublevel_indicator(refg.complex, 2, gg.values, refg.level)
+        keep = refg.below(2)
         TA = SimplicialCurrent(refg.complex, 2, {i: c for i, c in Tg.coeffs.items() if keep[i]})
         lhs = slice_current(TA, fg, s).current
         res = slice_current(Tg, fg, s)
-        gs = res.refinement.transfer_function(gg)
-        keep1 = _sublevel_indicator(res.complex, 1, gs.values, refg.level)
+        gs = res.refinement.transfer_function(PLFunction(refg.complex, refg.values))
+        keep1 = res.complex.barycenter_values(1, gs.values) < refg.level
         rhs = SimplicialCurrent(
             res.complex, 1, {i: c for i, c in res.current.coeffs.items() if keep1[i]}
         )

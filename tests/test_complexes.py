@@ -87,10 +87,10 @@ class TestComplexStructure:
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         em = EuclideanMetric(pts)
         mm = MatrixMetric(np.sqrt(em.pairwise_sq(range(3))))
-        (new,) = mm.add_points([mm.interpolate((0, 1), (0.5, 0.5))])
+        grown = mm.grown(mm.interpolate((0, 1), (0.5, 0.5)))
         mid = np.array([0.5, 0.0])
         for i in range(3):
-            assert mm.dist(new, i) == pytest.approx(np.linalg.norm(mid - pts[i]), abs=1e-12)
+            assert grown.dist(3, i) == pytest.approx(np.linalg.norm(mid - pts[i]), abs=1e-12)
 
 
 class TestPLFunction:
@@ -246,18 +246,19 @@ class TestChainCore:
         rng = np.random.default_rng(17)
         pts = rng.normal(size=(30, 3))
         metric = MatrixMetric(np.linalg.norm(pts[:, None] - pts[None], axis=-1))
-        specs = []
-        for _ in range(25):
-            ids = rng.choice(30, size=int(rng.integers(2, 4)), replace=False)
-            w = rng.random(len(ids))
-            specs.append((ids.tolist(), w / w.sum()))
-        want = matrix_add_points_oracle(metric.mat, specs)
-        assert metric.add_points(specs) == list(range(30, 55))
-        assert np.allclose(metric.mat, want, rtol=0, atol=1e-12)
-        assert np.array_equal(metric.mat, metric.mat.T) and not np.diag(metric.mat).any()
-        single = metric.add_points(metric.interpolate((0, 1), (0.25, 0.75)))
-        assert single == [55]
-        assert np.allclose(metric.mat, matrix_add_points_oracle(want, [((0, 1), [0.25, 0.75])]), rtol=0, atol=1e-12)
+        before = metric.mat.copy()
+        # one stacked (25, 3) batch: an edge point has weight 0 on its third id
+        ids = np.stack([rng.choice(30, size=3, replace=False) for _ in range(25)])
+        W = rng.random((25, 3)) * (np.arange(3) < rng.integers(2, 4, size=25)[:, None])
+        W /= W.sum(axis=1, keepdims=True)
+        want = matrix_add_points_oracle(before, zip(ids.tolist(), W))
+        grown = metric.grown(metric.interpolate(ids, W))
+        assert grown.n == 55 and np.array_equal(metric.mat, before)
+        assert np.allclose(grown.mat, want, rtol=0, atol=1e-12)
+        assert np.array_equal(grown.mat, grown.mat.T) and not np.diag(grown.mat).any()
+        single = grown.grown(grown.interpolate((0, 1), (0.25, 0.75)))
+        assert single.n == 56
+        assert np.allclose(single.mat, matrix_add_points_oracle(want, [((0, 1), [0.25, 0.75])]), rtol=0, atol=1e-12)
 
 
 class TestStackedInterpolation:
@@ -307,9 +308,10 @@ class TestStackedInterpolation:
             assert np.array_equal(stacked_ids[i], one_ids) and np.array_equal(stacked_w[i], one_w)
         before = source.mat.copy()
         grown = source.grown((stacked_ids, stacked_w))
-        one_at_a_time = MatrixMetric(before.copy())
-        one_at_a_time.add_points([source.interpolate(ids[i], W[i]) for i in range(10)])
-        assert np.array_equal(grown.mat, one_at_a_time.mat)
+        singles = [source.interpolate(ids[i], W[i]) for i in range(10)]
+        restacked = source.grown(tuple(np.stack(part) for part in zip(*singles)))
+        assert np.array_equal(grown.mat, restacked.mat)
+        assert np.allclose(grown.mat, matrix_add_points_oracle(before, zip(ids.tolist(), W)), rtol=0, atol=1e-12)
         assert np.array_equal(source.mat, before)
 
     @pytest.mark.parametrize("kind", ["euclidean", "callable", "matrix"])

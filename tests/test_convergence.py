@@ -18,7 +18,7 @@ from currentlab.currents import boundary, mass, push_forward
 from currentlab.fillvol import filling_volume, flat_distance
 from currentlab.meshes import disk_mesh, grid_mesh, nearest_vertex
 from currentlab.metricspace import ArgumentError
-from currentlab.slicing import annulus_mass, slice_current
+from currentlab.slicing import annulus_mass, ball, slice_current
 from currentlab.complexes import PLFunction, distance_function
 
 from oracles import correspondence_oracle
@@ -125,6 +125,21 @@ class TestJoinedComplex:
         assert ball_a.complex is ball_b.complex
         assert mass(ball_a) == pytest.approx(math.pi * 0.25, rel=0.1)
         assert mass(ball_b) == pytest.approx(math.pi * 0.25, rel=0.1)
+
+    def test_matched_ball_a_is_the_ball_of_its_own_cut(self):
+        """Ball A is the sublevel set of the cut at rho_a = r, not classified
+        on ball B's later cut, where rho_a at the new cut points is a true
+        distance rather than the PL value: on the continuity_lp anchor pair
+        it has the mass and boundary mass of `ball` on the joined complex."""
+        CA, TA = disk_mesh(h=0.2, radius=0.8)
+        CB, TB = disk_mesh(h=0.125, radius=0.8)
+        K, TA_K, TB_K, _, _ = joined_complex(CA, TA, CB, TB)
+        pa = nearest_vertex(CA, (0, 0))
+        pb = nearest_vertex(CB, (0, 0)) + CA.n_vertices
+        ball_a, _ = matched_balls(K, TA_K, TB_K, pa, pb, 0.5)
+        want = ball(TA_K, pa, 0.5)
+        assert mass(ball_a) == pytest.approx(mass(want), rel=1e-9)
+        assert mass(boundary(ball_a)) == pytest.approx(mass(boundary(want)), rel=1e-9)
 
 
 class TestFamilies:

@@ -263,14 +263,13 @@ class TestRestrict:
 
     def test_partition_identity(self):
         # both sides cut on one shared refinement recompose the current exactly
-        from currentlab.slicing import subdivide_at_level, _sublevel_indicator
+        from currentlab.slicing import subdivide_at_level
 
         C, T = square_complex()
         f = coordinate_function(C, 0)
         ref = subdivide_at_level(C, f.values, 0.37)
         T2 = ref.transfer_current(T)
-        f2 = ref.transfer_function(f, own_level=True)
-        keep = _sublevel_indicator(ref.complex, 2, f2.values, ref.level)
+        keep = ref.below(2)
         low = SimplicialCurrent(ref.complex, 2, {i: c for i, c in T2.coeffs.items() if keep[i]})
         high = SimplicialCurrent(ref.complex, 2, {i: c for i, c in T2.coeffs.items() if not keep[i]})
         assert (low + high - T2).is_zero()

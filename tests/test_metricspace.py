@@ -63,8 +63,10 @@ class TestValidation:
             FiniteMetricSpace(bad)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, 1e200])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_point_cloud_with_non_finite_distances_rejected(self, value):
-        # a nan coordinate gave nan distances, which no packing check rejects
+        # a nan coordinate gave nan distances, which no packing check rejects;
+        # the overflow on the way is reported by the MetricError alone
         with pytest.raises(MetricError, match="non-finite distance"):
             FiniteMetricSpace.from_points([[0.0, 0.0], [value, 1.0], [2.0, 2.0]])
 

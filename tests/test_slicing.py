@@ -38,7 +38,6 @@ from currentlab.slicing import (
     subdivide_at_level,
     support_closure,
     _split_pieces,
-    _sublevel_indicator,
 )
 
 from oracles import (
@@ -163,8 +162,7 @@ class TestSubdivide:
         f = coordinate_function(C, 0)
         ref = subdivide_at_level(C, f.values, 0.5)
         T2 = ref.transfer_current(T)
-        f2 = ref.transfer_function(f, own_level=True)
-        keep = _sublevel_indicator(ref.complex, 2, f2.values, ref.level)
+        keep = ref.below(2)
         low = SimplicialCurrent(ref.complex, 2, {i: c for i, c in T2.coeffs.items() if keep[i]})
         high = T2 - low
         # direct area computation: {x <= 1/2} of the unit right triangle
@@ -267,6 +265,7 @@ def _below_patterns(C, values, level):
 
 def _assert_same_refinement(ref, want):
     assert ref.level == want.level and ref.snapped == want.snapped
+    assert np.array_equal(ref.values, want.values)
     assert ref.n_old_vertices == want.n_old_vertices
     assert ref.cut_edges == want.cut_edges
     assert ref.children == want.children
@@ -649,14 +648,13 @@ class TestSlice:
             refg = subdivide_at_level(C, g.values, u)
             Tg = refg.transfer_current(T)
             fg = refg.transfer_function(f)
-            gg = refg.transfer_function(g, own_level=True)
-            keep = _sublevel_indicator(refg.complex, 2, gg.values, refg.level)
+            keep = refg.below(2)
             TA = SimplicialCurrent(refg.complex, 2, {i: c for i, c in Tg.coeffs.items() if keep[i]})
             lhs = slice_current(TA, fg, s)
             # right side: slice first, then restrict on the slice's complex
             res = slice_current(Tg, fg, s)
-            gslice = res.refinement.transfer_function(gg)
-            keep1 = _sublevel_indicator(res.complex, 1, gslice.values, refg.level)
+            gslice = res.refinement.transfer_function(PLFunction(refg.complex, refg.values))
+            keep1 = res.complex.barycenter_values(1, gslice.values) < refg.level
             rhs = SimplicialCurrent(
                 res.complex, 1, {i: c for i, c in res.current.coeffs.items() if keep1[i]}
             )
