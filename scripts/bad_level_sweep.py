@@ -79,7 +79,7 @@ def main():
         C, T, radial, ts = build_surface(n_rad, n_hoop, t_max=t_max)
         f = PLFunction(C, radial)
         radius = (t_max + math.pi / 2) * 0.995
-        inner = restrict_sublevel(T, f, radius, side="below")
+        inner = restrict_sublevel(T, f, radius)
         bd_mass = mass(boundary(inner))
         print(
             f"{t_max:9.4f} {n_rad}x{n_hoop:<6} {bd_mass:14.4f} "

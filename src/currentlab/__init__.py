@@ -34,7 +34,6 @@ from .currents import (
     evaluate,
     mass,
     push_forward,
-    restrict,
     total_mass,
 )
 from .slicing import (

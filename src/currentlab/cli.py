@@ -163,7 +163,7 @@ def _summary(current) -> dict:
         "mass": mass(current),
         "boundary_mass": mass(boundary(current)),
         "dim": current.dim,
-        "support_size": len(current.coeffs),
+        "support_size": len(current.idx),
         "chain": chain_to_json(current),
     }
 
@@ -291,6 +291,8 @@ def _cmd_sif(args):
 
 
 def _cmd_gh(args):
+    if not args.input_b:
+        raise ArgumentError("gh needs --input2")
     X = _metric_space_from(args.input)
     Y = _metric_space_from(args.input_b)
     lower, upper = gh_bounds(X, Y, exact_limit=args.exact_limit)

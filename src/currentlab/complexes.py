@@ -12,8 +12,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from .metricspace import ArgumentError
 
@@ -372,16 +370,15 @@ class GeometricComplex:
     optionally their known k-volumes and face-index arrays (`faces`: per
     dimension an array, or a function of no arguments that builds it on the
     first `face_index`); `simplices` is the read-only
-    {k: [vertex tuple, ...]} view, whose lists are built only when read."""
+    {k: [vertex tuple, ...]} view, whose lists are built only when read and
+    which the library itself never reads (the benchmark tracer does)."""
 
     def __init__(self, metric, simplices, masses=None, faces=None):
         self.metric = metric
         self._arrays = {k: np.asarray(s, dtype=np.intp).reshape(len(s), k + 1) for k, s in simplices.items()}
         self.simplices = SimplexLists(self._arrays)
         self._masses: dict[int, np.ndarray] = dict(masses or {})
-        self._index: dict[int, dict[tuple[int, ...], int]] = {}
         self._faces: dict = dict(faces or {})
-        self._adjacency = None
 
     @classmethod
     def from_top_simplices(cls, metric, *blocks):
@@ -406,12 +403,6 @@ class GeometricComplex:
 
     def count(self, k):
         return len(self._arrays[k]) if k in self._arrays else 0
-
-    def index(self, k):
-        """{vertex tuple: index} of the k-simplices (a reference for tests)."""
-        if k not in self._index:
-            self._index[k] = {s: i for i, s in enumerate(self.simplices.get(k, []))}
-        return self._index[k]
 
     def simplex_array(self, k):
         """The k-simplices as an (n, k+1) vertex-id array."""
@@ -471,16 +462,6 @@ class GeometricComplex:
     def barycenter_values(self, k, values):
         """Mean of a vertex function over the vertices of each k-simplex."""
         return np.asarray(values, dtype=float)[self.simplex_array(k)].mean(axis=1)
-
-    def edges_sparse(self):
-        if self._adjacency is None:
-            ends, w, n = self.simplex_array(1), self.masses(1), self.n_vertices
-            both = (np.concatenate([ends[:, 0], ends[:, 1]]), np.concatenate([ends[:, 1], ends[:, 0]]))
-            self._adjacency = coo_matrix((np.concatenate([w, w]), both), shape=(n, n)).tocsr()
-        return self._adjacency
-
-    def graph_distances(self, source):
-        return dijkstra(self.edges_sparse(), indices=source)
 
 
 # ---------------------------------------------------------------------------
@@ -544,25 +525,11 @@ class PLFunction:
         return float(vals.min()), float(vals.max())
 
 
-def distance_function(complex: GeometricComplex, p: int, mode="auto") -> PLFunction:
-    """Distance-from-vertex PL function.
-
-    Uses the exact metric row when the complex has one (Euclidean, matrix or
-    callable backend); `mode="graph"` forces shortest-path distances on the
-    1-skeleton.  Metric distance functions are 1-Lipschitz; graph distances
-    record their computed PL constant.
-    """
+def distance_function(complex: GeometricComplex, p: int) -> PLFunction:
+    """The distance from vertex p: the metric's row of p, 1-Lipschitz."""
     if not 0 <= p < complex.n_vertices:
         raise ArgumentError(f"vertex {p} out of range (the complex has {complex.n_vertices} vertices)")
-    if mode == "graph":
-        vals = complex.graph_distances(p)
-        if np.isinf(vals).any():
-            raise ArgumentError("graph distance undefined: complex is disconnected")
-        f = PLFunction(complex, vals, source=("graph_dist", p))
-        f._lip = max(1.0, f._gradient_lip())
-        return f
-    vals = complex.metric.row(p)
-    return PLFunction(complex, np.asarray(vals, dtype=float), source=("dist", p))
+    return PLFunction(complex, np.asarray(complex.metric.row(p), dtype=float), source=("dist", p))
 
 
 def coordinate_function(complex: GeometricComplex, axis: int) -> PLFunction:

@@ -70,6 +70,8 @@ def build_family(name: str, schedule) -> SequenceFamily:
         raise ArgumentError("schedule must be nonempty")
     if not all(math.isfinite(x) and x > 0 for x in schedule):
         raise ArgumentError(f"schedule values must be finite and positive, got {schedule}")
+    if name in ("refined_sphere", "sphere_splines") and not all(float(x).is_integer() for x in schedule):
+        raise ArgumentError(f"{name} schedule values must be integers, got {schedule}")
     if name == "refined_disk":
         gen = lambda h: disk_mesh(h=h)
         return SequenceFamily(name, schedule, gen, expected_limit=gen(min(schedule)))

@@ -82,7 +82,8 @@ class SimplicialCurrent:
     coefficients `coeff` (int64 arrays, never modified in place).
 
     `SimplicialCurrent(complex, dim, {index: coefficient})` drops zero
-    coefficients; `coeffs` is the read-only mapping view of the arrays.
+    coefficients; `coeffs` is a read-only mapping view of the arrays, which
+    the library itself never reads (the benchmark tracer does).
     Every construction raises ArgumentError unless the |coefficients| it is
     given sum below COEFF_LIMIT.
     """
@@ -188,18 +189,8 @@ class SimplicialCurrent:
     def is_zero(self):
         return not len(self.idx)
 
-    def simplex(self, idx):
-        return tuple(self.complex.simplex_array(self.dim)[idx].tolist())
-
-    def support_simplices(self):
-        return list(map(tuple, self.complex.simplex_array(self.dim)[self.idx].tolist()))
-
     def support_vertices(self):
         return np.unique(self.complex.simplex_array(self.dim)[self.idx]).tolist()
-
-    def signature(self):
-        """Canonical content representation, independent of simplex indexing."""
-        return tuple(sorted(zip(self.support_simplices(), self.coeff.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -255,31 +246,6 @@ def push_forward(T: SimplicialCurrent, vmap, target: GeometricComplex) -> Simpli
     if (j < 0).any():
         raise ArgumentError(f"image simplex {tuple(key[keep][j < 0][0].tolist())} not in target complex")
     return SimplicialCurrent.from_arrays(target, k, j, sign[keep] * T.coeff[keep])
-
-
-def restrict(T: SimplicialCurrent, predicate, mode="barycenter") -> SimplicialCurrent:
-    """Restrict a current to the simplices selected by a predicate.
-
-    `predicate` is either a callable on barycenters (barycenter mode only) or
-    a (PLFunction, level) pair meaning the sublevel set {f <= s}.  Subdivided
-    mode refines along the PL level set first, so the restriction is exact
-    (to {f < s}, s snapped off the vertex values).
-    """
-    if isinstance(predicate, tuple) and isinstance(predicate[0], PLFunction):
-        f, level = predicate
-        if mode == "subdivided":
-            from .slicing import restrict_sublevel
-
-            return restrict_sublevel(T, f, level)
-        return T.restricted(T.complex.barycenter_values(T.dim, f.values) <= level)
-    if mode == "subdivided":
-        raise ArgumentError("subdivided mode needs a (PLFunction, level) predicate")
-    coords = T.complex.coords()
-    # coordinate-backed complexes pass the barycenter, abstract ones the
-    # vertex-id tuple
-    probes = (coords[list(s)].mean(axis=0) if coords is not None else s for s in T.support_simplices())
-    keep = np.array([bool(predicate(probe)) for probe in probes], dtype=bool)
-    return SimplicialCurrent.from_arrays(T.complex, T.dim, T.idx[keep], T.coeff[keep])
 
 
 def evaluate(T: SimplicialCurrent, f: PLFunction, pis) -> float:

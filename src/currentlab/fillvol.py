@@ -250,7 +250,7 @@ def flat_distance(S: SimplicialCurrent, T: SimplicialCurrent, K: GeometricComple
         U = S - T
         cert_u = dict(zip(U.idx.tolist(), U.coeff.astype(float).tolist()))
         return FillingReport.exact(_winding_integral(boundary(U)), "winding", {"U": cert_u, "V": {}})
-    if m + 1 not in K.simplices:
+    if m + 1 not in K.dims:
         raise ArgumentError(f"ambient complex has no {m + 1}-simplices")
     rhs = _chain_vector(S) - _chain_vector(T)
     ident = eye(K.count(m), format="coo")
@@ -295,11 +295,12 @@ def filling_volume(B: SimplicialCurrent, K: GeometricComplex | None = None) -> F
         raise ArgumentError("cycle must live on the ambient complex")
     res = boundary(B)
     if not res.is_zero():
-        raise ArgumentError(f"filling_volume input is not a cycle; boundary residual {dict(res.coeffs)}")
+        residual = dict(zip(res.idx.tolist(), res.coeff.tolist()))
+        raise ArgumentError(f"filling_volume input is not a cycle; boundary residual {residual}")
     k = B.dim
     if B.is_zero():
         return FillingReport.exact(0.0, "zero", {"S": {}})
-    if k + 1 not in K.simplices:
+    if k + 1 not in K.dims:
         raise ArgumentError(f"ambient complex has no {k + 1}-simplices")
     if planar_top(K.metric, k + 1):
         return FillingReport.exact(_winding_integral(B), "winding", {})

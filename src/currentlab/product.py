@@ -203,7 +203,7 @@ def interval_filling_volume(T: SimplicialCurrent, epsilon: float, layers: int = 
     """
     prod, _ = product_current(T, epsilon, layers)
     value = mass(prod)
-    report = FillingReport.exact(value, "prism", {"S": dict(prod.coeffs)})
+    report = FillingReport.exact(value, "prism", {"S": dict(zip(prod.idx.tolist(), prod.coeff.tolist()))})
     bound = mass(T) + 1e-9 * max(mass(T), 1.0)
     if value / epsilon > bound:
         report.warnings.append(

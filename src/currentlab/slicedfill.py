@@ -69,10 +69,10 @@ class BallContext:
         return float(vals.min()), float(vals.max())
 
 
-def ball_context(T: SimplicialCurrent, p: int, r: float, mode="auto") -> BallContext:
+def ball_context(T: SimplicialCurrent, p: int, r: float) -> BallContext:
     if not r > 0:
         raise ArgumentError("ball radius must be positive")
-    rho = distance_function(T.complex, p, mode=mode)
+    rho = distance_function(T.complex, p)
     ref = subdivide_at_level(T.complex, rho.values, r)
     # vertex ids and the metric survive re-rooting, so the distance values
     # and any externally supplied witness ids stay valid

@@ -10,7 +10,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,35 +30,24 @@ from .metricspace import ArgumentError, InvariantError
 SNAP_REL = 1e-7
 
 
-class ChildTable(Mapping):
+@dataclass(eq=False)
+class ChildTable:
     """Signed transfer table of one dimension in CSR form: old simplex i has
-    the children child[ptr[i]:ptr[i+1]] with orientations sign[ptr[i]:ptr[i+1]].
+    the children child[ptr[i]:ptr[i+1]] with orientations sign[ptr[i]:ptr[i+1]]."""
 
-    Read as a mapping it is {old index: [(new index, sign), ...]}.
-    """
-
-    def __init__(self, ptr, child, sign):
-        self.ptr, self.child, self.sign = ptr, child, sign
-
-    def __len__(self):
-        return len(self.ptr) - 1
-
-    def __iter__(self):
-        return iter(range(len(self)))
-
-    def __getitem__(self, i):
-        if not 0 <= i < len(self):
-            raise KeyError(i)
-        a, b = self.ptr[i], self.ptr[i + 1]
-        return list(zip(self.child[a:b].tolist(), self.sign[a:b].tolist()))
+    ptr: np.ndarray
+    child: np.ndarray
+    sign: np.ndarray
 
 
 @dataclass
 class Refinement:
     """Result of splitting a complex along a PL level set; `children` maps
     each dimension to its ChildTable and `values` is the cutting function on
-    the refined vertices, exactly `level` at the cut points.  Every piece of
-    a split simplex is kept, so `dropped` is always 0."""
+    the refined vertices, exactly `level` at the cut points.  Cut point
+    n_old_vertices + i lies on the crossing edge `cut_edges[i]` = (u, v) at
+    parameter `cut_t[i]` from u.  Every piece of a split simplex is kept, so
+    `dropped` is always 0."""
 
     source: GeometricComplex
     complex: GeometricComplex
@@ -67,7 +55,8 @@ class Refinement:
     values: np.ndarray
     snapped: bool
     children: dict[int, ChildTable]
-    cut_edges: list[tuple[int, int, float]]
+    cut_edges: np.ndarray
+    cut_t: np.ndarray
     n_old_vertices: int
     dropped: int = 0
     warnings: list = field(default_factory=list)
@@ -90,12 +79,12 @@ class Refinement:
 
     def transfer_function(self, f: PLFunction) -> PLFunction:
         old = f.values
-        n_cut = len(self.cut_edges)
         if f.source is not None and f.source[0] == "dist":
-            cut_ids = np.arange(self.n_old_vertices, self.n_old_vertices + n_cut)
+            cut_ids = np.arange(self.n_old_vertices, self.n_old_vertices + len(self.cut_edges))
             cut_vals = self.complex.metric.dist(f.source[1], cut_ids)
         else:
-            cut_vals = np.array([(1.0 - t) * old[u] + t * old[v] for (u, v, t) in self.cut_edges])
+            u, v = self.cut_edges.T
+            cut_vals = (1.0 - self.cut_t) * old[u] + self.cut_t * old[v]
         return PLFunction(self.complex, np.concatenate([old, cut_vals]), source=f.source)
 
 
@@ -340,7 +329,6 @@ def subdivide_at_level(C: GeometricComplex, values, s) -> Refinement:
     hi = np.where(u_below, edges[:, 1], edges[:, 0])
     t = (level - values[lo]) / (values[hi] - values[lo])
     t_edge = np.where(u_below, t, 1.0 - t)
-    cut_edges = list(zip(*edges.T.tolist(), t_edge.tolist()))
     metric = C.metric.grown(C.metric.interpolate(edges, np.stack([1.0 - t_edge, t_edge], axis=1)))
 
     # the new simplices of a dimension are the cells inside crossing simplices
@@ -380,10 +368,11 @@ def subdivide_at_level(C: GeometricComplex, values, s) -> Refinement:
         source=C,
         complex=new_complex,
         level=level,
-        values=np.concatenate([values, np.full(len(cut_edges), level)]),
+        values=np.concatenate([values, np.full(len(edges), level)]),
         snapped=snapped,
         children=children,
-        cut_edges=cut_edges,
+        cut_edges=edges,
+        cut_t=t_edge,
         n_old_vertices=n_old,
         warnings=warnings,
     )
@@ -396,7 +385,7 @@ def support_closure(T: SimplicialCurrent) -> SimplicialCurrent:
     functions and distance rows stay valid; only the simplex lists shrink,
     which keeps later subdivisions proportional to the support size.  The
     faces come from the parent's face-index arrays, each dimension listed
-    in lexicographic vertex order as an id array (tuple lists on demand),
+    in lexicographic vertex order as an id array,
     and the closure's face index is the parent's, renumbered.
     """
     C = T.complex
@@ -421,12 +410,11 @@ def support_closure(T: SimplicialCurrent) -> SimplicialCurrent:
     return SimplicialCurrent.from_arrays(C2, T.dim, new_idx, T.coeff)
 
 
-def restrict_sublevel(T: SimplicialCurrent, f: PLFunction, s, side="below") -> SimplicialCurrent:
-    """Exact restriction of T to {f < level} (side="above": to {f > level})
-    on the refinement at s, where level is s snapped off the vertex values."""
+def restrict_sublevel(T: SimplicialCurrent, f: PLFunction, s) -> SimplicialCurrent:
+    """Exact restriction of T to {f < level} on the refinement at s, where
+    level is s snapped off the vertex values."""
     ref = subdivide_at_level(T.complex, f.values, s)
-    keep = ref.below(T.dim)
-    return ref.transfer_current(T).restricted(~keep if side == "above" else keep)
+    return ref.transfer_current(T).restricted(ref.below(T.dim))
 
 
 def slice_current(T: SimplicialCurrent, f: PLFunction, s) -> SliceResult:
@@ -501,18 +489,16 @@ def coarea_profile(T: SimplicialCurrent, f: PLFunction, samples: int):
     return integral, bound
 
 
-def ball(T: SimplicialCurrent, p: int, r: float, mode="auto") -> SimplicialCurrent:
+def ball(T: SimplicialCurrent, p: int, r: float) -> SimplicialCurrent:
     """Subdivided restriction of T to the open metric ball around vertex p."""
     if not r > 0:
         raise ArgumentError("ball radius must be positive")
-    rho = distance_function(T.complex, p, mode=mode)
-    return restrict_sublevel(T, rho, r, side="below")
+    return restrict_sublevel(T, distance_function(T.complex, p), r)
 
 
-def sphere(T: SimplicialCurrent, p: int, r: float, mode="auto") -> SliceResult:
+def sphere(T: SimplicialCurrent, p: int, r: float) -> SliceResult:
     """Slice of T by the distance function from p at radius r."""
-    rho = distance_function(T.complex, p, mode=mode)
-    return slice_current(T, rho, r)
+    return slice_current(T, distance_function(T.complex, p), r)
 
 
 def annulus_mass(T: SimplicialCurrent, f: PLFunction, a: float, b: float) -> float:

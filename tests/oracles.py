@@ -18,7 +18,41 @@ from currentlab.complexes import (
 )
 from currentlab.currents import SimplicialCurrent, permutation_sign
 from currentlab.metricspace import ArgumentError
-from currentlab.slicing import SNAP_REL, Refinement, _split_pieces, snap_level
+from currentlab.slicing import SNAP_REL, ChildTable, Refinement, _split_pieces, snap_level
+
+
+# ---------------------------------------------------------------------------
+# tuple and dict views of the id arrays, for comparisons in tests
+
+
+def simplex_index(C: GeometricComplex, k: int) -> dict:
+    """{vertex tuple: index} of the k-simplices of C."""
+    return {s: i for i, s in enumerate(map(tuple, C.simplex_array(k).tolist()))}
+
+
+def support_simplices(T: SimplicialCurrent) -> list:
+    """The vertex tuples of T's support, in index order."""
+    return list(map(tuple, T.complex.simplex_array(T.dim)[T.idx].tolist()))
+
+
+def signature(T: SimplicialCurrent) -> tuple:
+    """T's content independent of simplex indexing: its sorted
+    (vertex tuple, coefficient) pairs."""
+    return tuple(sorted(zip(support_simplices(T), T.coeff.tolist())))
+
+
+def children_dict(table: ChildTable) -> dict:
+    """A CSR transfer table as {old index: [(new index, sign), ...]}."""
+    ptr = table.ptr.tolist()
+    return {
+        i: list(zip(table.child[a:b].tolist(), table.sign[a:b].tolist())) for i, (a, b) in enumerate(zip(ptr, ptr[1:]))
+    }
+
+
+def cut_edge_triples(ref: Refinement) -> list:
+    """The cut points of a refinement as (u, v, t) triples: the point at
+    parameter t from u on the edge (u, v)."""
+    return list(zip(*ref.cut_edges.T.tolist(), ref.cut_t.tolist()))
 
 
 def gh_oracle(dx, dy, prune=True):
@@ -286,7 +320,7 @@ def subdivide_oracle(C: GeometricComplex, values, s, snap_rel=SNAP_REL) -> Refin
     # reuse volumes of untouched simplices
     old_masses = {k: C.masses(k) for k in C.dims}
     for k in C.dims:
-        old_index = C.index(k)
+        old_index = simplex_index(C, k)
         vols = np.empty(new_complex.count(k))
         for i, s_tuple in enumerate(new_lists[k]):
             j = old_index.get(s_tuple)
@@ -295,12 +329,12 @@ def subdivide_oracle(C: GeometricComplex, values, s, snap_rel=SNAP_REL) -> Refin
             )
         new_complex._masses[k] = vols
 
-    # signed children mapping, oriented at the midpoint cut, with a
+    # signed children tables, oriented at the midpoint cut, with a
     # volume-fraction sanity check at the actual cut
-    children: dict[int, dict[int, list[tuple[int, int]]]] = {}
+    children: dict[int, ChildTable] = {}
     for k in C.dims:
         table = {}
-        index = new_complex.index(k)
+        index = simplex_index(new_complex, k)
         for idx, pieces in children_tuples[k].items():
             parent = C.simplices[k][idx]
             if len(pieces) == 1 and tuple(sorted(pieces[0])) == parent:
@@ -318,7 +352,10 @@ def subdivide_oracle(C: GeometricComplex, values, s, snap_rel=SNAP_REL) -> Refin
                     f"split of {parent} covers volume fraction {frac} (expected 1)"
                 )
             table[idx] = entries
-        children[k] = table
+        entries = [table[i] for i in range(C.count(k))]
+        ptr = np.cumsum([0] + [len(e) for e in entries])
+        child, sign = np.array([pair for e in entries for pair in e], dtype=np.intp).reshape(-1, 2).T
+        children[k] = ChildTable(ptr, child, sign)
 
     return Refinement(
         source=C,
@@ -327,7 +364,8 @@ def subdivide_oracle(C: GeometricComplex, values, s, snap_rel=SNAP_REL) -> Refin
         values=np.concatenate([values, np.full(len(cut_edges), level)]),
         snapped=snapped,
         children=children,
-        cut_edges=cut_edges,
+        cut_edges=np.array([(u, v) for u, v, _ in cut_edges], dtype=np.intp).reshape(-1, 2),
+        cut_t=np.array([t for _, _, t in cut_edges]),
         n_old_vertices=n_old,
         warnings=warnings,
     )
@@ -347,7 +385,7 @@ def boundary_oracle(T: SimplicialCurrent) -> SimplicialCurrent:
     if T.dim == 0:
         return SimplicialCurrent.zero(T.complex, 0)
     k = T.dim
-    faces = T.complex.index(k - 1)
+    faces = simplex_index(T.complex, k - 1)
     out: dict[int, int] = {}
     simplices = T.complex.simplices[k]
     for idx, c in T.coeffs.items():
@@ -371,10 +409,9 @@ def face_index_oracle(C: GeometricComplex, k: int) -> np.ndarray:
 
 def push_forward_oracle(T: SimplicialCurrent, vmap, target: GeometricComplex) -> SimplicialCurrent:
     """Push a current through a vertex map, one coefficient at a time."""
-    index = target.index(T.dim)
+    index = simplex_index(target, T.dim)
     out: dict[int, int] = {}
-    for idx, c in T.coeffs.items():
-        s = T.simplex(idx)
+    for s, c in zip(support_simplices(T), T.coeff.tolist()):
         try:
             image = tuple(vmap[v] for v in s)
         except (KeyError, IndexError) as exc:
@@ -427,11 +464,12 @@ def glued_matrix_oracle(CA: GeometricComplex, CB: GeometricComplex, pairs, delta
 
 
 def transfer_oracle(ref: Refinement, T: SimplicialCurrent) -> SimplicialCurrent:
-    table = ref.children.get(T.dim, {})
+    table = ref.children[T.dim]
     out: dict[int, int] = {}
     for old_idx, c in T.coeffs.items():
-        for new_idx, sign in table[old_idx]:
-            out[new_idx] = out.get(new_idx, 0) + c * sign
+        for j in range(table.ptr[old_idx], table.ptr[old_idx + 1]):
+            new_idx = int(table.child[j])
+            out[new_idx] = out.get(new_idx, 0) + c * int(table.sign[j])
     return SimplicialCurrent(ref.complex, T.dim, out)
 
 
@@ -440,20 +478,20 @@ def support_closure_oracle(T: SimplicialCurrent) -> SimplicialCurrent:
     if T.is_zero():
         C2 = GeometricComplex(T.complex.metric, {k: [] for k in T.complex.dims})
         return SimplicialCurrent(C2, T.dim, {})
-    tops = T.support_simplices()
+    tops = support_simplices(T)
     sub = close_under_faces(tops)
     for k in range(T.dim + 1):
         sub.setdefault(k, [])
     C2 = GeometricComplex(T.complex.metric, sub)
     for k in sub:
-        parent_index = T.complex.index(k)
+        parent_index = simplex_index(T.complex, k)
         parent_masses = T.complex.masses(k)
         vols = np.empty(C2.count(k))
         for i, s in enumerate(C2.simplices[k]):
             vols[i] = parent_masses[parent_index[s]]
         C2._masses[k] = vols
-    index = C2.index(T.dim)
-    coeffs = {index[T.simplex(i)]: c for i, c in T.coeffs.items()}
+    index = simplex_index(C2, T.dim)
+    coeffs = {index[s]: c for s, c in zip(support_simplices(T), T.coeff.tolist())}
     return SimplicialCurrent(C2, T.dim, coeffs)
 
 
@@ -472,7 +510,7 @@ def close_under_faces_oracle(top_simplices):
 def from_simplices_oracle(complex, dim, pairs) -> SimplicialCurrent:
     """A chain from (vertex tuple, coefficient) pairs, one pair at a time:
     permuted tuples contribute the sign of the sorting permutation."""
-    index = complex.index(dim)
+    index = simplex_index(complex, dim)
     coeffs: dict[int, int] = {}
     for simplex, c in pairs:
         sign = permutation_sign(simplex)

@@ -10,6 +10,8 @@ from currentlab.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_INVARIANT, EXIT_OK, m
 from currentlab.currents import chain_from_json, chain_to_json, mass
 from currentlab.meshes import disk_mesh, interval_chain, square_complex
 
+from oracles import signature
+
 
 def run_cli(args):
     proc = subprocess.run(
@@ -389,6 +391,24 @@ class TestErrors:
         assert main(["lab", "--schedule", "0.3", "--radius", "0"]) == EXIT_INPUT
         assert "radius must be positive" in capsys.readouterr().err
 
+    def test_gh_without_input2_exits_2(self, tmp_path, capsys):
+        # read the missing second path as None and exited 3
+        path = tmp_path / "two.csv"
+        path.write_text("0,1\n1,0\n")
+        assert main(["gh", "--input", str(path)]) == EXIT_INPUT
+        assert "gh needs --input2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "family, quantity, schedule",
+        [("sphere_splines", "sf", "0.5"), ("refined_sphere", "fillvol", "2.5")],
+    )
+    def test_lab_non_integer_schedule_exits_2(self, capsys, family, quantity, schedule):
+        # spike width 1 / int(0.5)**2 divided by zero and exited 3; a
+        # refined_sphere schedule of 2.5 silently ran 2 latitude rows
+        argv = ["lab", "--family", family, "--quantity", quantity, "--schedule", schedule]
+        assert main(argv) == EXIT_INPUT
+        assert "schedule values must be integers" in capsys.readouterr().err
+
     def test_invariant_violation_exits_1(self, triangle_cycle_path, monkeypatch, capsys):
         import currentlab.cli as cli
         from currentlab.fillvol import FillingReport
@@ -496,7 +516,7 @@ class TestDeterminism:
         data = chain_to_json(T)
         text = json.dumps(data, sort_keys=True)
         back = chain_from_json(json.loads(text))
-        assert back.signature() == T.signature()
+        assert signature(back) == signature(T)
         assert json.dumps(chain_to_json(back), sort_keys=True) == text
 
 

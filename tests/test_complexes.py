@@ -114,12 +114,6 @@ class TestPLFunction:
         assert rho.lip == 1.0
         assert rho.values[0] == 0.0
 
-    def test_graph_distances(self):
-        m = EuclideanMetric(np.array([[0.0], [1.0], [2.0]]))
-        C = GeometricComplex.from_top_simplices(m, [(0, 1), (1, 2)])
-        rho = distance_function(C, 0, mode="graph")
-        assert rho.values[2] == pytest.approx(2.0)
-
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_values_rejected(self, value):
         C, _ = square_complex()

@@ -16,13 +16,13 @@ from currentlab.currents import (
     mass,
     permutation_sign,
     push_forward,
-    restrict,
     total_mass,
 )
 from currentlab.meshes import grid_mesh, interval_chain, square_complex
 from currentlab.metricspace import ArgumentError
+from currentlab.slicing import restrict_sublevel, subdivide_at_level
 
-from oracles import boundary_oracle, push_forward_oracle
+from oracles import boundary_oracle, push_forward_oracle, signature, support_simplices
 
 
 def triangle_complex(side=1.0):
@@ -216,8 +216,8 @@ class TestPushForward:
                 got = push_forward(T, vmap, target)
                 assert got.complex is target and got.dim == T.dim
                 assert np.array_equal(got.idx, want.idx) and np.array_equal(got.coeff, want.coeff)
-                flipped += any(permutation_sign([vmap[v] for v in T.simplex(i)]) < 0 for i in T.idx.tolist())
-                dropped += any(permutation_sign([vmap[v] for v in T.simplex(i)]) == 0 for i in T.idx.tolist())
+                flipped += any(permutation_sign([vmap[v] for v in s]) < 0 for s in support_simplices(T))
+                dropped += any(permutation_sign([vmap[v] for v in s]) == 0 for s in support_simplices(T))
         assert {"uncovered", "missing"} <= raised and flipped and dropped
 
 
@@ -247,24 +247,15 @@ def _vertex_map_cases(rng):
 
 
 class TestRestrict:
-    def test_always_true(self):
-        C, T = square_complex()
-        assert restrict(T, lambda p: True) == T
-
-    def test_always_false(self):
-        C, T = square_complex()
-        assert restrict(T, lambda p: False).is_zero()
-
     def test_subdivided_chain_length(self):
         C, T = interval_chain(10)
         f = coordinate_function(C, 0)
-        out = restrict(T, (f, 0.35), mode="subdivided")
+        out = restrict_sublevel(T, f, 0.35)
         assert mass(out) == pytest.approx(0.35, abs=1e-9)
 
     def test_partition_identity(self):
-        # both sides cut on one shared refinement recompose the current exactly
-        from currentlab.slicing import subdivide_at_level
-
+        # both sides cut on one shared refinement recompose the current
+        # exactly, and the lower side is the sublevel restriction
         C, T = square_complex()
         f = coordinate_function(C, 0)
         ref = subdivide_at_level(C, f.values, 0.37)
@@ -275,22 +266,7 @@ class TestRestrict:
         assert (low + high - T2).is_zero()
         assert mass(low) + mass(high) == pytest.approx(mass(T), abs=1e-9)
         assert mass(low) == pytest.approx(0.37, abs=1e-7)
-
-    def test_restriction_never_gains_mass(self):
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            T = random_chain(rng)
-            out = restrict(T, lambda p: p[0] > 0)
-            assert mass(out) <= mass(T) + 1e-12
-
-    def test_index_predicate_on_abstract_complex(self):
-        from currentlab.complexes import MatrixMetric
-
-        d = np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]], dtype=float)
-        C = GeometricComplex.from_top_simplices(MatrixMetric(d), [(0, 1), (1, 2)])
-        T = SimplicialCurrent.from_simplices(C, 1, [((0, 1), 1), ((1, 2), 1)])
-        out = restrict(T, lambda ids: 0 in ids)
-        assert out.support_simplices() == [(0, 1)]
+        assert signature(restrict_sublevel(T, f, 0.37)) == signature(low)
 
 
 class TestEvaluate:
@@ -350,7 +326,7 @@ class TestInterchange:
         data = chain_to_json(T)
         back = chain_from_json(json.loads(json.dumps(data)))
         assert back.dim == T.dim
-        assert back.signature() == T.signature()
+        assert signature(back) == signature(T)
         assert mass(back) == pytest.approx(mass(T))
 
     def test_off_import(self, tmp_path):

@@ -17,7 +17,7 @@ from currentlab.fillvol import (
 from currentlab.meshes import disk_mesh, grid_mesh, sphere_mesh, square_complex
 from currentlab.metricspace import ArgumentError, FiniteMetricSpace, InvariantError
 
-from oracles import transport_oracle
+from oracles import simplex_index, transport_oracle
 
 
 def equilateral_complex():
@@ -55,7 +55,7 @@ class TestFlatDistance:
 
     def test_opposite_square_edges_match_oracle(self):
         C, T = square_complex()
-        idx = C.index(1)
+        idx = simplex_index(C, 1)
         bottom = SimplicialCurrent(C, 1, {idx[(0, 1)]: 1})
         top = SimplicialCurrent(C, 1, {idx[(2, 3)]: 1})
         rep = flat_distance(bottom, top, C)
@@ -112,7 +112,7 @@ class TestFillingVolume:
 
     def test_non_cycle_rejected(self):
         C, T = square_complex()
-        idx = C.index(1)
+        idx = simplex_index(C, 1)
         arc = SimplicialCurrent(C, 1, {idx[(0, 1)]: 1})
         with pytest.raises(ArgumentError, match="not a cycle"):
             filling_volume(arc, C)
@@ -239,7 +239,7 @@ class TestTransport:
 class TestContinuityGap:
     def test_identical_currents(self):
         C, _ = square_complex()
-        idx = C.index(1)
+        idx = simplex_index(C, 1)
         path = SimplicialCurrent(C, 1, {idx[(0, 1)]: 1, idx[(1, 3)]: 1})
         gap, bound = fillvol_continuity_gap(path, path, C)
         assert gap == pytest.approx(0.0, abs=1e-10)
@@ -263,7 +263,7 @@ class TestContinuityGap:
         import currentlab.fillvol as fillvol
 
         C, _ = square_complex()
-        idx = C.index(1)
+        idx = simplex_index(C, 1)
         path = SimplicialCurrent(C, 1, {idx[(0, 1)]: 1, idx[(1, 3)]: 1})
         monkeypatch.setattr(fillvol, "flat_distance", lambda *a: FillingReport(0.0, 0.0, 0.0))
         with pytest.raises(InvariantError):
@@ -305,7 +305,7 @@ def test_report_is_checked_where_it_is_built():
 def test_exhaustive_report_is_checked(monkeypatch):
     """A NaN optimum of the exhaustive search stops where its report is built."""
     C, T = square_complex()
-    bottom = SimplicialCurrent(C, 1, {C.index(1)[(0, 1)]: 1})
+    bottom = SimplicialCurrent(C, 1, {simplex_index(C, 1)[(0, 1)]: 1})
     monkeypatch.setattr(C, "masses", lambda k: np.full(C.count(k), np.nan))
     with pytest.raises(InvariantError):
         exhaustive_flat_distance(bottom, SimplicialCurrent.zero(C, 1), C)

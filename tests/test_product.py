@@ -19,6 +19,8 @@ from currentlab.product import (
 )
 from currentlab.slicedfill import sliced_fill
 
+from oracles import simplex_index
+
 
 def triangle_loop():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3) / 2]])
@@ -129,7 +131,7 @@ class TestIntervalFilling:
         # flat distance between products within a shared product complex is
         # at most (2 + eps) times the base flat distance
         C, _ = grid_mesh(2, 2)
-        idx = C.index(1)
+        idx = simplex_index(C, 1)
         rng = np.random.default_rng(10)
         edges = list(rng.choice(C.count(1), 4, replace=False))
         T1 = SimplicialCurrent(C, 1, {int(edges[0]): 1, int(edges[1]): 1})

@@ -42,11 +42,15 @@ from currentlab.slicing import (
 
 from oracles import (
     boundary_oracle,
+    children_dict,
+    cut_edge_triples,
     face_index_oracle,
+    signature,
     snap_level_oracle,
     split_pieces_oracle,
     subdivide_oracle,
     support_closure_oracle,
+    support_simplices,
     transfer_oracle,
 )
 
@@ -98,7 +102,7 @@ def test_slice_anticommutation_property(seed, frac):
     s = lo + frac * (hi - lo)
     left = boundary(slice_current(T, f, s).current)
     right = slice_current(-boundary(T), f, s).current
-    assert left.signature() == right.signature()
+    assert signature(left) == signature(right)
 
 
 @settings(max_examples=30, deadline=None)
@@ -114,8 +118,9 @@ def test_sublevel_restriction_never_gains_mass_property(seed, frac):
     f = random_vertex_function(rng, T.complex)
     lo, hi = f.values.min(), f.values.max()
     s = lo + frac * (hi - lo)
-    below = restrict_sublevel(T, f, s, side="below")
-    above = restrict_sublevel(T, f, s, side="above")
+    below = restrict_sublevel(T, f, s)
+    ref = subdivide_at_level(T.complex, f.values, s)
+    above = ref.transfer_current(T).restricted(~ref.below(T.dim))
     assert mass(below) <= mass(T) + 1e-9
     assert mass(below) + mass(above) == pytest.approx(mass(T), abs=1e-9)
 
@@ -146,7 +151,7 @@ class TestSubdivide:
         f = coordinate_function(C, 0)
         ref = subdivide_at_level(C, f.values, 2.0)
         assert ref.complex.count(2) == C.count(2)
-        assert not ref.cut_edges
+        assert not len(ref.cut_edges)
 
     def test_edge_split_lengths(self):
         C, T = interval_chain(1)
@@ -180,7 +185,7 @@ class TestSubdivide:
             ref = subdivide_at_level(C, f.values, s)
             for k in C.dims:
                 masses = ref.complex.masses(k)
-                for idx, entries in ref.children[k].items():
+                for idx, entries in children_dict(ref.children[k]).items():
                     total = sum(masses[j] for j, _ in entries)
                     parent = C.masses(k)[idx]
                     assert total == pytest.approx(parent, rel=1e-9, abs=1e-12)
@@ -206,7 +211,7 @@ class TestSubdivide:
         for level in _oracle_levels(C, values):
             ref = subdivide_at_level(C, values, level)
             _assert_same_refinement(ref, subdivide_oracle(C, values, level))
-            assert ref.cut_edges
+            assert len(ref.cut_edges)
             ref.complex.validate()
             assert not [w for w in ref.warnings if "volume fraction" in w]
             T2 = ref.transfer_current(T)
@@ -267,8 +272,10 @@ def _assert_same_refinement(ref, want):
     assert ref.level == want.level and ref.snapped == want.snapped
     assert np.array_equal(ref.values, want.values)
     assert ref.n_old_vertices == want.n_old_vertices
-    assert ref.cut_edges == want.cut_edges
-    assert ref.children == want.children
+    assert cut_edge_triples(ref) == cut_edge_triples(want)
+    assert ref.children.keys() == want.children.keys()
+    for k in want.children:
+        assert children_dict(ref.children[k]) == children_dict(want.children[k])
     assert ref.dropped == want.dropped
     assert ref.warnings == want.warnings
     assert ref.complex.simplices == want.complex.simplices
@@ -291,7 +298,7 @@ def test_subdivide_matches_oracle(C, values):
 def _transfer_matrix(ref, k):
     """The transfer of k-chains as a sparse integer matrix, new x old."""
     table = ref.children[k]
-    parent = np.repeat(np.arange(len(table)), np.diff(table.ptr))
+    parent = np.repeat(np.arange(len(table.ptr) - 1), np.diff(table.ptr))
     return coo_matrix((table.sign, (table.child, parent)), shape=(ref.complex.count(k), ref.source.count(k))).tocsr()
 
 
@@ -299,10 +306,9 @@ def _cut_determinants(ref, k):
     """The sign of every child of every k-simplex and its barycentric
     determinant in the parent at the actual cut (1 for an untouched simplex)."""
     table = ref.children[k]
-    parents = ref.source.simplex_array(k)[np.repeat(np.arange(len(table)), np.diff(table.ptr))]
+    parents = ref.source.simplex_array(k)[np.repeat(np.arange(len(table.ptr) - 1), np.diff(table.ptr))]
     pieces = ref.complex.simplex_array(k)[table.child]
-    ends = np.array([(u, v) for u, v, _ in ref.cut_edges])
-    t = np.array([t for _, _, t in ref.cut_edges])
+    ends, t = ref.cut_edges, ref.cut_t
     is_cut = pieces >= ref.n_old_vertices
     e = np.where(is_cut, pieces - ref.n_old_vertices, 0)
     a = np.where(is_cut, ends[e, 0], pieces)
@@ -475,7 +481,10 @@ def test_subdivide_matches_oracle_on_unsorted_edge_list():
     values = distance_function(C, 5).values
     for level in _oracle_levels(C, values):
         ref, want = subdivide_at_level(C, values, level), subdivide_oracle(C, values, level)
-        assert ref.cut_edges == want.cut_edges and ref.children == want.children
+        assert cut_edge_triples(ref) == cut_edge_triples(want)
+        assert {k: children_dict(t) for k, t in ref.children.items()} == {
+            k: children_dict(t) for k, t in want.children.items()
+        }
         assert ref.complex.simplices == want.complex.simplices
         for k in want.complex.dims:
             assert np.array_equal(ref.complex.masses(k), want.complex.masses(k))
@@ -582,16 +591,6 @@ class TestSlice:
             b = slice_current(Tm, fm, s).current
             assert mass(a) == pytest.approx(mass(b), rel=1e-9)
 
-    def test_graph_geodesic_ball(self):
-        # a bent path: graph distances follow the edges
-        pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [1.0, 2.0]])
-        C = GeometricComplex.from_top_simplices(
-            EuclideanMetric(pts), [(0, 1), (1, 2), (2, 3)]
-        )
-        T = SimplicialCurrent.from_simplices(C, 1, [((0, 1), 1), ((1, 2), 1), ((2, 3), 1)])
-        B = ball(T, 0, 2.5, mode="graph")
-        assert mass(B) == pytest.approx(2.5, abs=1e-9)
-
     def test_level_below_range_is_zero(self):
         C, T = square_complex()
         f = coordinate_function(C, 0)
@@ -606,7 +605,7 @@ class TestSlice:
             s = float(rng.uniform(f.values.min(), f.values.max()))
             left = boundary(slice_current(T, f, s).current)
             right = slice_current(-boundary(T), f, s).current
-            assert left.signature() == right.signature()
+            assert signature(left) == signature(right)
 
     def test_additivity_exact(self):
         # the two summand slices are built on separate (but content-equal)
@@ -628,10 +627,10 @@ class TestSlice:
             s = float(rng.uniform(f.values.min(), f.values.max()))
             lhs = slice_current(T1 + T2, f, s).current
             rhs = signature_sum(
-                slice_current(T1, f, s).current.signature(),
-                slice_current(T2, f, s).current.signature(),
+                signature(slice_current(T1, f, s).current),
+                signature(slice_current(T2, f, s).current),
             )
-            assert lhs.signature() == rhs
+            assert signature(lhs) == rhs
 
     def test_restriction_compatibility(self):
         # slicing commutes with restriction to sublevel sets aligned with the
@@ -658,7 +657,7 @@ class TestSlice:
             rhs = SimplicialCurrent(
                 res.complex, 1, {i: c for i, c in res.current.coeffs.items() if keep1[i]}
             )
-            assert lhs.current.signature() == rhs.signature()
+            assert signature(lhs.current) == signature(rhs)
 
     def test_pushforward_naturality(self):
         rng = np.random.default_rng(53)
@@ -678,21 +677,9 @@ class TestSlice:
             s = float(rng.uniform(f2.values.min(), f2.values.max()))
             lhs = slice_current(T2, f2, s).current
             rhs = slice_current(T, f1, s).current
-            # compare by mapped signatures: relabel rhs's support through perm
-            def mapped_signature(cur, vmap):
-                out = []
-                for i, c in cur.coeffs.items():
-                    simplex = cur.simplex(i)
-                    image = tuple(sorted(vmap.get(v, v) for v in simplex))
-                    out.append((image, c))
-                return sorted(out)
-
-            vmap = {v: perm[v] for v in range(n)}
             # cut vertices: match by coordinates
-            lhs_pts = {tuple(np.round(lhs.complex.coords()[v], 9)) for i in lhs.coeffs for v in lhs.simplex(i)}
-            rhs_pts = {
-                tuple(np.round(rhs.complex.coords()[v], 9)) for i in rhs.coeffs for v in rhs.simplex(i)
-            }
+            lhs_pts = {tuple(np.round(lhs.complex.coords()[v], 9)) for s in support_simplices(lhs) for v in s}
+            rhs_pts = {tuple(np.round(rhs.complex.coords()[v], 9)) for s in support_simplices(rhs) for v in s}
             assert abs(mass(lhs) - mass(rhs)) < 1e-9
             assert lhs_pts == rhs_pts
 
@@ -727,7 +714,7 @@ class TestIteratedSlice:
             res = iterated_slice(T, [f, g], [s, u])
             lhs = boundary(res.current)
             resb = iterated_slice(boundary(T), [f, g], [s, u])
-            assert lhs.signature() == resb.current.signature()
+            assert signature(lhs) == signature(resb.current)
             assert not lhs.is_zero()
 
     def test_signed_weights_cancel_on_cycle_slice(self):
@@ -808,7 +795,7 @@ class TestBallSphere:
         res = sphere(T, 0, r)
         B = ball(T, 0, r)
         assert mass(boundary(B)) == pytest.approx(mass(res.current), rel=1e-9)
-        assert boundary(B).signature() == res.current.signature()
+        assert signature(boundary(B)) == signature(res.current)
 
     def test_sphere_differs_when_hitting_boundary(self):
         C, T = square_complex()
