@@ -6,7 +6,7 @@ The ledger holds
   failed checks),
 - the results of the first operations of each workload at seed 3,
 - the `lab --quantity fillvol` reports (rows and pair checks) of three
-  families.
+  families, and the `lab --quantity sf` reports of two.
 
 tests/test_ledger.py recomputes it and compares it with tests/ledger.json,
 floats to 1e-12 relative and everything else exactly, so a change that
@@ -34,9 +34,15 @@ from workloads import WORKLOADS  # noqa: E402
 SEED = 3
 OPERATIONS = {"sphere_sf": 12, "torus_tetra": 6, "continuity_lp": 20, "slice_shift": 40}
 LABS = {
-    "refined_disk": "0.2,0.1,0.05",
-    "refined_sphere": "4,6",
-    "thin_torus": "0.5,0.25",
+    "fillvol": {
+        "refined_disk": "0.2,0.1,0.05",
+        "refined_sphere": "4,6",
+        "thin_torus": "0.5,0.25",
+    },
+    "sf": {
+        "refined_sphere": "4,6",
+        "thin_torus": "0.5,0.25",
+    },
 }
 REL_TOL = 1e-12
 PATH = ROOT / "tests" / "ledger.json"
@@ -66,12 +72,12 @@ def workload_entries():
     return out
 
 
-def lab_entries():
+def lab_entries(quantity):
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for family, schedule in LABS.items():
+        for family, schedule in LABS[quantity].items():
             path = Path(tmp) / f"{family}.json"
-            argv = ["lab", "--family", family, "--quantity", "fillvol", "--schedule", schedule, "--output", str(path)]
+            argv = ["lab", "--family", family, "--quantity", quantity, "--schedule", schedule, "--output", str(path)]
             code = cli.main(argv)
             if code != cli.EXIT_OK:
                 raise SystemExit(f"lab --family {family} exited {code}")
@@ -81,7 +87,8 @@ def lab_entries():
 
 
 def compute():
-    return {"seed": SEED, "workloads": workload_entries(), "lab_fillvol": lab_entries()}
+    labs = {f"lab_{quantity}": lab_entries(quantity) for quantity in LABS}
+    return {"seed": SEED, "workloads": workload_entries(), **labs}
 
 
 def moved(want, got, where="ledger"):
