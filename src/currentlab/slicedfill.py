@@ -20,7 +20,7 @@ from .complexes import GeometricComplex, PLFunction, distance_function
 from .currents import SimplicialCurrent, boundary, mass
 from .fillvol import filling_volume, filling_volume_0d
 from .metricspace import ArgumentError, Report
-from .slicing import Refinement, slice_current, subdivide_at_level, support_closure
+from .slicing import Refinement, _level_star, slice_current, subdivide_at_level, support_closure
 
 # Euclidean 3-space constants for the band [(1-beta) r, (1+beta) r]^2 at
 # beta = 1/2, witnesses at mutual distance r on the sphere of radius r.
@@ -73,10 +73,12 @@ def ball_context(T: SimplicialCurrent, p: int, r: float) -> BallContext:
     if not r > 0:
         raise ArgumentError("ball radius must be positive")
     rho = distance_function(T.complex, p)
-    ref = subdivide_at_level(T.complex, rho.values, r)
-    # vertex ids and the metric survive re-rooting, so the distance values
-    # and any externally supplied witness ids stay valid
-    current = support_closure(ref.transfer_current(T).restricted(ref.below(T.dim)))
+    # only the simplices with a vertex inside the ball are cut; vertex ids
+    # and the metric survive re-rooting, so the distance values and any
+    # externally supplied witness ids stay valid
+    star = _level_star(T, rho.values, r, crossing=False)
+    ref = subdivide_at_level(star.complex, rho.values, r)
+    current = support_closure(ref.transfer_current(star).restricted(ref.below(T.dim)))
     rho2 = PLFunction(current.complex, ref.values, source=rho.source)
     return BallContext(current=current, refinement=ref, center=p, radius=r, rho=rho2)
 
@@ -119,6 +121,9 @@ def _tensor_eval(start: SimplicialCurrent, functions, grids, leaf):
 
     Slices share prefixes: the level grid of axis j is sliced once per
     prefix, so axis-0 slices are computed len(grids[0]) times in total.
+    Each slice cuts only the star of its level (`_level_star`), except a
+    final slice of dimension >= 2: `fill_value_of_boundary` fills its
+    boundary inside its complex, so that slice keeps the whole cut.
     """
     shape = tuple(len(g) for g in grids)
     out = np.zeros(shape if shape else (1,))
@@ -128,9 +133,11 @@ def _tensor_eval(start: SimplicialCurrent, functions, grids, leaf):
         if depth == len(grids):
             out[prefix if prefix else 0] = leaf(current)
             return
+        whole = depth == len(grids) - 1 and current.dim > 2
         for i, t in enumerate(grids[depth]):
             try:
-                sl = slice_current(current, fns[0], float(t))
+                cut = current if whole else _level_star(current, fns[0].values, float(t), crossing=True)
+                sl = slice_current(cut, fns[0], float(t))
             except ArgumentError:
                 skipped[0] += 1
                 continue
@@ -303,7 +310,7 @@ def _witness_tuples(sphere, k, budget):
         return [()]
     tuples = []
     if k == 1:
-        step = max(1, n // max(budget, 1))
+        step = max(1, n // budget)
         tuples = [(sphere[i],) for i in range(0, n, step)][:budget]
     else:
         # spread tuples at several angular offsets
@@ -312,7 +319,7 @@ def _witness_tuples(sphere, k, budget):
                 idx = [(start + j * n // frac) % n for j in range(k)]
                 if len(set(idx)) == k:
                     tuples.append(tuple(sphere[i] for i in idx))
-        tuples = list(dict.fromkeys(tuples))[: max(budget, 1)]  # distinct, in order
+        tuples = list(dict.fromkeys(tuples))[:budget]  # distinct, in order
     return tuples or [tuple(sphere[:k])]
 
 
@@ -324,8 +331,11 @@ def _witness_search(ctx: BallContext, k, candidates, leaf, grid, box=None) -> Sl
     integral, over the k-tuples `_witness_tuples` draws from the discrete
     sphere.  An empty sphere has no witness: its report is zero over the
     fixed box, or over no axes when the box would follow the witnesses.
-    A k beyond the level box's axes is an input error either way."""
+    A k beyond the level box's axes, or fewer than one candidate, is an
+    input error either way."""
     _check_axis_count(k, ctx.current.dim - 1, ctx.current.dim)
+    if candidates < 1:
+        raise ArgumentError(f"need at least one candidate witness tuple, got {candidates}")
     sphere = ctx.sphere_vertices()
     if k > 0 and not sphere:
         grids = _level_axes([box] * k if box else [], grid)

@@ -410,6 +410,28 @@ def support_closure(T: SimplicialCurrent) -> SimplicialCurrent:
     return SimplicialCurrent.from_arrays(C2, T.dim, new_idx, T.coeff)
 
 
+def _level_star(T: SimplicialCurrent, values, s, crossing) -> SimplicialCurrent:
+    """T restricted to its simplices with a vertex below the level and,
+    when `crossing`, also one above it, re-rooted on their face closure.
+
+    The level is s snapped on all of `values`, as `subdivide_at_level`
+    snaps it.  A slice is local: a simplex wholly below the level adds
+    d(sigma) - d(sigma) = 0 to d(T below) - (dT) below, and one wholly
+    above is in neither term, so T and its crossing star have one slice;
+    a sublevel restriction needs the simplices below too.  The closure
+    keeps the vertex ids and the metric, and when T's complex is the
+    closure of its support it holds every crossing edge, so its cut has
+    the full cut's cut ids, cut points, masses and vertex rows: only the
+    complex around the result is smaller.
+    """
+    values = np.asarray(values, dtype=float)
+    below = (values < snap_level(values, s)[0])[T.complex.simplex_array(T.dim)]
+    keep = below.any(axis=1)
+    if crossing:
+        keep &= ~below.all(axis=1)
+    return support_closure(T.restricted(keep))
+
+
 def restrict_sublevel(T: SimplicialCurrent, f: PLFunction, s) -> SimplicialCurrent:
     """Exact restriction of T to {f < level} on the refinement at s, where
     level is s snapped off the vertex values."""
@@ -475,7 +497,8 @@ def iterated_slice(T: SimplicialCurrent, functions, levels) -> SliceResult:
 def coarea_profile(T: SimplicialCurrent, f: PLFunction, samples: int):
     """Trapezoid quadrature of level -> slice mass against the Lipschitz bound.
 
-    Returns (integral, bound) with bound = Lip(f) * mass(T).
+    Each level slices only the crossing star of T (`_level_star`), which
+    has T's slice.  Returns (integral, bound) with bound = Lip(f) * mass(T).
     """
     if samples < 2:
         raise ArgumentError("coarea needs at least 2 samples")
@@ -484,7 +507,7 @@ def coarea_profile(T: SimplicialCurrent, f: PLFunction, samples: int):
     if hi <= lo:
         return 0.0, bound
     grid = np.linspace(lo, hi, samples)
-    masses = np.array([mass(slice_current(T, f, s).current) for s in grid])
+    masses = np.array([mass(slice_current(_level_star(T, f.values, s, crossing=True), f, s).current) for s in grid])
     integral = float(np.trapezoid(masses, grid))
     return integral, bound
 

@@ -233,6 +233,15 @@ class TestErrors:
 
     @pytest.mark.parametrize(
         "args",
+        [["sfk", "--radius", "0.5", "--candidates", "0"], ["tetra", "--radius", "0.5", "--candidates=-2"]],
+        ids=["sfk-zero", "tetra-negative"],
+    )
+    def test_candidate_budget_below_one_exits_2(self, square_chain_path, capsys, args):
+        assert main(args + ["--input", str(square_chain_path)]) == EXIT_INPUT
+        assert "need at least one candidate witness tuple" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args",
         [
             ["ifv", "--epsilon", "nan"],
             ["ifv", "--epsilon", "inf"],

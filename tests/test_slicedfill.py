@@ -14,6 +14,7 @@ from currentlab.meshes import (
     equator_vertex,
     torus_patch_mesh,
 )
+from currentlab.slicing import slice_current, subdivide_at_level, support_closure
 from currentlab.slicedfill import (
     C_E3_BAND_INTEGRAL,
     C_E3_POINTWISE_BETA03,
@@ -157,6 +158,89 @@ class TestSlicedFill:
             rep = sliced_fill(T, 0, r, witnesses=[w], grid=17, context=ctx)
             tol = 2 * (rep.error_estimate or 0.0) + 1e-6
             assert rep.mass_lower_bound <= rep.ball_mass + tol
+
+
+def _full_cut_ball(T, p, r):
+    """The ball around p cut on the whole of T's complex."""
+    ref = subdivide_at_level(T.complex, distance_function(T.complex, p).values, r)
+    return ref, support_closure(ref.transfer_current(T).restricted(ref.below(T.dim)))
+
+
+def _assert_same_complex(A, B):
+    assert A.dims == B.dims
+    for k in B.dims:
+        assert np.array_equal(A.simplex_array(k), B.simplex_array(k)), k
+        assert np.array_equal(A.masses(k), B.masses(k)), k
+        if k:
+            assert np.array_equal(A.face_index(k), B.face_index(k)), k
+
+
+class TestLevelStar:
+    @pytest.mark.parametrize(
+        "mesh, point, r",
+        [(lambda: sphere_mesh(20, 40), None, 1.1), (lambda: disk_mesh(h=0.15), (0.2, 0.1), 0.5),
+         (lambda: euclidean_box_mesh(0.65, 6), (0.0, 0.0, 0.0), 0.5)],
+        ids=["sphere", "disk", "box"],
+    )
+    def test_ball_context_equals_full_cut(self, mesh, point, r):
+        """The ball cut only on the simplices with a vertex inside it has the
+        full cut's arrays, masses, face index, coefficients, cut function
+        and cut points."""
+        C, T = mesh()
+        p = 37 if point is None else nearest_vertex(C, point)
+        ctx = ball_context(T, p, r)
+        ref, want = _full_cut_ball(T, p, r)
+        _assert_same_complex(ctx.complex, want.complex)
+        assert np.array_equal(ctx.current.idx, want.idx) and np.array_equal(ctx.current.coeff, want.coeff)
+        assert np.array_equal(ctx.refinement.values, ref.values)
+        assert np.array_equal(ctx.refinement.cut_edges, ref.cut_edges)
+        assert np.array_equal(ctx.refinement.cut_t, ref.cut_t)
+        assert ctx.refinement.source.count(T.dim) < C.count(T.dim)
+
+    def test_sphere_sliced_fill_cuts_only_level_stars(self, monkeypatch):
+        """Every cut of a sphere sliced fill takes in only a level star: the
+        ball's the triangles with a vertex inside it, each slice's no more
+        than the face closure of its crossing triangles."""
+        import currentlab.slicedfill as slicedfill
+        import currentlab.slicing as slicing
+
+        C, T = sphere_mesh(20, 40)
+        witness = ball_context(T, 37, 1.1).sphere_vertices()[5]
+        calls, original = [], slicing.subdivide_at_level
+
+        def recording(K, values, s):
+            ref = original(K, values, s)
+            calls.append((K, (np.asarray(values) < ref.level)[K.simplex_array(2)]))
+            return ref
+
+        monkeypatch.setattr(slicing, "subdivide_at_level", recording)
+        monkeypatch.setattr(slicedfill, "subdivide_at_level", recording)
+        rep = sliced_fill(T, 37, 1.1, witnesses=[witness], grid=9)
+        assert rep.integral > 0 and len(calls) == 1 + 9
+        K, below = calls[0]
+        assert below.any(axis=1).all() and K.count(2) < C.count(2)
+        for K, below in calls[1:]:
+            triangles = K.simplex_array(2)
+            assert (below.any(axis=1) & ~below.all(axis=1)).all()
+            edges = np.unique(np.concatenate([triangles[:, [0, 1]], triangles[:, [0, 2]], triangles[:, [1, 2]]]), axis=0)
+            assert K.count(1) == len(edges) and K.count(0) == len(np.unique(triangles))
+        assert max(K.count(2) for K, _ in calls[1:]) > 0
+
+    def test_three_dimensional_final_slice_keeps_the_whole_cut(self, box_ball):
+        """With one function on a 3-d ball the leaf fills the boundary of a
+        2-d slice inside the slice's complex, so it is handed the slice on
+        the full cut of the ball's complex."""
+        C, T, p, ctx = box_ball
+        f = distance_function(ctx.complex, ctx.sphere_vertices()[0])
+        grid = np.linspace(0.3, 0.7, 3)
+        seen = []
+        _tensor_eval(ctx.current, [f], [grid], lambda cur: seen.append(cur) or 0.0)
+        assert len(seen) == len(grid)
+        for cur, t in zip(seen, grid):
+            want = slice_current(ctx.current, f, float(t)).current
+            assert not want.is_zero()
+            _assert_same_complex(cur.complex, want.complex)
+            assert np.array_equal(cur.idx, want.idx) and np.array_equal(cur.coeff, want.coeff)
 
 
 class TestSfK:

@@ -37,6 +37,7 @@ from currentlab.slicing import (
     sphere,
     subdivide_at_level,
     support_closure,
+    _level_star,
     _split_pieces,
 )
 
@@ -293,6 +294,67 @@ def test_subdivide_matches_oracle(C, values):
     for level in levels:
         _assert_same_refinement(subdivide_at_level(C, values, level), subdivide_oracle(C, values, level))
     assert any(subdivide_at_level(C, values, lv).snapped for lv in levels)
+
+
+def _assert_star_slice_is_full_slice(T, f, s):
+    """The slice of T's crossing star at s equals T's slice on the full cut:
+    vertex rows (cut ids included), coefficients, masses, and the cut
+    points' function values and metric."""
+    star, full = slice_current(_level_star(T, f.values, s, crossing=True), f, s), slice_current(T, f, s)
+    a, b = star.current, full.current
+    assert star.levels == full.levels and a.dim == b.dim
+    assert np.array_equal(a.complex.simplex_array(a.dim)[a.idx], b.complex.simplex_array(b.dim)[b.idx])
+    assert np.array_equal(a.coeff, b.coeff)
+    assert np.array_equal(a.complex.masses(a.dim)[a.idx], b.complex.masses(b.dim)[b.idx])
+    assert mass(a) == mass(b)
+    assert np.array_equal(star.refinement.values, full.refinement.values)
+    assert np.array_equal(star.refinement.cut_edges, full.refinement.cut_edges)
+    assert np.array_equal(star.refinement.cut_t, full.refinement.cut_t)
+    assert np.array_equal(_metric_state(a.complex.metric), _metric_state(b.complex.metric))
+    return star, full
+
+
+@pytest.mark.parametrize("C, values", _subdivide_cases())
+def test_star_slice_equals_full_cut_slice(C, values):
+    """Slicing only the simplices that cross the level gives the full cut's
+    slice bit for bit, at seeded levels and at a snapped vertex value."""
+    k = C.top_dim
+    rng = np.random.default_rng([7, C.count(k)])
+    coeff = rng.integers(1, 4, size=C.count(k)) * rng.choice([-1, 1], size=C.count(k))
+    T = SimplicialCurrent.from_arrays(C, k, np.arange(C.count(k)), coeff)
+    f = PLFunction(C, values)
+    for level in _oracle_levels(C, values):
+        star, full = _assert_star_slice_is_full_slice(T, f, level)
+        assert star.refinement.source.count(k) < C.count(k)
+
+
+def test_star_slice_equals_full_cut_slice_on_a_sphere_ball():
+    """On a geodesic ball of a sphere (the sliced-fill setting), the star
+    slice by a distance function equals the full-cut slice at every level
+    of a grid spanning the ball."""
+    C, T = sphere_mesh(20, 40)
+    B = support_closure(ball(T, 37, 1.1))
+    f = distance_function(B.complex, 412)
+    lo, hi = f.values[B.support_vertices()].min(), f.values[B.support_vertices()].max()
+    slices = [_assert_star_slice_is_full_slice(B, f, float(s))[1].current for s in np.linspace(lo, hi, 9)]
+    assert sum(not S.is_zero() for S in slices) >= 7
+
+
+def test_level_star_keeps_below_simplices_for_restriction():
+    """Without `crossing` the star holds every simplex with a vertex below
+    the snapped level, and restricting it below the level gives the full
+    cut's sublevel chain."""
+    C, T = disk_mesh(h=0.2)
+    f = distance_function(C, nearest_vertex(C, (0.2, 0.1)))
+    star = _level_star(T, f.values, 0.5, crossing=False)
+    below = (f.values < 0.5)[C.simplex_array(2)].any(axis=1)
+    assert np.array_equal(star.complex.simplex_array(2), C.simplex_array(2)[below])
+    ref = subdivide_at_level(star.complex, f.values, 0.5)
+    got = ref.transfer_current(star).restricted(ref.below(2))
+    want = ball(T, nearest_vertex(C, (0.2, 0.1)), 0.5)
+    assert np.array_equal(got.complex.simplex_array(2)[got.idx], want.complex.simplex_array(2)[want.idx])
+    assert np.array_equal(got.coeff, want.coeff)
+    assert mass(got) == mass(want)
 
 
 def _transfer_matrix(ref, k):
@@ -591,6 +653,18 @@ class TestSlice:
             b = slice_current(Tm, fm, s).current
             assert mass(a) == pytest.approx(mass(b), rel=1e-9)
 
+    def test_flat_function_at_the_level_warns(self):
+        """A function flat at the level snaps it and reports the flat mass:
+        the public slice reads the whole cut, here the half square where
+        min(x, 0.5) = 0.5."""
+        C, T = grid_mesh(4, 4)
+        res = slice_current(T, PLFunction(C, np.minimum(C.coords()[:, 0], 0.5)), 0.5)
+        assert res.levels == (0.49999995,)
+        assert res.warnings == [
+            "level 0.5 snapped to 0.49999995 (vertex-value collision)",
+            "non-generic level: function is flat at the level on mass 0.5",
+        ]
+
     def test_level_below_range_is_zero(self):
         C, T = square_complex()
         f = coordinate_function(C, 0)
@@ -754,6 +828,15 @@ class TestCoarea:
         integral, bound = coarea_profile(T, f, 40)
         assert integral == pytest.approx(math.pi, rel=0.03)
         assert integral <= bound + 1e-6
+
+    def test_star_profile_equals_full_cut_profile(self):
+        """coarea_profile slices only the crossing star; its integral equals
+        the trapezoid rule over the public (full-cut) slice masses exactly."""
+        C, T = disk_mesh(h=0.2)
+        f = distance_function(C, nearest_vertex(C, (0.3, -0.2)))
+        integral, _ = coarea_profile(T, f, 9)
+        grid = np.linspace(*f.range(), 9)
+        assert integral == float(np.trapezoid([mass(slice_current(T, f, s).current) for s in grid], grid))
 
     def test_bound_on_random_pairs(self):
         rng = np.random.default_rng(19)
