@@ -252,10 +252,13 @@ def simplex_volume_from_sq(d2):
 
 
 def simplex_volumes(metric, simplices):
-    """k-volumes of an (n, k+1) array (or list) of vertex-id tuples, batched."""
+    """k-volumes of an (n, k+1) array (or list) of vertex-id tuples, batched;
+    0-simplices have volume 1 without a metric call."""
     ids = np.asarray(simplices, dtype=np.intp)
     if ids.size == 0:
         return np.empty(len(ids))
+    if ids.shape[-1] == 1:
+        return np.ones(len(ids))
     return simplex_volume_from_sq(metric.pairwise_sq(ids))
 
 
@@ -367,17 +370,18 @@ class GeometricComplex:
     """The k-simplices of each dimension as an (n, k+1) vertex-id array; a
     simplex's index is its row.  `GeometricComplex(metric, {k: simplices})`
     takes id arrays or lists of vertex tuples, kept in their order, and
-    optionally their known k-volumes and face-index arrays (`faces`: per
-    dimension an array, or a function of no arguments that builds it on the
-    first `face_index`); `simplices` is the read-only
+    optionally their face-index arrays (`faces`: per dimension an array, or
+    a function of no arguments that builds it on the first `face_index`).
+    The k-volumes of a dimension are computed from the metric when
+    `masses(k)` first reads them.  `simplices` is the read-only
     {k: [vertex tuple, ...]} view, whose lists are built only when read and
     which the library itself never reads (the benchmark tracer does)."""
 
-    def __init__(self, metric, simplices, masses=None, faces=None):
+    def __init__(self, metric, simplices, faces=None):
         self.metric = metric
         self._arrays = {k: np.asarray(s, dtype=np.intp).reshape(len(s), k + 1) for k, s in simplices.items()}
         self.simplices = SimplexLists(self._arrays)
-        self._masses: dict[int, np.ndarray] = dict(masses or {})
+        self._masses: dict[int, np.ndarray] = {}
         self._faces: dict = dict(faces or {})
 
     @classmethod
@@ -428,6 +432,8 @@ class GeometricComplex:
         return callable(self._faces.get(k))
 
     def masses(self, k):
+        """The k-volumes of the k-simplices, computed on first read: a
+        volume is a function of the metric and the row alone."""
         if k not in self._masses:
             self._masses[k] = simplex_volumes(self.metric, self.simplex_array(k))
         return self._masses[k]
@@ -472,10 +478,13 @@ class GeometricComplex:
 class PLFunction:
     """Vertex-sampled function with piecewise linear interpolation.
 
-    `lip` is the largest restricted-gradient norm over the simplices of the
-    complex, computed from the Gram matrix of each simplex; on edges this is
-    |value difference| / length.  Distance functions carry their source so
-    refinements can re-evaluate them exactly.
+    `lip` is 1.0 for a distance function (source `("dist", p)`): the
+    Lipschitz constant of the distance itself, not of its PL interpolant,
+    whose restricted gradients can be steeper than 1.  For any other
+    function it is the largest restricted-gradient norm over the simplices
+    of the complex, computed from the Gram matrix of each simplex; on edges
+    this is |value difference| / length.  Distance functions carry their
+    source so refinements can re-evaluate them exactly.
     """
 
     complex: GeometricComplex

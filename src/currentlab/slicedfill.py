@@ -121,19 +121,23 @@ def _tensor_eval(start: SimplicialCurrent, functions, grids, leaf):
 
     Slices share prefixes: the level grid of axis j is sliced once per
     prefix, so axis-0 slices are computed len(grids[0]) times in total.
-    Each slice cuts only the star of its level (`_level_star`), except a
-    final slice of dimension >= 2: `fill_value_of_boundary` fills its
-    boundary inside its complex, so that slice keeps the whole cut.
+    Each slice cuts only the star of its level (`_level_star`, which
+    closes the star itself), except a final slice of dimension >= 2:
+    `fill_value_of_boundary` fills its boundary inside its complex, so that
+    slice keeps the whole cut of the closure of its current's support.
     """
     shape = tuple(len(g) for g in grids)
     out = np.zeros(shape if shape else (1,))
     skipped = [0]
 
+    def keeps_whole_cut(depth, dim):
+        return depth == len(grids) - 1 and dim > 2
+
     def rec(current, fns, depth, prefix):
         if depth == len(grids):
             out[prefix if prefix else 0] = leaf(current)
             return
-        whole = depth == len(grids) - 1 and current.dim > 2
+        whole = keeps_whole_cut(depth, current.dim)
         for i, t in enumerate(grids[depth]):
             try:
                 cut = current if whole else _level_star(current, fns[0].values, float(t), crossing=True)
@@ -142,7 +146,7 @@ def _tensor_eval(start: SimplicialCurrent, functions, grids, leaf):
                 skipped[0] += 1
                 continue
             rest = [sl.refinement.transfer_function(g) for g in fns[1:]]
-            nested = support_closure(sl.current) if rest else sl.current
+            nested = support_closure(sl.current) if keeps_whole_cut(depth + 1, sl.current.dim) else sl.current
             rec(nested, rest, depth + 1, prefix + (i,))
 
     rec(start, list(functions), 0, ())

@@ -22,7 +22,6 @@ from .complexes import (
     facet_lookup,
     lookup_rows,
     row_ranks,
-    simplex_volumes,
 )
 from .currents import SimplicialCurrent, boundary, mass
 from .metricspace import ArgumentError, InvariantError
@@ -307,8 +306,9 @@ def subdivide_at_level(C: GeometricComplex, values, s) -> Refinement:
     id arrays, holds the untouched simplices plus the cells inside crossing
     simplices (those through a cut point), which relies on C being closed
     under faces.  Its face index is derived from C's (`_inherited_faces`)
-    on the first `face_index` of each dimension, so a dimension nobody
-    reads costs nothing.
+    on the first `face_index` of each dimension, and its volumes are
+    computed on the first `masses` of each dimension (the grown metric
+    keeps every old distance), so a dimension nobody reads costs nothing.
     """
     values = np.asarray(values, dtype=float)
     level, snapped, warning = snap_level(values, s)
@@ -338,9 +338,9 @@ def subdivide_at_level(C: GeometricComplex, values, s) -> Refinement:
         cells[k], n_pieces[k], signs[k] = _split(C.simplex_array(k)[crossing[k]], sides[k], edges, n_old)
     new = {k: np.concatenate([cells[j][k] for j in C.dims if j >= k]) for k in C.dims}
 
-    # merged, lexicographically sorted arrays; untouched simplices keep their
-    # volumes, and every new simplex contains a cut point, so all rows differ
-    new_arrays, new_masses, untouched, positions = {}, {}, {}, {}
+    # merged, lexicographically sorted arrays; every new simplex contains a
+    # cut point, so all rows differ
+    new_arrays, untouched, positions = {}, {}, {}
     for k in C.dims:
         untouched[k] = _others(C.count(k), crossing[k])
         merged = np.concatenate([C.simplex_array(k)[untouched[k]], new[k]])
@@ -348,9 +348,8 @@ def subdivide_at_level(C: GeometricComplex, values, s) -> Refinement:
         positions[k] = np.empty(len(order), dtype=np.intp)
         positions[k][order] = np.arange(len(order))
         new_arrays[k] = merged[order]
-        new_masses[k] = np.concatenate([C.masses(k)[untouched[k]], simplex_volumes(metric, new[k])])[order]
     faces = {k: functools.partial(_inherited_faces, C, new_arrays, crossing, positions, k) for k in C.dims if k > 0}
-    new_complex = GeometricComplex(metric, new_arrays, new_masses, faces)
+    new_complex = GeometricComplex(metric, new_arrays, faces)
 
     # signed transfer tables: an untouched simplex is its own child, a split
     # one has all its pieces with their template orientations; the stable
@@ -385,8 +384,8 @@ def support_closure(T: SimplicialCurrent) -> SimplicialCurrent:
     functions and distance rows stay valid; only the simplex lists shrink,
     which keeps later subdivisions proportional to the support size.  The
     faces come from the parent's face-index arrays, each dimension listed
-    in lexicographic vertex order as an id array,
-    and the closure's face index is the parent's, renumbered.
+    in lexicographic vertex order as an id array, and the closure's face
+    index is the parent's, renumbered; its volumes are computed when read.
     """
     C = T.complex
     if T.is_zero():
@@ -395,17 +394,16 @@ def support_closure(T: SimplicialCurrent) -> SimplicialCurrent:
     chosen = {T.dim: T.idx}
     for k in range(T.dim, 0, -1):
         chosen[k - 1] = np.unique(C.face_index(k)[chosen[k]])
-    arrays, masses, faces, renamed = {}, {}, {}, {}
+    arrays, faces, renamed = {}, {}, {}
     for k in range(T.dim + 1):
         ids = chosen[k][np.lexsort(C.simplex_array(k)[chosen[k]].T[::-1])]
         arrays[k] = C.simplex_array(k)[ids]
-        masses[k] = C.masses(k)[ids]
         # closure index of each chosen parent simplex (other entries unread)
         renamed[k] = np.empty(C.count(k), dtype=np.intp)
         renamed[k][ids] = np.arange(len(ids))
         if k:
             faces[k] = renamed[k - 1][C.face_index(k)[ids]]
-    C2 = GeometricComplex(C.metric, arrays, masses, faces)
+    C2 = GeometricComplex(C.metric, arrays, faces)
     new_idx = renamed[T.dim][T.idx]
     return SimplicialCurrent.from_arrays(C2, T.dim, new_idx, T.coeff)
 
@@ -462,6 +460,8 @@ def slice_current(T: SimplicialCurrent, f: PLFunction, s) -> SliceResult:
 
 def _flat_region_mass(complex, T, values, level):
     flat = (values[complex.simplex_array(T.dim)[T.idx]] == level).all(axis=1)
+    if not flat.any():  # a generic level reads no volume
+        return 0.0
     return float(np.abs(T.coeff[flat]) @ complex.masses(T.dim)[T.idx[flat]])
 
 

@@ -14,6 +14,7 @@ from currentlab.complexes import (
     distance_function,
     gram_from_sq,
     simplex_volume_from_sq,
+    simplex_volumes,
 )
 from currentlab.metricspace import ArgumentError
 from currentlab.meshes import _sphere_arc_metric, grid_mesh, square_complex, torus_patch_mesh
@@ -49,6 +50,14 @@ class TestVolumes:
                 cm = simplex_volume_from_sq(euclid_sq(coords))
                 direct = simplex_volume_from_coords(coords)
                 assert cm == pytest.approx(direct, rel=1e-8, abs=1e-12)
+
+    def test_vertex_volumes_need_no_metric(self):
+        class NoDistances:
+            def pairwise_sq(self, ids):
+                raise AssertionError("0-simplices read no distance")
+
+        vols = simplex_volumes(NoDistances(), np.arange(5)[:, None])
+        assert vols.shape == (5,) and np.array_equal(vols, np.ones(5))
 
     def test_non_embeddable_rejected(self):
         # triangle inequality badly violated

@@ -242,6 +242,28 @@ class TestLevelStar:
             _assert_same_complex(cur.complex, want.complex)
             assert np.array_equal(cur.idx, want.idx) and np.array_equal(cur.coeff, want.coeff)
 
+    def test_four_dimensional_final_slice_keeps_the_whole_cut_of_its_closure(self):
+        """With two functions on a 4-d ball the first slice cuts a level
+        star and passes its slice on unclosed; the final 2-d slice is cut
+        on the whole closure of that slice's support, as slicing the full
+        cut and closing it gives."""
+        from test_slicing import kuhn_mesh
+
+        C, T = kuhn_mesh((2, 2, 2, 1), seed=0)
+        ctx = ball_context(T, nearest_vertex(C, (1.0, 1.0, 1.0, 0.5)), 0.9)
+        fns = [coordinate_function(ctx.complex, axis) for axis in (0, 1)]
+        grids = [np.array([0.9, 1.1]), np.array([1.05])]
+        seen = []
+        _tensor_eval(ctx.current, fns, grids, lambda cur: seen.append(cur) or 0.0)
+        assert len(seen) == 2
+        for cur, t in zip(seen, grids[0]):
+            first = slice_current(ctx.current, fns[0], float(t))
+            f1 = first.refinement.transfer_function(fns[1])
+            want = slice_current(support_closure(first.current), f1, float(grids[1][0])).current
+            assert not want.is_zero()
+            _assert_same_complex(cur.complex, want.complex)
+            assert np.array_equal(cur.idx, want.idx) and np.array_equal(cur.coeff, want.coeff)
+
 
 class TestSfK:
     def test_k0_is_ball_filling(self):

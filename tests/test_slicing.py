@@ -607,6 +607,24 @@ def test_slicing_builds_no_tuple_lists():
     assert set(res.complex.simplices._lists) == {1}
 
 
+def test_cuts_and_closures_compute_volumes_on_first_read():
+    """A refinement, a support closure and a slice at a generic level build
+    no volume up front and read none of their parent's; a mass then builds
+    the one dimension it reads."""
+    C, T = sphere_mesh(8, 16)
+    read = set(C._masses)
+    ref = subdivide_at_level(C, distance_function(C, 0).values, 0.9)
+    ball_T = support_closure(ball(T, 0, 1.2))
+    res = slice_current(ball_T, distance_function(ball_T.complex, 0), 0.8)
+    assert res.warnings == []
+    assert set(C._masses) == read
+    for complex in (ref.complex, ball_T.complex, res.complex):
+        assert not complex._masses
+    for current in (ref.transfer_current(T), ball_T, res.current):
+        mass(current)
+        assert set(current.complex._masses) == {current.dim}
+
+
 class TestSlice:
     def test_unit_edge_midpoint(self):
         C, T = interval_chain(1)
