@@ -370,8 +370,8 @@ class GeometricComplex:
     """The k-simplices of each dimension as an (n, k+1) vertex-id array; a
     simplex's index is its row.  `GeometricComplex(metric, {k: simplices})`
     takes id arrays or lists of vertex tuples, kept in their order, and
-    optionally their face-index arrays (`faces`: per dimension an array, or
-    a function of no arguments that builds it on the first `face_index`).
+    optionally face-index arrays for some dimensions (`faces`); any other
+    dimension looks its face index up on the first `face_index`.
     The k-volumes of a dimension are computed from the metric when
     `masses(k)` first reads them.  `simplices` is the read-only
     {k: [vertex tuple, ...]} view, whose lists are built only when read and
@@ -382,7 +382,7 @@ class GeometricComplex:
         self._arrays = {k: np.asarray(s, dtype=np.intp).reshape(len(s), k + 1) for k, s in simplices.items()}
         self.simplices = SimplexLists(self._arrays)
         self._masses: dict[int, np.ndarray] = {}
-        self._faces: dict = dict(faces or {})
+        self._faces: dict[int, np.ndarray] = dict(faces or {})
 
     @classmethod
     def from_top_simplices(cls, metric, *blocks):
@@ -415,21 +415,14 @@ class GeometricComplex:
     def face_index(self, k):
         """The boundary operator of dimension k as an (n, k+1) array: entry
         (i, j) is the index of the (k-1)-face of k-simplex i opposite its
-        vertex j (sign (-1)^j).  Built on first use and cached: taken from
-        the `faces` the complex was built with when they hold dimension k
-        (a refined or support-closure complex derives them from its
-        parent's, see `slicing`), else looked up among all (k-1)-simplices.
-        Raises ComplexError for a missing face."""
+        vertex j (sign (-1)^j).  Taken from the `faces` the complex was
+        built with when they hold dimension k (a support closure renumbers
+        its parent's, see `slicing.support_closure`); otherwise looked up
+        among all (k-1)-simplices on first use and cached.  Raises
+        ComplexError for a missing face."""
         if k not in self._faces:
             self._faces[k] = facet_lookup(self.simplex_array(k - 1), self.simplex_array(k))
-        elif callable(self._faces[k]):
-            self._faces[k] = self._faces[k]()
         return self._faces[k]
-
-    def face_index_deferred(self, k):
-        """Whether face_index(k) is still to be built by a function given
-        in `faces`."""
-        return callable(self._faces.get(k))
 
     def masses(self, k):
         """The k-volumes of the k-simplices, computed on first read: a

@@ -19,7 +19,6 @@ from .complexes import (
     GeometricComplex,
     PLFunction,
     distance_function,
-    facet_lookup,
     lookup_rows,
     row_ranks,
 )
@@ -105,8 +104,11 @@ def snap_level(values, s, snap_rel=SNAP_REL):
 
     Vertex values within 2*tol of each other are treated as one cluster and
     the level is pushed just past the cluster, towards the interior of the
-    value range when the cluster contains an extreme value.
+    value range when the cluster contains an extreme value.  A NaN or
+    infinite s raises ArgumentError.
     """
+    if not math.isfinite(s):
+        raise ArgumentError(f"cutting level must be finite, got {s}")
     uniq = np.unique(np.asarray(values, dtype=float))
     if len(uniq) == 0:
         return float(s), False, None
@@ -169,45 +171,6 @@ def _split_pieces(simplex, below_mask, cut):
 
 
 _AFTER_EVERY_ID = np.iinfo(np.intp).max
-
-
-def _others(n, ids):
-    """The indices 0..n-1 not in `ids`, in increasing order."""
-    keep = np.ones(n, dtype=bool)
-    keep[ids] = False
-    return np.flatnonzero(keep)
-
-
-def _inherited_faces(parent, arrays, crossing, positions, k):
-    """The face index of dimension k >= 1 of a complex refined from
-    `parent`, built from the parent's.
-
-    `positions[k]` holds the refined position of each merged k-row: first
-    the parent's untouched k-simplices (those not in `crossing[k]`) in
-    parent order, then the new k-cells.  An untouched simplex has untouched
-    faces, so its row is its parent row gathered through the new positions
-    of the untouched (k-1)-simplices.  The faces of the new cells take one
-    `facet_lookup` among the new (k-1)-cells and the untouched facets of
-    crossing k-simplices, which hold them all: a face without a cut point,
-    joined with the endpoint of its cell's cut edge on the other side of
-    the level, is a crossing k-face of the cell's carrier.
-    """
-    if parent.face_index_deferred(k):
-        # a parent refined in turn would build dimension k for this complex
-        # alone, at more cost than one lookup here
-        return facet_lookup(arrays[k - 1], arrays[k])
-    kept, kept_faces = _others(parent.count(k), crossing[k]), _others(parent.count(k - 1), crossing[k - 1])
-    # refined position of every parent (k-1)-simplex, -1 where it crosses
-    moved = np.full(parent.count(k - 1), -1, dtype=np.intp)
-    moved[kept_faces] = positions[k - 1][: len(kept_faces)]
-    parent_faces = parent.face_index(k)
-    index = np.empty((len(arrays[k]), k + 1), dtype=np.intp)
-    index[positions[k][: len(kept)]] = moved[parent_faces[kept]]
-    facets = moved[np.unique(parent_faces[crossing[k]])]
-    table = np.concatenate([positions[k - 1][len(kept_faces) :], facets[facets >= 0]])
-    new = positions[k][len(kept) :]
-    index[new] = table[facet_lookup(arrays[k - 1][table], arrays[k][new])]
-    return index
 
 
 @functools.cache
@@ -305,10 +268,10 @@ def subdivide_at_level(C: GeometricComplex, values, s) -> Refinement:
     split by its (pattern, perm) template: the refined complex, built from
     id arrays, holds the untouched simplices plus the cells inside crossing
     simplices (those through a cut point), which relies on C being closed
-    under faces.  Its face index is derived from C's (`_inherited_faces`)
-    on the first `face_index` of each dimension, and its volumes are
-    computed on the first `masses` of each dimension (the grown metric
-    keeps every old distance), so a dimension nobody reads costs nothing.
+    under faces.  Like a base complex, it looks its face index up on the
+    first `face_index` of each dimension and computes its volumes on the
+    first `masses` (the grown metric keeps every old distance), so a
+    dimension nobody reads costs nothing, and it holds no reference to C.
     """
     values = np.asarray(values, dtype=float)
     level, snapped, warning = snap_level(values, s)
@@ -342,14 +305,13 @@ def subdivide_at_level(C: GeometricComplex, values, s) -> Refinement:
     # cut point, so all rows differ
     new_arrays, untouched, positions = {}, {}, {}
     for k in C.dims:
-        untouched[k] = _others(C.count(k), crossing[k])
+        untouched[k] = np.delete(np.arange(C.count(k)), crossing[k])
         merged = np.concatenate([C.simplex_array(k)[untouched[k]], new[k]])
         order = np.lexsort(merged.T[::-1])
         positions[k] = np.empty(len(order), dtype=np.intp)
         positions[k][order] = np.arange(len(order))
         new_arrays[k] = merged[order]
-    faces = {k: functools.partial(_inherited_faces, C, new_arrays, crossing, positions, k) for k in C.dims if k > 0}
-    new_complex = GeometricComplex(metric, new_arrays, faces)
+    new_complex = GeometricComplex(metric, new_arrays)
 
     # signed transfer tables: an untouched simplex is its own child, a split
     # one has all its pieces with their template orientations; the stable
@@ -384,8 +346,9 @@ def support_closure(T: SimplicialCurrent) -> SimplicialCurrent:
     functions and distance rows stay valid; only the simplex lists shrink,
     which keeps later subdivisions proportional to the support size.  The
     faces come from the parent's face-index arrays, each dimension listed
-    in lexicographic vertex order as an id array, and the closure's face
-    index is the parent's, renumbered; its volumes are computed when read.
+    in lexicographic vertex order as an id array.  Unlike a refined
+    complex, which looks its face index up when read, the closure is built
+    with the parent's, renumbered; its volumes are computed when read.
     """
     C = T.complex
     if T.is_zero():
@@ -521,6 +484,8 @@ def ball(T: SimplicialCurrent, p: int, r: float) -> SimplicialCurrent:
 
 def sphere(T: SimplicialCurrent, p: int, r: float) -> SliceResult:
     """Slice of T by the distance function from p at radius r."""
+    if not r > 0:
+        raise ArgumentError("sphere radius must be positive")
     return slice_current(T, distance_function(T.complex, p), r)
 
 

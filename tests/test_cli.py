@@ -400,6 +400,10 @@ class TestErrors:
         assert main(["lab", "--schedule", "0.3", "--radius", "0"]) == EXIT_INPUT
         assert "radius must be positive" in capsys.readouterr().err
 
+    def test_sphere_radius_zero_exits_2(self, square_chain_path, capsys):
+        assert main(["sphere", "--input", str(square_chain_path), "--radius", "0"]) == EXIT_INPUT
+        assert "sphere radius must be positive" in capsys.readouterr().err
+
     def test_gh_without_input2_exits_2(self, tmp_path, capsys):
         # read the missing second path as None and exited 3
         path = tmp_path / "two.csv"

@@ -9,7 +9,7 @@ from currentlab.meshes import grid_mesh
 from currentlab.metricspace import ArgumentError, FiniteMetricSpace, packing_number
 from currentlab.product import build_product_complex, interval_filling_volume, sliced_interval_fill
 from currentlab.slicedfill import ball_context, tetra_check
-from currentlab.slicing import annulus_mass, ball
+from currentlab.slicing import annulus_mass, ball, restrict_sublevel, slice_current, sphere
 
 NAN = math.nan
 C, T = grid_mesh(2, 2)
@@ -27,6 +27,12 @@ SITES = {
     "annulus_mass_nan_low": lambda: annulus_mass(T, RHO, NAN, 0.5),
     "annulus_mass_nan_high": lambda: annulus_mass(T, RHO, 0.1, NAN),
     "annulus_mass_infinite": lambda: annulus_mass(T, RHO, -math.inf, 0.5),
+    "sphere": lambda: sphere(T, 0, NAN),
+    "sphere_zero": lambda: sphere(T, 0, 0.0),
+    "sphere_negative": lambda: sphere(T, 0, -1.0),
+    "slice_current": lambda: slice_current(T, RHO, NAN),
+    "slice_current_infinite": lambda: slice_current(T, RHO, math.inf),
+    "restrict_sublevel": lambda: restrict_sublevel(T, RHO, NAN),
 }
 
 

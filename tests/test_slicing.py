@@ -1,5 +1,7 @@
+import gc
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -425,9 +427,8 @@ def _refinements(C, values):
 
 @pytest.mark.parametrize("C, values", _subdivide_cases())
 def test_refined_face_index_matches_lookup(C, values):
-    """The face index a refined complex derives from its parent's equals the
-    whole-complex lookup in every dimension, on refinements of refinements
-    too."""
+    """The face index of a refined complex equals the whole-complex lookup
+    in every dimension, on refinements of refinements too."""
     for ref in _refinements(C, values):
         for k in ref.complex.dims[1:]:
             assert np.array_equal(ref.complex.face_index(k), face_index_oracle(ref.complex, k)), k
@@ -446,42 +447,20 @@ def test_closure_face_index_matches_lookup():
             assert np.array_equal(closure.face_index(k), face_index_oracle(closure, k)), k
 
 
-@pytest.mark.parametrize("C, values", _subdivide_cases())
-def test_refined_face_index_looks_up_only_the_split_region(C, values, monkeypatch):
-    """While a refined complex builds its face index (its parent's already
-    built), no row lookup has a table longer than its new (k-1)-cells plus
-    the (k-1)-faces of the parent's crossing k-simplices: untouched rows
-    come from the parent, not from a whole-complex lookup."""
-    import currentlab.complexes as complexes
-
-    lookup, tables = complexes.lookup_rows, []
-    monkeypatch.setattr(complexes, "lookup_rows", lambda table, rows: tables.append(len(table)) or lookup(table, rows))
-    smaller = False
-    for ref in _refinements(C, values):
-        parent, child = ref.source, ref.complex
-        for k in child.dims[1:]:
-            parent.face_index(k)
-            tables.clear()
-            child.face_index(k)
-            crossing = np.flatnonzero(np.diff(ref.children[k].ptr) > 1)  # split into pieces
-            new_cells = int((child.simplex_array(k - 1) >= ref.n_old_vertices).any(axis=1).sum())
-            bound = new_cells + len(np.unique(parent.face_index(k)[crossing]))
-            assert max(tables, default=0) <= bound, (k, tables, bound)
-            smaller |= bound < child.count(k - 1)
-    assert smaller
-
-
-def test_refinement_of_an_unread_refinement_looks_up_its_own_faces():
-    """A refined parent that has not built a dimension is not made to build
-    it for its refinement alone: the refinement looks its faces up itself,
-    and they equal the whole-complex lookup."""
-    C, _ = disk_mesh(h=0.25)
+def test_refinement_frees_its_source():
+    """A refined complex holds no reference to the complex it was cut from:
+    once only the refined complex is kept, the source is collected, and the
+    refined complex still builds its face index and volumes."""
+    C = disk_mesh(h=0.25)[0]
     values = distance_function(C, nearest_vertex(C, (0.3, -0.2))).values
-    ref = subdivide_at_level(C, values, 0.4)
-    ref2 = subdivide_at_level(ref.complex, ref.transfer_function(PLFunction(C, values)).values, 0.7)
+    source = weakref.ref(C)
+    child = subdivide_at_level(C, values, 0.4).complex
+    del C
+    gc.collect()
+    assert source() is None
     for k in (1, 2):
-        assert np.array_equal(ref2.complex.face_index(k), face_index_oracle(ref2.complex, k))
-        assert ref.complex.face_index_deferred(k)
+        assert np.array_equal(child.face_index(k), face_index_oracle(child, k))
+    assert child.masses(2).sum() == pytest.approx(disk_mesh(h=0.25)[0].masses(2).sum())
 
 
 def test_template_checks_that_its_pieces_cover_the_simplex(monkeypatch):
