@@ -300,33 +300,68 @@ def close_under_faces(*blocks):
     return {k: distinct_rows(np.concatenate(f)) for k, f in faces.items()}
 
 
+_KEY_SPAN = 2**63  # int64 keys 0 .. 2**63 - 1
+
+
+def row_keys(*blocks):
+    """One int64 key per row of each (n, m) integer array (all of one width
+    m): keys order as the rows order lexicographically, and two rows have
+    equal keys exactly when they are equal, across all blocks.
+
+    A row is packed in mixed radix, its entries less the common minimum in
+    base max - min + 1, so negative ids stay exact.  When radix**m would
+    overflow int64, the rows are packed column by column over all blocks
+    together, and the packed prefix (or a column itself) is replaced by its
+    dense rank whenever the next column would not fit."""
+    m = blocks[0].shape[1]
+    filled = [b for b in blocks if b.size]
+    if not filled:
+        return [np.zeros(len(b), dtype=np.int64) for b in blocks]
+    lo = min([int(b.min()) for b in filled])
+    radix = max([int(b.max()) for b in filled]) - lo + 1
+    if radix**m <= _KEY_SPAN:
+        # every partial sum is at most the key, so nothing overflows
+        weights = np.array([radix**p for p in range(m - 1, -1, -1)], dtype=np.int64)
+        return [(b.astype(np.int64, copy=False) - lo) @ weights for b in blocks]
+    rows = np.concatenate(blocks).astype(np.int64)
+    key, span = np.zeros(len(rows), dtype=np.int64), 1
+    for col in rows.T:
+        c_lo = int(col.min())
+        c_radix = int(col.max()) - c_lo + 1
+        if span * c_radix >= _KEY_SPAN:
+            key = np.unique(key, return_inverse=True)[1].astype(np.int64)
+            span = int(key.max()) + 1
+        if span * c_radix >= _KEY_SPAN:
+            col = np.unique(col, return_inverse=True)[1].astype(np.int64)
+            c_lo, c_radix = 0, int(col.max()) + 1
+        key, span = key * c_radix + (col - c_lo), span * c_radix
+    return np.split(key, np.cumsum([len(b) for b in blocks[:-1]]))
+
+
 def distinct_rows(rows):
     """The distinct rows of an (n, m) integer array in lexicographic order."""
-    rows = rows[np.lexsort(rows.T[::-1])]
-    keep = np.ones(len(rows), dtype=bool)
-    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    return rows[keep]
+    return rows[np.unique(row_keys(rows)[0], return_index=True)[1]]
 
 
 def row_ranks(rows):
     """Dense lexicographic ranks of the rows of an (n, m) integer array:
     equal rows share a rank, and ranks follow lexicographic row order."""
-    order = np.lexsort(rows.T[::-1])
-    ranked = rows[order]
-    step = np.ones(len(rows), dtype=np.intp)
-    step[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    rank = np.empty(len(rows), dtype=np.intp)
-    rank[order] = np.cumsum(step) - 1
-    return rank
+    return np.unique(row_keys(rows)[0], return_inverse=True)[1]
 
 
 def lookup_rows(table, queries):
-    """Index of each row of `queries` among the distinct rows of `table`,
-    -1 where it is absent; both are ranked together in one lexsort."""
-    rank = row_ranks(np.concatenate([table, queries]))
-    owner = np.full(len(rank), -1)
-    owner[rank[: len(table)]] = np.arange(len(table))
-    return owner[rank[len(table) :]]
+    """Index of each row of `queries` among the rows of `table` (the last
+    of equal rows), -1 where it is absent: the rows' `row_keys`, one stable
+    argsort of the table's keys (linear on a table already in lexicographic
+    order, as every table the library builds is) and one binary search of
+    the queries' keys."""
+    if not len(table):
+        return np.full(len(queries), -1, dtype=np.intp)
+    table_keys, query_keys = row_keys(table, queries)
+    order = table_keys.argsort(kind="stable")
+    # pos -1 (a query below every row) reads the largest key, which differs
+    hit = order[table_keys[order].searchsorted(query_keys, side="right") - 1]
+    return np.where(table_keys[hit] == query_keys, hit, -1)
 
 
 def facet_lookup(table, rows):
@@ -335,12 +370,15 @@ def facet_lookup(table, rows):
     of row i opposite its vertex j; one `lookup_rows`.  Raises ComplexError
     for a facet missing from `table`."""
     k = rows.shape[1] - 1
-    faces = rows[:, [[c for c in range(k + 1) if c != j] for j in range(k + 1)]]
-    index = lookup_rows(table, faces.reshape(-1, k)).reshape(faces.shape[:2])
+    # facets queried one vertex position at a time: opposite a fixed vertex,
+    # the facets of sorted rows come nearly sorted, and the binary search
+    # runs through nearly sorted queries faster than through interleaved ones
+    faces = rows[:, [[c for c in range(k + 1) if c != j] for j in range(k + 1)]].swapaxes(0, 1)
+    index = np.ascontiguousarray(lookup_rows(table, faces.reshape(-1, k)).reshape(k + 1, -1).T)
     if (index < 0).any():
         i = np.flatnonzero((index < 0).any(axis=1))[0]
         j = np.flatnonzero(index[i] < 0)[-1]  # its first missing face in lexicographic order
-        raise ComplexError(f"missing face {tuple(faces[i, j].tolist())} of {tuple(rows[i].tolist())}")
+        raise ComplexError(f"missing face {tuple(faces[j, i].tolist())} of {tuple(rows[i].tolist())}")
     return index
 
 
@@ -448,8 +486,8 @@ class GeometricComplex:
                     raise ComplexError(f"degenerate simplex {s}")
                 raise ComplexError(f"simplex not in canonical order: {s}")
             rank = row_ranks(rows)
-            if len(np.unique(rank)) < len(rows):
-                repeated = np.bincount(rank)[rank] > 1
+            repeated = np.bincount(rank)[rank] > 1
+            if repeated.any():
                 raise ComplexError(f"duplicate simplex {tuple(rows[np.argmax(repeated)].tolist())}")
             if k > 0:
                 self.face_index(k)

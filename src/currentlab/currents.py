@@ -375,4 +375,7 @@ def load_off(path) -> GeometricComplex:
             raise ArgumentError("only triangular OFF faces are supported")
         faces.append(tuple(int(t) for t in tokens[pos + 1 : pos + 4]))
         pos += cnt + 1
+    for face in faces:
+        if not all(0 <= v < nv for v in face):
+            raise ArgumentError(f"OFF face {face} names a vertex outside 0..{nv - 1}")
     return GeometricComplex.from_top_simplices(EuclideanMetric(np.array(verts)), faces)

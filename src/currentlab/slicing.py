@@ -20,7 +20,7 @@ from .complexes import (
     PLFunction,
     distance_function,
     lookup_rows,
-    row_ranks,
+    row_keys,
 )
 from .currents import SimplicialCurrent, boundary, mass
 from .metricspace import ArgumentError, InvariantError
@@ -104,16 +104,22 @@ def snap_level(values, s, snap_rel=SNAP_REL):
 
     Vertex values within 2*tol of each other are treated as one cluster and
     the level is pushed just past the cluster, towards the interior of the
-    value range when the cluster contains an extreme value.  A NaN or
-    infinite s raises ArgumentError.
+    value range when the cluster contains an extreme value; tol is snap_rel
+    times the value range (times 1 when the range is 0).  A level inside a
+    cluster's window lies within tol of one of its values, so when no value
+    is within 2*tol of s the level is returned as it is, without sorting
+    the values.  A NaN or infinite s raises ArgumentError.
     """
     if not math.isfinite(s):
         raise ArgumentError(f"cutting level must be finite, got {s}")
-    uniq = np.unique(np.asarray(values, dtype=float))
-    if len(uniq) == 0:
+    values = np.asarray(values, dtype=float)
+    if not len(values):
         return float(s), False, None
-    rng = float(uniq[-1] - uniq[0]) if len(uniq) > 1 else 1.0
+    rng = float(values.max() - values.min())
     tol = snap_rel * (rng if rng > 0 else 1.0)
+    if not (np.abs(values - s) < 2 * tol).any():
+        return float(s), False, None
+    uniq = np.unique(values)
     # cluster j spans uniq[starts[j]] .. uniq[ends[j]]; the windows
     # (lo - tol, hi + tol) are disjoint, and only the clusters of the two
     # values around s can hold it
@@ -235,8 +241,8 @@ def _split(sims, side, edges, n_old):
         raise ComplexError("a crossing simplex has an edge missing from the complex")
     cols = np.concatenate([sims, cuts], axis=1)
     perm = np.argsort(cuts, axis=1, kind="stable")
-    group = row_ranks(np.concatenate([side, perm], axis=1))
-    firsts = np.unique(group, return_index=True)[1]
+    key = row_keys(np.concatenate([side, perm], axis=1))[0]
+    firsts, group = np.unique(key, return_index=True, return_inverse=True)[1:]
     templates = [
         _template(k, tuple(side[f].tolist()), tuple(perm[f, : crosses[f].sum()].tolist())) for f in firsts.tolist()
     ]
@@ -302,12 +308,13 @@ def subdivide_at_level(C: GeometricComplex, values, s) -> Refinement:
     new = {k: np.concatenate([cells[j][k] for j in C.dims if j >= k]) for k in C.dims}
 
     # merged, lexicographically sorted arrays; every new simplex contains a
-    # cut point, so all rows differ
+    # cut point, so all rows differ; the untouched rows keep C's sorted
+    # order, one run that the stable key sort takes in linear time
     new_arrays, untouched, positions = {}, {}, {}
     for k in C.dims:
         untouched[k] = np.delete(np.arange(C.count(k)), crossing[k])
         merged = np.concatenate([C.simplex_array(k)[untouched[k]], new[k]])
-        order = np.lexsort(merged.T[::-1])
+        order = np.argsort(row_keys(merged)[0], kind="stable")
         positions[k] = np.empty(len(order), dtype=np.intp)
         positions[k][order] = np.arange(len(order))
         new_arrays[k] = merged[order]
@@ -359,7 +366,7 @@ def support_closure(T: SimplicialCurrent) -> SimplicialCurrent:
         chosen[k - 1] = np.unique(C.face_index(k)[chosen[k]])
     arrays, faces, renamed = {}, {}, {}
     for k in range(T.dim + 1):
-        ids = chosen[k][np.lexsort(C.simplex_array(k)[chosen[k]].T[::-1])]
+        ids = chosen[k][np.argsort(row_keys(C.simplex_array(k)[chosen[k]])[0], kind="stable")]
         arrays[k] = C.simplex_array(k)[ids]
         # closure index of each chosen parent simplex (other entries unread)
         renamed[k] = np.empty(C.count(k), dtype=np.intp)

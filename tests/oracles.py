@@ -13,7 +13,6 @@ from currentlab.complexes import (
     GeometricComplex,
     MatrixMetric,
     close_under_faces,
-    lookup_rows,
     simplex_volume_from_sq,
 )
 from currentlab.currents import SimplicialCurrent, permutation_sign
@@ -399,12 +398,13 @@ def boundary_oracle(T: SimplicialCurrent) -> SimplicialCurrent:
 
 
 def face_index_oracle(C: GeometricComplex, k: int) -> np.ndarray:
-    """The face index of dimension k by one `lookup_rows` of every facet
-    among all (k-1)-simplices of C, the path of a complex built without
-    known faces."""
-    rows = C.simplex_array(k)
-    faces = np.stack([np.delete(rows, j, axis=1) for j in range(k + 1)], axis=1)
-    return lookup_rows(C.simplex_array(k - 1), faces.reshape(-1, k)).reshape(len(rows), k + 1)
+    """The face index of dimension k, each facet tuple of each k-simplex
+    looked up in the {vertex tuple: index} dict of the (k-1)-simplices of
+    C (-1 where it is missing)."""
+    index = simplex_index(C, k - 1)
+    rows = map(tuple, C.simplex_array(k).tolist())
+    faces = [[index.get(s[:j] + s[j + 1 :], -1) for j in range(k + 1)] for s in rows]
+    return np.array(faces, dtype=np.intp).reshape(-1, k + 1)
 
 
 def push_forward_oracle(T: SimplicialCurrent, vmap, target: GeometricComplex) -> SimplicialCurrent:

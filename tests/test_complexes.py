@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from currentlab.complexes import (
     CallableMetric,
@@ -12,7 +13,11 @@ from currentlab.complexes import (
     PLFunction,
     coordinate_function,
     distance_function,
+    distinct_rows,
     gram_from_sq,
+    lookup_rows,
+    row_keys,
+    row_ranks,
     simplex_volume_from_sq,
     simplex_volumes,
 )
@@ -100,6 +105,89 @@ class TestComplexStructure:
         mid = np.array([0.5, 0.0])
         for i in range(3):
             assert grown.dist(3, i) == pytest.approx(np.linalg.norm(mid - pts[i]), abs=1e-12)
+
+
+# ids: small ones of both signs, ones near 2**40 (3 columns then overflow
+# a packed int64 key, so `row_keys` folds) and ones near +-2**62 (a single
+# column's range overflows int64)
+_ids = st.one_of(
+    st.integers(-20, 20),
+    st.integers(2**40 - 3, 2**40 + 3),
+    st.integers(-(2**62) - 3, -(2**62) + 3),
+    st.integers(2**62 - 3, 2**62 + 3),
+)
+
+
+@st.composite
+def _row_blocks(draw, n_blocks):
+    """`n_blocks` (n, m) int64 arrays of one width m, in no particular
+    order, repeats and empty blocks included; rows repeat across blocks."""
+    m = draw(st.integers(1, 4))
+    pool = draw(st.lists(st.tuples(*[_ids] * m), min_size=1, max_size=12))
+    blocks = [draw(st.lists(st.sampled_from(pool), max_size=20)) for _ in range(n_blocks)]
+    return [np.array(b, dtype=np.int64).reshape(len(b), m) for b in blocks]
+
+
+def _dense_ranks(items):
+    """Dense ranks of hashable, ordered items in sorted order."""
+    rank = {x: r for r, x in enumerate(sorted(set(items)))}
+    return [rank[x] for x in items]
+
+
+def _tuples(rows):
+    return list(map(tuple, rows.tolist()))
+
+
+# radix R = 2**40 + 2 and three columns: R**2 wraps to 2**42 + 4 in int64,
+# so a packed key without the fold would give (1, 0, 4) the key of (0, 4, 0)
+_NEAR_2_40 = [
+    np.array([[2**40 + 1, 1, 2], [0, 4, 0], [2**40, 1, 3], [0, 4, 0]], dtype=np.int64),
+    np.array([[1, 0, 4], [2**40, 1, 3], [0, 4, 0], [2**40, 1, 2]], dtype=np.int64),
+]
+
+
+class TestRowKeys:
+    """`row_keys` and the lookups built on it against sorted tuples and
+    dicts of tuples."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_row_blocks(3))
+    @example(_NEAR_2_40 + [np.empty((0, 3), dtype=np.int64)])
+    def test_keys_order_and_equality_follow_the_rows(self, blocks):
+        keys = row_keys(*blocks)
+        assert [len(k) for k in keys] == [len(b) for b in blocks]
+        assert all(k.dtype == np.int64 for k in keys)
+        rows = [t for b in blocks for t in _tuples(b)]
+        assert _dense_ranks(np.concatenate(keys).tolist()) == _dense_ranks(rows)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_row_blocks(2))
+    @example(_NEAR_2_40)
+    @example([_NEAR_2_40[0], np.empty((0, 3), dtype=np.int64)])
+    @example([np.empty((0, 2), dtype=np.int64), np.array([[1, 2]], dtype=np.int64)])
+    def test_lookup_rows_matches_a_dict(self, blocks):
+        table, queries = blocks
+        index = {t: i for i, t in enumerate(_tuples(table))}  # the last of equal rows
+        got = lookup_rows(table, queries)
+        assert got.tolist() == [index.get(t, -1) for t in _tuples(queries)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(_row_blocks(1))
+    @example(_NEAR_2_40[:1])
+    def test_ranks_and_distinct_rows_match_sorted_tuples(self, blocks):
+        (rows,) = blocks
+        assert row_ranks(rows).tolist() == _dense_ranks(_tuples(rows))
+        distinct = distinct_rows(rows)
+        assert distinct.shape[1:] == rows.shape[1:]
+        assert _tuples(distinct) == sorted(set(_tuples(rows)))
+
+    def test_ids_near_2_40_fold_the_key(self):
+        """Three columns spanning 2**40 overflow a packed int64 key; the
+        folded keys still order and match the rows exactly."""
+        table, queries = _NEAR_2_40
+        assert lookup_rows(table, queries).tolist() == [-1, 2, 3, -1]
+        assert row_ranks(table).tolist() == [2, 0, 1, 0]
+        assert _tuples(distinct_rows(table)) == sorted(set(_tuples(table)))
 
 
 class TestPLFunction:

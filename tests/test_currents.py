@@ -336,6 +336,14 @@ class TestInterchange:
         assert C.count(2) == 1 and C.count(1) == 3 and C.count(0) == 3
         assert C.masses(2)[0] == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("face", ["0 1 7", "0 1 3", "-1 0 1"])
+    def test_off_face_outside_the_vertices_rejected(self, tmp_path, face):
+        path = tmp_path / "tri.off"
+        path.write_text(f"OFF\n3 1 3\n0 0 0\n1 0 0\n0 1 0\n3 {face}\n")
+        ids = tuple(map(int, face.split()))
+        with pytest.raises(ArgumentError, match=rf"OFF face \({', '.join(map(str, ids))}\) names a vertex outside 0\.\.2"):
+            load_off(path)
+
 
 def test_coefficient_view_reads_the_arrays():
     C, T = grid_mesh(2, 2)
