@@ -291,10 +291,8 @@ def _cmd_sif(args):
 
 
 def _cmd_gh(args):
-    if not args.input_b:
-        raise ArgumentError("gh needs --input2")
     X = _metric_space_from(args.input)
-    Y = _metric_space_from(args.input_b)
+    Y = _metric_space_from(args.input2)
     lower, upper = gh_bounds(X, Y, exact_limit=args.exact_limit)
     return {"lower": lower, "upper": upper, "exact": bool(max(X.n, Y.n) <= args.exact_limit)}
 
@@ -306,89 +304,87 @@ def _cmd_pack(args):
 def _cmd_lab(args):
     from .convergence import build_family, continuity_sweep, semicontinuity_report
 
-    if not args.schedule:
-        raise ArgumentError("lab needs --schedule")
     family = build_family(args.family, list(args.schedule))
     if args.quantity == "semicontinuity":
         return semicontinuity_report(family)
-    params = {
-        "radius": 0.5 if args.radius is None else args.radius,
-        "grid": args.grid,
-        "epsilon": args.epsilon,
-        "center_point": family.center,
-    }
-    return continuity_sweep(family, args.quantity, params)
+    radius = 0.5 if args.radius is None else args.radius
+    return continuity_sweep(family, args.quantity, {"radius": radius, "grid": args.grid, "epsilon": args.epsilon})
 
 
-_HANDLERS = {
-    "mass": _cmd_mass,
-    "boundary": _cmd_boundary,
-    "evaluate": _cmd_evaluate,
-    "slice": _cmd_slice,
-    "ball": _cmd_ball,
-    "sphere": _cmd_sphere,
-    "coarea": _cmd_coarea,
-    "flatnorm": _cmd_flatnorm,
-    "fillvol": _cmd_fillvol,
-    "fillvol0": _cmd_fillvol0,
-    "sf": _cmd_sf,
-    "sfk": _cmd_sfk,
-    "tetra": _cmd_tetra,
-    "product": _cmd_product,
-    "ifv": _cmd_ifv,
-    "sif": _cmd_sif,
-    "gh": _cmd_gh,
-    "pack": _cmd_pack,
-    "lab": _cmd_lab,
+# ---------------------------------------------------------------------------
+# the command table
+
+# one argparse spec per option; its dest is the flag with "-" read as "_"
+_OPTIONS = {
+    "input": dict(help="input chain JSON / CSV"),
+    "input2": dict(help="second input"),
+    "output": dict(help="report path (stdout if omitted)"),
+    "format": dict(choices=("json", "csv"), default="json"),
+    "radius": dict(type=finite),
+    "epsilon": dict(type=finite, default=0.1),
+    "layers": dict(type=int, default=1),
+    "grid": dict(type=int, default=32),
+    "samples": dict(type=int, default=5),
+    "beta": dict(type=finite, default=0.5),
+    "C": dict(type=finite, default=0.1),
+    "k": dict(type=int, default=1),
+    "candidates": dict(type=int, default=6),
+    "exact-limit": dict(type=int, default=7),
+    "center": dict(type=int, default=0),
+    "level": dict(type=finite, default=0.0),
+    "function": dict(default="coord:0"),
+    "witnesses": dict(default=""),
+    "family": dict(default="refined_disk"),
+    "quantity": dict(default="fillvol"),
+    "schedule": dict(default=""),
 }
-_NEEDS_RADIUS = {"ball", "sphere", "sf", "sfk", "tetra", "sif", "pack"}
+# comma-separated options, parsed by `_numbers` after argparse
+_LISTS = {"witnesses": int, "schedule": float}
+
+# command -> (handler, the options it reads, the required ones among them);
+# every command also reads --output and --format
+_COMMANDS = {
+    "mass": (_cmd_mass, "input", "input"),
+    "boundary": (_cmd_boundary, "input", "input"),
+    "evaluate": (_cmd_evaluate, "input", "input"),
+    "slice": (_cmd_slice, "input function level", "input"),
+    "ball": (_cmd_ball, "input center radius", "input radius"),
+    "sphere": (_cmd_sphere, "input center radius", "input radius"),
+    "coarea": (_cmd_coarea, "input function samples", "input"),
+    "flatnorm": (_cmd_flatnorm, "input", "input"),
+    "fillvol": (_cmd_fillvol, "input", "input"),
+    "fillvol0": (_cmd_fillvol0, "input", "input"),
+    "sf": (_cmd_sf, "input center radius witnesses grid", "input radius"),
+    "sfk": (_cmd_sfk, "input center radius k candidates grid", "input radius"),
+    "tetra": (_cmd_tetra, "input center radius C beta samples candidates", "input radius"),
+    "product": (_cmd_product, "input epsilon layers", "input"),
+    "ifv": (_cmd_ifv, "input epsilon layers", "input"),
+    "sif": (_cmd_sif, "input center radius witnesses epsilon grid layers", "input radius"),
+    "gh": (_cmd_gh, "input input2 exact-limit", "input input2"),
+    "pack": (_cmd_pack, "input radius", "input radius"),
+    "lab": (_cmd_lab, "family quantity schedule radius grid epsilon", "schedule"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="currentlab")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _HANDLERS:
+    for name, (_, options, _) in _COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--input", help="input chain JSON / CSV")
-        p.add_argument("--input2", dest="input_b", help="second input (gh)")
-        p.add_argument("--output", help="report path (stdout if omitted)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--radius", type=finite)
-        p.add_argument("--epsilon", type=finite, default=0.1)
-        p.add_argument("--layers", type=int, default=1)
-        p.add_argument("--grid", type=int, default=32)
-        p.add_argument("--samples", type=int, default=5)
-        p.add_argument("--beta", type=finite, default=0.5)
-        p.add_argument("--C", type=finite, default=0.1)
-        p.add_argument("--k", type=int, default=1)
-        p.add_argument("--candidates", type=int, default=6)
-        p.add_argument("--exact-limit", dest="exact_limit", type=int, default=7)
-        p.add_argument("--center", type=int, default=0)
-        p.add_argument("--level", type=finite, default=0.0)
-        p.add_argument("--function", default="coord:0")
-        p.add_argument("--witnesses", default="")
-        p.add_argument("--family", default="refined_disk")
-        p.add_argument("--quantity", default="fillvol")
-        p.add_argument("--schedule", default="")
+        for option in options.split() + ["output", "format"]:
+            p.add_argument(f"--{option}", **_OPTIONS[option])
     return parser
 
 
 def dispatch(args) -> int:
     """Run one parsed command line and write exactly one report."""
-    handler = _HANDLERS.get(args.command)
-    if handler is None:
-        raise ArgumentError(f"unknown command {args.command!r}")
-    if args.command != "lab" and not args.input:
-        raise ArgumentError(f"{args.command} needs --input")
-    if args.command in _NEEDS_RADIUS and args.radius is None:
-        raise ArgumentError(f"{args.command} needs --radius")
+    handler, _, required = _COMMANDS[args.command]
+    for option in required.split():
+        if getattr(args, option.replace("-", "_")) in (None, "", ()):  # absent, or an empty path or list
+            raise ArgumentError(f"{args.command} needs --{option}")
     result = handler(args)
     warnings = result.pop("warnings", []) if isinstance(result, dict) else []
-    report = {
-        "command": args.command,
-        "result": result,
-        "warnings": warnings,
-    }
+    report = {"command": args.command, "result": result, "warnings": warnings}
     write_report(report, args.output, args.format)
     return EXIT_OK
 
@@ -398,8 +394,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.witnesses = _numbers(args.witnesses, int, "witnesses")
-        args.schedule = _numbers(args.schedule, float, "schedule")
+        for option, kind in _LISTS.items():
+            if option in vars(args):
+                setattr(args, option, _numbers(getattr(args, option), kind, option))
         return dispatch(args)
     except (ArgumentError, MetricError, ComplexError, FileNotFoundError) as exc:
         logger.error("input error: %s", exc)

@@ -308,10 +308,9 @@ def semicontinuity_report(family: SequenceFamily) -> dict:
     }
 
 
-def _member_value(C, T, quantity, params):
+def _member_value(C, T, quantity, params, center):
     r = params.get("radius", 0.5)
-    center = params.get("center_point")
-    p = nearest_vertex(C, center) if center is not None else int(params.get("center", 0))
+    p = nearest_vertex(C, center)
     if quantity == "fillvol":
         ctx = ball_context(T, p, r)
         return filling_volume(boundary(ctx.current), ctx.complex).value
@@ -347,16 +346,15 @@ def continuity_sweep(family: SequenceFamily, quantity: str, params=None) -> dict
     """
     params = dict(params or {})
     members = family.members()
-    values = [_member_value(C, T, quantity, params) for (C, T) in members]
+    values = [_member_value(C, T, quantity, params, family.center) for (C, T) in members]
     rows = [{"param": prm, "value": v} for prm, v in zip(family.schedule, values)]
     checks = []
     if quantity == "fillvol" and len(members) > 1:
         r = params.get("radius", 0.5)
-        center = params.get("center_point", family.center)
         for (CA, TA), (CB, TB) in zip(members, members[1:]):
             K, TA_K, TB_K, emb, _ = joined_complex(CA, TA, CB, TB)
-            pa = nearest_vertex(CA, center)
-            pb = nearest_vertex(CB, center) + CA.n_vertices
+            pa = nearest_vertex(CA, family.center)
+            pb = nearest_vertex(CB, family.center) + CA.n_vertices
             ball_a, ball_b = matched_balls(K, TA_K, TB_K, pa, pb, r)
             gap, bound = fillvol_continuity_gap(ball_a, ball_b, ball_a.complex)
             trivial = mass(ball_a) + mass(ball_b)

@@ -353,7 +353,10 @@ def chain_from_json(data: dict) -> SimplicialCurrent:
 
 
 def load_off(path) -> GeometricComplex:
-    """OFF triangle mesh as a 2-complex with all faces, edges and vertices."""
+    """OFF triangle mesh as a 2-complex with all faces, edges and vertices.
+
+    A short header or body, a non-numeric or non-finite entry, or a face
+    that is not a triangle of three distinct vertices raises ArgumentError."""
     with open(path, "r", encoding="utf-8") as fh:
         tokens = []
         for line in fh:
@@ -362,20 +365,26 @@ def load_off(path) -> GeometricComplex:
                 tokens.extend(line.split())
     if not tokens or tokens[0] != "OFF":
         raise ArgumentError("not an OFF file")
-    nv, nf = int(tokens[1]), int(tokens[2])
-    pos = 4
-    verts = []
-    for _ in range(nv):
-        verts.append([float(tokens[pos]), float(tokens[pos + 1]), float(tokens[pos + 2])])
-        pos += 3
-    faces = []
-    for _ in range(nf):
-        cnt = int(tokens[pos])
-        if cnt != 3:
-            raise ArgumentError("only triangular OFF faces are supported")
-        faces.append(tuple(int(t) for t in tokens[pos + 1 : pos + 4]))
-        pos += cnt + 1
+    try:
+        nv, nf, _ = map(int, tokens[1:4])
+    except ValueError:
+        raise ArgumentError(f"OFF header needs three integer counts, got {tokens[1:4]}") from None
+    body, need = tokens[4:], 3 * nv + 4 * nf
+    if nv < 0 or nf < 0 or len(body) < need:
+        raise ArgumentError(f"OFF body of {nv} vertices and {nf} triangles needs {need} values, found {len(body)}")
+    try:
+        verts = np.array(body[: 3 * nv], dtype=float).reshape(nv, 3)
+        rows = np.array(body[3 * nv : need], dtype=np.int64).reshape(nf, 4)
+    except (ValueError, OverflowError) as exc:
+        raise ArgumentError(f"OFF body has a malformed value: {exc}") from None
+    if not np.isfinite(verts).all():
+        raise ArgumentError("OFF vertex coordinates must be finite")
+    if (rows[:, 0] != 3).any():
+        raise ArgumentError("only triangular OFF faces are supported")
+    faces = [tuple(row) for row in rows[:, 1:].tolist()]
     for face in faces:
         if not all(0 <= v < nv for v in face):
             raise ArgumentError(f"OFF face {face} names a vertex outside 0..{nv - 1}")
-    return GeometricComplex.from_top_simplices(EuclideanMetric(np.array(verts)), faces)
+        if len(set(face)) < 3:
+            raise ArgumentError(f"OFF face {face} repeats a vertex")
+    return GeometricComplex.from_top_simplices(EuclideanMetric(verts), faces)

@@ -1,12 +1,13 @@
 import json
 import math
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from currentlab.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_INVARIANT, EXIT_OK, main, write_report
+from currentlab.cli import _COMMANDS, _OPTIONS, EXIT_INPUT, EXIT_INTERNAL, EXIT_INVARIANT, EXIT_OK, main, write_report
 from currentlab.currents import chain_from_json, chain_to_json, mass
 from currentlab.meshes import disk_mesh, interval_chain, square_complex
 
@@ -619,3 +620,61 @@ class TestVertexIds:
         code, _, err = _main_json(["mass", "--input", str(path)], capsys)
         assert code == EXIT_INPUT
         assert f"simplex ({vertex},) names a vertex outside" in err
+
+
+def _table_options(command):
+    return set(_COMMANDS[command][1].split()) | {"output", "format"}
+
+
+class TestCommandTable:
+    """Each subcommand takes exactly the options that its row of
+    `cli._COMMANDS` names (and --output, --format); any other exits 2."""
+
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    def test_undeclared_options_exit_2(self, command, capsys):
+        for option in sorted(set(_OPTIONS) - _table_options(command)):
+            with pytest.raises(SystemExit) as exc:
+                main([command, f"--{option}", "1"])
+            assert exc.value.code == EXIT_INPUT, option
+            out, err = capsys.readouterr()
+            assert not out and f"unrecognized arguments: --{option}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "args",
+        [["mass", "--grid", "3"], ["lab", "--center", "5"], ["flatnorm", "--input2", "x"]],
+        ids=["mass-grid", "lab-center", "flatnorm-input2"],
+    )
+    def test_option_the_command_ignored_exits_2(self, tmp_path, square_chain_path, args):
+        pair = tmp_path / "pair.json"
+        data = json.loads(square_chain_path.read_text())
+        pair.write_text(json.dumps({**data, "current_b": data["current"]}))
+        if args[0] == "lab":
+            args = args + ["--family", "refined_disk", "--schedule", "0.4", "--grid", "2"]
+        else:
+            args = args + ["--input", str(pair)]
+        proc = run_cli(args)
+        assert proc.returncode == EXIT_INPUT
+        assert not proc.stdout
+        assert "unrecognized arguments" in proc.stderr and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    def test_help_lists_the_table(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == EXIT_OK
+        listed = set(re.findall(r"--([\w-]+)", capsys.readouterr().out)) - {"help"}
+        assert listed == _table_options(command)
+
+    @pytest.mark.parametrize(
+        "command, option",
+        [(c, o) for c, (_, _, required) in _COMMANDS.items() for o in required.split()],
+    )
+    def test_missing_required_option_exits_2(self, command, option, square_chain_path, capsys):
+        values = {"input": str(square_chain_path), "input2": str(square_chain_path), "radius": "0.5", "schedule": "0.5"}
+        argv = [command]
+        for other in _COMMANDS[command][2].split():
+            if other != option:
+                argv += [f"--{other}", values[other]]
+        assert main(argv) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert not out and f"input error: {command} needs --{option}\n" in err

@@ -13,9 +13,9 @@ import json
 import math
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from currentlab.cli import EXIT_INPUT, EXIT_INVARIANT, EXIT_OK, main
+from currentlab.cli import _COMMANDS, EXIT_INPUT, EXIT_INVARIANT, EXIT_OK, main
 from currentlab.currents import chain_to_json
 from currentlab.meshes import disk_mesh, euclidean_box_mesh, square_complex
 
@@ -29,14 +29,22 @@ def _chain(vertices, simplices, dim, coeffs):
     }
 
 
+def _with_current_b(data, dim, coeffs):
+    return {**data, "current_b": {"dim": dim, "coeffs": coeffs}}
+
+
 def _inputs():
     """Named JSON payloads (a str is written verbatim)."""
     _, square = square_complex()
+    square_json = chain_to_json(square)
+    negated = [[i, -c] for i, c in square_json["current"]["coeffs"]]
     _, box = euclidean_box_mesh(0.5, 1)
     cycle = {0: [[0], [1], [2]], 1: [[0, 1], [0, 2], [1, 2]], 2: [[0, 1, 2]]}
     two_edges = {0: [[0], [1], [2], [3]], 1: [[0, 1], [2, 3]]}
     return {
-        "square": chain_to_json(square),
+        "square": square_json,
+        "pair": _with_current_b(square_json, 2, negated),
+        "pair_of_dims_1_and_2": _with_current_b(square_json, 1, [[0, 1]]),
         "cycle": _chain(TRIANGLE, cycle, 1, [[0, 1], [1, -1], [2, 1]]),
         "empty_current": _chain(TRIANGLE, cycle, 1, []),
         "zero_coefficients": _chain(TRIANGLE, cycle, 2, [[0, 0]]),
@@ -71,6 +79,15 @@ CHAIN_COMMANDS = ["mass", "boundary", "slice", "ball", "sphere", "coarea", "fill
 NUMBERS = st.sampled_from([-1e9, -1.0, 0.0, 1e-12, 0.3, 0.5, 1.0, 2.5, 1e9, math.inf, -math.inf, math.nan])
 
 
+def _argv(command, values):
+    """`command` with each option that it reads among `values` (option -> text)."""
+    argv = [command]
+    for option in _COMMANDS[command][1].split():
+        if option in values:
+            argv += [f"--{option}", values[option]]
+    return argv
+
+
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -84,6 +101,7 @@ def _run(argv):
 def _check(argv, code, out, err):
     assert code in (EXIT_OK, EXIT_INVARIANT, EXIT_INPUT), (argv, code, err)
     assert "Traceback" not in err, (argv, err)
+    assert "unrecognized arguments" not in err, (argv, err)  # each command gets only its own options
     if code == EXIT_OK:
         json.loads(out)  # exactly one report: one JSON document and nothing else
     else:
@@ -94,18 +112,18 @@ def _check(argv, code, out, err):
 @given(
     command=st.sampled_from(CHAIN_COMMANDS),
     name=st.sampled_from(sorted(_inputs()) + ["missing_file"]),
-    second=st.sampled_from(["square", "cycle", "empty_current", "tetrahedra", "not_json"]),
     function=st.sampled_from(["coord:0", "coord:1", "coord:2", "coord:-1", "dist:0", "dist:99", "json", "coord"]),
     level=NUMBERS,
     radius=NUMBERS,
     center=st.integers(min_value=-2, max_value=12),
     samples=st.integers(min_value=-1, max_value=3),
 )
-def test_chain_commands_fuzz(input_paths, command, name, second, function, level, radius, center, samples):
-    argv = [command, "--input", input_paths[name], "--function", function, "--level", repr(level)]
-    argv += ["--radius", repr(radius), "--center", str(center), "--samples", str(samples)]
-    if command == "flatnorm":
-        argv += ["--input2", input_paths[second]]
+@example(command="flatnorm", name="pair", function="coord:0", level=0.0, radius=0.5, center=0, samples=1)
+@example(command="flatnorm", name="pair_of_dims_1_and_2", function="coord:0", level=0.0, radius=0.5, center=0, samples=1)
+def test_chain_commands_fuzz(input_paths, command, name, function, level, radius, center, samples):
+    values = {"input": input_paths[name], "function": function, "level": repr(level)}
+    values.update({"radius": repr(radius), "center": str(center), "samples": str(samples)})
+    argv = _argv(command, values)
     _check(argv, *_run(argv))
 
 
@@ -144,8 +162,9 @@ def level_box_paths(tmp_path_factory):
     witnesses=st.sampled_from(["", "0", "1", "99", "-1", "0,1"]),
 )
 def test_level_box_commands_fuzz(level_box_paths, command, name, radius, nodes, k, candidates, witnesses):
-    argv = [command, "--input", level_box_paths[name], "--radius", repr(radius), "--grid", str(nodes)]
-    argv += ["--samples", str(nodes), "--k", str(k), "--candidates", str(candidates), "--witnesses", witnesses]
+    values = {"input": level_box_paths[name], "radius": repr(radius), "grid": str(nodes), "samples": str(nodes)}
+    values.update({"k": str(k), "candidates": str(candidates), "witnesses": witnesses})
+    argv = _argv(command, values)
     _check(argv, *_run(argv))
 
 
@@ -196,8 +215,7 @@ def test_malformed_chain_payloads_fuzz(tmp_path, command, chain):
     field, data = chain
     path = tmp_path / "chain.json"
     path.write_text(json.dumps(data))
-    argv = [command, "--input", str(path), "--level", "0.3", "--radius", "0.6"]
-    code, out, err = _run(argv)
+    code, out, err = _run(_argv(command, {"input": str(path), "level": "0.3", "radius": "0.6"}))
     assert code in (EXIT_OK, EXIT_INPUT), (field, data, code, err)
     if code == EXIT_OK:
         json.loads(out, parse_constant=_no_constant)

@@ -206,7 +206,7 @@ class TestSemicontinuity:
 class TestContinuitySweep:
     def test_refined_disk_fillvol(self):
         fam = build_family("refined_disk", [0.2, 0.1])
-        out = continuity_sweep(fam, "fillvol", {"radius": 0.5, "center_point": (0.0, 0.0)})
+        out = continuity_sweep(fam, "fillvol", {"radius": 0.5})
         values = [r["value"] for r in out["rows"]]
         for v in values:
             assert v == pytest.approx(math.pi * 0.25, rel=0.05)

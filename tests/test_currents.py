@@ -344,6 +344,23 @@ class TestInterchange:
         with pytest.raises(ArgumentError, match=rf"OFF face \({', '.join(map(str, ids))}\) names a vertex outside 0\.\.2"):
             load_off(path)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("OFF\n3\n", r"OFF header needs three integer counts"),
+            ("OFF\n3 1 3\n0 0 0\n1 0 0\n", r"3 vertices and 1 triangles needs 13 values, found 6"),
+            ("OFF\n3 1 3\n0 0 0\n1 0 x\n0 1 0\n3 0 1 2\n", r"malformed value: could not convert string to float: 'x'"),
+            ("OFF\n3 1 3\n0 0 0\n1 0 0\n0 1 0\n3 0 1 1\n", r"OFF face \(0, 1, 1\) repeats a vertex"),
+        ],
+        ids=["header-only", "truncated-body", "non-numeric-coordinate", "repeated-vertex"],
+    )
+    def test_malformed_off_rejected(self, tmp_path, text, message):
+        # raised IndexError, IndexError, ValueError and ComplexError
+        path = tmp_path / "bad.off"
+        path.write_text(text)
+        with pytest.raises(ArgumentError, match=message):
+            load_off(path)
+
 
 def test_coefficient_view_reads_the_arrays():
     C, T = grid_mesh(2, 2)

@@ -48,13 +48,13 @@ def test_matrix_block_is_validated_before_gluing():
 @pytest.fixture(scope="module")
 def disk_sweep():
     fam = build_family("refined_disk", [0.2, 0.1])
-    return continuity_sweep(fam, "fillvol", {"radius": 0.5, "center_point": fam.center})
+    return continuity_sweep(fam, "fillvol", {"radius": 0.5})
 
 
 @pytest.fixture(scope="module")
 def sphere_sweep():
     fam = build_family("refined_sphere", [4, 6])
-    return continuity_sweep(fam, "fillvol", {"radius": 0.5, "center_point": fam.center})
+    return continuity_sweep(fam, "fillvol", {"radius": 0.5})
 
 
 def test_pair_row_fields(disk_sweep):
