@@ -304,6 +304,10 @@ def _cmd_pack(args):
 def _cmd_lab(args):
     from .convergence import build_family, continuity_sweep, semicontinuity_report
 
+    reads = _LAB_QUANTITIES.get(args.quantity, "radius grid epsilon").split()
+    for option in ("radius", "grid", "epsilon"):
+        if option in args.given and option not in reads:
+            raise ArgumentError(f"lab --quantity {args.quantity} does not read --{option}")
     family = build_family(args.family, list(args.schedule))
     if args.quantity == "semicontinuity":
         return semicontinuity_report(family)
@@ -340,6 +344,14 @@ _OPTIONS = {
 }
 # comma-separated options, parsed by `_numbers` after argparse
 _LISTS = {"witnesses": int, "schedule": float}
+# lab --quantity -> the options among --radius, --grid and --epsilon it reads
+_LAB_QUANTITIES = {
+    "fillvol": "radius",
+    "sf": "radius grid",
+    "ifv": "epsilon",
+    "sif": "radius grid epsilon",
+    "semicontinuity": "",
+}
 
 # command -> (handler, the options it reads, the required ones among them);
 # every command also reads --output and --format
@@ -366,14 +378,17 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The parser and each command's own parser.  Options parse to None when
+    absent, so that `main` can tell which were given before it fills in the
+    defaults of `_OPTIONS`."""
     parser = argparse.ArgumentParser(prog="currentlab")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, options, _) in _COMMANDS.items():
         p = sub.add_parser(name)
         for option in options.split() + ["output", "format"]:
-            p.add_argument(f"--{option}", **_OPTIONS[option])
-    return parser
+            p.add_argument(f"--{option}", **{**_OPTIONS[option], "default": None})
+    return parser, sub.choices
 
 
 def dispatch(args) -> int:
@@ -391,8 +406,14 @@ def dispatch(args) -> int:
 
 def main(argv=None) -> int:
     _configure_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    parser, commands = build_parser()
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:  # reported with the usage of the command that was given them
+        commands[args.command].error(f"unrecognized arguments: {' '.join(unknown)}")
+    args.given = {option for option, value in vars(args).items() if value is not None} - {"command"}
+    for option in _COMMANDS[args.command][1].split() + ["output", "format"]:
+        if getattr(args, option.replace("-", "_")) is None:
+            setattr(args, option.replace("-", "_"), _OPTIONS[option].get("default"))
     try:
         for option, kind in _LISTS.items():
             if option in vars(args):

@@ -338,6 +338,21 @@ def row_keys(*blocks):
     return np.split(key, np.cumsum([len(b) for b in blocks[:-1]]))
 
 
+def level_row_keys(m, *blocks):
+    """One int64 key per row of each (level indices, (n, c) id rows) block,
+    levels in 0..m-1: keys order rows by level, then lexicographically as
+    `row_keys` does, and two rows have equal keys exactly when they and
+    their levels are equal, across all blocks."""
+    keys = row_keys(*(rows for _, rows in blocks))
+    if m == 1:
+        return keys
+    span = max([int(key.max()) + 1 for key in keys if len(key)], default=1)
+    if m * span > _KEY_SPAN:
+        ranks = np.unique(np.concatenate(keys), return_inverse=True)[1]
+        keys, span = np.split(ranks, np.cumsum([len(key) for key in keys[:-1]])), int(ranks.max()) + 1
+    return [level * span + key for (level, _), key in zip(blocks, keys)]
+
+
 def distinct_rows(rows):
     """The distinct rows of an (n, m) integer array in lexicographic order."""
     return rows[np.unique(row_keys(rows)[0], return_index=True)[1]]
@@ -357,7 +372,14 @@ def lookup_rows(table, queries):
     the queries' keys."""
     if not len(table):
         return np.full(len(queries), -1, dtype=np.intp)
-    table_keys, query_keys = row_keys(table, queries)
+    return lookup_keys(*row_keys(table, queries))
+
+
+def lookup_keys(table_keys, query_keys):
+    """Index of each of `query_keys` among `table_keys` (the last of equal
+    keys), -1 where it is absent, by the rule of `lookup_rows`."""
+    if not len(table_keys):
+        return np.full(len(query_keys), -1, dtype=np.intp)
     order = table_keys.argsort(kind="stable")
     # pos -1 (a query below every row) reads the largest key, which differs
     hit = order[table_keys[order].searchsorted(query_keys, side="right") - 1]

@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import coo_matrix, eye, hstack
 
 from .complexes import EuclideanMetric, GeometricComplex
 from .currents import SimplicialCurrent, boundary, mass
@@ -65,6 +63,8 @@ class FillingReport(Report):
 def boundary_matrix(C: GeometricComplex, k: int):
     """Sparse boundary operator from k-chains to (k-1)-chains: the
     complex's face-index array with signs (-1)^j."""
+    from scipy.sparse import coo_matrix
+
     faces = C.face_index(k)
     vals = np.tile(np.where(np.arange(k + 1) % 2, -1.0, 1.0), len(faces))
     cols = np.repeat(np.arange(len(faces)), k + 1)
@@ -77,11 +77,21 @@ def _chain_vector(T: SimplicialCurrent):
     return v
 
 
+def linprog(*args, **kwargs):
+    """`scipy.optimize.linprog`, imported by the first LP: scipy's solver
+    and sparse modules load only in a process that builds an LP."""
+    from scipy.optimize import linprog as highs_linprog
+
+    return highs_linprog(*args, **kwargs)
+
+
 def _solve_weighted_l1(blocks, rhs, weights):
     """min sum w_i |x_i| subject to A x = rhs, via split positive parts;
     (None, None) when HiGHS proves the program infeasible.  Any other
     failure (with nonnegative costs the program is never unbounded) is a
     solver fault and raises RuntimeError."""
+    from scipy.sparse import hstack
+
     A = hstack([hstack([b, -b]) for b in blocks], format="csc")
     cost = np.concatenate([np.concatenate([w, w]) for w in weights])
     res = linprog(cost, A_eq=A, b_eq=rhs, bounds=(0, None), method="highs")
@@ -252,6 +262,8 @@ def flat_distance(S: SimplicialCurrent, T: SimplicialCurrent, K: GeometricComple
         return FillingReport.exact(_winding_integral(boundary(U)), "winding", {"U": cert_u, "V": {}})
     if m + 1 not in K.dims:
         raise ArgumentError(f"ambient complex has no {m + 1}-simplices")
+    from scipy.sparse import eye
+
     rhs = _chain_vector(S) - _chain_vector(T)
     ident = eye(K.count(m), format="coo")
     D = boundary_matrix(K, m + 1)

@@ -19,10 +19,11 @@ from .complexes import (
     GeometricComplex,
     PLFunction,
     distance_function,
-    lookup_rows,
+    level_row_keys,
+    lookup_keys,
     row_keys,
 )
-from .currents import SimplicialCurrent, boundary, mass
+from .currents import COEFF_LIMIT, SimplicialCurrent, mass
 from .metricspace import ArgumentError, InvariantError
 
 SNAP_REL = 1e-7
@@ -36,6 +37,17 @@ class ChildTable:
     ptr: np.ndarray
     child: np.ndarray
     sign: np.ndarray
+
+    def transfer(self, idx, coeff):
+        """The children of the old simplices `idx` with coefficients `coeff`,
+        as (child, coefficient) arrays sorted by child."""
+        start = self.ptr[idx]
+        counts = self.ptr[idx + 1] - start
+        # slot of every child entry of the simplices, in one gather
+        pos = np.repeat(start - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
+        child, coeff = self.child[pos], np.repeat(coeff, counts) * self.sign[pos]
+        order = np.argsort(child, kind="stable")  # children of distinct parents are distinct
+        return child[order], coeff[order]
 
 
 @dataclass
@@ -60,14 +72,7 @@ class Refinement:
     warnings: list = field(default_factory=list)
 
     def transfer_current(self, T: SimplicialCurrent) -> SimplicialCurrent:
-        table = self.children[T.dim]
-        start = table.ptr[T.idx]
-        counts = table.ptr[T.idx + 1] - start
-        # slot of every child entry of T's simplices, in one gather
-        pos = np.repeat(start - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
-        child, coeff = table.child[pos], np.repeat(T.coeff, counts) * table.sign[pos]
-        order = np.argsort(child, kind="stable")  # children of distinct parents are distinct
-        return SimplicialCurrent.from_arrays(self.complex, T.dim, child[order], coeff[order])
+        return SimplicialCurrent.from_arrays(self.complex, T.dim, *self.children[T.dim].transfer(T.idx, T.coeff))
 
     def below(self, k) -> np.ndarray:
         """Mask of the refined k-simplices in {f < level}: no refined simplex
@@ -218,51 +223,220 @@ def _template(k, pattern, perm):
     return arrays, np.where(dets > 0, 1, -1)
 
 
-def _split(sims, side, edges, n_old):
+@functools.lru_cache(maxsize=4096)
+def _split_tables(k, patterns):
+    """The templates of the distinct rows of `patterns` (the bytes of an
+    intp array, one row per template: the k+1 below flags, then the edges'
+    positions in increasing cut-id order, crossing edges first), padded to
+    a common length: per dimension j a (templates, cells, j+1) table and
+    each template's cell count, and the pieces' signs (templates, pieces).
+    Cached by the whole tuple of templates, so a split is one gather."""
+    k_edges = k * (k + 1) // 2
+    templates = []
+    for row in np.frombuffer(patterns, dtype=np.intp).reshape(-1, k + 1 + k_edges).tolist():
+        pattern = tuple(map(bool, row[: k + 1]))
+        crossing = sum(pattern[u] != pattern[v] for u, v in itertools.combinations(range(k + 1), 2))
+        templates.append(_template(k, pattern, tuple(row[k + 1 : k + 1 + crossing])))
+    tables, counts = [], []
+    for d in range(k + 1):
+        counts.append(np.array([len(cells[d]) for cells, _ in templates], dtype=np.intp))
+        tables.append(np.zeros((len(templates), counts[d].max(initial=0), d + 1), dtype=np.intp))
+        for g, (cells, _) in enumerate(templates):
+            tables[d][g, : counts[d][g]] = cells[d]
+    signs = np.zeros(tables[k].shape[:2], dtype=np.int64)
+    for g, (_, sign) in enumerate(templates):
+        signs[g, : counts[k][g]] = sign
+    for array in (*tables, *counts, signs):  # shared by every split that meets these templates
+        array.setflags(write=False)
+    return tables, counts, signs
+
+
+def _rebase(index, offset):
+    """Stacked row indices as indices into one level's rows, which start at
+    `offset`; the first level's start at 0 and are kept as they are."""
+    return index - offset if offset else index
+
+
+def _offsets(level, m):
+    """Where each of m levels starts among level-sorted rows, then their end."""
+    return np.searchsorted(level, np.arange(m + 1)) if m > 1 else np.array([0, len(level)])
+
+
+def _split(sims, side, level, edges, edge_level, first_cut):
     """The cells of the crossing k-simplices `sims` (rows in canonical order,
-    `side` their vertices' below flags) given the crossing `edges`, whose
-    cut points are n_old, n_old + 1, ...
+    `side` their vertices' below flags, `level` their level indices) given
+    the crossing `edges` of every level (`edge_level`): the cut point of
+    edge g is g + first_cut[edge_level[g]].
 
     Returns, for j = 0..k, the j-cells inside the simplices as sorted id
     rows (for j = k the pieces, each parent's together and in
-    `_split_pieces` order), the number of pieces of each parent and the
-    pieces' orientations.
+    `_split_pieces` order) and a mask whose true entries, in row order,
+    are the cells' slots (parent, template cell), and the pieces'
+    orientations.
     """
     k = sims.shape[1] - 1
     if not len(sims):
-        return [np.empty((0, d + 1), dtype=np.intp) for d in range(k + 1)], *np.empty((2, 0), dtype=np.intp)
-    i, j = np.array(list(itertools.combinations(range(k + 1), 2)), dtype=np.intp).T
-    crosses = side[:, i] != side[:, j]
+        cells = [np.empty((0, d + 1), dtype=np.intp) for d in range(k + 1)]
+        return cells, [np.empty((0, 0), dtype=bool)] * (k + 1), np.empty(0, dtype=np.int64)
+    pairs = np.array(list(itertools.combinations(range(k + 1), 2)), dtype=np.intp)
+    crosses = side[:, pairs[:, 0]] != side[:, pairs[:, 1]]
     # cut id of every crossing edge of every parent, found among the crossing
-    # edges; the other edges hold a placeholder that sorts after every id
-    cuts = np.full(crosses.shape, _AFTER_EVERY_ID)
-    cuts[crosses] = n_old + lookup_rows(edges, np.stack([sims[:, i][crosses], sims[:, j][crosses]], axis=1))
-    if (cuts < n_old).any():
+    # edges of its level; the other edges hold a placeholder that sorts
+    # after every id
+    at = np.repeat(level, crosses.sum(axis=1)) if len(first_cut) > 1 else 0
+    hit = lookup_keys(*level_row_keys(len(first_cut), (edge_level, edges), (at, sims[:, pairs][crosses])))
+    if (hit < 0).any():
         raise ComplexError("a crossing simplex has an edge missing from the complex")
+    cuts = np.full(crosses.shape, _AFTER_EVERY_ID)
+    cuts[crosses] = hit + first_cut[at]
     cols = np.concatenate([sims, cuts], axis=1)
-    perm = np.argsort(cuts, axis=1, kind="stable")
-    key = row_keys(np.concatenate([side, perm], axis=1))[0]
-    firsts, group = np.unique(key, return_index=True, return_inverse=True)[1:]
-    templates = [
-        _template(k, tuple(side[f].tolist()), tuple(perm[f, : crosses[f].sum()].tolist())) for f in firsts.tolist()
-    ]
-    # per dimension, one gather through the templates padded to a common
-    # length, then the padding rows dropped: each parent's cells stay
-    # together and in template order; the pieces' signs (d = k) take the
-    # same padded gather
-    cells = []
+    patterns = np.concatenate([side, np.argsort(cuts, axis=1, kind="stable")], axis=1)
+    firsts, group = np.unique(row_keys(patterns)[0], return_index=True, return_inverse=True)[1:]
+    tables, counts, signs = _split_tables(k, patterns[firsts].tobytes())
+    # per dimension, one gather through the padded template tables, then
+    # the padding rows dropped: each parent's cells stay together and in
+    # template order
+    cells, slots = [], []
     for d in range(k + 1):
-        counts = np.array([len(t[d]) for t, _ in templates], dtype=np.intp)
-        table = np.zeros((len(templates), counts.max(initial=0), d + 1), dtype=np.intp)
-        signs = np.zeros(table.shape[:2], dtype=np.int64)
-        for g, (template, sign) in enumerate(templates):
-            table[g, : counts[g]] = template[d]
-            if d == k:
-                signs[g, : counts[g]] = sign
-        rows = cols[np.arange(len(cols))[:, None, None], table[group]]
-        keep = np.arange(table.shape[1]) < counts[group][:, None]
-        cells.append(rows[keep])
-    return cells, counts[group], signs[group][keep]
+        rows = cols[np.arange(len(cols))[:, None, None], tables[d][group]]
+        slots.append(np.arange(tables[d].shape[1]) < counts[d][group][:, None])
+        cells.append(rows[slots[d]])
+    return cells, slots, signs[group][slots[k]]
+
+
+@dataclass(eq=False)
+class _Cut:
+    """The refinements of one pass over several levels, and the refined
+    rows of every level stacked per dimension in level order: `level` holds
+    the level index of each row and `starts` where each level's rows start,
+    `tables` the transfer tables from the stacked source rows to the stacked
+    refined rows and `faces` the face index of each dimension the pass
+    looked up, into the stacked rows below."""
+
+    refinements: list
+    rows: dict
+    level: dict
+    starts: dict
+    tables: dict
+    faces: dict
+
+
+def _refine(sources, rows, level, values, snaps, face_dims=()) -> _Cut:
+    """Split the complex of every level along its level set, all levels in
+    one pass.
+
+    Level l cuts `sources[l]`, whose k-simplices are the rows of rows[k]
+    with level[k] == l (the rows stacked in level order, each level's in
+    its source's order), at snaps[l] = (level, snapped, warning) of
+    `snap_level`.  Each level's crossing edges are numbered on their own,
+    so every refinement is the one `subdivide_at_level` describes, bit for
+    bit: the split, merge and transfer steps run once over the stacked
+    rows, with keys and lookups that lead by the level.
+    """
+    m = len(sources)
+    metric, n_old = sources[0].metric, sources[0].n_vertices
+    at = np.array([snap[0] for snap in snaps])
+    dims = sorted(rows)
+    crossing, sides = {}, {}
+    for k in dims:
+        side = values[rows[k]] < (at[level[k]][:, None] if m > 1 else at[0])
+        crossing[k] = np.flatnonzero(side.any(axis=1) & ~side.all(axis=1))
+        sides[k] = side[crossing[k]]
+
+    # one cut point per crossing edge, numbered per level in edge order
+    edge_rows = crossing.get(1, np.empty(0, dtype=np.intp))
+    edges = rows[1][edge_rows] if 1 in rows else np.empty((0, 2), dtype=np.intp)
+    edge_level = level[1][edge_rows] if 1 in rows else np.empty(0, dtype=np.intp)
+    edge_at = at[edge_level]
+    u_below = values[edges[:, 0]] < edge_at
+    lo = np.where(u_below, edges[:, 0], edges[:, 1])
+    hi = np.where(u_below, edges[:, 1], edges[:, 0])
+    t = (edge_at - values[lo]) / (values[hi] - values[lo])
+    t_edge = np.where(u_below, t, 1.0 - t)
+    points = metric.interpolate(edges, np.stack([1.0 - t_edge, t_edge], axis=1))
+    edge_starts = _offsets(edge_level, m)
+
+    # the new simplices of a dimension are the cells inside crossing simplices
+    # of that dimension or above (each has one carrier), pieces first
+    cells, slots, signs = {}, {}, {}
+    for k in dims:
+        cells[k], slots[k], signs[k] = _split(
+            rows[k][crossing[k]], sides[k], level[k][crossing[k]], edges, edge_level, n_old - edge_starts[:-1]
+        )
+
+    # merged, sorted arrays: every new simplex contains a cut point, so all
+    # rows of a level differ; the untouched rows keep their sorted order,
+    # one run per level that the stable key sort takes in linear time.
+    # Transfer tables: an untouched simplex is its own child, a split one
+    # has all its pieces with their template orientations; the stable sort
+    # by parent keeps each parent's pieces in piece order
+    stacked, stacked_level, starts, tables = {}, {}, {}, {}
+    source_starts = {d: _offsets(level[d], m) for d in dims}
+    for d in dims:
+        untouched = np.ones(len(rows[d]), dtype=bool)
+        untouched[crossing[d]] = False
+        untouched = np.flatnonzero(untouched)
+        merged = np.concatenate([rows[d][untouched]] + [cells[k][d] for k in dims if k >= d])
+        merged_level = np.zeros(len(merged), dtype=np.intp)
+        if m > 1:  # a cell's level is its parent's
+            cell_level = [np.repeat(level[k][crossing[k]], slots[k][d].sum(axis=1)) for k in dims if k >= d]
+            merged_level = np.concatenate([level[d][untouched]] + cell_level)
+        order = np.argsort(level_row_keys(m, (merged_level, merged))[0], kind="stable")
+        position = np.empty(len(order), dtype=np.intp)
+        position[order] = np.arange(len(order))
+        stacked[d], stacked_level[d] = merged[order], merged_level[order]
+        starts[d] = _offsets(stacked_level[d], m)
+        parent = np.concatenate([untouched, crossing[d][np.nonzero(slots[d][d])[0]]])
+        by_parent = np.argsort(parent, kind="stable")
+        tables[d] = ChildTable(
+            np.searchsorted(parent[by_parent], np.arange(len(rows[d]) + 1)),
+            position[: len(parent)][by_parent],
+            np.concatenate([np.ones(len(untouched), dtype=np.int64), signs[d]])[by_parent],
+        )
+
+    # facets are queried one vertex position at a time, as `facet_lookup` does
+    faces = {}
+    for d in face_dims:
+        cols = [[c for c in range(d + 1) if c != j] for j in range(d + 1)]
+        facets = stacked[d][:, cols].swapaxes(0, 1).reshape(-1, d)
+        keys = level_row_keys(m, (stacked_level[d - 1], stacked[d - 1]), (np.tile(stacked_level[d], d + 1), facets))
+        faces[d] = np.ascontiguousarray(lookup_keys(*keys).reshape(d + 1, -1).T)
+        if (faces[d] < 0).any():
+            i = np.flatnonzero((faces[d] < 0).any(axis=1))[0]
+            raise ComplexError(f"missing face of {tuple(stacked[d][i].tolist())}")
+
+    refinements = []
+    for l, source in enumerate(sources):
+        a, b = edge_starts[l], edge_starts[l + 1]
+        arrays, children = {}, {}
+        for d in source.dims:
+            if d not in stacked:  # a dimension no level's rows reach
+                arrays[d] = np.empty((0, d + 1), dtype=np.intp)
+                children[d] = ChildTable(np.zeros(1, dtype=np.intp), *np.empty((2, 0), dtype=np.intp))
+                continue
+            first = starts[d][l]
+            ptr = tables[d].ptr[source_starts[d][l] : source_starts[d][l + 1] + 1]
+            arrays[d] = stacked[d][first : starts[d][l + 1]]
+            child, sign = tables[d].child[ptr[0] : ptr[-1]], tables[d].sign[ptr[0] : ptr[-1]]
+            children[d] = ChildTable(_rebase(ptr, ptr[0]), _rebase(child, first), sign)
+        part = tuple(p[a:b] for p in points) if isinstance(points, tuple) else points[a:b]
+        index = {d: _rebase(faces[d][starts[d][l] : starts[d][l + 1]], starts[d - 1][l]) for d in faces}
+        s, snapped, warning = snaps[l]
+        refinements.append(
+            Refinement(
+                source=source,
+                complex=GeometricComplex(metric.grown(part), arrays, index),
+                level=s,
+                values=np.concatenate([values, np.full(b - a, s)]),
+                snapped=snapped,
+                children=children,
+                cut_edges=edges[a:b],
+                cut_t=t_edge[a:b],
+                n_old_vertices=n_old,
+                warnings=[warning] if warning else [],
+            )
+        )
+    return _Cut(refinements, stacked, stacked_level, starts, tables, faces)
 
 
 def subdivide_at_level(C: GeometricComplex, values, s) -> Refinement:
@@ -278,72 +452,13 @@ def subdivide_at_level(C: GeometricComplex, values, s) -> Refinement:
     first `face_index` of each dimension and computes its volumes on the
     first `masses` (the grown metric keeps every old distance), so a
     dimension nobody reads costs nothing, and it holds no reference to C.
+    This is the one-level case of the pass that `slice_levels` makes.
     """
     values = np.asarray(values, dtype=float)
-    level, snapped, warning = snap_level(values, s)
-    warnings = [warning] if warning else []
-
-    n_old = C.n_vertices
-    below_vertex = values < level
-    crossing, sides = {}, {}
-    for k in C.dims:
-        side = below_vertex[C.simplex_array(k)]
-        crossing[k] = np.flatnonzero(side.any(axis=1) & ~side.all(axis=1))
-        sides[k] = side[crossing[k]]
-
-    # one cut point per crossing edge, numbered in edge order
-    edges = C.simplex_array(1)[crossing.get(1, [])]
-    u_below = below_vertex[edges[:, 0]]
-    lo = np.where(u_below, edges[:, 0], edges[:, 1])
-    hi = np.where(u_below, edges[:, 1], edges[:, 0])
-    t = (level - values[lo]) / (values[hi] - values[lo])
-    t_edge = np.where(u_below, t, 1.0 - t)
-    metric = C.metric.grown(C.metric.interpolate(edges, np.stack([1.0 - t_edge, t_edge], axis=1)))
-
-    # the new simplices of a dimension are the cells inside crossing simplices
-    # of that dimension or above (each has one carrier), pieces first
-    cells, n_pieces, signs = {}, {}, {}
-    for k in C.dims:
-        cells[k], n_pieces[k], signs[k] = _split(C.simplex_array(k)[crossing[k]], sides[k], edges, n_old)
-    new = {k: np.concatenate([cells[j][k] for j in C.dims if j >= k]) for k in C.dims}
-
-    # merged, lexicographically sorted arrays; every new simplex contains a
-    # cut point, so all rows differ; the untouched rows keep C's sorted
-    # order, one run that the stable key sort takes in linear time
-    new_arrays, untouched, positions = {}, {}, {}
-    for k in C.dims:
-        untouched[k] = np.delete(np.arange(C.count(k)), crossing[k])
-        merged = np.concatenate([C.simplex_array(k)[untouched[k]], new[k]])
-        order = np.argsort(row_keys(merged)[0], kind="stable")
-        positions[k] = np.empty(len(order), dtype=np.intp)
-        positions[k][order] = np.arange(len(order))
-        new_arrays[k] = merged[order]
-    new_complex = GeometricComplex(metric, new_arrays)
-
-    # signed transfer tables: an untouched simplex is its own child, a split
-    # one has all its pieces with their template orientations; the stable
-    # sort by parent keeps each parent's pieces in piece order
-    children: dict[int, ChildTable] = {}
-    for k in C.dims:
-        parent = np.concatenate([untouched[k], np.repeat(crossing[k], n_pieces[k])])
-        order = np.argsort(parent, kind="stable")
-        child = positions[k][: len(untouched[k]) + len(cells[k][k])][order]
-        sign = np.concatenate([np.ones(len(untouched[k]), dtype=np.int64), signs[k]])[order]
-        ptr = np.searchsorted(parent[order], np.arange(C.count(k) + 1))
-        children[k] = ChildTable(ptr, child, sign)
-
-    return Refinement(
-        source=C,
-        complex=new_complex,
-        level=level,
-        values=np.concatenate([values, np.full(len(edges), level)]),
-        snapped=snapped,
-        children=children,
-        cut_edges=edges,
-        cut_t=t_edge,
-        n_old_vertices=n_old,
-        warnings=warnings,
-    )
+    snap = snap_level(values, s)
+    rows = {k: C.simplex_array(k) for k in C.dims}
+    level = {k: np.zeros(C.count(k), dtype=np.intp) for k in C.dims}
+    return _refine([C], rows, level, values, [snap]).refinements[0]
 
 
 def support_closure(T: SimplicialCurrent) -> SimplicialCurrent:
@@ -407,32 +522,164 @@ def restrict_sublevel(T: SimplicialCurrent, f: PLFunction, s) -> SimplicialCurre
     return ref.transfer_current(T).restricted(ref.below(T.dim))
 
 
-def slice_current(T: SimplicialCurrent, f: PLFunction, s) -> SliceResult:
-    """The slice of T by f at level s: boundary of the sublevel restriction
-    minus the restriction of the boundary, on the refined complex."""
+def _snap_or_error(values, s):
+    """`snap_level(values, s)`, or the ArgumentError it raises."""
+    try:
+        return snap_level(values, s)
+    except ArgumentError as exc:
+        return exc
+
+
+def _closure(top, level, m):
+    """Every face of the k-simplices `top` (sorted rows, with level indices
+    `level` in 0..m-1), per level: {j: rows} and {j: levels}, each level's rows
+    distinct and in lexicographic order, levels in increasing order."""
+    k = top.shape[1] - 1
+    rows, levels = {k: top}, {k: level}
+    for j in range(k):
+        cols = list(itertools.combinations(range(k + 1), j + 1))
+        faces, face_level = top[:, cols].reshape(-1, j + 1), np.repeat(level, len(cols))
+        first = np.unique(level_row_keys(m, (face_level, faces))[0], return_index=True)[1]
+        rows[j], levels[j] = faces[first], face_level[first]
+    return rows, levels
+
+
+def _slices(T: SimplicialCurrent, f: PLFunction, levels, star) -> list:
+    """The slices of T by f at each of `levels`, cut in one pass: entry i is
+    the SliceResult at levels[i] or the ArgumentError that level raises.
+
+    With `star`, level s cuts the closure of T's crossing star at s, as
+    `slice_current(_level_star(T, f.values, s, crossing=True), f, s)` does;
+    otherwise it cuts T's whole complex, as `slice_current(T, f, s)` does.
+    Each slice is the boundary of the sublevel restriction minus the
+    restriction of the boundary, summed for all levels in one scatter over
+    the stacked refined rows: per face, each coface adds its coefficient
+    times ([coface below] - [face below]).
+    """
     if T.dim < 1:
-        raise ArgumentError("slicing needs a current of dimension >= 1")
-    ref = subdivide_at_level(T.complex, f.values, s)
-    T2 = ref.transfer_current(T)
-    sliced = boundary(T2.restricted(ref.below(T.dim))) - boundary(T2).restricted(ref.below(T.dim - 1))
-    warnings = list(ref.warnings)
-    flat = _flat_region_mass(ref.complex, T2, ref.values, float(s))
-    if flat > 0:
-        warnings.append(f"non-generic level: function is flat at the level on mass {flat}")
-    return SliceResult(
-        current=sliced,
-        levels=(ref.level,),
-        functions=[PLFunction(ref.complex, ref.values, source=f.source)],
-        refinement=ref,
-        warnings=warnings,
+        return [ArgumentError("slicing needs a current of dimension >= 1") for _ in levels]
+    out = [_snap_or_error(f.values, s) for s in levels]
+    live = [i for i, snap in enumerate(out) if not isinstance(snap, ArgumentError)]
+    if not live:
+        return out
+    m, k, C, values = len(live), T.dim, T.complex, f.values
+    at = np.array([out[i][0] for i in live])
+    top = C.simplex_array(k)[T.idx]
+    if star:
+        side = values[top] < at[:, None, None]
+        level, pick = np.nonzero(side.any(axis=2) & ~side.all(axis=2))
+        order = np.argsort(level_row_keys(m, (level, top[pick]))[0], kind="stable")
+        rows, levels_of = _closure(top[pick[order]], level[order], m)
+        t_row, t_coeff = np.arange(len(order)), T.coeff[pick[order]]
+        starts = {j: _offsets(levels_of[j], m) for j in rows}
+        sources = [
+            GeometricComplex(C.metric, {j: rows[j][starts[j][l] : starts[j][l + 1]] for j in rows})
+            if starts[k][l] < starts[k][l + 1]
+            else GeometricComplex(C.metric, {j: [] for j in C.dims})
+            for l in range(m)
+        ]
+    else:
+        rows = {j: C.simplex_array(j) if m == 1 else np.tile(C.simplex_array(j), (m, 1)) for j in C.dims}
+        levels_of = {j: np.repeat(np.arange(m), C.count(j)) for j in C.dims}
+        t_row = (T.idx + C.count(k) * np.arange(m)[:, None]).ravel()
+        t_coeff = np.tile(T.coeff, m)
+        sources = [C] * m
+    cut = _refine(sources, rows, levels_of, values, [out[i] for i in live], face_dims=(k,))
+
+    # T on each level's refinement, the children of all levels in one gather
+    child, coeff = cut.tables[k].transfer(t_row, t_coeff)
+    level = cut.level[k][child]
+    ids = cut.rows[k][child]
+
+    # refined vertex values: a cut point sits at its level
+    n_old = C.n_vertices
+    old = ids < n_old
+    refined = np.where(old, values[np.where(old, ids, 0)], at[level][:, None])
+    below = refined < at[level][:, None]
+    face_below = below.sum(axis=1)[:, None] - below > 0  # the facet opposite vertex j
+    face = cut.faces[k][child]
+    signed = coeff[:, None] * np.where(np.arange(k + 1) % 2, -1, 1)
+    # a facet is below only when its coface is: a coface below adds its
+    # signed coefficient to its facets off the sublevel set, and nothing
+    # else survives the difference
+    sliced = np.zeros(len(cut.rows[k - 1]), dtype=np.int64)
+    np.add.at(sliced, face, signed * (below.any(axis=1)[:, None] & ~face_below))
+    overflow = _overflow(level, coeff, face, signed, below.any(axis=1), face_below, cut.level[k - 1], m)
+
+    flat = (refined == np.asarray(levels, dtype=float)[live][level][:, None]).all(axis=1)
+    nonzero = np.flatnonzero(sliced)
+    nonzero_starts = np.searchsorted(nonzero, cut.starts[k - 1])
+    child_starts = _offsets(level, m)
+    for l, (i, ref) in enumerate(zip(live, cut.refinements)):
+        if overflow[l]:
+            out[i] = ArgumentError("chain coefficients must sum below 2**62 in absolute value")
+            continue
+        nz = nonzero[nonzero_starts[l] : nonzero_starts[l + 1]]
+        current = SimplicialCurrent.from_arrays(ref.complex, k - 1, nz - cut.starts[k - 1][l], sliced[nz])
+        warnings = list(ref.warnings)
+        a, b = child_starts[l], child_starts[l + 1]
+        if flat[a:b].any():  # a generic level reads no volume
+            idx = child[a:b][flat[a:b]] - cut.starts[k][l]
+            flat_mass = float(np.abs(coeff[a:b][flat[a:b]]) @ ref.complex.masses(k)[idx])
+            if flat_mass > 0:
+                warnings.append(f"non-generic level: function is flat at the level on mass {flat_mass}")
+        out[i] = SliceResult(
+            current=current,
+            levels=(ref.level,),
+            functions=[PLFunction(ref.complex, ref.values, source=f.source)],
+            refinement=ref,
+            warnings=warnings,
+        )
+    return out
+
+
+def _overflow(level, coeff, face, signed, sigma_below, face_below, face_level, m):
+    """Per level, whether a chain of the slice formula (T on the refinement,
+    the boundary of its sublevel part, its boundary, the restriction of
+    that and the difference of the two) has |coefficients| summing to
+    COEFF_LIMIT or more, as building each one as a SimplicialCurrent would
+    raise.  Every such sum is at most 2 (k+1) times T's on the refinement,
+    so small chains skip the exact sums."""
+    total = np.bincount(level, weights=np.abs(coeff), minlength=m)
+    if 2 * face.shape[1] * total.max(initial=0) < COEFF_LIMIT / 2:
+        return np.zeros(m, dtype=bool)
+    inner, whole = np.zeros(len(face_level), dtype=np.int64), np.zeros(len(face_level), dtype=np.int64)
+    np.add.at(inner, face, signed * sigma_below[:, None])
+    np.add.at(whole, face, signed)
+    is_below = np.zeros(len(face_level), dtype=bool)
+    is_below[face] = face_below
+
+    def sums(x):
+        return np.bincount(face_level, weights=np.abs(x), minlength=m)
+
+    return (
+        (total >= COEFF_LIMIT)
+        | (sums(inner) >= COEFF_LIMIT)
+        | (sums(whole) >= COEFF_LIMIT)
+        | (sums(inner) + sums(whole * is_below) >= COEFF_LIMIT)
     )
 
 
-def _flat_region_mass(complex, T, values, level):
-    flat = (values[complex.simplex_array(T.dim)[T.idx]] == level).all(axis=1)
-    if not flat.any():  # a generic level reads no volume
-        return 0.0
-    return float(np.abs(T.coeff[flat]) @ complex.masses(T.dim)[T.idx[flat]])
+def slice_levels(T: SimplicialCurrent, f: PLFunction, levels) -> list:
+    """The slices of T by f at all of `levels`, cut in one pass.
+
+    Entry i is what `slice_current(_level_star(T, f.values, s, crossing=True),
+    f, s)` gives at s = levels[i], field for field, or the ArgumentError it
+    raises there: each level cuts only the closure of T's star crossing
+    it, and numbers its cut points from T's vertex count in its own edge
+    order.
+    """
+    return _slices(T, f, levels, star=True)
+
+
+def slice_current(T: SimplicialCurrent, f: PLFunction, s) -> SliceResult:
+    """The slice of T by f at level s: boundary of the sublevel restriction
+    minus the restriction of the boundary, on the refinement of T's whole
+    complex (the one-level case of the pass `slice_levels` makes)."""
+    (result,) = _slices(T, f, [s], star=False)
+    if isinstance(result, ArgumentError):
+        raise result
+    return result
 
 
 def iterated_slice(T: SimplicialCurrent, functions, levels) -> SliceResult:
@@ -467,8 +714,9 @@ def iterated_slice(T: SimplicialCurrent, functions, levels) -> SliceResult:
 def coarea_profile(T: SimplicialCurrent, f: PLFunction, samples: int):
     """Trapezoid quadrature of level -> slice mass against the Lipschitz bound.
 
-    Each level slices only the crossing star of T (`_level_star`), which
-    has T's slice.  Returns (integral, bound) with bound = Lip(f) * mass(T).
+    All levels are cut in one `slice_levels` pass, each on the crossing star
+    of T, which has T's slice.  Returns (integral, bound) with bound =
+    Lip(f) * mass(T).
     """
     if samples < 2:
         raise ArgumentError("coarea needs at least 2 samples")
@@ -477,7 +725,11 @@ def coarea_profile(T: SimplicialCurrent, f: PLFunction, samples: int):
     if hi <= lo:
         return 0.0, bound
     grid = np.linspace(lo, hi, samples)
-    masses = np.array([mass(slice_current(_level_star(T, f.values, s, crossing=True), f, s).current) for s in grid])
+    masses = []
+    for result in slice_levels(T, f, grid):
+        if isinstance(result, ArgumentError):
+            raise result
+        masses.append(mass(result.current))
     integral = float(np.trapezoid(masses, grid))
     return integral, bound
 

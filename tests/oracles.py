@@ -15,9 +15,19 @@ from currentlab.complexes import (
     close_under_faces,
     simplex_volume_from_sq,
 )
-from currentlab.currents import SimplicialCurrent, permutation_sign
+from currentlab.currents import SimplicialCurrent, boundary, permutation_sign
 from currentlab.metricspace import ArgumentError
-from currentlab.slicing import SNAP_REL, ChildTable, Refinement, _split_pieces, snap_level
+from currentlab.slicing import (
+    SNAP_REL,
+    ChildTable,
+    Refinement,
+    _level_star,
+    _split_pieces,
+    slice_current,
+    snap_level,
+    subdivide_at_level,
+    support_closure,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +405,45 @@ def boundary_oracle(T: SimplicialCurrent) -> SimplicialCurrent:
             j = faces[face]
             out[j] = out.get(j, 0) + sign * c
     return SimplicialCurrent(T.complex, k - 1, out)
+
+
+def slice_oracle(T: SimplicialCurrent, f, s) -> SimplicialCurrent:
+    """The slice of T by f at s by the boundary-difference formula, built
+    from the public refinement and chain operations: d(T below) - (dT)
+    below on the refinement at s."""
+    ref = subdivide_at_level(T.complex, f.values, s)
+    T2 = ref.transfer_current(T)
+    return boundary(T2.restricted(ref.below(T.dim))) - boundary(T2).restricted(ref.below(T.dim - 1))
+
+
+def tensor_eval_oracle(start: SimplicialCurrent, functions, grids, leaf):
+    """`slicedfill._tensor_eval` one level at a time: each level cuts its
+    own crossing star (or, for a final slice of dimension >= 2, the whole
+    closure) with its own `slice_current`, and an ArgumentError skips it."""
+    out = np.zeros(tuple(len(g) for g in grids) or (1,))
+    skipped = 0
+
+    def whole(depth, dim):
+        return depth == len(grids) - 1 and dim > 2
+
+    def rec(current, fns, depth, prefix):
+        nonlocal skipped
+        if depth == len(grids):
+            out[prefix if prefix else 0] = leaf(current)
+            return
+        for i, t in enumerate(grids[depth]):
+            try:
+                cut = current if whole(depth, current.dim) else _level_star(current, fns[0].values, float(t), True)
+                sl = slice_current(cut, fns[0], float(t))
+            except ArgumentError:
+                skipped += 1
+                continue
+            rest = [sl.refinement.transfer_function(g) for g in fns[1:]]
+            nested = support_closure(sl.current) if whole(depth + 1, sl.current.dim) else sl.current
+            rec(nested, rest, depth + 1, prefix + (i,))
+
+    rec(start, list(functions), 0, ())
+    return out, skipped
 
 
 def face_index_oracle(C: GeometricComplex, k: int) -> np.ndarray:

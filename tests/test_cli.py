@@ -657,6 +657,31 @@ class TestCommandTable:
         assert not proc.stdout
         assert "unrecognized arguments" in proc.stderr and "Traceback" not in proc.stderr
 
+    def test_unknown_option_is_reported_by_its_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["mass", "--input", "c.json", "--grid", "3"])
+        assert exc.value.code == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert not out and err.startswith("usage: currentlab mass [-h]")
+        assert err.endswith("currentlab mass: error: unrecognized arguments: --grid 3\n")
+
+    @pytest.mark.parametrize(
+        "quantity, option",
+        [("fillvol", "grid"), ("fillvol", "epsilon"), ("semicontinuity", "radius"), ("semicontinuity", "grid"),
+         ("semicontinuity", "epsilon"), ("sf", "epsilon"), ("ifv", "radius"), ("ifv", "grid")],
+    )
+    def test_lab_option_its_quantity_ignores_exits_2(self, quantity, option, capsys):
+        argv = ["lab", "--family", "refined_disk", "--quantity", quantity, "--schedule", "0.4", f"--{option}", "2"]
+        assert main(argv) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert not out and f"input error: lab --quantity {quantity} does not read --{option}\n" in err
+
+    def test_lab_report_is_the_same_with_a_default_given_explicitly(self, tmp_path):
+        argv = ["lab", "--family", "refined_disk", "--quantity", "fillvol", "--schedule", "0.4"]
+        assert main(argv + ["--output", str(tmp_path / "a.json")]) == EXIT_OK
+        assert main(argv + ["--radius", "0.5", "--output", str(tmp_path / "b.json")]) == EXIT_OK
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
     @pytest.mark.parametrize("command", list(_COMMANDS))
     def test_help_lists_the_table(self, command, capsys):
         with pytest.raises(SystemExit) as exc:

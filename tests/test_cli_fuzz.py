@@ -134,7 +134,7 @@ def test_chain_commands_fuzz(input_paths, command, name, function, level, radius
     schedule=st.sampled_from(["", "0.5", "4", "0,0.5", "-1", "a,b", "nan"]),
 )
 def test_lab_fuzz(family, quantity, schedule):
-    argv = ["lab", "--family", family, "--quantity", quantity, "--schedule", schedule, "--grid", "2"]
+    argv = ["lab", "--family", family, "--quantity", quantity, "--schedule", schedule]
     _check(argv, *_run(argv))
 
 

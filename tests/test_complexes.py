@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from currentlab.complexes import (
     distance_function,
     distinct_rows,
     gram_from_sq,
+    level_row_keys,
+    lookup_keys,
     lookup_rows,
     row_keys,
     row_ranks,
@@ -180,6 +183,22 @@ class TestRowKeys:
         distinct = distinct_rows(rows)
         assert distinct.shape[1:] == rows.shape[1:]
         assert _tuples(distinct) == sorted(set(_tuples(rows)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_row_blocks(2), st.integers(1, 6), st.randoms(use_true_random=False))
+    @example(_NEAR_2_40, 5, random.Random(0))
+    @example([np.array([[0], [2**62], [5]]), np.array([[2**62], [1]])], 3, random.Random(1))
+    def test_level_keys_order_by_level_then_row(self, blocks, m, rng):
+        """Keys of (level, row) pairs order and match as the pairs do, the
+        folded keys of ids near 2**40 and +-2**62 included, and look up
+        rows of one level only."""
+        levels = [np.array([rng.randrange(m) for _ in range(len(b))], dtype=np.intp) for b in blocks]
+        keys = level_row_keys(m, *zip(levels, blocks))
+        pairs = [(lv, *t) for level, b in zip(levels, blocks) for lv, t in zip(level.tolist(), _tuples(b))]
+        assert _dense_ranks(np.concatenate(keys).tolist()) == _dense_ranks(pairs)
+        table, queries = (list(zip(level.tolist(), _tuples(b))) for level, b in zip(levels, blocks))
+        index = {t: i for i, t in enumerate(table)}
+        assert lookup_keys(*keys).tolist() == [index.get(t, -1) for t in queries]
 
     def test_ids_near_2_40_fold_the_key(self):
         """Three columns spanning 2**40 overflow a packed int64 key; the

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -309,3 +311,17 @@ def test_exhaustive_report_is_checked(monkeypatch):
     monkeypatch.setattr(C, "masses", lambda k: np.full(C.count(k), np.nan))
     with pytest.raises(InvariantError):
         exhaustive_flat_distance(bottom, SimplicialCurrent.zero(C, 1), C)
+
+
+def test_a_call_without_an_lp_loads_no_solver():
+    """scipy's LP solver and sparse matrices are imported by the first LP:
+    importing the library and taking a mass leave them unloaded."""
+    code = (
+        "import sys, currentlab\n"
+        "from currentlab.meshes import disk_mesh\n"
+        "assert currentlab.mass(disk_mesh(h=0.3)[1]) > 0\n"
+        "print(sorted(m for m in ('scipy.optimize', 'scipy.sparse') if m in sys.modules))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

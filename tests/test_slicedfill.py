@@ -14,7 +14,7 @@ from currentlab.meshes import (
     equator_vertex,
     torus_patch_mesh,
 )
-from currentlab.slicing import slice_current, subdivide_at_level, support_closure
+from currentlab.slicing import _level_star, coarea_profile, slice_current, subdivide_at_level, support_closure
 from currentlab.slicedfill import (
     C_E3_BAND_INTEGRAL,
     C_E3_POINTWISE_BETA03,
@@ -28,7 +28,10 @@ from currentlab.slicedfill import (
     tetra_check,
     _support_atoms,
     _tensor_eval,
+    fill_value_of_boundary,
 )
+
+from oracles import tensor_eval_oracle
 
 
 @pytest.fixture(scope="module")
@@ -200,23 +203,25 @@ class TestLevelStar:
     def test_sphere_sliced_fill_cuts_only_level_stars(self, monkeypatch):
         """Every cut of a sphere sliced fill takes in only a level star: the
         ball's the triangles with a vertex inside it, each slice's no more
-        than the face closure of its crossing triangles."""
-        import currentlab.slicedfill as slicedfill
+        than the face closure of its crossing triangles.  The ball is one
+        cut and the 9 levels of the axis another."""
         import currentlab.slicing as slicing
 
         C, T = sphere_mesh(20, 40)
         witness = ball_context(T, 37, 1.1).sphere_vertices()[5]
-        calls, original = [], slicing.subdivide_at_level
+        calls, passes, original = [], [], slicing._refine
 
-        def recording(K, values, s):
-            ref = original(K, values, s)
-            calls.append((K, (np.asarray(values) < ref.level)[K.simplex_array(2)]))
-            return ref
+        def recording(sources, rows, level, values, *args, **kwargs):
+            cut = original(sources, rows, level, values, *args, **kwargs)
+            passes.append(len(sources))
+            for K, ref in zip(sources, cut.refinements):
+                calls.append((K, (np.asarray(values) < ref.level)[K.simplex_array(2)]))
+            return cut
 
-        monkeypatch.setattr(slicing, "subdivide_at_level", recording)
-        monkeypatch.setattr(slicedfill, "subdivide_at_level", recording)
+        monkeypatch.setattr(slicing, "_refine", recording)
         rep = sliced_fill(T, 37, 1.1, witnesses=[witness], grid=9)
         assert rep.integral > 0 and len(calls) == 1 + 9
+        assert passes == [1, 9]
         K, below = calls[0]
         assert below.any(axis=1).all() and K.count(2) < C.count(2)
         for K, below in calls[1:]:
@@ -263,6 +268,89 @@ class TestLevelStar:
             assert not want.is_zero()
             _assert_same_complex(cur.complex, want.complex)
             assert np.array_equal(cur.idx, want.idx) and np.array_equal(cur.coeff, want.coeff)
+
+
+def _torus_tetra_ball(eps=0.4, divisor=8):
+    """A torus_tetra benchmark input: the thin-torus Kuhn patch about the
+    origin with its ball of radius eps / divisor."""
+    r = eps / divisor
+    C, T = torus_patch_mesh(eps, half_width=1.35 * r, cells_per_axis=6)
+    p = nearest_vertex(C, (0.0, 0.0, 0.0))
+    return T, p, r, ball_context(T, p, r)
+
+
+class TestBatchedAxes:
+    """Each axis of the level box is cut once for all its levels, with the
+    values of cutting every level on its own."""
+
+    @pytest.mark.parametrize("divisor", [8, 2])
+    def test_torus_tetra_values_equal_per_level_cuts(self, divisor):
+        T, p, r, ctx = _torus_tetra_ball(divisor=divisor)
+        sphere = ctx.sphere_vertices()
+        fns = [distance_function(ctx.complex, w) for w in (sphere[0], sphere[len(sphere) // 3])]
+        grids = [np.linspace(0.5 * r, 1.5 * r, 5)] * 2
+        leaf = lambda cur: h_min_distance(cur, 1e-9 * r)  # noqa: E731
+        got, skipped = _tensor_eval(ctx.current, fns, grids, leaf)
+        want, want_skipped = tensor_eval_oracle(ctx.current, fns, grids, leaf)
+        assert np.array_equal(got, want) and skipped == want_skipped
+        assert (got > 0).any()
+
+    def test_sphere_fill_values_equal_per_level_cuts(self):
+        C, T = sphere_mesh(20, 40)
+        ctx = ball_context(T, 37, 1.1)
+        f = distance_function(ctx.complex, ctx.sphere_vertices()[5])
+        grids = [np.linspace(*ctx.support_range(f), 9)]
+        got, _ = _tensor_eval(ctx.current, [f], grids, fill_value_of_boundary)
+        want, _ = tensor_eval_oracle(ctx.current, [f], grids, fill_value_of_boundary)
+        assert np.array_equal(got, want) and (got > 0).sum() >= 7
+
+    def test_whole_cut_values_equal_per_level_cuts(self, box_ball):
+        """A final 2-d slice keeps the whole cut of its closure; all its
+        levels still take one pass."""
+        C, T, p, ctx = box_ball
+        f = distance_function(ctx.complex, ctx.sphere_vertices()[0])
+        grids = [np.linspace(0.2, 0.8, 4)]
+        got, _ = _tensor_eval(ctx.current, [f], grids, lambda cur: mass(boundary(cur)))
+        want, _ = tensor_eval_oracle(ctx.current, [f], grids, lambda cur: mass(boundary(cur)))
+        assert np.array_equal(got, want) and (got > 0).all()
+
+    def test_skipped_levels_are_counted(self):
+        C, T = disk_mesh(h=0.15)
+        ctx = ball_context(T, 0, 0.5)
+        f = coordinate_function(ctx.complex, 0)
+        grids = [np.array([-0.2, math.nan, 0.1])]
+        got, skipped = _tensor_eval(ctx.current, [f], grids, lambda cur: mass(cur))
+        want, want_skipped = tensor_eval_oracle(ctx.current, [f], grids, lambda cur: mass(cur))
+        assert skipped == want_skipped == 1 and np.array_equal(got, want)
+
+    def test_coarea_profile_equals_per_level_cuts_on_criterion_7(self):
+        from test_acceptance import random_grid_chain, random_vertex_function
+
+        rng = np.random.default_rng(707)
+        for _ in range(25):
+            T = random_grid_chain(rng)
+            f = random_vertex_function(rng, T.complex)
+            integral, _ = coarea_profile(T, f, 12)
+            grid = np.linspace(*f.range(), 12)
+            masses = [mass(slice_current(_level_star(T, f.values, s, crossing=True), f, s).current) for s in grid]
+            assert integral == float(np.trapezoid(masses, grid))
+
+    def test_torus_tetra_operation_cuts_at_most_seven_times(self, monkeypatch):
+        """The ball, the 5 levels of the first witness, and the 5 levels of
+        the second inside each first-axis slice: 7 cuts, not 31."""
+        import currentlab.slicing as slicing
+
+        T, p, r, _ = _torus_tetra_ball()
+        cuts, original = [], slicing._refine
+
+        def counting(sources, *args, **kwargs):
+            cuts.append(len(sources))
+            return original(sources, *args, **kwargs)
+
+        monkeypatch.setattr(slicing, "_refine", counting)
+        rep = tetra_check(T, p, r, C=0.9 * C_E3_BAND_INTEGRAL, beta=0.5, samples=5, candidates=1)
+        assert rep.integral_passed
+        assert len(cuts) <= 7 and sum(cuts) == 1 + 5 + 5 * 5
 
 
 class TestSfK:

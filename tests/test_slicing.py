@@ -18,7 +18,7 @@ from currentlab.complexes import (
 )
 from currentlab.currents import SimplicialCurrent, boundary, mass, push_forward
 from currentlab.fillvol import boundary_matrix
-from currentlab.metricspace import InvariantError
+from currentlab.metricspace import ArgumentError, InvariantError
 from currentlab.meshes import (
     disk_mesh,
     euclidean_box_mesh,
@@ -35,6 +35,7 @@ from currentlab.slicing import (
     coarea_profile,
     iterated_slice,
     slice_current,
+    slice_levels,
     snap_level,
     sphere,
     subdivide_at_level,
@@ -49,6 +50,7 @@ from oracles import (
     cut_edge_triples,
     face_index_oracle,
     signature,
+    slice_oracle,
     snap_level_oracle,
     split_pieces_oracle,
     subdivide_oracle,
@@ -359,6 +361,134 @@ def test_level_star_keeps_below_simplices_for_restriction():
     assert mass(got) == mass(want)
 
 
+def _assert_same_complex(A, B):
+    assert A.dims == B.dims
+    for k in B.dims:
+        assert np.array_equal(A.simplex_array(k), B.simplex_array(k)), k
+        assert np.array_equal(A.masses(k), B.masses(k)), k
+        if k:
+            assert np.array_equal(A.face_index(k), B.face_index(k)), k
+    assert np.array_equal(_metric_state(A.metric), _metric_state(B.metric))
+
+
+def _assert_same_slice(got, want):
+    """Two SliceResults agree field for field: the slice, its complex and
+    cut function, and every field of the refinement, its source included."""
+    assert got.levels == want.levels and got.warnings == want.warnings
+    a, b = got.current, want.current
+    assert a.dim == b.dim and np.array_equal(a.idx, b.idx) and np.array_equal(a.coeff, b.coeff)
+    _assert_same_complex(got.complex, want.complex)
+    (g,), (w,) = got.functions, want.functions
+    assert g.complex is got.complex and g.source == w.source and np.array_equal(g.values, w.values)
+    r, q = got.refinement, want.refinement
+    assert r.complex is got.complex
+    _assert_same_complex(r.source, q.source)
+    assert (r.level, r.snapped, r.n_old_vertices, r.dropped, r.warnings) == (
+        q.level, q.snapped, q.n_old_vertices, q.dropped, q.warnings
+    )
+    for name in ("values", "cut_edges", "cut_t"):
+        assert np.array_equal(getattr(r, name), getattr(q, name)), name
+    assert r.children.keys() == q.children.keys()
+    for k, table in q.children.items():
+        for name in ("ptr", "child", "sign"):
+            assert np.array_equal(getattr(r.children[k], name), getattr(table, name)), (k, name)
+
+
+def _assert_levels_match_stars(T, f, levels):
+    """slice_levels gives, level by level, what slicing that level's
+    crossing star alone gives, or the same ArgumentError."""
+    got = slice_levels(T, f, levels)
+    assert len(got) == len(levels)
+    for s, result in zip(levels, got):
+        try:
+            want = slice_current(_level_star(T, f.values, s, crossing=True), f, s)
+        except ArgumentError as exc:
+            assert isinstance(result, ArgumentError) and str(result) == str(exc)
+            continue
+        _assert_same_slice(result, want)
+    return got
+
+
+class TestSliceLevels:
+    def test_sphere_ball(self):
+        C, T = sphere_mesh(20, 40)
+        B = support_closure(ball(T, 37, 1.1))
+        f = distance_function(B.complex, 412)
+        got = _assert_levels_match_stars(B, f, list(np.linspace(*f.range(B.support_vertices()), 9)))
+        assert sum(not r.current.is_zero() for r in got) >= 7
+
+    def test_torus_patch_nested(self):
+        """A 3-chain cut at 5 levels, then each 2-d slice at 5 levels of a
+        second function carried onto its refinement."""
+        C, T = torus_patch_mesh(0.4, 0.3, 4)
+        f = distance_function(C, nearest_vertex(C, (0.05, 0.1, 0.0)))
+        g = distance_function(C, nearest_vertex(C, (-0.1, 0.0, 0.1)))
+        nested = 0
+        for result in _assert_levels_match_stars(T, f, list(np.linspace(*f.range(), 7)[1:-1])):
+            g2 = result.refinement.transfer_function(g)
+            verts = result.current.support_vertices()
+            if verts:
+                _assert_levels_match_stars(result.current, g2, list(np.linspace(*g2.range(verts), 5)))
+                nested += 1
+        assert nested == 5
+
+    def test_disk_level_that_snaps(self):
+        C, T = disk_mesh(h=0.2)
+        f = distance_function(C, nearest_vertex(C, (0.3, -0.2)))
+        vertex_value = float(np.sort(f.values)[len(f.values) // 2])
+        got = _assert_levels_match_stars(T, f, [0.3, vertex_value, 0.9])
+        assert [r.refinement.snapped for r in got] == [False, True, False]
+        assert got[1].warnings and "snapped" in got[1].warnings[0]
+
+    def test_level_outside_the_range_is_an_empty_slice(self):
+        C, T = disk_mesh(h=0.2)
+        f = coordinate_function(C, 0)
+        got = _assert_levels_match_stars(T, f, [0.0, 5.0])
+        assert got[1].current.is_zero() and not got[0].current.is_zero()
+        assert got[1].refinement.source.dims == C.dims and got[1].refinement.source.count(2) == 0
+        assert all(r.current.is_zero() for r in _assert_levels_match_stars(SimplicialCurrent(C, 2, {}), f, [0.0]))
+
+    def test_a_raising_level_skips_only_itself(self):
+        C, T = disk_mesh(h=0.2)
+        f = coordinate_function(C, 1)
+        got = _assert_levels_match_stars(T, f, [-0.4, math.nan, 0.1, math.inf])
+        assert [isinstance(r, ArgumentError) for r in got] == [False, True, False, True]
+        assert "finite" in str(got[1])
+
+    def test_coefficient_overflow_skips_only_its_level(self):
+        """A chain whose slice formula overflows int64 at some levels raises
+        there, as each level's own cut does, and nowhere else."""
+        C, _ = disk_mesh(h=0.25)
+        n = C.count(2)
+        coeff = (2**62 // (n + 1)) * np.random.default_rng(1).choice([-1, 1], size=n)
+        T = SimplicialCurrent.from_arrays(C, 2, np.arange(n), coeff)
+        f = distance_function(C, nearest_vertex(C, (0.3, -0.2)))
+        got = _assert_levels_match_stars(T, f, list(np.linspace(*f.range(), 13)[1:-1]))
+        raised = [isinstance(r, ArgumentError) for r in got]
+        assert any(raised) and not all(raised)
+
+    def test_zero_dimensional_current_raises_at_every_level(self):
+        C, T = disk_mesh(h=0.25)
+        P = SimplicialCurrent(C, 0, {0: 1})
+        got = slice_levels(P, coordinate_function(C, 0), [0.0, 0.5])
+        assert all(isinstance(r, ArgumentError) for r in got)
+
+
+@pytest.mark.parametrize("C, values", _subdivide_cases())
+def test_slice_matches_the_boundary_formula_oracle(C, values):
+    """The slice at a level is d(T below) - (dT) below on the refinement,
+    as the public boundary operator computes it, at seeded levels and at a
+    snapped vertex value."""
+    k = C.top_dim
+    rng = np.random.default_rng([3, C.count(k)])
+    coeff = rng.integers(1, 4, size=C.count(k)) * rng.choice([-1, 1], size=C.count(k))
+    T = SimplicialCurrent.from_arrays(C, k, np.arange(C.count(k)), coeff)
+    f = PLFunction(C, values)
+    for level in _oracle_levels(C, values):
+        got, want = slice_current(T, f, level).current, slice_oracle(T, f, level)
+        assert got.dim == want.dim and np.array_equal(got.idx, want.idx) and np.array_equal(got.coeff, want.coeff)
+
+
 def _transfer_matrix(ref, k):
     """The transfer of k-chains as a sparse integer matrix, new x old."""
     table = ref.children[k]
@@ -543,7 +673,8 @@ def test_subdivide_leaves_source_metric_unchanged(C, values):
 
 def test_split_pieces_only_builds_templates(monkeypatch):
     """`_split_pieces` runs once per (dimension, pattern) template, not once
-    per crossing simplex, and the cut points come from one interpolation."""
+    per crossing simplex, the padded template tables once per tuple of
+    templates, and the cut points come from one interpolation."""
     import currentlab.slicing as slicing
 
     C, _ = torus_patch_mesh(0.4, 0.3, 4)
@@ -559,6 +690,7 @@ def test_split_pieces_only_builds_templates(monkeypatch):
         return interpolate(self, *args)
 
     slicing._template.cache_clear()
+    slicing._split_tables.cache_clear()
     monkeypatch.setattr(slicing, "_split_pieces", counted_split)
     monkeypatch.setattr(type(C.metric), "interpolate", counted_interpolate)
     values = distance_function(C, 40).values
@@ -568,9 +700,12 @@ def test_split_pieces_only_builds_templates(monkeypatch):
     assert len(ref.cut_edges) > 22
     assert 0 < calls["split"] <= 22
     assert calls["interpolate"] == len(levels)
-    first = calls["split"]
+    first, tables = calls["split"], slicing._split_tables.cache_info()
     subdivide_at_level(C, values, float(levels[0]))
     assert calls["split"] == first
+    # the padded tables of a template tuple seen before are read, not built
+    after = slicing._split_tables.cache_info()
+    assert after.misses == tables.misses and after.hits > tables.hits
 
 
 def test_slicing_builds_no_tuple_lists():
