@@ -275,9 +275,10 @@ def gram_from_sq(d2):
 
 def close_under_faces(*blocks):
     """All faces of the given simplices, as {k: (n, k+1) id array} with
-    distinct rows in lexicographic order.  Each block is an id array of one
-    simplex size or a list of vertex sequences of any sizes; a simplex with
-    a repeated vertex raises ComplexError."""
+    distinct rows in lexicographic order: one `face_closure` per simplex
+    size.  Each block is an id array of one simplex size or a list of vertex
+    sequences of any sizes; a simplex with a repeated vertex raises
+    ComplexError."""
     arrays = []
     for block in blocks:
         if isinstance(block, np.ndarray):
@@ -287,17 +288,34 @@ def close_under_faces(*blocks):
         for s in block:
             by_size.setdefault(len(s), []).append(s)
         arrays += [np.array(rows, dtype=np.intp) for rows in by_size.values()]
-    faces: dict[int, list] = {}
+    by_width: dict[int, list] = {}
     for block in arrays:
         rows = np.sort(block, axis=1)
         repeated = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
         if repeated.any():
             raise ComplexError(f"degenerate simplex {tuple(block[np.argmax(repeated)].tolist())}")
-        m = rows.shape[1]
-        for k in range(m):
-            cols = list(itertools.combinations(range(m), k + 1))
-            faces.setdefault(k, []).append(rows[:, cols].reshape(-1, k + 1))
-    return {k: distinct_rows(np.concatenate(f)) for k, f in faces.items()}
+        by_width.setdefault(rows.shape[1], []).append(rows)
+    faces: dict[int, list] = {}
+    for same_width in by_width.values():
+        for k, f in face_closure(distinct_rows(np.concatenate(same_width)))[0].items():
+            faces.setdefault(k, []).append(f)
+    return {k: f[0] if len(f) == 1 else distinct_rows(np.concatenate(f)) for k, f in faces.items()}
+
+
+def face_closure(top, level=None, m=1):
+    """Every face of the k-simplices `top` (rows in canonical order) as
+    ({j: rows}, {j: levels}): `top` itself for j = k, each j < k distinct and
+    in lexicographic order.  `level` gives each top row's level in 0..m-1;
+    faces are then taken per level, sorted by level first; else levels are None."""
+    k = top.shape[1] - 1
+    rows, levels = {}, {}
+    for j in range(k):
+        cols = list(itertools.combinations(range(k + 1), j + 1))
+        faces, at = top[:, cols].reshape(-1, j + 1), None if level is None else np.repeat(level, len(cols))
+        first = np.unique(level_row_keys(m, (at, faces))[0], return_index=True)[1]
+        rows[j], levels[j] = faces[first], None if at is None else at[first]
+    rows[k], levels[k] = top, level
+    return rows, levels
 
 
 _KEY_SPAN = 2**63  # int64 keys 0 .. 2**63 - 1
@@ -386,17 +404,20 @@ def lookup_keys(table_keys, query_keys):
     return np.where(table_keys[hit] == query_keys, hit, -1)
 
 
-def facet_lookup(table, rows):
+def facet_lookup(table, rows, m=1, table_level=None, row_level=None):
     """Index among the rows of `table` of every facet of every row of an
     (n, k+1) id array, as an (n, k+1) array whose entry (i, j) is the facet
-    of row i opposite its vertex j; one `lookup_rows`.  Raises ComplexError
-    for a facet missing from `table`."""
+    of row i opposite its vertex j; one key lookup.  With m > 1 levels, a
+    facet is looked up among the table rows of its row's level (level
+    indices `table_level` and `row_level`).  Raises ComplexError naming a
+    facet missing from `table` or its level."""
     k = rows.shape[1] - 1
     # facets queried one vertex position at a time: opposite a fixed vertex,
     # the facets of sorted rows come nearly sorted, and the binary search
     # runs through nearly sorted queries faster than through interleaved ones
     faces = rows[:, [[c for c in range(k + 1) if c != j] for j in range(k + 1)]].swapaxes(0, 1)
-    index = np.ascontiguousarray(lookup_rows(table, faces.reshape(-1, k)).reshape(k + 1, -1).T)
+    queries = (np.tile(row_level, k + 1) if m > 1 else None, faces.reshape(-1, k))
+    index = np.ascontiguousarray(lookup_keys(*level_row_keys(m, (table_level, table), queries)).reshape(k + 1, -1).T)
     if (index < 0).any():
         i = np.flatnonzero((index < 0).any(axis=1))[0]
         j = np.flatnonzero(index[i] < 0)[-1]  # its first missing face in lexicographic order
@@ -429,20 +450,20 @@ class SimplexLists(Mapping):
 class GeometricComplex:
     """The k-simplices of each dimension as an (n, k+1) vertex-id array; a
     simplex's index is its row.  `GeometricComplex(metric, {k: simplices})`
-    takes id arrays or lists of vertex tuples, kept in their order, and
-    optionally face-index arrays for some dimensions (`faces`); any other
-    dimension looks its face index up on the first `face_index`.
-    The k-volumes of a dimension are computed from the metric when
-    `masses(k)` first reads them.  `simplices` is the read-only
+    takes id arrays or lists of vertex tuples, kept in their order.  One
+    face rule holds for every complex, base, refined or support closure:
+    a dimension looks its face index up on the first `face_index`, and the
+    k-volumes of a dimension are computed from the metric when `masses(k)`
+    first reads them.  `simplices` is the read-only
     {k: [vertex tuple, ...]} view, whose lists are built only when read and
     which the library itself never reads (the benchmark tracer does)."""
 
-    def __init__(self, metric, simplices, faces=None):
+    def __init__(self, metric, simplices):
         self.metric = metric
         self._arrays = {k: np.asarray(s, dtype=np.intp).reshape(len(s), k + 1) for k, s in simplices.items()}
         self.simplices = SimplexLists(self._arrays)
         self._masses: dict[int, np.ndarray] = {}
-        self._faces: dict[int, np.ndarray] = dict(faces or {})
+        self._faces: dict[int, np.ndarray] = {}
 
     @classmethod
     def from_top_simplices(cls, metric, *blocks):
@@ -475,11 +496,10 @@ class GeometricComplex:
     def face_index(self, k):
         """The boundary operator of dimension k as an (n, k+1) array: entry
         (i, j) is the index of the (k-1)-face of k-simplex i opposite its
-        vertex j (sign (-1)^j).  Taken from the `faces` the complex was
-        built with when they hold dimension k (a support closure renumbers
-        its parent's, see `slicing.support_closure`); otherwise looked up
-        among all (k-1)-simplices on first use and cached.  Raises
-        ComplexError for a missing face."""
+        vertex j (sign (-1)^j).  Looked up among all (k-1)-simplices by
+        `facet_lookup` on first use and cached, in every complex: the face
+        index is a function of the rows alone.  Raises ComplexError for a
+        missing face."""
         if k not in self._faces:
             self._faces[k] = facet_lookup(self.simplex_array(k - 1), self.simplex_array(k))
         return self._faces[k]

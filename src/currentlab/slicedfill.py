@@ -22,9 +22,9 @@ from .fillvol import filling_volume, filling_volume_0d
 from .metricspace import ArgumentError, Report
 from .slicing import (
     Refinement,
-    _level_star,
     _slices,
     slice_current,  # noqa: F401  unused here; perfbench's tracer wraps it in every namespace that binds it
+    snap_level,
     subdivide_at_level,
     support_closure,
 )
@@ -77,13 +77,16 @@ class BallContext:
 
 
 def ball_context(T: SimplicialCurrent, p: int, r: float) -> BallContext:
+    """The ball of T about vertex p of radius r, cut on the closure of the
+    simplices with a vertex below r (snapped as `subdivide_at_level` snaps
+    it) alone: no other simplex has a part below.  The closure keeps vertex
+    ids and the metric, and when T's complex is the closure of its support
+    it holds every crossing edge: the cut has the full cut's cut ids."""
     if not r > 0:
         raise ArgumentError("ball radius must be positive")
     rho = distance_function(T.complex, p)
-    # only the simplices with a vertex inside the ball are cut; vertex ids
-    # and the metric survive re-rooting, so the distance values and any
-    # externally supplied witness ids stay valid
-    star = _level_star(T, rho.values, r, crossing=False)
+    below = (rho.values < snap_level(rho.values, r)[0])[T.complex.simplex_array(T.dim)]
+    star = support_closure(T.restricted(below.any(axis=1)))
     ref = subdivide_at_level(star.complex, rho.values, r)
     current = support_closure(ref.transfer_current(star).restricted(ref.below(T.dim)))
     rho2 = PLFunction(current.complex, ref.values, source=rho.source)

@@ -19,6 +19,8 @@ from .complexes import (
     GeometricComplex,
     PLFunction,
     distance_function,
+    face_closure,
+    facet_lookup,
     level_row_keys,
     lookup_keys,
     row_keys,
@@ -394,16 +396,7 @@ def _refine(sources, rows, level, values, snaps, face_dims=()) -> _Cut:
             np.concatenate([np.ones(len(untouched), dtype=np.int64), signs[d]])[by_parent],
         )
 
-    # facets are queried one vertex position at a time, as `facet_lookup` does
-    faces = {}
-    for d in face_dims:
-        cols = [[c for c in range(d + 1) if c != j] for j in range(d + 1)]
-        facets = stacked[d][:, cols].swapaxes(0, 1).reshape(-1, d)
-        keys = level_row_keys(m, (stacked_level[d - 1], stacked[d - 1]), (np.tile(stacked_level[d], d + 1), facets))
-        faces[d] = np.ascontiguousarray(lookup_keys(*keys).reshape(d + 1, -1).T)
-        if (faces[d] < 0).any():
-            i = np.flatnonzero((faces[d] < 0).any(axis=1))[0]
-            raise ComplexError(f"missing face of {tuple(stacked[d][i].tolist())}")
+    faces = {d: facet_lookup(stacked[d - 1], stacked[d], m, stacked_level[d - 1], stacked_level[d]) for d in face_dims}
 
     refinements = []
     for l, source in enumerate(sources):
@@ -420,12 +413,11 @@ def _refine(sources, rows, level, values, snaps, face_dims=()) -> _Cut:
             child, sign = tables[d].child[ptr[0] : ptr[-1]], tables[d].sign[ptr[0] : ptr[-1]]
             children[d] = ChildTable(_rebase(ptr, ptr[0]), _rebase(child, first), sign)
         part = tuple(p[a:b] for p in points) if isinstance(points, tuple) else points[a:b]
-        index = {d: _rebase(faces[d][starts[d][l] : starts[d][l + 1]], starts[d - 1][l]) for d in faces}
         s, snapped, warning = snaps[l]
         refinements.append(
             Refinement(
                 source=source,
-                complex=GeometricComplex(metric.grown(part), arrays, index),
+                complex=GeometricComplex(metric.grown(part), arrays),
                 level=s,
                 values=np.concatenate([values, np.full(b - a, s)]),
                 snapped=snapped,
@@ -467,52 +459,18 @@ def support_closure(T: SimplicialCurrent) -> SimplicialCurrent:
     Vertex ids and the metric are shared with the parent complex, so vertex
     functions and distance rows stay valid; only the simplex lists shrink,
     which keeps later subdivisions proportional to the support size.  The
-    faces come from the parent's face-index arrays, each dimension listed
-    in lexicographic vertex order as an id array.  Unlike a refined
-    complex, which looks its face index up when read, the closure is built
-    with the parent's, renumbered; its volumes are computed when read.
+    closure is `complexes.face_closure` of the support's rows, each
+    dimension an id array in lexicographic vertex order; like every
+    complex, it looks its face index up and computes its volumes when read.
     """
     C = T.complex
     if T.is_zero():
         C2 = GeometricComplex(C.metric, {k: [] for k in C.dims})
         return SimplicialCurrent(C2, T.dim, {})
-    chosen = {T.dim: T.idx}
-    for k in range(T.dim, 0, -1):
-        chosen[k - 1] = np.unique(C.face_index(k)[chosen[k]])
-    arrays, faces, renamed = {}, {}, {}
-    for k in range(T.dim + 1):
-        ids = chosen[k][np.argsort(row_keys(C.simplex_array(k)[chosen[k]])[0], kind="stable")]
-        arrays[k] = C.simplex_array(k)[ids]
-        # closure index of each chosen parent simplex (other entries unread)
-        renamed[k] = np.empty(C.count(k), dtype=np.intp)
-        renamed[k][ids] = np.arange(len(ids))
-        if k:
-            faces[k] = renamed[k - 1][C.face_index(k)[ids]]
-    C2 = GeometricComplex(C.metric, arrays, faces)
-    new_idx = renamed[T.dim][T.idx]
-    return SimplicialCurrent.from_arrays(C2, T.dim, new_idx, T.coeff)
-
-
-def _level_star(T: SimplicialCurrent, values, s, crossing) -> SimplicialCurrent:
-    """T restricted to its simplices with a vertex below the level and,
-    when `crossing`, also one above it, re-rooted on their face closure.
-
-    The level is s snapped on all of `values`, as `subdivide_at_level`
-    snaps it.  A slice is local: a simplex wholly below the level adds
-    d(sigma) - d(sigma) = 0 to d(T below) - (dT) below, and one wholly
-    above is in neither term, so T and its crossing star have one slice;
-    a sublevel restriction needs the simplices below too.  The closure
-    keeps the vertex ids and the metric, and when T's complex is the
-    closure of its support it holds every crossing edge, so its cut has
-    the full cut's cut ids, cut points, masses and vertex rows: only the
-    complex around the result is smaller.
-    """
-    values = np.asarray(values, dtype=float)
-    below = (values < snap_level(values, s)[0])[T.complex.simplex_array(T.dim)]
-    keep = below.any(axis=1)
-    if crossing:
-        keep &= ~below.all(axis=1)
-    return support_closure(T.restricted(keep))
+    top = C.simplex_array(T.dim)[T.idx]
+    order = np.argsort(row_keys(top)[0], kind="stable")
+    C2 = GeometricComplex(C.metric, face_closure(top[order])[0])
+    return SimplicialCurrent.from_arrays(C2, T.dim, np.arange(len(order)), T.coeff[order])
 
 
 def restrict_sublevel(T: SimplicialCurrent, f: PLFunction, s) -> SimplicialCurrent:
@@ -530,27 +488,16 @@ def _snap_or_error(values, s):
         return exc
 
 
-def _closure(top, level, m):
-    """Every face of the k-simplices `top` (sorted rows, with level indices
-    `level` in 0..m-1), per level: {j: rows} and {j: levels}, each level's rows
-    distinct and in lexicographic order, levels in increasing order."""
-    k = top.shape[1] - 1
-    rows, levels = {k: top}, {k: level}
-    for j in range(k):
-        cols = list(itertools.combinations(range(k + 1), j + 1))
-        faces, face_level = top[:, cols].reshape(-1, j + 1), np.repeat(level, len(cols))
-        first = np.unique(level_row_keys(m, (face_level, faces))[0], return_index=True)[1]
-        rows[j], levels[j] = faces[first], face_level[first]
-    return rows, levels
-
-
 def _slices(T: SimplicialCurrent, f: PLFunction, levels, star) -> list:
     """The slices of T by f at each of `levels`, cut in one pass: entry i is
     the SliceResult at levels[i] or the ArgumentError that level raises.
 
-    With `star`, level s cuts the closure of T's crossing star at s, as
-    `slice_current(_level_star(T, f.values, s, crossing=True), f, s)` does;
-    otherwise it cuts T's whole complex, as `slice_current(T, f, s)` does.
+    With `star`, level s cuts only the face closure of T's simplices that
+    cross it (s snapped on f's values), as `slice_current` on the support
+    closure of that part of T does; otherwise it cuts T's whole complex, as
+    `slice_current(T, f, s)` does.  A slice is local: a simplex wholly
+    below the level adds d(sigma) - d(sigma) = 0 to d(T below) - (dT)
+    below, and one wholly above is in neither term.
     Each slice is the boundary of the sublevel restriction minus the
     restriction of the boundary, summed for all levels in one scatter over
     the stacked refined rows: per face, each coface adds its coefficient
@@ -569,7 +516,7 @@ def _slices(T: SimplicialCurrent, f: PLFunction, levels, star) -> list:
         side = values[top] < at[:, None, None]
         level, pick = np.nonzero(side.any(axis=2) & ~side.all(axis=2))
         order = np.argsort(level_row_keys(m, (level, top[pick]))[0], kind="stable")
-        rows, levels_of = _closure(top[pick[order]], level[order], m)
+        rows, levels_of = face_closure(top[pick[order]], level[order], m)
         t_row, t_coeff = np.arange(len(order)), T.coeff[pick[order]]
         starts = {j: _offsets(levels_of[j], m) for j in rows}
         sources = [
@@ -663,11 +610,11 @@ def _overflow(level, coeff, face, signed, sigma_below, face_below, face_level, m
 def slice_levels(T: SimplicialCurrent, f: PLFunction, levels) -> list:
     """The slices of T by f at all of `levels`, cut in one pass.
 
-    Entry i is what `slice_current(_level_star(T, f.values, s, crossing=True),
-    f, s)` gives at s = levels[i], field for field, or the ArgumentError it
-    raises there: each level cuts only the closure of T's star crossing
-    it, and numbers its cut points from T's vertex count in its own edge
-    order.
+    Entry i is what `slice_current` gives at s = levels[i] on the support
+    closure of T's simplices crossing s, field for field, or the
+    ArgumentError it raises there: each level cuts only the closure of T's
+    star crossing it, and numbers its cut points from T's vertex count in
+    its own edge order.
     """
     return _slices(T, f, levels, star=True)
 

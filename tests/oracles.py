@@ -21,7 +21,6 @@ from currentlab.slicing import (
     SNAP_REL,
     ChildTable,
     Refinement,
-    _level_star,
     _split_pieces,
     slice_current,
     snap_level,
@@ -416,6 +415,28 @@ def slice_oracle(T: SimplicialCurrent, f, s) -> SimplicialCurrent:
     return boundary(T2.restricted(ref.below(T.dim))) - boundary(T2).restricted(ref.below(T.dim - 1))
 
 
+def level_star(T: SimplicialCurrent, values, s, crossing) -> SimplicialCurrent:
+    """T restricted to its simplices with a vertex below the level and,
+    when `crossing`, also one above it, re-rooted on their face closure.
+
+    The level is s snapped on all of `values`, as `subdivide_at_level`
+    snaps it.  A slice is local: a simplex wholly below the level adds
+    d(sigma) - d(sigma) = 0 to d(T below) - (dT) below, and one wholly
+    above is in neither term, so T and its crossing star have one slice;
+    a sublevel restriction needs the simplices below too.  The closure
+    keeps the vertex ids and the metric, and when T's complex is the
+    closure of its support it holds every crossing edge, so its cut has
+    the full cut's cut ids, cut points, masses and vertex rows: only the
+    complex around the result is smaller.
+    """
+    values = np.asarray(values, dtype=float)
+    below = (values < snap_level(values, s)[0])[T.complex.simplex_array(T.dim)]
+    keep = below.any(axis=1)
+    if crossing:
+        keep &= ~below.all(axis=1)
+    return support_closure(T.restricted(keep))
+
+
 def tensor_eval_oracle(start: SimplicialCurrent, functions, grids, leaf):
     """`slicedfill._tensor_eval` one level at a time: each level cuts its
     own crossing star (or, for a final slice of dimension >= 2, the whole
@@ -433,7 +454,7 @@ def tensor_eval_oracle(start: SimplicialCurrent, functions, grids, leaf):
             return
         for i, t in enumerate(grids[depth]):
             try:
-                cut = current if whole(depth, current.dim) else _level_star(current, fns[0].values, float(t), True)
+                cut = current if whole(depth, current.dim) else level_star(current, fns[0].values, float(t), True)
                 sl = slice_current(cut, fns[0], float(t))
             except ArgumentError:
                 skipped += 1

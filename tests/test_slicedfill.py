@@ -14,7 +14,7 @@ from currentlab.meshes import (
     equator_vertex,
     torus_patch_mesh,
 )
-from currentlab.slicing import _level_star, coarea_profile, slice_current, subdivide_at_level, support_closure
+from currentlab.slicing import coarea_profile, slice_current, subdivide_at_level, support_closure
 from currentlab.slicedfill import (
     C_E3_BAND_INTEGRAL,
     C_E3_POINTWISE_BETA03,
@@ -31,7 +31,7 @@ from currentlab.slicedfill import (
     fill_value_of_boundary,
 )
 
-from oracles import tensor_eval_oracle
+from oracles import level_star, tensor_eval_oracle
 
 
 @pytest.fixture(scope="module")
@@ -200,6 +200,24 @@ class TestLevelStar:
         assert np.array_equal(ctx.refinement.cut_t, ref.cut_t)
         assert ctx.refinement.source.count(T.dim) < C.count(T.dim)
 
+    def test_ball_and_its_sphere_look_up_one_face_index(self, monkeypatch):
+        """A ball context and its discrete sphere make one facet lookup, for
+        the ball's top face index: neither the star closure nor its
+        refinement is asked for a face index."""
+        import currentlab.complexes as complexes
+
+        C, T = sphere_mesh(20, 40)
+        looked_up, original = [], complexes.facet_lookup
+
+        def counting(table, rows, *args):
+            looked_up.append(rows)
+            return original(table, rows, *args)
+
+        monkeypatch.setattr(complexes, "facet_lookup", counting)
+        ctx = ball_context(T, 37, 1.1)
+        assert ctx.sphere_vertices()
+        assert len(looked_up) == 1 and looked_up[0] is ctx.complex.simplex_array(2)
+
     def test_sphere_sliced_fill_cuts_only_level_stars(self, monkeypatch):
         """Every cut of a sphere sliced fill takes in only a level star: the
         ball's the triangles with a vertex inside it, each slice's no more
@@ -332,7 +350,7 @@ class TestBatchedAxes:
             f = random_vertex_function(rng, T.complex)
             integral, _ = coarea_profile(T, f, 12)
             grid = np.linspace(*f.range(), 12)
-            masses = [mass(slice_current(_level_star(T, f.values, s, crossing=True), f, s).current) for s in grid]
+            masses = [mass(slice_current(level_star(T, f.values, s, crossing=True), f, s).current) for s in grid]
             assert integral == float(np.trapezoid(masses, grid))
 
     def test_torus_tetra_operation_cuts_at_most_seven_times(self, monkeypatch):

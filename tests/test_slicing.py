@@ -29,6 +29,7 @@ from currentlab.meshes import (
     square_complex,
     torus_patch_mesh,
 )
+from currentlab.slicedfill import ball_context
 from currentlab.slicing import (
     annulus_mass,
     ball,
@@ -40,7 +41,6 @@ from currentlab.slicing import (
     sphere,
     subdivide_at_level,
     support_closure,
-    _level_star,
     _split_pieces,
 )
 
@@ -49,6 +49,7 @@ from oracles import (
     children_dict,
     cut_edge_triples,
     face_index_oracle,
+    level_star,
     signature,
     slice_oracle,
     snap_level_oracle,
@@ -304,7 +305,7 @@ def _assert_star_slice_is_full_slice(T, f, s):
     """The slice of T's crossing star at s equals T's slice on the full cut:
     vertex rows (cut ids included), coefficients, masses, and the cut
     points' function values and metric."""
-    star, full = slice_current(_level_star(T, f.values, s, crossing=True), f, s), slice_current(T, f, s)
+    star, full = slice_current(level_star(T, f.values, s, crossing=True), f, s), slice_current(T, f, s)
     a, b = star.current, full.current
     assert star.levels == full.levels and a.dim == b.dim
     assert np.array_equal(a.complex.simplex_array(a.dim)[a.idx], b.complex.simplex_array(b.dim)[b.idx])
@@ -345,17 +346,15 @@ def test_star_slice_equals_full_cut_slice_on_a_sphere_ball():
 
 
 def test_level_star_keeps_below_simplices_for_restriction():
-    """Without `crossing` the star holds every simplex with a vertex below
-    the snapped level, and restricting it below the level gives the full
-    cut's sublevel chain."""
+    """`ball_context` cuts the closure of the simplices with a vertex below
+    the snapped level, and its ball is `ball`'s sublevel chain."""
     C, T = disk_mesh(h=0.2)
-    f = distance_function(C, nearest_vertex(C, (0.2, 0.1)))
-    star = _level_star(T, f.values, 0.5, crossing=False)
-    below = (f.values < 0.5)[C.simplex_array(2)].any(axis=1)
-    assert np.array_equal(star.complex.simplex_array(2), C.simplex_array(2)[below])
-    ref = subdivide_at_level(star.complex, f.values, 0.5)
-    got = ref.transfer_current(star).restricted(ref.below(2))
-    want = ball(T, nearest_vertex(C, (0.2, 0.1)), 0.5)
+    p = nearest_vertex(C, (0.2, 0.1))
+    f = distance_function(C, p)
+    ctx = ball_context(T, p, 0.5)
+    below = (f.values < snap_level(f.values, 0.5)[0])[C.simplex_array(2)].any(axis=1)
+    assert np.array_equal(ctx.refinement.source.simplex_array(2), C.simplex_array(2)[below])
+    got, want = ctx.current, ball(T, p, 0.5)
     assert np.array_equal(got.complex.simplex_array(2)[got.idx], want.complex.simplex_array(2)[want.idx])
     assert np.array_equal(got.coeff, want.coeff)
     assert mass(got) == mass(want)
@@ -401,7 +400,7 @@ def _assert_levels_match_stars(T, f, levels):
     assert len(got) == len(levels)
     for s, result in zip(levels, got):
         try:
-            want = slice_current(_level_star(T, f.values, s, crossing=True), f, s)
+            want = slice_current(level_star(T, f.values, s, crossing=True), f, s)
         except ArgumentError as exc:
             assert isinstance(result, ArgumentError) and str(result) == str(exc)
             continue
@@ -565,9 +564,9 @@ def test_refined_face_index_matches_lookup(C, values):
 
 
 def test_closure_face_index_matches_lookup():
-    """`support_closure` renumbers its parent's face index: on the closures
-    of a ball in a disk and of a ball in a sphere (both on refined
-    complexes) it equals the whole-complex lookup."""
+    """The face index of a support closure, looked up on first read, equals
+    the dict lookup: on the closures of a ball in a disk and of a ball in a
+    sphere (both on refined complexes)."""
     disk, disk_T = disk_mesh(h=0.25)
     sph, sph_T = sphere_mesh(8, 16)
     for T, p, r in ((disk_T, nearest_vertex(disk, (0.2, 0.1)), 0.55), (sph_T, 37, 0.8)):
