@@ -48,7 +48,6 @@ from .slicing import (
 )
 from .fillvol import (
     FillingReport,
-    exhaustive_flat_distance,
     filling_volume,
     filling_volume_0d,
     fillvol_continuity_gap,

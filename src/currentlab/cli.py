@@ -16,6 +16,7 @@ import sys
 import numpy as np
 
 from .complexes import ComplexError, PLFunction, coordinate_function, distance_function
+from .convergence import SWEEP_PARAMS, build_family, continuity_sweep, semicontinuity_report
 from .currents import (
     boundary,
     chain_from_json,
@@ -302,8 +303,6 @@ def _cmd_pack(args):
 
 
 def _cmd_lab(args):
-    from .convergence import build_family, continuity_sweep, semicontinuity_report
-
     reads = _LAB_QUANTITIES.get(args.quantity, "radius grid epsilon").split()
     for option in ("radius", "grid", "epsilon"):
         if option in args.given and option not in reads:
@@ -345,13 +344,7 @@ _OPTIONS = {
 # comma-separated options, parsed by `_numbers` after argparse
 _LISTS = {"witnesses": int, "schedule": float}
 # lab --quantity -> the options among --radius, --grid and --epsilon it reads
-_LAB_QUANTITIES = {
-    "fillvol": "radius",
-    "sf": "radius grid",
-    "ifv": "epsilon",
-    "sif": "radius grid epsilon",
-    "semicontinuity": "",
-}
+_LAB_QUANTITIES = {**SWEEP_PARAMS, "semicontinuity": ""}
 
 # command -> (handler, the options it reads, the required ones among them);
 # every command also reads --output and --format

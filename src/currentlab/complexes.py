@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -538,10 +538,6 @@ class GeometricComplex:
         m = self.metric
         return getattr(m, "coords", getattr(m, "points", None))
 
-    def barycenter_values(self, k, values):
-        """Mean of a vertex function over the vertices of each k-simplex."""
-        return np.asarray(values, dtype=float)[self.simplex_array(k)].mean(axis=1)
-
 
 # ---------------------------------------------------------------------------
 # piecewise linear vertex functions
@@ -563,7 +559,7 @@ class PLFunction:
     complex: GeometricComplex
     values: np.ndarray
     source: tuple | None = None
-    _lip: float | None = None
+    _lip: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)

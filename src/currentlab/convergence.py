@@ -37,6 +37,8 @@ from .slicedfill import ball_context, sf_k, sliced_fill
 
 SEMICONTINUITY_TOL = 1e-9  # absolute slack of the mass and diameter checks
 TRIVIAL_REL = 1e-9  # a pair bound is informative below (1 - TRIVIAL_REL) * (M(A) + M(B))
+# quantity -> the params `continuity_sweep` reads for it, each from its caller
+SWEEP_PARAMS = {"fillvol": "radius", "sf": "radius grid", "ifv": "epsilon", "sif": "radius epsilon"}
 
 
 @dataclass
@@ -309,34 +311,29 @@ def semicontinuity_report(family: SequenceFamily) -> dict:
 
 
 def _member_value(C, T, quantity, params, center):
-    r = params.get("radius", 0.5)
+    if quantity == "ifv":
+        return interval_filling_volume(T, float(params["epsilon"])).value
+    r = params["radius"]
     p = nearest_vertex(C, center)
     if quantity == "fillvol":
         ctx = ball_context(T, p, r)
         return filling_volume(boundary(ctx.current), ctx.complex).value
     if quantity == "sf":
         wp = params.get("witness_point")
-        grid = int(params.get("grid", 32))
+        grid = int(params["grid"])
         if wp is None:  # the first vertex of the discrete sphere
             return sf_k(T, p, r, 1, candidates=1, grid=grid).integral
         return sliced_fill(T, p, r, witnesses=[nearest_vertex(C, wp)], grid=grid).integral
-    if quantity == "ifv":
-        return interval_filling_volume(T, float(params.get("epsilon", 0.2))).value
-    if quantity == "sif":
-        rep = sliced_interval_fill(
-            T,
-            p,
-            r,
-            witnesses=None,
-            epsilon=float(params.get("epsilon", 0.2)),
-            grid=int(params.get("grid", 8)),
-        )
-        return rep.integral
-    raise ArgumentError(f"unknown quantity {quantity!r}")
+    # sif: without witnesses the level box has no axes, so no grid is read
+    return sliced_interval_fill(T, p, r, witnesses=None, epsilon=float(params["epsilon"])).integral
 
 
-def continuity_sweep(family: SequenceFamily, quantity: str, params=None) -> dict:
+def continuity_sweep(family: SequenceFamily, quantity: str, params: dict) -> dict:
     """Quantity per member plus gap-versus-bound checks on consecutive pairs.
+
+    `params` gives every value its quantity reads (`SWEEP_PARAMS`); sf also
+    takes an optional "witness_point", and searches the discrete sphere
+    without one.  There are no defaults here: the caller owns them.
 
     For the fillvol quantity, consecutive members are joined in a common
     complex, matched balls are cut on one shared refinement, and
@@ -344,13 +341,17 @@ def continuity_sweep(family: SequenceFamily, quantity: str, params=None) -> dict
     ambient (the complex, or R^2 for planar natural mode).  A row whose bound
     is not below the trivial M(ball_a) + M(ball_b) cannot fail.
     """
-    params = dict(params or {})
+    if quantity not in SWEEP_PARAMS:
+        raise ArgumentError(f"unknown quantity {quantity!r}")
+    for name in SWEEP_PARAMS[quantity].split():
+        if params.get(name) is None:
+            raise ArgumentError(f"continuity_sweep of {quantity} needs params[{name!r}]")
     members = family.members()
     values = [_member_value(C, T, quantity, params, family.center) for (C, T) in members]
     rows = [{"param": prm, "value": v} for prm, v in zip(family.schedule, values)]
     checks = []
     if quantity == "fillvol" and len(members) > 1:
-        r = params.get("radius", 0.5)
+        r = params["radius"]
         for (CA, TA), (CB, TB) in zip(members, members[1:]):
             K, TA_K, TB_K, emb, _ = joined_complex(CA, TA, CB, TB)
             pa = nearest_vertex(CA, family.center)

@@ -31,29 +31,6 @@ def sorted_with_sign(rows):
     return np.sort(rows, axis=1), sign
 
 
-def permutation_sign(seq) -> int:
-    """Sign of the permutation sorting `seq`; 0 if entries repeat (the
-    one-tuple reference for `sorted_with_sign`)."""
-    seq = list(seq)
-    if len(set(seq)) != len(seq):
-        return 0
-    sign = 1
-    order = sorted(range(len(seq)), key=seq.__getitem__)
-    visited = [False] * len(seq)
-    for start in range(len(seq)):
-        if visited[start]:
-            continue
-        length = 0
-        j = start
-        while not visited[j]:
-            visited[j] = True
-            j = order[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 class Coefficients(Mapping):
     """Read-only {simplex index: coefficient} view of a chain's arrays.
 

@@ -324,36 +324,6 @@ def filling_volume(B: SimplicialCurrent, K: GeometricComplex | None = None) -> F
     )
 
 
-def exhaustive_flat_distance(
-    S: SimplicialCurrent, T: SimplicialCurrent, K: GeometricComplex | None = None, bound=2
-) -> FillingReport:
-    """Exact integer flat distance by enumerating V-coefficients in a box.
-
-    Enumeration is vectorized but exponential in the number of top
-    simplices; intended as an oracle on instances with at most a dozen
-    simplices.
-    """
-    if K is None:
-        K = S.complex
-    m = S.dim
-    D = boundary_matrix(K, m + 1).toarray()
-    n_v = D.shape[1]
-    if n_v > 8:
-        raise ArgumentError("exhaustive search limited to 8 top simplices")
-    rhs = _chain_vector(S) - _chain_vector(T)
-    w_u = K.masses(m)
-    w_v = K.masses(m + 1)
-    grids = np.meshgrid(*([np.arange(-bound, bound + 1)] * n_v), indexing="ij")
-    V = np.stack([g.ravel() for g in grids], axis=1) if n_v else np.zeros((1, 0))
-    U = rhs[None, :] - V @ D.T
-    costs = np.abs(U) @ w_u + np.abs(V) @ w_v
-    best = int(np.argmin(costs))
-    value = float(costs[best])
-    cert_v = {int(i): float(v) for i, v in enumerate(V[best]) if v}
-    cert_u = {int(i): float(u) for i, u in enumerate(U[best]) if u}
-    return FillingReport.exact(value, "exhaustive", {"U": cert_u, "V": cert_v})
-
-
 # ---------------------------------------------------------------------------
 # 0-dimensional fillings: exact transport
 

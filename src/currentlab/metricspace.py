@@ -157,26 +157,6 @@ def packing_number(space: FiniteMetricSpace, r: float) -> PackingReport:
     return PackingReport(radius=r, count=len(centers), centers=tuple(centers))
 
 
-def exhaustive_packing_number(space: FiniteMetricSpace, r: float, limit=12) -> PackingReport:
-    """Exact maximum packing by subset enumeration; only for n <= limit."""
-    if not r > 0:
-        raise ArgumentError(f"packing radius must be positive, got {r}")
-    if space.n > limit:
-        raise ArgumentError(f"exhaustive packing limited to n <= {limit}")
-    best: tuple[int, ...] = ()
-    for size in range(space.n, 0, -1):
-        for subset in itertools.combinations(range(space.n), size):
-            ok = all(
-                space.dist[a, b] >= 2 * r for a, b in itertools.combinations(subset, 2)
-            )
-            if ok:
-                best = subset
-                break
-        if best:
-            break
-    return PackingReport(radius=r, count=len(best), centers=best)
-
-
 def hausdorff_distance(space: FiniteMetricSpace, A, B) -> float:
     """Hausdorff distance between two nonempty vertex subsets within the space."""
     A = list(A)

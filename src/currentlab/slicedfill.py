@@ -54,7 +54,6 @@ class BallContext:
     refinement: Refinement
     center: int
     radius: float
-    rho: PLFunction
 
     @property
     def complex(self) -> GeometricComplex:
@@ -89,8 +88,7 @@ def ball_context(T: SimplicialCurrent, p: int, r: float) -> BallContext:
     star = support_closure(T.restricted(below.any(axis=1)))
     ref = subdivide_at_level(star.complex, rho.values, r)
     current = support_closure(ref.transfer_current(star).restricted(ref.below(T.dim)))
-    rho2 = PLFunction(current.complex, ref.values, source=rho.source)
-    return BallContext(current=current, refinement=ref, center=p, radius=r, rho=rho2)
+    return BallContext(current=current, refinement=ref, center=p, radius=r)
 
 
 @dataclass
@@ -325,7 +323,8 @@ def _witness_tuples(sphere, k, budget):
         step = max(1, n // budget)
         tuples = [(sphere[i],) for i in range(0, n, step)][:budget]
     else:
-        # spread tuples at several angular offsets
+        # spread each tuple over positions in the sphere's cut-id order (not
+        # angles): k vertices n // frac positions apart, from 4 starting ones
         for start in range(min(4, n)):
             for frac in (3, 4, 6):
                 idx = [(start + j * n // frac) % n for j in range(k)]
@@ -438,13 +437,3 @@ def tetra_check(
         )
     return report
 
-
-def euclidean_h_closed_form(t1, t2, witness_cos=0.5):
-    """Closed-form h in Euclidean 3-space on the unit ball, for witnesses on
-    the unit sphere with given mutual cosine; the oracle behind the module
-    constants."""
-    c1 = 1.0 - np.asarray(t1, dtype=float) ** 2 / 2.0
-    c2 = 1.0 - np.asarray(t2, dtype=float) ** 2 / 2.0
-    u = witness_cos
-    par = (c1**2 + c2**2 - 2 * u * c1 * c2) / (1 - u**2)
-    return np.where(par <= 1.0, 2.0 * np.sqrt(np.maximum(1.0 - par, 0.0)), 0.0)

@@ -15,8 +15,8 @@ from currentlab.complexes import (
     close_under_faces,
     simplex_volume_from_sq,
 )
-from currentlab.currents import SimplicialCurrent, boundary, permutation_sign
-from currentlab.metricspace import ArgumentError
+from currentlab.currents import SimplicialCurrent, boundary
+from currentlab.metricspace import ArgumentError, FiniteMetricSpace, PackingReport
 from currentlab.slicing import (
     SNAP_REL,
     ChildTable,
@@ -167,6 +167,26 @@ def exhaustive_max_packing(dist, r):
         if best:
             break
     return best
+
+
+def exhaustive_packing_number(space: FiniteMetricSpace, r: float, limit=12) -> PackingReport:
+    """Exact maximum packing by subset enumeration; only for n <= limit."""
+    if not r > 0:
+        raise ArgumentError(f"packing radius must be positive, got {r}")
+    if space.n > limit:
+        raise ArgumentError(f"exhaustive packing limited to n <= {limit}")
+    best: tuple[int, ...] = ()
+    for size in range(space.n, 0, -1):
+        for subset in itertools.combinations(range(space.n), size):
+            ok = all(
+                space.dist[a, b] >= 2 * r for a, b in itertools.combinations(subset, 2)
+            )
+            if ok:
+                best = subset
+                break
+        if best:
+            break
+    return PackingReport(radius=r, count=len(best), centers=best)
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +406,34 @@ def subdivide_oracle(C: GeometricComplex, values, s, snap_rel=SNAP_REL) -> Refin
 # `nearest_vertex_correspondence`, one vertex at a time, and
 # `close_under_faces`, one simplex at a time through tuple sets) must
 # reproduce them exactly.
+
+
+def permutation_sign(seq) -> int:
+    """Sign of the permutation sorting `seq`; 0 if entries repeat (the
+    one-tuple reference for `currents.sorted_with_sign`)."""
+    seq = list(seq)
+    if len(set(seq)) != len(seq):
+        return 0
+    sign = 1
+    order = sorted(range(len(seq)), key=seq.__getitem__)
+    visited = [False] * len(seq)
+    for start in range(len(seq)):
+        if visited[start]:
+            continue
+        length = 0
+        j = start
+        while not visited[j]:
+            visited[j] = True
+            j = order[j]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def barycenter_values(C: GeometricComplex, k: int, values) -> np.ndarray:
+    """Mean of a vertex function over the vertices of each k-simplex of C."""
+    return np.asarray(values, dtype=float)[C.simplex_array(k)].mean(axis=1)
 
 
 def boundary_oracle(T: SimplicialCurrent) -> SimplicialCurrent:
@@ -672,6 +720,36 @@ def lp_flat_distance(S: SimplicialCurrent, T: SimplicialCurrent, K: GeometricCom
         [eye(K.count(m), format="coo"), fillvol.boundary_matrix(K, m + 1)], rhs,
         [K.masses(m), K.masses(m + 1)], ["U", "V"], float(K.masses(m) @ np.abs(rhs)), "flat LP infeasible",
     )
+
+
+def exhaustive_flat_distance(
+    S: SimplicialCurrent, T: SimplicialCurrent, K: GeometricComplex | None = None, bound=2
+) -> fillvol.FillingReport:
+    """Exact integer flat distance by enumerating V-coefficients in a box.
+
+    Enumeration is vectorized but exponential in the number of top
+    simplices; intended as an oracle on instances with at most a dozen
+    simplices.
+    """
+    if K is None:
+        K = S.complex
+    m = S.dim
+    D = fillvol.boundary_matrix(K, m + 1).toarray()
+    n_v = D.shape[1]
+    if n_v > 8:
+        raise ArgumentError("exhaustive search limited to 8 top simplices")
+    rhs = fillvol._chain_vector(S) - fillvol._chain_vector(T)
+    w_u = K.masses(m)
+    w_v = K.masses(m + 1)
+    grids = np.meshgrid(*([np.arange(-bound, bound + 1)] * n_v), indexing="ij")
+    V = np.stack([g.ravel() for g in grids], axis=1) if n_v else np.zeros((1, 0))
+    U = rhs[None, :] - V @ D.T
+    costs = np.abs(U) @ w_u + np.abs(V) @ w_v
+    best = int(np.argmin(costs))
+    value = float(costs[best])
+    cert_v = {int(i): float(v) for i, v in enumerate(V[best]) if v}
+    cert_u = {int(i): float(u) for i, u in enumerate(U[best]) if u}
+    return fillvol.FillingReport.exact(value, "exhaustive", {"U": cert_u, "V": cert_v})
 
 
 def raster_winding_integral(pts, triangles, weights, n):

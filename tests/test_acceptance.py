@@ -9,7 +9,6 @@ from currentlab.complexes import EuclideanMetric, GeometricComplex, PLFunction, 
 from currentlab.convergence import build_family, joined_complex, matched_balls, semicontinuity_report
 from currentlab.currents import SimplicialCurrent, boundary, mass, push_forward
 from currentlab.fillvol import (
-    exhaustive_flat_distance,
     filling_volume,
     filling_volume_0d,
     flat_distance,
@@ -34,7 +33,7 @@ from currentlab.slicing import (
 )
 from currentlab.slicedfill import C_E3_BAND_INTEGRAL, ball_context, sliced_fill, tetra_check
 
-from oracles import gh_oracle, signature, support_simplices
+from oracles import barycenter_values, exhaustive_flat_distance, gh_oracle, signature, support_simplices
 
 
 def _report(criterion, detail):
@@ -61,7 +60,7 @@ def test_criterion_1_sphere_sliced_filling():
     p1 = equator_vertex(C, 50, 100)
     r = math.pi / 2
     ctx = ball_context(T, 0, r)
-    assert ctx.rho.values[p1] == pytest.approx(r, abs=1e-12)
+    assert ctx.refinement.values[p1] == pytest.approx(r, abs=1e-12)
     rep = sliced_fill(T, 0, r, witnesses=[p1], grid=128, context=ctx)
     expected = math.pi**2 / 2
     elapsed = time.time() - start
@@ -279,7 +278,7 @@ def test_criterion_8_property_suite():
         lhs = slice_current(TA, fg, s).current
         res = slice_current(Tg, fg, s)
         gs = res.refinement.transfer_function(PLFunction(refg.complex, refg.values))
-        keep1 = res.complex.barycenter_values(1, gs.values) < refg.level
+        keep1 = barycenter_values(res.complex, 1, gs.values) < refg.level
         rhs = SimplicialCurrent(
             res.complex, 1, {i: c for i, c in res.current.coeffs.items() if keep1[i]}
         )

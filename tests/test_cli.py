@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from currentlab.cli import _COMMANDS, _OPTIONS, EXIT_INPUT, EXIT_INTERNAL, EXIT_INVARIANT, EXIT_OK, main, write_report
+from currentlab.convergence import build_family, continuity_sweep
 from currentlab.currents import chain_from_json, chain_to_json, mass
 from currentlab.meshes import disk_mesh, interval_chain, square_complex
 
@@ -668,13 +669,22 @@ class TestCommandTable:
     @pytest.mark.parametrize(
         "quantity, option",
         [("fillvol", "grid"), ("fillvol", "epsilon"), ("semicontinuity", "radius"), ("semicontinuity", "grid"),
-         ("semicontinuity", "epsilon"), ("sf", "epsilon"), ("ifv", "radius"), ("ifv", "grid")],
+         ("semicontinuity", "epsilon"), ("sf", "epsilon"), ("ifv", "radius"), ("ifv", "grid"), ("sif", "grid")],
     )
     def test_lab_option_its_quantity_ignores_exits_2(self, quantity, option, capsys):
         argv = ["lab", "--family", "refined_disk", "--quantity", quantity, "--schedule", "0.4", f"--{option}", "2"]
         assert main(argv) == EXIT_INPUT
         out, err = capsys.readouterr()
         assert not out and f"input error: lab --quantity {quantity} does not read --{option}\n" in err
+
+    @pytest.mark.parametrize("quantity", ["fillvol", "sf", "ifv", "sif"])
+    def test_lab_report_is_the_library_sweep_at_the_cli_defaults(self, quantity, capsys):
+        argv = ["lab", "--family", "refined_disk", "--quantity", quantity, "--schedule", "0.4,0.3"]
+        code, rep, err = _main_json(argv, capsys)
+        assert code == EXIT_OK, err
+        params = {"radius": 0.5, "grid": _OPTIONS["grid"]["default"], "epsilon": _OPTIONS["epsilon"]["default"]}
+        out = continuity_sweep(build_family("refined_disk", [0.4, 0.3]), quantity, params)
+        assert rep["result"] == json.loads(json.dumps(out))
 
     def test_lab_report_is_the_same_with_a_default_given_explicitly(self, tmp_path):
         argv = ["lab", "--family", "refined_disk", "--quantity", "fillvol", "--schedule", "0.4"]

@@ -243,6 +243,17 @@ class TestPLFunction:
         assert f.values[2] == pytest.approx(1.0)
         assert f.lip == pytest.approx(1.0, rel=1e-9)
 
+    def test_lipschitz_cache_is_not_a_constructor_argument(self):
+        # a fourth value used to set the cached constant unchecked, so a
+        # coarea bound could read 0.01 where the true constant is larger
+        C, _ = grid_mesh(2, 2)
+        values = coordinate_function(C, 0).values
+        with pytest.raises(TypeError):
+            PLFunction(C, values, None, 0.01)
+        with pytest.raises(TypeError):
+            PLFunction(C, values, _lip=0.01)
+        assert PLFunction(C, values, None).lip == pytest.approx(1.0, rel=1e-9)
+
     def test_gram_matrix(self):
         d2 = euclid_sq([[0, 0], [1, 0], [0, 2]])
         g = gram_from_sq(d2)

@@ -213,6 +213,16 @@ class TestContinuitySweep:
         for check in out["pair_checks"]:
             assert check["gap"] <= check["bound"] + 1e-6
 
+    @pytest.mark.parametrize(
+        "quantity, params, missing",
+        [("fillvol", {}, "radius"), ("sf", {"radius": 0.5}, "grid"), ("ifv", {"radius": 0.5, "grid": 8}, "epsilon"),
+         ("sif", {"epsilon": 0.1}, "radius"), ("sif", {"radius": 0.5, "epsilon": None}, "epsilon")],
+    )
+    def test_a_missing_param_is_named(self, quantity, params, missing):
+        fam = build_family("refined_disk", [0.4])
+        with pytest.raises(ArgumentError, match=f"continuity_sweep of {quantity} needs params\\['{missing}'\\]"):
+            continuity_sweep(fam, quantity, params)
+
     def test_refined_sphere_sf_converges(self):
         fam = build_family("refined_sphere", [8, 10])
         out = continuity_sweep(

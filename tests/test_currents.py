@@ -14,7 +14,6 @@ from currentlab.currents import (
     evaluate,
     load_off,
     mass,
-    permutation_sign,
     push_forward,
     total_mass,
 )
@@ -22,7 +21,7 @@ from currentlab.meshes import grid_mesh, interval_chain, square_complex
 from currentlab.metricspace import ArgumentError
 from currentlab.slicing import restrict_sublevel, subdivide_at_level
 
-from oracles import boundary_oracle, push_forward_oracle, signature, support_simplices
+from oracles import boundary_oracle, permutation_sign, push_forward_oracle, signature, support_simplices
 
 
 def triangle_complex(side=1.0):

@@ -10,7 +10,6 @@ from currentlab.currents import SimplicialCurrent, boundary, mass
 from currentlab.fillvol import (
     FillingReport,
     cone_bound,
-    exhaustive_flat_distance,
     filling_volume,
     filling_volume_0d,
     fillvol_continuity_gap,
@@ -19,7 +18,7 @@ from currentlab.fillvol import (
 from currentlab.meshes import disk_mesh, grid_mesh, sphere_mesh, square_complex
 from currentlab.metricspace import ArgumentError, FiniteMetricSpace, InvariantError
 
-from oracles import simplex_index, transport_oracle
+from oracles import exhaustive_flat_distance, simplex_index, transport_oracle
 
 
 def equilateral_complex():

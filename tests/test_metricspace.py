@@ -10,7 +10,6 @@ from currentlab.metricspace import (
     MetricError,
     as_integers,
     diameter,
-    exhaustive_packing_number,
     gh_bounds,
     gh_exact,
     hausdorff_distance,
@@ -19,7 +18,7 @@ from currentlab.metricspace import (
     packing_number,
 )
 
-from oracles import exhaustive_max_packing, gh_oracle
+from oracles import exhaustive_max_packing, exhaustive_packing_number, gh_oracle
 
 
 def points_space(pts):

@@ -1,4 +1,6 @@
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +22,6 @@ from currentlab.slicedfill import (
     C_E3_POINTWISE_BETA03,
     C_E3_POINTWISE_MIN,
     ball_context,
-    euclidean_h_closed_form,
     h_function,
     h_min_distance,
     sf_k,
@@ -32,6 +33,10 @@ from currentlab.slicedfill import (
 )
 
 from oracles import level_star, tensor_eval_oracle
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+
+from derive_c_e3 import h_closed_form as euclidean_h_closed_form  # noqa: E402
 
 
 @pytest.fixture(scope="module")

@@ -45,6 +45,7 @@ from currentlab.slicing import (
 )
 
 from oracles import (
+    barycenter_values,
     boundary_oracle,
     children_dict,
     cut_edge_triples,
@@ -858,7 +859,7 @@ class TestSlice:
             # right side: slice first, then restrict on the slice's complex
             res = slice_current(Tg, fg, s)
             gslice = res.refinement.transfer_function(PLFunction(refg.complex, refg.values))
-            keep1 = res.complex.barycenter_values(1, gslice.values) < refg.level
+            keep1 = barycenter_values(res.complex, 1, gslice.values) < refg.level
             rhs = SimplicialCurrent(
                 res.complex, 1, {i: c for i, c in res.current.coeffs.items() if keep1[i]}
             )
