@@ -109,10 +109,10 @@ def _solve_weighted_l1(blocks, rhs, weights):
     return float(res.fun), parts
 
 
-def _certificate_from_vector(vec, tol=INTEGRALITY_TOL):
+def _certificate_from_vector(vec):
     rounded = np.round(vec)
-    integral = bool(np.abs(vec - rounded).max(initial=0.0) <= tol)
-    support = np.flatnonzero(np.abs(vec) > tol)
+    integral = bool(np.abs(vec - rounded).max(initial=0.0) <= INTEGRALITY_TOL)
+    support = np.flatnonzero(np.abs(vec) > INTEGRALITY_TOL)
     cert = dict(zip(support.tolist(), vec[support].tolist()))
     return integral, cert
 
@@ -404,15 +404,15 @@ def _min_cost_flow(costs, supply, demand):
     return total, {(i, j): int(flow[i, j]) for i in range(ns) for j in range(nd) if flow[i, j] > 0}
 
 
-def filling_volume_0d(space, theta, sigma, point_ids=None) -> FillingReport:
+def filling_volume_0d(space: FiniteMetricSpace, theta, sigma) -> FillingReport:
     """Exact minimal transport between the positive and negative atoms.
 
-    `space` is a FiniteMetricSpace (or complex metric) carrying the ground
-    distance; theta are positive integer weights and sigma their signs, one
-    per point of the space, or per entry of `point_ids` when it is given.
-    The signed weights must cancel.  The transport value is realizable by
-    geodesic segments, hence an upper bound on the minimal filling mass; the
-    reported lower bound is max_j theta_j * min_{i != j} d(p_i, p_j).
+    `space` carries the ground distance; theta are positive integer weights
+    and sigma their signs, one per point of the space.  The signed weights
+    must cancel.  The transport value is realizable by geodesic segments,
+    hence an upper bound on the minimal filling mass; the reported lower
+    bound is max_j theta_j * min_{i != j} d(p_i, p_j).  The certificate
+    lists (source, sink, units) by point index.
     """
     try:
         theta, sigma = as_integers(theta, "weights"), as_integers(sigma, "signs")
@@ -423,27 +423,23 @@ def filling_volume_0d(space, theta, sigma, point_ids=None) -> FillingReport:
     if sigma.ndim != 1 or not np.isin(sigma, (-1, 1)).all():
         raise ArgumentError("signs must be +1 or -1")
     theta, sigma = theta.tolist(), sigma.tolist()
-    ids = list(range(space.n)) if point_ids is None else list(point_ids)
-    if not len(theta) == len(sigma) == len(ids):
-        raise ArgumentError(f"need one weight and sign per point: got {len(theta)}, {len(sigma)} for {len(ids)}")
+    n = space.n
+    if not len(theta) == len(sigma) == n:
+        raise ArgumentError(f"need one weight and sign per point: got {len(theta)}, {len(sigma)} for {n}")
     if sum(t * s for t, s in zip(theta, sigma)) != 0:
         raise ArgumentError("signed weights must sum to zero")
-    n = len(theta)
-    if isinstance(space, FiniteMetricSpace):
-        dist = lambda a, b: float(space.dist[a, b])
-    else:
-        dist = space.dist
     if n == 0:
         return FillingReport.exact(0.0, "transport", {"flow": []})
+    dist = space.dist.tolist()
     pos = [k for k in range(n) if sigma[k] > 0]
     neg = [k for k in range(n) if sigma[k] < 0]
-    costs = np.array([[dist(ids[i], ids[j]) for j in neg] for i in pos])
+    costs = np.array([[dist[i][j] for j in neg] for i in pos])
     value, flow = _min_cost_flow(costs, [theta[i] for i in pos], [theta[j] for j in neg])
     lower = 0.0
     for j in range(n):
-        nearest = min(dist(ids[j], ids[i]) for i in range(n) if i != j) if n > 1 else 0.0
+        nearest = min(dist[j][i] for i in range(n) if i != j) if n > 1 else 0.0
         lower = max(lower, theta[j] * nearest)
-    cert = [[ids[pos[a]], ids[neg[b]], int(f)] for (a, b), f in sorted(flow.items())]
+    cert = [[pos[a], neg[b], int(f)] for (a, b), f in sorted(flow.items())]
     report = FillingReport(
         value=value,
         lower_bound=min(lower, value),

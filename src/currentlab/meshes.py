@@ -38,9 +38,9 @@ def interval_chain(n: int, length: float = 1.0):
     return C, SimplicialCurrent.full(C, 1)
 
 
-def square_complex(size: float = 1.0):
+def square_complex():
     """Unit square as two positively oriented triangles."""
-    return grid_mesh(1, 1, size, size)
+    return grid_mesh(1, 1)
 
 
 def grid_mesh(nx: int, ny: int, size_x: float = 1.0, size_y: float = 1.0):
@@ -151,10 +151,11 @@ def equator_vertex(C: GeometricComplex, n_lat: int, n_lon: int) -> int:
     return 1 + (n_lat // 2 - 1) * n_lon
 
 
-def add_spikes(C: GeometricComplex, T: SimplicialCurrent, count: int, width: float, height: float = 1.0):
-    """Attach `count` thin triangular fins to a Euclidean sphere mesh.
+def add_spikes(C: GeometricComplex, T: SimplicialCurrent, count: int, width: float):
+    """Attach `count` thin triangular fins of unit height to a Euclidean
+    sphere mesh.
 
-    Each fin has area about width * height / 2. Returns the new
+    Each fin has area about width / 2. Returns the new
     (complex, current, tip vertex ids, base vertex ids).
     """
     coords = C.coords()
@@ -180,7 +181,7 @@ def add_spikes(C: GeometricComplex, T: SimplicialCurrent, count: int, width: flo
         a_id = n + len(new_pts)
         new_pts.append(v + width * direction)
         tip_id = n + len(new_pts)
-        new_pts.append(v + height * v / np.linalg.norm(v))
+        new_pts.append(v + v / np.linalg.norm(v))
         new_tris.append((b, a_id, tip_id))
         tips.append(tip_id)
     all_pts = np.vstack([coords, np.array(new_pts)])
@@ -262,7 +263,7 @@ def full_torus_mesh(eps: float, cells=(6, 6, 4)):
     )
 
 
-def torus_patch_mesh(eps: float, half_width: float, cells_per_axis: int, z_periodic=None):
+def torus_patch_mesh(eps: float, half_width: float, cells_per_axis: int):
     """Chart patch of the thin torus around the origin.
 
     The two wide axes are flat within the patch; the z axis wraps with
@@ -270,10 +271,8 @@ def torus_patch_mesh(eps: float, half_width: float, cells_per_axis: int, z_perio
     period, the z axis is meshed periodically instead.
     """
     circ_z = 2 * eps
-    if z_periodic is None:
-        z_periodic = 2 * half_width >= circ_z
     fn = torus_metric((0.0, 0.0, circ_z))
-    if z_periodic:
+    if 2 * half_width >= circ_z:
         nz = max(3, int(round(cells_per_axis * circ_z / (2 * half_width))))
         return box_mesh(
             (-half_width, -half_width, 0.0),
@@ -293,11 +292,10 @@ def torus_patch_mesh(eps: float, half_width: float, cells_per_axis: int, z_perio
     )
 
 
-def euclidean_box_mesh(half_width: float, cells_per_axis: int, center=(0.0, 0.0, 0.0)):
-    """Plain Euclidean box tetrahedralization centred at `center`."""
-    origin = tuple(c - half_width for c in center)
+def euclidean_box_mesh(half_width: float, cells_per_axis: int):
+    """Plain Euclidean box tetrahedralization centred at the origin."""
     side = 2 * half_width
-    return box_mesh(origin, (side, side, side), (cells_per_axis,) * 3)
+    return box_mesh((-half_width,) * 3, (side, side, side), (cells_per_axis,) * 3)
 
 
 def nearest_vertex(C: GeometricComplex, point) -> int:

@@ -74,7 +74,7 @@ class FiniteMetricSpace:
     tolerance; the first offending entry or triple is reported.
     """
 
-    def __init__(self, dist, labels=None, validate=True, tol=METRIC_TOL):
+    def __init__(self, dist, labels=None, validate=True):
         dist = np.asarray(dist, dtype=float)
         if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
             raise MetricError(f"distance matrix must be square, got shape {dist.shape}")
@@ -84,28 +84,28 @@ class FiniteMetricSpace:
         if self.labels is not None and len(self.labels) != self.n:
             raise MetricError("label count does not match matrix size")
         if validate:
-            self.validate(tol)
+            self.validate()
 
-    def validate(self, tol=METRIC_TOL):
+    def validate(self):
         d = self.dist
         if self.n == 0:
             return
         _check_finite(d)
         bad = np.abs(np.diag(d)).argmax()
-        if abs(d[bad, bad]) > tol:
+        if abs(d[bad, bad]) > METRIC_TOL:
             raise MetricError(f"nonzero diagonal at index {bad}: {d[bad, bad]}")
         asym = np.abs(d - d.T)
-        if asym.max() > tol:
+        if asym.max() > METRIC_TOL:
             i, j = np.unravel_index(asym.argmax(), asym.shape)
             raise MetricError(f"asymmetry at ({i},{j}): {d[i, j]} vs {d[j, i]}")
-        if d.min() < -tol:
+        if d.min() < -METRIC_TOL:
             i, j = np.unravel_index(d.argmin(), d.shape)
             raise MetricError(f"negative distance at ({i},{j}): {d[i, j]}")
         # triangle inequality, vectorized one intermediate point at a time
         for k in range(self.n):
             slack = d - (d[:, k][:, None] + d[None, k, :])
             worst = slack.max()
-            if worst > tol:
+            if worst > METRIC_TOL:
                 i, j = np.unravel_index(slack.argmax(), slack.shape)
                 raise MetricError(
                     f"triangle inequality violated: d({i},{j})={d[i, j]} > "
@@ -113,7 +113,7 @@ class FiniteMetricSpace:
                 )
 
     @classmethod
-    def from_points(cls, points, labels=None):
+    def from_points(cls, points):
         """Euclidean metric on a point cloud (rows are points): a metric by
         construction, so only finiteness is checked."""
         pts = np.asarray(points, dtype=float)
@@ -125,7 +125,7 @@ class FiniteMetricSpace:
             diff = pts[:, None, :] - pts[None, :, :]
             d = np.sqrt((diff**2).sum(axis=-1))
         _check_finite(d)
-        return cls(d, labels=labels, validate=False)
+        return cls(d, validate=False)
 
 
 def _check_finite(d):
@@ -172,7 +172,7 @@ def _distortion_candidates(dx, dy):
     return np.unique(vals)
 
 
-def _feasible(dx, dy, t, tol=1e-12):
+def _feasible(dx, dy, t):
     """Is there a correspondence with distortion <= t?
 
     A minimal correspondence is a union of two function graphs, so it is
@@ -180,7 +180,7 @@ def _feasible(dx, dy, t, tol=1e-12):
     points.  Backtracking with pairwise compatibility checks.
     """
     nx, ny = len(dx), len(dy)
-    t = t + tol
+    t = t + 1e-12  # a candidate equal to t up to rounding is feasible
 
     def compatible(pairs, i, k):
         for (j, l) in pairs:

@@ -162,7 +162,6 @@ def sliced_interval_fill(
     epsilon: float = 0.1,
     grid: int = 8,
     layers: int = 1,
-    context=None,
 ):
     """Interval-filling variant of the sliced filling of a ball.
 
@@ -186,8 +185,7 @@ def sliced_interval_fill(
             return 0.0
         return interval_filling_volume(current, epsilon, layers).value / epsilon
 
-    ctx = context or ball_context(T, p, r)
-    return _level_box(ctx, leaf, grid, functions, witnesses, max_axes=T.dim)
+    return _level_box(ball_context(T, p, r), leaf, grid, functions, witnesses, max_axes=T.dim)
 
 
 def interval_filling_volume(T: SimplicialCurrent, epsilon: float, layers: int = 1) -> FillingReport:

@@ -19,7 +19,7 @@ import numpy as np
 from .complexes import GeometricComplex, PLFunction, distance_function
 from .currents import SimplicialCurrent, boundary, mass
 from .fillvol import filling_volume, filling_volume_0d
-from .metricspace import ArgumentError, Report
+from .metricspace import ArgumentError, FiniteMetricSpace, Report
 from .slicing import (
     Refinement,
     _slices,
@@ -159,44 +159,37 @@ def _tensor_eval(start: SimplicialCurrent, functions, grids, leaf):
     return out, skipped[0]
 
 
-def _support_atoms(Z: SimplicialCurrent):
-    ids = Z.complex.simplex_array(0)[Z.idx, 0]
-    return ids.tolist(), np.abs(Z.coeff).tolist(), np.sign(Z.coeff).tolist()
-
-
-def _merged_support_points(Z: SimplicialCurrent, merge_tol: float):
-    """Distinct support points after merging near-duplicates."""
-    ids = Z.support_vertices()
-    metric = Z.complex.metric
-    reps: list[int] = []
-    for v in ids:
-        if all(metric.dist(v, w) > merge_tol for w in reps):
-            reps.append(v)
-    return reps
+def _point_space(metric, ids) -> FiniteMetricSpace:
+    """The vertices `ids` of a complex as a finite metric space: one row of
+    the complex's metric per point."""
+    return FiniteMetricSpace([metric.dist(i, ids) for i in ids], validate=False)
 
 
 def fill_value_of_boundary(current: SimplicialCurrent) -> float:
-    """FillVol of the boundary of a slice, routed by dimension."""
+    """FillVol of the boundary of a slice, routed by dimension: a 0-chain
+    is filled by transport on its support points."""
     B = boundary(current)
     if B.is_zero():
         return 0.0
     if B.dim == 0:
-        ids, theta, sigma = _support_atoms(B)
-        return filling_volume_0d(B.complex.metric, theta, sigma, point_ids=ids).value
+        space = _point_space(B.complex.metric, B.complex.simplex_array(0)[B.idx, 0])
+        return filling_volume_0d(space, np.abs(B.coeff), np.sign(B.coeff)).value
     return filling_volume(B, B.complex).value
 
 
 def h_min_distance(current: SimplicialCurrent, merge_tol: float) -> float:
-    """Min pairwise distance between distinct boundary points; 0 if fewer
+    """Min pairwise distance between distinct boundary points, a point
+    within merge_tol of an earlier kept one merging into it; 0 if fewer
     than two distinct points remain."""
     B = boundary(current)
     if B.is_zero():
         return 0.0
-    reps = _merged_support_points(B, merge_tol)
-    if len(reps) < 2:
-        return 0.0
-    metric = current.complex.metric
-    return min(metric.dist(a, b) for a, b in itertools.combinations(reps, 2))
+    dist = _point_space(B.complex.metric, B.support_vertices()).dist.tolist()
+    reps: list[int] = []
+    for v, row in enumerate(dist):
+        if all(row[w] > merge_tol for w in reps):
+            reps.append(v)
+    return min((dist[a][b] for a, b in itertools.combinations(reps, 2)), default=0.0)
 
 
 def h_function(T, p, r, levels, witnesses, context: BallContext | None = None) -> float:
@@ -372,7 +365,6 @@ def sf_k(
     k: int,
     candidates: int = 8,
     grid: int = 16,
-    context: BallContext | None = None,
 ):
     """Best sliced filling over witness tuples on the discrete sphere.
 
@@ -382,8 +374,7 @@ def sf_k(
     """
     if k < 0:
         raise ArgumentError("need k >= 0 witnesses")
-    ctx = context or ball_context(T, p, r)
-    return _witness_search(ctx, k, candidates, fill_value_of_boundary, grid)
+    return _witness_search(ball_context(T, p, r), k, candidates, fill_value_of_boundary, grid)
 
 
 def tetra_check(

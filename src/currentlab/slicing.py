@@ -548,21 +548,28 @@ def _slices(T: SimplicialCurrent, f: PLFunction, levels, star) -> list:
     signed = coeff[:, None] * np.where(np.arange(k + 1) % 2, -1, 1)
     # a facet is below only when its coface is: a coface below adds its
     # signed coefficient to its facets off the sublevel set, and nothing
-    # else survives the difference
+    # else survives the difference.  That is at most one facet (the one
+    # opposite its only vertex below), so a face's sum is bounded by its
+    # level's total |coefficient| of T on the refinement, which a kept
+    # level holds below COEFF_LIMIT: no int64 sum there can wrap
     sliced = np.zeros(len(cut.rows[k - 1]), dtype=np.int64)
     np.add.at(sliced, face, signed * (below.any(axis=1)[:, None] & ~face_below))
-    overflow = _overflow(level, coeff, face, signed, below.any(axis=1), face_below, cut.level[k - 1], m)
+    total = np.bincount(level, weights=np.abs(coeff), minlength=m)
 
     flat = (refined == np.asarray(levels, dtype=float)[live][level][:, None]).all(axis=1)
     nonzero = np.flatnonzero(sliced)
     nonzero_starts = np.searchsorted(nonzero, cut.starts[k - 1])
     child_starts = _offsets(level, m)
     for l, (i, ref) in enumerate(zip(live, cut.refinements)):
-        if overflow[l]:
+        if total[l] >= COEFF_LIMIT:  # T on this level's refinement is no chain
             out[i] = ArgumentError("chain coefficients must sum below 2**62 in absolute value")
             continue
         nz = nonzero[nonzero_starts[l] : nonzero_starts[l + 1]]
-        current = SimplicialCurrent.from_arrays(ref.complex, k - 1, nz - cut.starts[k - 1][l], sliced[nz])
+        try:
+            current = SimplicialCurrent.from_arrays(ref.complex, k - 1, nz - cut.starts[k - 1][l], sliced[nz])
+        except ArgumentError as exc:
+            out[i] = exc
+            continue
         warnings = list(ref.warnings)
         a, b = child_starts[l], child_starts[l + 1]
         if flat[a:b].any():  # a generic level reads no volume
@@ -578,33 +585,6 @@ def _slices(T: SimplicialCurrent, f: PLFunction, levels, star) -> list:
             warnings=warnings,
         )
     return out
-
-
-def _overflow(level, coeff, face, signed, sigma_below, face_below, face_level, m):
-    """Per level, whether a chain of the slice formula (T on the refinement,
-    the boundary of its sublevel part, its boundary, the restriction of
-    that and the difference of the two) has |coefficients| summing to
-    COEFF_LIMIT or more, as building each one as a SimplicialCurrent would
-    raise.  Every such sum is at most 2 (k+1) times T's on the refinement,
-    so small chains skip the exact sums."""
-    total = np.bincount(level, weights=np.abs(coeff), minlength=m)
-    if 2 * face.shape[1] * total.max(initial=0) < COEFF_LIMIT / 2:
-        return np.zeros(m, dtype=bool)
-    inner, whole = np.zeros(len(face_level), dtype=np.int64), np.zeros(len(face_level), dtype=np.int64)
-    np.add.at(inner, face, signed * sigma_below[:, None])
-    np.add.at(whole, face, signed)
-    is_below = np.zeros(len(face_level), dtype=bool)
-    is_below[face] = face_below
-
-    def sums(x):
-        return np.bincount(face_level, weights=np.abs(x), minlength=m)
-
-    return (
-        (total >= COEFF_LIMIT)
-        | (sums(inner) >= COEFF_LIMIT)
-        | (sums(whole) >= COEFF_LIMIT)
-        | (sums(inner) + sums(whole * is_below) >= COEFF_LIMIT)
-    )
 
 
 def slice_levels(T: SimplicialCurrent, f: PLFunction, levels) -> list:

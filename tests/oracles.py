@@ -16,7 +16,7 @@ from currentlab.complexes import (
     simplex_volume_from_sq,
 )
 from currentlab.currents import SimplicialCurrent, boundary
-from currentlab.metricspace import ArgumentError, FiniteMetricSpace, PackingReport
+from currentlab.metricspace import ArgumentError
 from currentlab.slicing import (
     SNAP_REL,
     ChildTable,
@@ -167,26 +167,6 @@ def exhaustive_max_packing(dist, r):
         if best:
             break
     return best
-
-
-def exhaustive_packing_number(space: FiniteMetricSpace, r: float, limit=12) -> PackingReport:
-    """Exact maximum packing by subset enumeration; only for n <= limit."""
-    if not r > 0:
-        raise ArgumentError(f"packing radius must be positive, got {r}")
-    if space.n > limit:
-        raise ArgumentError(f"exhaustive packing limited to n <= {limit}")
-    best: tuple[int, ...] = ()
-    for size in range(space.n, 0, -1):
-        for subset in itertools.combinations(range(space.n), size):
-            ok = all(
-                space.dist[a, b] >= 2 * r for a, b in itertools.combinations(subset, 2)
-            )
-            if ok:
-                best = subset
-                break
-        if best:
-            break
-    return PackingReport(radius=r, count=len(best), centers=best)
 
 
 # ---------------------------------------------------------------------------

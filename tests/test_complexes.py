@@ -217,6 +217,18 @@ class TestPLFunction:
         f = PLFunction(C, np.array([0.0, 2.0, 2.5]))
         assert f.lip == pytest.approx(2.0)  # steepest edge
 
+    def test_singular_gram_falls_back_to_least_squares(self, monkeypatch):
+        """A zero-area triangle on collinear points has a singular Gram
+        matrix: its gradient term comes from least squares, and the
+        steepest edge (1 to 2, rise 2) sets lip."""
+        m = EuclideanMetric(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))
+        C = GeometricComplex.from_top_simplices(m, [(0, 1, 2)])
+        calls = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **kw: calls.append(a) or lstsq(*a, **kw))
+        assert PLFunction(C, np.array([0.0, 1.0, 3.0])).lip == 2.0
+        assert len(calls) == 1
+
     def test_gradient_exceeds_edge_ratio_on_triangles(self):
         # f = x - y on a crossed grid has gradient norm sqrt(2) although
         # no single edge ratio exceeds 1

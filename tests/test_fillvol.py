@@ -17,6 +17,7 @@ from currentlab.fillvol import (
 )
 from currentlab.meshes import disk_mesh, grid_mesh, sphere_mesh, square_complex
 from currentlab.metricspace import ArgumentError, FiniteMetricSpace, InvariantError
+from currentlab.slicedfill import fill_value_of_boundary
 
 from oracles import exhaustive_flat_distance, simplex_index, transport_oracle
 
@@ -198,11 +199,19 @@ class TestTransport:
         with pytest.raises(ArgumentError, match="one weight and sign per point"):
             filling_volume_0d(X, theta, sigma)
 
-    def test_point_ids_set_the_count(self):
-        X = FiniteMetricSpace.from_points(np.array([[0.0], [1.0], [5.0]]))
-        assert filling_volume_0d(X, [1, 1], [1, -1], point_ids=[0, 2]).value == pytest.approx(5.0)
-        with pytest.raises(ArgumentError, match="one weight and sign per point"):
-            filling_volume_0d(X, [1, 1, 1, 1], [1, -1, 1, -1], point_ids=[0, 2])
+    def test_slice_leaf_is_transport_on_the_boundary_points(self):
+        """The sliced-filling leaf of a 1-chain is the transport between its
+        boundary points as a point cloud, weights and signs from the
+        boundary's coefficients."""
+        C, _ = disk_mesh(h=0.3)
+        rng = np.random.default_rng(5)
+        n = C.count(1)
+        T = SimplicialCurrent.from_arrays(C, 1, np.arange(n), rng.integers(-2, 3, size=n))
+        B = boundary(T)
+        assert len(B.idx) >= 4
+        X = FiniteMetricSpace.from_points(C.metric.coords[C.simplex_array(0)[B.idx, 0]])
+        want = filling_volume_0d(X, np.abs(B.coeff), np.sign(B.coeff)).value
+        assert fill_value_of_boundary(T) == pytest.approx(want, rel=1e-12)
 
     def test_unbalanced_rejected(self):
         X = FiniteMetricSpace.from_points(np.array([[0.0], [1.0]]))

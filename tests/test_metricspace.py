@@ -18,7 +18,7 @@ from currentlab.metricspace import (
     packing_number,
 )
 
-from oracles import exhaustive_max_packing, exhaustive_packing_number, gh_oracle
+from oracles import exhaustive_max_packing, gh_oracle
 
 
 def points_space(pts):
@@ -115,7 +115,6 @@ class TestPacking:
         X = uniform_line(10)
         greedy = packing_number(X, 0.25)
         exact = exhaustive_max_packing(X.dist, 0.25)
-        assert exact == exhaustive_packing_number(X, 0.25).count
         assert greedy.count in (2, 3)
         assert greedy.count >= exact / 2
         # certificate is a genuine packing

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from currentlab.complexes import EuclideanMetric, GeometricComplex
+from currentlab.complexes import CallableMetric, EuclideanMetric, GeometricComplex, MatrixMetric
 from currentlab.currents import SimplicialCurrent, boundary, mass, push_forward
 from currentlab.fillvol import boundary_matrix, filling_volume, flat_distance
-from currentlab.meshes import disk_mesh, grid_mesh, interval_chain, sphere_mesh, square_complex
+from currentlab.meshes import disk_mesh, grid_mesh, interval_chain, sphere_mesh, square_complex, torus_patch_mesh
 from currentlab.metricspace import ArgumentError, InvariantError
 from currentlab.product import (
     _staircase_chain,
@@ -68,6 +68,31 @@ class TestProductCurrent:
             rel = abs(details["product_mass"] - details["expected_mass"])
             scale = max(details["expected_mass"], 1e-12)
             assert rel / scale < 1e-9
+
+    def test_matrix_metric_base(self):
+        """On a distance-matrix unit square the product metric is a matrix
+        too, and the prism has mass eps times M(T)."""
+        C, T = square_complex()
+        coords = C.coords()
+        mat = np.linalg.norm(coords[:, None] - coords[None, :], axis=-1)
+        D = GeometricComplex.from_top_simplices(MatrixMetric(mat), C.simplex_array(2))
+        S = SimplicialCurrent.from_arrays(D, 2, T.idx, T.coeff)
+        _, pc = product_current(S, 0.3)
+        assert isinstance(pc.complex.metric, MatrixMetric)
+        holds, details = check_product_boundary(S, 0.3)
+        assert holds
+        assert details["product_mass"] == pytest.approx(0.3 * mass(S), abs=2e-16)
+
+    def test_wrapped_callable_metric_base(self):
+        """A chart-wrapped base (the thin-torus patch) keeps its periods on
+        the base axes, and the product rule holds."""
+        C, T = torus_patch_mesh(0.2, 0.3, 3)
+        _, pc = product_current(T, 0.1)
+        metric = pc.complex.metric
+        assert isinstance(metric, CallableMetric)
+        assert np.array_equal(metric.wrap, np.concatenate([C.metric.wrap, [0.0]]))
+        holds, _ = check_product_boundary(T, 0.1)
+        assert holds
 
     def test_boundary_of_boundary(self):
         rng = np.random.default_rng(33)

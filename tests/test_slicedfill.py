@@ -7,7 +7,6 @@ import pytest
 
 from currentlab.complexes import PLFunction, coordinate_function, distance_function
 from currentlab.currents import boundary, mass
-from currentlab.fillvol import filling_volume_0d
 from currentlab.meshes import (
     disk_mesh,
     euclidean_box_mesh,
@@ -27,7 +26,6 @@ from currentlab.slicedfill import (
     sf_k,
     sliced_fill,
     tetra_check,
-    _support_atoms,
     _tensor_eval,
     fill_value_of_boundary,
 )
@@ -122,14 +120,7 @@ class TestHFunction:
 
         def leaf(cur):
             values["h"] = h_min_distance(cur, 1e-9 * r)
-            B = boundary(cur)
-            if B.is_zero():
-                values["fill"] = 0.0
-            else:
-                ids, theta, sigma = _support_atoms(B)
-                values["fill"] = filling_volume_0d(
-                    B.complex.metric, theta, sigma, point_ids=ids
-                ).value
+            values["fill"] = fill_value_of_boundary(cur)
             return 0.0
 
         _tensor_eval(ctx.current, fns, grids, leaf)

@@ -455,17 +455,46 @@ class TestSliceLevels:
         assert [isinstance(r, ArgumentError) for r in got] == [False, True, False, True]
         assert "finite" in str(got[1])
 
-    def test_coefficient_overflow_skips_only_its_level(self):
-        """A chain whose slice formula overflows int64 at some levels raises
-        there, as each level's own cut does, and nowhere else."""
+    @staticmethod
+    def _signed_disk_chain():
+        """A +-1 chain on every triangle of a disk, a distance function and
+        11 levels across its range."""
         C, _ = disk_mesh(h=0.25)
         n = C.count(2)
-        coeff = (2**62 // (n + 1)) * np.random.default_rng(1).choice([-1, 1], size=n)
-        T = SimplicialCurrent.from_arrays(C, 2, np.arange(n), coeff)
+        T1 = SimplicialCurrent.from_arrays(C, 2, np.arange(n), np.random.default_rng(1).choice([-1, 1], size=n))
         f = distance_function(C, nearest_vertex(C, (0.3, -0.2)))
-        got = _assert_levels_match_stars(T, f, list(np.linspace(*f.range(), 13)[1:-1]))
+        return T1, f, list(np.linspace(*f.range(), 13)[1:-1])
+
+    def test_coefficient_overflow_skips_only_its_level(self):
+        """A chain whose transfer to a level's refinement sums to 2**62 or
+        more raises at that level, as the level's own cut does, and nowhere
+        else: coefficient c on the triangles crossing one level, with c
+        times their count in [2**62 / 3, 2**62 - n), is a chain, but each of
+        them splits in 3 pieces there.  Here c times the count is about 2**61,
+        clear of float rounding in the |coefficient| sums."""
+        T1, f, levels = self._signed_disk_chain()
+        C, n = T1.complex, len(T1.idx)
+        vals = f.values[C.simplex_array(2)]
+        cross = (vals.min(axis=1) < levels[5]) & (vals.max(axis=1) > levels[5])
+        c = 2**61 // int(cross.sum())
+        T = SimplicialCurrent.from_arrays(C, 2, np.arange(n), np.where(cross, c, T1.coeff))
+        got = _assert_levels_match_stars(T, f, levels)
         raised = [isinstance(r, ArgumentError) for r in got]
         assert any(raised) and not all(raised)
+
+    def test_slices_are_linear_up_to_the_coefficient_limit(self):
+        """c times a +-1 chain, with c = 2**62 // (n + 1), slices to c times
+        its slices at every level: each level's refinement carries less than
+        2**62, so no level raises."""
+        T1, f, levels = self._signed_disk_chain()
+        c = 2**62 // (len(T1.idx) + 1)
+        T = SimplicialCurrent.from_arrays(T1.complex, 2, T1.idx, c * T1.coeff)
+        got, unit = slice_levels(T, f, levels), slice_levels(T1, f, levels)
+        assert len(got) == len(unit) == 11
+        assert not any(isinstance(r, ArgumentError) for r in got + unit)
+        for a, b in zip(got, unit):
+            assert np.array_equal(a.current.idx, b.current.idx)
+            assert np.array_equal(a.current.coeff, c * b.current.coeff)
 
     def test_zero_dimensional_current_raises_at_every_level(self):
         C, T = disk_mesh(h=0.25)
