@@ -41,7 +41,6 @@ from .slicing import (
     annulus_mass,
     ball,
     coarea_profile,
-    iterated_slice,
     slice_current,
     sphere,
     subdivide_at_level,
@@ -60,7 +59,6 @@ from .slicedfill import (
     SlicedFillReport,
     TetraReport,
     ball_context,
-    h_function,
     sf_k,
     sliced_fill,
     tetra_check,

@@ -14,12 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .complexes import EuclideanMetric, GeometricComplex, MatrixMetric, PLFunction, distinct_rows, lookup_rows
-from .metricspace import ArgumentError, FiniteMetricSpace, as_integers
-
-COEFF_LIMIT = 2**62
-"""A chain's |coefficients| sum below this, so the sum of two chains and
-every boundary coefficient stay inside int64 without wrapping."""
-
+from .metricspace import ArgumentError, FiniteMetricSpace, abs_sum_below_limit, as_integers
 
 def sorted_with_sign(rows):
     """The rows of an (n, m) vertex-id array sorted, and the sign of each
@@ -62,7 +57,7 @@ class SimplicialCurrent:
     coefficients; `coeffs` is a read-only mapping view of the arrays, which
     the library itself never reads (the benchmark tracer does).
     Every construction raises ArgumentError unless the |coefficients| it is
-    given sum below COEFF_LIMIT.
+    given sum below `metricspace.INT_LIMIT`.
     """
 
     def __init__(self, complex: GeometricComplex, dim: int, coeffs=None):
@@ -73,7 +68,7 @@ class SimplicialCurrent:
         """Store the chain summing coefficients over repeated indices."""
         try:
             idx, coeff = np.asarray(idx, np.int64).ravel(), np.asarray(coeff, np.int64).ravel()
-            if np.fabs(coeff).sum() >= COEFF_LIMIT:
+            if not abs_sum_below_limit(coeff):
                 raise OverflowError
         except OverflowError:
             raise ArgumentError("chain coefficients must sum below 2**62 in absolute value") from None

@@ -23,6 +23,30 @@ class InvariantError(RuntimeError):
     """A computed result broke an inequality or identity that must hold."""
 
 
+INT_LIMIT = 2**62
+"""Input integers, and a chain's |coefficients| summed, stay below this in
+absolute value, so the sum of two chains and every boundary coefficient
+stay inside int64 without wrapping."""
+
+
+def abs_sum_below_limit(ints) -> bool:
+    """Whether the |entries| of an int64 array sum below INT_LIMIT, exactly.
+
+    The largest |entry| times the count bounds the sum: below the limit no
+    sum is taken, inside int64 one int64 sum is exact, and beyond it (a few
+    entries near the limit, or a long array of large ones) Python ints add
+    them."""
+    if not len(ints):
+        return True
+    top = max(int(ints.max()), -int(ints.min()))
+    bound = top * len(ints)
+    if bound < INT_LIMIT:
+        return True
+    if bound < 2**63:
+        return int(np.abs(ints).sum()) < INT_LIMIT
+    return top < INT_LIMIT and sum(map(abs, ints.tolist())) < INT_LIMIT
+
+
 def as_integers(values, what) -> np.ndarray:
     """`values` (a number or nested lists) as an int64 array under the one
     integer rule of the input readers: every entry is an int or a float with
@@ -34,8 +58,9 @@ def as_integers(values, what) -> np.ndarray:
         raise ArgumentError(f"{what} must be integers: {exc}") from None
     if arr.dtype.kind not in "iuf":
         raise ArgumentError(f"{what} must be integers, got {reprlib.repr(values)}")
-    real = arr.astype(float)
-    bad = ~((np.abs(real) < 2.0**62) & (real == np.floor(real)))
+    bad = ~((arr > -INT_LIMIT) & (arr < INT_LIMIT))  # an int64 entry is compared exactly, not as a float
+    if arr.dtype.kind == "f":
+        bad |= arr != np.floor(arr)
     if bad.any():
         raise ArgumentError(f"{what} must be integers below 2**62 in absolute value, got {arr[bad][0].item()!r}")
     return arr.astype(np.int64)

@@ -185,7 +185,7 @@ def sliced_interval_fill(
             return 0.0
         return interval_filling_volume(current, epsilon, layers).value / epsilon
 
-    return _level_box(ball_context(T, p, r), leaf, grid, functions, witnesses, max_axes=T.dim)
+    return _level_box(ball_context(T, p, r), leaf, grid, functions, witnesses, max_axes=T.dim, cycle=False)
 
 
 def interval_filling_volume(T: SimplicialCurrent, epsilon: float, layers: int = 1) -> FillingReport:

@@ -6,7 +6,9 @@ fillings are solved by exact transport and the product over the slicing
 functions' Lipschitz constants turns the integral into a lower bound for
 the ball's mass.  One level-box routine does this quadrature for every leaf:
 the sliced filling, the interval variant in `product`, and the band integral
-of h behind the tetrahedral check.
+of h behind the tetrahedral check.  The filling and h leaves read only the
+cycle d<T, f, t> of the final slice, which the slicing identity
+d<T, f, t> = -<dT, f, t> gives directly: the last axis slices -dT.
 """
 from __future__ import annotations
 
@@ -124,16 +126,20 @@ class TetraReport(Report):
     warnings: list = field(default_factory=list)
 
 
-def _tensor_eval(start: SimplicialCurrent, functions, grids, leaf):
-    """Evaluate leaf(current) over a tensor grid of iterated slice levels.
+def _tensor_eval(start: SimplicialCurrent, functions, grids, leaf, *, cycle):
+    """Evaluate the leaf over a tensor grid of iterated slice levels.
 
-    Slices share prefixes: the level grid of axis j is sliced once per
-    prefix, all its levels in one pass (`slicing._slices`), so axis-0
-    slices are computed len(grids[0]) times in total by one cut.  Each
-    slice cuts only the star of its level, except a final slice of
-    dimension >= 2: `fill_value_of_boundary` fills its boundary inside its
-    complex, so that slice keeps the whole cut of the closure of its
-    current's support.  A level that raises ArgumentError is skipped.
+    With `cycle` the leaf is handed the boundary of each final slice, a
+    cycle the last axis takes directly by the slicing identity
+    d<T, f, t> = -<dT, f, t>: it slices -dT for the prefix T (with no axes
+    the leaf reads dT of the start).  Otherwise it is handed the final
+    slice itself.  Slices share prefixes: the level grid of axis j is
+    sliced once per prefix, all its levels in one pass (`slicing._slices`),
+    so axis-0 slices are computed len(grids[0]) times in total by one cut.
+    Each slice cuts only the star of its level, except a final slice of a
+    prefix of dimension >= 3: `fill_value_of_boundary` fills its cycle
+    inside its complex, so that slice keeps the whole cut of the closure of
+    the prefix's support.  A level that raises ArgumentError is skipped.
     """
     shape = tuple(len(g) for g in grids)
     out = np.zeros(shape if shape else (1,))
@@ -147,7 +153,8 @@ def _tensor_eval(start: SimplicialCurrent, functions, grids, leaf):
             out[prefix if prefix else 0] = leaf(current)
             return
         star = not keeps_whole_cut(depth, current.dim)
-        for i, sl in enumerate(_slices(current, fns[0], grids[depth], star)):
+        cut = -boundary(current) if cycle and depth == len(grids) - 1 else current
+        for i, sl in enumerate(_slices(cut, fns[0], grids[depth], star)):
             if isinstance(sl, ArgumentError):
                 skipped[0] += 1
                 continue
@@ -155,7 +162,7 @@ def _tensor_eval(start: SimplicialCurrent, functions, grids, leaf):
             nested = support_closure(sl.current) if keeps_whole_cut(depth + 1, sl.current.dim) else sl.current
             rec(nested, rest, depth + 1, prefix + (i,))
 
-    rec(start, list(functions), 0, ())
+    rec(boundary(start) if cycle and not grids else start, list(functions), 0, ())
     return out, skipped[0]
 
 
@@ -165,10 +172,9 @@ def _point_space(metric, ids) -> FiniteMetricSpace:
     return FiniteMetricSpace([metric.dist(i, ids) for i in ids], validate=False)
 
 
-def fill_value_of_boundary(current: SimplicialCurrent) -> float:
-    """FillVol of the boundary of a slice, routed by dimension: a 0-chain
-    is filled by transport on its support points."""
-    B = boundary(current)
+def fill_value_of_boundary(B: SimplicialCurrent) -> float:
+    """FillVol of the cycle B, the boundary of a slice, routed by
+    dimension: a 0-chain is filled by transport on its support points."""
     if B.is_zero():
         return 0.0
     if B.dim == 0:
@@ -177,11 +183,10 @@ def fill_value_of_boundary(current: SimplicialCurrent) -> float:
     return filling_volume(B, B.complex).value
 
 
-def h_min_distance(current: SimplicialCurrent, merge_tol: float) -> float:
-    """Min pairwise distance between distinct boundary points, a point
-    within merge_tol of an earlier kept one merging into it; 0 if fewer
-    than two distinct points remain."""
-    B = boundary(current)
+def h_min_distance(B: SimplicialCurrent, merge_tol: float) -> float:
+    """Min pairwise distance between the distinct points of the 0-cycle B,
+    the boundary of a slice, a point within merge_tol of an earlier kept
+    one merging into it; 0 if fewer than two distinct points remain."""
     if B.is_zero():
         return 0.0
     dist = _point_space(B.complex.metric, B.support_vertices()).dist.tolist()
@@ -190,21 +195,6 @@ def h_min_distance(current: SimplicialCurrent, merge_tol: float) -> float:
         if all(row[w] > merge_tol for w in reps):
             reps.append(v)
     return min((dist[a][b] for a, b in itertools.combinations(reps, 2)), default=0.0)
-
-
-def h_function(T, p, r, levels, witnesses, context: BallContext | None = None) -> float:
-    """Min pairwise distance within the intersection of the sphere about p
-    with the witness-distance level sets, extracted from iterated slicing."""
-    ctx = context or ball_context(T, p, r)
-    levels = list(levels)
-    if len(levels) != len(witnesses):
-        raise ArgumentError("need one level per witness")
-    fns = [distance_function(ctx.complex, w) for w in witnesses]
-    grids = [np.array([t]) for t in levels]
-    vals, _ = _tensor_eval(
-        ctx.current, fns, grids, lambda cur: h_min_distance(cur, POINT_MERGE_REL * ctx.radius)
-    )
-    return float(vals.reshape(-1)[0])
 
 
 def _level_axes(ranges, grid):
@@ -220,17 +210,18 @@ def _check_axis_count(count, max_axes, dim):
         raise ArgumentError(f"at most {max_axes} slicing functions on a {dim}-current")
 
 
-def _level_box(ctx: BallContext, leaf, grid, functions=None, witnesses=None, box=None, *, max_axes):
+def _level_box(ctx: BallContext, leaf, grid, functions=None, witnesses=None, box=None, *, max_axes, cycle):
     """The level-box quadrature behind every sliced quantity.
 
     The slicing functions are `functions` (PL functions on the ball's
     original complex) or the distance functions of the vertex ids in
     `witnesses`, at most `max_axes` of them.  Each axis has `grid` levels
     spanning the function's range over the closed ball, or the fixed
-    interval `box`; `leaf` is evaluated on every iterated slice and
-    integrated by the trapezoid rule.  The integral divided by the product
-    of Lipschitz constants is the report's mass lower bound, flagged when
-    it exceeds the ball's mass by more than twice the Richardson estimate.
+    interval `box`; `leaf` is evaluated on every iterated slice, or with
+    `cycle` on its boundary (see `_tensor_eval`), and integrated by the
+    trapezoid rule.  The integral divided by the product of Lipschitz
+    constants is the report's mass lower bound, flagged when it exceeds
+    the ball's mass by more than twice the Richardson estimate.
     """
     if witnesses is not None and functions is not None:
         raise ArgumentError("pass either functions or witnesses, not both")
@@ -241,7 +232,7 @@ def _level_box(ctx: BallContext, leaf, grid, functions=None, witnesses=None, box
         fns = [ctx.refinement.transfer_function(f) for f in (functions or [])]
     _check_axis_count(len(fns), max_axes, ctx.current.dim)
     grids = _level_axes([box or ctx.support_range(f) for f in fns], grid)
-    values, skipped = _tensor_eval(ctx.current, fns, grids, leaf)
+    values, skipped = _tensor_eval(ctx.current, fns, grids, leaf, cycle=cycle)
     integral = _tensor_trapezoid(values, grids)
     estimate = _richardson_estimate(values, grids)
     lips = [f.lip for f in fns]
@@ -284,7 +275,7 @@ def sliced_fill(
     of Lipschitz constants is a lower bound for the ball's mass.
     """
     ctx = context or ball_context(T, p, r)
-    return _level_box(ctx, fill_value_of_boundary, grid, functions, witnesses, max_axes=T.dim - 1)
+    return _level_box(ctx, fill_value_of_boundary, grid, functions, witnesses, max_axes=T.dim - 1, cycle=True)
 
 
 def _tensor_trapezoid(values, grids):
@@ -333,10 +324,10 @@ EMPTY_SPHERE = "discrete sphere is empty"
 def _witness_search(ctx: BallContext, k, candidates, leaf, grid, box=None) -> SlicedFillReport:
     """The level-box report of the first witness tuple with the largest
     integral, over the k-tuples `_witness_tuples` draws from the discrete
-    sphere.  An empty sphere has no witness: its report is zero over the
-    fixed box, or over no axes when the box would follow the witnesses.
-    A k beyond the level box's axes, or fewer than one candidate, is an
-    input error either way."""
+    sphere; `leaf` reads the cycle of each final slice.  An empty sphere
+    has no witness: its report is zero over the fixed box, or over no axes
+    when the box would follow the witnesses.  A k beyond the level box's
+    axes, or fewer than one candidate, is an input error either way."""
     _check_axis_count(k, ctx.current.dim - 1, ctx.current.dim)
     if candidates < 1:
         raise ArgumentError(f"need at least one candidate witness tuple, got {candidates}")
@@ -352,7 +343,7 @@ def _witness_search(ctx: BallContext, k, candidates, leaf, grid, box=None) -> Sl
         return report
     best = None
     for wit in _witness_tuples(sphere, k, candidates):
-        report = _level_box(ctx, leaf, grid, witnesses=wit, box=box, max_axes=ctx.current.dim - 1)
+        report = _level_box(ctx, leaf, grid, witnesses=wit, box=box, max_axes=ctx.current.dim - 1, cycle=True)
         if best is None or report.integral > best.integral:
             best = report
     return best
@@ -399,7 +390,7 @@ def tetra_check(
     m = T.dim
     merge_tol = POINT_MERGE_REL * r
     best = _witness_search(
-        ctx, m - 1, candidates, lambda cur: h_min_distance(cur, merge_tol), samples,
+        ctx, m - 1, candidates, lambda B: h_min_distance(B, merge_tol), samples,
         box=((1 - beta) * r, (1 + beta) * r),
     )
     required = C * (2 * beta) ** (m - 1) * r**m

@@ -25,8 +25,8 @@ from .complexes import (
     lookup_keys,
     row_keys,
 )
-from .currents import COEFF_LIMIT, SimplicialCurrent, mass
-from .metricspace import ArgumentError, InvariantError
+from .currents import SimplicialCurrent, mass
+from .metricspace import ArgumentError, InvariantError, abs_sum_below_limit
 
 SNAP_REL = 1e-7
 
@@ -97,8 +97,7 @@ class Refinement:
 class SliceResult:
     current: SimplicialCurrent
     levels: tuple[float, ...]
-    functions: list[PLFunction]
-    refinement: Refinement | None
+    refinement: Refinement
     warnings: list = field(default_factory=list)
 
     @property
@@ -551,17 +550,17 @@ def _slices(T: SimplicialCurrent, f: PLFunction, levels, star) -> list:
     # else survives the difference.  That is at most one facet (the one
     # opposite its only vertex below), so a face's sum is bounded by its
     # level's total |coefficient| of T on the refinement, which a kept
-    # level holds below COEFF_LIMIT: no int64 sum there can wrap
+    # level holds below 2**62: no int64 sum there can wrap
     sliced = np.zeros(len(cut.rows[k - 1]), dtype=np.int64)
     np.add.at(sliced, face, signed * (below.any(axis=1)[:, None] & ~face_below))
-    total = np.bincount(level, weights=np.abs(coeff), minlength=m)
 
     flat = (refined == np.asarray(levels, dtype=float)[live][level][:, None]).all(axis=1)
     nonzero = np.flatnonzero(sliced)
     nonzero_starts = np.searchsorted(nonzero, cut.starts[k - 1])
     child_starts = _offsets(level, m)
     for l, (i, ref) in enumerate(zip(live, cut.refinements)):
-        if total[l] >= COEFF_LIMIT:  # T on this level's refinement is no chain
+        a, b = child_starts[l], child_starts[l + 1]
+        if not abs_sum_below_limit(coeff[a:b]):  # T on this level's refinement is no chain
             out[i] = ArgumentError("chain coefficients must sum below 2**62 in absolute value")
             continue
         nz = nonzero[nonzero_starts[l] : nonzero_starts[l + 1]]
@@ -571,7 +570,6 @@ def _slices(T: SimplicialCurrent, f: PLFunction, levels, star) -> list:
             out[i] = exc
             continue
         warnings = list(ref.warnings)
-        a, b = child_starts[l], child_starts[l + 1]
         if flat[a:b].any():  # a generic level reads no volume
             idx = child[a:b][flat[a:b]] - cut.starts[k][l]
             flat_mass = float(np.abs(coeff[a:b][flat[a:b]]) @ ref.complex.masses(k)[idx])
@@ -580,7 +578,6 @@ def _slices(T: SimplicialCurrent, f: PLFunction, levels, star) -> list:
         out[i] = SliceResult(
             current=current,
             levels=(ref.level,),
-            functions=[PLFunction(ref.complex, ref.values, source=f.source)],
             refinement=ref,
             warnings=warnings,
         )
@@ -607,35 +604,6 @@ def slice_current(T: SimplicialCurrent, f: PLFunction, s) -> SliceResult:
     if isinstance(result, ArgumentError):
         raise result
     return result
-
-
-def iterated_slice(T: SimplicialCurrent, functions, levels) -> SliceResult:
-    """Left-to-right iteration of the slice operator."""
-    functions = list(functions)
-    levels = list(levels)
-    if len(functions) != len(levels):
-        raise ArgumentError("need one level per slicing function")
-    if len(functions) > T.dim:
-        raise ArgumentError("cannot slice more times than the current's dimension")
-    current = T
-    fns = functions
-    used_levels: list[float] = []
-    warnings: list = []
-    last_ref = None
-    for j in range(len(fns)):
-        result = slice_current(current, fns[j], levels[j])
-        current = result.current
-        used_levels.append(result.levels[0])
-        warnings.extend(result.warnings)
-        last_ref = result.refinement
-        fns = fns[: j + 1] + [result.refinement.transfer_function(g) for g in fns[j + 1 :]]
-    return SliceResult(
-        current=current,
-        levels=tuple(used_levels),
-        functions=fns,
-        refinement=last_ref,
-        warnings=warnings,
-    )
 
 
 def coarea_profile(T: SimplicialCurrent, f: PLFunction, samples: int):

@@ -444,6 +444,26 @@ class TestErrors:
         assert main(["mass", "--input", str(path)]) == EXIT_INPUT
         assert capsys.readouterr().err.startswith("input error")
 
+    @pytest.mark.parametrize(
+        "coeffs, code",
+        [([2**62 - 1], EXIT_OK), ([2**61, -(2**61 - 1)], EXIT_OK), ([2**61, 2**61], EXIT_INPUT)],
+    )
+    def test_coefficient_limit_is_exact(self, tmp_path, capsys, coeffs, code):
+        """Chain JSON takes |coefficients| summing to 2**62 - 1 and rejects a
+        sum of 2**62 (exit 2).  A 0-chain, so that its boundary, which
+        `mass` also reports, is no larger."""
+        data = {
+            "complex": {"vertices": [[0, 0], [1, 0], [0, 1]], "simplices": {"1": [[0, 1], [0, 2]]}},
+            "current": {"dim": 0, "coeffs": [[i, c] for i, c in enumerate(coeffs)]},
+        }
+        path = tmp_path / "near_limit.json"
+        path.write_text(json.dumps(data))
+        assert main(["mass", "--input", str(path)]) == code
+        if code == EXIT_OK:
+            assert json.loads(capsys.readouterr().out)["result"]["mass"] == float(sum(map(abs, coeffs)))
+        else:
+            assert "2**62" in capsys.readouterr().err
+
     def test_repeated_vertex_exits_2(self, tmp_path, capsys):
         data = {
             "complex": {"vertices": [[0.0, 0.0], [1.0, 0.0]], "simplices": {"1": [[0, 0]]}},

@@ -386,6 +386,24 @@ class TestCoefficientRange:
         with pytest.raises(ArgumentError):
             SimplicialCurrent.full(C, 2, 2**61)
 
+    @pytest.mark.parametrize(
+        "coeffs",
+        [[2**61, 2**61 - 1], [-(2**61), 2**61 - 1], [2**62 - 1], [2**61, 2**60, 2**59, -(2**59 - 1)]],
+        ids=["two", "signed", "one", "four"],
+    )
+    def test_limit_is_exact(self, coeffs):
+        """|coefficients| summing to 2**62 - 1 make a chain and 2**62 do not,
+        however many entries carry the sum (four entries near the limit
+        take the Python-int sum)."""
+        C, _ = grid_mesh(2, 2)
+        idx = np.arange(len(coeffs))
+        T = SimplicialCurrent.from_arrays(C, 2, idx, coeffs)
+        assert T.coeff.tolist() == coeffs
+        over = np.array(coeffs, dtype=object)
+        over[0] += 1 if over[0] > 0 else -1
+        with pytest.raises(ArgumentError, match=r"2\*\*62"):
+            SimplicialCurrent.from_arrays(C, 2, idx, over)
+
     def test_arithmetic_raises_instead_of_wrapping(self):
         C, _ = grid_mesh(2, 2)
         T = SimplicialCurrent(C, 2, {0: 2**61, 1: -(2**60)})

@@ -211,7 +211,7 @@ class TestTransport:
         assert len(B.idx) >= 4
         X = FiniteMetricSpace.from_points(C.metric.coords[C.simplex_array(0)[B.idx, 0]])
         want = filling_volume_0d(X, np.abs(B.coeff), np.sign(B.coeff)).value
-        assert fill_value_of_boundary(T) == pytest.approx(want, rel=1e-12)
+        assert fill_value_of_boundary(B) == pytest.approx(want, rel=1e-12)
 
     def test_unbalanced_rejected(self):
         X = FiniteMetricSpace.from_points(np.array([[0.0], [1.0]]))

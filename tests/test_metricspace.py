@@ -76,7 +76,13 @@ class TestIntegerRule:
         assert got.dtype == np.int64 and got.tolist() == [[1, 2], [-3, 0]]
         assert as_integers(4.0, "dim").ndim == 0
 
-    @pytest.mark.parametrize("value", [1.5, 0.9, math.nan, math.inf, -math.inf, "1", True, None, 2**62, [[1], [1, 2]]])
+    @pytest.mark.parametrize("value", [2**62 - 1, -(2**62 - 1), 2.0**62 - 2**10])
+    def test_integers_just_below_the_limit_accepted(self, value):
+        """The 2**62 bound is compared exactly: an int64 entry is not rounded
+        to the float 2**62 first."""
+        assert as_integers([value], "ids").tolist() == [int(value)]
+
+    @pytest.mark.parametrize("value", [1.5, 0.9, math.nan, math.inf, -math.inf, "1", True, None, 2**62, [[1], [1, 2]], -(2**62), 2.0**62, 2**63])
     def test_everything_else_rejected(self, value):
         with pytest.raises(ArgumentError, match="must be integers"):
             as_integers([value] if not isinstance(value, list) else value, "ids")

@@ -20,8 +20,8 @@ from currentlab.slicedfill import (
     C_E3_BAND_INTEGRAL,
     C_E3_POINTWISE_BETA03,
     C_E3_POINTWISE_MIN,
+    POINT_MERGE_REL,
     ball_context,
-    h_function,
     h_min_distance,
     sf_k,
     sliced_fill,
@@ -54,6 +54,17 @@ def witnesses_at_mutual_distance(ctx, r):
     return w1, w2
 
 
+def h_at(ctx, levels, witnesses):
+    """h at one level per witness: the h leaf on the cycle of the iterated
+    slice of the ball, through the level box's recursion."""
+    fns = [distance_function(ctx.complex, w) for w in witnesses]
+    grids = [np.array([t]) for t in levels]
+    leaf = lambda B: h_min_distance(B, POINT_MERGE_REL * ctx.radius)  # noqa: E731
+    vals, skipped = _tensor_eval(ctx.current, fns, grids, leaf, cycle=True)
+    assert skipped == 0
+    return float(vals.reshape(-1)[0])
+
+
 class TestConstants:
     def test_band_integral_matches_closed_form(self):
         t = np.linspace(0.5, 1.5, 2001)
@@ -79,7 +90,7 @@ class TestHFunction:
         C, T, p, ctx = box_ball
         r = 0.5
         w1, w2 = witnesses_at_mutual_distance(ctx, r)
-        h = h_function(T, p, r, [r, r], [w1, w2], context=ctx)
+        h = h_at(ctx, [r, r], [w1, w2])
         assert h == pytest.approx(2 * math.sqrt(2 / 3) * r, rel=0.05)
 
     def test_generic_levels_match_closed_form(self, box_ball):
@@ -87,7 +98,7 @@ class TestHFunction:
         r = 0.5
         w1, w2 = witnesses_at_mutual_distance(ctx, r)
         for t1, t2 in [(0.9, 1.1), (1.2, 0.8)]:
-            h = h_function(T, p, r, [t1 * r, t2 * r], [w1, w2], context=ctx)
+            h = h_at(ctx, [t1 * r, t2 * r], [w1, w2])
             expected = r * float(euclidean_h_closed_form(t1, t2))
             assert h == pytest.approx(expected, rel=0.08)
 
@@ -96,7 +107,7 @@ class TestHFunction:
         r = 0.5
         w1, w2 = witnesses_at_mutual_distance(ctx, r)
         # t beyond s_i + r: the witness level set misses the ball entirely
-        assert h_function(T, p, r, [2.5 * r, r], [w1, w2], context=ctx) == 0.0
+        assert h_at(ctx, [2.5 * r, r], [w1, w2]) == 0.0
 
     def test_sphere_great_circle_profile(self):
         C, T = sphere_mesh(20, 40)
@@ -104,7 +115,7 @@ class TestHFunction:
         r = math.pi / 2
         ctx = ball_context(T, 0, r)
         for t in (0.8, 1.4, 2.0):
-            h = h_function(T, 0, r, [t], [p1], context=ctx)
+            h = h_at(ctx, [t], [p1])
             assert h == pytest.approx(min(2 * t, 2 * (math.pi - t)), rel=0.05)
 
     def test_transport_value_dominates_h(self, box_ball):
@@ -119,11 +130,11 @@ class TestHFunction:
         values = {}
 
         def leaf(cur):
-            values["h"] = h_min_distance(cur, 1e-9 * r)
-            values["fill"] = fill_value_of_boundary(cur)
+            values["h"] = h_min_distance(boundary(cur), 1e-9 * r)
+            values["fill"] = fill_value_of_boundary(boundary(cur))
             return 0.0
 
-        _tensor_eval(ctx.current, fns, grids, leaf)
+        _tensor_eval(ctx.current, fns, grids, leaf, cycle=False)
         assert values["fill"] >= values["h"] - 1e-12
         assert values["h"] > 0
 
@@ -143,7 +154,7 @@ class TestSlicedFill:
         far = nearest_vertex(C, (1.0, 0.0))
         rho = distance_function(ctx.complex, far)
         vals, skipped = _tensor_eval(
-            ctx.current, [rho], [np.array([3.1, 3.3])], lambda cur: mass(cur)
+            ctx.current, [rho], [np.array([3.1, 3.3])], lambda cur: mass(cur), cycle=False
         )
         assert np.all(vals == 0.0)
 
@@ -216,20 +227,23 @@ class TestLevelStar:
 
     def test_sphere_sliced_fill_cuts_only_level_stars(self, monkeypatch):
         """Every cut of a sphere sliced fill takes in only a level star: the
-        ball's the triangles with a vertex inside it, each slice's no more
-        than the face closure of its crossing triangles.  The ball is one
-        cut and the 9 levels of the axis another."""
+        ball's the triangles with a vertex inside it, each level's the
+        crossing edges of the ball's boundary (the leaf reads the cycle
+        -<d ball, f, t>) and their vertices.  The ball is one cut and the 9
+        levels of the axis another."""
         import currentlab.slicing as slicing
 
         C, T = sphere_mesh(20, 40)
-        witness = ball_context(T, 37, 1.1).sphere_vertices()[5]
+        ctx = ball_context(T, 37, 1.1)
+        witness = ctx.sphere_vertices()[5]
+        edges = ctx.complex.simplex_array(1)[boundary(ctx.current).idx]
         calls, passes, original = [], [], slicing._refine
 
         def recording(sources, rows, level, values, *args, **kwargs):
             cut = original(sources, rows, level, values, *args, **kwargs)
             passes.append(len(sources))
             for K, ref in zip(sources, cut.refinements):
-                calls.append((K, (np.asarray(values) < ref.level)[K.simplex_array(2)]))
+                calls.append((K, np.asarray(values) < ref.level))
             return cut
 
         monkeypatch.setattr(slicing, "_refine", recording)
@@ -237,13 +251,12 @@ class TestLevelStar:
         assert rep.integral > 0 and len(calls) == 1 + 9
         assert passes == [1, 9]
         K, below = calls[0]
-        assert below.any(axis=1).all() and K.count(2) < C.count(2)
+        assert below[K.simplex_array(2)].any(axis=1).all() and K.count(2) < C.count(2)
         for K, below in calls[1:]:
-            triangles = K.simplex_array(2)
-            assert (below.any(axis=1) & ~below.all(axis=1)).all()
-            edges = np.unique(np.concatenate([triangles[:, [0, 1]], triangles[:, [0, 2]], triangles[:, [1, 2]]]), axis=0)
-            assert K.count(1) == len(edges) and K.count(0) == len(np.unique(triangles))
-        assert max(K.count(2) for K, _ in calls[1:]) > 0
+            crossing = below[edges].any(axis=1) & ~below[edges].all(axis=1)
+            assert K.count(2) == 0 and np.array_equal(K.simplex_array(1), edges[crossing])
+            assert K.count(0) == len(np.unique(edges[crossing]))
+        assert max(K.count(1) for K, _ in calls[1:]) > 0
 
     def test_three_dimensional_final_slice_keeps_the_whole_cut(self, box_ball):
         """With one function on a 3-d ball the leaf fills the boundary of a
@@ -253,7 +266,7 @@ class TestLevelStar:
         f = distance_function(ctx.complex, ctx.sphere_vertices()[0])
         grid = np.linspace(0.3, 0.7, 3)
         seen = []
-        _tensor_eval(ctx.current, [f], [grid], lambda cur: seen.append(cur) or 0.0)
+        _tensor_eval(ctx.current, [f], [grid], lambda cur: seen.append(cur) or 0.0, cycle=False)
         assert len(seen) == len(grid)
         for cur, t in zip(seen, grid):
             want = slice_current(ctx.current, f, float(t)).current
@@ -273,7 +286,7 @@ class TestLevelStar:
         fns = [coordinate_function(ctx.complex, axis) for axis in (0, 1)]
         grids = [np.array([0.9, 1.1]), np.array([1.05])]
         seen = []
-        _tensor_eval(ctx.current, fns, grids, lambda cur: seen.append(cur) or 0.0)
+        _tensor_eval(ctx.current, fns, grids, lambda cur: seen.append(cur) or 0.0, cycle=False)
         assert len(seen) == 2
         for cur, t in zip(seen, grids[0]):
             first = slice_current(ctx.current, fns[0], float(t))
@@ -304,8 +317,8 @@ class TestBatchedAxes:
         fns = [distance_function(ctx.complex, w) for w in (sphere[0], sphere[len(sphere) // 3])]
         grids = [np.linspace(0.5 * r, 1.5 * r, 5)] * 2
         leaf = lambda cur: h_min_distance(cur, 1e-9 * r)  # noqa: E731
-        got, skipped = _tensor_eval(ctx.current, fns, grids, leaf)
-        want, want_skipped = tensor_eval_oracle(ctx.current, fns, grids, leaf)
+        got, skipped = _tensor_eval(ctx.current, fns, grids, leaf, cycle=True)
+        want, want_skipped = tensor_eval_oracle(ctx.current, fns, grids, lambda cur: leaf(boundary(cur)))
         assert np.array_equal(got, want) and skipped == want_skipped
         assert (got > 0).any()
 
@@ -314,8 +327,8 @@ class TestBatchedAxes:
         ctx = ball_context(T, 37, 1.1)
         f = distance_function(ctx.complex, ctx.sphere_vertices()[5])
         grids = [np.linspace(*ctx.support_range(f), 9)]
-        got, _ = _tensor_eval(ctx.current, [f], grids, fill_value_of_boundary)
-        want, _ = tensor_eval_oracle(ctx.current, [f], grids, fill_value_of_boundary)
+        got, _ = _tensor_eval(ctx.current, [f], grids, fill_value_of_boundary, cycle=True)
+        want, _ = tensor_eval_oracle(ctx.current, [f], grids, lambda cur: fill_value_of_boundary(boundary(cur)))
         assert np.array_equal(got, want) and (got > 0).sum() >= 7
 
     def test_whole_cut_values_equal_per_level_cuts(self, box_ball):
@@ -324,7 +337,7 @@ class TestBatchedAxes:
         C, T, p, ctx = box_ball
         f = distance_function(ctx.complex, ctx.sphere_vertices()[0])
         grids = [np.linspace(0.2, 0.8, 4)]
-        got, _ = _tensor_eval(ctx.current, [f], grids, lambda cur: mass(boundary(cur)))
+        got, _ = _tensor_eval(ctx.current, [f], grids, lambda cur: mass(boundary(cur)), cycle=False)
         want, _ = tensor_eval_oracle(ctx.current, [f], grids, lambda cur: mass(boundary(cur)))
         assert np.array_equal(got, want) and (got > 0).all()
 
@@ -333,7 +346,7 @@ class TestBatchedAxes:
         ctx = ball_context(T, 0, 0.5)
         f = coordinate_function(ctx.complex, 0)
         grids = [np.array([-0.2, math.nan, 0.1])]
-        got, skipped = _tensor_eval(ctx.current, [f], grids, lambda cur: mass(cur))
+        got, skipped = _tensor_eval(ctx.current, [f], grids, lambda cur: mass(cur), cycle=False)
         want, want_skipped = tensor_eval_oracle(ctx.current, [f], grids, lambda cur: mass(cur))
         assert skipped == want_skipped == 1 and np.array_equal(got, want)
 
@@ -365,6 +378,65 @@ class TestBatchedAxes:
         rep = tetra_check(T, p, r, C=0.9 * C_E3_BAND_INTEGRAL, beta=0.5, samples=5, candidates=1)
         assert rep.integral_passed
         assert len(cuts) <= 7 and sum(cuts) == 1 + 5 + 5 * 5
+
+
+def _matrix_disk_ball():
+    """A disk whose metric is the Euclidean distance matrix of its vertices,
+    and its ball about an off-centre vertex."""
+    from currentlab.complexes import GeometricComplex, MatrixMetric
+    from currentlab.currents import SimplicialCurrent
+
+    C, T = disk_mesh(h=0.15)
+    pts = C.coords()
+    Cm = GeometricComplex(MatrixMetric(np.linalg.norm(pts[:, None] - pts[None], axis=-1)), {k: C.simplex_array(k) for k in C.dims})
+    Tm = SimplicialCurrent.from_arrays(Cm, 2, T.idx, T.coeff)
+    return ball_context(Tm, nearest_vertex(C, (0.2, 0.1)), 0.5)
+
+
+def _witness_axes(ctx, count, grid, at=(0, 3)):
+    """The distance functions of `count` discrete-sphere vertices and `grid`
+    levels over each one's range on the ball."""
+    sphere = ctx.sphere_vertices()
+    fns = [distance_function(ctx.complex, sphere[len(sphere) * j // at[1] + at[0]]) for j in range(count)]
+    return fns, [np.linspace(*ctx.support_range(f), grid) for f in fns]
+
+
+def _cycle_case(name):
+    """(ball context, slicing functions, level grids) of each case."""
+    if name == "sphere_k1":
+        ctx = ball_context(sphere_mesh(20, 40)[1], 37, 1.1)
+        return (ctx, *_witness_axes(ctx, 1, 9, at=(5, 1)))
+    if name == "matrix_disk_k1":
+        ctx = _matrix_disk_ball()
+        return (ctx, *_witness_axes(ctx, 1, 7))
+    if name.startswith("box"):
+        C, T = euclidean_box_mesh(0.65, 6)
+        ctx = ball_context(T, nearest_vertex(C, (0.0, 0.0, 0.0)), 0.5)
+        return (ctx, *_witness_axes(ctx, int(name[-1]), 3))
+    if name == "torus_tetra_k2":
+        ctx = _torus_tetra_ball()[3]
+        return (ctx, *_witness_axes(ctx, 2, 5))
+    C, T = disk_mesh(h=0.15)  # k = 0: the leaf reads the ball's own boundary
+    return ball_context(T, nearest_vertex(C, (0.2, 0.1)), 0.5), [], []
+
+
+class TestCycleLeaves:
+    """A cycle leaf is handed -<dT, f, t> at the last axis (or dT with no
+    axes) and reads, bit for bit, what it read as a leaf of d<T, f, t>."""
+
+    @pytest.mark.parametrize(
+        "case, leaf",
+        [("sphere_k1", "fill"), ("sphere_k1", "h"), ("matrix_disk_k1", "fill"), ("matrix_disk_k1", "h"),
+         ("box_k1", "fill"), ("box_k2", "fill"), ("box_k2", "h"), ("torus_tetra_k2", "fill"),
+         ("torus_tetra_k2", "h"), ("disk_k0", "fill")],
+    )
+    def test_cycle_leaf_equals_the_leaf_of_the_slice_boundary(self, case, leaf):
+        ctx, fns, grids = _cycle_case(case)
+        read = {"fill": fill_value_of_boundary, "h": lambda B: h_min_distance(B, POINT_MERGE_REL * ctx.radius)}[leaf]
+        got, skipped = _tensor_eval(ctx.current, fns, grids, read, cycle=True)
+        want, want_skipped = _tensor_eval(ctx.current, fns, grids, lambda S: read(boundary(S)), cycle=False)
+        assert got.tobytes() == want.tobytes() and skipped == want_skipped == 0
+        assert (got > 0).any()
 
 
 class TestSfK:
@@ -436,7 +508,7 @@ class TestTetra:
                 sph,
                 key=lambda v: np.linalg.norm(coords[v] - np.array([r / 2, r * math.sqrt(3) / 2, 0])),
             )
-            vals[lam] = h_function(T, p, r, [r, r], [w1, w2], context=ctx)
+            vals[lam] = h_at(ctx, [r, r], [w1, w2])
         assert vals[2.0] == pytest.approx(2.0 * vals[1.0], rel=0.02)
 
     def test_invalid_parameters(self):

@@ -29,12 +29,11 @@ from currentlab.meshes import (
     square_complex,
     torus_patch_mesh,
 )
-from currentlab.slicedfill import ball_context
+from currentlab.slicedfill import _tensor_eval, ball_context
 from currentlab.slicing import (
     annulus_mass,
     ball,
     coarea_profile,
-    iterated_slice,
     slice_current,
     slice_levels,
     snap_level,
@@ -378,8 +377,6 @@ def _assert_same_slice(got, want):
     a, b = got.current, want.current
     assert a.dim == b.dim and np.array_equal(a.idx, b.idx) and np.array_equal(a.coeff, b.coeff)
     _assert_same_complex(got.complex, want.complex)
-    (g,), (w,) = got.functions, want.functions
-    assert g.complex is got.complex and g.source == w.source and np.array_equal(g.values, w.values)
     r, q = got.refinement, want.refinement
     assert r.complex is got.complex
     _assert_same_complex(r.source, q.source)
@@ -482,6 +479,22 @@ class TestSliceLevels:
         raised = [isinstance(r, ArgumentError) for r in got]
         assert any(raised) and not all(raised)
 
+    @pytest.mark.parametrize("b, raises", [(2**60 - 1, False), (2**60, True)])
+    def test_level_total_is_checked_exactly(self, b, raises):
+        """T on a level's refinement may carry |coefficients| summing to
+        2**62 - 1 but not 2**62, compared as integers: triangle (0, 1, 3)
+        crosses the level and splits in 3 pieces of coefficient a = 2**60,
+        triangle (0, 2, 3) lies below it with coefficient b."""
+        C, _ = grid_mesh(1, 1)
+        T = SimplicialCurrent.from_arrays(C, 2, [0, 1], [2**60, b])
+        f = PLFunction(C, np.array([0.0, 1.0, 0.0, 0.0]))
+        if raises:
+            with pytest.raises(ArgumentError, match=r"2\*\*62"):
+                slice_current(T, f, 0.5)
+        else:
+            S = slice_current(T, f, 0.5).current
+            assert np.abs(S.coeff).tolist() == [2**60]
+
     def test_slices_are_linear_up_to_the_coefficient_limit(self):
         """c times a +-1 chain, with c = 2**62 // (n + 1), slices to c times
         its slices at every level: each level's refinement carries less than
@@ -516,6 +529,45 @@ def test_slice_matches_the_boundary_formula_oracle(C, values):
     for level in _oracle_levels(C, values):
         got, want = slice_current(T, f, level).current, slice_oracle(T, f, level)
         assert got.dim == want.dim and np.array_equal(got.idx, want.idx) and np.array_equal(got.coeff, want.coeff)
+
+
+def _cut_point_rows(S, ref):
+    """The rows of S's simplices with each vertex as the point it is: an old
+    vertex v as the edge (v, v) at parameter 0, a cut point as its cut edge
+    and parameter; and the squared distances among all those vertices."""
+    rows = S.complex.simplex_array(S.dim)[S.idx]
+    n = ref.n_old_vertices
+    cut = rows >= n
+    at = np.where(cut, rows - n, 0)
+    edges = np.where(cut[..., None], ref.cut_edges[at], rows[..., None])
+    return edges, np.where(cut, ref.cut_t[at], 0.0), S.complex.metric.pairwise_sq(rows.ravel())
+
+
+@pytest.mark.parametrize("C, values", _subdivide_cases())
+def test_slice_of_minus_the_boundary_is_the_boundary_of_the_slice(C, values):
+    """d<T, f, s> = -<dT, f, s>, the identity the cycle leaves read: cut on
+    level stars, the two chains hold the same points (cut edges and
+    parameters, and their distances), in the same order, with the same
+    coefficients; cut on the whole complex, they are equal chains on equal
+    complexes.  At seeded levels and at a snapped vertex value."""
+    k = C.top_dim
+    rng = np.random.default_rng([13, C.count(k)])
+    coeff = rng.integers(1, 4, size=C.count(k)) * rng.choice([-1, 1], size=C.count(k))
+    T = SimplicialCurrent.from_arrays(C, k, np.arange(C.count(k)), coeff)
+    f = PLFunction(C, values)
+    levels = _oracle_levels(C, values)
+    slices, cycles = slice_levels(T, f, levels), slice_levels(-boundary(T), f, levels)
+    for s, sl, cy in zip(levels, slices, cycles):
+        want, got = boundary(sl.current), cy.current
+        assert got.dim == want.dim == k - 2 and cy.levels == sl.levels
+        assert np.array_equal(got.coeff, want.coeff)
+        for a, b in zip(_cut_point_rows(got, cy.refinement), _cut_point_rows(want, sl.refinement)):
+            assert np.array_equal(a, b)
+        whole, whole_cycle = slice_current(T, f, s), slice_current(-boundary(T), f, s)
+        want, got = boundary(whole.current), whole_cycle.current
+        _assert_same_complex(got.complex, want.complex)
+        assert np.array_equal(got.idx, want.idx) and np.array_equal(got.coeff, want.coeff)
+    assert any(not boundary(sl.current).is_zero() for sl in slices)
 
 
 def _transfer_matrix(ref, k):
@@ -793,9 +845,9 @@ class TestSlice:
             f = random_vertex_function(rng, T.complex)
             s = float(rng.uniform(f.values.min(), f.values.max()))
             res = slice_current(T, f, s)
-            f2 = res.functions[0]
+            values = res.refinement.values
             for v in res.current.support_vertices():
-                assert f2.values[v] == res.levels[0]
+                assert values[v] == res.levels[0]
 
     def test_matrix_backed_complex_slices_like_euclidean(self):
         from currentlab.complexes import MatrixMetric
@@ -919,19 +971,36 @@ class TestSlice:
             assert lhs_pts == rhs_pts
 
 
+def iterated_slice(T, functions, levels):
+    """The slice of T by each function in turn, at one level each, through
+    the level box's recursion (`slicedfill._tensor_eval`)."""
+    seen = []
+    grids = [np.array([s]) for s in levels]
+    _, skipped = _tensor_eval(T, functions, grids, lambda cur: seen.append(cur) or 0.0, cycle=False)
+    assert skipped == 0
+    (current,) = seen
+    return current
+
+
+def point_signature(T):
+    """A 0-chain as its sorted (point coordinates, coefficient) pairs."""
+    coords = T.complex.coords()[T.complex.simplex_array(0)[T.idx, 0]]
+    return sorted(zip(map(tuple, coords.tolist()), T.coeff.tolist()))
+
+
 class TestIteratedSlice:
     def test_zero_functions_identity(self):
         C, T = square_complex()
         res = iterated_slice(T, [], [])
-        assert res.current == T
+        assert res == T
 
     def test_square_double_slice_point(self):
         C, T = square_complex()
         res = iterated_slice(
             T, [coordinate_function(C, 0), coordinate_function(C, 1)], [0.5, 0.5]
         )
-        assert res.current.dim == 0
-        pts = list(res.current.coeffs.items())
+        assert res.dim == 0
+        pts = list(res.coeffs.items())
         assert len(pts) == 1
         idx, c = pts[0]
         assert abs(c) == 1
@@ -947,9 +1016,11 @@ class TestIteratedSlice:
         g = PLFunction(C, coords[:, 1] + 0.37 * coords[:, 2])
         for s, u in [(0.11, 0.07), (-0.2, 0.25)]:
             res = iterated_slice(T, [f, g], [s, u])
-            lhs = boundary(res.current)
+            lhs = boundary(res)
             resb = iterated_slice(boundary(T), [f, g], [s, u])
-            assert signature(lhs) == signature(resb.current)
+            # each slice numbers the cut points of its own level star, so
+            # the two 0-chains are matched by their points' coordinates
+            assert point_signature(lhs) == point_signature(resb)
             assert not lhs.is_zero()
 
     def test_signed_weights_cancel_on_cycle_slice(self):
