@@ -3,10 +3,11 @@
 
 For a flat unit disk the scaled interval filling eps^-1 FillVol(bd(T x I_eps))
 is bounded by the disk mass pi.  The fill is posed in the prism complex over
-supp T, where T x I_eps is the only filling, so IFV/eps equals M(T) up to
-metric rounding by construction and the sweep is flat.  It shows a trend only
-once the fill is posed in an ambient complex that has (k+1)-simplices of its
-own.  The trend is reported, never asserted.
+supp T, where T x I_eps is the only filling, so IFV is eps * M(T) by
+construction (no prism is built) and the sweep is flat: IFV/eps is M(T) up to
+the rounding of one product and one quotient.  It shows a trend only once the
+fill is posed in an ambient complex that has (k+1)-simplices of its own.  The
+trend is reported, never asserted.
 
 Run: python3 scripts/ifv_epsilon_sweep.py [mesh_h] [eps1,eps2,...]
 """

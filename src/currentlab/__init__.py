@@ -61,6 +61,7 @@ from .slicedfill import (
     ball_context,
     sf_k,
     sliced_fill,
+    sliced_interval_fill,
     tetra_check,
 )
 from .product import (
@@ -68,7 +69,6 @@ from .product import (
     check_product_boundary,
     interval_filling_volume,
     product_current,
-    sliced_interval_fill,
 )
 from .convergence import (
     CommonEmbedding,

@@ -37,9 +37,9 @@ from .metricspace import (
     load_points_csv,
     packing_number,
 )
-from .product import interval_filling_volume, product_current, sliced_interval_fill
+from .product import interval_filling_volume, product_current
 from .slicing import ball, coarea_profile, slice_current, sphere
-from .slicedfill import sf_k, sliced_fill, tetra_check
+from .slicedfill import sf_k, sliced_fill, sliced_interval_fill, tetra_check
 
 logger = logging.getLogger("currentlab")
 
@@ -198,7 +198,7 @@ def _cmd_slice(args):
     f = _function_on(T.complex, args.function, data)
     res = slice_current(T, f, args.level)
     out = _summary(res.current)
-    out.update({"levels": list(res.levels), "warnings": res.warnings})
+    out.update({"levels": [res.refinement.level], "warnings": res.warnings})
     return out
 
 
@@ -211,7 +211,7 @@ def _cmd_sphere(args):
     T, _ = _chain_and_data(args.input)
     res = sphere(T, args.center, args.radius)
     out = _summary(res.current)
-    out.update({"levels": list(res.levels), "warnings": res.warnings})
+    out.update({"levels": [res.refinement.level], "warnings": res.warnings})
     return out
 
 
@@ -268,7 +268,7 @@ def _cmd_tetra(args):
 
 def _cmd_product(args):
     T, _ = _chain_and_data(args.input)
-    prod, pc = product_current(T, args.epsilon, args.layers)
+    prod, _ = product_current(T, args.epsilon, args.layers)
     out = _summary(prod)
     out["expected_mass"] = args.epsilon * mass(T)
     return out
@@ -276,7 +276,7 @@ def _cmd_product(args):
 
 def _cmd_ifv(args):
     T, _ = _chain_and_data(args.input)
-    out = interval_filling_volume(T, args.epsilon, args.layers).to_json()
+    out = interval_filling_volume(T, args.epsilon).to_json()
     out["epsilon"] = args.epsilon
     out["mass_bound"] = out["value"] / args.epsilon
     return out
@@ -287,7 +287,7 @@ def _cmd_sif(args):
     return sliced_interval_fill(
         T, args.center, args.radius,
         witnesses=args.witnesses or None,
-        epsilon=args.epsilon, grid=args.grid, layers=args.layers,
+        epsilon=args.epsilon, grid=args.grid,
     ).to_json()
 
 
@@ -363,8 +363,8 @@ _COMMANDS = {
     "sfk": (_cmd_sfk, "input center radius k candidates grid", "input radius"),
     "tetra": (_cmd_tetra, "input center radius C beta samples candidates", "input radius"),
     "product": (_cmd_product, "input epsilon layers", "input"),
-    "ifv": (_cmd_ifv, "input epsilon layers", "input"),
-    "sif": (_cmd_sif, "input center radius witnesses epsilon grid layers", "input radius"),
+    "ifv": (_cmd_ifv, "input epsilon", "input"),
+    "sif": (_cmd_sif, "input center radius witnesses epsilon grid", "input radius"),
     "gh": (_cmd_gh, "input input2 exact-limit", "input input2"),
     "pack": (_cmd_pack, "input radius", "input radius"),
     "lab": (_cmd_lab, "family quantity schedule radius grid epsilon", "schedule"),

@@ -31,9 +31,9 @@ from .currents import boundary, mass, push_forward
 from .fillvol import filling_volume, fillvol_continuity_gap, planar_top
 from .metricspace import ArgumentError, FiniteMetricSpace
 from .meshes import add_spikes, disk_mesh, full_torus_mesh, nearest_vertex, sphere_mesh
-from .product import interval_filling_volume, sliced_interval_fill, staircase
+from .product import interval_filling_volume, staircase
 from .slicing import subdivide_at_level
-from .slicedfill import ball_context, sf_k, sliced_fill
+from .slicedfill import ball_context, sf_k, sliced_fill, sliced_interval_fill
 
 SEMICONTINUITY_TOL = 1e-9  # absolute slack of the mass and diameter checks
 TRIVIAL_REL = 1e-9  # a pair bound is informative below (1 - TRIVIAL_REL) * (M(A) + M(B))

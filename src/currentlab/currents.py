@@ -182,7 +182,12 @@ def boundary(T: SimplicialCurrent) -> SimplicialCurrent:
     out = np.zeros(T.complex.count(k - 1), dtype=np.int64)
     np.add.at(out, faces, T.coeff[:, None] * np.where(np.arange(k + 1) % 2, -1, 1))
     nonzero = np.flatnonzero(out)
-    return SimplicialCurrent.from_arrays(T.complex, k - 1, nonzero, out[nonzero])
+    try:  # each entry is below the limit, but their sum need not be
+        return SimplicialCurrent.from_arrays(T.complex, k - 1, nonzero, out[nonzero])
+    except ArgumentError:
+        raise ArgumentError(
+            f"the boundary of the input {k}-chain exceeds the limit: its coefficients sum to 2**62 or more"
+        ) from None
 
 
 def mass(T: SimplicialCurrent) -> float:

@@ -12,24 +12,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import CallableMetric, EuclideanMetric, GeometricComplex, MatrixMetric, lookup_rows
-from .currents import SimplicialCurrent, boundary, mass, push_forward
+from .currents import SimplicialCurrent, boundary, mass
 from .fillvol import FillingReport
 from .metricspace import ArgumentError
-from .slicedfill import _level_box, ball_context
 
 
 @dataclass
 class ProductComplex:
-    base: GeometricComplex
-    complex: GeometricComplex
-    epsilon: float
-    layers: int
-    lift_bottom: list[int]
-    lift_top: list[int]
+    """base x [0, eps] in `layers` slabs: vertex v of the base at height
+    index l is vertex v + l * n of `complex`, n the base's vertex count."""
 
-    def lift_current(self, T: SimplicialCurrent, where="bottom") -> SimplicialCurrent:
-        vmap = self.lift_bottom if where == "bottom" else self.lift_top
-        return push_forward(T, vmap, self.complex)
+    complex: GeometricComplex
+    layers: int
 
 
 def _lifted(points, heights):
@@ -39,9 +33,7 @@ def _lifted(points, heights):
 
 def _product_metric(base_metric, heights):
     """Metric on base x {heights} given the base metric."""
-    n = base_metric.n
     heights = np.asarray(heights, dtype=float)
-    L = len(heights)
     if isinstance(base_metric, EuclideanMetric):
         return EuclideanMetric(_lifted(base_metric.coords, heights))
     if isinstance(base_metric, CallableMetric):
@@ -59,13 +51,11 @@ def _product_metric(base_metric, heights):
             wrap = np.concatenate([base_metric.wrap, [0.0]])
         return CallableMetric(pts, fn, wrap=wrap)
     if isinstance(base_metric, MatrixMetric):
-        big = np.zeros((n * L, n * L))
-        base = base_metric.mat
-        for a in range(L):
-            for b in range(L):
-                dt = heights[a] - heights[b]
-                big[a * n : (a + 1) * n, b * n : (b + 1) * n] = np.sqrt(base**2 + dt**2)
-        return MatrixMetric(big)
+        n, L = base_metric.n, len(heights)
+        dt = heights[:, None] - heights[None, :]
+        # entry (a, i, b, j) is the distance from (i, height a) to (j, height b)
+        big = np.sqrt(base_metric.mat[None, :, None, :] ** 2 + dt[:, None, :, None] ** 2)
+        return MatrixMetric(big.reshape(n * L, n * L))
     raise ArgumentError(f"unsupported base metric {type(base_metric).__name__}")
 
 
@@ -90,14 +80,7 @@ def build_product_complex(base: GeometricComplex, epsilon: float, layers: int = 
     metric = _product_metric(base.metric, heights)
     rows = base.simplex_array(base.top_dim) + n * np.arange(layers)[:, None, None]
     C = GeometricComplex.from_top_simplices(metric, staircase(rows, rows + n).reshape(-1, base.top_dim + 2))
-    return ProductComplex(
-        base=base,
-        complex=C,
-        epsilon=epsilon,
-        layers=layers,
-        lift_bottom=list(range(n)),
-        lift_top=list(range(layers * n, (layers + 1) * n)),
-    )
+    return ProductComplex(complex=C, layers=layers)
 
 
 def product_current(T: SimplicialCurrent, epsilon: float, layers: int = 1):
@@ -114,12 +97,26 @@ def product_current(T: SimplicialCurrent, epsilon: float, layers: int = 1):
     return _staircase_chain(T, pc), pc
 
 
+def _indices_in(pc: ProductComplex, rows) -> np.ndarray:
+    """The indices in the product complex of the simplex rows, each of
+    which it must hold."""
+    j = lookup_rows(pc.complex.simplex_array(rows.shape[1] - 1), rows)
+    if (j < 0).any():
+        raise ArgumentError(f"simplex {tuple(rows[np.argmax(j < 0)].tolist())} missing from product complex")
+    return j
+
+
 def interval_boundary_lift(T: SimplicialCurrent, pc: ProductComplex) -> SimplicialCurrent:
     """The chain T x (interval boundary): the top lift minus the bottom one,
     with the dimension-parity sign that makes the product rule a chain
-    identity (classical cell-product convention)."""
+    identity (classical cell-product convention).  A lift offsets every
+    vertex id by the same amount, so it keeps each row sorted."""
     parity = 1 if T.dim % 2 == 0 else -1
-    return (pc.lift_current(T, "top") - pc.lift_current(T, "bottom")) * parity
+    rows = T.complex.simplex_array(T.dim)[T.idx]
+    top = _indices_in(pc, rows + pc.layers * T.complex.n_vertices)
+    bottom = _indices_in(pc, rows)
+    coeff = np.concatenate([T.coeff, -T.coeff]) * parity
+    return SimplicialCurrent.from_arrays(pc.complex, T.dim, np.concatenate([top, bottom]), coeff)
 
 
 def _staircase_chain(S: SimplicialCurrent, pc: ProductComplex) -> SimplicialCurrent:
@@ -128,10 +125,7 @@ def _staircase_chain(S: SimplicialCurrent, pc: ProductComplex) -> SimplicialCurr
     n, k = S.complex.n_vertices, S.dim
     # (simplex, layer) lifts, each prism's staircase simplices in order
     rows = S.complex.simplex_array(k)[S.idx][:, None, :] + n * np.arange(pc.layers)[:, None]
-    prisms = staircase(rows, rows + n).reshape(-1, k + 2)
-    j = lookup_rows(pc.complex.simplex_array(k + 1), prisms)
-    if (j < 0).any():
-        raise ArgumentError(f"prism {tuple(prisms[np.argmax(j < 0)].tolist())} missing from product complex")
+    j = _indices_in(pc, staircase(rows, rows + n).reshape(-1, k + 2))
     parity = 1 if k % 2 == 0 else -1
     sign = parity * np.where(np.arange(k + 1) % 2, -1, 1)
     coeff = np.broadcast_to(S.coeff[:, None, None] * sign, (len(S.idx), pc.layers, k + 1))
@@ -153,58 +147,16 @@ def check_product_boundary(T: SimplicialCurrent, epsilon: float, layers: int = 1
     }
 
 
-def sliced_interval_fill(
-    T: SimplicialCurrent,
-    p: int,
-    r: float,
-    witnesses=None,
-    functions=None,
-    epsilon: float = 0.1,
-    grid: int = 8,
-    layers: int = 1,
-):
-    """Interval-filling variant of the sliced filling of a ball.
-
-    Per level tuple the slice is crossed with an interval of length eps and
-    the boundary of the product is filled; the level box integrates that
-    filling volume over eps, so the product over Lipschitz constants again
-    bounds the ball's mass from below.  Up to dim(T) slicing functions are
-    allowed since the product raises the dimension by one.
-
-    The filling of each leaf is the prism itself (see
-    `interval_filling_volume`), so every leaf value is exactly eps * M(slice)
-    and the result is the coarea integral of slice masses divided by the
-    Lipschitz constants: a coarea mass bound, not an independent filling
-    bound.
-    """
-    if not epsilon > 0:
-        raise ArgumentError("interval length must be positive")
-
-    def leaf(current):
-        if current.is_zero():
-            return 0.0
-        return interval_filling_volume(current, epsilon, layers).value / epsilon
-
-    return _level_box(ball_context(T, p, r), leaf, grid, functions, witnesses, max_axes=T.dim, cycle=False)
-
-
-def interval_filling_volume(T: SimplicialCurrent, epsilon: float, layers: int = 1) -> FillingReport:
+def interval_filling_volume(T: SimplicialCurrent, epsilon: float) -> FillingReport:
     """Filling volume of the boundary of T x interval, within the prism complex.
 
     The prism complex over the k-chain T has no (k+2)-simplices, and its
     (k+1)-homology is that of supp T x [0, eps], which vanishes because supp T
     is k-dimensional.  So it carries no nonzero (k+1)-cycle, the boundary map
     on (k+1)-chains is injective, and T x interval is the unique filling, real
-    or integral.  The value is therefore its mass eps * M(T), up to metric
-    rounding, with the prism's coefficients as certificate; the report notes
-    when the mass bound M(T) >= value / eps fails numerically.
+    or integral.  Its mass is eps * M(T), whatever the triangulation of the
+    prism, so that is the value, and no product complex is built.
     """
-    prod, _ = product_current(T, epsilon, layers)
-    value = mass(prod)
-    report = FillingReport.exact(value, "prism", {"S": dict(zip(prod.idx.tolist(), prod.coeff.tolist()))})
-    bound = mass(T) + 1e-9 * max(mass(T), 1.0)
-    if value / epsilon > bound:
-        report.warnings.append(
-            f"interval filling {value} exceeds eps * mass bound {epsilon * mass(T)}"
-        )
-    return report
+    if not epsilon > 0:
+        raise ArgumentError("interval length must be positive")
+    return FillingReport.exact(epsilon * mass(T), "prism", {})

@@ -5,8 +5,8 @@ minimal filling mass of the boundary of each iterated slice; 0-dimensional
 fillings are solved by exact transport and the product over the slicing
 functions' Lipschitz constants turns the integral into a lower bound for
 the ball's mass.  One level-box routine does this quadrature for every leaf:
-the sliced filling, the interval variant in `product`, and the band integral
-of h behind the tetrahedral check.  The filling and h leaves read only the
+the sliced filling, its interval variant, and the band integral of h
+behind the tetrahedral check.  The filling and h leaves read only the
 cycle d<T, f, t> of the final slice, which the slicing identity
 d<T, f, t> = -<dT, f, t> gives directly: the last axis slices -dT.
 """
@@ -22,6 +22,7 @@ from .complexes import GeometricComplex, PLFunction, distance_function
 from .currents import SimplicialCurrent, boundary, mass
 from .fillvol import filling_volume, filling_volume_0d
 from .metricspace import ArgumentError, FiniteMetricSpace, Report
+from .product import interval_filling_volume
 from .slicing import (
     Refinement,
     _slices,
@@ -205,17 +206,21 @@ def _level_axes(ranges, grid):
     return [np.linspace(lo, hi, grid) for lo, hi in ranges]
 
 
-def _check_axis_count(count, max_axes, dim):
-    if count > max_axes:
-        raise ArgumentError(f"at most {max_axes} slicing functions on a {dim}-current")
+def _check_axis_count(count, dim, cycle):
+    """A final slice of a `dim`-current by `count` functions has dimension
+    dim - count; a cycle leaf reads its boundary, so it needs dimension >= 1."""
+    most = dim - 1 if cycle else dim
+    if count > most:
+        raise ArgumentError(f"at most {most} slicing functions on a {dim}-current")
 
 
-def _level_box(ctx: BallContext, leaf, grid, functions=None, witnesses=None, box=None, *, max_axes, cycle):
+def _level_box(ctx: BallContext, leaf, grid, functions=None, witnesses=None, box=None, *, cycle):
     """The level-box quadrature behind every sliced quantity.
 
     The slicing functions are `functions` (PL functions on the ball's
     original complex) or the distance functions of the vertex ids in
-    `witnesses`, at most `max_axes` of them.  Each axis has `grid` levels
+    `witnesses`, at most dim - 1 of them for a `cycle` leaf and dim for a
+    slice leaf (`_check_axis_count`).  Each axis has `grid` levels
     spanning the function's range over the closed ball, or the fixed
     interval `box`; `leaf` is evaluated on every iterated slice, or with
     `cycle` on its boundary (see `_tensor_eval`), and integrated by the
@@ -230,7 +235,7 @@ def _level_box(ctx: BallContext, leaf, grid, functions=None, witnesses=None, box
         fns = [distance_function(ctx.complex, w) for w in wit]
     else:
         fns = [ctx.refinement.transfer_function(f) for f in (functions or [])]
-    _check_axis_count(len(fns), max_axes, ctx.current.dim)
+    _check_axis_count(len(fns), ctx.current.dim, cycle)
     grids = _level_axes([box or ctx.support_range(f) for f in fns], grid)
     values, skipped = _tensor_eval(ctx.current, fns, grids, leaf, cycle=cycle)
     integral = _tensor_trapezoid(values, grids)
@@ -275,7 +280,39 @@ def sliced_fill(
     of Lipschitz constants is a lower bound for the ball's mass.
     """
     ctx = context or ball_context(T, p, r)
-    return _level_box(ctx, fill_value_of_boundary, grid, functions, witnesses, max_axes=T.dim - 1, cycle=True)
+    return _level_box(ctx, fill_value_of_boundary, grid, functions, witnesses, cycle=True)
+
+
+def sliced_interval_fill(
+    T: SimplicialCurrent,
+    p: int,
+    r: float,
+    witnesses=None,
+    functions=None,
+    epsilon: float = 0.1,
+    grid: int = 8,
+):
+    """Interval-filling variant of the sliced filling of a ball.
+
+    Per level tuple the slice is crossed with an interval of length eps and
+    the boundary of the product is filled; the level box integrates that
+    filling volume over eps, so the product over Lipschitz constants again
+    bounds the ball's mass from below.  Up to dim(T) slicing functions are
+    allowed since the product raises the dimension by one.
+
+    The filling of each leaf is the prism itself (see
+    `product.interval_filling_volume`), so every leaf value is
+    eps * M(slice) / eps, the slice's mass, and the result is the coarea
+    integral of slice masses divided by the Lipschitz constants: a coarea
+    mass bound, not an independent filling bound.
+    """
+    if not epsilon > 0:
+        raise ArgumentError("interval length must be positive")
+
+    def leaf(current):
+        return interval_filling_volume(current, epsilon).value / epsilon
+
+    return _level_box(ball_context(T, p, r), leaf, grid, functions, witnesses, cycle=False)
 
 
 def _tensor_trapezoid(values, grids):
@@ -328,7 +365,7 @@ def _witness_search(ctx: BallContext, k, candidates, leaf, grid, box=None) -> Sl
     has no witness: its report is zero over the fixed box, or over no axes
     when the box would follow the witnesses.  A k beyond the level box's
     axes, or fewer than one candidate, is an input error either way."""
-    _check_axis_count(k, ctx.current.dim - 1, ctx.current.dim)
+    _check_axis_count(k, ctx.current.dim, cycle=True)
     if candidates < 1:
         raise ArgumentError(f"need at least one candidate witness tuple, got {candidates}")
     sphere = ctx.sphere_vertices()
@@ -343,7 +380,7 @@ def _witness_search(ctx: BallContext, k, candidates, leaf, grid, box=None) -> Sl
         return report
     best = None
     for wit in _witness_tuples(sphere, k, candidates):
-        report = _level_box(ctx, leaf, grid, witnesses=wit, box=box, max_axes=ctx.current.dim - 1, cycle=True)
+        report = _level_box(ctx, leaf, grid, witnesses=wit, box=box, cycle=True)
         if best is None or report.integral > best.integral:
             best = report
     return best

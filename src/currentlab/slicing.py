@@ -96,7 +96,6 @@ class Refinement:
 @dataclass
 class SliceResult:
     current: SimplicialCurrent
-    levels: tuple[float, ...]
     refinement: Refinement
     warnings: list = field(default_factory=list)
 
@@ -577,7 +576,6 @@ def _slices(T: SimplicialCurrent, f: PLFunction, levels, star) -> list:
                 warnings.append(f"non-generic level: function is flat at the level on mass {flat_mass}")
         out[i] = SliceResult(
             current=current,
-            levels=(ref.level,),
             refinement=ref,
             warnings=warnings,
         )

@@ -1,5 +1,6 @@
 import json
 import math
+import pathlib
 import re
 import subprocess
 import sys
@@ -464,6 +465,28 @@ class TestErrors:
         else:
             assert "2**62" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["mass", "boundary"])
+    def test_boundary_over_the_limit_names_the_boundary(self, tmp_path, capsys, command):
+        """One edge with coefficient c is a chain for c < 2**62, but its
+        boundary sums to 2c: at c = 2**62 - 1 the error names the boundary,
+        not a chain the input does not hold; at 2**61 - 1 both are chains."""
+        def edge(c):
+            path = tmp_path / f"edge_{c}.json"
+            data = {"complex": {"vertices": [[0, 0], [1, 0]], "simplices": {"1": [[0, 1]]}},
+                    "current": {"dim": 1, "coeffs": [[0, c]]}}
+            path.write_text(json.dumps(data))
+            return str(path)
+
+        assert main([command, "--input", edge(2**62 - 1)]) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert not out
+        assert err == "input error: the boundary of the input 1-chain exceeds the limit: its coefficients sum to 2**62 or more\n"
+        assert main([command, "--input", edge(2**61 - 1)]) == EXIT_OK
+        capsys.readouterr()
+        code, rep, err = _main_json(["ifv", "--input", edge(2**62 - 1), "--epsilon", "0.5"], capsys)
+        assert code == EXIT_OK, err
+        assert rep["result"]["value"] == 0.5 * (2**62 - 1)
+
     def test_repeated_vertex_exits_2(self, tmp_path, capsys):
         data = {
             "complex": {"vertices": [[0.0, 0.0], [1.0, 0.0]], "simplices": {"1": [[0, 0]]}},
@@ -733,3 +756,81 @@ class TestCommandTable:
         assert main(argv) == EXIT_INPUT
         out, err = capsys.readouterr()
         assert not out and f"input error: {command} needs --{option}\n" in err
+
+    @pytest.mark.parametrize("command", ["ifv", "sif"])
+    def test_layers_is_no_option_of_the_interval_filling(self, command, capsys):
+        """IFV is eps * M(T) whatever the prism's triangulation, so only
+        `product`, which prints the triangulated prism, reads --layers."""
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--input", "c.json", "--layers", "2"])
+        assert exc.value.code == EXIT_INPUT
+        assert "unrecognized arguments: --layers 2" in capsys.readouterr().err
+
+
+def test_interval_fillings_build_no_product_complex(tmp_path, monkeypatch, capsys):
+    """`ifv`, `sif` and their lab sweeps report with the prism builder
+    broken; `product`, which needs it, then fails."""
+    import currentlab.product as product
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("product complex built")
+
+    monkeypatch.setattr(product, "build_product_complex", refuse)
+    C, T = disk_mesh(h=0.25)
+    path = tmp_path / "disk.json"
+    path.write_text(json.dumps(chain_to_json(T)))
+    runs = [
+        ["ifv", "--input", str(path)],
+        ["sif", "--input", str(path), "--radius", "0.6", "--witnesses", "3", "--grid", "4"],
+        ["lab", "--quantity", "ifv", "--schedule", "0.4,0.3"],
+        ["lab", "--quantity", "sif", "--schedule", "0.4,0.3"],
+    ]
+    for argv in runs:
+        code, rep, err = _main_json(argv, capsys)
+        assert code == EXIT_OK, (argv, err)
+        assert rep["result"]
+    assert main(["product", "--input", str(path)]) == EXIT_INTERNAL
+    assert "product complex built" in capsys.readouterr().err
+
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+# a README default that `_OPTIONS` does not hold: its handler sets it
+_HANDLER_DEFAULTS = {("lab", "radius"): "0.5"}
+
+
+def _readme_command_table():
+    """{subcommand: {option: (required, shown default or None)}} read from
+    the table under "## Command line" whose header is "subcommand"."""
+    text = README.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    lines = text.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("| subcommand |"))
+    rows = {}
+    for line in lines[start + 2 :]:
+        if not line.startswith("|"):
+            break
+        commands, options = line.strip().strip("|").split("|")
+        listed = {
+            m[2]: (bool(m[1]), m[3])
+            for m in re.finditer(r"(\*\*)?`--([\w-]+)`(?:\*\*)?(?: \(([^)]*)\))?", options)
+        }
+        rows.update({command: listed for command in re.findall(r"`([\w-]+)`", commands)})
+    return rows
+
+
+class TestReadmeCommandTable:
+    """The README's command table lists each subcommand's options as
+    `cli._COMMANDS` does, the required ones bold, with `_OPTIONS`' defaults."""
+
+    def test_every_subcommand_has_one_row(self):
+        assert set(_readme_command_table()) == set(_COMMANDS)
+
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    def test_row_matches_the_command_table(self, command):
+        listed = _readme_command_table()[command]
+        _, options, required = _COMMANDS[command]
+        assert set(listed) == set(options.split())
+        assert {option for option, (bold, _) in listed.items() if bold} == set(required.split())
+        for option, (bold, shown) in listed.items():
+            default = _OPTIONS[option].get("default")
+            want = None if bold else _HANDLER_DEFAULTS.get((command, option), "none" if default == "" else str(default))
+            assert shown == want, option

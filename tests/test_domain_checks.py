@@ -7,8 +7,8 @@ import pytest
 from currentlab.complexes import distance_function
 from currentlab.meshes import grid_mesh
 from currentlab.metricspace import ArgumentError, FiniteMetricSpace, packing_number
-from currentlab.product import build_product_complex, interval_filling_volume, sliced_interval_fill
-from currentlab.slicedfill import ball_context, tetra_check
+from currentlab.product import build_product_complex, interval_filling_volume
+from currentlab.slicedfill import ball_context, sliced_interval_fill, tetra_check
 from currentlab.slicing import annulus_mass, ball, restrict_sublevel, slice_current, sphere
 
 NAN = math.nan

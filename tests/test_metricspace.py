@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -132,8 +133,29 @@ class TestPacking:
     @settings(max_examples=40, deadline=None)
     @given(point_sets, st.floats(min_value=0.05, max_value=3.0))
     def test_antitone_in_radius(self, pts, r):
+        """The packing number is antitone in r: a 3r-separated set is
+        2r-separated.  The greedy count is not (see the next test), so the
+        exact count is checked."""
         X = points_space(pts)
-        assert packing_number(X, r).count >= packing_number(X, r * 1.5).count
+        assert exhaustive_max_packing(X.dist, r) >= exhaustive_max_packing(X.dist, r * 1.5)
+
+    def test_greedy_is_not_antitone_in_radius(self):
+        """At r greedy keeps points 0 and 1, and 1 blocks both others; at
+        1.5 r point 1 is blocked by 0 and no longer blocks 2 and 3."""
+        X = points_space([(2.0, -3.0), (0.0, -1.0), (-2.0, -2.5), (0.0, 1.0)])
+        assert packing_number(X, 1.3125).count == 2
+        assert packing_number(X, 1.3125 * 1.5).count == 3
+
+    @settings(max_examples=40, deadline=None)
+    @given(point_sets, st.floats(min_value=0.05, max_value=3.0))
+    def test_greedy_is_a_maximal_packing(self, pts, r):
+        """The greedy centers are pairwise at least 2r apart, and every
+        point lies within 2r of one of them."""
+        X = points_space(pts)
+        centers = list(packing_number(X, r).centers)
+        for a, b in itertools.combinations(centers, 2):
+            assert X.dist[a, b] >= 2 * r
+        assert (X.dist[:, centers].min(axis=1) < 2 * r).all()
 
     @settings(max_examples=25, deadline=None)
     @given(point_sets, st.floats(min_value=0.05, max_value=2.0))

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -15,9 +16,8 @@ from currentlab.product import (
     interval_boundary_lift,
     interval_filling_volume,
     product_current,
-    sliced_interval_fill,
 )
-from currentlab.slicedfill import sliced_fill
+from currentlab.slicedfill import sliced_fill, sliced_interval_fill
 
 from oracles import simplex_index
 
@@ -77,8 +77,13 @@ class TestProductCurrent:
         mat = np.linalg.norm(coords[:, None] - coords[None, :], axis=-1)
         D = GeometricComplex.from_top_simplices(MatrixMetric(mat), C.simplex_array(2))
         S = SimplicialCurrent.from_arrays(D, 2, T.idx, T.coeff)
-        _, pc = product_current(S, 0.3)
+        _, pc = product_current(S, 0.3, layers=2)
         assert isinstance(pc.complex.metric, MatrixMetric)
+        # vertex i at height a is vertex a * n + i, at the block formula's distance
+        n, heights = len(mat), np.linspace(0.0, 0.3, 3)
+        for a, b, i, j in itertools.product(range(3), range(3), range(n), range(n)):
+            want = np.sqrt(mat[i, j] ** 2 + (heights[a] - heights[b]) ** 2)
+            assert pc.complex.metric.mat[a * n + i, b * n + j] == want
         holds, details = check_product_boundary(S, 0.3)
         assert holds
         assert details["product_mass"] == pytest.approx(0.3 * mass(S), abs=2e-16)
@@ -134,6 +139,14 @@ class TestIntervalFilling:
         with pytest.raises(InvariantError):
             interval_filling_volume(T, 0.1)
 
+    def test_value_is_eps_times_mass(self):
+        rng = np.random.default_rng(7)
+        for _ in range(10):
+            T = random_chain(rng)
+            eps = float(rng.uniform(0.05, 1.5))
+            rep = interval_filling_volume(T, eps)
+            assert rep.value == eps * mass(T) and rep.certificate == {}
+
     def test_unit_edge_rectangle(self):
         C, T = interval_chain(1)
         rep = interval_filling_volume(T, 0.1)
@@ -184,10 +197,9 @@ class TestPrismFilling:
                 prod, pc = product_current(T, eps, layers)
                 D = boundary_matrix(pc.complex, T.dim + 1).toarray()
                 assert np.linalg.matrix_rank(D) == D.shape[1]
-                rep = interval_filling_volume(T, eps, layers)
+                rep = interval_filling_volume(T, eps)
                 ref = filling_volume(boundary(prod), pc.complex)
                 assert rep.value == pytest.approx(ref.value, rel=1e-12)
-                assert rep.certificate["S"] == prod.coeffs
                 assert rep.lower_bound == rep.value == rep.upper_bound
                 assert rep.integral and rep.method == "prism" and rep.residual == 0.0
 

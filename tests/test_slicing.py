@@ -307,7 +307,7 @@ def _assert_star_slice_is_full_slice(T, f, s):
     points' function values and metric."""
     star, full = slice_current(level_star(T, f.values, s, crossing=True), f, s), slice_current(T, f, s)
     a, b = star.current, full.current
-    assert star.levels == full.levels and a.dim == b.dim
+    assert star.refinement.level == full.refinement.level and a.dim == b.dim
     assert np.array_equal(a.complex.simplex_array(a.dim)[a.idx], b.complex.simplex_array(b.dim)[b.idx])
     assert np.array_equal(a.coeff, b.coeff)
     assert np.array_equal(a.complex.masses(a.dim)[a.idx], b.complex.masses(b.dim)[b.idx])
@@ -373,7 +373,7 @@ def _assert_same_complex(A, B):
 def _assert_same_slice(got, want):
     """Two SliceResults agree field for field: the slice, its complex and
     cut function, and every field of the refinement, its source included."""
-    assert got.levels == want.levels and got.warnings == want.warnings
+    assert got.refinement.level == want.refinement.level and got.warnings == want.warnings
     a, b = got.current, want.current
     assert a.dim == b.dim and np.array_equal(a.idx, b.idx) and np.array_equal(a.coeff, b.coeff)
     _assert_same_complex(got.complex, want.complex)
@@ -559,7 +559,7 @@ def test_slice_of_minus_the_boundary_is_the_boundary_of_the_slice(C, values):
     slices, cycles = slice_levels(T, f, levels), slice_levels(-boundary(T), f, levels)
     for s, sl, cy in zip(levels, slices, cycles):
         want, got = boundary(sl.current), cy.current
-        assert got.dim == want.dim == k - 2 and cy.levels == sl.levels
+        assert got.dim == want.dim == k - 2 and cy.refinement.level == sl.refinement.level
         assert np.array_equal(got.coeff, want.coeff)
         for a, b in zip(_cut_point_rows(got, cy.refinement), _cut_point_rows(want, sl.refinement)):
             assert np.array_equal(a, b)
@@ -847,7 +847,7 @@ class TestSlice:
             res = slice_current(T, f, s)
             values = res.refinement.values
             for v in res.current.support_vertices():
-                assert values[v] == res.levels[0]
+                assert values[v] == res.refinement.level
 
     def test_matrix_backed_complex_slices_like_euclidean(self):
         from currentlab.complexes import MatrixMetric
@@ -872,7 +872,7 @@ class TestSlice:
         min(x, 0.5) = 0.5."""
         C, T = grid_mesh(4, 4)
         res = slice_current(T, PLFunction(C, np.minimum(C.coords()[:, 0], 0.5)), 0.5)
-        assert res.levels == (0.49999995,)
+        assert res.refinement.level == 0.49999995
         assert res.warnings == [
             "level 0.5 snapped to 0.49999995 (vertex-value collision)",
             "non-generic level: function is flat at the level on mass 0.5",
