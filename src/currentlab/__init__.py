@@ -65,7 +65,6 @@ from .slicedfill import (
     tetra_check,
 )
 from .product import (
-    ProductComplex,
     check_product_boundary,
     interval_filling_volume,
     product_current,

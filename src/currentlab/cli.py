@@ -90,10 +90,12 @@ def _load_chain_file(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ArgumentError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ArgumentError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
+    if not isinstance(data, dict):
+        raise ArgumentError(f"{path}: expected a JSON object")
     return data
 
 
@@ -114,10 +116,9 @@ def _metric_space_from(path):
         except ArgumentError:
             return load_points_csv(path)
     data = _load_chain_file(path)
-    if "distances" in data:
-        return FiniteMetricSpace(np.asarray(data["distances"], dtype=float))
-    if "points" in data:
-        return FiniteMetricSpace.from_points(np.asarray(data["points"], dtype=float))
+    for key, space in (("distances", FiniteMetricSpace), ("points", FiniteMetricSpace.from_points)):
+        if key in data:
+            return space(_float_array(data[key], f"{path}: '{key}'"))
     raise ArgumentError(f"{path}: expected a distance/point CSV or JSON")
 
 
@@ -248,9 +249,7 @@ def _cmd_fillvol0(args):
 
 def _cmd_sf(args):
     T, _ = _chain_and_data(args.input)
-    if not args.witnesses:  # the first vertex of the discrete sphere
-        return sf_k(T, args.center, args.radius, 1, candidates=1, grid=args.grid).to_json()
-    return sliced_fill(T, args.center, args.radius, witnesses=args.witnesses, grid=args.grid).to_json()
+    return sliced_fill(T, args.center, args.radius, witnesses=args.witnesses or None, grid=args.grid).to_json()
 
 
 def _cmd_sfk(args):
@@ -268,7 +267,7 @@ def _cmd_tetra(args):
 
 def _cmd_product(args):
     T, _ = _chain_and_data(args.input)
-    prod, _ = product_current(T, args.epsilon, args.layers)
+    prod = product_current(T, args.epsilon, args.layers)
     out = _summary(prod)
     out["expected_mass"] = args.epsilon * mass(T)
     return out
@@ -412,7 +411,8 @@ def main(argv=None) -> int:
             if option in vars(args):
                 setattr(args, option, _numbers(getattr(args, option), kind, option))
         return dispatch(args)
-    except (ArgumentError, MetricError, ComplexError, FileNotFoundError) as exc:
+    # an OSError or UnicodeDecodeError is a user path that cannot be read
+    except (ArgumentError, MetricError, ComplexError, OSError, UnicodeDecodeError) as exc:
         logger.error("input error: %s", exc)
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT

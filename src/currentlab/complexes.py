@@ -38,11 +38,9 @@ class EuclideanMetric:
     def n(self):
         return len(self.coords)
 
-    def dist(self, i, j):
-        """Distance from vertex i to vertex j, or to each vertex of an id array j."""
-        diff = self.coords[i] - self.coords[j]
-        if np.ndim(j) == 0:
-            return float(np.linalg.norm(diff))
+    def dist(self, i, ids):
+        """Distances from vertex i to each vertex of an id array."""
+        diff = self.coords[i] - self.coords[ids]
         # row-wise x @ x: the BLAS dot np.linalg.norm takes on one vector
         return np.sqrt(diff[:, None, :] @ diff[:, :, None])[:, 0, 0]
 
@@ -83,11 +81,10 @@ class CallableMetric:
     def n(self):
         return len(self.points)
 
-    def dist(self, i, j):
-        """Distance from vertex i to vertex j, or to each vertex of an id array j."""
-        others = self.points[np.atleast_1d(j)]
-        d = self.fn(np.repeat(self.points[i][None, :], len(others), axis=0), others)
-        return float(d[0]) if np.ndim(j) == 0 else d
+    def dist(self, i, ids):
+        """Distances from vertex i to each vertex of an id array."""
+        others = self.points[ids]
+        return self.fn(np.repeat(self.points[i][None, :], len(others), axis=0), others)
 
     def pairwise_sq(self, ids):
         """Squared distances (..., m, m) among each row of an (..., m) id array.
@@ -150,10 +147,9 @@ class MatrixMetric:
     def n(self):
         return len(self.mat)
 
-    def dist(self, i, j):
-        """Distance from vertex i to vertex j, or to each vertex of an id array j."""
-        d = self.mat[i, j]
-        return float(d) if np.ndim(j) == 0 else d.copy()
+    def dist(self, i, ids):
+        """Distances from vertex i to each vertex of an id array."""
+        return self.mat[i, ids]
 
     def pairwise_sq(self, ids):
         """Squared distances (..., m, m) among each row of an (..., m) id array."""
@@ -230,25 +226,22 @@ def _squared_volumes(d2):
 
 
 def simplex_volume_from_sq(d2):
-    """Unsigned k-volume from squared pairwise distances (Cayley-Menger).
-
-    Takes one (m, m) matrix, returning a float, or an (n, m, m) stack,
-    returning an array.  0-simplices have volume 1.  A significantly
+    """Unsigned k-volumes of an (n, m, m) stack of squared pairwise
+    distances (Cayley-Menger).  0-simplices have volume 1.  A significantly
     negative determinant means the distances are not flat-realizable and
     raises ComplexError for the first such entry.
     """
     d2 = np.asarray(d2, dtype=float)
-    stack = d2[None] if d2.ndim == 2 else d2
-    vols, bad = cayley_menger(stack)
+    vols, bad = cayley_menger(d2)
     if bad.any():
-        first = stack[int(np.argmax(bad))]
+        first = d2[int(np.argmax(bad))]
         k = first.shape[0] - 1
         if k == 2:
             a, b, c = (math.sqrt(first[i, j]) for i, j in ((0, 1), (0, 2), (1, 2)))
             raise ComplexError(f"triangle inequality violated in simplex: {a},{b},{c}")
         v2 = float(_squared_volumes(first[None])[0])
         raise ComplexError(f"non-embeddable {k}-simplex (CM determinant {v2})")
-    return float(vols[0]) if d2.ndim == 2 else vols
+    return vols
 
 
 def simplex_volumes(metric, simplices):

@@ -33,7 +33,7 @@ from .metricspace import ArgumentError, FiniteMetricSpace
 from .meshes import add_spikes, disk_mesh, full_torus_mesh, nearest_vertex, sphere_mesh
 from .product import interval_filling_volume, staircase
 from .slicing import subdivide_at_level
-from .slicedfill import ball_context, sf_k, sliced_fill, sliced_interval_fill
+from .slicedfill import ball_context, sliced_fill, sliced_interval_fill
 
 SEMICONTINUITY_TOL = 1e-9  # absolute slack of the mass and diameter checks
 TRIVIAL_REL = 1e-9  # a pair bound is informative below (1 - TRIVIAL_REL) * (M(A) + M(B))
@@ -320,10 +320,8 @@ def _member_value(C, T, quantity, params, center):
         return filling_volume(boundary(ctx.current), ctx.complex).value
     if quantity == "sf":
         wp = params.get("witness_point")
-        grid = int(params["grid"])
-        if wp is None:  # the first vertex of the discrete sphere
-            return sf_k(T, p, r, 1, candidates=1, grid=grid).integral
-        return sliced_fill(T, p, r, witnesses=[nearest_vertex(C, wp)], grid=grid).integral
+        witnesses = None if wp is None else [nearest_vertex(C, wp)]  # None: sliced_fill's default witness
+        return sliced_fill(T, p, r, witnesses=witnesses, grid=int(params["grid"])).integral
     # sif: without witnesses the level box has no axes, so no grid is read
     return sliced_interval_fill(T, p, r, witnesses=None, epsilon=float(params["epsilon"])).integral
 

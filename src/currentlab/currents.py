@@ -119,9 +119,6 @@ class SimplicialCurrent:
 
     # -- chain algebra -------------------------------------------------------
 
-    def copy(self):
-        return self.from_arrays(self.complex, self.dim, self.idx, self.coeff)
-
     def __add__(self, other):
         self._check_compatible(other)
         idx, coeff = np.concatenate([self.idx, other.idx]), np.concatenate([self.coeff, other.coeff])

@@ -99,15 +99,12 @@ class FiniteMetricSpace:
     tolerance; the first offending entry or triple is reported.
     """
 
-    def __init__(self, dist, labels=None, validate=True):
+    def __init__(self, dist, validate=True):
         dist = np.asarray(dist, dtype=float)
         if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
             raise MetricError(f"distance matrix must be square, got shape {dist.shape}")
         self.dist = dist
         self.n = dist.shape[0]
-        self.labels = list(labels) if labels is not None else None
-        if self.labels is not None and len(self.labels) != self.n:
-            raise MetricError("label count does not match matrix size")
         if validate:
             self.validate()
 
@@ -144,6 +141,8 @@ class FiniteMetricSpace:
         pts = np.asarray(points, dtype=float)
         if pts.ndim == 1:
             pts = pts[:, None]
+        if pts.ndim != 2:
+            raise MetricError(f"points must be the rows of an array, got shape {pts.shape}")
         # huge or non-finite coordinates overflow to inf or nan here, which
         # _check_finite reports
         with np.errstate(over="ignore", invalid="ignore"):
@@ -313,12 +312,11 @@ def load_distance_csv(path) -> FiniteMetricSpace:
     if not rows:
         raise ArgumentError(f"empty distance file: {path}")
     cells = [r.split(",") for r in rows]
-    labels = None
+    header = None
     try:
         float(cells[0][0])
     except ValueError:
-        labels = [c.strip() for c in cells[0]]
-        cells = cells[1:]
+        header = cells.pop(0)
     n = len(cells)
     mat = np.zeros((n, n))
     for i, row in enumerate(cells):
@@ -329,11 +327,11 @@ def load_distance_csv(path) -> FiniteMetricSpace:
                 mat[i, j] = float(cell)
             except ValueError as exc:
                 raise ArgumentError(f"bad float at row {i}, column {j}: {cell!r}") from exc
-    if labels is not None and len(labels) != n:
+    if header is not None and len(header) != n:
         raise ArgumentError("label row length does not match matrix size")
     if n and max(np.abs(np.diag(mat)).max(), np.abs(mat - mat.T).max()) > METRIC_TOL:
         raise ArgumentError("not a distance matrix: nonzero diagonal or asymmetric")
-    return FiniteMetricSpace(mat, labels=labels)
+    return FiniteMetricSpace(mat)
 
 
 def load_points_csv(path) -> FiniteMetricSpace:

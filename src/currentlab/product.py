@@ -7,23 +7,12 @@ boundary satisfies the product rule as an integer chain identity.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .complexes import CallableMetric, EuclideanMetric, GeometricComplex, MatrixMetric, lookup_rows
 from .currents import SimplicialCurrent, boundary, mass
 from .fillvol import FillingReport
 from .metricspace import ArgumentError
-
-
-@dataclass
-class ProductComplex:
-    """base x [0, eps] in `layers` slabs: vertex v of the base at height
-    index l is vertex v + l * n of `complex`, n the base's vertex count."""
-
-    complex: GeometricComplex
-    layers: int
 
 
 def _lifted(points, heights):
@@ -69,8 +58,10 @@ def staircase(bottom, top):
     return np.where(j <= i, bottom[..., column], top[..., column])
 
 
-def build_product_complex(base: GeometricComplex, epsilon: float, layers: int = 1) -> ProductComplex:
-    """Triangulated base x [0, eps] with `layers` equal slabs."""
+def build_product_complex(base: GeometricComplex, epsilon: float, layers: int = 1) -> GeometricComplex:
+    """Triangulated base x [0, eps] with `layers` equal slabs: vertex v of
+    the base at height index l is vertex v + l * n, n the base's vertex
+    count."""
     if not epsilon > 0:
         raise ArgumentError("interval length must be positive")
     if layers < 1:
@@ -79,67 +70,65 @@ def build_product_complex(base: GeometricComplex, epsilon: float, layers: int = 
     heights = np.linspace(0.0, epsilon, layers + 1)
     metric = _product_metric(base.metric, heights)
     rows = base.simplex_array(base.top_dim) + n * np.arange(layers)[:, None, None]
-    C = GeometricComplex.from_top_simplices(metric, staircase(rows, rows + n).reshape(-1, base.top_dim + 2))
-    return ProductComplex(complex=C, layers=layers)
+    return GeometricComplex.from_top_simplices(metric, staircase(rows, rows + n).reshape(-1, base.top_dim + 2))
 
 
-def product_current(T: SimplicialCurrent, epsilon: float, layers: int = 1):
-    """The current T x interval on a fresh prism complex over supp T.
-
-    Returns (product current, ProductComplex).  The prism over an oriented
-    k-simplex is the alternating staircase sum; per slab each staircase
-    simplex carries the parent coefficient times (-1)^i.
+def product_current(T: SimplicialCurrent, epsilon: float, layers: int = 1) -> SimplicialCurrent:
+    """The current T x interval on a fresh prism complex over supp T (see
+    `build_product_complex`).  The prism over an oriented k-simplex is the
+    alternating staircase sum; per slab each staircase simplex carries the
+    parent coefficient times (-1)^i.
     """
     base = T.complex
     if not T.is_zero():
         base = GeometricComplex.from_top_simplices(base.metric, base.simplex_array(T.dim)[T.idx])
-    pc = build_product_complex(base, epsilon, layers)
-    return _staircase_chain(T, pc), pc
+    return _staircase_chain(T, build_product_complex(base, epsilon, layers), layers)
 
 
-def _indices_in(pc: ProductComplex, rows) -> np.ndarray:
+def _indices_in(complex: GeometricComplex, rows) -> np.ndarray:
     """The indices in the product complex of the simplex rows, each of
     which it must hold."""
-    j = lookup_rows(pc.complex.simplex_array(rows.shape[1] - 1), rows)
+    j = lookup_rows(complex.simplex_array(rows.shape[1] - 1), rows)
     if (j < 0).any():
         raise ArgumentError(f"simplex {tuple(rows[np.argmax(j < 0)].tolist())} missing from product complex")
     return j
 
 
-def interval_boundary_lift(T: SimplicialCurrent, pc: ProductComplex) -> SimplicialCurrent:
+def interval_boundary_lift(T: SimplicialCurrent, complex: GeometricComplex, layers: int) -> SimplicialCurrent:
     """The chain T x (interval boundary): the top lift minus the bottom one,
     with the dimension-parity sign that makes the product rule a chain
-    identity (classical cell-product convention).  A lift offsets every
-    vertex id by the same amount, so it keeps each row sorted."""
+    identity (classical cell-product convention), in the product complex
+    of T's complex with `layers` slabs.  A lift offsets every vertex id by
+    the same amount, so it keeps each row sorted."""
     parity = 1 if T.dim % 2 == 0 else -1
     rows = T.complex.simplex_array(T.dim)[T.idx]
-    top = _indices_in(pc, rows + pc.layers * T.complex.n_vertices)
-    bottom = _indices_in(pc, rows)
+    top = _indices_in(complex, rows + layers * T.complex.n_vertices)
+    bottom = _indices_in(complex, rows)
     coeff = np.concatenate([T.coeff, -T.coeff]) * parity
-    return SimplicialCurrent.from_arrays(pc.complex, T.dim, np.concatenate([top, bottom]), coeff)
+    return SimplicialCurrent.from_arrays(complex, T.dim, np.concatenate([top, bottom]), coeff)
 
 
-def _staircase_chain(S: SimplicialCurrent, pc: ProductComplex) -> SimplicialCurrent:
-    """The product S x interval inside an existing product complex (S's
-    prisms must be simplices of the complex)."""
+def _staircase_chain(S: SimplicialCurrent, complex: GeometricComplex, layers: int) -> SimplicialCurrent:
+    """The product S x interval inside an existing product complex with
+    `layers` slabs (S's prisms must be simplices of the complex)."""
     n, k = S.complex.n_vertices, S.dim
     # (simplex, layer) lifts, each prism's staircase simplices in order
-    rows = S.complex.simplex_array(k)[S.idx][:, None, :] + n * np.arange(pc.layers)[:, None]
-    j = _indices_in(pc, staircase(rows, rows + n).reshape(-1, k + 2))
+    rows = S.complex.simplex_array(k)[S.idx][:, None, :] + n * np.arange(layers)[:, None]
+    j = _indices_in(complex, staircase(rows, rows + n).reshape(-1, k + 2))
     parity = 1 if k % 2 == 0 else -1
     sign = parity * np.where(np.arange(k + 1) % 2, -1, 1)
-    coeff = np.broadcast_to(S.coeff[:, None, None] * sign, (len(S.idx), pc.layers, k + 1))
-    return SimplicialCurrent.from_arrays(pc.complex, k + 1, j, coeff.ravel())
+    coeff = np.broadcast_to(S.coeff[:, None, None] * sign, (len(S.idx), layers, k + 1))
+    return SimplicialCurrent.from_arrays(complex, k + 1, j, coeff.ravel())
 
 
 def check_product_boundary(T: SimplicialCurrent, epsilon: float, layers: int = 1):
     """Verify the product rule exactly; returns (holds, details)."""
-    prod, pc = product_current(T, epsilon, layers)
+    prod = product_current(T, epsilon, layers)
     lhs = boundary(prod)
     bt = boundary(T)
-    rhs = interval_boundary_lift(T, pc)
+    rhs = interval_boundary_lift(T, prod.complex, layers)
     if not bt.is_zero():
-        rhs = rhs + _staircase_chain(bt, pc)
+        rhs = rhs + _staircase_chain(bt, prod.complex, layers)
     return (lhs - rhs).is_zero(), {
         "product_mass": mass(prod),
         "expected_mass": epsilon * mass(T),

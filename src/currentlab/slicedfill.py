@@ -72,10 +72,7 @@ class BallContext:
 
     def support_range(self, f: PLFunction):
         verts = self.current.support_vertices()
-        if not verts:
-            return 0.0, 0.0
-        vals = f.values[verts]
-        return float(vals.min()), float(vals.max())
+        return f.range(verts) if verts else (0.0, 0.0)
 
 
 def ball_context(T: SimplicialCurrent, p: int, r: float) -> BallContext:
@@ -275,11 +272,17 @@ def sliced_fill(
     """Quadrature of level -> FillVol(boundary of slice) over the level box.
 
     `functions` are PL functions on T's complex, or `witnesses` are vertex
-    ids whose distance functions are used.  The level box spans the range of
-    each function over the closed ball.  The integral divided by the product
-    of Lipschitz constants is a lower bound for the ball's mass.
+    ids of the ball's refined complex (T's vertices, then the ball's cut
+    points in cut order: the discrete sphere) whose distance functions are
+    used.  With neither, the witness is the sphere's first vertex (a
+    one-candidate search); `witnesses=[]` is the box with no axes.  Each
+    axis spans its function's range over the closed ball.  The integral
+    divided by the product of Lipschitz constants is a lower bound for the
+    ball's mass.
     """
     ctx = context or ball_context(T, p, r)
+    if functions is None and witnesses is None:
+        return _witness_search(ctx, 1, 1, fill_value_of_boundary, grid)
     return _level_box(ctx, fill_value_of_boundary, grid, functions, witnesses, cycle=True)
 
 
@@ -398,7 +401,8 @@ def sf_k(
 
     Searches deterministically within an evaluation budget; the returned
     value is a certified lower bound for the supremum.  Returns the report
-    of the best tuple found.
+    of the best tuple found; its witness ids are cut points of the ball,
+    numbered from T's vertex count on (see `sliced_fill`).
     """
     if k < 0:
         raise ArgumentError("need k >= 0 witnesses")
@@ -413,7 +417,6 @@ def tetra_check(
     beta: float,
     samples: int = 5,
     candidates: int = 6,
-    context: BallContext | None = None,
 ) -> TetraReport:
     """Pointwise and integral tetrahedral checks over the level band.
 
@@ -423,11 +426,10 @@ def tetra_check(
     """
     if not C > 0 or not (0 < beta < 1):
         raise ArgumentError("need C > 0 and beta in (0, 1)")
-    ctx = context or ball_context(T, p, r)
     m = T.dim
     merge_tol = POINT_MERGE_REL * r
     best = _witness_search(
-        ctx, m - 1, candidates, lambda B: h_min_distance(B, merge_tol), samples,
+        ball_context(T, p, r), m - 1, candidates, lambda B: h_min_distance(B, merge_tol), samples,
         box=((1 - beta) * r, (1 + beta) * r),
     )
     required = C * (2 * beta) ** (m - 1) * r**m

@@ -104,12 +104,12 @@ class SliceResult:
         return self.current.complex
 
 
-def snap_level(values, s, snap_rel=SNAP_REL):
+def snap_level(values, s):
     """Move s off vertex values; returns (level, snapped?, warning or None).
 
     Vertex values within 2*tol of each other are treated as one cluster and
     the level is pushed just past the cluster, towards the interior of the
-    value range when the cluster contains an extreme value; tol is snap_rel
+    value range when the cluster contains an extreme value; tol is SNAP_REL
     times the value range (times 1 when the range is 0).  A level inside a
     cluster's window lies within tol of one of its values, so when no value
     is within 2*tol of s the level is returned as it is, without sorting
@@ -121,7 +121,7 @@ def snap_level(values, s, snap_rel=SNAP_REL):
     if not len(values):
         return float(s), False, None
     rng = float(values.max() - values.min())
-    tol = snap_rel * (rng if rng > 0 else 1.0)
+    tol = SNAP_REL * (rng if rng > 0 else 1.0)
     if not (np.abs(values - s) < 2 * tol).any():
         return float(s), False, None
     uniq = np.unique(values)
@@ -310,18 +310,16 @@ class _Cut:
     rows of every level stacked per dimension in level order: `level` holds
     the level index of each row and `starts` where each level's rows start,
     `tables` the transfer tables from the stacked source rows to the stacked
-    refined rows and `faces` the face index of each dimension the pass
-    looked up, into the stacked rows below."""
+    refined rows."""
 
     refinements: list
     rows: dict
     level: dict
     starts: dict
     tables: dict
-    faces: dict
 
 
-def _refine(sources, rows, level, values, snaps, face_dims=()) -> _Cut:
+def _refine(sources, rows, level, values, snaps) -> _Cut:
     """Split the complex of every level along its level set, all levels in
     one pass.
 
@@ -394,8 +392,6 @@ def _refine(sources, rows, level, values, snaps, face_dims=()) -> _Cut:
             np.concatenate([np.ones(len(untouched), dtype=np.int64), signs[d]])[by_parent],
         )
 
-    faces = {d: facet_lookup(stacked[d - 1], stacked[d], m, stacked_level[d - 1], stacked_level[d]) for d in face_dims}
-
     refinements = []
     for l, source in enumerate(sources):
         a, b = edge_starts[l], edge_starts[l + 1]
@@ -426,7 +422,7 @@ def _refine(sources, rows, level, values, snaps, face_dims=()) -> _Cut:
                 warnings=[warning] if warning else [],
             )
         )
-    return _Cut(refinements, stacked, stacked_level, starts, tables, faces)
+    return _Cut(refinements, stacked, stacked_level, starts, tables)
 
 
 def subdivide_at_level(C: GeometricComplex, values, s) -> Refinement:
@@ -529,7 +525,7 @@ def _slices(T: SimplicialCurrent, f: PLFunction, levels, star) -> list:
         t_row = (T.idx + C.count(k) * np.arange(m)[:, None]).ravel()
         t_coeff = np.tile(T.coeff, m)
         sources = [C] * m
-    cut = _refine(sources, rows, levels_of, values, [out[i] for i in live], face_dims=(k,))
+    cut = _refine(sources, rows, levels_of, values, [out[i] for i in live])
 
     # T on each level's refinement, the children of all levels in one gather
     child, coeff = cut.tables[k].transfer(t_row, t_coeff)
@@ -542,7 +538,7 @@ def _slices(T: SimplicialCurrent, f: PLFunction, levels, star) -> list:
     refined = np.where(old, values[np.where(old, ids, 0)], at[level][:, None])
     below = refined < at[level][:, None]
     face_below = below.sum(axis=1)[:, None] - below > 0  # the facet opposite vertex j
-    face = cut.faces[k][child]
+    face = facet_lookup(cut.rows[k - 1], cut.rows[k], m, cut.level[k - 1], cut.level[k])[child]
     signed = coeff[:, None] * np.where(np.arange(k + 1) % 2, -1, 1)
     # a facet is below only when its coface is: a coface below adds its
     # signed coefficient to its facets off the sublevel set, and nothing

@@ -244,7 +244,7 @@ def split_pieces_oracle(simplex, below_mask, cut):
 # `slicing.subdivide_at_level` must reproduce its Refinement exactly.
 
 
-def subdivide_oracle(C: GeometricComplex, values, s, snap_rel=SNAP_REL) -> Refinement:
+def subdivide_oracle(C: GeometricComplex, values, s) -> Refinement:
     """Split every simplex crossing {f = s} so {f <= s} becomes a subcomplex.
 
     Per-simplex volume is preserved by construction (children partition their
@@ -252,7 +252,7 @@ def subdivide_oracle(C: GeometricComplex, values, s, snap_rel=SNAP_REL) -> Refin
     canonical global-id rules.
     """
     values = np.asarray(values, dtype=float)
-    level, snapped, warning = snap_level(values, s, snap_rel)
+    level, snapped, warning = snap_level(values, s)
     warnings = [warning] if warning else []
 
     n_old = C.n_vertices
@@ -333,8 +333,8 @@ def subdivide_oracle(C: GeometricComplex, values, s, snap_rel=SNAP_REL) -> Refin
         for i, s_tuple in enumerate(new_lists[k]):
             j = old_index.get(s_tuple)
             vols[i] = old_masses[k][j] if j is not None else simplex_volume_from_sq(
-                metric.pairwise_sq(s_tuple)
-            )
+                metric.pairwise_sq([s_tuple])
+            )[0]
         new_complex._masses[k] = vols
 
     # signed children tables, oriented at the midpoint cut, with a
@@ -647,7 +647,7 @@ def matrix_add_points_oracle(mat, specs):
 # `slicing.snap_level` looks up the one cluster around s and must agree.
 
 
-def snap_level_oracle(values, s, snap_rel=SNAP_REL):
+def snap_level_oracle(values, s):
     """Move s off vertex values; returns (level, snapped?, warning or None).
 
     Vertex values within 2*tol of each other are treated as one cluster and
@@ -658,7 +658,7 @@ def snap_level_oracle(values, s, snap_rel=SNAP_REL):
     if len(uniq) == 0:
         return float(s), False, None
     rng = float(uniq[-1] - uniq[0]) if len(uniq) > 1 else 1.0
-    tol = snap_rel * (rng if rng > 0 else 1.0)
+    tol = SNAP_REL * (rng if rng > 0 else 1.0)
     if len(uniq) == 1:
         clusters = [(float(uniq[0]), float(uniq[0]))]
     else:

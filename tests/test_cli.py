@@ -528,6 +528,60 @@ class TestErrors:
             assert main(["mass", "--input", str(square_chain_path)]) == EXIT_INTERNAL
         assert [r for r in caplog.records if r.exc_info and r.levelno == logging.DEBUG]
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("distances", [[0, 1], [1]]), ("points", [[0, 1], [1]]), ("distances", "abc"), ("points", [[0, "a"], [1, 2]])],
+        ids=["ragged-distances", "ragged-points", "string-distances", "string-point"],
+    )
+    @pytest.mark.parametrize("command", ["pack", "gh", "fillvol0"])
+    def test_malformed_metric_space_payload_exits_2(self, tmp_path, capsys, command, key, value):
+        # each exited 3 (ValueError from the float conversion)
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps({key: value, "theta": [1, 1], "sigma": [1, -1]}))
+        argv = {"pack": ["--radius", "1"], "gh": ["--input2", str(path)], "fillvol0": []}[command]
+        code, _, err = _main_json([command, "--input", str(path)] + argv, capsys)
+        assert code == EXIT_INPUT
+        assert err.startswith(f"input error: {path}: '{key}' must be an array of numbers") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [("5", "expected a JSON object"), ('{"points": 5}', "points must be the rows of an array, got shape ()")],
+        ids=["number", "scalar-points"],
+    )
+    def test_metric_space_json_of_the_wrong_shape_exits_2(self, tmp_path, capsys, payload, message):
+        # a number exited 3 (TypeError from `in`), scalar points 3 (IndexError)
+        path = tmp_path / "space.json"
+        path.write_text(payload)
+        code, _, err = _main_json(["pack", "--input", str(path), "--radius", "1"], capsys)
+        assert code == EXIT_INPUT and message in err and err.count("\n") == 1
+
+    def test_unreadable_paths_exit_2(self, tmp_path, square_chain_path, capsys):
+        # each exited 3 (IsADirectoryError); PermissionError is not shown,
+        # since it cannot be raised for a process run as root
+        directory = tmp_path / "D.csv"
+        directory.mkdir()
+        runs = [
+            (["pack", "--input", str(directory), "--radius", "1"], directory),
+            (["gh", "--input", str(directory), "--input2", str(directory)], directory),
+            (["mass", "--input", str(square_chain_path), "--output", str(tmp_path)], tmp_path),
+        ]
+        for argv, named in runs:
+            code, _, err = _main_json(argv, capsys)
+            assert code == EXIT_INPUT, argv
+            assert err.startswith("input error: ") and err.count("\n") == 1
+            assert f"Is a directory: '{named}'" in err
+
+    @pytest.mark.parametrize("name, command", [("bad.csv", "pack"), ("bad.json", "pack"), ("bad.json", "mass")])
+    def test_file_that_is_not_utf8_exits_2(self, tmp_path, capsys, name, command):
+        # each exited 3 (UnicodeDecodeError)
+        path = tmp_path / name
+        path.write_bytes(b"\xff\xfe\x00bad")
+        argv = [command, "--input", str(path)] + (["--radius", "1"] if command == "pack" else [])
+        code, _, err = _main_json(argv, capsys)
+        assert code == EXIT_INPUT and "can't decode" in err and err.count("\n") == 1
+        if name.endswith(".json"):
+            assert f"cannot read {path}" in err
+
 
 class TestDeterminism:
     def test_byte_identical_reports(self, square_chain_path, tmp_path):
@@ -604,6 +658,23 @@ class TestLevelBoxCommands:
         assert code == code2 == EXIT_OK
         assert default == explicit
         assert default["result"]["witnesses"] == [first]
+
+    def test_witness_ids_index_the_ball_complex(self, disk_path, capsys):
+        """The disk's 61 vertices keep their ids; the ball's 30 cut points,
+        its discrete sphere, are 61..90.  The default witness passed back
+        gives the same report, byte for byte."""
+        args = ["sf", "--input", disk_path, "--radius", "0.5"]
+        assert main(args) == EXIT_OK
+        default = capsys.readouterr().out
+        assert json.loads(default)["result"]["witnesses"] == [61]
+        assert main(args + ["--witnesses", "61"]) == EXIT_OK
+        assert capsys.readouterr().out == default
+        for witness in (70, 90):
+            code, rep, err = _main_json(args + ["--witnesses", str(witness)], capsys)
+            assert code == EXIT_OK, err
+            assert rep["result"]["witnesses"] == [witness]
+        code, _, err = _main_json(args + ["--witnesses", "99999"], capsys)
+        assert code == EXIT_INPUT and "the complex has 91 vertices" in err
 
     def test_sf_on_an_empty_sphere_reports_zero(self, disk_path, capsys):
         # radius 5 swallows the unit disk: the ball has no cut vertices

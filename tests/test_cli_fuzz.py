@@ -5,7 +5,8 @@ value range, disconnected complexes, 3-D chains and families) must end in
 exit 0 with exactly one report, or in exit 1 or 2 with a one-line message:
 never in a traceback or in exit 3, which marks a defect of the program.
 A malformed chain payload must end in exit 0 with a strict JSON report (no
-NaN or Infinity) or in exit 2.
+NaN or Infinity) or in exit 2, and so must a malformed metric space or a
+path that cannot be read by `pack`, `gh` and `fillvol0`.
 """
 import contextlib
 import io
@@ -221,3 +222,72 @@ def test_malformed_chain_payloads_fuzz(tmp_path, command, chain):
         json.loads(out, parse_constant=_no_constant)
     else:
         assert not out and "Traceback" not in err, (field, data, err)
+
+
+# metric-space inputs of `pack`, `gh` and `fillvol0`: JSON payloads (with the
+# weights fillvol0 reads; the others ignore them), CSV texts, bytes that are
+# not UTF-8, and paths that are directories or missing
+TRANSPORT = {"theta": [1, 1], "sigma": [1, -1]}
+SPACES = {
+    "points.json": {"points": [[0, 0], [1, 0]]},
+    "distances.json": {"distances": [[0, 1], [1, 0]]},
+    "ragged_distances.json": {"distances": [[0, 1], [1]]},
+    "ragged_points.json": {"points": [[0, 1], [1]]},
+    "string_distances.json": {"distances": "abc"},
+    "string_point.json": {"points": [[0, "a"], [1, 2]]},
+    "object_distances.json": {"distances": {}},
+    "null_distances.json": {"distances": None},
+    "flat_distances.json": {"distances": [0, 1]},
+    "asymmetric.json": {"distances": [[0, 1], [2, 0]]},
+    "scalar_points.json": {"points": 5},
+    "nested_points.json": {"points": [[[0]]]},
+    "empty_points.json": {"points": []},
+    "nan_point.json": {"points": [[0, math.nan], [1, 0]]},
+    "neither_key.json": {"vertices": [[0, 0]]},
+    "number.json": "5",
+    "list.json": "[1, 2]",
+    "truncated.json": '{"points": [[0, 0]',
+    "distances.csv": "0,1\n1,0\n",
+    "labelled.csv": "a,b\n0,1\n1,0\n",
+    "wrong_labels.csv": "a,b,c\n0,1\n1,0\n",
+    "ragged.csv": "0,1\n1\n",
+    "words.csv": "a,b\nx,y\n",
+    "empty.csv": "",
+    "not_utf8.csv": b"\xff\xfe\x00bad",
+    "not_utf8.json": b"\xff\xfe\x00bad",
+}
+
+
+@pytest.fixture(scope="module")
+def space_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("spaces")
+    paths = {}
+    for name, payload in SPACES.items():
+        path = root / name
+        if isinstance(payload, bytes):
+            path.write_bytes(payload)
+        else:
+            path.write_text(payload if isinstance(payload, str) else json.dumps({**payload, **TRANSPORT}))
+        paths[name] = str(path)
+    for name in ("directory.csv", "directory.json"):
+        (root / name).mkdir()
+        paths[name] = str(root / name)
+    paths["missing.csv"] = str(root / "absent.csv")
+    return paths
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    command=st.sampled_from(["pack", "gh", "fillvol0"]),
+    name=st.sampled_from(sorted(SPACES) + ["directory.csv", "directory.json", "missing.csv"]),
+    name2=st.sampled_from(["points.json", "distances.csv", "ragged_points.json", "directory.csv"]),
+    radius=st.sampled_from(["1", "0.5", "0", "-1", "nan"]),
+    exact_limit=st.sampled_from(["7", "0", "-1"]),
+)
+@example(command="pack", name="ragged_distances.json", name2="points.json", radius="1", exact_limit="7")
+@example(command="fillvol0", name="ragged_points.json", name2="points.json", radius="1", exact_limit="7")
+@example(command="pack", name="directory.csv", name2="points.json", radius="1", exact_limit="7")
+def test_metric_space_commands_fuzz(space_paths, command, name, name2, radius, exact_limit):
+    values = {"input": space_paths[name], "input2": space_paths[name2], "radius": radius, "exact-limit": exact_limit}
+    argv = _argv(command, values)
+    _check(argv, *_run(argv))

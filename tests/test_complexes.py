@@ -37,26 +37,26 @@ def euclid_sq(coords):
 
 class TestVolumes:
     def test_vertex_mass_is_one(self):
-        assert simplex_volume_from_sq(euclid_sq([[0.0, 0.0]])) == 1.0
+        assert simplex_volume_from_sq(euclid_sq([[0.0, 0.0]])[None]).tolist() == [1.0]
 
     def test_edge_length(self):
-        assert simplex_volume_from_sq(euclid_sq([[0, 0], [3, 4]])) == pytest.approx(5.0)
+        assert simplex_volume_from_sq(euclid_sq([[0, 0], [3, 4]])[None]) == pytest.approx([5.0])
 
     def test_right_triangle(self):
         d2 = euclid_sq([[0, 0], [1, 0], [0, 1]])
-        assert simplex_volume_from_sq(d2) == pytest.approx(0.5)
+        assert simplex_volume_from_sq(d2[None]) == pytest.approx([0.5])
 
     def test_regular_tetrahedron(self):
         d2 = np.ones((4, 4)) - np.eye(4)
-        vol = simplex_volume_from_sq(d2)
-        assert vol == pytest.approx(1.0 / (6 * math.sqrt(2)), rel=1e-12)
+        vol = simplex_volume_from_sq(d2[None])
+        assert vol == pytest.approx([1.0 / (6 * math.sqrt(2))], rel=1e-12)
 
     def test_random_simplices_match_coordinate_formula(self):
         rng = np.random.default_rng(3)
         for k in (1, 2, 3, 4):
             for _ in range(20):
                 coords = rng.normal(size=(k + 1, k + 1))
-                cm = simplex_volume_from_sq(euclid_sq(coords))
+                (cm,) = simplex_volume_from_sq(euclid_sq(coords)[None])
                 direct = simplex_volume_from_coords(coords)
                 assert cm == pytest.approx(direct, rel=1e-8, abs=1e-12)
 
@@ -72,7 +72,7 @@ class TestVolumes:
         # triangle inequality badly violated
         d2 = np.array([[0, 1, 25], [1, 0, 1], [25, 1, 0]], dtype=float)
         with pytest.raises(ComplexError):
-            simplex_volume_from_sq(d2)
+            simplex_volume_from_sq(d2[None])
 
 
 class TestComplexStructure:
@@ -107,8 +107,7 @@ class TestComplexStructure:
         mm = MatrixMetric(np.sqrt(em.pairwise_sq(range(3))))
         grown = mm.grown(mm.interpolate((0, 1), (0.5, 0.5)))
         mid = np.array([0.5, 0.0])
-        for i in range(3):
-            assert grown.dist(3, i) == pytest.approx(np.linalg.norm(mid - pts[i]), abs=1e-12)
+        assert grown.dist(3, np.arange(3)) == pytest.approx(np.linalg.norm(mid - pts, axis=1), abs=1e-12)
 
 
 # ids: small ones of both signs, ones near 2**40 (3 columns then overflow
@@ -321,7 +320,7 @@ class TestBatchedKernels:
     def test_dist_to_many_equals_single_calls(self, backend):
         metric = _backends(np.random.default_rng(22))[backend]
         ids = np.arange(metric.n)
-        assert np.array_equal(metric.dist(3, ids), [metric.dist(3, int(j)) for j in ids])
+        assert np.array_equal(metric.dist(3, ids), [metric.dist(3, ids[j : j + 1])[0] for j in ids])
 
     def test_volume_stack_equals_single_calls(self):
         rng = np.random.default_rng(23)
@@ -331,19 +330,19 @@ class TestBatchedKernels:
             stack = metric.pairwise_sq(ids)
             vols = simplex_volume_from_sq(stack)
             assert isinstance(vols, np.ndarray) and vols.shape == (50,)
-            single = [simplex_volume_from_sq(d2) for d2 in stack]
-            assert all(isinstance(v, float) for v in single)
-            assert np.array_equal(vols, single)
+            single = [simplex_volume_from_sq(d2[None]) for d2 in stack]
+            assert all(v.shape == (1,) for v in single)
+            assert np.array_equal(vols, np.concatenate(single))
 
     def test_one_bad_tetrahedron_fails_the_stack(self):
         good = np.ones((4, 4)) - np.eye(4)
         bad = good.copy()
         bad[0, 1] = bad[1, 0] = 16.0  # an edge of length 4 beside edges of length 1
         with pytest.raises(ComplexError):
-            simplex_volume_from_sq(bad)
+            simplex_volume_from_sq(bad[None])
         with pytest.raises(ComplexError, match="non-embeddable 3-simplex"):
             simplex_volume_from_sq(np.stack([good, good, bad, good]))
-        assert np.array_equal(simplex_volume_from_sq(np.stack([good, good])), [simplex_volume_from_sq(good)] * 2)
+        assert np.array_equal(simplex_volume_from_sq(np.stack([good, good])), [simplex_volume_from_sq(good[None])[0]] * 2)
 
     def test_masses_and_lip_on_a_callable_mesh(self):
         # batched masses and Lipschitz constants equal one-simplex evaluations
@@ -351,7 +350,7 @@ class TestBatchedKernels:
         metric = _backends(rng)[1]
         C = GeometricComplex.from_top_simplices(metric, [(0, 1, 2, 3), (1, 2, 3, 4), (4, 5, 6)])
         for k in C.dims:
-            want = [simplex_volume_from_sq(metric.pairwise_sq(s)) for s in C.simplices[k]]
+            want = [simplex_volume_from_sq(metric.pairwise_sq([s]))[0] for s in C.simplices[k]]
             assert np.array_equal(C.masses(k), want)
         f = PLFunction(C, rng.normal(size=C.n_vertices))
         worst = 0.0
@@ -469,5 +468,5 @@ class TestStackedInterpolation:
         empty = metric.interpolate(np.zeros((0, 2), dtype=np.intp), np.zeros((0, 2)))
         grown = metric.grown(empty)
         assert grown is not metric and grown.n == metric.n
-        for a, b in ((0, 1), (2, 5)):
-            assert grown.dist(a, b) == metric.dist(a, b)
+        for a in (0, 2):
+            assert np.array_equal(grown.dist(a, np.arange(6)), metric.dist(a, np.arange(6)))

@@ -267,9 +267,14 @@ class TestCsv:
     def test_distance_round_trip(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("a,b\n0,1\n1,0\n")
-        X = load_distance_csv(path)
-        assert X.labels == ["a", "b"]
-        assert X.dist[0, 1] == 1.0
+        X = load_distance_csv(path)  # the label row is a header, not a row of the matrix
+        assert X.n == 2 and X.dist.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+
+    def test_label_row_of_the_wrong_length_rejected(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,b,c\n0,1\n1,0\n")
+        with pytest.raises(ArgumentError, match="label row length"):
+            load_distance_csv(path)
 
     def test_ragged_rejected(self, tmp_path):
         path = tmp_path / "d.csv"

@@ -48,13 +48,13 @@ def random_chain(rng):
 class TestProductCurrent:
     def test_edge_times_interval(self):
         C, T = interval_chain(1)
-        prod, pc = product_current(T, 0.5)
+        prod = product_current(T, 0.5)
         assert mass(prod) == pytest.approx(0.5, rel=1e-12)
         assert prod.dim == 2
 
     def test_zero_current(self):
         C, T = interval_chain(2)
-        prod, pc = product_current(SimplicialCurrent.zero(C, 1), 0.5)
+        prod = product_current(SimplicialCurrent.zero(C, 1), 0.5)
         assert prod.is_zero()
 
     def test_mass_identity_and_boundary_rule_randomized(self):
@@ -77,13 +77,13 @@ class TestProductCurrent:
         mat = np.linalg.norm(coords[:, None] - coords[None, :], axis=-1)
         D = GeometricComplex.from_top_simplices(MatrixMetric(mat), C.simplex_array(2))
         S = SimplicialCurrent.from_arrays(D, 2, T.idx, T.coeff)
-        _, pc = product_current(S, 0.3, layers=2)
-        assert isinstance(pc.complex.metric, MatrixMetric)
+        P = product_current(S, 0.3, layers=2)
+        assert isinstance(P.complex.metric, MatrixMetric)
         # vertex i at height a is vertex a * n + i, at the block formula's distance
         n, heights = len(mat), np.linspace(0.0, 0.3, 3)
         for a, b, i, j in itertools.product(range(3), range(3), range(n), range(n)):
             want = np.sqrt(mat[i, j] ** 2 + (heights[a] - heights[b]) ** 2)
-            assert pc.complex.metric.mat[a * n + i, b * n + j] == want
+            assert P.complex.metric.mat[a * n + i, b * n + j] == want
         holds, details = check_product_boundary(S, 0.3)
         assert holds
         assert details["product_mass"] == pytest.approx(0.3 * mass(S), abs=2e-16)
@@ -92,8 +92,7 @@ class TestProductCurrent:
         """A chart-wrapped base (the thin-torus patch) keeps its periods on
         the base axes, and the product rule holds."""
         C, T = torus_patch_mesh(0.2, 0.3, 3)
-        _, pc = product_current(T, 0.1)
-        metric = pc.complex.metric
+        metric = product_current(T, 0.1).complex.metric
         assert isinstance(metric, CallableMetric)
         assert np.array_equal(metric.wrap, np.concatenate([C.metric.wrap, [0.0]]))
         holds, _ = check_product_boundary(T, 0.1)
@@ -103,7 +102,7 @@ class TestProductCurrent:
         rng = np.random.default_rng(33)
         for _ in range(10):
             T = random_chain(rng)
-            prod, _ = product_current(T, 0.3)
+            prod = product_current(T, 0.3)
             assert boundary(boundary(prod)).is_zero()
 
     def test_boundary_mass_inequality(self):
@@ -111,16 +110,16 @@ class TestProductCurrent:
         for _ in range(20):
             T = random_chain(rng)
             eps = 0.4
-            prod, _ = product_current(T, eps)
+            prod = product_current(T, eps)
             lhs = mass(boundary(prod))
             rhs = eps * mass(boundary(T)) + 2 * mass(T)
             assert lhs <= rhs + 1e-9
 
     def test_cylinder_boundary_mass(self):
         C, loop = triangle_loop()
-        prod, pc = product_current(loop, 0.4)
+        prod = product_current(loop, 0.4)
         assert mass(boundary(prod)) == pytest.approx(2 * 3.0, rel=1e-12)
-        lift = interval_boundary_lift(loop, pc)
+        lift = interval_boundary_lift(loop, prod.complex, 1)
         assert mass(lift) == pytest.approx(2 * mass(loop), rel=1e-12)
 
     def test_invalid_epsilon(self):
@@ -176,10 +175,10 @@ class TestIntervalFilling:
         T2 = SimplicialCurrent(C, 1, {int(edges[2]): 1, int(edges[3]): -1})
         eps = 0.3
         base = flat_distance(T1, T2, C).value
-        pc = build_product_complex(C, eps)
-        P1 = _staircase_chain(T1, pc)
-        P2 = _staircase_chain(T2, pc)
-        prod_flat = flat_distance(P1, P2, pc.complex).value
+        K = build_product_complex(C, eps)
+        P1 = _staircase_chain(T1, K, 1)
+        P2 = _staircase_chain(T2, K, 1)
+        prod_flat = flat_distance(P1, P2, K).value
         assert prod_flat <= (2 + eps) * base + 1e-8
 
 
@@ -194,11 +193,11 @@ class TestPrismFilling:
         eps = 0.3
         for T in bases:
             for layers in (1, 2):
-                prod, pc = product_current(T, eps, layers)
-                D = boundary_matrix(pc.complex, T.dim + 1).toarray()
+                prod = product_current(T, eps, layers)
+                D = boundary_matrix(prod.complex, T.dim + 1).toarray()
                 assert np.linalg.matrix_rank(D) == D.shape[1]
                 rep = interval_filling_volume(T, eps)
-                ref = filling_volume(boundary(prod), pc.complex)
+                ref = filling_volume(boundary(prod), prod.complex)
                 assert rep.value == pytest.approx(ref.value, rel=1e-12)
                 assert rep.lower_bound == rep.value == rep.upper_bound
                 assert rep.integral and rep.method == "prism" and rep.residual == 0.0

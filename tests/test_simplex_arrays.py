@@ -137,8 +137,8 @@ class TestNoTupleLists:
 
     def test_product_current(self):
         C, T = disk_mesh(h=0.3)
-        P, pc = product_current(T, 0.2, layers=2)
-        _assert_no_tuple_lists(C, pc.complex, P.complex)
+        P = product_current(T, 0.2, layers=2)
+        _assert_no_tuple_lists(C, P.complex)
 
     def test_glue_join(self):
         (CA, CB), (K, *_) = _glue_join()

@@ -471,11 +471,24 @@ class TestSfK:
         assert rep.integral == 0.0
         assert any("empty" in w for w in rep.warnings)
 
+    def test_sliced_fill_default_witness_is_the_one_candidate_search(self):
+        """Without witnesses or functions, sliced_fill takes the first vertex
+        of the discrete sphere; witnesses=[] is the box with no axes."""
+        C, T = disk_mesh(h=0.25)
+        ctx = ball_context(T, 0, 0.5)
+        default = sliced_fill(T, 0, 0.5, grid=9)
+        assert default.witnesses == (ctx.sphere_vertices()[0],) == (C.n_vertices,)
+        assert default.to_json() == sf_k(T, 0, 0.5, 1, candidates=1, grid=9).to_json()
+        assert default.to_json() == sliced_fill(T, 0, 0.5, witnesses=list(default.witnesses), grid=9).to_json()
+        box = sliced_fill(T, 0, 0.5, witnesses=[], grid=9)
+        assert box.witnesses == () and box.grid_axes == []
+        assert box.to_json() == sf_k(T, 0, 0.5, 0, grid=9).to_json()
+
 
 class TestTetra:
     def test_euclidean_integral_property(self, box_ball):
-        C, T, p, ctx = box_ball
-        rep = tetra_check(T, p, 0.5, C=0.9 * C_E3_BAND_INTEGRAL, beta=0.5, samples=5, candidates=4, context=ctx)
+        C, T, p, _ = box_ball
+        rep = tetra_check(T, p, 0.5, C=0.9 * C_E3_BAND_INTEGRAL, beta=0.5, samples=5, candidates=4)
         assert rep.integral_passed
         assert rep.integral == pytest.approx(C_E3_BAND_INTEGRAL * 0.5**3, rel=0.08)
         # the beta = 1/2 band contains empty configurations even in flat
@@ -485,10 +498,8 @@ class TestTetra:
         assert rep.ball_mass >= rep.required_integral
 
     def test_euclidean_pointwise_property_beta03(self, box_ball):
-        C, T, p, ctx = box_ball
-        rep = tetra_check(
-            T, p, 0.5, C=0.85 * C_E3_POINTWISE_BETA03, beta=0.3, samples=5, candidates=4, context=ctx
-        )
+        C, T, p, _ = box_ball
+        rep = tetra_check(T, p, 0.5, C=0.85 * C_E3_POINTWISE_BETA03, beta=0.3, samples=5, candidates=4)
         assert rep.passed
         assert rep.integral_passed
         assert rep.h_values.min() >= 0.85 * C_E3_POINTWISE_BETA03 * 0.5

@@ -59,8 +59,7 @@ def _prisms():
         C, _ = interval_chain(n, length=1.7)
         T = SimplicialCurrent(C, 1, {i: int(rng.integers(1, 3)) * int(rng.choice([-1, 1])) for i in range(n)})
         for layers in (1, 2):
-            prod, pc = product_current(T, 0.3, layers)
-            out.append(prod)
+            out.append(product_current(T, 0.3, layers))
     return out
 
 
