@@ -300,18 +300,28 @@ def gh_bounds(X: FiniteMetricSpace, Y: FiniteMetricSpace, exact_limit: int = GH_
     return diam_lower, upper
 
 
+def _csv_rows(path, what) -> list[str]:
+    """The stripped non-blank lines of a CSV file; a file that cannot be
+    read as UTF-8 text, or holds no row, raises ArgumentError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            rows = [line.strip() for line in fh if line.strip()]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ArgumentError(f"cannot read {path}: {exc}") from exc
+    if not rows:
+        raise ArgumentError(f"empty {what} file: {path}")
+    return rows
+
+
 def load_distance_csv(path) -> FiniteMetricSpace:
     """Distance matrix CSV: n rows of n floats, optional leading label row.
 
     Cells that do not form a square, symmetric, zero-diagonal matrix raise
     ArgumentError (the file is not a distance matrix); such a matrix that
     breaks nonnegativity or the triangle inequality raises MetricError.
+    Every error names the path.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = [line.strip() for line in fh if line.strip()]
-    if not rows:
-        raise ArgumentError(f"empty distance file: {path}")
-    cells = [r.split(",") for r in rows]
+    cells = [r.split(",") for r in _csv_rows(path, "distance")]
     header = None
     try:
         float(cells[0][0])
@@ -321,35 +331,38 @@ def load_distance_csv(path) -> FiniteMetricSpace:
     mat = np.zeros((n, n))
     for i, row in enumerate(cells):
         if len(row) != n:
-            raise ArgumentError(f"ragged row {i}: expected {n} entries, got {len(row)}")
+            raise ArgumentError(f"{path}: ragged row {i}: expected {n} entries, got {len(row)}")
         for j, cell in enumerate(row):
             try:
                 mat[i, j] = float(cell)
             except ValueError as exc:
-                raise ArgumentError(f"bad float at row {i}, column {j}: {cell!r}") from exc
+                raise ArgumentError(f"{path}: bad float at row {i}, column {j}: {cell!r}") from exc
     if header is not None and len(header) != n:
-        raise ArgumentError("label row length does not match matrix size")
+        raise ArgumentError(f"{path}: label row length does not match matrix size")
     if n and max(np.abs(np.diag(mat)).max(), np.abs(mat - mat.T).max()) > METRIC_TOL:
-        raise ArgumentError("not a distance matrix: nonzero diagonal or asymmetric")
-    return FiniteMetricSpace(mat)
+        raise ArgumentError(f"{path}: not a distance matrix: nonzero diagonal or asymmetric")
+    try:
+        return FiniteMetricSpace(mat)
+    except MetricError as exc:
+        raise MetricError(f"{path}: {exc}") from None
 
 
 def load_points_csv(path) -> FiniteMetricSpace:
-    """Point cloud CSV: one point per row, consistent dimension; Euclidean metric."""
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = [line.strip() for line in fh if line.strip()]
-    if not rows:
-        raise ArgumentError(f"empty point file: {path}")
+    """Point cloud CSV: one point per row, consistent dimension; Euclidean
+    metric.  Every error names the path."""
     pts = []
     width = None
-    for i, row in enumerate(rows):
+    for i, row in enumerate(_csv_rows(path, "point")):
         parts = row.split(",")
         if width is None:
             width = len(parts)
         elif len(parts) != width:
-            raise ArgumentError(f"ragged row {i}: expected {width} coords, got {len(parts)}")
+            raise ArgumentError(f"{path}: ragged row {i}: expected {width} coords, got {len(parts)}")
         try:
             pts.append([float(p) for p in parts])
         except ValueError as exc:
-            raise ArgumentError(f"bad float in row {i}: {row!r}") from exc
-    return FiniteMetricSpace.from_points(np.array(pts))
+            raise ArgumentError(f"{path}: bad float in row {i}: {row!r}") from exc
+    try:
+        return FiniteMetricSpace.from_points(np.array(pts))
+    except MetricError as exc:
+        raise MetricError(f"{path}: {exc}") from None

@@ -8,24 +8,33 @@ the ball's mass.  One level-box routine does this quadrature for every leaf:
 the sliced filling, its interval variant, and the band integral of h
 behind the tetrahedral check.  The filling and h leaves read only the
 cycle d<T, f, t> of the final slice, which the slicing identity
-d<T, f, t> = -<dT, f, t> gives directly: the last axis slices -dT.
+d<T, f, t> = -<dT, f, t> gives without cutting volume.  When that cycle is
+0-dimensional (sf on a 2-d ball, tetra and sfk --k 2 on a 3-d one), the
+next-to-last axis slices the boundary of its prefix, not the prefix, and
+the last axis cuts nothing: it reads the cut points of that 1-chain at all
+its levels in one pass, as points with signed weights.  Otherwise the last
+axis slices -dT of its prefix T.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .complexes import GeometricComplex, PLFunction, distance_function
 from .currents import SimplicialCurrent, boundary, mass
 from .fillvol import filling_volume, filling_volume_0d
-from .metricspace import ArgumentError, FiniteMetricSpace, Report
+from .metricspace import ArgumentError, Report
 from .product import interval_filling_volume
 from .slicing import (
+    PointCycle,
     Refinement,
     _slices,
+    boundary_slices,
+    point_slices,
     slice_current,  # noqa: F401  unused here; perfbench's tracer wraps it in every namespace that binds it
     snap_level,
     subdivide_at_level,
@@ -62,13 +71,19 @@ class BallContext:
     def complex(self) -> GeometricComplex:
         return self.current.complex
 
+    @cached_property
+    def boundary(self) -> SimplicialCurrent:
+        """d of the ball, built once: the discrete sphere and the level box
+        of every witness candidate read it."""
+        return boundary(self.current)
+
     def sphere_vertices(self) -> list[int]:
         """Vertices of the discrete bounding sphere: the cut vertices created
         at the ball level (the current's own boundary is excluded)."""
         if self.current.dim < 1:
             return []
         cut_start = self.refinement.n_old_vertices
-        return [v for v in boundary(self.current).support_vertices() if v >= cut_start]
+        return [v for v in self.boundary.support_vertices() if v >= cut_start]
 
     def support_range(self, f: PLFunction):
         verts = self.current.support_vertices()
@@ -124,70 +139,83 @@ class TetraReport(Report):
     warnings: list = field(default_factory=list)
 
 
-def _tensor_eval(start: SimplicialCurrent, functions, grids, leaf, *, cycle):
+def _tensor_eval(start: SimplicialCurrent, functions, grids, leaf, *, cycle, start_boundary=None):
     """Evaluate the leaf over a tensor grid of iterated slice levels.
 
-    With `cycle` the leaf is handed the boundary of each final slice, a
-    cycle the last axis takes directly by the slicing identity
-    d<T, f, t> = -<dT, f, t>: it slices -dT for the prefix T (with no axes
-    the leaf reads dT of the start).  Otherwise it is handed the final
-    slice itself.  Slices share prefixes: the level grid of axis j is
-    sliced once per prefix, all its levels in one pass (`slicing._slices`),
-    so axis-0 slices are computed len(grids[0]) times in total by one cut.
-    Each slice cuts only the star of its level, except a final slice of a
-    prefix of dimension >= 3: `fill_value_of_boundary` fills its cycle
-    inside its complex, so that slice keeps the whole cut of the closure of
-    the prefix's support.  A level that raises ArgumentError is skipped.
+    With `cycle` the leaf is handed the boundary of each final slice, which
+    the slicing identity d<T, f, t> = -<dT, f, t> gives without cutting the
+    slice's volume (`start_boundary`, when given, is dT of the start);
+    otherwise the final slice itself.  With k = dim - 1 axes and `cycle`
+    that boundary is a 0-cycle, handed as a PointCycle: axis k - 2 slices
+    dP for its prefix P (`slicing.boundary_slices`, which skips levels and
+    picks the next axis's snap values as cutting P would), and the last
+    axis reads the cut points of the 1-chain it is given, or of -dT for a
+    single axis, at all its levels in one pass (`slicing.point_slices`).
+    Every other axis cuts its prefix, the last one -dP with `cycle`; with
+    no axes the leaf reads dT.  Slices share prefixes: the levels of axis j
+    are cut once per prefix, all in one pass (`slicing._slices`).  Each
+    slice cuts only the star of its level, except a final slice of a prefix
+    of dimension >= 3: `fill_value_of_boundary` fills its cycle inside its
+    complex, so that slice keeps the whole cut of the closure of the
+    prefix's support.  A level that raises ArgumentError is skipped.
     """
-    shape = tuple(len(g) for g in grids)
-    out = np.zeros(shape if shape else (1,))
+    k = len(grids)
+    out = np.zeros(tuple(len(g) for g in grids) or (1,))
     skipped = [0]
+    points = cycle and start.dim - k == 1
 
     def keeps_whole_cut(depth, dim):
-        return depth == len(grids) - 1 and dim > 2
+        return depth == k - 1 and dim > 2
 
-    def rec(current, fns, depth, prefix):
-        if depth == len(grids):
+    def cycle_of(current):
+        return start_boundary if current is start and start_boundary is not None else boundary(current)
+
+    def rec(current, fns, depth, prefix, snap_values=None):
+        if depth == k:
             out[prefix if prefix else 0] = leaf(current)
             return
-        star = not keeps_whole_cut(depth, current.dim)
-        cut = -boundary(current) if cycle and depth == len(grids) - 1 else current
-        for i, sl in enumerate(_slices(cut, fns[0], grids[depth], star)):
+        if points and depth == k - 1:
+            results = point_slices(current, fns[0], grids[depth], snap_values)
+        elif points and depth == k - 2:
+            results = boundary_slices(current, cycle_of(current), fns[0], fns[1], grids[depth])
+        else:
+            cut = -cycle_of(current) if cycle and depth == k - 1 else current
+            results = _slices(cut, fns[0], grids[depth], not keeps_whole_cut(depth, current.dim))
+        for i, sl in enumerate(results):
             if isinstance(sl, ArgumentError):
                 skipped[0] += 1
-                continue
-            rest = [sl.refinement.transfer_function(g) for g in fns[1:]]
-            nested = support_closure(sl.current) if keeps_whole_cut(depth + 1, sl.current.dim) else sl.current
-            rec(nested, rest, depth + 1, prefix + (i,))
+            elif isinstance(sl, PointCycle):
+                rec(sl, [], depth + 1, prefix + (i,))
+            elif isinstance(sl, tuple):  # a slice of dP, g on it and the values it snaps g on
+                rec(sl[0], [sl[1]], depth + 1, prefix + (i,), sl[2])
+            else:
+                rest = [sl.refinement.transfer_function(g) for g in fns[1:]]
+                nested = support_closure(sl.current) if keeps_whole_cut(depth + 1, sl.current.dim) else sl.current
+                rec(nested, rest, depth + 1, prefix + (i,))
 
-    rec(boundary(start) if cycle and not grids else start, list(functions), 0, ())
+    if cycle and k == 0:
+        out[0] = leaf(PointCycle.from_chain(cycle_of(start)) if points else cycle_of(start))
+    else:
+        rec(-cycle_of(start) if points and k == 1 else start, list(functions), 0, ())
     return out, skipped[0]
 
 
-def _point_space(metric, ids) -> FiniteMetricSpace:
-    """The vertices `ids` of a complex as a finite metric space: one row of
-    the complex's metric per point."""
-    return FiniteMetricSpace([metric.dist(i, ids) for i in ids], validate=False)
-
-
-def fill_value_of_boundary(B: SimplicialCurrent) -> float:
-    """FillVol of the cycle B, the boundary of a slice, routed by
-    dimension: a 0-chain is filled by transport on its support points."""
+def fill_value_of_boundary(B) -> float:
+    """FillVol of the cycle B, the boundary of a slice: a PointCycle is
+    filled by transport on its points, a chain of dimension >= 1 inside
+    its complex."""
+    if isinstance(B, PointCycle):
+        return filling_volume_0d(B.space, np.abs(B.coeff), np.sign(B.coeff)).value if len(B.coeff) else 0.0
     if B.is_zero():
         return 0.0
-    if B.dim == 0:
-        space = _point_space(B.complex.metric, B.complex.simplex_array(0)[B.idx, 0])
-        return filling_volume_0d(space, np.abs(B.coeff), np.sign(B.coeff)).value
     return filling_volume(B, B.complex).value
 
 
-def h_min_distance(B: SimplicialCurrent, merge_tol: float) -> float:
+def h_min_distance(B: PointCycle, merge_tol: float) -> float:
     """Min pairwise distance between the distinct points of the 0-cycle B,
     the boundary of a slice, a point within merge_tol of an earlier kept
     one merging into it; 0 if fewer than two distinct points remain."""
-    if B.is_zero():
-        return 0.0
-    dist = _point_space(B.complex.metric, B.support_vertices()).dist.tolist()
+    dist = B.space.dist.tolist()
     reps: list[int] = []
     for v, row in enumerate(dist):
         if all(row[w] > merge_tol for w in reps):
@@ -234,7 +262,8 @@ def _level_box(ctx: BallContext, leaf, grid, functions=None, witnesses=None, box
         fns = [ctx.refinement.transfer_function(f) for f in (functions or [])]
     _check_axis_count(len(fns), ctx.current.dim, cycle)
     grids = _level_axes([box or ctx.support_range(f) for f in fns], grid)
-    values, skipped = _tensor_eval(ctx.current, fns, grids, leaf, cycle=cycle)
+    held = ctx.boundary if cycle else None
+    values, skipped = _tensor_eval(ctx.current, fns, grids, leaf, cycle=cycle, start_boundary=held)
     integral = _tensor_trapezoid(values, grids)
     estimate = _richardson_estimate(values, grids)
     lips = [f.lip for f in fns]

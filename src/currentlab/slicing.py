@@ -26,7 +26,7 @@ from .complexes import (
     row_keys,
 )
 from .currents import SimplicialCurrent, mass
-from .metricspace import ArgumentError, InvariantError, abs_sum_below_limit
+from .metricspace import ArgumentError, FiniteMetricSpace, InvariantError, abs_sum_below_limit
 
 SNAP_REL = 1e-7
 
@@ -83,14 +83,29 @@ class Refinement:
         return (self.values < self.level)[self.complex.simplex_array(k)].any(axis=1)
 
     def transfer_function(self, f: PLFunction) -> PLFunction:
-        old = f.values
-        if f.source is not None and f.source[0] == "dist":
-            cut_ids = np.arange(self.n_old_vertices, self.n_old_vertices + len(self.cut_edges))
-            cut_vals = self.complex.metric.dist(f.source[1], cut_ids)
-        else:
-            u, v = self.cut_edges.T
-            cut_vals = (1.0 - self.cut_t) * old[u] + self.cut_t * old[v]
-        return PLFunction(self.complex, np.concatenate([old, cut_vals]), source=f.source)
+        cut_vals = _cut_values(f, self.complex.metric, self.n_old_vertices, self.cut_edges, self.cut_t)
+        return PLFunction(self.complex, np.concatenate([f.values, cut_vals]), source=f.source)
+
+
+def _cut_values(f: PLFunction, metric, n_old, edges, t):
+    """f at the cut points n_old, n_old + 1, ... of `metric` on `edges` at
+    parameters `t`: a distance function's exact distance, else the interpolant."""
+    if f.source is not None and f.source[0] == "dist":
+        return metric.dist(f.source[1], np.arange(n_old, n_old + len(edges)))
+    u, v = edges.T
+    return (1.0 - t) * f.values[u] + t * f.values[v]
+
+
+def _cut_points(metric, values, edges, at):
+    """The cut points of `edges` at their levels `at`: each one's parameter
+    t from the edge's first vertex (computed from its end below the level),
+    whether that vertex is below, and the interpolated points."""
+    u_below = values[edges[:, 0]] < at
+    lo = np.where(u_below, edges[:, 0], edges[:, 1])
+    hi = np.where(u_below, edges[:, 1], edges[:, 0])
+    t = (at - values[lo]) / (values[hi] - values[lo])
+    t_edge = np.where(u_below, t, 1.0 - t)
+    return t_edge, u_below, metric.interpolate(edges, np.stack([1.0 - t_edge, t_edge], axis=1))
 
 
 @dataclass
@@ -345,13 +360,7 @@ def _refine(sources, rows, level, values, snaps) -> _Cut:
     edge_rows = crossing.get(1, np.empty(0, dtype=np.intp))
     edges = rows[1][edge_rows] if 1 in rows else np.empty((0, 2), dtype=np.intp)
     edge_level = level[1][edge_rows] if 1 in rows else np.empty(0, dtype=np.intp)
-    edge_at = at[edge_level]
-    u_below = values[edges[:, 0]] < edge_at
-    lo = np.where(u_below, edges[:, 0], edges[:, 1])
-    hi = np.where(u_below, edges[:, 1], edges[:, 0])
-    t = (edge_at - values[lo]) / (values[hi] - values[lo])
-    t_edge = np.where(u_below, t, 1.0 - t)
-    points = metric.interpolate(edges, np.stack([1.0 - t_edge, t_edge], axis=1))
+    t_edge, _, points = _cut_points(metric, values, edges, at[edge_level])
     edge_starts = _offsets(edge_level, m)
 
     # the new simplices of a dimension are the cells inside crossing simplices
@@ -482,7 +491,19 @@ def _snap_or_error(values, s):
         return exc
 
 
-def _slices(T: SimplicialCurrent, f: PLFunction, levels, star) -> list:
+def _star_below_limit(T: SimplicialCurrent, values, at) -> list:
+    """Per snapped level of `at`, whether T on the refinement of its crossing
+    star has |coefficients| summing below 2**62, without the cut: a
+    k-simplex with j of its k + 1 vertices below splits into C(k + 1, j)
+    pieces (as every triangulation of the two products of simplices its
+    sides are), each carrying +-its coefficient."""
+    k = T.dim
+    pieces = np.array([0] + [math.comb(k + 1, j) for j in range(1, k + 1)] + [0])
+    below = (values[T.complex.simplex_array(k)[T.idx]] < at[:, None, None]).sum(axis=2)
+    return [abs_sum_below_limit(np.repeat(T.coeff, count)) for count in pieces[below]]
+
+
+def _slices(T: SimplicialCurrent, f: PLFunction, levels, star, limit_of=None) -> list:
     """The slices of T by f at each of `levels`, cut in one pass: entry i is
     the SliceResult at levels[i] or the ArgumentError that level raises.
 
@@ -491,7 +512,10 @@ def _slices(T: SimplicialCurrent, f: PLFunction, levels, star) -> list:
     closure of that part of T does; otherwise it cuts T's whole complex, as
     `slice_current(T, f, s)` does.  A slice is local: a simplex wholly
     below the level adds d(sigma) - d(sigma) = 0 to d(T below) - (dT)
-    below, and one wholly above is in neither term.
+    below, and one wholly above is in neither term.  A level is skipped
+    when T on its refinement has |coefficients| summing to 2**62 or more,
+    or with `limit_of` when that chain does on the refinement of its own
+    crossing star (`_star_below_limit`).
     Each slice is the boundary of the sublevel restriction minus the
     restriction of the boundary, summed for all levels in one scatter over
     the stacked refined rows: per face, each coface adds its coefficient
@@ -553,9 +577,10 @@ def _slices(T: SimplicialCurrent, f: PLFunction, levels, star) -> list:
     nonzero = np.flatnonzero(sliced)
     nonzero_starts = np.searchsorted(nonzero, cut.starts[k - 1])
     child_starts = _offsets(level, m)
+    kept = None if limit_of is None else _star_below_limit(limit_of, values, at)
     for l, (i, ref) in enumerate(zip(live, cut.refinements)):
         a, b = child_starts[l], child_starts[l + 1]
-        if not abs_sum_below_limit(coeff[a:b]):  # T on this level's refinement is no chain
+        if not (abs_sum_below_limit(coeff[a:b]) if kept is None else kept[l]):  # no chain on the refinement
             out[i] = ArgumentError("chain coefficients must sum below 2**62 in absolute value")
             continue
         nz = nonzero[nonzero_starts[l] : nonzero_starts[l + 1]]
@@ -588,6 +613,83 @@ def slice_levels(T: SimplicialCurrent, f: PLFunction, levels) -> list:
     its own edge order.
     """
     return _slices(T, f, levels, star=True)
+
+
+def boundary_slices(T: SimplicialCurrent, dT: SimplicialCurrent, f: PLFunction, g: PLFunction, levels) -> list:
+    """The slices <dT, f, s> = -d<T, f, s> at each of `levels`, cut on dT's
+    crossing stars: entry i is (the slice, g on its refinement, the values
+    the next axis snaps g on) or the ArgumentError of level i.
+
+    T's star is never refined, yet a level is skipped as `slice_levels(T,
+    f, levels)` skips it (`_star_below_limit`), and the snap values are
+    those that refinement holds: g at the vertices and at the cut points of
+    T's crossing edges.
+    """
+    out = _slices(dT, f, levels, True, limit_of=T)
+    metric, values = T.complex.metric, f.values
+    edges = face_closure(T.complex.simplex_array(T.dim)[T.idx])[0][1]
+    for i, sl in enumerate(out):
+        if isinstance(sl, ArgumentError):
+            continue
+        crossing = edges[(values[edges] < sl.refinement.level).sum(axis=1) == 1]
+        t, _, points = _cut_points(metric, values, crossing, sl.refinement.level)
+        g_sl = sl.refinement.transfer_function(g)
+        star = _cut_values(g, metric.grown(points), metric.n, crossing, t)
+        out[i] = (sl.current, g_sl, np.concatenate([g_sl.values, star]))
+    return out
+
+
+def _point_space(metric, ids) -> FiniteMetricSpace:
+    """The points `ids` of a metric as a finite metric space: one `dist` row each."""
+    return FiniteMetricSpace([metric.dist(i, ids) for i in ids] if len(ids) else np.zeros((0, 0)), validate=False)
+
+
+@dataclass
+class PointCycle:
+    """A 0-cycle as a cycle leaf reads it: the finite metric space of its
+    support points, in vertex-id order, and their coefficients."""
+
+    space: FiniteMetricSpace
+    coeff: np.ndarray
+
+    @classmethod
+    def from_chain(cls, B: SimplicialCurrent) -> "PointCycle":
+        return cls(_point_space(B.complex.metric, B.complex.simplex_array(0)[B.idx, 0]), B.coeff)
+
+
+def point_slices(C: SimplicialCurrent, f: PLFunction, levels, snap_values=None) -> list:
+    """The slices of the 1-chain C by f at each of `levels` as points, with
+    no cut: entry i is the PointCycle of the 0-chain `slice_levels(C, f,
+    levels)` gives at levels[i], bit for bit, or the ArgumentError it raises.
+
+    The levels snap on `snap_values` (f's values by default).  A crossing
+    edge [u, v] with coefficient c puts +c on its cut point when u is below
+    and -c when v is; a level's cut points are its crossing edges in
+    lexicographic (cut-id) order, placed by `_refine`'s formula, and one
+    `grown` metric holds those of every level.  A level is skipped when its
+    two pieces per crossing edge sum to 2**62 or more in |coefficient|.
+    """
+    out = [_snap_or_error(f.values if snap_values is None else snap_values, s) for s in levels]
+    live = [i for i, snap in enumerate(out) if not isinstance(snap, ArgumentError)]
+    if not live:
+        return out
+    m, metric = len(live), C.complex.metric
+    at = np.array([out[i][0] for i in live])
+    edges = C.complex.simplex_array(1)[C.idx]
+    side = f.values[edges] < at[:, None, None]
+    level, e = np.nonzero(side[..., 0] != side[..., 1])
+    order = np.argsort(level_row_keys(m, (level, edges[e]))[0], kind="stable")
+    level, e = level[order], e[order]
+    _, u_below, points = _cut_points(metric, f.values, edges[e], at[level])
+    coeff = np.where(u_below, C.coeff[e], -C.coeff[e])
+    grown, starts = metric.grown(points), _offsets(level, m)
+    for l, i in enumerate(live):
+        a, b = starts[l], starts[l + 1]
+        if not abs_sum_below_limit(2 * coeff[a:b]):
+            out[i] = ArgumentError("chain coefficients must sum below 2**62 in absolute value")
+            continue
+        out[i] = PointCycle(_point_space(grown, np.arange(metric.n + a, metric.n + b)), coeff[a:b])
+    return out
 
 
 def slice_current(T: SimplicialCurrent, f: PLFunction, s) -> SliceResult:

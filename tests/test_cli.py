@@ -582,6 +582,14 @@ class TestErrors:
         if name.endswith(".json"):
             assert f"cannot read {path}" in err
 
+    def test_gh_names_the_csv_that_is_not_utf8(self, tmp_path, capsys):
+        # the message named no path, so of two inputs the bad one was unknown
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        good.write_text("0,1\n1,0\n")
+        bad.write_bytes(b"\xff\xfe\x00bad")
+        code, _, err = _main_json(["gh", "--input", str(good), "--input2", str(bad)], capsys)
+        assert code == EXIT_INPUT and f"cannot read {bad}" in err and str(good) not in err
+
 
 class TestDeterminism:
     def test_byte_identical_reports(self, square_chain_path, tmp_path):

@@ -18,6 +18,7 @@ from currentlab.fillvol import (
 from currentlab.meshes import disk_mesh, grid_mesh, sphere_mesh, square_complex
 from currentlab.metricspace import ArgumentError, FiniteMetricSpace, InvariantError
 from currentlab.slicedfill import fill_value_of_boundary
+from currentlab.slicing import PointCycle
 
 from oracles import exhaustive_flat_distance, simplex_index, transport_oracle
 
@@ -211,7 +212,7 @@ class TestTransport:
         assert len(B.idx) >= 4
         X = FiniteMetricSpace.from_points(C.metric.coords[C.simplex_array(0)[B.idx, 0]])
         want = filling_volume_0d(X, np.abs(B.coeff), np.sign(B.coeff)).value
-        assert fill_value_of_boundary(B) == pytest.approx(want, rel=1e-12)
+        assert fill_value_of_boundary(PointCycle.from_chain(B)) == pytest.approx(want, rel=1e-12)
 
     def test_unbalanced_rejected(self):
         X = FiniteMetricSpace.from_points(np.array([[0.0], [1.0]]))

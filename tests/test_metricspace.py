@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -299,3 +300,16 @@ class TestCsv:
         path.write_text("0,0\n3\n")
         with pytest.raises(ArgumentError, match="ragged"):
             load_points_csv(path)
+
+    @pytest.mark.parametrize(
+        "load, text",
+        [(load_distance_csv, "0,1\n1\n"), (load_distance_csv, "0,x\n1,0\n"), (load_distance_csv, "a,b,c\n0,1\n1,0\n"),
+         (load_distance_csv, b"\xff\xfe"), (load_points_csv, "0,0\n3\n"), (load_points_csv, "0,y\n"),
+         (load_points_csv, b"\xff\xfe")],
+        ids=["ragged", "bad_float", "label_row", "not_utf8", "points_ragged", "points_bad_float", "points_not_utf8"],
+    )
+    def test_every_input_error_names_the_path(self, tmp_path, load, text):
+        path = tmp_path / "in.csv"
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        with pytest.raises(ArgumentError, match=f"^(cannot read )?{re.escape(str(path))}"):
+            load(path)

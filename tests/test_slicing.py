@@ -34,6 +34,7 @@ from currentlab.slicing import (
     annulus_mass,
     ball,
     coarea_profile,
+    point_slices,
     slice_current,
     slice_levels,
     snap_level,
@@ -750,6 +751,42 @@ def test_subdivide_leaves_source_metric_unchanged(C, values):
     assert ref.complex.metric is not C.metric
     assert np.array_equal(_metric_state(C.metric), before)
     assert ref.complex.n_vertices == C.n_vertices + len(ref.cut_edges)
+
+
+def _rows(metric, ids):
+    return np.array([metric.dist(i, ids) for i in ids]).reshape(len(ids), len(ids))
+
+
+@pytest.mark.parametrize("C, values", _subdivide_cases() + [pytest.param(None, None, id="matrix_disk_ball")])
+def test_point_slices_read_the_boundary_of_the_cut_slice(C, values):
+    """The point pass on the 1-chain -dT reads, at every oracle level, the
+    0-chain that cutting gives, bit for bit: the support, coefficients and
+    distance rows of the slice of -dT on its crossing star, and the
+    coefficients and distance rows of d<T, f, s> on T's crossing star (the
+    slicing identity), for a 2-chain T on every metric backend."""
+    if C is None:
+        from test_slicedfill import _matrix_disk_ball
+
+        ctx = _matrix_disk_ball()
+        T, C = ctx.current, ctx.complex
+        values = distance_function(C, ctx.sphere_vertices()[0]).values
+    else:
+        n = C.count(2)
+        T = SimplicialCurrent.from_arrays(C, 2, np.arange(n), np.random.default_rng(n).integers(-3, 4, size=n))
+    f, cycle = PLFunction(C, values), -boundary(T)
+    levels = _oracle_levels(C, values)
+    got = point_slices(cycle, f, levels)
+    assert sum(len(pts.coeff) for pts in got) > 0
+    for s, pts in zip(levels, got):
+        sl = slice_current(level_star(cycle, values, s, True), f, s)
+        ids = sl.complex.simplex_array(0)[sl.current.idx, 0]
+        assert np.array_equal(ids, C.n_vertices + np.arange(len(pts.coeff)))
+        assert np.array_equal(pts.coeff, sl.current.coeff)
+        assert pts.space.dist.tobytes() == _rows(sl.complex.metric, ids).tobytes()
+        want = slice_current(level_star(T, values, s, True), f, s)
+        B = boundary(want.current)
+        assert np.array_equal(pts.coeff, B.coeff)
+        assert pts.space.dist.tobytes() == _rows(want.complex.metric, want.complex.simplex_array(0)[B.idx, 0]).tobytes()
 
 
 def test_split_pieces_only_builds_templates(monkeypatch):
