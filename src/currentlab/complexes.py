@@ -50,6 +50,11 @@ class EuclideanMetric:
         diff = pts[..., :, None, :] - pts[..., None, :, :]
         return (diff**2).sum(axis=-1)
 
+    def pair_sq(self, a, b):
+        """Squared distances between vertices a[i] and b[i], each the entry
+        `pairwise_sq` gives the pair."""
+        return ((self.coords[a] - self.coords[b]) ** 2).sum(axis=-1)
+
     def row(self, i):
         return np.linalg.norm(self.coords - self.coords[i], axis=1)
 
@@ -101,6 +106,11 @@ class CallableMetric:
         out[..., a, b] = d
         out[..., b, a] = d
         return out**2
+
+    def pair_sq(self, a, b):
+        """Squared distances between vertices a[i] and b[i], each the entry
+        `pairwise_sq` gives the pair: one `fn` call on the pairs alone."""
+        return self.fn(self.points[a], self.points[b]) ** 2
 
     def row(self, i):
         return self.fn(np.repeat(self.points[i][None, :], self.n, axis=0), self.points)
@@ -156,6 +166,10 @@ class MatrixMetric:
         ids = np.asarray(ids, dtype=np.intp)
         return self.mat[ids[..., :, None], ids[..., None, :]] ** 2
 
+    def pair_sq(self, a, b):
+        """Squared distances between vertices a[i] and b[i]."""
+        return self.mat[a, b] ** 2
+
     def row(self, i):
         return self.mat[i].copy()
 
@@ -205,14 +219,24 @@ def cayley_menger(d2):
     if k == 1:
         return np.sqrt(np.maximum(d2[:, 0, 1], 0.0)), np.zeros(n, dtype=bool)
     if k == 2:
-        sides = np.sqrt(np.stack([d2[:, 0, 1], d2[:, 0, 2], d2[:, 1, 2]], axis=1))
-        x, y, z = np.sort(sides, axis=1)[:, ::-1].T
-        h = (x + (y + z)) * (z - (x - y)) * (z + (x - y)) * (x + (y - z))
-        bad = h < -EMBED_TOL * np.maximum(x, 1.0) ** 4
-        return 0.25 * np.sqrt(np.where(h < 0, 0.0, h)), bad
+        return _heron(np.sqrt(np.stack([d2[:, 0, 1], d2[:, 0, 2], d2[:, 1, 2]], axis=1)))
     v2 = _squared_volumes(d2)
     bad = v2 < -EMBED_TOL * np.maximum(d2.max(axis=(1, 2)), 1.0) ** k
     return np.sqrt(np.maximum(v2, 0.0)), bad
+
+
+def _heron(sides):
+    """Areas of an (n, 3) stack of triangle side lengths by Heron's formula
+    in its stable (sorted-sides) form, and the mask of rows that break the
+    triangle inequality (their area is reported as 0)."""
+    x, y, z = np.sort(sides, axis=1)[:, ::-1].T
+    h = (x + (y + z)) * (z - (x - y)) * (z + (x - y)) * (x + (y - z))
+    bad = h < -EMBED_TOL * np.maximum(x, 1.0) ** 4
+    return 0.25 * np.sqrt(np.where(h < 0, 0.0, h)), bad
+
+
+def _violated(a, b, c):
+    return ComplexError(f"triangle inequality violated in simplex: {a},{b},{c}")
 
 
 def _squared_volumes(d2):
@@ -237,22 +261,43 @@ def simplex_volume_from_sq(d2):
         first = d2[int(np.argmax(bad))]
         k = first.shape[0] - 1
         if k == 2:
-            a, b, c = (math.sqrt(first[i, j]) for i, j in ((0, 1), (0, 2), (1, 2)))
-            raise ComplexError(f"triangle inequality violated in simplex: {a},{b},{c}")
+            raise _violated(*(math.sqrt(first[i, j]) for i, j in ((0, 1), (0, 2), (1, 2))))
         v2 = float(_squared_volumes(first[None])[0])
         raise ComplexError(f"non-embeddable {k}-simplex (CM determinant {v2})")
     return vols
 
 
+VOLUME_BLOCK = 1024
+"""Rows per metric call of a volume pass: a whole mesh's pass (the first
+ball on it) then holds no more intermediates at once than one ball's."""
+
+
 def simplex_volumes(metric, simplices):
-    """k-volumes of an (n, k+1) array (or list) of vertex-id tuples, batched;
-    0-simplices have volume 1 without a metric call."""
+    """k-volumes of an (n, k+1) array (or list) of vertex-id tuples, batched
+    VOLUME_BLOCK rows at a time, as `simplex_volume_from_sq` gives them from
+    the `pairwise_sq` stack, bit for bit.  0-simplices have volume 1
+    without a metric call; edges and triangles read only their edge
+    distances, one `metric.pair_sq` call for the pairs (0, 1), (0, 2),
+    (1, 2) of every row."""
     ids = np.asarray(simplices, dtype=np.intp)
     if ids.size == 0:
         return np.empty(len(ids))
     if ids.shape[-1] == 1:
         return np.ones(len(ids))
-    return simplex_volume_from_sq(metric.pairwise_sq(ids))
+    if len(ids) > VOLUME_BLOCK:
+        blocks = range(0, len(ids), VOLUME_BLOCK)
+        return np.concatenate([simplex_volumes(metric, ids[i : i + VOLUME_BLOCK]) for i in blocks])
+    if ids.shape[-1] > 3:
+        return simplex_volume_from_sq(metric.pairwise_sq(ids))
+    a, b = np.triu_indices(ids.shape[-1], 1)
+    d2 = metric.pair_sq(ids[:, a].ravel(), ids[:, b].ravel()).reshape(len(ids), len(a))
+    if len(a) == 1:
+        return np.sqrt(np.maximum(d2[:, 0], 0.0))
+    sides = np.sqrt(d2)
+    vols, bad = _heron(sides)
+    if bad.any():
+        raise _violated(*sides[np.argmax(bad)].tolist())
+    return vols
 
 
 def gram_from_sq(d2):
@@ -440,6 +485,10 @@ class SimplexLists(Mapping):
         return self._lists[k]
 
 
+UNKNOWN_VOLUME = -1.0
+"""Marks a row whose volume is not computed yet; no volume is negative."""
+
+
 class GeometricComplex:
     """The k-simplices of each dimension as an (n, k+1) vertex-id array; a
     simplex's index is its row.  `GeometricComplex(metric, {k: simplices})`
@@ -447,15 +496,19 @@ class GeometricComplex:
     face rule holds for every complex, base, refined or support closure:
     a dimension looks its face index up on the first `face_index`, and the
     k-volumes of a dimension are computed from the metric when `masses(k)`
-    first reads them.  `simplices` is the read-only
+    first reads them.  A complex built from another one (a support closure,
+    a refinement) is handed `volumes`, {k: the volumes its source had cached
+    for its rows, UNKNOWN_VOLUME elsewhere}, so only its new rows reach the
+    metric.  `simplices` is the read-only
     {k: [vertex tuple, ...]} view, whose lists are built only when read and
     which the library itself never reads (the benchmark tracer does)."""
 
-    def __init__(self, metric, simplices):
+    def __init__(self, metric, simplices, volumes=None):
         self.metric = metric
         self._arrays = {k: np.asarray(s, dtype=np.intp).reshape(len(s), k + 1) for k, s in simplices.items()}
         self.simplices = SimplexLists(self._arrays)
         self._masses: dict[int, np.ndarray] = {}
+        self._gathered: dict[int, np.ndarray] = dict(volumes or {})
         self._faces: dict[int, np.ndarray] = {}
 
     @classmethod
@@ -499,10 +552,24 @@ class GeometricComplex:
 
     def masses(self, k):
         """The k-volumes of the k-simplices, computed on first read: a
-        volume is a function of the metric and the row alone."""
+        volume is a function of the metric and the row alone, so the rows
+        gathered from a source keep its volumes and only the UNKNOWN_VOLUME
+        rows reach the metric."""
         if k not in self._masses:
-            self._masses[k] = simplex_volumes(self.metric, self.simplex_array(k))
+            vols = self._gathered.pop(k, None)
+            if vols is None:
+                vols = simplex_volumes(self.metric, self.simplex_array(k))
+            else:
+                todo = np.flatnonzero(vols == UNKNOWN_VOLUME)
+                vols[todo] = simplex_volumes(self.metric, self.simplex_array(k)[todo])
+            self._masses[k] = vols
         return self._masses[k]
+
+    def cached_volumes(self, k):
+        """The k-volumes known so far without a metric call (UNKNOWN_VOLUME
+        where a row's is not), or None: what a complex built from this one
+        gathers for the rows they share."""
+        return self._masses.get(k, self._gathered.get(k))
 
     def validate(self):
         """Raise ComplexError unless every row lists distinct vertices of the

@@ -39,6 +39,7 @@ from .slicing import (
     snap_level,
     subdivide_at_level,
     support_closure,
+    vertex_rows,
 )
 
 # Euclidean 3-space constants for the band [(1-beta) r, (1+beta) r]^2 at
@@ -99,6 +100,7 @@ def ball_context(T: SimplicialCurrent, p: int, r: float) -> BallContext:
     if not r > 0:
         raise ArgumentError("ball radius must be positive")
     rho = distance_function(T.complex, p)
+    T.complex.masses(T.dim)  # cached on T's complex, where every ball on it gathers them
     below = (rho.values < snap_level(rho.values, r)[0])[T.complex.simplex_array(T.dim)]
     star = support_closure(T.restricted(below.any(axis=1)))
     ref = subdivide_at_level(star.complex, rho.values, r)
@@ -157,7 +159,14 @@ def _tensor_eval(start: SimplicialCurrent, functions, grids, leaf, *, cycle, sta
     slice cuts only the star of its level, except a final slice of a prefix
     of dimension >= 3: `fill_value_of_boundary` fills its cycle inside its
     complex, so that slice keeps the whole cut of the closure of the
-    prefix's support.  A level that raises ArgumentError is skipped.
+    prefix's support.  A level that raises ArgumentError is skipped, and at
+    every axis one rule raises for |coefficients| near 2**62: that of the
+    prefix P on the refinement that would cut it at the level (its star,
+    or its whole complex for a whole-cut final slice), read off P's
+    simplices (`slicing.vertex_rows`) where the axis cuts dP or reads its
+    cut points.  After the dP first axis that rule cannot bind: a crossing
+    tetrahedron with j vertices below splits into C(4, j) pieces, at least
+    3 per triangle of its slice, and each triangle into at most 3.
     """
     k = len(grids)
     out = np.zeros(tuple(len(g) for g in grids) or (1,))
@@ -174,13 +183,18 @@ def _tensor_eval(start: SimplicialCurrent, functions, grids, leaf, *, cycle, sta
         if depth == k:
             out[prefix if prefix else 0] = leaf(current)
             return
+        star = not keeps_whole_cut(depth, current.dim)
         if points and depth == k - 1:
-            results = point_slices(current, fns[0], grids[depth], snap_values)
+            # the prefix's rule: start's with one axis; after the dP first
+            # axis it cannot bind (see above), and an empty chain stands in
+            limit_of = vertex_rows(start, fns[0].values) if k == 1 else (np.empty((0, 3)), start.coeff[:0])
+            results = point_slices(current, fns[0], grids[depth], snap_values, limit_of)
         elif points and depth == k - 2:
             results = boundary_slices(current, cycle_of(current), fns[0], fns[1], grids[depth])
+        elif cycle and depth == k - 1:
+            results = _slices(-cycle_of(current), fns[0], grids[depth], star, vertex_rows(current, fns[0].values))
         else:
-            cut = -cycle_of(current) if cycle and depth == k - 1 else current
-            results = _slices(cut, fns[0], grids[depth], not keeps_whole_cut(depth, current.dim))
+            results = _slices(current, fns[0], grids[depth], star)
         for i, sl in enumerate(results):
             if isinstance(sl, ArgumentError):
                 skipped[0] += 1

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .complexes import (
+    UNKNOWN_VOLUME,
     ComplexError,
     GeometricComplex,
     PLFunction,
@@ -376,8 +377,10 @@ def _refine(sources, rows, level, values, snaps) -> _Cut:
     # one run per level that the stable key sort takes in linear time.
     # Transfer tables: an untouched simplex is its own child, a split one
     # has all its pieces with their template orientations; the stable sort
-    # by parent keeps each parent's pieces in piece order
-    stacked, stacked_level, starts, tables = {}, {}, {}, {}
+    # by parent keeps each parent's pieces in piece order.  When every
+    # source has cached volumes, an untouched row keeps its own (the grown
+    # metric keeps every old distance)
+    stacked, stacked_level, starts, tables, volumes = {}, {}, {}, {}, {}
     source_starts = {d: _offsets(level[d], m) for d in dims}
     for d in dims:
         untouched = np.ones(len(rows[d]), dtype=bool)
@@ -392,6 +395,10 @@ def _refine(sources, rows, level, values, snaps) -> _Cut:
         position = np.empty(len(order), dtype=np.intp)
         position[order] = np.arange(len(order))
         stacked[d], stacked_level[d] = merged[order], merged_level[order]
+        cached = [source.cached_volumes(d) for source in sources]
+        if all(vols is not None for vols in cached):
+            volumes[d] = np.full(len(merged), UNKNOWN_VOLUME)
+            volumes[d][position[: len(untouched)]] = np.concatenate(cached)[untouched]
         starts[d] = _offsets(stacked_level[d], m)
         parent = np.concatenate([untouched, crossing[d][np.nonzero(slots[d][d])[0]]])
         by_parent = np.argsort(parent, kind="stable")
@@ -404,7 +411,7 @@ def _refine(sources, rows, level, values, snaps) -> _Cut:
     refinements = []
     for l, source in enumerate(sources):
         a, b = edge_starts[l], edge_starts[l + 1]
-        arrays, children = {}, {}
+        arrays, children, gathered = {}, {}, {}
         for d in source.dims:
             if d not in stacked:  # a dimension no level's rows reach
                 arrays[d] = np.empty((0, d + 1), dtype=np.intp)
@@ -415,12 +422,14 @@ def _refine(sources, rows, level, values, snaps) -> _Cut:
             arrays[d] = stacked[d][first : starts[d][l + 1]]
             child, sign = tables[d].child[ptr[0] : ptr[-1]], tables[d].sign[ptr[0] : ptr[-1]]
             children[d] = ChildTable(_rebase(ptr, ptr[0]), _rebase(child, first), sign)
+            if d in volumes:
+                gathered[d] = volumes[d][first : starts[d][l + 1]].copy()
         part = tuple(p[a:b] for p in points) if isinstance(points, tuple) else points[a:b]
         s, snapped, warning = snaps[l]
         refinements.append(
             Refinement(
                 source=source,
-                complex=GeometricComplex(metric.grown(part), arrays),
+                complex=GeometricComplex(metric.grown(part), arrays, gathered),
                 level=s,
                 values=np.concatenate([values, np.full(b - a, s)]),
                 snapped=snapped,
@@ -444,10 +453,13 @@ def subdivide_at_level(C: GeometricComplex, values, s) -> Refinement:
     id arrays, holds the untouched simplices plus the cells inside crossing
     simplices (those through a cut point), which relies on C being closed
     under faces.  Like a base complex, it looks its face index up on the
-    first `face_index` of each dimension and computes its volumes on the
-    first `masses` (the grown metric keeps every old distance), so a
-    dimension nobody reads costs nothing, and it holds no reference to C.
-    This is the one-level case of the pass that `slice_levels` makes.
+    first `face_index` of each dimension and computes volumes on the first
+    `masses`, but only those of its new rows: an untouched row takes the
+    volume C has cached for it when the refinement is built (the grown
+    metric keeps every old distance, so it is the same number).  A
+    dimension nobody reads costs nothing, and the refined complex holds no
+    reference to C.  This is the one-level case of the pass that
+    `slice_levels` makes.
     """
     values = np.asarray(values, dtype=float)
     snap = snap_level(values, s)
@@ -463,8 +475,10 @@ def support_closure(T: SimplicialCurrent) -> SimplicialCurrent:
     functions and distance rows stay valid; only the simplex lists shrink,
     which keeps later subdivisions proportional to the support size.  The
     closure is `complexes.face_closure` of the support's rows, each
-    dimension an id array in lexicographic vertex order; like every
-    complex, it looks its face index up and computes its volumes when read.
+    dimension an id array in lexicographic vertex order.  It takes the
+    top-dimension volumes the parent has cached for its rows when it is
+    built; like every complex, it looks its face index up and computes its
+    other volumes when read.
     """
     C = T.complex
     if T.is_zero():
@@ -472,7 +486,9 @@ def support_closure(T: SimplicialCurrent) -> SimplicialCurrent:
         return SimplicialCurrent(C2, T.dim, {})
     top = C.simplex_array(T.dim)[T.idx]
     order = np.argsort(row_keys(top)[0], kind="stable")
-    C2 = GeometricComplex(C.metric, face_closure(top[order])[0])
+    cached = C.cached_volumes(T.dim)
+    volumes = None if cached is None else {T.dim: cached[T.idx[order]]}
+    C2 = GeometricComplex(C.metric, face_closure(top[order])[0], volumes)
     return SimplicialCurrent.from_arrays(C2, T.dim, np.arange(len(order)), T.coeff[order])
 
 
@@ -491,16 +507,26 @@ def _snap_or_error(values, s):
         return exc
 
 
-def _star_below_limit(T: SimplicialCurrent, values, at) -> list:
-    """Per snapped level of `at`, whether T on the refinement of its crossing
-    star has |coefficients| summing below 2**62, without the cut: a
-    k-simplex with j of its k + 1 vertices below splits into C(k + 1, j)
-    pieces (as every triangulation of the two products of simplices its
-    sides are), each carrying +-its coefficient."""
-    k = T.dim
-    pieces = np.array([0] + [math.comb(k + 1, j) for j in range(1, k + 1)] + [0])
-    below = (values[T.complex.simplex_array(k)[T.idx]] < at[:, None, None]).sum(axis=2)
-    return [abs_sum_below_limit(np.repeat(T.coeff, count)) for count in pieces[below]]
+def vertex_rows(T: SimplicialCurrent, values):
+    """T's k-simplices as the rows of their vertices' `values`, with T's
+    coefficients: the form a skip rule reads a prefix in (`limit_of`)."""
+    return values[T.complex.simplex_array(T.dim)[T.idx]], T.coeff
+
+
+def _below_limit(limit_of, at, whole) -> list:
+    """Per snapped level of `at`, whether the chain `limit_of` (its
+    simplices' vertex values and coefficients, as `vertex_rows` gives them)
+    has |coefficients| summing below 2**62 on the refinement that cuts it
+    there, without the cut: a k-simplex with j of its k + 1 vertices below
+    splits into C(k + 1, j) pieces (as every triangulation of the two
+    products of simplices its sides are), each carrying +-its coefficient.
+    The refinement is that of the chain's crossing star, or with `whole`
+    of its whole complex, where every other simplex is its own piece."""
+    rows, coeff = limit_of
+    k = rows.shape[1] - 1
+    pieces = np.array([int(whole)] + [math.comb(k + 1, j) for j in range(1, k + 1)] + [int(whole)])
+    below = (rows < at[:, None, None]).sum(axis=2)
+    return [abs_sum_below_limit(np.repeat(coeff, count)) for count in pieces[below]]
 
 
 def _slices(T: SimplicialCurrent, f: PLFunction, levels, star, limit_of=None) -> list:
@@ -514,8 +540,10 @@ def _slices(T: SimplicialCurrent, f: PLFunction, levels, star, limit_of=None) ->
     below the level adds d(sigma) - d(sigma) = 0 to d(T below) - (dT)
     below, and one wholly above is in neither term.  A level is skipped
     when T on its refinement has |coefficients| summing to 2**62 or more,
-    or with `limit_of` when that chain does on the refinement of its own
-    crossing star (`_star_below_limit`).
+    or with `limit_of` (a chain as `vertex_rows` gives it, on f's values)
+    when that chain does on the refinement that cuts it at the level, of
+    its crossing star or, without `star`, of its whole complex
+    (`_below_limit`).
     Each slice is the boundary of the sublevel restriction minus the
     restriction of the boundary, summed for all levels in one scatter over
     the stacked refined rows: per face, each coface adds its coefficient
@@ -577,7 +605,7 @@ def _slices(T: SimplicialCurrent, f: PLFunction, levels, star, limit_of=None) ->
     nonzero = np.flatnonzero(sliced)
     nonzero_starts = np.searchsorted(nonzero, cut.starts[k - 1])
     child_starts = _offsets(level, m)
-    kept = None if limit_of is None else _star_below_limit(limit_of, values, at)
+    kept = None if limit_of is None else _below_limit(limit_of, at, whole=not star)
     for l, (i, ref) in enumerate(zip(live, cut.refinements)):
         a, b = child_starts[l], child_starts[l + 1]
         if not (abs_sum_below_limit(coeff[a:b]) if kept is None else kept[l]):  # no chain on the refinement
@@ -621,11 +649,11 @@ def boundary_slices(T: SimplicialCurrent, dT: SimplicialCurrent, f: PLFunction, 
     the next axis snaps g on) or the ArgumentError of level i.
 
     T's star is never refined, yet a level is skipped as `slice_levels(T,
-    f, levels)` skips it (`_star_below_limit`), and the snap values are
-    those that refinement holds: g at the vertices and at the cut points of
-    T's crossing edges.
+    f, levels)` skips it (`_below_limit`), and the snap values are those
+    that refinement holds: g at the vertices and at the cut points of T's
+    crossing edges.
     """
-    out = _slices(dT, f, levels, True, limit_of=T)
+    out = _slices(dT, f, levels, True, limit_of=vertex_rows(T, f.values))
     metric, values = T.complex.metric, f.values
     edges = face_closure(T.complex.simplex_array(T.dim)[T.idx])[0][1]
     for i, sl in enumerate(out):
@@ -657,7 +685,7 @@ class PointCycle:
         return cls(_point_space(B.complex.metric, B.complex.simplex_array(0)[B.idx, 0]), B.coeff)
 
 
-def point_slices(C: SimplicialCurrent, f: PLFunction, levels, snap_values=None) -> list:
+def point_slices(C: SimplicialCurrent, f: PLFunction, levels, snap_values=None, limit_of=None) -> list:
     """The slices of the 1-chain C by f at each of `levels` as points, with
     no cut: entry i is the PointCycle of the 0-chain `slice_levels(C, f,
     levels)` gives at levels[i], bit for bit, or the ArgumentError it raises.
@@ -666,8 +694,10 @@ def point_slices(C: SimplicialCurrent, f: PLFunction, levels, snap_values=None) 
     edge [u, v] with coefficient c puts +c on its cut point when u is below
     and -c when v is; a level's cut points are its crossing edges in
     lexicographic (cut-id) order, placed by `_refine`'s formula, and one
-    `grown` metric holds those of every level.  A level is skipped when its
-    two pieces per crossing edge sum to 2**62 or more in |coefficient|.
+    `grown` metric holds those of every level.  A level is skipped by the
+    rule of the chain `limit_of` (as `vertex_rows` gives it; C by default,
+    whose two pieces per crossing edge a cut would sum) on its crossing
+    star (`_below_limit`).
     """
     out = [_snap_or_error(f.values if snap_values is None else snap_values, s) for s in levels]
     live = [i for i, snap in enumerate(out) if not isinstance(snap, ArgumentError)]
@@ -683,9 +713,10 @@ def point_slices(C: SimplicialCurrent, f: PLFunction, levels, snap_values=None) 
     _, u_below, points = _cut_points(metric, f.values, edges[e], at[level])
     coeff = np.where(u_below, C.coeff[e], -C.coeff[e])
     grown, starts = metric.grown(points), _offsets(level, m)
+    kept = _below_limit(vertex_rows(C, f.values) if limit_of is None else limit_of, at, whole=False)
     for l, i in enumerate(live):
         a, b = starts[l], starts[l + 1]
-        if not abs_sum_below_limit(2 * coeff[a:b]):
+        if not kept[l]:
             out[i] = ArgumentError("chain coefficients must sum below 2**62 in absolute value")
             continue
         out[i] = PointCycle(_point_space(grown, np.arange(metric.n + a, metric.n + b)), coeff[a:b])

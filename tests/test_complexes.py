@@ -334,6 +334,55 @@ class TestBatchedKernels:
             assert all(v.shape == (1,) for v in single)
             assert np.array_equal(vols, np.concatenate(single))
 
+    @pytest.mark.parametrize(
+        "backend", [0, 1, 2, 3, 4], ids=["euclidean", "torus", "matrix", "grown_matrix", "sphere_arc"]
+    )
+    def test_edge_kernel_equals_the_stacked_path(self, backend):
+        """Edge and triangle volumes read from `pair_sq` equal the
+        Cayley-Menger path on the `pairwise_sq` stack bit for bit, also on
+        a grown matrix and on the arc metric, whose d(x, x) can round away
+        from 0."""
+        rng = np.random.default_rng(26)
+        metrics = _backends(rng)
+        mat = metrics[2]
+        metrics.append(mat.grown(mat.interpolate([[0, 1, 2], [3, 4, 5]], [[0.2, 0.3, 0.5], [0.6, 0.3, 0.1]])))
+        metrics.append(CallableMetric(rng.normal(size=(12, 3)), _sphere_arc_metric()))
+        metric = metrics[backend]
+        for m in (2, 3):
+            ids = np.array([rng.choice(metric.n, m, replace=False) for _ in range(200)])
+            want = simplex_volume_from_sq(metric.pairwise_sq(ids))
+            assert np.array_equal(simplex_volumes(metric, ids), want)
+
+    def test_blocked_volume_pass_equals_one_call(self, monkeypatch):
+        """A pass over more than VOLUME_BLOCK rows, block by block, equals
+        one call bit for bit, and a bad row in a later block raises the
+        error one call raises."""
+        import currentlab.complexes as complexes
+
+        rng = np.random.default_rng(27)
+        metric = _backends(rng)[0]
+        rows = {m: np.array([rng.choice(metric.n, m, replace=False) for _ in range(50)]) for m in (2, 3, 4)}
+        whole = {m: simplex_volumes(metric, ids) for m, ids in rows.items()}
+        bad = MatrixMetric(np.array([[0, 1, 4, 1], [1, 0, 1, 1], [4, 1, 0, 1], [1, 1, 1, 0]], dtype=float))
+        bad_rows = np.array([[0, 1, 3]] * 20 + [[0, 1, 2]])
+        with pytest.raises(ComplexError) as one_call:
+            simplex_volumes(bad, bad_rows)
+        monkeypatch.setattr(complexes, "VOLUME_BLOCK", 7)
+        for m, ids in rows.items():
+            assert np.array_equal(simplex_volumes(metric, ids), whole[m])
+        with pytest.raises(ComplexError) as blocked:
+            simplex_volumes(bad, bad_rows)
+        assert str(blocked.value) == str(one_call.value)
+
+    def test_edge_kernel_keeps_the_triangle_inequality_error(self):
+        metric = MatrixMetric(np.array([[0, 1, 4, 1], [1, 0, 1, 1], [4, 1, 0, 1], [1, 1, 1, 0]], dtype=float))
+        ids = np.array([[0, 1, 3], [0, 1, 2], [1, 2, 0]])
+        with pytest.raises(ComplexError) as stacked:
+            simplex_volume_from_sq(metric.pairwise_sq(ids))
+        with pytest.raises(ComplexError) as edges:
+            simplex_volumes(metric, ids)
+        assert str(edges.value) == str(stacked.value) == "triangle inequality violated in simplex: 1.0,4.0,1.0"
+
     def test_one_bad_tetrahedron_fails_the_stack(self):
         good = np.ones((4, 4)) - np.eye(4)
         bad = good.copy()

@@ -37,3 +37,14 @@ def test_bad_level_sweep_script():
     assert len(masses) == 3
     # boundary mass grows under refinement towards the singular hoop
     assert masses[0] < masses[1] < masses[2]
+
+
+def test_workload_digests_script():
+    proc = run_script("workload_digests.py", "slice_shift")
+    assert proc.returncode == 0, proc.stderr
+    name, ops, digest, rel_err = proc.stdout.split()
+    assert (name, ops) == ("slice_shift", "ops=150")
+    assert digest.startswith("sha256=") and len(digest) == len("sha256=") + 64
+    assert float(rel_err.split("=")[1]) < 0.05
+    unknown = run_script("workload_digests.py", "no_such_workload")
+    assert unknown.returncode != 0 and "unknown workload" in unknown.stderr

@@ -384,6 +384,60 @@ class TestBatchedAxes:
         assert np.array_equal(got, want) and skipped == want_skipped == 2
         assert (got > 0).any()
 
+    def test_point_pass_skips_by_the_rule_of_its_prefix(self):
+        """With one axis the point pass skips a level when the triangle it
+        reads the boundary of reaches 2**62 on its star's refinement, as the
+        oracle's cut does: coefficient c = 2 * (2**62 // 7) splits into 3
+        pieces (3c < 2**62, kept), though the two crossing edges of its
+        boundary hold 4c."""
+        from currentlab.complexes import EuclideanMetric, GeometricComplex
+        from currentlab.currents import SimplicialCurrent
+
+        C = GeometricComplex.from_top_simplices(EuclideanMetric([(0.0, 0.0), (1.0, 0.1), (0.3, 1.0)]), [(0, 1, 2)])
+        S = SimplicialCurrent.from_arrays(C, 2, [0], [2 * (2**62 // 7)])
+        fns, grids = [coordinate_function(C, 0)], [np.array([0.1, 0.5, 0.9])]
+        got, skipped = _tensor_eval(S, fns, grids, fill_value_of_boundary, cycle=True)
+        want, want_skipped = tensor_eval_oracle(S, fns, grids, lambda cur: fill_value_of_boundary(_leaf_cycle(boundary(cur))))
+        assert np.array_equal(got, want) and skipped == want_skipped == 0
+        assert (got > 0).all()
+
+    @pytest.mark.parametrize("divisor, want_skipped", [(5, 2), (11, 0)])
+    def test_whole_cut_last_axis_skips_by_the_rule_of_its_prefix(self, divisor, want_skipped):
+        """A whole-cut final slice of one tetrahedron of coefficient c skips
+        a level by the tetrahedron's whole refinement (4c or 6c), not by
+        its boundary's (10c or 12c): c = 2**62 // 5 skips the two levels
+        with two vertices below, c = 2**62 // 11 none."""
+        from currentlab.complexes import EuclideanMetric, GeometricComplex
+        from currentlab.currents import SimplicialCurrent
+
+        coords = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.1), (0.3, 1.0, 0.2), (0.2, 0.3, 1.0)]
+        C = GeometricComplex.from_top_simplices(EuclideanMetric(coords), [(0, 1, 2, 3)])
+        P = SimplicialCurrent.from_arrays(C, 3, [0], [2**62 // divisor])
+        fns, grids = [coordinate_function(C, 0)], [np.array([0.1, 0.25, 0.28, 0.6, 0.9])]
+        got, skipped = _tensor_eval(P, fns, grids, fill_value_of_boundary, cycle=True)
+        want, want_count = tensor_eval_oracle(P, fns, grids, lambda cur: fill_value_of_boundary(boundary(cur)))
+        assert np.array_equal(got, want) and skipped == want_count == want_skipped
+
+    def test_second_axis_keeps_every_level_its_prefix_keeps(self):
+        """After the d(ball) first axis the second skips no level, as the
+        oracle's cut of the tetrahedron's slice does: c = 2**62 // 7 at a
+        level with two vertices below gives 6c < 2**62 on the first axis
+        and at most 6c on the second, though the slice's boundary crosses
+        the second level on four edges (8c)."""
+        from currentlab.complexes import EuclideanMetric, GeometricComplex
+        from currentlab.currents import SimplicialCurrent
+
+        coords = [(0.38, -0.22, -0.73), (0.44, 0.05, -0.38), (-0.03, 0.78, 0.87), (-0.28, 0.14, -0.36), (0.19, -0.32, -0.22)]
+        C = GeometricComplex.from_top_simplices(EuclideanMetric(coords), [(0, 1, 2, 3)])
+        P = SimplicialCurrent.from_arrays(C, 3, [0], [2**62 // 7])
+        fns = [coordinate_function(C, 0), distance_function(C, 4)]
+        grids = [np.array([0.0, 0.32]), np.array([0.3, 0.5, 0.7])]
+        leaf = lambda B: h_min_distance(B, 1e-9)  # noqa: E731
+        got, skipped = _tensor_eval(P, fns, grids, leaf, cycle=True)
+        want, want_skipped = tensor_eval_oracle(P, fns, grids, lambda cur: leaf(_leaf_cycle(boundary(cur))))
+        assert np.array_equal(got, want) and skipped == want_skipped == 0
+        assert got[1, 1] > 0
+
     def test_last_axis_snaps_on_the_cut_points_of_the_ball_star(self):
         """The last axis snaps on g at the cut points of the ball's crossing
         star, which the first axis no longer cuts: a level at g's value on

@@ -8,6 +8,7 @@ import pytest
 from scipy.sparse import coo_matrix
 
 from currentlab.complexes import (
+    UNKNOWN_VOLUME,
     EuclideanMetric,
     GeometricComplex,
     MatrixMetric,
@@ -15,6 +16,7 @@ from currentlab.complexes import (
     SimplexLists,
     coordinate_function,
     distance_function,
+    simplex_volumes,
 )
 from currentlab.currents import SimplicialCurrent, boundary, mass, push_forward
 from currentlab.fillvol import boundary_matrix
@@ -673,6 +675,112 @@ def test_refinement_frees_its_source():
     for k in (1, 2):
         assert np.array_equal(child.face_index(k), face_index_oracle(child, k))
     assert child.masses(2).sum() == pytest.approx(disk_mesh(h=0.25)[0].masses(2).sum())
+
+
+def _gathered_equal_fresh(C):
+    """How many rows of C hold a gathered volume before any is read, after
+    checking that every volume of C, gathered or computed on `masses`,
+    equals a fresh computation from its metric bit for bit."""
+    cached = [C.cached_volumes(k) for k in C.dims]
+    gathered = sum(int((v != UNKNOWN_VOLUME).sum()) for v in cached if v is not None)
+    for k in C.dims:
+        assert np.array_equal(C.masses(k), simplex_volumes(C.metric, C.simplex_array(k))), k
+    return gathered
+
+
+def _read_all_volumes(C):
+    for k in C.dims:
+        C.masses(k)
+    return C
+
+
+class TestVolumesFollowRows:
+    """A complex built from another one takes the volumes its source has
+    cached for the rows they share, and those equal fresh ones bit for bit."""
+
+    @pytest.mark.parametrize("C, values", _subdivide_cases())
+    def test_refinements_gather_their_sources_volumes(self, C, values):
+        """On every backend: a refinement of a complex whose volumes are
+        read, then a refinement of that one (a grown metric's complex)."""
+        f = PLFunction(_read_all_volumes(C), values)
+        levels = _oracle_levels(C, values)
+        for a, b in zip(levels, levels[1:] + levels[:1]):
+            ref = subdivide_at_level(C, values, a)
+            assert _gathered_equal_fresh(ref.complex) > 0
+            again = subdivide_at_level(ref.complex, ref.transfer_function(f).values, b)
+            assert _gathered_equal_fresh(again.complex) > 0
+
+    @pytest.mark.parametrize("C, values", _subdivide_cases())
+    def test_support_closures_gather_their_parents_volumes(self, C, values):
+        """The closure of half a top-dimensional chain takes all its top
+        volumes; that of the part below a level on the refinement takes the
+        untouched rows' and computes the pieces'."""
+        k = C.top_dim
+        T = SimplicialCurrent.from_arrays(_read_all_volumes(C), k, np.arange(C.count(k)), np.ones(C.count(k), dtype=np.int64))
+        half = support_closure(T.restricted(np.arange(C.count(k)) % 2 == 0)).complex
+        assert _gathered_equal_fresh(half) == half.count(k)
+        ref = subdivide_at_level(C, values, _oracle_levels(C, values)[0])
+        below = support_closure(ref.transfer_current(T).restricted(ref.below(k))).complex
+        assert 0 < _gathered_equal_fresh(below) < below.count(k)
+
+    @pytest.mark.parametrize("case", ["disk", "sphere", "torus", "matrix"])
+    def test_multi_level_slices_gather_their_volumes(self, case):
+        """A multi-level whole cut gathers the volumes of T's complex on
+        every level's refinement.  slice_levels cuts level stars, built
+        fresh from T's crossing rows, all of which split: its refinements
+        gather nothing, and compute every volume they read."""
+        import currentlab.slicing as slicing
+
+        (C, values), = [p.values for p in _subdivide_cases() if p.id == case]
+        k = C.top_dim
+        T = SimplicialCurrent.from_arrays(_read_all_volumes(C), k, np.arange(C.count(k)), np.ones(C.count(k), dtype=np.int64))
+        f = PLFunction(C, values)
+        levels = _oracle_levels(C, values)
+        for result in slicing._slices(T, f, levels, star=False):
+            assert _gathered_equal_fresh(result.refinement.complex) > 0
+        for result in slice_levels(T, f, levels):
+            assert _gathered_equal_fresh(result.refinement.complex) == 0
+
+    def test_matched_balls_gather_the_joined_complex_volumes(self):
+        from currentlab.convergence import joined_complex, matched_balls
+
+        CA, TA = disk_mesh(h=0.25, radius=0.8)
+        CB, TB = disk_mesh(h=0.2, radius=0.8)
+        K, TA_K, TB_K, _, _ = joined_complex(CA, TA, CB, TB)
+        pa, pb = nearest_vertex(CA, (0.05, 0.0)), nearest_vertex(CB, (0.05, 0.0)) + CA.n_vertices
+        ball_a, ball_b = matched_balls(_read_all_volumes(K), TA_K, TB_K, pa, pb, 0.5)
+        assert ball_a.complex is ball_b.complex
+        assert _gathered_equal_fresh(ball_a.complex) > 0
+
+    def test_ball_context_gathers_from_the_mesh(self):
+        C, T = sphere_mesh(20, 40)
+        ctx = ball_context(T, 37, 1.1)
+        assert C.cached_volumes(2) is not None
+        assert 0 < _gathered_equal_fresh(ctx.complex) < ctx.complex.count(2)
+
+    def test_second_ball_computes_only_rows_with_a_cut_vertex(self, monkeypatch):
+        """Once a ball on the mesh has been read, the mesh holds its volumes:
+        the mass of the next ball sends the volume kernel only the pieces of
+        split triangles, every one through a cut point."""
+        import currentlab.complexes as complexes
+
+        C, T = sphere_mesh(50, 100)
+        mass(ball_context(T, 1 + 24 * 100 + 10, 1.0).current)
+        sent, original = [], complexes.simplex_volumes
+
+        def recording(metric, simplices):
+            sent.append(np.asarray(simplices))
+            return original(metric, simplices)
+
+        monkeypatch.setattr(complexes, "simplex_volumes", recording)
+        ctx = ball_context(T, 1 + 25 * 100 + 60, 1.2)
+        total = mass(ctx.current)
+        rows = ctx.complex.simplex_array(2)[ctx.current.idx]
+        cut = (rows >= C.n_vertices).any(axis=1)
+        assert len(sent) == 1 and (sent[0] >= C.n_vertices).any(axis=1).all()
+        assert len(sent[0]) == cut.sum() < len(rows) / 4
+        want = float(np.abs(ctx.current.coeff) @ original(ctx.complex.metric, ctx.complex.simplex_array(2))[ctx.current.idx])
+        assert total == want
 
 
 def test_template_checks_that_its_pieces_cover_the_simplex(monkeypatch):
