@@ -13,7 +13,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .complexes import EuclideanMetric, GeometricComplex, MatrixMetric, PLFunction, distinct_rows, lookup_rows
+from .complexes import (
+    EuclideanMetric,
+    GeometricComplex,
+    MatrixMetric,
+    PLFunction,
+    distinct_rows,
+    lookup_rows,
+    row_keys,
+)
 from .metricspace import ArgumentError, FiniteMetricSpace, abs_sum_below_limit, as_integers
 
 def sorted_with_sign(rows):
@@ -117,6 +125,24 @@ class SimplicialCurrent:
     def coeffs(self) -> Coefficients:
         return Coefficients(self.idx, self.coeff)
 
+    @cached_property
+    def boundary_rows(self):
+        """dT as (the vertex-id rows of its simplices in lexicographic
+        order, their coefficients), taken once per chain from T's own rows
+        with no face index; unlike `boundary`, the coefficients are not
+        held to the 2**62 limit."""
+        k = self.dim
+        if k == 0:
+            return np.empty((0, 0), dtype=np.intp), np.empty(0, dtype=np.int64)
+        rows = self.complex.simplex_array(k)[self.idx]
+        faces = rows[:, [[c for c in range(k + 1) if c != j] for j in range(k + 1)]].reshape(-1, k)
+        signed = (self.coeff[:, None] * np.where(np.arange(k + 1) % 2, -1, 1)).ravel()
+        _, first, which = np.unique(row_keys(faces)[0], return_index=True, return_inverse=True)
+        out = np.zeros(len(first), dtype=np.int64)
+        np.add.at(out, which, signed)  # as in `boundary`, no int64 sum can wrap
+        keep = np.flatnonzero(out)
+        return faces[first[keep]], out[keep]
+
     # -- chain algebra -------------------------------------------------------
 
     def __add__(self, other):
@@ -179,11 +205,17 @@ def boundary(T: SimplicialCurrent) -> SimplicialCurrent:
     out = np.zeros(T.complex.count(k - 1), dtype=np.int64)
     np.add.at(out, faces, T.coeff[:, None] * np.where(np.arange(k + 1) % 2, -1, 1))
     nonzero = np.flatnonzero(out)
+    return boundary_chain(T.complex, k - 1, nonzero, out[nonzero])
+
+
+def boundary_chain(complex, dim, idx, coeff) -> SimplicialCurrent:
+    """The (dim)-chain `from_arrays` builds, raised as the boundary of a
+    (dim + 1)-chain when it reaches the 2**62 limit."""
     try:  # each entry is below the limit, but their sum need not be
-        return SimplicialCurrent.from_arrays(T.complex, k - 1, nonzero, out[nonzero])
+        return SimplicialCurrent.from_arrays(complex, dim, idx, coeff)
     except ArgumentError:
         raise ArgumentError(
-            f"the boundary of the input {k}-chain exceeds the limit: its coefficients sum to 2**62 or more"
+            f"the boundary of the input {dim + 1}-chain exceeds the limit: its coefficients sum to 2**62 or more"
         ) from None
 
 

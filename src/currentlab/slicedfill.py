@@ -14,6 +14,12 @@ next-to-last axis slices the boundary of its prefix, not the prefix, and
 the last axis cuts nothing: it reads the cut points of that 1-chain at all
 its levels in one pass, as points with signed weights.  Otherwise the last
 axis slices -dT of its prefix T.
+
+A 2-d ball is read off its level set, not cut: d(T on {rho < r}) is
+<T, rho, r> + (dT on {rho < r}), one segment per triangle crossing the
+level plus T's boundary below it, so the one axis of sf, sfk --k 1 and the
+tetra check on a 2-d ball reads the cut points of that 1-chain and nothing
+builds the ball's complex (`ball_context`).
 """
 from __future__ import annotations
 
@@ -24,15 +30,27 @@ from functools import cached_property
 
 import numpy as np
 
-from .complexes import GeometricComplex, PLFunction, distance_function
-from .currents import SimplicialCurrent, boundary, mass
+from .complexes import (
+    UNKNOWN_VOLUME,
+    GeometricComplex,
+    PLFunction,
+    distance_function,
+    distinct_rows,
+    face_closure,
+    lookup_rows,
+    row_keys,
+    simplex_volumes,
+)
+from .currents import SimplicialCurrent, boundary, boundary_chain, mass
 from .fillvol import filling_volume, filling_volume_0d
-from .metricspace import ArgumentError, Report
+from .metricspace import ArgumentError, Report, abs_sum_below_limit
 from .product import interval_filling_volume
 from .slicing import (
     PointCycle,
     Refinement,
+    _cut_points,
     _slices,
+    _split,
     boundary_slices,
     point_slices,
     slice_current,  # noqa: F401  unused here; perfbench's tracer wraps it in every namespace that binds it
@@ -59,14 +77,124 @@ C_E3_POINTWISE_BETA03 = 0.9797279
 POINT_MERGE_REL = 1e-9
 
 
-@dataclass
-class BallContext:
-    """A ball current with its refinement and discrete bounding sphere."""
+@dataclass(eq=False)
+class LevelSet:
+    """A 2-d ball B = T on {rho < r} read off its level set {rho = r}, with
+    no cut.  The cut points of the crossing edges `cut_edges` at parameters
+    `cut_t` are numbered from T's vertex count in edge order, as the cut
+    numbers them, on `metric`, T's metric grown by them.  B's triangles are
+    the vertex-id `rows` (lexicographic) with `coeff`: the triangles wholly
+    below, with their mesh `volumes`, and the pieces below of the crossing
+    ones, through a cut point and of UNKNOWN_VOLUME.  dB is `boundary_rows`
+    with `boundary_coeff`: by dB = <T, rho, r> + (dT) on {rho < r}, the
+    segment of each crossing triangle plus T's boundary below the level."""
 
-    current: SimplicialCurrent
-    refinement: Refinement
+    metric: object
+    cut_edges: np.ndarray
+    cut_t: np.ndarray
+    rows: np.ndarray
+    coeff: np.ndarray
+    volumes: np.ndarray
+    boundary_rows: np.ndarray
+    boundary_coeff: np.ndarray
+
+
+_TRIANGLE_EDGES = np.array([[0, 1], [0, 2], [1, 2]])
+
+
+def _level_set(T: SimplicialCurrent, values, s) -> LevelSet:
+    """The level set of the 2-chain T's ball {values < s} at the snapped
+    level s, in one pass over T's triangles.  The pieces of each crossing
+    triangle are its cut's (`slicing._split`, the cut's templates): the
+    one below with two cut points ends in the triangle's segment of dB,
+    with its coefficient.  Raises the cut's ArgumentError when T's star on
+    the refinement (3 pieces per crossing triangle) reaches 2**62."""
+    C, n = T.complex, T.complex.n_vertices
+    tri = C.simplex_array(2)[T.idx]
+    side = values[tri] < s
+    count = side.sum(axis=1)
+    inside, crossing = count == 3, (count > 0) & (count < 3)
+    if not abs_sum_below_limit(np.concatenate([T.coeff[inside], np.repeat(T.coeff[crossing], 3)])):
+        raise ArgumentError("chain coefficients must sum below 2**62 in absolute value")
+    sims, sides = tri[crossing], side[crossing]
+    crosses = sides[:, _TRIANGLE_EDGES[:, 0]] != sides[:, _TRIANGLE_EDGES[:, 1]]
+    edges = distinct_rows(sims[:, _TRIANGLE_EDGES][crosses])
+    t, _, points = _cut_points(C.metric, values, edges, s)
+    one_level = np.zeros(len(sims), dtype=np.intp), np.zeros(len(edges), dtype=np.intp)
+    cells, slots, signs = _split(sims, sides, one_level[0], edges, one_level[1], np.array([n]))
+    pieces, coeff = cells[2], T.coeff[crossing][np.nonzero(slots[2])[0]] * signs
+    old = pieces < n
+    below = (old & (values[np.where(old, pieces, 0)] < s)).any(axis=1)
+    segment = below & (pieces[:, 1] >= n)
+
+    rows = np.concatenate([tri[inside], pieces[below]])
+    order = np.argsort(row_keys(rows)[0], kind="stable")
+    volumes = np.concatenate([C.masses(2)[T.idx[inside]], np.full(below.sum(), UNKNOWN_VOLUME)])
+
+    # dT below the level: an edge wholly below is kept, a crossing one by
+    # its half below, [u, cut] (+c) when u is below, else [v, cut] (-c)
+    d_rows, d_coeff = T.boundary_rows
+    d_side = values[d_rows] < s
+    whole, half = d_side.all(axis=1), d_side.any(axis=1) & ~d_side.all(axis=1)
+    u_below = d_side[half, 0]
+    halves = np.stack([np.where(u_below, *d_rows[half].T), lookup_rows(edges, d_rows[half]) + n], axis=1)
+    b_rows = np.concatenate([pieces[segment][:, 1:], d_rows[whole], halves])
+    b_order = np.argsort(row_keys(b_rows)[0], kind="stable")
+    b_coeff = np.concatenate([coeff[segment], d_coeff[whole], np.where(u_below, d_coeff[half], -d_coeff[half])])
+    return LevelSet(
+        metric=C.metric.grown(points),
+        cut_edges=edges,
+        cut_t=t,
+        rows=rows[order],
+        coeff=np.concatenate([T.coeff[inside], coeff[below]])[order],
+        volumes=volumes[order],
+        boundary_rows=b_rows[b_order],
+        boundary_coeff=b_coeff[b_order],
+    )
+
+
+@dataclass(eq=False)
+class BallContext:
+    """The ball of the chain T about vertex p of radius r, r snapped to
+    `level` as `subdivide_at_level` snaps it.
+
+    The cut ball is built on first read: `refinement` cuts the closure of
+    the simplices with a vertex below the level alone (no other simplex
+    has a part below; the closure keeps vertex ids and the metric, and
+    when T's complex is the closure of its support it holds every crossing
+    edge, so the cut has the full cut's cut ids), `current` is the ball on
+    it and `complex` its complex.  A 2-d ball is also read off its level
+    set (`level_set`), and then `boundary`, the discrete sphere, the
+    support range, `ball_mass` and the skip rule's rows come from it:
+    sliced fills with one axis build no cut.
+    """
+
+    T: SimplicialCurrent
     center: int
     radius: float
+    rho: PLFunction
+    level: float
+    level_set: LevelSet | None
+
+    @property
+    def dim(self) -> int:
+        return self.T.dim
+
+    @cached_property
+    def _cut(self):
+        T = self.T
+        below = (self.rho.values < self.level)[T.complex.simplex_array(T.dim)]
+        star = support_closure(T.restricted(below.any(axis=1)))
+        ref = subdivide_at_level(star.complex, self.rho.values, self.radius)
+        return ref, support_closure(ref.transfer_current(star).restricted(ref.below(T.dim)))
+
+    @property
+    def refinement(self) -> Refinement:
+        return self._cut[0]
+
+    @property
+    def current(self) -> SimplicialCurrent:
+        return self._cut[1]
 
     @property
     def complex(self) -> GeometricComplex:
@@ -75,37 +203,58 @@ class BallContext:
     @cached_property
     def boundary(self) -> SimplicialCurrent:
         """d of the ball, built once: the discrete sphere and the level box
-        of every witness candidate read it."""
-        return boundary(self.current)
+        of every witness candidate read it.  A 2-d ball's lives on the
+        1-complex of its own simplices, over the grown metric."""
+        lv = self.level_set
+        if lv is None:
+            return boundary(self.current)
+        K = GeometricComplex(lv.metric, face_closure(lv.boundary_rows)[0])
+        return boundary_chain(K, 1, np.arange(len(lv.boundary_rows)), lv.boundary_coeff)
+
+    @cached_property
+    def rows(self):
+        """The ball's top simplices as vertex-id rows of the refined complex,
+        and their coefficients."""
+        if self.level_set is not None:
+            return self.level_set.rows, self.level_set.coeff
+        return self.complex.simplex_array(self.dim)[self.current.idx], self.current.coeff
+
+    @cached_property
+    def ball_mass(self) -> float:
+        """M(ball), summed in the cut ball's row order: bit for bit its mass."""
+        lv = self.level_set
+        if lv is None:
+            return mass(self.current)
+        todo = np.flatnonzero(lv.volumes == UNKNOWN_VOLUME)
+        volumes = lv.volumes.copy()
+        volumes[todo] = simplex_volumes(lv.metric, lv.rows[todo])
+        return float(np.abs(lv.coeff) @ volumes)
 
     def sphere_vertices(self) -> list[int]:
         """Vertices of the discrete bounding sphere: the cut vertices created
         at the ball level (the current's own boundary is excluded)."""
-        if self.current.dim < 1:
+        if self.dim < 1:
             return []
-        cut_start = self.refinement.n_old_vertices
+        cut_start = self.T.complex.n_vertices
         return [v for v in self.boundary.support_vertices() if v >= cut_start]
 
     def support_range(self, f: PLFunction):
-        verts = self.current.support_vertices()
-        return f.range(verts) if verts else (0.0, 0.0)
+        values = f.values[self.rows[0]]
+        return (float(values.min()), float(values.max())) if values.size else (0.0, 0.0)
 
 
 def ball_context(T: SimplicialCurrent, p: int, r: float) -> BallContext:
-    """The ball of T about vertex p of radius r, cut on the closure of the
-    simplices with a vertex below r (snapped as `subdivide_at_level` snaps
-    it) alone: no other simplex has a part below.  The closure keeps vertex
-    ids and the metric, and when T's complex is the closure of its support
-    it holds every crossing edge: the cut has the full cut's cut ids."""
+    """The ball of T about vertex p of radius r (see `BallContext`): the
+    distance from p and the snapped level, and for a 2-d chain one pass
+    over its triangles (`_level_set`).  The mesh's top volumes are read
+    once, cached on T's complex, where every ball on it gathers them."""
     if not r > 0:
         raise ArgumentError("ball radius must be positive")
     rho = distance_function(T.complex, p)
-    T.complex.masses(T.dim)  # cached on T's complex, where every ball on it gathers them
-    below = (rho.values < snap_level(rho.values, r)[0])[T.complex.simplex_array(T.dim)]
-    star = support_closure(T.restricted(below.any(axis=1)))
-    ref = subdivide_at_level(star.complex, rho.values, r)
-    current = support_closure(ref.transfer_current(star).restricted(ref.below(T.dim)))
-    return BallContext(current=current, refinement=ref, center=p, radius=r)
+    T.complex.masses(T.dim)
+    level = snap_level(rho.values, r)[0]
+    lv = _level_set(T, rho.values, level) if T.dim == 2 else None
+    return BallContext(T=T, center=p, radius=r, rho=rho, level=level, level_set=lv)
 
 
 @dataclass
@@ -185,10 +334,9 @@ def _tensor_eval(start: SimplicialCurrent, functions, grids, leaf, *, cycle, sta
             return
         star = not keeps_whole_cut(depth, current.dim)
         if points and depth == k - 1:
-            # the prefix's rule: start's with one axis; after the dP first
-            # axis it cannot bind (see above), and an empty chain stands in
-            limit_of = vertex_rows(start, fns[0].values) if k == 1 else (np.empty((0, 3)), start.coeff[:0])
-            results = point_slices(current, fns[0], grids[depth], snap_values, limit_of)
+            # the prefix's rule cannot bind after the dP first axis (see
+            # above): an empty chain stands in
+            results = point_slices(current, fns[0], grids[depth], snap_values, (np.empty((0, 3)), start.coeff[:0]))
         elif points and depth == k - 2:
             results = boundary_slices(current, cycle_of(current), fns[0], fns[1], grids[depth])
         elif cycle and depth == k - 1:
@@ -209,9 +357,24 @@ def _tensor_eval(start: SimplicialCurrent, functions, grids, leaf, *, cycle, sta
 
     if cycle and k == 0:
         out[0] = leaf(PointCycle.from_chain(cycle_of(start)) if points else cycle_of(start))
+    elif points and k == 1:
+        return _point_axis(cycle_of(start), functions[0], grids[0], leaf, vertex_rows(start, functions[0].values))
     else:
-        rec(-cycle_of(start) if points and k == 1 else start, list(functions), 0, ())
+        rec(start, list(functions), 0, ())
     return out, skipped[0]
+
+
+def _point_axis(B, f, levels, leaf, limit_of):
+    """The leaf on the cut points of the 1-chain -B at each of `levels`,
+    all read in one pass (`slicing.point_slices`), a level skipped by the
+    rule of the chain `limit_of`; and the number of levels skipped."""
+    out, skipped = np.zeros(len(levels)), 0
+    for i, sl in enumerate(point_slices(-B, f, levels, limit_of=limit_of)):
+        if isinstance(sl, ArgumentError):
+            skipped += 1
+        else:
+            out[i] = leaf(sl)
+    return out, skipped
 
 
 def fill_value_of_boundary(B) -> float:
@@ -271,18 +434,23 @@ def _level_box(ctx: BallContext, leaf, grid, functions=None, witnesses=None, box
         raise ArgumentError("pass either functions or witnesses, not both")
     wit = tuple(witnesses) if witnesses is not None else ()
     if witnesses is not None:
-        fns = [distance_function(ctx.complex, w) for w in wit]
+        # on the complex of the cycle the leaves read, or of the slices
+        fns = [distance_function((ctx.boundary if cycle else ctx.current).complex, w) for w in wit]
     else:
         fns = [ctx.refinement.transfer_function(f) for f in (functions or [])]
-    _check_axis_count(len(fns), ctx.current.dim, cycle)
+    _check_axis_count(len(fns), ctx.dim, cycle)
     grids = _level_axes([box or ctx.support_range(f) for f in fns], grid)
-    held = ctx.boundary if cycle else None
-    values, skipped = _tensor_eval(ctx.current, fns, grids, leaf, cycle=cycle, start_boundary=held)
+    if cycle and fns and ctx.level_set is not None:  # a 2-d ball's one axis reads its level set
+        rows, coeff = ctx.rows
+        values, skipped = _point_axis(ctx.boundary, fns[0], grids[0], leaf, (fns[0].values[rows], coeff))
+    else:  # a 2-d ball's level-set boundary lives on a 1-complex: no leaf fills it there
+        held = ctx.boundary if cycle and ctx.level_set is None else None
+        values, skipped = _tensor_eval(ctx.current, fns, grids, leaf, cycle=cycle, start_boundary=held)
     integral = _tensor_trapezoid(values, grids)
     estimate = _richardson_estimate(values, grids)
     lips = [f.lip for f in fns]
     lam = math.prod(1.0 / L if L > 0 else 0.0 for L in lips)
-    ball_m = mass(ctx.current)
+    ball_m = ctx.ball_mass
     report = SlicedFillReport(
         center=ctx.center,
         radius=ctx.radius,
@@ -321,9 +489,19 @@ def sliced_fill(
     one-candidate search); `witnesses=[]` is the box with no axes.  Each
     axis spans its function's range over the closed ball.  The integral
     divided by the product of Lipschitz constants is a lower bound for the
-    ball's mass.
+    ball's mass.  `context`, when given, must be `ball_context(T, p, r)`;
+    it is read instead of building the ball again.
     """
-    ctx = context or ball_context(T, p, r)
+    if context is None:
+        ctx = ball_context(T, p, r)
+    elif context.T != T or (context.center, context.radius) != (p, r):
+        other = "" if context.T == T else " of another chain"
+        raise ArgumentError(
+            f"context must be the ball about {p} of radius {r}, not about {context.center}"
+            f" of radius {context.radius}{other}"
+        )
+    else:
+        ctx = context
     if functions is None and witnesses is None:
         return _witness_search(ctx, 1, 1, fill_value_of_boundary, grid)
     return _level_box(ctx, fill_value_of_boundary, grid, functions, witnesses, cycle=True)
@@ -411,7 +589,7 @@ def _witness_search(ctx: BallContext, k, candidates, leaf, grid, box=None) -> Sl
     has no witness: its report is zero over the fixed box, or over no axes
     when the box would follow the witnesses.  A k beyond the level box's
     axes, or fewer than one candidate, is an input error either way."""
-    _check_axis_count(k, ctx.current.dim, cycle=True)
+    _check_axis_count(k, ctx.dim, cycle=True)
     if candidates < 1:
         raise ArgumentError(f"need at least one candidate witness tuple, got {candidates}")
     sphere = ctx.sphere_vertices()
@@ -420,7 +598,7 @@ def _witness_search(ctx: BallContext, k, candidates, leaf, grid, box=None) -> Sl
         report = SlicedFillReport(
             center=ctx.center, radius=ctx.radius, grid_axes=grids,
             values=np.zeros(tuple(len(g) for g in grids) or (1,)), integral=0.0,
-            lipschitz=[1.0] * k, mass_lower_bound=0.0, ball_mass=mass(ctx.current),
+            lipschitz=[1.0] * k, mass_lower_bound=0.0, ball_mass=ctx.ball_mass,
         )
         report.warnings.append(EMPTY_SPHERE)
         return report

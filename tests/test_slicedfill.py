@@ -4,9 +4,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from currentlab.complexes import PLFunction, coordinate_function, distance_function
-from currentlab.currents import boundary, mass
+from currentlab.complexes import PLFunction, coordinate_function, distance_function, lookup_rows
+from currentlab.currents import SimplicialCurrent, boundary, mass
+from currentlab.metricspace import ArgumentError
 from currentlab.meshes import (
     disk_mesh,
     euclidean_box_mesh,
@@ -38,6 +40,7 @@ from currentlab.slicedfill import (
 )
 
 from oracles import level_star, tensor_eval_oracle
+from test_slicing import _metric_state, _subdivide_cases
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
 
@@ -214,10 +217,10 @@ class TestLevelStar:
         assert np.array_equal(ctx.refinement.cut_t, ref.cut_t)
         assert ctx.refinement.source.count(T.dim) < C.count(T.dim)
 
-    def test_ball_and_its_sphere_look_up_one_face_index(self, monkeypatch):
-        """A ball context and its discrete sphere make one facet lookup, for
-        the ball's top face index: neither the star closure nor its
-        refinement is asked for a face index."""
+    def test_ball_and_its_sphere_look_up_no_face_index(self, monkeypatch):
+        """A 2-d ball context and its discrete sphere make no facet lookup:
+        d(ball) is read off the level set, with no face index of the ball,
+        of the star closure or of its refinement."""
         import currentlab.complexes as complexes
 
         C, T = sphere_mesh(20, 40)
@@ -230,33 +233,25 @@ class TestLevelStar:
         monkeypatch.setattr(complexes, "facet_lookup", counting)
         ctx = ball_context(T, 37, 1.1)
         assert ctx.sphere_vertices()
-        assert len(looked_up) == 1 and looked_up[0] is ctx.complex.simplex_array(2)
+        assert looked_up == []
 
-    def test_sphere_sliced_fill_cuts_only_level_stars(self, monkeypatch):
-        """The one cut of a sphere sliced fill takes in only a level star:
-        the ball's, the triangles with a vertex inside it.  The 9 levels of
-        the axis cut nothing: the leaf reads the cut points of the crossing
-        edges of the ball's boundary (the cycle -<d ball, f, t>)."""
+    def test_sphere_sliced_fill_cuts_nothing(self, monkeypatch):
+        """A sphere sliced fill makes no cut: the ball is read off its level
+        set, and the 9 levels of the axis read the cut points of the
+        crossing edges of the ball's boundary (the cycle -<d ball, f, t>)."""
         import currentlab.slicing as slicing
 
         C, T = sphere_mesh(20, 40)
-        ctx = ball_context(T, 37, 1.1)
-        witness = ctx.sphere_vertices()[5]
-        calls, passes, original = [], [], slicing._refine
+        witness = ball_context(T, 37, 1.1).sphere_vertices()[5]
+        passes, original = [], slicing._refine
 
-        def recording(sources, rows, level, values, *args, **kwargs):
-            cut = original(sources, rows, level, values, *args, **kwargs)
+        def recording(sources, *args, **kwargs):
             passes.append(len(sources))
-            for K, ref in zip(sources, cut.refinements):
-                calls.append((K, np.asarray(values) < ref.level))
-            return cut
+            return original(sources, *args, **kwargs)
 
         monkeypatch.setattr(slicing, "_refine", recording)
         rep = sliced_fill(T, 37, 1.1, witnesses=[witness], grid=9)
-        assert rep.integral > 0 and len(calls) == 1
-        assert passes == [1]
-        K, below = calls[0]
-        assert below[K.simplex_array(2)].any(axis=1).all() and K.count(2) < C.count(2)
+        assert rep.integral > 0 and passes == []
 
     def test_three_dimensional_final_slice_keeps_the_whole_cut(self, box_ball):
         """With one function on a 3-d ball the leaf fills the boundary of a
@@ -295,6 +290,136 @@ class TestLevelStar:
             assert not want.is_zero()
             _assert_same_complex(cur.complex, want.complex)
             assert np.array_equal(cur.idx, want.idx) and np.array_equal(cur.coeff, want.coeff)
+
+
+def _assert_level_set_is_the_cut(T, p, r):
+    """The 2-d ball read off its level set has the cut ball's boundary
+    (rows and coefficients), discrete sphere, cut edges and parameters,
+    grown metric, rows, support range and mass, bit for bit; the level
+    set's values are read before the cut is built."""
+    ctx = ball_context(T, p, r)
+    lv, ball_mass, sphere, got = ctx.level_set, ctx.ball_mass, ctx.sphere_vertices(), ctx.boundary
+    f = distance_function(got.complex, sphere[0] if sphere else p)
+    support = ctx.support_range(f)
+    assert "_cut" not in vars(ctx)
+    want, ref = boundary(ctx.current), ctx.refinement
+    assert np.array_equal(got.complex.simplex_array(1)[got.idx], want.complex.simplex_array(1)[want.idx])
+    assert np.array_equal(got.coeff, want.coeff)
+    assert sphere == [v for v in want.support_vertices() if v >= T.complex.n_vertices]
+    assert np.array_equal(lv.cut_edges, ref.cut_edges) and np.array_equal(lv.cut_t, ref.cut_t)
+    assert np.array_equal(_metric_state(lv.metric), _metric_state(ctx.complex.metric))
+    for v in sphere[:3] + [p]:
+        assert np.array_equal(lv.metric.row(v), ctx.complex.metric.row(v))
+    rows, coeff = ctx.rows
+    assert np.array_equal(rows, ctx.complex.simplex_array(2)[ctx.current.idx]) and np.array_equal(coeff, ctx.current.coeff)
+    verts = ctx.current.support_vertices()
+    assert support == (PLFunction(ctx.complex, f.values).range(verts) if verts else (0.0, 0.0))
+    assert ball_mass == mass(ctx.current)
+    return ctx
+
+
+def _mixed_chain(C, seed):
+    """Every triangle of C with a coefficient in 1..3 of either sign."""
+    rng = np.random.default_rng([seed, C.count(2)])
+    coeff = rng.integers(1, 4, size=C.count(2)) * rng.choice([-1, 1], size=C.count(2))
+    return SimplicialCurrent.from_arrays(C, 2, np.arange(C.count(2)), coeff)
+
+
+_LEVEL_DISK, _ = disk_mesh(h=0.25)
+_LEVEL_DISK_T = _mixed_chain(_LEVEL_DISK, 4)
+
+
+class TestLevelSet:
+    """A 2-d ball context reads the ball off its level set, with no cut,
+    and reads what the cut ball gives, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "C", [pytest.param(c.values[0], id=c.id) for c in _subdivide_cases() if c.values[0].top_dim == 2]
+    )
+    def test_level_set_equals_the_cut_on_every_backend(self, C):
+        T = _mixed_chain(C, 9)
+        p = int(C.simplex_array(2)[C.count(2) // 2, 0])
+        rho = distance_function(C, p).values
+        values = rho[np.unique(C.simplex_array(2))]
+        far, on_vertex = float(values.max()), float(values[np.argmin(np.abs(values - 0.45 * values.max()))])
+        assert snap_level(rho, on_vertex)[1]
+        for r in (0.3 * far, 0.6 * far, on_vertex):
+            ctx = _assert_level_set_is_the_cut(T, p, r)
+            assert ctx.sphere_vertices() and (np.abs(T.coeff) == 3).any() and (T.coeff < 0).any()
+        ctx = _assert_level_set_is_the_cut(T, p, 1.5 * far)  # the ball holds all of T
+        assert ctx.sphere_vertices() == [] and len(ctx.level_set.cut_edges) == 0
+
+    def test_level_set_equals_the_cut_on_a_sphere(self):
+        C, T = sphere_mesh(20, 40)
+        _assert_level_set_is_the_cut(T, 37, 1.1)
+
+    def test_level_set_equals_the_cut_across_the_boundary_of_a_disk(self):
+        """A ball crossing dT: its boundary holds the halves below the level
+        of dT's crossing edges, each with one old vertex and one cut point."""
+        C, T = disk_mesh(h=0.15)
+        ctx = _assert_level_set_is_the_cut(T, nearest_vertex(C, (0.7, 0.0)), 0.5)
+        rows = ctx.boundary.complex.simplex_array(1)[ctx.boundary.idx]
+        assert ((rows < C.n_vertices).sum(axis=1) == 1).any()
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, _LEVEL_DISK.n_vertices - 1), st.floats(0.01, 2.5))
+    def test_level_set_equals_the_cut_on_disk_balls(self, p, r):
+        _assert_level_set_is_the_cut(_LEVEL_DISK_T, p, r)
+
+    def test_level_path_skips_the_levels_the_cut_ball_skips(self):
+        """Near 2**62 the level path skips exactly the levels that the cut
+        ball skips: the ball's untouched triangles crossing the middle
+        witness level carry c, so their 3 pieces each reach 2**62 there,
+        and a level that misses one of them stays below."""
+        C, T1 = disk_mesh(h=0.25)
+        p, r, grid = 0, 0.6, 9
+        ctx1 = ball_context(T1, p, r)
+        w = ctx1.sphere_vertices()[0]
+        rows = ctx1.complex.simplex_array(2)[ctx1.current.idx]
+        levels = np.linspace(*ctx1.support_range(distance_function(ctx1.complex, w)), grid)
+        side = distance_function(ctx1.complex, w).values[rows] < levels[grid // 2]
+        big = rows[side.any(axis=1) & ~side.all(axis=1) & (rows < C.n_vertices).all(axis=1)]
+        c = 2**62 // (3 * len(big)) + 1
+        coeff = T1.coeff.copy()
+        coeff[lookup_rows(C.simplex_array(2)[T1.idx], big)] *= c
+        T = SimplicialCurrent.from_arrays(C, 2, T1.idx, coeff)
+        rep = sliced_fill(T, p, r, witnesses=[w], grid=grid)
+        ctx = ball_context(T, p, r)
+        f = distance_function(ctx.complex, w)
+        want, want_skipped = _tensor_eval(ctx.current, [f], [levels], fill_value_of_boundary, cycle=True)
+        assert np.array_equal(rep.grid_axes[0], levels)
+        assert 0 < rep.skipped == want_skipped < grid
+        assert rep.values.tobytes() == want.tobytes()
+
+    def test_sliced_fill_on_a_2d_ball_takes_no_closure_or_boundary(self, monkeypatch):
+        """sf, sfk --k 1 and the default witness on a 2-d ball build no
+        support closure and take no boundary: the ball is its level set."""
+        import currentlab.currents as currents
+        import currentlab.slicing as slicing
+        import currentlab.slicedfill as slicedfill
+
+        C, T = sphere_mesh(20, 40)
+        calls = []
+        for module, name in [(slicing, "support_closure"), (slicedfill, "support_closure"),
+                             (currents, "boundary"), (slicedfill, "boundary")]:
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, _o=original, _n=name: calls.append(_n) or _o(*a))
+        witness = ball_context(T, 37, 1.1).sphere_vertices()[5]
+        assert sliced_fill(T, 37, 1.1, witnesses=[witness], grid=9).integral > 0
+        assert sliced_fill(T, 37, 1.1, grid=5).integral > 0
+        assert sf_k(T, 37, 1.1, 1, candidates=2, grid=5).integral > 0
+        assert calls == []
+
+    def test_a_mismatched_context_is_refused(self):
+        C, T = disk_mesh(h=0.25)
+        w = ball_context(T, 5, 0.6).sphere_vertices()[0]
+        with pytest.raises(ArgumentError, match="context must be the ball about 5 of radius 0.6"):
+            sliced_fill(T, 5, 0.6, witnesses=[w], context=ball_context(T, 0, 0.3))
+        with pytest.raises(ArgumentError, match="of another chain"):
+            sliced_fill(T, 5, 0.6, witnesses=[w], context=ball_context(-T, 5, 0.6))
+        ctx = ball_context(T, 5, 0.6)
+        with_ctx, without = (sliced_fill(T, 5, 0.6, witnesses=[w], grid=5, context=c) for c in (ctx, None))
+        assert with_ctx.to_json() == without.to_json()
 
 
 def _torus_tetra_ball(eps=0.4, divisor=8):
