@@ -125,6 +125,12 @@ class SimplicialCurrent:
     def coeffs(self) -> Coefficients:
         return Coefficients(self.idx, self.coeff)
 
+    @property
+    def rows(self):
+        """T as (the vertex-id rows of its simplices, in idx order, their
+        coefficients)."""
+        return self.complex.simplex_array(self.dim)[self.idx], self.coeff
+
     @cached_property
     def boundary_rows(self):
         """dT as (the vertex-id rows of its simplices in lexicographic
@@ -134,7 +140,7 @@ class SimplicialCurrent:
         k = self.dim
         if k == 0:
             return np.empty((0, 0), dtype=np.intp), np.empty(0, dtype=np.int64)
-        rows = self.complex.simplex_array(k)[self.idx]
+        rows = self.rows[0]
         faces = rows[:, [[c for c in range(k + 1) if c != j] for j in range(k + 1)]].reshape(-1, k)
         signed = (self.coeff[:, None] * np.where(np.arange(k + 1) % 2, -1, 1)).ravel()
         _, first, which = np.unique(row_keys(faces)[0], return_index=True, return_inverse=True)
@@ -185,7 +191,7 @@ class SimplicialCurrent:
         return not len(self.idx)
 
     def support_vertices(self):
-        return np.unique(self.complex.simplex_array(self.dim)[self.idx]).tolist()
+        return np.unique(self.rows[0]).tolist()
 
 
 # ---------------------------------------------------------------------------

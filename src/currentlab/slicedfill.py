@@ -15,11 +15,12 @@ the last axis cuts nothing: it reads the cut points of that 1-chain at all
 its levels in one pass, as points with signed weights.  Otherwise the last
 axis slices -dT of its prefix T.
 
-A 2-d ball is read off its level set, not cut: d(T on {rho < r}) is
-<T, rho, r> + (dT on {rho < r}), one segment per triangle crossing the
-level plus T's boundary below it, so the one axis of sf, sfk --k 1 and the
-tetra check on a 2-d ball reads the cut points of that 1-chain and nothing
-builds the ball's complex (`ball_context`).
+A ball of dimension k >= 1 is read off its level set, not cut:
+d(T on {rho < r}) is <T, rho, r> + (dT on {rho < r}), the level surface
+through each simplex crossing the level plus T's boundary below it.  So
+when the leaves read 0-cycles of at most two axes (sf and sfk --k 1 on a
+2-d ball, tetra and sfk --k 2 on a 3-d one), every axis is cut from that
+boundary alone and nothing builds the ball's complex (`ball_context`).
 """
 from __future__ import annotations
 
@@ -37,7 +38,6 @@ from .complexes import (
     distance_function,
     distinct_rows,
     face_closure,
-    lookup_rows,
     row_keys,
     simplex_volumes,
 )
@@ -79,15 +79,17 @@ POINT_MERGE_REL = 1e-9
 
 @dataclass(eq=False)
 class LevelSet:
-    """A 2-d ball B = T on {rho < r} read off its level set {rho = r}, with
-    no cut.  The cut points of the crossing edges `cut_edges` at parameters
-    `cut_t` are numbered from T's vertex count in edge order, as the cut
-    numbers them, on `metric`, T's metric grown by them.  B's triangles are
-    the vertex-id `rows` (lexicographic) with `coeff`: the triangles wholly
-    below, with their mesh `volumes`, and the pieces below of the crossing
-    ones, through a cut point and of UNKNOWN_VOLUME.  dB is `boundary_rows`
-    with `boundary_coeff`: by dB = <T, rho, r> + (dT) on {rho < r}, the
-    segment of each crossing triangle plus T's boundary below the level."""
+    """A ball B = T on {rho < r} of a k-chain T read off its level set
+    {rho = r}, with no cut.  The cut points of the crossing edges
+    `cut_edges` at parameters `cut_t` are numbered from T's vertex count in
+    edge order, as the cut numbers them, on `metric`, T's metric grown by
+    them.  B's k-simplices are the vertex-id `rows` (lexicographic) with
+    `coeff`: the simplices wholly below, with their mesh `volumes`, and the
+    pieces below of the crossing ones, through a cut point and of
+    UNKNOWN_VOLUME.  dB is `boundary_rows` (lexicographic) with
+    `boundary_coeff`: by dB = <T, rho, r> + (dT) on {rho < r}, the faces of
+    cut points alone of the pieces below plus T's boundary below the
+    level."""
 
     metric: object
     cut_edges: np.ndarray
@@ -99,54 +101,58 @@ class LevelSet:
     boundary_coeff: np.ndarray
 
 
-_TRIANGLE_EDGES = np.array([[0, 1], [0, 2], [1, 2]])
+def _pieces_below(rows, side, coeff, edges, n, values, s):
+    """The pieces below the level s of the crossing simplices `rows` (their
+    vertices' below flags `side`, coefficients `coeff`) as the cut splits
+    them (`slicing._split`, the cut's templates; the cut point of edges[g]
+    is n + g): their vertex-id rows and coefficients, the parent's times
+    the piece's orientation in it."""
+    cells, slots, signs = _split(rows, side, None, edges, None, np.array([n]))
+    pieces, signed = cells[-1], coeff[np.nonzero(slots[-1])[0]] * signs
+    old = pieces < n
+    below = (old & (values[np.where(old, pieces, 0)] < s)).any(axis=1)
+    return pieces[below], signed[below]
 
 
 def _level_set(T: SimplicialCurrent, values, s) -> LevelSet:
-    """The level set of the 2-chain T's ball {values < s} at the snapped
-    level s, in one pass over T's triangles.  The pieces of each crossing
-    triangle are its cut's (`slicing._split`, the cut's templates): the
-    one below with two cut points ends in the triangle's segment of dB,
-    with its coefficient.  Raises the cut's ArgumentError when T's star on
-    the refinement (3 pieces per crossing triangle) reaches 2**62."""
-    C, n = T.complex, T.complex.n_vertices
-    tri = C.simplex_array(2)[T.idx]
-    side = values[tri] < s
+    """The level set of the ball {values < s} of the k-chain T (k >= 1) at
+    the snapped level s, in one pass over T's k-simplices and one over the
+    crossing faces of dT (taken once per chain, `boundary_rows`).  A piece
+    below holds a face of cut points alone exactly when its one vertex
+    below is its first, and that face then has the piece's sign.  Raises
+    the cut's ArgumentError when T's star on the refinement (C(k + 1, j)
+    pieces per crossing simplex with j vertices below) reaches 2**62."""
+    C, n, k = T.complex, T.complex.n_vertices, T.dim
+    top = C.simplex_array(k)[T.idx]
+    side = values[top] < s
     count = side.sum(axis=1)
-    inside, crossing = count == 3, (count > 0) & (count < 3)
-    if not abs_sum_below_limit(np.concatenate([T.coeff[inside], np.repeat(T.coeff[crossing], 3)])):
+    pieces_per = np.array([0] + [math.comb(k + 1, j) for j in range(1, k + 1)] + [1])
+    if not abs_sum_below_limit(np.repeat(T.coeff, pieces_per[count])):
         raise ArgumentError("chain coefficients must sum below 2**62 in absolute value")
-    sims, sides = tri[crossing], side[crossing]
-    crosses = sides[:, _TRIANGLE_EDGES[:, 0]] != sides[:, _TRIANGLE_EDGES[:, 1]]
-    edges = distinct_rows(sims[:, _TRIANGLE_EDGES][crosses])
+    inside, crossing = count == k + 1, (count > 0) & (count <= k)
+    sims, sides = top[crossing], side[crossing]
+    pairs = np.array(list(itertools.combinations(range(k + 1), 2)))
+    edges = distinct_rows(sims[:, pairs][sides[:, pairs[:, 0]] != sides[:, pairs[:, 1]]])
     t, _, points = _cut_points(C.metric, values, edges, s)
-    one_level = np.zeros(len(sims), dtype=np.intp), np.zeros(len(edges), dtype=np.intp)
-    cells, slots, signs = _split(sims, sides, one_level[0], edges, one_level[1], np.array([n]))
-    pieces, coeff = cells[2], T.coeff[crossing][np.nonzero(slots[2])[0]] * signs
-    old = pieces < n
-    below = (old & (values[np.where(old, pieces, 0)] < s)).any(axis=1)
-    segment = below & (pieces[:, 1] >= n)
-
-    rows = np.concatenate([tri[inside], pieces[below]])
+    pieces, coeff = _pieces_below(sims, sides, T.coeff[crossing], edges, n, values, s)
+    rows = np.concatenate([top[inside], pieces])
     order = np.argsort(row_keys(rows)[0], kind="stable")
-    volumes = np.concatenate([C.masses(2)[T.idx[inside]], np.full(below.sum(), UNKNOWN_VOLUME)])
+    volumes = np.concatenate([C.masses(k)[T.idx[inside]], np.full(len(pieces), UNKNOWN_VOLUME)])
 
-    # dT below the level: an edge wholly below is kept, a crossing one by
-    # its half below, [u, cut] (+c) when u is below, else [v, cut] (-c)
     d_rows, d_coeff = T.boundary_rows
     d_side = values[d_rows] < s
-    whole, half = d_side.all(axis=1), d_side.any(axis=1) & ~d_side.all(axis=1)
-    u_below = d_side[half, 0]
-    halves = np.stack([np.where(u_below, *d_rows[half].T), lookup_rows(edges, d_rows[half]) + n], axis=1)
-    b_rows = np.concatenate([pieces[segment][:, 1:], d_rows[whole], halves])
+    whole, d_crossing = d_side.all(axis=1), d_side.any(axis=1) & ~d_side.all(axis=1)
+    d_pieces, d_pieces_coeff = _pieces_below(d_rows[d_crossing], d_side[d_crossing], d_coeff[d_crossing], edges, n, values, s)
+    level = pieces[:, 1] >= n
+    b_rows = np.concatenate([pieces[level][:, 1:], d_rows[whole], d_pieces])
+    b_coeff = np.concatenate([coeff[level], d_coeff[whole], d_pieces_coeff])
     b_order = np.argsort(row_keys(b_rows)[0], kind="stable")
-    b_coeff = np.concatenate([coeff[segment], d_coeff[whole], np.where(u_below, d_coeff[half], -d_coeff[half])])
     return LevelSet(
         metric=C.metric.grown(points),
         cut_edges=edges,
         cut_t=t,
         rows=rows[order],
-        coeff=np.concatenate([T.coeff[inside], coeff[below]])[order],
+        coeff=np.concatenate([T.coeff[inside], coeff])[order],
         volumes=volumes[order],
         boundary_rows=b_rows[b_order],
         boundary_coeff=b_coeff[b_order],
@@ -156,17 +162,22 @@ def _level_set(T: SimplicialCurrent, values, s) -> LevelSet:
 @dataclass(eq=False)
 class BallContext:
     """The ball of the chain T about vertex p of radius r, r snapped to
-    `level` as `subdivide_at_level` snaps it.
+    `level` as `subdivide_at_level` snaps it.  It has two sources, which
+    agree bit for bit, each built at most once.
 
-    The cut ball is built on first read: `refinement` cuts the closure of
-    the simplices with a vertex below the level alone (no other simplex
-    has a part below; the closure keeps vertex ids and the metric, and
-    when T's complex is the closure of its support it holds every crossing
-    edge, so the cut has the full cut's cut ids), `current` is the ball on
-    it and `complex` its complex.  A 2-d ball is also read off its level
-    set (`level_set`), and then `boundary`, the discrete sphere, the
-    support range, `ball_mass` and the skip rule's rows come from it:
-    sliced fills with one axis build no cut.
+    The cut ball, built on first read: `refinement` cuts the closure of the
+    simplices with a vertex below the level alone (no other simplex has a
+    part below; the closure keeps vertex ids and the metric, and when T's
+    complex is the closure of its support it holds every crossing edge, so
+    the cut has the full cut's cut ids), `current` is the ball on it and
+    `complex` its complex.  The level set (`level_set`, for k >= 1): one
+    pass over T's simplices, no complex.  The discrete sphere, `rows`, the
+    support range and `ball_mass` read the cut ball once it is built and
+    the level set otherwise; `boundary` does too, so once the cut is built
+    it is the cut ball's, on its complex.  A level box whose leaves read
+    0-cycles of at most two axes reads only these (`_point_box`); every
+    other box builds the cut first, and its callers ask `ball_context` for
+    no level pass, so none of them runs both.
     """
 
     T: SimplicialCurrent
@@ -174,11 +185,18 @@ class BallContext:
     radius: float
     rho: PLFunction
     level: float
-    level_set: LevelSet | None
 
     @property
     def dim(self) -> int:
         return self.T.dim
+
+    @property
+    def _reads_cut(self) -> bool:
+        return "_cut" in vars(self) or self.dim < 1
+
+    @cached_property
+    def level_set(self) -> LevelSet:
+        return _level_set(self.T, self.rho.values, self.level)
 
     @cached_property
     def _cut(self):
@@ -200,31 +218,37 @@ class BallContext:
     def complex(self) -> GeometricComplex:
         return self.current.complex
 
-    @cached_property
+    @property
     def boundary(self) -> SimplicialCurrent:
-        """d of the ball, built once: the discrete sphere and the level box
-        of every witness candidate read it.  A 2-d ball's lives on the
-        1-complex of its own simplices, over the grown metric."""
+        """d of the ball, built once per source: the discrete sphere and the
+        level box of every witness candidate read it.  The level set's lives
+        on the (k-1)-complex of its own simplices, over the grown metric."""
+        return self._cut_boundary if self._reads_cut else self._level_boundary
+
+    @cached_property
+    def _cut_boundary(self) -> SimplicialCurrent:
+        return boundary(self.current)
+
+    @cached_property
+    def _level_boundary(self) -> SimplicialCurrent:
         lv = self.level_set
-        if lv is None:
-            return boundary(self.current)
         K = GeometricComplex(lv.metric, face_closure(lv.boundary_rows)[0])
-        return boundary_chain(K, 1, np.arange(len(lv.boundary_rows)), lv.boundary_coeff)
+        return boundary_chain(K, self.dim - 1, np.arange(len(lv.boundary_rows)), lv.boundary_coeff)
 
     @cached_property
     def rows(self):
         """The ball's top simplices as vertex-id rows of the refined complex,
         and their coefficients."""
-        if self.level_set is not None:
-            return self.level_set.rows, self.level_set.coeff
-        return self.complex.simplex_array(self.dim)[self.current.idx], self.current.coeff
+        if self._reads_cut:
+            return self.current.rows
+        return self.level_set.rows, self.level_set.coeff
 
     @cached_property
     def ball_mass(self) -> float:
         """M(ball), summed in the cut ball's row order: bit for bit its mass."""
-        lv = self.level_set
-        if lv is None:
+        if self._reads_cut:
             return mass(self.current)
+        lv = self.level_set
         todo = np.flatnonzero(lv.volumes == UNKNOWN_VOLUME)
         volumes = lv.volumes.copy()
         volumes[todo] = simplex_volumes(lv.metric, lv.rows[todo])
@@ -243,18 +267,21 @@ class BallContext:
         return (float(values.min()), float(values.max())) if values.size else (0.0, 0.0)
 
 
-def ball_context(T: SimplicialCurrent, p: int, r: float) -> BallContext:
+def ball_context(T: SimplicialCurrent, p: int, r: float, level_set: bool = True) -> BallContext:
     """The ball of T about vertex p of radius r (see `BallContext`): the
-    distance from p and the snapped level, and for a 2-d chain one pass
-    over its triangles (`_level_set`).  The mesh's top volumes are read
-    once, cached on T's complex, where every ball on it gathers them."""
+    distance from p and the snapped level, and with `level_set` the level
+    pass over a chain of dimension >= 1.  A caller that will slice the cut
+    ball passes False: the pass then runs only if a level-set value is
+    read.  The mesh's top volumes are read once, cached on T's complex,
+    where every ball on it gathers them."""
     if not r > 0:
         raise ArgumentError("ball radius must be positive")
     rho = distance_function(T.complex, p)
     T.complex.masses(T.dim)
-    level = snap_level(rho.values, r)[0]
-    lv = _level_set(T, rho.values, level) if T.dim == 2 else None
-    return BallContext(T=T, center=p, radius=r, rho=rho, level=level, level_set=lv)
+    ctx = BallContext(T=T, center=p, radius=r, rho=rho, level=snap_level(rho.values, r)[0])
+    if level_set and T.dim >= 1:
+        ctx.level_set
+    return ctx
 
 
 @dataclass
@@ -297,16 +324,13 @@ def _tensor_eval(start: SimplicialCurrent, functions, grids, leaf, *, cycle, sta
     the slicing identity d<T, f, t> = -<dT, f, t> gives without cutting the
     slice's volume (`start_boundary`, when given, is dT of the start);
     otherwise the final slice itself.  With k = dim - 1 axes and `cycle`
-    that boundary is a 0-cycle, handed as a PointCycle: axis k - 2 slices
-    dP for its prefix P (`slicing.boundary_slices`, which skips levels and
-    picks the next axis's snap values as cutting P would), and the last
-    axis reads the cut points of the 1-chain it is given, or of -dT for a
-    single axis, at all its levels in one pass (`slicing.point_slices`).
-    Every other axis cuts its prefix, the last one -dP with `cycle`; with
-    no axes the leaf reads dT.  Slices share prefixes: the levels of axis j
-    are cut once per prefix, all in one pass (`slicing._slices`).  Each
-    slice cuts only the star of its level, except a final slice of a prefix
-    of dimension >= 3: `fill_value_of_boundary` fills its cycle inside its
+    that boundary is a 0-cycle, and the last one or two axes cut no volume:
+    they read the slices of dP for their prefix P (`_point_axes`).  Every
+    other axis cuts its prefix, the last one -dP with `cycle`; with no axes
+    the leaf reads dT.  Slices share prefixes: the levels of axis j are cut
+    once per prefix, all in one pass (`slicing._slices`).  Each slice cuts
+    only the star of its level, except a final slice of a prefix of
+    dimension >= 3: `fill_value_of_boundary` fills its cycle inside its
     complex, so that slice keeps the whole cut of the closure of the
     prefix's support.  A level that raises ArgumentError is skipped, and at
     every axis one rule raises for |coefficients| near 2**62: that of the
@@ -328,52 +352,66 @@ def _tensor_eval(start: SimplicialCurrent, functions, grids, leaf, *, cycle, sta
     def cycle_of(current):
         return start_boundary if current is start and start_boundary is not None else boundary(current)
 
-    def rec(current, fns, depth, prefix, snap_values=None):
+    def rec(current, fns, depth, prefix):
+        if points and depth == max(k - 2, 0):
+            out[prefix], skips = _point_axes(cycle_of(current), current.rows, fns, grids[depth:], leaf)
+            skipped[0] += skips
+            return
         if depth == k:
             out[prefix if prefix else 0] = leaf(current)
             return
         star = not keeps_whole_cut(depth, current.dim)
-        if points and depth == k - 1:
-            # the prefix's rule cannot bind after the dP first axis (see
-            # above): an empty chain stands in
-            results = point_slices(current, fns[0], grids[depth], snap_values, (np.empty((0, 3)), start.coeff[:0]))
-        elif points and depth == k - 2:
-            results = boundary_slices(current, cycle_of(current), fns[0], fns[1], grids[depth])
-        elif cycle and depth == k - 1:
-            results = _slices(-cycle_of(current), fns[0], grids[depth], star, vertex_rows(current, fns[0].values))
+        if cycle and depth == k - 1:
+            results = _slices(-cycle_of(current), fns[0], grids[depth], star, vertex_rows(current.rows, fns[0].values))
         else:
             results = _slices(current, fns[0], grids[depth], star)
         for i, sl in enumerate(results):
             if isinstance(sl, ArgumentError):
                 skipped[0] += 1
-            elif isinstance(sl, PointCycle):
-                rec(sl, [], depth + 1, prefix + (i,))
-            elif isinstance(sl, tuple):  # a slice of dP, g on it and the values it snaps g on
-                rec(sl[0], [sl[1]], depth + 1, prefix + (i,), sl[2])
             else:
                 rest = [sl.refinement.transfer_function(g) for g in fns[1:]]
                 nested = support_closure(sl.current) if keeps_whole_cut(depth + 1, sl.current.dim) else sl.current
                 rec(nested, rest, depth + 1, prefix + (i,))
 
-    if cycle and k == 0:
-        out[0] = leaf(PointCycle.from_chain(cycle_of(start)) if points else cycle_of(start))
-    elif points and k == 1:
-        return _point_axis(cycle_of(start), functions[0], grids[0], leaf, vertex_rows(start, functions[0].values))
+    if cycle and k == 0 and not points:
+        out[0] = leaf(cycle_of(start))
     else:
         rec(start, list(functions), 0, ())
     return out, skipped[0]
 
 
-def _point_axis(B, f, levels, leaf, limit_of):
-    """The leaf on the cut points of the 1-chain -B at each of `levels`,
-    all read in one pass (`slicing.point_slices`), a level skipped by the
-    rule of the chain `limit_of`; and the number of levels skipped."""
-    out, skipped = np.zeros(len(levels)), 0
-    for i, sl in enumerate(point_slices(-B, f, levels, limit_of=limit_of)):
-        if isinstance(sl, ArgumentError):
-            skipped += 1
-        else:
-            out[i] = leaf(sl)
+def _point_axes(B, rows, fns, grids, leaf):
+    """The leaf over the last axes of a box whose final slices have
+    0-cycles for boundaries, at most two, with no volume cut: B is dP of
+    the prefix P whose simplices are `rows` (vertex-id rows, coefficients).
+    With no axis the leaf reads dP's points.  With one it reads the cut
+    points of the 1-chain -dP at all its levels in one pass
+    (`slicing.point_slices`), a level skipped by P's rule.  With two the
+    first slices dP on its crossing stars (`slicing.boundary_slices`, which
+    skips levels and picks the next axis's snap values as cutting P
+    would), and the second reads the cut points of each slice, where P's
+    rule cannot bind (see `_tensor_eval`).  Returns the leaf's values over
+    the axes' levels and the number of levels skipped."""
+    out, skipped = np.zeros(tuple(len(g) for g in grids) or (1,)), 0
+
+    def read(results, prefix):
+        nonlocal skipped
+        for i, sl in enumerate(results):
+            if isinstance(sl, ArgumentError):
+                skipped += 1
+            else:
+                out[prefix + (i,)] = leaf(sl)
+
+    if not fns:
+        out[0] = leaf(PointCycle.from_chain(B))
+    elif len(fns) == 1:
+        read(point_slices(-B, fns[0], grids[0], limit_of=vertex_rows(rows, fns[0].values)), ())
+    else:
+        for i, sl in enumerate(boundary_slices(rows, B, fns[0], fns[1], grids[0])):
+            if isinstance(sl, ArgumentError):
+                skipped += 1
+            else:  # a slice of dP, g on it and the values it snaps g on; an empty chain's rule
+                read(point_slices(sl[0], sl[1], grids[1], sl[2], (np.empty((0, 3)), rows[1][:0])), (i,))
     return out, skipped
 
 
@@ -398,6 +436,14 @@ def h_min_distance(B: PointCycle, merge_tol: float) -> float:
         if all(row[w] > merge_tol for w in reps):
             reps.append(v)
     return min((dist[a][b] for a, b in itertools.combinations(reps, 2)), default=0.0)
+
+
+def _point_box(dim, axes) -> bool:
+    """Whether a cycle leaf's box of `axes` axes on a ball of dimension
+    `dim` is a point box: with dim - 1 <= 2 axes its final slices have
+    0-cycles for boundaries, all cut from d(ball) (`_point_axes`), so it
+    reads the ball's level set unless the ball is cut already."""
+    return axes == dim - 1 <= 2
 
 
 def _level_axes(ranges, grid):
@@ -433,19 +479,19 @@ def _level_box(ctx: BallContext, leaf, grid, functions=None, witnesses=None, box
     if witnesses is not None and functions is not None:
         raise ArgumentError("pass either functions or witnesses, not both")
     wit = tuple(witnesses) if witnesses is not None else ()
+    points = cycle and _point_box(ctx.dim, len(wit) if functions is None else len(functions))
     if witnesses is not None:
         # on the complex of the cycle the leaves read, or of the slices
-        fns = [distance_function((ctx.boundary if cycle else ctx.current).complex, w) for w in wit]
+        fns = [distance_function((ctx.boundary if points else ctx.current).complex, w) for w in wit]
     else:
         fns = [ctx.refinement.transfer_function(f) for f in (functions or [])]
     _check_axis_count(len(fns), ctx.dim, cycle)
     grids = _level_axes([box or ctx.support_range(f) for f in fns], grid)
-    if cycle and fns and ctx.level_set is not None:  # a 2-d ball's one axis reads its level set
-        rows, coeff = ctx.rows
-        values, skipped = _point_axis(ctx.boundary, fns[0], grids[0], leaf, (fns[0].values[rows], coeff))
-    else:  # a 2-d ball's level-set boundary lives on a 1-complex: no leaf fills it there
-        held = ctx.boundary if cycle and ctx.level_set is None else None
-        values, skipped = _tensor_eval(ctx.current, fns, grids, leaf, cycle=cycle, start_boundary=held)
+    if points:
+        values, skipped = _point_axes(ctx.boundary, ctx.rows, fns, grids, leaf)
+    else:
+        start = ctx.current  # built before its boundary is read, which is then the cut ball's
+        values, skipped = _tensor_eval(start, fns, grids, leaf, cycle=cycle, start_boundary=ctx.boundary if cycle else None)
     integral = _tensor_trapezoid(values, grids)
     estimate = _richardson_estimate(values, grids)
     lips = [f.lip for f in fns]
@@ -492,8 +538,10 @@ def sliced_fill(
     ball's mass.  `context`, when given, must be `ball_context(T, p, r)`;
     it is read instead of building the ball again.
     """
+    witnesses = None if witnesses is None else tuple(witnesses)
     if context is None:
-        ctx = ball_context(T, p, r)
+        axes = 1 if witnesses is None else len(witnesses)  # the default witness search has one axis
+        ctx = ball_context(T, p, r, level_set=functions is None and _point_box(T.dim, axes))
     elif context.T != T or (context.center, context.radius) != (p, r):
         other = "" if context.T == T else " of another chain"
         raise ArgumentError(
@@ -536,7 +584,7 @@ def sliced_interval_fill(
     def leaf(current):
         return interval_filling_volume(current, epsilon).value / epsilon
 
-    return _level_box(ball_context(T, p, r), leaf, grid, functions, witnesses, cycle=False)
+    return _level_box(ball_context(T, p, r, level_set=False), leaf, grid, functions, witnesses, cycle=False)
 
 
 def _tensor_trapezoid(values, grids):
@@ -592,6 +640,8 @@ def _witness_search(ctx: BallContext, k, candidates, leaf, grid, box=None) -> Sl
     _check_axis_count(k, ctx.dim, cycle=True)
     if candidates < 1:
         raise ArgumentError(f"need at least one candidate witness tuple, got {candidates}")
+    if not _point_box(ctx.dim, k):
+        ctx.refinement  # the box slices the cut ball: cut it first, and read the sphere off it
     sphere = ctx.sphere_vertices()
     if k > 0 and not sphere:
         grids = _level_axes([box] * k if box else [], grid)
@@ -627,7 +677,7 @@ def sf_k(
     """
     if k < 0:
         raise ArgumentError("need k >= 0 witnesses")
-    return _witness_search(ball_context(T, p, r), k, candidates, fill_value_of_boundary, grid)
+    return _witness_search(ball_context(T, p, r, level_set=_point_box(T.dim, k)), k, candidates, fill_value_of_boundary, grid)
 
 
 def tetra_check(
@@ -650,7 +700,7 @@ def tetra_check(
     m = T.dim
     merge_tol = POINT_MERGE_REL * r
     best = _witness_search(
-        ball_context(T, p, r), m - 1, candidates, lambda B: h_min_distance(B, merge_tol), samples,
+        ball_context(T, p, r, level_set=_point_box(m, m - 1)), m - 1, candidates, lambda B: h_min_distance(B, merge_tol), samples,
         box=((1 - beta) * r, (1 + beta) * r),
     )
     required = C * (2 * beta) ** (m - 1) * r**m

@@ -20,6 +20,7 @@ from .complexes import (
     GeometricComplex,
     PLFunction,
     distance_function,
+    distinct_rows,
     face_closure,
     facet_lookup,
     level_row_keys,
@@ -507,10 +508,10 @@ def _snap_or_error(values, s):
         return exc
 
 
-def vertex_rows(T: SimplicialCurrent, values):
-    """T's k-simplices as the rows of their vertices' `values`, with T's
-    coefficients: the form a skip rule reads a prefix in (`limit_of`)."""
-    return values[T.complex.simplex_array(T.dim)[T.idx]], T.coeff
+def vertex_rows(rows, values):
+    """A chain's `rows` (vertex-id rows, coefficients) as the rows of their
+    vertices' `values`: the form a skip rule reads a prefix in (`limit_of`)."""
+    return values[rows[0]], rows[1]
 
 
 def _below_limit(limit_of, at, whole) -> list:
@@ -643,19 +644,20 @@ def slice_levels(T: SimplicialCurrent, f: PLFunction, levels) -> list:
     return _slices(T, f, levels, star=True)
 
 
-def boundary_slices(T: SimplicialCurrent, dT: SimplicialCurrent, f: PLFunction, g: PLFunction, levels) -> list:
+def boundary_slices(rows, dT: SimplicialCurrent, f: PLFunction, g: PLFunction, levels) -> list:
     """The slices <dT, f, s> = -d<T, f, s> at each of `levels`, cut on dT's
-    crossing stars: entry i is (the slice, g on its refinement, the values
-    the next axis snaps g on) or the ArgumentError of level i.
+    crossing stars, T being the chain `rows` (`SimplicialCurrent.rows`):
+    entry i is (the slice, g on its refinement, the values the next axis
+    snaps g on) or the ArgumentError of level i.
 
     T's star is never refined, yet a level is skipped as `slice_levels(T,
     f, levels)` skips it (`_below_limit`), and the snap values are those
     that refinement holds: g at the vertices and at the cut points of T's
-    crossing edges.
+    crossing edges, read off T's rows.
     """
-    out = _slices(dT, f, levels, True, limit_of=vertex_rows(T, f.values))
-    metric, values = T.complex.metric, f.values
-    edges = face_closure(T.complex.simplex_array(T.dim)[T.idx])[0][1]
+    out = _slices(dT, f, levels, True, limit_of=vertex_rows(rows, f.values))
+    metric, values = dT.complex.metric, f.values
+    edges = distinct_rows(rows[0][:, list(itertools.combinations(range(rows[0].shape[1]), 2))].reshape(-1, 2))
     for i, sl in enumerate(out):
         if isinstance(sl, ArgumentError):
             continue
@@ -713,7 +715,7 @@ def point_slices(C: SimplicialCurrent, f: PLFunction, levels, snap_values=None, 
     _, u_below, points = _cut_points(metric, f.values, edges[e], at[level])
     coeff = np.where(u_below, C.coeff[e], -C.coeff[e])
     grown, starts = metric.grown(points), _offsets(level, m)
-    kept = _below_limit(vertex_rows(C, f.values) if limit_of is None else limit_of, at, whole=False)
+    kept = _below_limit(vertex_rows(C.rows, f.values) if limit_of is None else limit_of, at, whole=False)
     for l, i in enumerate(live):
         a, b = starts[l], starts[l + 1]
         if not kept[l]:

@@ -293,17 +293,18 @@ class TestLevelStar:
 
 
 def _assert_level_set_is_the_cut(T, p, r):
-    """The 2-d ball read off its level set has the cut ball's boundary
-    (rows and coefficients), discrete sphere, cut edges and parameters,
-    grown metric, rows, support range and mass, bit for bit; the level
-    set's values are read before the cut is built."""
+    """The ball read off its level set has the cut ball's boundary (rows
+    and coefficients), discrete sphere, cut edges and parameters, grown
+    metric, rows, support range and mass, bit for bit; the level set's
+    values are read before the cut is built."""
     ctx = ball_context(T, p, r)
+    k = T.dim
     lv, ball_mass, sphere, got = ctx.level_set, ctx.ball_mass, ctx.sphere_vertices(), ctx.boundary
     f = distance_function(got.complex, sphere[0] if sphere else p)
     support = ctx.support_range(f)
-    assert "_cut" not in vars(ctx)
+    assert "_cut" not in vars(ctx) and got.complex.dims == list(range(k))
     want, ref = boundary(ctx.current), ctx.refinement
-    assert np.array_equal(got.complex.simplex_array(1)[got.idx], want.complex.simplex_array(1)[want.idx])
+    assert np.array_equal(got.complex.simplex_array(k - 1)[got.idx], want.complex.simplex_array(k - 1)[want.idx])
     assert np.array_equal(got.coeff, want.coeff)
     assert sphere == [v for v in want.support_vertices() if v >= T.complex.n_vertices]
     assert np.array_equal(lv.cut_edges, ref.cut_edges) and np.array_equal(lv.cut_t, ref.cut_t)
@@ -311,36 +312,40 @@ def _assert_level_set_is_the_cut(T, p, r):
     for v in sphere[:3] + [p]:
         assert np.array_equal(lv.metric.row(v), ctx.complex.metric.row(v))
     rows, coeff = ctx.rows
-    assert np.array_equal(rows, ctx.complex.simplex_array(2)[ctx.current.idx]) and np.array_equal(coeff, ctx.current.coeff)
+    assert np.array_equal(rows, ctx.complex.simplex_array(k)[ctx.current.idx]) and np.array_equal(coeff, ctx.current.coeff)
     verts = ctx.current.support_vertices()
     assert support == (PLFunction(ctx.complex, f.values).range(verts) if verts else (0.0, 0.0))
     assert ball_mass == mass(ctx.current)
+    assert ctx.boundary is not got and ctx.boundary.complex is ctx.complex  # once cut, the cut's
     return ctx
 
 
 def _mixed_chain(C, seed):
-    """Every triangle of C with a coefficient in 1..3 of either sign."""
-    rng = np.random.default_rng([seed, C.count(2)])
-    coeff = rng.integers(1, 4, size=C.count(2)) * rng.choice([-1, 1], size=C.count(2))
-    return SimplicialCurrent.from_arrays(C, 2, np.arange(C.count(2)), coeff)
+    """Every top simplex of C with a coefficient in 1..3 of either sign."""
+    k = C.top_dim
+    rng = np.random.default_rng([seed, C.count(k)])
+    coeff = rng.integers(1, 4, size=C.count(k)) * rng.choice([-1, 1], size=C.count(k))
+    return SimplicialCurrent.from_arrays(C, k, np.arange(C.count(k)), coeff)
 
 
 _LEVEL_DISK, _ = disk_mesh(h=0.25)
 _LEVEL_DISK_T = _mixed_chain(_LEVEL_DISK, 4)
+_LEVEL_BOX, _ = euclidean_box_mesh(0.5, 3)
+_LEVEL_BOX_T = _mixed_chain(_LEVEL_BOX, 5)
 
 
 class TestLevelSet:
-    """A 2-d ball context reads the ball off its level set, with no cut,
-    and reads what the cut ball gives, bit for bit."""
+    """A 2-d or 3-d ball context reads the ball off its level set, with no
+    cut, and reads what the cut ball gives, bit for bit."""
 
     @pytest.mark.parametrize(
-        "C", [pytest.param(c.values[0], id=c.id) for c in _subdivide_cases() if c.values[0].top_dim == 2]
+        "C", [pytest.param(c.values[0], id=c.id) for c in _subdivide_cases() if c.values[0].top_dim in (2, 3)]
     )
     def test_level_set_equals_the_cut_on_every_backend(self, C):
         T = _mixed_chain(C, 9)
-        p = int(C.simplex_array(2)[C.count(2) // 2, 0])
+        p = int(C.simplex_array(T.dim)[C.count(T.dim) // 2, 0])
         rho = distance_function(C, p).values
-        values = rho[np.unique(C.simplex_array(2))]
+        values = rho[np.unique(C.simplex_array(T.dim))]
         far, on_vertex = float(values.max()), float(values[np.argmin(np.abs(values - 0.45 * values.max()))])
         assert snap_level(rho, on_vertex)[1]
         for r in (0.3 * far, 0.6 * far, on_vertex):
@@ -366,6 +371,26 @@ class TestLevelSet:
     def test_level_set_equals_the_cut_on_disk_balls(self, p, r):
         _assert_level_set_is_the_cut(_LEVEL_DISK_T, p, r)
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, _LEVEL_BOX.n_vertices - 1), st.floats(0.01, 2.0))
+    def test_level_set_equals_the_cut_on_box_balls(self, p, r):
+        _assert_level_set_is_the_cut(_LEVEL_BOX_T, p, r)
+
+    @pytest.mark.parametrize("eps", [0.8, 0.4, 0.2])
+    @pytest.mark.parametrize("divisor", [8, 2])
+    def test_level_set_equals_the_cut_on_torus_tetra_balls(self, eps, divisor):
+        T, p, r, _ = _torus_tetra_ball(eps, divisor)
+        assert _assert_level_set_is_the_cut(T, p, r).sphere_vertices()
+
+    def test_level_set_equals_the_cut_across_the_boundary_of_a_box(self):
+        """A 3-d ball crossing dT: its boundary holds the pieces below the
+        level of dT's crossing triangles, each with an old vertex and a
+        cut point, and dT's triangles wholly below."""
+        C, T = euclidean_box_mesh(0.65, 6)
+        ctx = _assert_level_set_is_the_cut(T, nearest_vertex(C, (0.5, 0.2, 0.0)), 0.4)
+        old = (ctx.level_set.boundary_rows < C.n_vertices).sum(axis=1)
+        assert (old == 3).any() and ((old == 1) | (old == 2)).any() and (old == 0).any()
+
     def test_level_path_skips_the_levels_the_cut_ball_skips(self):
         """Near 2**62 the level path skips exactly the levels that the cut
         ball skips: the ball's untouched triangles crossing the middle
@@ -390,6 +415,79 @@ class TestLevelSet:
         assert np.array_equal(rep.grid_axes[0], levels)
         assert 0 < rep.skipped == want_skipped < grid
         assert rep.values.tobytes() == want.tobytes()
+
+    def test_level_set_equals_the_cut_on_a_segment(self):
+        """A 1-d ball: its boundary is its cut points and the vertices of dT
+        below the level, and sfk --k 0 reads their points off the level
+        set as it read them off the cut ball's boundary."""
+        from currentlab.meshes import interval_chain
+
+        C, T1 = interval_chain(8)
+        T = SimplicialCurrent.from_arrays(C, 1, T1.idx, [1, -2, 3, 1, 2, -1, 1, 3])
+        for p, r in [(0, 0.3), (4, 0.2), (4, 0.5), (4, 2.0)]:
+            _assert_level_set_is_the_cut(T, p, r)
+            ctx = ball_context(T, p, r)
+            want = fill_value_of_boundary(PointCycle.from_chain(boundary(ctx.current)))
+            assert sf_k(T, p, r, 0).values.tobytes() == np.array([want]).tobytes()
+
+    def test_tetra_level_path_skips_the_levels_the_cut_ball_skips(self):
+        """Near 2**62 the 3-d level path skips exactly the first-axis levels
+        that slicing the cut ball skips: the ball's untouched tetrahedra
+        with two vertices below the middle level of the first witness carry
+        c, so their 6 pieces each reach 2**62 there.  The levels where they
+        split into 4 are kept, though the crossing triangles of d(ball)
+        split into 9 there (a rule read off d(ball) skips 3 levels)."""
+        from currentlab.slicedfill import _witness_search
+
+        T1, p, r, ctx1 = _torus_tetra_ball()
+        C, n = T1.complex, T1.complex.n_vertices
+        sphere = ctx1.sphere_vertices()
+        witnesses, box, samples = (sphere[0], sphere[len(sphere) // 3]), (0.5 * r, 1.5 * r), 9
+        levels = np.linspace(*box, samples)
+        rows = ctx1.complex.simplex_array(3)[ctx1.current.idx]
+        side = distance_function(ctx1.complex, witnesses[0]).values[rows] < levels[samples // 2]
+        big = rows[(side.sum(axis=1) == 2) & (rows < n).all(axis=1)]
+        c = 2**62 // (6 * len(big)) + 1
+        coeff = T1.coeff.copy()
+        coeff[lookup_rows(C.simplex_array(3)[T1.idx], big)] *= c
+        T = SimplicialCurrent.from_arrays(C, 3, T1.idx, coeff)
+        leaf = lambda B: h_min_distance(B, POINT_MERGE_REL * r)  # noqa: E731
+        rep = tetra_check(T, p, r, C=0.9 * C_E3_BAND_INTEGRAL, beta=0.5, samples=samples, candidates=1)
+        search = _witness_search(ball_context(T, p, r), 2, 1, leaf, samples, box=box)
+        ctx = ball_context(T, p, r)
+        fns = [distance_function(ctx.complex, w) for w in witnesses]
+        want, want_skipped = _tensor_eval(ctx.current, fns, [levels] * 2, leaf, cycle=True)
+        assert rep.witnesses == search.witnesses == witnesses
+        assert search.skipped == want_skipped == 1
+        assert rep.h_values.tobytes() == search.values.tobytes() == want.tobytes()
+        assert (want[samples // 2] == 0).all() and (want > 0).any()
+
+    def test_paths_that_slice_the_cut_ball_run_no_level_pass(self, monkeypatch):
+        """sfk --k 1 and witnesses=[] on a 3-d ball, and sif, lab's fillvol,
+        functions= and witnesses=[] on a 2-d one, read the cut ball alone:
+        the level pass never runs.  A default context runs it once, and the
+        default witness search on it cuts nothing."""
+        import currentlab.slicedfill as slicedfill
+        from currentlab.convergence import _member_value
+        from currentlab.slicedfill import sliced_interval_fill
+
+        passes, cuts, original = [], [], slicedfill._level_set
+        monkeypatch.setattr(slicedfill, "_level_set", lambda *a: passes.append(a[0].dim) or original(*a))
+        C3, T3 = euclidean_box_mesh(0.65, 6)
+        p3 = nearest_vertex(C3, (0.0, 0.0, 0.0))
+        assert sf_k(T3, p3, 0.5, 1, candidates=1, grid=3).integral > 0
+        assert sliced_fill(T3, p3, 0.5, witnesses=[]).integral > 0
+        C2, T2 = disk_mesh(h=0.25)
+        assert sliced_interval_fill(T2, 0, 0.6, epsilon=0.2).integral > 0
+        assert sliced_interval_fill(T2, 0, 0.6, witnesses=[0], epsilon=0.2, grid=3).integral > 0
+        assert sliced_fill(T2, 0, 0.6, functions=[coordinate_function(C2, 0)], grid=5).integral > 0
+        assert sliced_fill(T2, 0, 0.6, witnesses=[]).integral > 0
+        assert _member_value(C2, T2, "fillvol", {"radius": 0.6}, (0.0, 0.0)) > 0
+        assert passes == []
+        ctx = ball_context(T2, 0, 0.6)
+        monkeypatch.setattr(slicedfill, "subdivide_at_level", lambda *a: cuts.append(a) or None)
+        assert sliced_fill(T2, 0, 0.6, grid=5, context=ctx).integral > 0
+        assert passes == [2] and cuts == [] and "_cut" not in vars(ctx)
 
     def test_sliced_fill_on_a_2d_ball_takes_no_closure_or_boundary(self, monkeypatch):
         """sf, sfk --k 1 and the default witness on a 2-d ball build no
@@ -587,10 +685,10 @@ class TestBatchedAxes:
         want, _ = tensor_eval_oracle(ctx.current, [f, g], grids, lambda cur: leaf(PointCycle.from_chain(boundary(cur))))
         assert np.array_equal(got, want) and got[0, 0] > 0
 
-    def test_torus_tetra_operation_cuts_at_most_seven_times(self, monkeypatch):
-        """The ball, then the 5 levels of the first witness on the ball's
-        boundary: the second witness's levels read cut points and cut
-        nothing, so 2 cuts, not 31."""
+    def test_torus_tetra_operation_cuts_no_ball(self, monkeypatch):
+        """The 5 levels of the first witness on the ball's boundary, in one
+        pass: the ball is read off its level set and the second witness's
+        levels read cut points, so 1 cut, not 31."""
         import currentlab.slicing as slicing
 
         T, p, r, _ = _torus_tetra_ball()
@@ -603,23 +701,23 @@ class TestBatchedAxes:
         monkeypatch.setattr(slicing, "_refine", counting)
         rep = tetra_check(T, p, r, C=0.9 * C_E3_BAND_INTEGRAL, beta=0.5, samples=5, candidates=1)
         assert rep.integral_passed
-        assert cuts == [1, 5]
+        assert cuts == [5]
 
-    def test_torus_tetra_operation_takes_one_boundary(self, monkeypatch):
-        """The ball's boundary is built once: the discrete sphere and the
-        first axis, which slices it, share it, and no prefix takes its own."""
+    def test_torus_tetra_operation_takes_no_boundary(self, monkeypatch):
+        """The ball's boundary is read off its level set, and the first axis
+        slices it: no prefix takes a boundary, and nothing builds a support
+        closure."""
         import currentlab.slicedfill as slicedfill
+        import currentlab.slicing as slicing
 
         T, p, r, _ = _torus_tetra_ball()
-        taken, original = [], slicedfill.boundary
-
-        def counting(current):
-            taken.append(current.dim)
-            return original(current)
-
-        monkeypatch.setattr(slicedfill, "boundary", counting)
+        taken, closures = [], []
+        for module, name, seen in [(slicedfill, "boundary", taken), (slicedfill, "support_closure", closures),
+                                   (slicing, "support_closure", closures)]:
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda current, _o=original, _s=seen: _s.append(current.dim) or _o(current))
         rep = tetra_check(T, p, r, C=0.9 * C_E3_BAND_INTEGRAL, beta=0.5, samples=5, candidates=1)
-        assert rep.integral_passed and taken == [3]
+        assert rep.integral_passed and taken == [] and closures == []
 
 
 def _matrix_disk_ball():
