@@ -1,8 +1,9 @@
 """Flat-norm and filling-volume optimization over chains.
 
-Chain problems are weighted-L1 linear programs with split variables solved
-by scipy's HiGHS; 0-dimensional fillings are solved exactly by a
-successive-shortest-path min-cost flow.  Values computed inside a fixed
+Chain problems are weighted-L1 linear programs with split variables, one
+CSC matrix joined from boundary matrices read off the face index and
+solved by HiGHS through scipy's `milp`; 0-dimensional fillings are solved
+exactly by a successive-shortest-path min-cost flow.  Values computed inside a fixed
 complex are upper bounds for the corresponding intrinsic quantities.
 
 Planar closed forms replace the LP where the answer is known: on a complex
@@ -61,14 +62,16 @@ class FillingReport(Report):
 
 
 def boundary_matrix(C: GeometricComplex, k: int):
-    """Sparse boundary operator from k-chains to (k-1)-chains: the
-    complex's face-index array with signs (-1)^j."""
-    from scipy.sparse import coo_matrix
+    """Sparse boundary operator from k-chains to (k-1)-chains: a
+    `csc_array` read straight off the complex's face index, column i the
+    k + 1 faces of k-simplex i with signs (-1)^j, in row order."""
+    from scipy.sparse import csc_array
 
     faces = C.face_index(k)
-    vals = np.tile(np.where(np.arange(k + 1) % 2, -1.0, 1.0), len(faces))
-    cols = np.repeat(np.arange(len(faces)), k + 1)
-    return coo_matrix((vals, (faces.ravel(), cols)), shape=(C.count(k - 1), C.count(k)))
+    order = np.argsort(faces, axis=1)
+    signs, rows = np.where(order % 2, -1.0, 1.0), np.take_along_axis(faces, order, axis=1)
+    indptr = (k + 1) * np.arange(len(faces) + 1)
+    return csc_array((signs.ravel(), rows.ravel(), indptr), shape=(C.count(k - 1), len(faces)))
 
 
 def _chain_vector(T: SimplicialCurrent):
@@ -77,65 +80,54 @@ def _chain_vector(T: SimplicialCurrent):
     return v
 
 
-def linprog(*args, **kwargs):
-    """`scipy.optimize.linprog`, imported by the first LP: scipy's solver
-    and sparse modules load only in a process that builds an LP."""
-    from scipy.optimize import linprog as highs_linprog
+def linprog(cost, *, A_eq, b_eq):
+    """min cost . x over x >= 0 with A_eq x = b_eq, handed to HiGHS through
+    scipy's `milp` (no integer variables) with A_eq's CSC arrays as they
+    are.  scipy is imported by the first LP: its solver and sparse modules
+    load only in a process that builds one.  The result's status follows
+    `scipy.optimize.linprog` (2: infeasible)."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
 
-    return highs_linprog(*args, **kwargs)
-
-
-def _solve_weighted_l1(blocks, rhs, weights):
-    """min sum w_i |x_i| subject to A x = rhs, via split positive parts;
-    (None, None) when HiGHS proves the program infeasible.  Any other
-    failure (with nonnegative costs the program is never unbounded) is a
-    solver fault and raises RuntimeError."""
-    from scipy.sparse import hstack
-
-    A = hstack([hstack([b, -b]) for b in blocks], format="csc")
-    cost = np.concatenate([np.concatenate([w, w]) for w in weights])
-    res = linprog(cost, A_eq=A, b_eq=rhs, bounds=(0, None), method="highs")
-    if res.status == 2:
-        return None, None
-    if not res.success:
-        raise RuntimeError(f"HiGHS status {res.status}: {res.message}")
-    x = res.x
-    parts = []
-    offset = 0
-    for b in blocks:
-        m = b.shape[1]
-        parts.append(x[offset : offset + m] - x[offset + m : offset + 2 * m])
-        offset += 2 * m
-    return float(res.fun), parts
+    return milp(cost, constraints=LinearConstraint(A_eq, b_eq, b_eq), bounds=Bounds(0, np.inf))
 
 
 def _certificate_from_vector(vec):
-    rounded = np.round(vec)
-    integral = bool(np.abs(vec - rounded).max(initial=0.0) <= INTEGRALITY_TOL)
+    integral = bool(np.abs(vec - np.round(vec)).max(initial=0.0) <= INTEGRALITY_TOL)
     support = np.flatnonzero(np.abs(vec) > INTEGRALITY_TOL)
-    cert = dict(zip(support.tolist(), vec[support].tolist()))
-    return integral, cert
+    return integral, dict(zip(support.tolist(), vec[support].tolist()))
 
 
 def _lp_report(blocks, rhs, weights, names, upper, infeasible) -> FillingReport:
-    """Solve a weighted-L1 chain program and report its bracket.
+    """Solve min sum_i w_i . |x_i| subject to sum_i B_i x_i = rhs over CSC
+    blocks B_i, and report its bracket.
 
-    `names` labels each block's certificate, `upper` is the cost of a known
-    feasible point and `infeasible` the input-error message when none exists.
+    The program goes to HiGHS in split positive parts, as one CSC matrix
+    A = [B_1, -B_1, B_2, -B_2, ...] joined from the blocks' arrays; the
+    residual is max |A x - rhs| on that matrix.  `names` labels each
+    block's certificate, `upper` is the cost of a known feasible point and
+    `infeasible` the input-error message when HiGHS proves that none
+    exists.  Any other failure (with nonnegative costs the program is never
+    unbounded) is a solver fault and raises RuntimeError.
     """
-    value, parts = _solve_weighted_l1(blocks, rhs, weights)
-    if value is None:
+    from scipy.sparse import csc_array
+
+    split = [(b, sign) for b in blocks for sign in (1.0, -1.0)]
+    nnz = np.cumsum([0] + [b.nnz for b, _ in split])
+    cols = np.cumsum([0] + [b.shape[1] for b, _ in split])
+    data = np.concatenate([sign * b.data for b, sign in split])
+    indptr = np.concatenate([b.indptr[:-1] + start for (b, _), start in zip(split, nnz)] + [nnz[-1:]])
+    A = csc_array((data, np.concatenate([b.indices for b, _ in split]), indptr), shape=(len(rhs), cols[-1]))
+    res = linprog(np.concatenate([np.concatenate([w, w]) for w in weights]), A_eq=A, b_eq=rhs)
+    if res.status == 2:
         raise ArgumentError(infeasible)
-    residual = float(np.abs(sum(b @ x for b, x in zip(blocks, parts)) - rhs).max(initial=0.0))
-    certs = [_certificate_from_vector(x) for x in parts]
+    if not res.success:
+        raise RuntimeError(f"HiGHS status {res.status}: {res.message}")
+    value, x = float(res.fun), res.x
+    residual = float(np.abs(A @ x - rhs).max(initial=0.0))
+    certs = [_certificate_from_vector(x[lo:mid] - x[mid:hi]) for lo, mid, hi in zip(cols[:-1:2], cols[1::2], cols[2::2])]
     report = FillingReport(
-        value=value,
-        lower_bound=value,
-        upper_bound=max(value, upper),
-        certificate={name: cert for name, (_, cert) in zip(names, certs)},
-        integral=all(integral for integral, _ in certs),
-        method="lp",
-        residual=residual,
+        value, value, max(value, upper), {name: cert for name, (_, cert) in zip(names, certs)},
+        integral=all(integral for integral, _ in certs), method="lp", residual=residual,
     )
     if residual > RESIDUAL_TOL:
         report.warnings.append(f"LP residual {residual} above tolerance")
@@ -265,12 +257,9 @@ def flat_distance(S: SimplicialCurrent, T: SimplicialCurrent, K: GeometricComple
     from scipy.sparse import eye
 
     rhs = _chain_vector(S) - _chain_vector(T)
-    ident = eye(K.count(m), format="coo")
-    D = boundary_matrix(K, m + 1)
-    trivial_upper = float(K.masses(m) @ np.abs(rhs))
     return _lp_report(
-        [ident, D], rhs, [K.masses(m), K.masses(m + 1)], ["U", "V"], trivial_upper,
-        "flat distance LP infeasible",
+        [eye(K.count(m), format="csc"), boundary_matrix(K, m + 1)], rhs, [K.masses(m), K.masses(m + 1)],
+        ["U", "V"], float(K.masses(m) @ np.abs(rhs)), "flat distance LP infeasible",
     )
 
 
@@ -316,10 +305,8 @@ def filling_volume(B: SimplicialCurrent, K: GeometricComplex | None = None) -> F
         raise ArgumentError(f"ambient complex has no {k + 1}-simplices")
     if planar_top(K.metric, k + 1):
         return FillingReport.exact(_winding_integral(B), "winding", {})
-    D = boundary_matrix(K, k + 1)
-    rhs = _chain_vector(B)
     return _lp_report(
-        [D], rhs, [K.masses(k + 1)], ["S"], cone_bound(B),
+        [boundary_matrix(K, k + 1)], _chain_vector(B), [K.masses(k + 1)], ["S"], cone_bound(B),
         "filling LP infeasible: cycle does not bound in this complex",
     )
 

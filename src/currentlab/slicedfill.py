@@ -482,7 +482,14 @@ def _level_box(ctx: BallContext, leaf, grid, functions=None, witnesses=None, box
     points = cycle and _point_box(ctx.dim, len(wit) if functions is None else len(functions))
     if witnesses is not None:
         # on the complex of the cycle the leaves read, or of the slices
-        fns = [distance_function((ctx.boundary if points else ctx.current).complex, w) for w in wit]
+        K, n_t = (ctx.boundary if points else ctx.current).complex, ctx.T.complex.n_vertices
+        bad = [w for w in wit if not 0 <= w < K.n_vertices]
+        if bad:
+            raise ArgumentError(
+                f"witness {bad[0]} out of range: witness ids are T's {n_t} vertices, then the ball's"
+                f" {K.n_vertices - n_t} cut points (its discrete sphere) numbered from {n_t}"
+            )
+        fns = [distance_function(K, w) for w in wit]
     else:
         fns = [ctx.refinement.transfer_function(f) for f in (functions or [])]
     _check_axis_count(len(fns), ctx.dim, cycle)
@@ -693,17 +700,23 @@ def tetra_check(
 
     Witness tuples are searched to maximize the band integral of h; the
     pointwise flag needs h >= C r at every sampled node, the integral flag
-    needs the band integral to reach C (2 beta)^(m-1) r^m.
+    needs the band integral to reach C (2 beta)^(m-1) r^m (an ArgumentError,
+    checked first, when that bound overflows a float).
     """
     if not C > 0 or not (0 < beta < 1):
         raise ArgumentError("need C > 0 and beta in (0, 1)")
     m = T.dim
+    try:
+        required = C * (2 * beta) ** (m - 1) * r**m
+    except OverflowError:
+        required = math.inf
+    if required == math.inf:
+        raise ArgumentError(f"the tetra volume bound C (2 beta)^(m-1) r^m overflows a float at C = {C}, r = {r}")
     merge_tol = POINT_MERGE_REL * r
     best = _witness_search(
         ball_context(T, p, r, level_set=_point_box(m, m - 1)), m - 1, candidates, lambda B: h_min_distance(B, merge_tol), samples,
         box=((1 - beta) * r, (1 + beta) * r),
     )
-    required = C * (2 * beta) ** (m - 1) * r**m
     passed = bool(best.values.min() >= C * r)
     integral_passed = bool(best.integral >= required)
     report = TetraReport(

@@ -5,7 +5,8 @@ import itertools
 import math
 
 import numpy as np
-from scipy.sparse import eye
+from scipy.optimize import linprog
+from scipy.sparse import coo_matrix, eye, hstack
 
 from currentlab import fillvol
 from currentlab.complexes import (
@@ -681,6 +682,32 @@ def snap_level_oracle(values, s):
     return float(s), False, None
 
 
+def coo_boundary_matrix(C: GeometricComplex, k: int):
+    """The boundary operator from k-chains to (k-1)-chains as a COO matrix
+    of the face index, one (face, simplex, (-1)^j) triple per entry."""
+    faces = C.face_index(k)
+    signs = np.tile(np.where(np.arange(k + 1) % 2, -1.0, 1.0), len(faces))
+    cols = np.repeat(np.arange(len(faces)), k + 1)
+    return coo_matrix((signs, (faces.ravel(), cols)), shape=(C.count(k - 1), C.count(k)))
+
+
+def hstack_weighted_l1(blocks, rhs, weights):
+    """min sum w_i |x_i| subject to sum B_i x_i = rhs, built as the split
+    model hstack([B_1, -B_1, B_2, -B_2, ...]) by scipy's sparse stacking and
+    solved by `scipy.optimize.linprog`: the reference for fillvol's CSC
+    build and its `milp` call.  Returns (value, [x_1, x_2, ...])."""
+    A = hstack([hstack([b, -b]) for b in blocks], format="csc")
+    cost = np.concatenate([np.concatenate([w, w]) for w in weights])
+    res = linprog(cost, A_eq=A, b_eq=rhs, bounds=(0, None), method="highs")
+    assert res.status == 0, res.message
+    parts, offset = [], 0
+    for b in blocks:
+        m = b.shape[1]
+        parts.append(res.x[offset : offset + m] - res.x[offset + m : offset + 2 * m])
+        offset += 2 * m
+    return float(res.fun), parts
+
+
 def lp_filling_volume(B: SimplicialCurrent, K: GeometricComplex):
     """The in-complex weighted-L1 filling LP: minimal mass of a real chain
     on K with boundary B.  The reference for the planar winding integral."""
@@ -697,7 +724,7 @@ def lp_flat_distance(S: SimplicialCurrent, T: SimplicialCurrent, K: GeometricCom
     m = S.dim
     rhs = fillvol._chain_vector(S) - fillvol._chain_vector(T)
     return fillvol._lp_report(
-        [eye(K.count(m), format="coo"), fillvol.boundary_matrix(K, m + 1)], rhs,
+        [eye(K.count(m), format="csc"), fillvol.boundary_matrix(K, m + 1)], rhs,
         [K.masses(m), K.masses(m + 1)], ["U", "V"], float(K.masses(m) @ np.abs(rhs)), "flat LP infeasible",
     )
 

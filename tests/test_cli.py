@@ -682,7 +682,35 @@ class TestLevelBoxCommands:
             assert code == EXIT_OK, err
             assert rep["result"]["witnesses"] == [witness]
         code, _, err = _main_json(args + ["--witnesses", "99999"], capsys)
-        assert code == EXIT_INPUT and "the complex has 91 vertices" in err
+        assert code == EXIT_INPUT
+        assert (
+            "witness 99999 out of range: witness ids are T's 61 vertices,"
+            " then the ball's 30 cut points (its discrete sphere) numbered from 61"
+        ) in err
+
+    @pytest.mark.parametrize("command", ["sf", "sif"])
+    @pytest.mark.parametrize("witness", ["91", "-1"])
+    def test_witness_past_the_sphere_names_the_witness_ids(self, disk_path, capsys, command, witness):
+        # was "vertex 91 out of range (the complex has 91 vertices)", a count
+        # that includes the cut points without saying so
+        argv = [command, "--input", disk_path, "--radius", "0.5", "--witnesses", witness]
+        code, _, err = _main_json(argv, capsys)
+        assert code == EXIT_INPUT
+        assert f"witness {witness} out of range: witness ids are T's 61 vertices" in err
+        assert "then the ball's 30 cut points (its discrete sphere) numbered from 61" in err
+
+    @pytest.mark.parametrize("args", [["--radius", "1e300"], ["--radius", "1e200", "--C", "1e300"]])
+    def test_tetra_bound_overflowing_a_float_exits_2(self, disk_path, capsys, monkeypatch, args):
+        # --radius 1e300 exited 3: r**m raised OverflowError after the search
+        import currentlab.slicedfill as slicedfill
+
+        def no_ball(*a, **kw):
+            raise AssertionError("the ball was built before the bound was checked")
+
+        monkeypatch.setattr(slicedfill, "ball_context", no_ball)
+        code, _, err = _main_json(["tetra", "--input", disk_path] + args, capsys)
+        assert code == EXIT_INPUT
+        assert "the tetra volume bound C (2 beta)^(m-1) r^m overflows a float" in err
 
     def test_sf_on_an_empty_sphere_reports_zero(self, disk_path, capsys):
         # radius 5 swallows the unit disk: the ball has no cut vertices

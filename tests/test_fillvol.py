@@ -4,23 +4,35 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.sparse import eye
 
+from currentlab import fillvol
 from currentlab.complexes import EuclideanMetric, GeometricComplex
 from currentlab.currents import SimplicialCurrent, boundary, mass
 from currentlab.fillvol import (
     FillingReport,
+    _certificate_from_vector,
+    _chain_vector,
+    boundary_matrix,
     cone_bound,
     filling_volume,
     filling_volume_0d,
     fillvol_continuity_gap,
     flat_distance,
 )
-from currentlab.meshes import disk_mesh, grid_mesh, sphere_mesh, square_complex
+from currentlab.meshes import disk_mesh, euclidean_box_mesh, grid_mesh, sphere_mesh, square_complex
 from currentlab.metricspace import ArgumentError, FiniteMetricSpace, InvariantError
 from currentlab.slicedfill import fill_value_of_boundary
 from currentlab.slicing import PointCycle
 
-from oracles import exhaustive_flat_distance, simplex_index, transport_oracle
+from oracles import (
+    coo_boundary_matrix,
+    exhaustive_flat_distance,
+    hstack_weighted_l1,
+    simplex_index,
+    transport_oracle,
+)
 
 
 def equilateral_complex():
@@ -334,3 +346,86 @@ def test_a_call_without_an_lp_loads_no_solver():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _book_complex():
+    """A branching 2-complex in R^3: four triangles on the edge (0, 1), two
+    of them continued by a third triangle each."""
+    pts = np.array(
+        [[0, 0, 0], [1, 0, 0], [0.5, 1, 0], [0.5, -1, 0.2], [0.5, 0.3, 1], [0.5, 0.4, -1], [1.5, 1, 0.3], [1.2, -0.8, 0.9]]
+    )
+    tops = [(0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 1, 5), (1, 2, 6), (1, 3, 7)]
+    return GeometricComplex.from_top_simplices(EuclideanMetric(pts), tops)
+
+
+_LP_COMPLEXES = {
+    "box": euclidean_box_mesh(0.5, 2)[0],
+    "book": _book_complex(),
+    "sphere": sphere_mesh(4, 8)[0],
+}
+
+
+def _spy_on_linprog(monkeypatch):
+    """The A_eq of every LP solved from now on, in call order."""
+    seen = []
+    solve = fillvol.linprog
+
+    def spy(cost, *, A_eq, b_eq):
+        seen.append(A_eq)
+        return solve(cost, A_eq=A_eq, b_eq=b_eq)
+
+    monkeypatch.setattr(fillvol, "linprog", spy)
+    return seen
+
+
+@pytest.mark.parametrize("name", ["box", "book"])
+def test_lp_matrix_is_the_signed_stack_of_boundary_matrices(name, monkeypatch):
+    """A fill's matrix is [D, -D] and a flat's [I, -I, D, -D] for D the
+    boundary matrix, column i of which holds (-1)^j at face j of simplex i;
+    each column's entries are in row order."""
+    C = _LP_COMPLEXES[name]
+    k = C.top_dim
+    D = boundary_matrix(C, k).toarray()
+    faces = C.face_index(k)
+    want = np.zeros((C.count(k - 1), C.count(k)))
+    for i, row in enumerate(faces.tolist()):
+        for j, face in enumerate(row):
+            want[face, i] = (-1) ** j
+    assert np.array_equal(D, want)
+    seen = _spy_on_linprog(monkeypatch)
+    filling_volume(boundary(SimplicialCurrent(C, k, {0: 1, 1: -1, 2: 2})), C)
+    flat_distance(SimplicialCurrent(C, k - 1, {0: 1, 3: -2}), SimplicialCurrent(C, k - 1, {1: 1}), C)
+    ident = np.eye(C.count(k - 1))
+    fill, flat = seen
+    assert np.array_equal(fill.toarray(), np.hstack([D, -D]))
+    assert np.array_equal(flat.toarray(), np.hstack([ident, -ident, D, -D]))
+    assert fill.has_sorted_indices and flat.has_sorted_indices
+
+
+def _chains(C, k, data):
+    ids = st.integers(0, C.count(k) - 1)
+    return SimplicialCurrent(C, k, data.draw(st.dictionaries(ids, st.integers(-2, 2), max_size=4)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(_LP_COMPLEXES)), st.data())
+def test_lp_reports_equal_the_hstack_linprog_reference(name, data):
+    """filling_volume and flat_distance return bitwise the value and
+    certificate of scipy's `linprog` on the hstack-built split model."""
+    C = _LP_COMPLEXES[name]
+    k = C.top_dim
+    weights = [C.masses(k - 1), C.masses(k)]
+    S, T = _chains(C, k - 1, data), _chains(C, k - 1, data)
+    rep = flat_distance(S, T, C)
+    rhs = _chain_vector(S) - _chain_vector(T)
+    blocks = [eye(C.count(k - 1), format="coo"), coo_boundary_matrix(C, k)]
+    value, parts = hstack_weighted_l1(blocks, rhs, weights)
+    assert rep.value == value
+    assert rep.certificate == {n: _certificate_from_vector(x)[1] for n, x in zip("UV", parts)}
+    B = boundary(_chains(C, k, data))
+    if B.is_zero():
+        return
+    rep = filling_volume(B, C)
+    value, (x,) = hstack_weighted_l1([coo_boundary_matrix(C, k)], _chain_vector(B), weights[1:])
+    assert rep.value == value
+    assert rep.certificate == {"S": _certificate_from_vector(x)[1]}
