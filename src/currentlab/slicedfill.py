@@ -36,7 +36,6 @@ from .complexes import (
     GeometricComplex,
     PLFunction,
     distance_function,
-    distinct_rows,
     face_closure,
     row_keys,
     simplex_volumes,
@@ -48,9 +47,10 @@ from .product import interval_filling_volume
 from .slicing import (
     PointCycle,
     Refinement,
+    _crossing_edges,
     _cut_points,
+    _pieces,
     _slices,
-    _split,
     boundary_slices,
     point_slices,
     slice_current,  # noqa: F401  unused here; perfbench's tracer wraps it in every namespace that binds it
@@ -101,19 +101,6 @@ class LevelSet:
     boundary_coeff: np.ndarray
 
 
-def _pieces_below(rows, side, coeff, edges, n, values, s):
-    """The pieces below the level s of the crossing simplices `rows` (their
-    vertices' below flags `side`, coefficients `coeff`) as the cut splits
-    them (`slicing._split`, the cut's templates; the cut point of edges[g]
-    is n + g): their vertex-id rows and coefficients, the parent's times
-    the piece's orientation in it."""
-    cells, slots, signs = _split(rows, side, None, edges, None, np.array([n]))
-    pieces, signed = cells[-1], coeff[np.nonzero(slots[-1])[0]] * signs
-    old = pieces < n
-    below = (old & (values[np.where(old, pieces, 0)] < s)).any(axis=1)
-    return pieces[below], signed[below]
-
-
 def _level_set(T: SimplicialCurrent, values, s) -> LevelSet:
     """The level set of the ball {values < s} of the k-chain T (k >= 1) at
     the snapped level s, in one pass over T's k-simplices and one over the
@@ -131,10 +118,9 @@ def _level_set(T: SimplicialCurrent, values, s) -> LevelSet:
         raise ArgumentError("chain coefficients must sum below 2**62 in absolute value")
     inside, crossing = count == k + 1, (count > 0) & (count <= k)
     sims, sides = top[crossing], side[crossing]
-    pairs = np.array(list(itertools.combinations(range(k + 1), 2)))
-    edges = distinct_rows(sims[:, pairs][sides[:, pairs[:, 0]] != sides[:, pairs[:, 1]]])
+    edges = _crossing_edges(sims, sides)
     t, _, points = _cut_points(C.metric, values, edges, s)
-    pieces, coeff = _pieces_below(sims, sides, T.coeff[crossing], edges, n, values, s)
+    pieces, coeff = _pieces(sims, sides, T.coeff[crossing], edges, n, values, s)
     rows = np.concatenate([top[inside], pieces])
     order = np.argsort(row_keys(rows)[0], kind="stable")
     volumes = np.concatenate([C.masses(k)[T.idx[inside]], np.full(len(pieces), UNKNOWN_VOLUME)])
@@ -142,7 +128,7 @@ def _level_set(T: SimplicialCurrent, values, s) -> LevelSet:
     d_rows, d_coeff = T.boundary_rows
     d_side = values[d_rows] < s
     whole, d_crossing = d_side.all(axis=1), d_side.any(axis=1) & ~d_side.all(axis=1)
-    d_pieces, d_pieces_coeff = _pieces_below(d_rows[d_crossing], d_side[d_crossing], d_coeff[d_crossing], edges, n, values, s)
+    d_pieces, d_pieces_coeff = _pieces(d_rows[d_crossing], d_side[d_crossing], d_coeff[d_crossing], edges, n, values, s)
     level = pieces[:, 1] >= n
     b_rows = np.concatenate([pieces[level][:, 1:], d_rows[whole], d_pieces])
     b_coeff = np.concatenate([coeff[level], d_coeff[whole], d_pieces_coeff])

@@ -26,6 +26,7 @@ from .complexes import (
     level_row_keys,
     lookup_keys,
     row_keys,
+    simplex_volumes,
 )
 from .currents import SimplicialCurrent, mass
 from .metricspace import ArgumentError, FiniteMetricSpace, InvariantError, abs_sum_below_limit
@@ -321,6 +322,28 @@ def _split(sims, side, level, edges, edge_level, first_cut):
     return cells, slots, signs[group][slots[k]]
 
 
+def _crossing_edges(sims, side):
+    """The distinct edges of the simplices `sims` (their vertices' below
+    flags `side`) with one end on each side, in lexicographic order: on a
+    complex whose rows are in that order, a cut numbers its cut points in
+    this order."""
+    pairs = np.array(list(itertools.combinations(range(sims.shape[1]), 2)), dtype=np.intp).reshape(-1, 2)
+    return distinct_rows(sims[:, pairs][side[:, pairs[:, 0]] != side[:, pairs[:, 1]]])
+
+
+def _pieces(rows, side, coeff, edges, n, values, s, below=True):
+    """The pieces below the level s (above it, when not `below`) of the
+    crossing simplices `rows` (their vertices' below flags `side`,
+    coefficients `coeff`) as the cut splits them (`_split`, the cut's
+    templates; the cut point of edges[g] is n + g): their vertex-id rows and
+    coefficients, the parent's times the piece's orientation in it."""
+    cells, slots, signs = _split(rows, side, None, edges, None, np.array([n]))
+    pieces, signed = cells[-1], coeff[np.nonzero(slots[-1])[0]] * signs
+    old = pieces < n
+    keep = (old & (values[np.where(old, pieces, 0)] < s)).any(axis=1) == below
+    return pieces[keep], signed[keep]
+
+
 @dataclass(eq=False)
 class _Cut:
     """The refinements of one pass over several levels, and the refined
@@ -444,6 +467,15 @@ def _refine(sources, rows, level, values, snaps) -> _Cut:
     return _Cut(refinements, stacked, stacked_level, starts, tables)
 
 
+def _vertex_values(C: GeometricComplex, values) -> np.ndarray:
+    """`values` as a float array, or ArgumentError unless it has one entry
+    per vertex of C (a function on another mesh)."""
+    values = np.asarray(values, dtype=float)
+    if len(values) != C.n_vertices:
+        raise ArgumentError(f"the function has {len(values)} vertex values, but the complex has {C.n_vertices} vertices")
+    return values
+
+
 def subdivide_at_level(C: GeometricComplex, values, s) -> Refinement:
     """Split every simplex crossing {f = s} so {f <= s} becomes a subcomplex.
 
@@ -462,7 +494,7 @@ def subdivide_at_level(C: GeometricComplex, values, s) -> Refinement:
     reference to C.  This is the one-level case of the pass that
     `slice_levels` makes.
     """
-    values = np.asarray(values, dtype=float)
+    values = _vertex_values(C, values)
     snap = snap_level(values, s)
     rows = {k: C.simplex_array(k) for k in C.dims}
     level = {k: np.zeros(C.count(k), dtype=np.intp) for k in C.dims}
@@ -537,7 +569,9 @@ def _slices(T: SimplicialCurrent, f: PLFunction, levels, star, limit_of=None) ->
     With `star`, level s cuts only the face closure of T's simplices that
     cross it (s snapped on f's values), as `slice_current` on the support
     closure of that part of T does; otherwise it cuts T's whole complex, as
-    `slice_current(T, f, s)` does.  A slice is local: a simplex wholly
+    `slice_current(T, f, s)` does (one level through `subdivide_at_level`,
+    so a tracer of it sees the cut).  An f of another vertex count raises
+    ArgumentError.  A slice is local: a simplex wholly
     below the level adds d(sigma) - d(sigma) = 0 to d(T below) - (dT)
     below, and one wholly above is in neither term.  A level is skipped
     when T on its refinement has |coefficients| summing to 2**62 or more,
@@ -550,13 +584,14 @@ def _slices(T: SimplicialCurrent, f: PLFunction, levels, star, limit_of=None) ->
     the stacked refined rows: per face, each coface adds its coefficient
     times ([coface below] - [face below]).
     """
+    values = _vertex_values(T.complex, f.values)
     if T.dim < 1:
         return [ArgumentError("slicing needs a current of dimension >= 1") for _ in levels]
-    out = [_snap_or_error(f.values, s) for s in levels]
+    out = [_snap_or_error(values, s) for s in levels]
     live = [i for i, snap in enumerate(out) if not isinstance(snap, ArgumentError)]
     if not live:
         return out
-    m, k, C, values = len(live), T.dim, T.complex, f.values
+    m, k, C = len(live), T.dim, T.complex
     at = np.array([out[i][0] for i in live])
     top = C.simplex_array(k)[T.idx]
     if star:
@@ -572,13 +607,18 @@ def _slices(T: SimplicialCurrent, f: PLFunction, levels, star, limit_of=None) ->
             else GeometricComplex(C.metric, {j: [] for j in C.dims})
             for l in range(m)
         ]
+        cut = _refine(sources, rows, levels_of, values, [out[i] for i in live])
+    elif m == 1:  # the whole complex at one level: `subdivide_at_level`'s refinement
+        ref = subdivide_at_level(C, values, levels[live[0]])
+        rows = {j: ref.complex.simplex_array(j) for j in ref.complex.dims}
+        one = {j: np.array([0, len(rows[j])]) for j in rows}
+        cut = _Cut([ref], rows, {j: np.zeros(len(rows[j]), dtype=np.intp) for j in rows}, one, ref.children)
+        t_row, t_coeff = T.idx, T.coeff
     else:
-        rows = {j: C.simplex_array(j) if m == 1 else np.tile(C.simplex_array(j), (m, 1)) for j in C.dims}
+        rows = {j: np.tile(C.simplex_array(j), (m, 1)) for j in C.dims}
         levels_of = {j: np.repeat(np.arange(m), C.count(j)) for j in C.dims}
-        t_row = (T.idx + C.count(k) * np.arange(m)[:, None]).ravel()
-        t_coeff = np.tile(T.coeff, m)
-        sources = [C] * m
-    cut = _refine(sources, rows, levels_of, values, [out[i] for i in live])
+        t_row, t_coeff = (T.idx + C.count(k) * np.arange(m)[:, None]).ravel(), np.tile(T.coeff, m)
+        cut = _refine([C] * m, rows, levels_of, values, [out[i] for i in live])
 
     # T on each level's refinement, the children of all levels in one gather
     child, coeff = cut.tables[k].transfer(t_row, t_coeff)
@@ -727,8 +767,8 @@ def point_slices(C: SimplicialCurrent, f: PLFunction, levels, snap_values=None, 
 
 def slice_current(T: SimplicialCurrent, f: PLFunction, s) -> SliceResult:
     """The slice of T by f at level s: boundary of the sublevel restriction
-    minus the restriction of the boundary, on the refinement of T's whole
-    complex (the one-level case of the pass `slice_levels` makes)."""
+    minus the restriction of the boundary, on `subdivide_at_level`'s
+    refinement of T's whole complex."""
     (result,) = _slices(T, f, [s], star=False)
     if isinstance(result, ArgumentError):
         raise result
@@ -773,12 +813,40 @@ def sphere(T: SimplicialCurrent, p: int, r: float) -> SliceResult:
 
 
 def annulus_mass(T: SimplicialCurrent, f: PLFunction, a: float, b: float) -> float:
-    """Mass of T restricted to {a < f < b}, computed exactly by refinement."""
+    """Mass of T restricted to {a < f < b}, read off two level passes over
+    T's rows with no cut: the rows wholly above a and the pieces above a
+    of the rows crossing it, then of those the rows wholly below b and the
+    pieces below b.  Each pass numbers its cut points over the crossing
+    edges it meets, in the cut's order, and b snaps on f's values plus a
+    when an edge of T's complex crosses a, so the rows, their `row_keys`
+    order and the sum are bit for bit those of cutting the whole complex
+    at a and that cut at b (T's rows take its complex's volumes, the
+    pieces theirs on the twice-grown metric), and so is each cut's 2**62
+    rule (`_below_limit`)."""
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ArgumentError(f"annulus bounds must be finite, got {a}, {b}")
-    if b <= a:
+    C, k = T.complex, T.dim
+    values = _vertex_values(C, f.values)
+    if b <= a or T.is_zero():
         return 0.0
-    ref1 = subdivide_at_level(T.complex, f.values, a)
-    T1 = ref1.transfer_current(T).restricted(~ref1.below(T.dim))
-    ref2 = subdivide_at_level(ref1.complex, ref1.values, b)
-    return mass(ref2.transfer_current(T1).restricted(ref2.below(T.dim)))
+    a = snap_level(values, a)[0]
+    side = values[C.simplex_array(1)] < a
+    b = snap_level(np.append(values, a) if (side[:, 0] != side[:, 1]).any() else values, b)[0]
+    (rows, coeff), volumes, metric = T.rows, C.masses(k)[T.idx], C.metric
+    for s, below in ((a, False), (b, True)):
+        if not _below_limit(vertex_rows((rows, coeff), values), np.array([s]), whole=True)[0]:
+            raise ArgumentError("chain coefficients must sum below 2**62 in absolute value")
+        side = values[rows] < s
+        count = side.sum(axis=1)
+        crossing = (count > 0) & (count <= k)
+        edges = _crossing_edges(rows[crossing], side[crossing])
+        pieces, signed = _pieces(rows[crossing], side[crossing], coeff[crossing], edges, len(values), values, s, below)
+        keep = count == (k + 1 if below else 0)
+        rows, coeff = np.concatenate([rows[keep], pieces]), np.concatenate([coeff[keep], signed])
+        volumes = np.concatenate([volumes[keep], np.full(len(pieces), UNKNOWN_VOLUME)])
+        metric = metric.grown(_cut_points(metric, values, edges, s)[2])
+        values = np.concatenate([values, np.full(len(edges), s)])
+    todo = volumes == UNKNOWN_VOLUME
+    volumes[todo] = simplex_volumes(metric, rows[todo])
+    order = np.argsort(row_keys(rows)[0], kind="stable")
+    return float(np.abs(coeff[order]) @ volumes[order])

@@ -16,7 +16,7 @@ from currentlab.complexes import (
     close_under_faces,
     simplex_volume_from_sq,
 )
-from currentlab.currents import SimplicialCurrent, boundary
+from currentlab.currents import SimplicialCurrent, boundary, mass
 from currentlab.metricspace import ArgumentError
 from currentlab.slicing import (
     SNAP_REL,
@@ -570,6 +570,18 @@ def transfer_oracle(ref: Refinement, T: SimplicialCurrent) -> SimplicialCurrent:
             new_idx = int(table.child[j])
             out[new_idx] = out.get(new_idx, 0) + c * int(table.sign[j])
     return SimplicialCurrent(ref.complex, T.dim, out)
+
+
+def two_cut_annulus_mass(T: SimplicialCurrent, f, a, b) -> float:
+    """Mass of T on {a < f < b} by refinement: T's whole complex cut at a,
+    T above a on that cut, the cut cut again at b, and the mass of that
+    part below b."""
+    if b <= a:
+        return 0.0
+    ref1 = subdivide_at_level(T.complex, f.values, a)
+    T1 = ref1.transfer_current(T).restricted(~ref1.below(T.dim))
+    ref2 = subdivide_at_level(ref1.complex, ref1.values, b)
+    return mass(ref2.transfer_current(T1).restricted(ref2.below(T.dim)))
 
 
 def support_closure_oracle(T: SimplicialCurrent) -> SimplicialCurrent:

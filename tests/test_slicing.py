@@ -33,10 +33,12 @@ from currentlab.meshes import (
 )
 from currentlab.slicedfill import _tensor_eval, ball_context
 from currentlab.slicing import (
+    SNAP_REL,
     annulus_mass,
     ball,
     coarea_profile,
     point_slices,
+    restrict_sublevel,
     slice_current,
     slice_levels,
     snap_level,
@@ -61,6 +63,7 @@ from oracles import (
     support_closure_oracle,
     support_simplices,
     transfer_oracle,
+    two_cut_annulus_mass,
 )
 
 
@@ -1290,6 +1293,112 @@ class TestAnnulus:
         for a, b in zip(masses, masses[1:]):
             assert b <= 0.65 * a + 1e-9
         assert masses[-1] < 0.2 * masses[0]
+
+    @pytest.mark.parametrize("C, values", _subdivide_cases())
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        chain=st.sampled_from(["top", "boundary", "middle", "points", "zero"]),
+        a_rule=st.sampled_from(["inside", "vertex"]),
+        b_rule=st.sampled_from(["inside", "past", "near"]),
+    )
+    def test_annulus_mass_is_the_two_cut_mass(self, C, values, seed, chain, a_rule, b_rule):
+        """The two level passes give the mass of the two whole-complex cuts
+        bit for bit, on every backend: mixed-sign chains with drop-outs, T
+        and dT, 0-chains and the zero chain, a on a vertex value (snapped),
+        b past the value range or within 2 tol of the a-level (b snaps on
+        the cut's values)."""
+        rng = np.random.default_rng(seed)
+        f = PLFunction(C, values)
+        k = {"points": 0, "middle": int(rng.integers(1, C.top_dim + 1))}.get(chain, C.top_dim)
+        T = _random_chain(rng, C, k)
+        if chain == "boundary":
+            T = boundary(T)
+        elif chain == "zero":
+            T = SimplicialCurrent.zero(C, k)
+        lo, hi = float(values.min()), float(values.max())
+        a = float(values[rng.integers(len(values))]) if a_rule == "vertex" else float(rng.uniform(lo, hi))
+        if b_rule == "past":
+            b = hi + float(rng.uniform(0.0, 1.0))
+        elif b_rule == "near":
+            b = max(a, snap_level(values, a)[0]) + float(rng.uniform(0.0, 2.0)) * SNAP_REL * (hi - lo)
+        else:
+            b = a + float(rng.uniform(0.0, hi - lo))
+        assert annulus_mass(T, f, a, b) == two_cut_annulus_mass(T, f, a, b)
+
+    def test_annulus_mass_cuts_nothing(self, monkeypatch):
+        """annulus_mass subdivides nothing, runs no cut pass and builds no
+        complex."""
+        import currentlab.complexes as complexes
+        import currentlab.slicing as slicing
+
+        C, T = disk_mesh(h=0.1)
+        rho = distance_function(C, 0)
+        want = [two_cut_annulus_mass(S, rho, 0.3, 0.5) for S in (T, boundary(T))]
+        calls = []
+        for module, name in ((slicing, "subdivide_at_level"), (slicing, "_refine")):
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, _name=name, _f=original, **kw: calls.append(_name) or _f(*a, **kw))
+        init = complexes.GeometricComplex.__init__
+        monkeypatch.setattr(
+            complexes.GeometricComplex, "__init__", lambda self, *a, **kw: calls.append("complex") or init(self, *a, **kw)
+        )
+        dT = boundary(T)
+        calls.clear()
+        got = [annulus_mass(S, rho, 0.3, 0.5) for S in (T, dT)]
+        assert got == want and calls == []
+
+    @staticmethod
+    def _piece_counts(T, f, a, b):
+        """Rows of T on the whole-complex cut at a, and of T's part above a
+        on that cut cut again at b."""
+        ref1 = subdivide_at_level(T.complex, f.values, a)
+        T1 = ref1.transfer_current(T).restricted(~ref1.below(T.dim))
+        ref2 = subdivide_at_level(ref1.complex, ref1.values, b)
+        return len(ref1.transfer_current(T).idx), len(ref2.transfer_current(T1).idx)
+
+    @pytest.mark.parametrize("where", ["at_a", "at_b", "under"])
+    def test_annulus_mass_keeps_the_cuts_limit(self, where):
+        """The 2**62 rule of the two cuts: T at a counts C(k + 1, j) pieces
+        per crossing simplex, and T's part above a counts them again at b.
+        A chain over the limit at either cut raises the oracle's
+        ArgumentError; one just under it at both has the oracle's mass."""
+        C, T = grid_mesh(4, 4)
+        rho = distance_function(C, 0)
+        a, b = 0.1, 0.6
+        at_a, at_b = self._piece_counts(T, rho, a, b)
+        assert len(T.idx) < at_a < at_b
+        c = {"at_a": 2**62 // at_a + 1, "at_b": 2**62 // at_b + 1, "under": (2**62 - 1) // at_b}[where]
+        S = SimplicialCurrent.from_arrays(C, 2, T.idx, np.where(T.coeff > 0, c, -c))
+        if where == "under":
+            assert annulus_mass(S, rho, a, b) == two_cut_annulus_mass(S, rho, a, b) > 0
+            return
+        with pytest.raises(ArgumentError) as want:
+            two_cut_annulus_mass(S, rho, a, b)
+        with pytest.raises(ArgumentError) as got:
+            annulus_mass(S, rho, a, b)
+        assert str(got.value) == str(want.value)
+
+
+OTHER_MESH_CALLS = {
+    "subdivide_at_level": lambda T, f: subdivide_at_level(T.complex, f.values, 0.5),
+    "slice_current": lambda T, f: slice_current(T, f, 0.5),
+    "slice_levels": lambda T, f: slice_levels(T, f, [0.3, 0.5]),
+    "restrict_sublevel": lambda T, f: restrict_sublevel(T, f, 0.5),
+    "annulus_mass": lambda T, f: annulus_mass(T, f, 0.3, 0.6),
+}
+
+
+@pytest.mark.parametrize("call", sorted(OTHER_MESH_CALLS))
+@pytest.mark.parametrize("n", [2, 5], ids=["short", "long"])
+def test_function_from_another_mesh_is_an_input_error(call, n):
+    """A PL function on another mesh has the wrong number of vertex values
+    for T's complex: every entry point refuses it, naming both counts."""
+    _, T = grid_mesh(4, 4)
+    other, _ = grid_mesh(n, n)
+    f = distance_function(other, 0)
+    with pytest.raises(ArgumentError, match=rf"{(n + 1) ** 2} vertex values, but the complex has 25 vertices"):
+        OTHER_MESH_CALLS[call](T, f)
 
 
 def _random_chain(rng, C, k):
