@@ -9,18 +9,19 @@ the sliced filling, its interval variant, and the band integral of h
 behind the tetrahedral check.  The filling and h leaves read only the
 cycle d<T, f, t> of the final slice, which the slicing identity
 d<T, f, t> = -<dT, f, t> gives without cutting volume.  When that cycle is
-0-dimensional (sf on a 2-d ball, tetra and sfk --k 2 on a 3-d one), the
-next-to-last axis slices the boundary of its prefix, not the prefix, and
-the last axis cuts nothing: it reads the cut points of that 1-chain at all
-its levels in one pass, as points with signed weights.  Otherwise the last
-axis slices -dT of its prefix T.
+0-dimensional (sf on a 2-d ball, tetra and sfk --k 2 on a 3-d one), no
+axis cuts: the next-to-last axis reads the slices of the boundary of its
+prefix, not the prefix, off one level pass over it, and the last axis
+reads the cut points of that 1-chain at all its levels in one pass, as
+points with signed weights.  Otherwise the last axis slices -dT of its
+prefix T.
 
 A ball of dimension k >= 1 is read off its level set, not cut:
 d(T on {rho < r}) is <T, rho, r> + (dT on {rho < r}), the level surface
 through each simplex crossing the level plus T's boundary below it.  So
 when the leaves read 0-cycles of at most two axes (sf and sfk --k 1 on a
-2-d ball, tetra and sfk --k 2 on a 3-d one), every axis is cut from that
-boundary alone and nothing builds the ball's complex (`ball_context`).
+2-d ball, tetra and sfk --k 2 on a 3-d one), every axis reads that
+boundary alone and nothing is cut (`ball_context`).
 """
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ from .complexes import (
     GeometricComplex,
     PLFunction,
     distance_function,
-    face_closure,
+    distinct_rows,
     row_keys,
     simplex_volumes,
 )
@@ -47,11 +48,14 @@ from .product import interval_filling_volume
 from .slicing import (
     PointCycle,
     Refinement,
+    _below_limit,
     _crossing_edges,
     _cut_points,
+    _cut_values,
+    _offsets,
     _pieces,
     _slices,
-    boundary_slices,
+    _snap_or_error,
     point_slices,
     slice_current,  # noqa: F401  unused here; perfbench's tracer wraps it in every namespace that binds it
     snap_level,
@@ -120,7 +124,7 @@ def _level_set(T: SimplicialCurrent, values, s) -> LevelSet:
     sims, sides = top[crossing], side[crossing]
     edges = _crossing_edges(sims, sides)
     t, _, points = _cut_points(C.metric, values, edges, s)
-    pieces, coeff = _pieces(sims, sides, T.coeff[crossing], edges, n, values, s)
+    pieces, coeff, _ = _pieces(sims, sides, T.coeff[crossing], edges, n, values, s)
     rows = np.concatenate([top[inside], pieces])
     order = np.argsort(row_keys(rows)[0], kind="stable")
     volumes = np.concatenate([C.masses(k)[T.idx[inside]], np.full(len(pieces), UNKNOWN_VOLUME)])
@@ -128,7 +132,7 @@ def _level_set(T: SimplicialCurrent, values, s) -> LevelSet:
     d_rows, d_coeff = T.boundary_rows
     d_side = values[d_rows] < s
     whole, d_crossing = d_side.all(axis=1), d_side.any(axis=1) & ~d_side.all(axis=1)
-    d_pieces, d_pieces_coeff = _pieces(d_rows[d_crossing], d_side[d_crossing], d_coeff[d_crossing], edges, n, values, s)
+    d_pieces, d_pieces_coeff, _ = _pieces(d_rows[d_crossing], d_side[d_crossing], d_coeff[d_crossing], edges, n, values, s)
     level = pieces[:, 1] >= n
     b_rows = np.concatenate([pieces[level][:, 1:], d_rows[whole], d_pieces])
     b_coeff = np.concatenate([coeff[level], d_coeff[whole], d_pieces_coeff])
@@ -208,7 +212,8 @@ class BallContext:
     def boundary(self) -> SimplicialCurrent:
         """d of the ball, built once per source: the discrete sphere and the
         level box of every witness candidate read it.  The level set's lives
-        on the (k-1)-complex of its own simplices, over the grown metric."""
+        on a complex of its own (k-1)-simplices alone, with no lower faces,
+        over the grown metric."""
         return self._cut_boundary if self._reads_cut else self._level_boundary
 
     @cached_property
@@ -218,7 +223,7 @@ class BallContext:
     @cached_property
     def _level_boundary(self) -> SimplicialCurrent:
         lv = self.level_set
-        K = GeometricComplex(lv.metric, face_closure(lv.boundary_rows)[0])
+        K = GeometricComplex(lv.metric, {self.dim - 1: lv.boundary_rows})
         return boundary_chain(K, self.dim - 1, np.arange(len(lv.boundary_rows)), lv.boundary_coeff)
 
     @cached_property
@@ -310,19 +315,20 @@ def _tensor_eval(start: SimplicialCurrent, functions, grids, leaf, *, cycle, sta
     the slicing identity d<T, f, t> = -<dT, f, t> gives without cutting the
     slice's volume (`start_boundary`, when given, is dT of the start);
     otherwise the final slice itself.  With k = dim - 1 axes and `cycle`
-    that boundary is a 0-cycle, and the last one or two axes cut no volume:
-    they read the slices of dP for their prefix P (`_point_axes`).  Every
-    other axis cuts its prefix, the last one -dP with `cycle`; with no axes
-    the leaf reads dT.  Slices share prefixes: the levels of axis j are cut
-    once per prefix, all in one pass (`slicing._slices`).  Each slice cuts
-    only the star of its level, except a final slice of a prefix of
-    dimension >= 3: `fill_value_of_boundary` fills its cycle inside its
-    complex, so that slice keeps the whole cut of the closure of the
-    prefix's support.  A level that raises ArgumentError is skipped, and at
-    every axis one rule raises for |coefficients| near 2**62: that of the
-    prefix P on the refinement that would cut it at the level (its star,
-    or its whole complex for a whole-cut final slice), read off P's
-    simplices (`slicing.vertex_rows`) where the axis cuts dP or reads its
+    that boundary is a 0-cycle, and the last one or two axes cut nothing:
+    they read the slices of dP for their prefix P off level passes over dP
+    and its slices (`_point_axes`).  Every other axis cuts its prefix, the
+    last one -dP with `cycle`; with no axes the leaf reads dT.  Slices
+    share prefixes: the levels of axis j are cut once per prefix, all in
+    one pass (`slicing._slices`).  Each slice cuts only the star of its
+    level, except a final slice of a prefix of dimension >= 3:
+    `fill_value_of_boundary` fills its cycle inside its complex, so that
+    slice keeps the whole cut of the closure of the prefix's support.  A
+    level that raises ArgumentError is skipped, and at every axis one rule
+    raises for |coefficients| near 2**62: that of the prefix P on the
+    refinement that would cut it at the level (its star, or its whole
+    complex for a whole-cut final slice), read off P's simplices
+    (`slicing.vertex_rows`) where the axis cuts dP or reads its slices or
     cut points.  After the dP first axis that rule cannot bind: a crossing
     tetrahedron with j vertices below splits into C(4, j) pieces, at least
     3 per triangle of its slice, and each triangle into at most 3.
@@ -368,16 +374,17 @@ def _tensor_eval(start: SimplicialCurrent, functions, grids, leaf, *, cycle, sta
 
 def _point_axes(B, rows, fns, grids, leaf):
     """The leaf over the last axes of a box whose final slices have
-    0-cycles for boundaries, at most two, with no volume cut: B is dP of
-    the prefix P whose simplices are `rows` (vertex-id rows, coefficients).
+    0-cycles for boundaries, at most two, with no cut: B is dP of the
+    prefix P whose simplices are `rows` (vertex-id rows, coefficients).
     With no axis the leaf reads dP's points.  With one it reads the cut
     points of the 1-chain -dP at all its levels in one pass
     (`slicing.point_slices`), a level skipped by P's rule.  With two the
-    first slices dP on its crossing stars (`slicing.boundary_slices`, which
-    skips levels and picks the next axis's snap values as cutting P
-    would), and the second reads the cut points of each slice, where P's
-    rule cannot bind (see `_tensor_eval`).  Returns the leaf's values over
-    the axes' levels and the number of levels skipped."""
+    first reads <dP, f, s> at all its levels off one level pass over dP
+    (`_boundary_levels`, which skips levels and picks the next axis's snap
+    values as cutting P would), and the second reads the cut points of
+    each slice in one point pass, where P's rule cannot bind (see
+    `_tensor_eval`).  Returns the leaf's values over the axes' levels and
+    the number of levels skipped."""
     out, skipped = np.zeros(tuple(len(g) for g in grids) or (1,)), 0
 
     def read(results, prefix):
@@ -391,14 +398,63 @@ def _point_axes(B, rows, fns, grids, leaf):
     if not fns:
         out[0] = leaf(PointCycle.from_chain(B))
     elif len(fns) == 1:
-        read(point_slices(-B, fns[0], grids[0], limit_of=vertex_rows(rows, fns[0].values)), ())
+        (edges, coeff), values = B.rows, fns[0].values
+        read(point_slices((edges, -coeff), values, B.complex.metric, grids[0], limit_of=vertex_rows(rows, values)), ())
     else:
-        for i, sl in enumerate(boundary_slices(rows, B, fns[0], fns[1], grids[0])):
+        for i, sl in enumerate(_boundary_levels(B, rows, *fns, grids[0])):
             if isinstance(sl, ArgumentError):
                 skipped += 1
-            else:  # a slice of dP, g on it and the values it snaps g on; an empty chain's rule
-                read(point_slices(sl[0], sl[1], grids[1], sl[2], (np.empty((0, 3)), rows[1][:0])), (i,))
+            else:  # the slice, g on its metric, that metric and the values g snaps on; an empty chain's rule
+                read(point_slices(*sl[:3], grids[1], snap_values=sl[3], limit_of=(np.empty((0, 3)), rows[1][:0])), (i,))
     return out, skipped
+
+
+def _boundary_levels(B, rows, f, g, levels) -> list:
+    """<dP, f, s> of the 2-chain B = dP (P the 3-chain `rows`, vertex-id
+    rows and coefficients) at every one of `levels`, off one level pass over
+    dP with no cut.  Entry i is the ArgumentError of levels[i] (by P's rule
+    on its crossing star, `_below_limit`), or the slice as (edge rows,
+    coefficients), g at the vertices of the one metric that holds every
+    level's cut points, that metric, and the values the next axis snaps g
+    on: g at the vertices and at the cut points of the slice and of P's
+    crossing edges, as cutting P would hold them.  The slice is the faces of
+    cut points alone of the pieces below, as in `_level_set`: bit for bit
+    the signed slice of dP's cut crossing star, its cut points numbered in
+    lexicographic edge order after those of the levels before it.  P's rule
+    bounds it: a crossing tetrahedron has at least 4 pieces and at most 4
+    crossing triangles."""
+    values, metric, n = f.values, B.complex.metric, B.complex.n_vertices
+    out = [_snap_or_error(values, s) for s in levels]
+    live = [i for i, snap in enumerate(out) if not isinstance(snap, ArgumentError)]
+    if not live:
+        return out
+    m, at = len(live), np.array([out[i][0] for i in live])
+    top, coeff = B.rows
+    side = values[top] < at[:, None, None]
+    level, pick = np.nonzero(side.any(axis=2) & ~side.all(axis=2))
+    sims, sides = top[pick], side[level, pick]
+    edges, edge_level = _crossing_edges(sims, sides, level, m)
+    t, _, points = _cut_points(metric, values, edges, at[edge_level])
+    pieces, signed, parent = _pieces(sims, sides, coeff[pick], edges, n, values, at, levels=(level, edge_level))
+    face = pieces[:, 1] >= n
+    slice_rows, slice_coeff, grown = pieces[face][:, 1:], signed[face], metric.grown(points)
+    g_values = np.concatenate([g.values, _cut_values(g, grown, n, edges, t)])
+    pairs = list(itertools.combinations(range(rows[0].shape[1]), 2))
+    star_edges = distinct_rows(rows[0][:, pairs].reshape(-1, 2))
+    star_side = values[star_edges] < at[:, None, None]
+    star_level, e = np.nonzero(star_side[..., 0] != star_side[..., 1])
+    star_t, _, star_points = _cut_points(metric, values, star_edges[e], at[star_level])
+    star = _cut_values(g, metric.grown(star_points), n, star_edges[e], star_t)
+    kept = _below_limit(vertex_rows(rows, values), at, whole=False)
+    cuts, slices, stars = _offsets(edge_level, m), _offsets(level[parent[face]], m), _offsets(star_level, m)
+    for l, i in enumerate(live):
+        if not kept[l]:
+            out[i] = ArgumentError("chain coefficients must sum below 2**62 in absolute value")
+            continue
+        a, b = slices[l], slices[l + 1]
+        snap = np.concatenate([g.values, g_values[n + cuts[l] : n + cuts[l + 1]], star[stars[l] : stars[l + 1]]])
+        out[i] = ((slice_rows[a:b], slice_coeff[a:b]), g_values, grown, snap)
+    return out
 
 
 def fill_value_of_boundary(B) -> float:

@@ -20,7 +20,6 @@ from .complexes import (
     GeometricComplex,
     PLFunction,
     distance_function,
-    distinct_rows,
     face_closure,
     facet_lookup,
     level_row_keys,
@@ -322,26 +321,34 @@ def _split(sims, side, level, edges, edge_level, first_cut):
     return cells, slots, signs[group][slots[k]]
 
 
-def _crossing_edges(sims, side):
+def _crossing_edges(sims, side, level=None, m=1):
     """The distinct edges of the simplices `sims` (their vertices' below
     flags `side`) with one end on each side, in lexicographic order: on a
     complex whose rows are in that order, a cut numbers its cut points in
-    this order."""
+    this order.  With `level` (each simplex's level in 0..m-1) they are
+    taken per level, sorted by level first, and returned with their levels."""
     pairs = np.array(list(itertools.combinations(range(sims.shape[1]), 2)), dtype=np.intp).reshape(-1, 2)
-    return distinct_rows(sims[:, pairs][side[:, pairs[:, 0]] != side[:, pairs[:, 1]]])
+    crosses = side[:, pairs[:, 0]] != side[:, pairs[:, 1]]
+    edges, at = sims[:, pairs][crosses], None if level is None else np.repeat(level, crosses.sum(axis=1))
+    first = np.unique(level_row_keys(m, (at, edges))[0], return_index=True)[1]
+    return edges[first] if level is None else (edges[first], at[first])
 
 
-def _pieces(rows, side, coeff, edges, n, values, s, below=True):
+def _pieces(rows, side, coeff, edges, n, values, s, below=True, levels=None):
     """The pieces below the level s (above it, when not `below`) of the
     crossing simplices `rows` (their vertices' below flags `side`,
     coefficients `coeff`) as the cut splits them (`_split`, the cut's
-    templates; the cut point of edges[g] is n + g): their vertex-id rows and
-    coefficients, the parent's times the piece's orientation in it."""
-    cells, slots, signs = _split(rows, side, None, edges, None, np.array([n]))
-    pieces, signed = cells[-1], coeff[np.nonzero(slots[-1])[0]] * signs
-    old = pieces < n
-    keep = (old & (values[np.where(old, pieces, 0)] < s)).any(axis=1) == below
-    return pieces[keep], signed[keep]
+    templates; the cut point of edges[g] is n + g): their vertex-id rows,
+    coefficients (the parent's times the piece's orientation in it) and
+    parents' positions in `rows`.  With `levels`, (each row's level, each
+    edge's level) as indices into the array s, each row is cut at its own."""
+    level, edge_level = levels or (None, None)
+    cells, slots, signs = _split(rows, side, level, edges, edge_level, np.full(1 if levels is None else len(s), n))
+    parent = np.nonzero(slots[-1])[0]
+    pieces, signed, old = cells[-1], coeff[parent] * signs, cells[-1] < n
+    at = s if levels is None else s[level[parent]][:, None]
+    keep = (old & (values[np.where(old, pieces, 0)] < at)).any(axis=1) == below
+    return pieces[keep], signed[keep], parent[keep]
 
 
 @dataclass(eq=False)
@@ -467,12 +474,12 @@ def _refine(sources, rows, level, values, snaps) -> _Cut:
     return _Cut(refinements, stacked, stacked_level, starts, tables)
 
 
-def _vertex_values(C: GeometricComplex, values) -> np.ndarray:
+def _vertex_values(n, values) -> np.ndarray:
     """`values` as a float array, or ArgumentError unless it has one entry
-    per vertex of C (a function on another mesh)."""
+    per vertex of a complex of n vertices (a function on another mesh)."""
     values = np.asarray(values, dtype=float)
-    if len(values) != C.n_vertices:
-        raise ArgumentError(f"the function has {len(values)} vertex values, but the complex has {C.n_vertices} vertices")
+    if len(values) != n:
+        raise ArgumentError(f"the function has {len(values)} vertex values, but the complex has {n} vertices")
     return values
 
 
@@ -494,7 +501,7 @@ def subdivide_at_level(C: GeometricComplex, values, s) -> Refinement:
     reference to C.  This is the one-level case of the pass that
     `slice_levels` makes.
     """
-    values = _vertex_values(C, values)
+    values = _vertex_values(C.n_vertices, values)
     snap = snap_level(values, s)
     rows = {k: C.simplex_array(k) for k in C.dims}
     level = {k: np.zeros(C.count(k), dtype=np.intp) for k in C.dims}
@@ -584,7 +591,7 @@ def _slices(T: SimplicialCurrent, f: PLFunction, levels, star, limit_of=None) ->
     the stacked refined rows: per face, each coface adds its coefficient
     times ([coface below] - [face below]).
     """
-    values = _vertex_values(T.complex, f.values)
+    values = _vertex_values(T.complex.n_vertices, f.values)
     if T.dim < 1:
         return [ArgumentError("slicing needs a current of dimension >= 1") for _ in levels]
     out = [_snap_or_error(values, s) for s in levels]
@@ -684,31 +691,6 @@ def slice_levels(T: SimplicialCurrent, f: PLFunction, levels) -> list:
     return _slices(T, f, levels, star=True)
 
 
-def boundary_slices(rows, dT: SimplicialCurrent, f: PLFunction, g: PLFunction, levels) -> list:
-    """The slices <dT, f, s> = -d<T, f, s> at each of `levels`, cut on dT's
-    crossing stars, T being the chain `rows` (`SimplicialCurrent.rows`):
-    entry i is (the slice, g on its refinement, the values the next axis
-    snaps g on) or the ArgumentError of level i.
-
-    T's star is never refined, yet a level is skipped as `slice_levels(T,
-    f, levels)` skips it (`_below_limit`), and the snap values are those
-    that refinement holds: g at the vertices and at the cut points of T's
-    crossing edges, read off T's rows.
-    """
-    out = _slices(dT, f, levels, True, limit_of=vertex_rows(rows, f.values))
-    metric, values = dT.complex.metric, f.values
-    edges = distinct_rows(rows[0][:, list(itertools.combinations(range(rows[0].shape[1]), 2))].reshape(-1, 2))
-    for i, sl in enumerate(out):
-        if isinstance(sl, ArgumentError):
-            continue
-        crossing = edges[(values[edges] < sl.refinement.level).sum(axis=1) == 1]
-        t, _, points = _cut_points(metric, values, crossing, sl.refinement.level)
-        g_sl = sl.refinement.transfer_function(g)
-        star = _cut_values(g, metric.grown(points), metric.n, crossing, t)
-        out[i] = (sl.current, g_sl, np.concatenate([g_sl.values, star]))
-    return out
-
-
 def _point_space(metric, ids) -> FiniteMetricSpace:
     """The points `ids` of a metric as a finite metric space: one `dist` row each."""
     return FiniteMetricSpace([metric.dist(i, ids) for i in ids] if len(ids) else np.zeros((0, 0)), validate=False)
@@ -727,35 +709,37 @@ class PointCycle:
         return cls(_point_space(B.complex.metric, B.complex.simplex_array(0)[B.idx, 0]), B.coeff)
 
 
-def point_slices(C: SimplicialCurrent, f: PLFunction, levels, snap_values=None, limit_of=None) -> list:
-    """The slices of the 1-chain C by f at each of `levels` as points, with
-    no cut: entry i is the PointCycle of the 0-chain `slice_levels(C, f,
-    levels)` gives at levels[i], bit for bit, or the ArgumentError it raises.
+def point_slices(chain, values, metric, levels, snap_values=None, limit_of=None) -> list:
+    """The slices of the 1-chain `chain` (edge rows, coefficients) on the
+    vertices of `metric` by the PL function of vertex `values` (one per
+    vertex, or ArgumentError) at each of `levels` as points, with no cut:
+    entry i is the PointCycle of the 0-chain `slice_levels` gives at
+    levels[i], bit for bit, or the ArgumentError it raises.
 
-    The levels snap on `snap_values` (f's values by default).  A crossing
+    The levels snap on `snap_values` (the values by default).  A crossing
     edge [u, v] with coefficient c puts +c on its cut point when u is below
     and -c when v is; a level's cut points are its crossing edges in
     lexicographic (cut-id) order, placed by `_refine`'s formula, and one
     `grown` metric holds those of every level.  A level is skipped by the
-    rule of the chain `limit_of` (as `vertex_rows` gives it; C by default,
-    whose two pieces per crossing edge a cut would sum) on its crossing
-    star (`_below_limit`).
+    rule of the chain `limit_of` (as `vertex_rows` gives it; the chain by
+    default, whose two pieces per crossing edge a cut would sum) on its
+    crossing star (`_below_limit`).
     """
-    out = [_snap_or_error(f.values if snap_values is None else snap_values, s) for s in levels]
+    values = _vertex_values(metric.n, values)
+    out = [_snap_or_error(values if snap_values is None else snap_values, s) for s in levels]
     live = [i for i, snap in enumerate(out) if not isinstance(snap, ArgumentError)]
     if not live:
         return out
-    m, metric = len(live), C.complex.metric
+    m, (edges, chain_coeff) = len(live), chain
     at = np.array([out[i][0] for i in live])
-    edges = C.complex.simplex_array(1)[C.idx]
-    side = f.values[edges] < at[:, None, None]
+    side = values[edges] < at[:, None, None]
     level, e = np.nonzero(side[..., 0] != side[..., 1])
     order = np.argsort(level_row_keys(m, (level, edges[e]))[0], kind="stable")
     level, e = level[order], e[order]
-    _, u_below, points = _cut_points(metric, f.values, edges[e], at[level])
-    coeff = np.where(u_below, C.coeff[e], -C.coeff[e])
+    _, u_below, points = _cut_points(metric, values, edges[e], at[level])
+    coeff = np.where(u_below, chain_coeff[e], -chain_coeff[e])
     grown, starts = metric.grown(points), _offsets(level, m)
-    kept = _below_limit(vertex_rows(C.rows, f.values) if limit_of is None else limit_of, at, whole=False)
+    kept = _below_limit(vertex_rows(chain, values) if limit_of is None else limit_of, at, whole=False)
     for l, i in enumerate(live):
         a, b = starts[l], starts[l + 1]
         if not kept[l]:
@@ -826,7 +810,7 @@ def annulus_mass(T: SimplicialCurrent, f: PLFunction, a: float, b: float) -> flo
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ArgumentError(f"annulus bounds must be finite, got {a}, {b}")
     C, k = T.complex, T.dim
-    values = _vertex_values(C, f.values)
+    values = _vertex_values(C.n_vertices, f.values)
     if b <= a or T.is_zero():
         return 0.0
     a = snap_level(values, a)[0]
@@ -840,7 +824,7 @@ def annulus_mass(T: SimplicialCurrent, f: PLFunction, a: float, b: float) -> flo
         count = side.sum(axis=1)
         crossing = (count > 0) & (count <= k)
         edges = _crossing_edges(rows[crossing], side[crossing])
-        pieces, signed = _pieces(rows[crossing], side[crossing], coeff[crossing], edges, len(values), values, s, below)
+        pieces, signed, _ = _pieces(rows[crossing], side[crossing], coeff[crossing], edges, len(values), values, s, below)
         keep = count == (k + 1 if below else 0)
         rows, coeff = np.concatenate([rows[keep], pieces]), np.concatenate([coeff[keep], signed])
         volumes = np.concatenate([volumes[keep], np.full(len(pieces), UNKNOWN_VOLUME)])

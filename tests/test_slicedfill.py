@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from currentlab.complexes import PLFunction, coordinate_function, distance_function, lookup_rows
+from currentlab.complexes import PLFunction, coordinate_function, distance_function, lookup_rows, row_keys
 from currentlab.currents import SimplicialCurrent, boundary, mass
 from currentlab.metricspace import ArgumentError
 from currentlab.meshes import (
@@ -40,7 +40,7 @@ from currentlab.slicedfill import (
 )
 
 from oracles import level_star, tensor_eval_oracle
-from test_slicing import _metric_state, _subdivide_cases
+from test_slicing import _metric_state, _rows, _subdivide_cases
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
 
@@ -302,7 +302,7 @@ def _assert_level_set_is_the_cut(T, p, r):
     lv, ball_mass, sphere, got = ctx.level_set, ctx.ball_mass, ctx.sphere_vertices(), ctx.boundary
     f = distance_function(got.complex, sphere[0] if sphere else p)
     support = ctx.support_range(f)
-    assert "_cut" not in vars(ctx) and got.complex.dims == list(range(k))
+    assert "_cut" not in vars(ctx) and got.complex.dims == [k - 1]
     want, ref = boundary(ctx.current), ctx.refinement
     assert np.array_equal(got.complex.simplex_array(k - 1)[got.idx], want.complex.simplex_array(k - 1)[want.idx])
     assert np.array_equal(got.coeff, want.coeff)
@@ -686,22 +686,22 @@ class TestBatchedAxes:
         assert np.array_equal(got, want) and got[0, 0] > 0
 
     def test_torus_tetra_operation_cuts_no_ball(self, monkeypatch):
-        """The 5 levels of the first witness on the ball's boundary, in one
-        pass: the ball is read off its level set and the second witness's
-        levels read cut points, so 1 cut, not 31."""
+        """The ball is read off its level set, the 5 levels of the first
+        witness off one level pass over the ball's boundary, and the second
+        witness's levels read cut points: no cut, not 31, and no face
+        closure of the boundary or of a level's star."""
+        import currentlab.complexes as complexes
         import currentlab.slicing as slicing
 
         T, p, r, _ = _torus_tetra_ball()
-        cuts, original = [], slicing._refine
-
-        def counting(sources, *args, **kwargs):
-            cuts.append(len(sources))
-            return original(sources, *args, **kwargs)
-
-        monkeypatch.setattr(slicing, "_refine", counting)
+        cuts, closures = [], []
+        for module, name, seen in [(slicing, "_refine", cuts), (slicing, "face_closure", closures),
+                                   (complexes, "face_closure", closures)]:
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, _o=original, _s=seen, **kw: _s.append(len(a[0])) or _o(*a, **kw))
         rep = tetra_check(T, p, r, C=0.9 * C_E3_BAND_INTEGRAL, beta=0.5, samples=5, candidates=1)
         assert rep.integral_passed
-        assert cuts == [5]
+        assert cuts == [] and closures == []
 
     def test_torus_tetra_operation_takes_no_boundary(self, monkeypatch):
         """The ball's boundary is read off its level set, and the first axis
@@ -718,6 +718,109 @@ class TestBatchedAxes:
             monkeypatch.setattr(module, name, lambda current, _o=original, _s=seen: _s.append(current.dim) or _o(current))
         rep = tetra_check(T, p, r, C=0.9 * C_E3_BAND_INTEGRAL, beta=0.5, samples=5, candidates=1)
         assert rep.integral_passed and taken == [] and closures == []
+
+
+def _boundary_levels_case(name):
+    """(T, p, r) of a 3-d ball on each metric backend: a Euclidean box, the
+    torus_tetra patch (a CallableMetric that wraps) and the box on the
+    MatrixMetric of its Euclidean distances."""
+    from currentlab.complexes import GeometricComplex, MatrixMetric
+
+    if name == "torus":
+        T, p, r, _ = _torus_tetra_ball()
+        return T, p, r
+    C, T = euclidean_box_mesh(0.65, 6 if name == "box" else 4)
+    p = nearest_vertex(C, (0.0, 0.0, 0.0))
+    if name == "matrix_box":
+        pts = C.coords()
+        C = GeometricComplex(MatrixMetric(np.linalg.norm(pts[:, None] - pts[None], axis=-1)), {k: C.simplex_array(k) for k in C.dims})
+        T = SimplicialCurrent.from_arrays(C, 3, T.idx, T.coeff)
+    return T, p, 0.5
+
+
+class TestBoundaryLevels:
+    """The first of two point axes reads <d ball, f, s> at all its levels
+    off one level pass over d(ball), with what cutting each level's
+    crossing star gives, bit for bit."""
+
+    @pytest.mark.parametrize("case", ["box", "torus", "matrix_box"])
+    def test_first_axis_equals_the_cut_slice_of_the_ball_boundary(self, case):
+        """At every level the pass has the slice's rows, signed coefficients
+        and cut points' distances of slice_current on d(ball)'s crossing
+        star, g on its cut points, and the snap values of g on that
+        refinement and on the ball's crossing star.  The chain has signed
+        coefficients 1..3.  The levels include a snapped one, one past
+        every value of f (no crossing) and one that the ball's 2**62 rule
+        skips when the ball's tetrahedra with two vertices below it carry
+        c times their coefficient (6 pieces each): the rule reads the
+        ball's rows, and is that of cutting its crossing star."""
+        from currentlab.slicedfill import _boundary_levels
+
+        T1, p, r = _boundary_levels_case(case)
+        T = _mixed_chain(T1.complex, 7)
+        ctx = ball_context(T, p, r)
+        sphere, B, (rows, coeff) = ctx.sphere_vertices(), ctx.boundary, ctx.rows
+        f, g = (distance_function(B.complex, w) for w in (sphere[0], sphere[len(sphere) // 3]))
+        n, lo, hi = B.complex.n_vertices, *ctx.support_range(f)
+        levels = list(np.linspace(lo, hi, 7)[1:-1])
+        on_dball = f.values[B.support_vertices()]
+        levels += [float(on_dball[np.argmin(np.abs(on_dball - levels[1]))]), hi + 1.0]
+        assert snap_level(f.values, levels[-2])[1] and not snap_level(f.values, levels[2])[1]
+        big = (f.values[rows] < levels[2]).sum(axis=1) == 2
+        scaled = np.where(big, coeff * (2**62 // (6 * big.sum()) + 1), coeff)
+        P = ctx.current
+        P_scaled = SimplicialCurrent.from_arrays(P.complex, 3, P.idx, scaled)
+        skipped = [isinstance(sl, ArgumentError) for sl in _boundary_levels(B, (rows, scaled), f, g, levels)]
+        cut_skips = [isinstance(_try(lambda: slice_current(level_star(P_scaled, f.values, s, True), f, s)), ArgumentError)
+                     for s in levels]
+        assert skipped == cut_skips and skipped[2] and skipped.count(False) > 1
+        for s, sl in zip(levels, _boundary_levels(B, (rows, coeff), f, g, levels)):
+            star = slice_current(level_star(P, f.values, s, True), f, s)
+            (slice_rows, slice_coeff), g_values, metric, snap = sl
+            if s == hi + 1.0:  # no triangle of d(ball) crosses: an empty slice, and no cut point
+                assert len(slice_rows) == 0 and len(g_values) == metric.n
+                assert snap.tobytes() == np.concatenate([g.values, star.refinement.transfer_function(g).values[n:]]).tobytes()
+                continue
+            want = slice_current(level_star(B, f.values, s, True), f, s)
+            want_rows = want.complex.simplex_array(1)[want.current.idx]
+            g_want = want.refinement.transfer_function(g).values
+            assert snap.tobytes() == np.concatenate([g_want, star.refinement.transfer_function(g).values[n:]]).tobytes()
+            assert len(slice_rows) == len(want_rows) > 0
+            first = int(slice_rows.min())  # the level's cut ids follow those of the levels before it
+            order = np.argsort(row_keys(slice_rows)[0], kind="stable")
+            assert np.array_equal(slice_rows[order] - (first - n), want_rows)
+            assert np.array_equal(slice_coeff[order], want.current.coeff)
+            assert (slice_coeff < 0).any() and (slice_coeff > 0).any() and (np.abs(slice_coeff) > 1).any()
+            ids = np.unique(want_rows)
+            assert _rows(metric, ids + (first - n)).tobytes() == _rows(want.complex.metric, ids).tobytes()
+            assert g_values[ids + (first - n)].tobytes() == g_want[ids].tobytes()
+
+    def test_sf_k2_on_a_3d_ball_equals_per_level_cuts(self):
+        """sfk --k 2 on a 3-d ball, whose transport leaf reads the signs of
+        the slice's points, has the per-level cuts' values for every
+        candidate pair, and reports the best of them."""
+        from currentlab.slicedfill import _witness_tuples
+
+        T, p, r = _boundary_levels_case("box")
+        rep = sf_k(T, p, r, 2, candidates=3, grid=5)
+        ctx = ball_context(T, p, r)
+        best = None
+        for wit in _witness_tuples(ctx.sphere_vertices(), 2, 3):
+            fns = [distance_function(ctx.complex, w) for w in wit]
+            grids = [np.linspace(*ctx.support_range(fn), 5) for fn in fns]
+            want, _ = tensor_eval_oracle(ctx.current, fns, grids, lambda cur: fill_value_of_boundary(PointCycle.from_chain(boundary(cur))))
+            got = sliced_fill(T, p, r, witnesses=wit, grid=5)
+            assert got.values.tobytes() == want.tobytes() and (want > 0).any()
+            if best is None or got.integral > best.integral:
+                best = got
+        assert rep.witnesses == best.witnesses and rep.values.tobytes() == best.values.tobytes()
+
+
+def _try(call):
+    try:
+        return call()
+    except ArgumentError as exc:
+        return exc
 
 
 def _matrix_disk_ball():

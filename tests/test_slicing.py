@@ -886,7 +886,7 @@ def test_point_slices_read_the_boundary_of_the_cut_slice(C, values):
         T = SimplicialCurrent.from_arrays(C, 2, np.arange(n), np.random.default_rng(n).integers(-3, 4, size=n))
     f, cycle = PLFunction(C, values), -boundary(T)
     levels = _oracle_levels(C, values)
-    got = point_slices(cycle, f, levels)
+    got = point_slices(cycle.rows, values, C.metric, levels)
     assert sum(len(pts.coeff) for pts in got) > 0
     for s, pts in zip(levels, got):
         sl = slice_current(level_star(cycle, values, s, True), f, s)
@@ -1386,6 +1386,7 @@ OTHER_MESH_CALLS = {
     "slice_levels": lambda T, f: slice_levels(T, f, [0.3, 0.5]),
     "restrict_sublevel": lambda T, f: restrict_sublevel(T, f, 0.5),
     "annulus_mass": lambda T, f: annulus_mass(T, f, 0.3, 0.6),
+    "point_slices": lambda T, f: point_slices(boundary(T).rows, f.values, T.complex.metric, [0.5]),
 }
 
 
