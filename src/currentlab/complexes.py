@@ -335,25 +335,22 @@ def close_under_faces(*blocks):
         by_width.setdefault(rows.shape[1], []).append(rows)
     faces: dict[int, list] = {}
     for same_width in by_width.values():
-        for k, f in face_closure(distinct_rows(np.concatenate(same_width)))[0].items():
+        for k, f in face_closure(distinct_rows(np.concatenate(same_width))).items():
             faces.setdefault(k, []).append(f)
     return {k: f[0] if len(f) == 1 else distinct_rows(np.concatenate(f)) for k, f in faces.items()}
 
 
-def face_closure(top, level=None, m=1):
+def face_closure(top):
     """Every face of the k-simplices `top` (rows in canonical order) as
-    ({j: rows}, {j: levels}): `top` itself for j = k, each j < k distinct and
-    in lexicographic order.  `level` gives each top row's level in 0..m-1;
-    faces are then taken per level, sorted by level first; else levels are None."""
+    {j: rows}: `top` itself for j = k, each j < k distinct and in
+    lexicographic order."""
     k = top.shape[1] - 1
-    rows, levels = {}, {}
+    rows = {}
     for j in range(k):
         cols = list(itertools.combinations(range(k + 1), j + 1))
-        faces, at = top[:, cols].reshape(-1, j + 1), None if level is None else np.repeat(level, len(cols))
-        first = np.unique(level_row_keys(m, (at, faces))[0], return_index=True)[1]
-        rows[j], levels[j] = faces[first], None if at is None else at[first]
-    rows[k], levels[k] = top, level
-    return rows, levels
+        rows[j] = distinct_rows(top[:, cols].reshape(-1, j + 1))
+    rows[k] = top
+    return rows
 
 
 _KEY_SPAN = 2**63  # int64 keys 0 .. 2**63 - 1
@@ -442,20 +439,17 @@ def lookup_keys(table_keys, query_keys):
     return np.where(table_keys[hit] == query_keys, hit, -1)
 
 
-def facet_lookup(table, rows, m=1, table_level=None, row_level=None):
+def facet_lookup(table, rows):
     """Index among the rows of `table` of every facet of every row of an
     (n, k+1) id array, as an (n, k+1) array whose entry (i, j) is the facet
-    of row i opposite its vertex j; one key lookup.  With m > 1 levels, a
-    facet is looked up among the table rows of its row's level (level
-    indices `table_level` and `row_level`).  Raises ComplexError naming a
-    facet missing from `table` or its level."""
+    of row i opposite its vertex j; one key lookup.  Raises ComplexError
+    naming a facet missing from `table`."""
     k = rows.shape[1] - 1
     # facets queried one vertex position at a time: opposite a fixed vertex,
     # the facets of sorted rows come nearly sorted, and the binary search
     # runs through nearly sorted queries faster than through interleaved ones
     faces = rows[:, [[c for c in range(k + 1) if c != j] for j in range(k + 1)]].swapaxes(0, 1)
-    queries = (np.tile(row_level, k + 1) if m > 1 else None, faces.reshape(-1, k))
-    index = np.ascontiguousarray(lookup_keys(*level_row_keys(m, (table_level, table), queries)).reshape(k + 1, -1).T)
+    index = np.ascontiguousarray(lookup_rows(table, faces.reshape(-1, k)).reshape(k + 1, -1).T)
     if (index < 0).any():
         i = np.flatnonzero((index < 0).any(axis=1))[0]
         j = np.flatnonzero(index[i] < 0)[-1]  # its first missing face in lexicographic order

@@ -319,9 +319,9 @@ def _tensor_eval(start: SimplicialCurrent, functions, grids, leaf, *, cycle, sta
     they read the slices of dP for their prefix P off level passes over dP
     and its slices (`_point_axes`).  Every other axis cuts its prefix, the
     last one -dP with `cycle`; with no axes the leaf reads dT.  Slices
-    share prefixes: the levels of axis j are cut once per prefix, all in
-    one pass (`slicing._slices`).  Each slice cuts only the star of its
-    level, except a final slice of a prefix of dimension >= 3:
+    share prefixes: each level of axis j is cut once per prefix
+    (`slicing._slices`, one cut per level).  Each slice cuts only the
+    star of its level, except a final slice of a prefix of dimension >= 3:
     `fill_value_of_boundary` fills its cycle inside its complex, so that
     slice keeps the whole cut of the closure of the prefix's support.  A
     level that raises ArgumentError is skipped, and at every axis one rule

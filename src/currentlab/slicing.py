@@ -268,22 +268,17 @@ def _split_tables(k, patterns):
     return tables, counts, signs
 
 
-def _rebase(index, offset):
-    """Stacked row indices as indices into one level's rows, which start at
-    `offset`; the first level's start at 0 and are kept as they are."""
-    return index - offset if offset else index
-
-
 def _offsets(level, m):
     """Where each of m levels starts among level-sorted rows, then their end."""
-    return np.searchsorted(level, np.arange(m + 1)) if m > 1 else np.array([0, len(level)])
+    return np.searchsorted(level, np.arange(m + 1))
 
 
-def _split(sims, side, level, edges, edge_level, first_cut):
+def _split(sims, side, edges, first_cut, levels=None):
     """The cells of the crossing k-simplices `sims` (rows in canonical order,
-    `side` their vertices' below flags, `level` their level indices) given
-    the crossing `edges` of every level (`edge_level`): the cut point of
-    edge g is g + first_cut[edge_level[g]].
+    `side` their vertices' below flags) given the crossing `edges`: the cut
+    point of edges[g] is first_cut + g.  With `levels` = (each simplex's
+    level, each edge's level, the level count m), levels in 0..m-1, a
+    simplex's edges are found among the crossing edges of its own level.
 
     Returns, for j = 0..k, the j-cells inside the simplices as sorted id
     rows (for j = k the pieces, each parent's together and in
@@ -298,14 +293,15 @@ def _split(sims, side, level, edges, edge_level, first_cut):
     pairs = np.array(list(itertools.combinations(range(k + 1), 2)), dtype=np.intp)
     crosses = side[:, pairs[:, 0]] != side[:, pairs[:, 1]]
     # cut id of every crossing edge of every parent, found among the crossing
-    # edges of its level; the other edges hold a placeholder that sorts
+    # edges (of its level); the other edges hold a placeholder that sorts
     # after every id
-    at = np.repeat(level, crosses.sum(axis=1)) if len(first_cut) > 1 else 0
-    hit = lookup_keys(*level_row_keys(len(first_cut), (edge_level, edges), (at, sims[:, pairs][crosses])))
+    level, edge_level, m = levels or (None, None, 1)
+    at = None if level is None else np.repeat(level, crosses.sum(axis=1))
+    hit = lookup_keys(*level_row_keys(m, (edge_level, edges), (at, sims[:, pairs][crosses])))
     if (hit < 0).any():
         raise ComplexError("a crossing simplex has an edge missing from the complex")
     cuts = np.full(crosses.shape, _AFTER_EVERY_ID)
-    cuts[crosses] = hit + first_cut[at]
+    cuts[crosses] = hit + first_cut
     cols = np.concatenate([sims, cuts], axis=1)
     patterns = np.concatenate([side, np.argsort(cuts, axis=1, kind="stable")], axis=1)
     firsts, group = np.unique(row_keys(patterns)[0], return_index=True, return_inverse=True)[1:]
@@ -342,136 +338,12 @@ def _pieces(rows, side, coeff, edges, n, values, s, below=True, levels=None):
     coefficients (the parent's times the piece's orientation in it) and
     parents' positions in `rows`.  With `levels`, (each row's level, each
     edge's level) as indices into the array s, each row is cut at its own."""
-    level, edge_level = levels or (None, None)
-    cells, slots, signs = _split(rows, side, level, edges, edge_level, np.full(1 if levels is None else len(s), n))
+    cells, slots, signs = _split(rows, side, edges, n, None if levels is None else (*levels, len(s)))
     parent = np.nonzero(slots[-1])[0]
     pieces, signed, old = cells[-1], coeff[parent] * signs, cells[-1] < n
-    at = s if levels is None else s[level[parent]][:, None]
+    at = s if levels is None else s[levels[0][parent]][:, None]
     keep = (old & (values[np.where(old, pieces, 0)] < at)).any(axis=1) == below
     return pieces[keep], signed[keep], parent[keep]
-
-
-@dataclass(eq=False)
-class _Cut:
-    """The refinements of one pass over several levels, and the refined
-    rows of every level stacked per dimension in level order: `level` holds
-    the level index of each row and `starts` where each level's rows start,
-    `tables` the transfer tables from the stacked source rows to the stacked
-    refined rows."""
-
-    refinements: list
-    rows: dict
-    level: dict
-    starts: dict
-    tables: dict
-
-
-def _refine(sources, rows, level, values, snaps) -> _Cut:
-    """Split the complex of every level along its level set, all levels in
-    one pass.
-
-    Level l cuts `sources[l]`, whose k-simplices are the rows of rows[k]
-    with level[k] == l (the rows stacked in level order, each level's in
-    its source's order), at snaps[l] = (level, snapped, warning) of
-    `snap_level`.  Each level's crossing edges are numbered on their own,
-    so every refinement is the one `subdivide_at_level` describes, bit for
-    bit: the split, merge and transfer steps run once over the stacked
-    rows, with keys and lookups that lead by the level.
-    """
-    m = len(sources)
-    metric, n_old = sources[0].metric, sources[0].n_vertices
-    at = np.array([snap[0] for snap in snaps])
-    dims = sorted(rows)
-    crossing, sides = {}, {}
-    for k in dims:
-        side = values[rows[k]] < (at[level[k]][:, None] if m > 1 else at[0])
-        crossing[k] = np.flatnonzero(side.any(axis=1) & ~side.all(axis=1))
-        sides[k] = side[crossing[k]]
-
-    # one cut point per crossing edge, numbered per level in edge order
-    edge_rows = crossing.get(1, np.empty(0, dtype=np.intp))
-    edges = rows[1][edge_rows] if 1 in rows else np.empty((0, 2), dtype=np.intp)
-    edge_level = level[1][edge_rows] if 1 in rows else np.empty(0, dtype=np.intp)
-    t_edge, _, points = _cut_points(metric, values, edges, at[edge_level])
-    edge_starts = _offsets(edge_level, m)
-
-    # the new simplices of a dimension are the cells inside crossing simplices
-    # of that dimension or above (each has one carrier), pieces first
-    cells, slots, signs = {}, {}, {}
-    for k in dims:
-        cells[k], slots[k], signs[k] = _split(
-            rows[k][crossing[k]], sides[k], level[k][crossing[k]], edges, edge_level, n_old - edge_starts[:-1]
-        )
-
-    # merged, sorted arrays: every new simplex contains a cut point, so all
-    # rows of a level differ; the untouched rows keep their sorted order,
-    # one run per level that the stable key sort takes in linear time.
-    # Transfer tables: an untouched simplex is its own child, a split one
-    # has all its pieces with their template orientations; the stable sort
-    # by parent keeps each parent's pieces in piece order.  When every
-    # source has cached volumes, an untouched row keeps its own (the grown
-    # metric keeps every old distance)
-    stacked, stacked_level, starts, tables, volumes = {}, {}, {}, {}, {}
-    source_starts = {d: _offsets(level[d], m) for d in dims}
-    for d in dims:
-        untouched = np.ones(len(rows[d]), dtype=bool)
-        untouched[crossing[d]] = False
-        untouched = np.flatnonzero(untouched)
-        merged = np.concatenate([rows[d][untouched]] + [cells[k][d] for k in dims if k >= d])
-        merged_level = np.zeros(len(merged), dtype=np.intp)
-        if m > 1:  # a cell's level is its parent's
-            cell_level = [np.repeat(level[k][crossing[k]], slots[k][d].sum(axis=1)) for k in dims if k >= d]
-            merged_level = np.concatenate([level[d][untouched]] + cell_level)
-        order = np.argsort(level_row_keys(m, (merged_level, merged))[0], kind="stable")
-        position = np.empty(len(order), dtype=np.intp)
-        position[order] = np.arange(len(order))
-        stacked[d], stacked_level[d] = merged[order], merged_level[order]
-        cached = [source.cached_volumes(d) for source in sources]
-        if all(vols is not None for vols in cached):
-            volumes[d] = np.full(len(merged), UNKNOWN_VOLUME)
-            volumes[d][position[: len(untouched)]] = np.concatenate(cached)[untouched]
-        starts[d] = _offsets(stacked_level[d], m)
-        parent = np.concatenate([untouched, crossing[d][np.nonzero(slots[d][d])[0]]])
-        by_parent = np.argsort(parent, kind="stable")
-        tables[d] = ChildTable(
-            np.searchsorted(parent[by_parent], np.arange(len(rows[d]) + 1)),
-            position[: len(parent)][by_parent],
-            np.concatenate([np.ones(len(untouched), dtype=np.int64), signs[d]])[by_parent],
-        )
-
-    refinements = []
-    for l, source in enumerate(sources):
-        a, b = edge_starts[l], edge_starts[l + 1]
-        arrays, children, gathered = {}, {}, {}
-        for d in source.dims:
-            if d not in stacked:  # a dimension no level's rows reach
-                arrays[d] = np.empty((0, d + 1), dtype=np.intp)
-                children[d] = ChildTable(np.zeros(1, dtype=np.intp), *np.empty((2, 0), dtype=np.intp))
-                continue
-            first = starts[d][l]
-            ptr = tables[d].ptr[source_starts[d][l] : source_starts[d][l + 1] + 1]
-            arrays[d] = stacked[d][first : starts[d][l + 1]]
-            child, sign = tables[d].child[ptr[0] : ptr[-1]], tables[d].sign[ptr[0] : ptr[-1]]
-            children[d] = ChildTable(_rebase(ptr, ptr[0]), _rebase(child, first), sign)
-            if d in volumes:
-                gathered[d] = volumes[d][first : starts[d][l + 1]].copy()
-        part = tuple(p[a:b] for p in points) if isinstance(points, tuple) else points[a:b]
-        s, snapped, warning = snaps[l]
-        refinements.append(
-            Refinement(
-                source=source,
-                complex=GeometricComplex(metric.grown(part), arrays, gathered),
-                level=s,
-                values=np.concatenate([values, np.full(b - a, s)]),
-                snapped=snapped,
-                children=children,
-                cut_edges=edges[a:b],
-                cut_t=t_edge[a:b],
-                n_old_vertices=n_old,
-                warnings=[warning] if warning else [],
-            )
-        )
-    return _Cut(refinements, stacked, stacked_level, starts, tables)
 
 
 def _vertex_values(n, values) -> np.ndarray:
@@ -498,14 +370,69 @@ def subdivide_at_level(C: GeometricComplex, values, s) -> Refinement:
     volume C has cached for it when the refinement is built (the grown
     metric keeps every old distance, so it is the same number).  A
     dimension nobody reads costs nothing, and the refined complex holds no
-    reference to C.  This is the one-level case of the pass that
-    `slice_levels` makes.
+    reference to C.  This is the one cut of the library: `slice_levels`
+    makes one per level.
     """
     values = _vertex_values(C.n_vertices, values)
-    snap = snap_level(values, s)
+    level, snapped, warning = snap_level(values, s)
+    metric, n_old = C.metric, C.n_vertices
     rows = {k: C.simplex_array(k) for k in C.dims}
-    level = {k: np.zeros(C.count(k), dtype=np.intp) for k in C.dims}
-    return _refine([C], rows, level, values, [snap]).refinements[0]
+    crossing, sides = {}, {}
+    for k in C.dims:
+        side = values[rows[k]] < level
+        crossing[k] = np.flatnonzero(side.any(axis=1) & ~side.all(axis=1))
+        sides[k] = side[crossing[k]]
+
+    # one cut point per crossing edge, numbered in edge order
+    edges = rows[1][crossing[1]] if 1 in rows else np.empty((0, 2), dtype=np.intp)
+    t_edge, _, points = _cut_points(metric, values, edges, level)
+
+    # the new simplices of a dimension are the cells inside crossing simplices
+    # of that dimension or above (each has one carrier), pieces first
+    cells, slots, signs = {}, {}, {}
+    for k in C.dims:
+        cells[k], slots[k], signs[k] = _split(rows[k][crossing[k]], sides[k], edges, n_old)
+
+    # merged, sorted arrays: every new simplex contains a cut point, so all
+    # rows differ; the untouched rows keep their sorted order, one run that
+    # the stable key sort takes in linear time.  Transfer tables: an
+    # untouched simplex is its own child, a split one has all its pieces
+    # with their template orientations; the stable sort by parent keeps each
+    # parent's pieces in piece order.  When C has cached volumes, an
+    # untouched row keeps its own (the grown metric keeps every old distance)
+    arrays, children, volumes = {}, {}, {}
+    for d in C.dims:
+        untouched = np.ones(len(rows[d]), dtype=bool)
+        untouched[crossing[d]] = False
+        untouched = np.flatnonzero(untouched)
+        merged = np.concatenate([rows[d][untouched]] + [cells[k][d] for k in C.dims if k >= d])
+        order = np.argsort(row_keys(merged)[0], kind="stable")
+        position = np.empty(len(order), dtype=np.intp)
+        position[order] = np.arange(len(order))
+        arrays[d] = merged[order]
+        cached = C.cached_volumes(d)
+        if cached is not None:
+            volumes[d] = np.full(len(merged), UNKNOWN_VOLUME)
+            volumes[d][position[: len(untouched)]] = cached[untouched]
+        parent = np.concatenate([untouched, crossing[d][np.nonzero(slots[d][d])[0]]])
+        by_parent = np.argsort(parent, kind="stable")
+        children[d] = ChildTable(
+            np.searchsorted(parent[by_parent], np.arange(len(rows[d]) + 1)),
+            position[: len(parent)][by_parent],
+            np.concatenate([np.ones(len(untouched), dtype=np.int64), signs[d]])[by_parent],
+        )
+    return Refinement(
+        source=C,
+        complex=GeometricComplex(metric.grown(points), arrays, volumes),
+        level=level,
+        values=np.concatenate([values, np.full(len(edges), level)]),
+        snapped=snapped,
+        children=children,
+        cut_edges=edges,
+        cut_t=t_edge,
+        n_old_vertices=n_old,
+        warnings=[warning] if warning else [],
+    )
 
 
 def support_closure(T: SimplicialCurrent) -> SimplicialCurrent:
@@ -518,17 +445,15 @@ def support_closure(T: SimplicialCurrent) -> SimplicialCurrent:
     dimension an id array in lexicographic vertex order.  It takes the
     top-dimension volumes the parent has cached for its rows when it is
     built; like every complex, it looks its face index up and computes its
-    other volumes when read.
+    other volumes when read.  A zero k-chain's closure is empty in
+    dimensions 0..k.
     """
     C = T.complex
-    if T.is_zero():
-        C2 = GeometricComplex(C.metric, {k: [] for k in C.dims})
-        return SimplicialCurrent(C2, T.dim, {})
     top = C.simplex_array(T.dim)[T.idx]
     order = np.argsort(row_keys(top)[0], kind="stable")
     cached = C.cached_volumes(T.dim)
     volumes = None if cached is None else {T.dim: cached[T.idx[order]]}
-    C2 = GeometricComplex(C.metric, face_closure(top[order])[0], volumes)
+    C2 = GeometricComplex(C.metric, face_closure(top[order]), volumes)
     return SimplicialCurrent.from_arrays(C2, T.dim, np.arange(len(order)), T.coeff[order])
 
 
@@ -570,117 +495,83 @@ def _below_limit(limit_of, at, whole) -> list:
 
 
 def _slices(T: SimplicialCurrent, f: PLFunction, levels, star, limit_of=None) -> list:
-    """The slices of T by f at each of `levels`, cut in one pass: entry i is
-    the SliceResult at levels[i] or the ArgumentError that level raises.
+    """The slices of T by f at each of `levels`, one cut per level: entry i
+    is the SliceResult at levels[i] or the ArgumentError that level raises.
 
-    With `star`, level s cuts only the face closure of T's simplices that
-    cross it (s snapped on f's values), as `slice_current` on the support
-    closure of that part of T does; otherwise it cuts T's whole complex, as
-    `slice_current(T, f, s)` does (one level through `subdivide_at_level`,
-    so a tracer of it sees the cut).  An f of another vertex count raises
-    ArgumentError.  A slice is local: a simplex wholly
-    below the level adds d(sigma) - d(sigma) = 0 to d(T below) - (dT)
-    below, and one wholly above is in neither term.  A level is skipped
-    when T on its refinement has |coefficients| summing to 2**62 or more,
-    or with `limit_of` (a chain as `vertex_rows` gives it, on f's values)
-    when that chain does on the refinement that cuts it at the level, of
-    its crossing star or, without `star`, of its whole complex
-    (`_below_limit`).
+    With `star`, level s cuts only the support closure of T's simplices
+    that cross it (s snapped on f's values), as `slice_current` on that
+    closure does; otherwise it cuts T's whole complex, as
+    `slice_current(T, f, s)` does.  Each cut is a `subdivide_at_level`, so
+    a tracer of it sees every cut.  An f of another vertex count raises
+    ArgumentError.  A slice is local: a simplex wholly below the level adds
+    d(sigma) - d(sigma) = 0 to d(T below) - (dT) below, and one wholly
+    above is in neither term.  A level is skipped when T on its refinement
+    has |coefficients| summing to 2**62 or more, or with `limit_of` (a
+    chain as `vertex_rows` gives it, on f's values) when that chain does on
+    the refinement that cuts it at the level, of its crossing star or,
+    without `star`, of its whole complex (`_below_limit`).
     Each slice is the boundary of the sublevel restriction minus the
-    restriction of the boundary, summed for all levels in one scatter over
-    the stacked refined rows: per face, each coface adds its coefficient
-    times ([coface below] - [face below]).
+    restriction of the boundary, in one scatter over the refined rows: per
+    face, each coface adds its coefficient times ([coface below] - [face
+    below]).
     """
     values = _vertex_values(T.complex.n_vertices, f.values)
     if T.dim < 1:
         return [ArgumentError("slicing needs a current of dimension >= 1") for _ in levels]
     out = [_snap_or_error(values, s) for s in levels]
     live = [i for i, snap in enumerate(out) if not isinstance(snap, ArgumentError)]
-    if not live:
-        return out
-    m, k, C = len(live), T.dim, T.complex
+    k, C = T.dim, T.complex
     at = np.array([out[i][0] for i in live])
-    top = C.simplex_array(k)[T.idx]
-    if star:
-        side = values[top] < at[:, None, None]
-        level, pick = np.nonzero(side.any(axis=2) & ~side.all(axis=2))
-        order = np.argsort(level_row_keys(m, (level, top[pick]))[0], kind="stable")
-        rows, levels_of = face_closure(top[pick[order]], level[order], m)
-        t_row, t_coeff = np.arange(len(order)), T.coeff[pick[order]]
-        starts = {j: _offsets(levels_of[j], m) for j in rows}
-        sources = [
-            GeometricComplex(C.metric, {j: rows[j][starts[j][l] : starts[j][l + 1]] for j in rows})
-            if starts[k][l] < starts[k][l + 1]
-            else GeometricComplex(C.metric, {j: [] for j in C.dims})
-            for l in range(m)
-        ]
-        cut = _refine(sources, rows, levels_of, values, [out[i] for i in live])
-    elif m == 1:  # the whole complex at one level: `subdivide_at_level`'s refinement
-        ref = subdivide_at_level(C, values, levels[live[0]])
-        rows = {j: ref.complex.simplex_array(j) for j in ref.complex.dims}
-        one = {j: np.array([0, len(rows[j])]) for j in rows}
-        cut = _Cut([ref], rows, {j: np.zeros(len(rows[j]), dtype=np.intp) for j in rows}, one, ref.children)
-        t_row, t_coeff = T.idx, T.coeff
-    else:
-        rows = {j: np.tile(C.simplex_array(j), (m, 1)) for j in C.dims}
-        levels_of = {j: np.repeat(np.arange(m), C.count(j)) for j in C.dims}
-        t_row, t_coeff = (T.idx + C.count(k) * np.arange(m)[:, None]).ravel(), np.tile(T.coeff, m)
-        cut = _refine([C] * m, rows, levels_of, values, [out[i] for i in live])
-
-    # T on each level's refinement, the children of all levels in one gather
-    child, coeff = cut.tables[k].transfer(t_row, t_coeff)
-    level = cut.level[k][child]
-    ids = cut.rows[k][child]
-
-    # refined vertex values: a cut point sits at its level
-    n_old = C.n_vertices
-    old = ids < n_old
-    refined = np.where(old, values[np.where(old, ids, 0)], at[level][:, None])
-    below = refined < at[level][:, None]
-    face_below = below.sum(axis=1)[:, None] - below > 0  # the facet opposite vertex j
-    face = facet_lookup(cut.rows[k - 1], cut.rows[k], m, cut.level[k - 1], cut.level[k])[child]
-    signed = coeff[:, None] * np.where(np.arange(k + 1) % 2, -1, 1)
-    # a facet is below only when its coface is: a coface below adds its
-    # signed coefficient to its facets off the sublevel set, and nothing
-    # else survives the difference.  That is at most one facet (the one
-    # opposite its only vertex below), so a face's sum is bounded by its
-    # level's total |coefficient| of T on the refinement, which a kept
-    # level holds below 2**62: no int64 sum there can wrap
-    sliced = np.zeros(len(cut.rows[k - 1]), dtype=np.int64)
-    np.add.at(sliced, face, signed * (below.any(axis=1)[:, None] & ~face_below))
-
-    flat = (refined == np.asarray(levels, dtype=float)[live][level][:, None]).all(axis=1)
-    nonzero = np.flatnonzero(sliced)
-    nonzero_starts = np.searchsorted(nonzero, cut.starts[k - 1])
-    child_starts = _offsets(level, m)
     kept = None if limit_of is None else _below_limit(limit_of, at, whole=not star)
-    for l, (i, ref) in enumerate(zip(live, cut.refinements)):
-        a, b = child_starts[l], child_starts[l + 1]
-        if not (abs_sum_below_limit(coeff[a:b]) if kept is None else kept[l]):  # no chain on the refinement
+    top_values = values[C.simplex_array(k)[T.idx]]
+    for l, i in enumerate(live):
+        S = T
+        if star:
+            side = top_values < at[l]
+            crossing = side.any(axis=1) & ~side.all(axis=1)
+            S = support_closure(SimplicialCurrent.from_arrays(C, k, T.idx[crossing], T.coeff[crossing]))
+        ref = subdivide_at_level(S.complex, values, levels[i])
+        child, coeff = ref.children[k].transfer(S.idx, S.coeff)
+        if not (abs_sum_below_limit(coeff) if kept is None else kept[l]):  # no chain on the refinement
             out[i] = ArgumentError("chain coefficients must sum below 2**62 in absolute value")
             continue
-        nz = nonzero[nonzero_starts[l] : nonzero_starts[l + 1]]
+
+        # refined vertex values: a cut point sits at the level
+        facets, cofaces = ref.complex.simplex_array(k - 1), ref.complex.simplex_array(k)
+        ids = cofaces[child]
+        old = ids < C.n_vertices
+        refined = np.where(old, values[np.where(old, ids, 0)], at[l])
+        below = refined < at[l]
+        face_below = below.sum(axis=1)[:, None] - below > 0  # the facet opposite vertex j
+        face = facet_lookup(facets, cofaces)[child]
+        signed = coeff[:, None] * np.where(np.arange(k + 1) % 2, -1, 1)
+        # a facet is below only when its coface is: a coface below adds its
+        # signed coefficient to its facets off the sublevel set, and nothing
+        # else survives the difference.  That is at most one facet (the one
+        # opposite its only vertex below), so a face's sum is bounded by T's
+        # total |coefficient| on the refinement, which a kept level holds
+        # below 2**62: no int64 sum there can wrap
+        sliced = np.zeros(len(facets), dtype=np.int64)
+        np.add.at(sliced, face, signed * (below.any(axis=1)[:, None] & ~face_below))
+        nz = np.flatnonzero(sliced)
         try:
-            current = SimplicialCurrent.from_arrays(ref.complex, k - 1, nz - cut.starts[k - 1][l], sliced[nz])
+            current = SimplicialCurrent.from_arrays(ref.complex, k - 1, nz, sliced[nz])
         except ArgumentError as exc:
             out[i] = exc
             continue
         warnings = list(ref.warnings)
-        if flat[a:b].any():  # a generic level reads no volume
-            idx = child[a:b][flat[a:b]] - cut.starts[k][l]
-            flat_mass = float(np.abs(coeff[a:b][flat[a:b]]) @ ref.complex.masses(k)[idx])
+        flat = (refined == float(levels[i])).all(axis=1)
+        if flat.any():  # a generic level reads no volume
+            flat_mass = float(np.abs(coeff[flat]) @ ref.complex.masses(k)[child[flat]])
             if flat_mass > 0:
                 warnings.append(f"non-generic level: function is flat at the level on mass {flat_mass}")
-        out[i] = SliceResult(
-            current=current,
-            refinement=ref,
-            warnings=warnings,
-        )
+        out[i] = SliceResult(current=current, refinement=ref, warnings=warnings)
     return out
 
 
 def slice_levels(T: SimplicialCurrent, f: PLFunction, levels) -> list:
-    """The slices of T by f at all of `levels`, cut in one pass.
+    """The slices of T by f at all of `levels`, one `subdivide_at_level`
+    cut per level.
 
     Entry i is what `slice_current` gives at s = levels[i] on the support
     closure of T's simplices crossing s, field for field, or the
@@ -719,11 +610,11 @@ def point_slices(chain, values, metric, levels, snap_values=None, limit_of=None)
     The levels snap on `snap_values` (the values by default).  A crossing
     edge [u, v] with coefficient c puts +c on its cut point when u is below
     and -c when v is; a level's cut points are its crossing edges in
-    lexicographic (cut-id) order, placed by `_refine`'s formula, and one
-    `grown` metric holds those of every level.  A level is skipped by the
-    rule of the chain `limit_of` (as `vertex_rows` gives it; the chain by
-    default, whose two pieces per crossing edge a cut would sum) on its
-    crossing star (`_below_limit`).
+    lexicographic (cut-id) order, placed as `subdivide_at_level` places
+    them (`_cut_points`), and one `grown` metric holds those of every
+    level.  A level is skipped by the rule of the chain `limit_of` (as
+    `vertex_rows` gives it; the chain by default, whose two pieces per
+    crossing edge a cut would sum) on its crossing star (`_below_limit`).
     """
     values = _vertex_values(metric.n, values)
     out = [_snap_or_error(values if snap_values is None else snap_values, s) for s in levels]
@@ -762,8 +653,8 @@ def slice_current(T: SimplicialCurrent, f: PLFunction, s) -> SliceResult:
 def coarea_profile(T: SimplicialCurrent, f: PLFunction, samples: int):
     """Trapezoid quadrature of level -> slice mass against the Lipschitz bound.
 
-    All levels are cut in one `slice_levels` pass, each on the crossing star
-    of T, which has T's slice.  Returns (integral, bound) with bound =
+    Each level is cut by `slice_levels` on the crossing star of T, which
+    has T's slice.  Returns (integral, bound) with bound =
     Lip(f) * mass(T).
     """
     if samples < 2:

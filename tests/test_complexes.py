@@ -15,7 +15,6 @@ from currentlab.complexes import (
     coordinate_function,
     distance_function,
     distinct_rows,
-    facet_lookup,
     gram_from_sq,
     level_row_keys,
     lookup_keys,
@@ -421,16 +420,6 @@ class TestChainCore:
         C = GeometricComplex(EuclideanMetric(pts), {0: [(0,), (1,), (2,)], 1: [(1, 2)], 2: [(0, 1, 2)]})
         with pytest.raises(ComplexError, match=r"missing face \(0, 1\) of \(0, 1, 2\)"):
             C.validate()
-        # level-keyed: both levels' tables hold the same rows, and each
-        # facet resolves within its own row's level
-        table, table_level = np.array([[0, 1], [0, 2], [1, 2]] * 2), np.repeat([0, 1], 3)
-        rows = np.array([[0, 1, 2], [0, 1, 2]])
-        assert facet_lookup(table, rows, 2, table_level, np.array([1, 0])).tolist() == [[5, 4, 3], [2, 1, 0]]
-        # (0, 2) is in level 0's table only: level 1's triangle misses it
-        keep = [0, 1, 2, 3, 5]
-        with pytest.raises(ComplexError, match=r"missing face \(0, 2\) of \(0, 1, 2\)"):
-            facet_lookup(table[keep], rows, 2, table_level[keep], np.array([0, 1]))
-        assert facet_lookup(table[keep], rows[:1], 2, table_level[keep], np.array([0])).tolist() == [[2, 1, 0]]
 
     def test_matrix_add_points_matches_one_at_a_time(self):
         """One batch of edge and triangle interpolations gives the matrix the

@@ -21,6 +21,7 @@ from currentlab.slicing import (
     PointCycle,
     coarea_profile,
     slice_current,
+    slice_levels,
     snap_level,
     subdivide_at_level,
     support_closure,
@@ -239,19 +240,17 @@ class TestLevelStar:
         """A sphere sliced fill makes no cut: the ball is read off its level
         set, and the 9 levels of the axis read the cut points of the
         crossing edges of the ball's boundary (the cycle -<d ball, f, t>)."""
+        import currentlab.slicedfill as slicedfill
         import currentlab.slicing as slicing
 
         C, T = sphere_mesh(20, 40)
         witness = ball_context(T, 37, 1.1).sphere_vertices()[5]
-        passes, original = [], slicing._refine
-
-        def recording(sources, *args, **kwargs):
-            passes.append(len(sources))
-            return original(sources, *args, **kwargs)
-
-        monkeypatch.setattr(slicing, "_refine", recording)
+        cuts = []
+        for module in (slicing, slicedfill):
+            original = module.subdivide_at_level
+            monkeypatch.setattr(module, "subdivide_at_level", lambda C, *a, _o=original: cuts.append(C) or _o(C, *a))
         rep = sliced_fill(T, 37, 1.1, witnesses=[witness], grid=9)
-        assert rep.integral > 0 and passes == []
+        assert rep.integral > 0 and cuts == []
 
     def test_three_dimensional_final_slice_keeps_the_whole_cut(self, box_ball):
         """With one function on a 3-d ball the leaf fills the boundary of a
@@ -691,14 +690,15 @@ class TestBatchedAxes:
         witness's levels read cut points: no cut, not 31, and no face
         closure of the boundary or of a level's star."""
         import currentlab.complexes as complexes
+        import currentlab.slicedfill as slicedfill
         import currentlab.slicing as slicing
 
         T, p, r, _ = _torus_tetra_ball()
         cuts, closures = [], []
-        for module, name, seen in [(slicing, "_refine", cuts), (slicing, "face_closure", closures),
-                                   (complexes, "face_closure", closures)]:
+        for module, name, seen in [(slicing, "subdivide_at_level", cuts), (slicedfill, "subdivide_at_level", cuts),
+                                   (slicing, "face_closure", closures), (complexes, "face_closure", closures)]:
             original = getattr(module, name)
-            monkeypatch.setattr(module, name, lambda *a, _o=original, _s=seen, **kw: _s.append(len(a[0])) or _o(*a, **kw))
+            monkeypatch.setattr(module, name, lambda *a, _o=original, _s=seen, **kw: _s.append(a[0]) or _o(*a, **kw))
         rep = tetra_check(T, p, r, C=0.9 * C_E3_BAND_INTEGRAL, beta=0.5, samples=5, candidates=1)
         assert rep.integral_passed
         assert cuts == [] and closures == []
@@ -794,6 +794,20 @@ class TestBoundaryLevels:
             ids = np.unique(want_rows)
             assert _rows(metric, ids + (first - n)).tobytes() == _rows(want.complex.metric, ids).tobytes()
             assert g_values[ids + (first - n)].tobytes() == g_want[ids].tobytes()
+
+    def test_empty_star_of_the_ball_boundary_slices_to_zero(self):
+        """At a level past f's range no triangle of d(ball) crosses it: the
+        crossing star is the zero chain, whose closure is empty in
+        dimensions 0..2 like any 2-chain's, and its slice is the zero
+        1-chain, through slice_current and slice_levels alike."""
+        T, p, r, ctx = _torus_tetra_ball()
+        B = ctx.boundary
+        f = distance_function(B.complex, ctx.sphere_vertices()[0])
+        s = f.range()[1] + 1.0
+        star = level_star(B, f.values, s, True)
+        assert star.is_zero() and star.complex.dims == [0, 1, 2]
+        for result in (slice_current(star, f, s), *slice_levels(B, f, [s])):
+            assert result.current.is_zero() and result.current.dim == 1
 
     def test_sf_k2_on_a_3d_ball_equals_per_level_cuts(self):
         """sfk --k 2 on a 3-d ball, whose transport leaf reads the signs of
