@@ -316,7 +316,7 @@ def _member_value(C, T, quantity, params, center):
     r = params["radius"]
     p = nearest_vertex(C, center)
     if quantity == "fillvol":
-        ctx = ball_context(T, p, r, level_set=False)
+        ctx = ball_context(T, p, r)
         return filling_volume(boundary(ctx.current), ctx.complex).value
     if quantity == "sf":
         wp = params.get("witness_point")

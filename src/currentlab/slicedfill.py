@@ -16,12 +16,14 @@ reads the cut points of that 1-chain at all its levels in one pass, as
 points with signed weights.  Otherwise the last axis slices -dT of its
 prefix T.
 
-A ball of dimension k >= 1 is read off its level set, not cut:
+Every ball is read off its level set, not cut (`ball_context`):
 d(T on {rho < r}) is <T, rho, r> + (dT on {rho < r}), the level surface
-through each simplex crossing the level plus T's boundary below it.  So
-when the leaves read 0-cycles of at most two axes (sf and sfk --k 1 on a
-2-d ball, tetra and sfk --k 2 on a 3-d one), every axis reads that
-boundary alone and nothing is cut (`ball_context`).
+through each simplex crossing the level plus T's boundary below it, and
+a 0-chain's ball is its vertices below the level.  So when the leaves
+read 0-cycles of at most two axes (sf and sfk --k 1 on a 2-d ball, tetra
+and sfk --k 2 on a 3-d one), every axis reads that boundary alone and
+nothing is cut; every other box slices the ball's chain, built from the
+level set.
 """
 from __future__ import annotations
 
@@ -38,16 +40,16 @@ from .complexes import (
     PLFunction,
     distance_function,
     distinct_rows,
+    face_closure,
     row_keys,
     simplex_volumes,
 )
-from .currents import SimplicialCurrent, boundary, boundary_chain, mass
+from .currents import SimplicialCurrent, boundary, boundary_chain
 from .fillvol import filling_volume, filling_volume_0d
 from .metricspace import ArgumentError, Report, abs_sum_below_limit
 from .product import interval_filling_volume
 from .slicing import (
     PointCycle,
-    Refinement,
     _below_limit,
     _crossing_edges,
     _cut_points,
@@ -56,10 +58,10 @@ from .slicing import (
     _pieces,
     _slices,
     _snap_or_error,
+    _vertex_values,
     point_slices,
     slice_current,  # noqa: F401  unused here; perfbench's tracer wraps it in every namespace that binds it
     snap_level,
-    subdivide_at_level,
     support_closure,
     vertex_rows,
 )
@@ -106,13 +108,15 @@ class LevelSet:
 
 
 def _level_set(T: SimplicialCurrent, values, s) -> LevelSet:
-    """The level set of the ball {values < s} of the k-chain T (k >= 1) at
-    the snapped level s, in one pass over T's k-simplices and one over the
+    """The level set of the ball {values < s} of the k-chain T at the
+    snapped level s, in one pass over T's k-simplices and one over the
     crossing faces of dT (taken once per chain, `boundary_rows`).  A piece
     below holds a face of cut points alone exactly when its one vertex
-    below is its first, and that face then has the piece's sign.  Raises
-    the cut's ArgumentError when T's star on the refinement (C(k + 1, j)
-    pieces per crossing simplex with j vertices below) reaches 2**62."""
+    below is its first, and that face then has the piece's sign.  A
+    0-chain has no crossing simplex: its ball is its vertices below, with
+    an empty boundary.  Raises the cut's ArgumentError when T's star on
+    the refinement (C(k + 1, j) pieces per crossing simplex with j
+    vertices below) reaches 2**62."""
     C, n, k = T.complex, T.complex.n_vertices, T.dim
     top = C.simplex_array(k)[T.idx]
     side = values[top] < s
@@ -129,13 +133,14 @@ def _level_set(T: SimplicialCurrent, values, s) -> LevelSet:
     order = np.argsort(row_keys(rows)[0], kind="stable")
     volumes = np.concatenate([C.masses(k)[T.idx[inside]], np.full(len(pieces), UNKNOWN_VOLUME)])
 
-    d_rows, d_coeff = T.boundary_rows
-    d_side = values[d_rows] < s
-    whole, d_crossing = d_side.all(axis=1), d_side.any(axis=1) & ~d_side.all(axis=1)
-    d_pieces, d_pieces_coeff, _ = _pieces(d_rows[d_crossing], d_side[d_crossing], d_coeff[d_crossing], edges, n, values, s)
-    level = pieces[:, 1] >= n
-    b_rows = np.concatenate([pieces[level][:, 1:], d_rows[whole], d_pieces])
-    b_coeff = np.concatenate([coeff[level], d_coeff[whole], d_pieces_coeff])
+    d_rows, d_coeff = b_rows, b_coeff = T.boundary_rows
+    if k:
+        d_side = values[d_rows] < s
+        whole, d_crossing = d_side.all(axis=1), d_side.any(axis=1) & ~d_side.all(axis=1)
+        d_pieces, d_pieces_coeff, _ = _pieces(d_rows[d_crossing], d_side[d_crossing], d_coeff[d_crossing], edges, n, values, s)
+        level = pieces[:, 1] >= n
+        b_rows = np.concatenate([pieces[level][:, 1:], d_rows[whole], d_pieces])
+        b_coeff = np.concatenate([coeff[level], d_coeff[whole], d_pieces_coeff])
     b_order = np.argsort(row_keys(b_rows)[0], kind="stable")
     return LevelSet(
         metric=C.metric.grown(points),
@@ -152,22 +157,13 @@ def _level_set(T: SimplicialCurrent, values, s) -> LevelSet:
 @dataclass(eq=False)
 class BallContext:
     """The ball of the chain T about vertex p of radius r, r snapped to
-    `level` as `subdivide_at_level` snaps it.  It has two sources, which
-    agree bit for bit, each built at most once.
-
-    The cut ball, built on first read: `refinement` cuts the closure of the
-    simplices with a vertex below the level alone (no other simplex has a
-    part below; the closure keeps vertex ids and the metric, and when T's
-    complex is the closure of its support it holds every crossing edge, so
-    the cut has the full cut's cut ids), `current` is the ball on it and
-    `complex` its complex.  The level set (`level_set`, for k >= 1): one
-    pass over T's simplices, no complex.  The discrete sphere, `rows`, the
-    support range and `ball_mass` read the cut ball once it is built and
-    the level set otherwise; `boundary` does too, so once the cut is built
-    it is the cut ball's, on its complex.  A level box whose leaves read
-    0-cycles of at most two axes reads only these (`_point_box`); every
-    other box builds the cut first, and its callers ask `ball_context` for
-    no level pass, so none of them runs both.
+    `level` as `subdivide_at_level` snaps it, read off its level set
+    (`level_set`: one pass over T's simplices, no cut).  The discrete
+    sphere, `rows`, the support range, `ball_mass` and `boundary` read the
+    level set alone; `current`, the ball as a chain on the face closure of
+    its rows, is built on first read.  A level box whose leaves read
+    0-cycles of at most two axes reads only the level set (`_point_box`);
+    every other box slices `current`.
     """
 
     T: SimplicialCurrent
@@ -180,65 +176,50 @@ class BallContext:
     def dim(self) -> int:
         return self.T.dim
 
-    @property
-    def _reads_cut(self) -> bool:
-        return "_cut" in vars(self) or self.dim < 1
-
     @cached_property
     def level_set(self) -> LevelSet:
         return _level_set(self.T, self.rho.values, self.level)
 
     @cached_property
-    def _cut(self):
-        T = self.T
-        below = (self.rho.values < self.level)[T.complex.simplex_array(T.dim)]
-        star = support_closure(T.restricted(below.any(axis=1)))
-        ref = subdivide_at_level(star.complex, self.rho.values, self.radius)
-        return ref, support_closure(ref.transfer_current(star).restricted(ref.below(T.dim)))
-
-    @property
-    def refinement(self) -> Refinement:
-        return self._cut[0]
-
-    @property
     def current(self) -> SimplicialCurrent:
-        return self._cut[1]
+        """The ball's rows (lexicographic) with their coefficients, on the
+        face closure of the rows over the grown metric; the rows wholly
+        below keep their mesh volumes."""
+        lv = self.level_set
+        K = GeometricComplex(lv.metric, face_closure(lv.rows), {self.dim: lv.volumes.copy()})
+        return SimplicialCurrent.from_arrays(K, self.dim, np.arange(len(lv.rows)), lv.coeff)
 
     @property
     def complex(self) -> GeometricComplex:
         return self.current.complex
 
-    @property
+    def transfer_function(self, f: PLFunction) -> PLFunction:
+        """The PL function f on T's complex (ArgumentError for one of another
+        vertex count) as a function on the ball's complex: its values, then
+        its values at the cut points."""
+        lv, n = self.level_set, self.T.complex.n_vertices
+        values = _vertex_values(n, f.values)
+        cut = _cut_values(f, lv.metric, n, lv.cut_edges, lv.cut_t)
+        return PLFunction(self.complex, np.concatenate([values, cut]), source=f.source)
+
+    @cached_property
     def boundary(self) -> SimplicialCurrent:
-        """d of the ball, built once per source: the discrete sphere and the
-        level box of every witness candidate read it.  The level set's lives
-        on a complex of its own (k-1)-simplices alone, with no lower faces,
-        over the grown metric."""
-        return self._cut_boundary if self._reads_cut else self._level_boundary
-
-    @cached_property
-    def _cut_boundary(self) -> SimplicialCurrent:
-        return boundary(self.current)
-
-    @cached_property
-    def _level_boundary(self) -> SimplicialCurrent:
+        """d of the ball, built once: the discrete sphere and the level box of
+        every witness candidate read it.  It lives on a complex of its own
+        (k-1)-simplices alone, with no lower faces, over the grown metric."""
         lv = self.level_set
         K = GeometricComplex(lv.metric, {self.dim - 1: lv.boundary_rows})
         return boundary_chain(K, self.dim - 1, np.arange(len(lv.boundary_rows)), lv.boundary_coeff)
 
-    @cached_property
+    @property
     def rows(self):
-        """The ball's top simplices as vertex-id rows of the refined complex,
-        and their coefficients."""
-        if self._reads_cut:
-            return self.current.rows
+        """The ball's top simplices as vertex-id rows (lexicographic) and
+        their coefficients."""
         return self.level_set.rows, self.level_set.coeff
 
     @cached_property
     def ball_mass(self) -> float:
-        """M(ball), summed in the cut ball's row order: bit for bit its mass."""
-        if self._reads_cut:
-            return mass(self.current)
+        """M(ball), summed in row order: bit for bit `mass(current)`."""
         lv = self.level_set
         todo = np.flatnonzero(lv.volumes == UNKNOWN_VOLUME)
         volumes = lv.volumes.copy()
@@ -258,20 +239,14 @@ class BallContext:
         return (float(values.min()), float(values.max())) if values.size else (0.0, 0.0)
 
 
-def ball_context(T: SimplicialCurrent, p: int, r: float, level_set: bool = True) -> BallContext:
+def ball_context(T: SimplicialCurrent, p: int, r: float) -> BallContext:
     """The ball of T about vertex p of radius r (see `BallContext`): the
-    distance from p and the snapped level, and with `level_set` the level
-    pass over a chain of dimension >= 1.  A caller that will slice the cut
-    ball passes False: the pass then runs only if a level-set value is
-    read.  The mesh's top volumes are read once, cached on T's complex,
-    where every ball on it gathers them."""
+    distance from p, the snapped level and the level pass."""
     if not r > 0:
         raise ArgumentError("ball radius must be positive")
     rho = distance_function(T.complex, p)
-    T.complex.masses(T.dim)
     ctx = BallContext(T=T, center=p, radius=r, rho=rho, level=snap_level(rho.values, r)[0])
-    if level_set and T.dim >= 1:
-        ctx.level_set
+    ctx.level_set
     return ctx
 
 
@@ -308,16 +283,16 @@ class TetraReport(Report):
     warnings: list = field(default_factory=list)
 
 
-def _tensor_eval(start: SimplicialCurrent, functions, grids, leaf, *, cycle, start_boundary=None):
+def _tensor_eval(start: SimplicialCurrent, functions, grids, leaf, *, cycle):
     """Evaluate the leaf over a tensor grid of iterated slice levels.
 
     With `cycle` the leaf is handed the boundary of each final slice, which
     the slicing identity d<T, f, t> = -<dT, f, t> gives without cutting the
-    slice's volume (`start_boundary`, when given, is dT of the start);
-    otherwise the final slice itself.  With k = dim - 1 axes and `cycle`
-    that boundary is a 0-cycle, and the last one or two axes cut nothing:
-    they read the slices of dP for their prefix P off level passes over dP
-    and its slices (`_point_axes`).  Every other axis cuts its prefix, the
+    slice's volume; otherwise the final slice itself.  Every boundary is
+    taken of its chain (`currents.boundary`), the start's included.  With
+    k = dim - 1 axes and `cycle` that boundary is a 0-cycle, and the last
+    one or two axes cut nothing: they read the slices of dP for their
+    prefix P off level passes over dP and its slices (`_point_axes`).  Every other axis cuts its prefix, the
     last one -dP with `cycle`; with no axes the leaf reads dT.  Slices
     share prefixes: each level of axis j is cut once per prefix
     (`slicing._slices`, one cut per level).  Each slice cuts only the
@@ -341,12 +316,9 @@ def _tensor_eval(start: SimplicialCurrent, functions, grids, leaf, *, cycle, sta
     def keeps_whole_cut(depth, dim):
         return depth == k - 1 and dim > 2
 
-    def cycle_of(current):
-        return start_boundary if current is start and start_boundary is not None else boundary(current)
-
     def rec(current, fns, depth, prefix):
         if points and depth == max(k - 2, 0):
-            out[prefix], skips = _point_axes(cycle_of(current), current.rows, fns, grids[depth:], leaf)
+            out[prefix], skips = _point_axes(boundary(current), current.rows, fns, grids[depth:], leaf)
             skipped[0] += skips
             return
         if depth == k:
@@ -354,7 +326,7 @@ def _tensor_eval(start: SimplicialCurrent, functions, grids, leaf, *, cycle, sta
             return
         star = not keeps_whole_cut(depth, current.dim)
         if cycle and depth == k - 1:
-            results = _slices(-cycle_of(current), fns[0], grids[depth], star, vertex_rows(current.rows, fns[0].values))
+            results = _slices(-boundary(current), fns[0], grids[depth], star, vertex_rows(current.rows, fns[0].values))
         else:
             results = _slices(current, fns[0], grids[depth], star)
         for i, sl in enumerate(results):
@@ -366,7 +338,7 @@ def _tensor_eval(start: SimplicialCurrent, functions, grids, leaf, *, cycle, sta
                 rec(nested, rest, depth + 1, prefix + (i,))
 
     if cycle and k == 0 and not points:
-        out[0] = leaf(cycle_of(start))
+        out[0] = leaf(boundary(start))
     else:
         rec(start, list(functions), 0, ())
     return out, skipped[0]
@@ -484,7 +456,7 @@ def _point_box(dim, axes) -> bool:
     """Whether a cycle leaf's box of `axes` axes on a ball of dimension
     `dim` is a point box: with dim - 1 <= 2 axes its final slices have
     0-cycles for boundaries, all cut from d(ball) (`_point_axes`), so it
-    reads the ball's level set unless the ball is cut already."""
+    reads the ball's level set alone and builds no complex of the ball."""
     return axes == dim - 1 <= 2
 
 
@@ -507,10 +479,11 @@ def _check_axis_count(count, dim, cycle):
 def _level_box(ctx: BallContext, leaf, grid, functions=None, witnesses=None, box=None, *, cycle):
     """The level-box quadrature behind every sliced quantity.
 
-    The slicing functions are `functions` (PL functions on the ball's
-    original complex) or the distance functions of the vertex ids in
-    `witnesses`, at most dim - 1 of them for a `cycle` leaf and dim for a
-    slice leaf (`_check_axis_count`).  Each axis has `grid` levels
+    The slicing functions are `functions` (PL functions on T's complex,
+    carried onto the ball's, where their Lipschitz constants are taken)
+    or the distance functions of the vertex ids in `witnesses`, at most
+    dim - 1 of them for a `cycle` leaf and dim for a slice leaf
+    (`_check_axis_count`).  Each axis has `grid` levels
     spanning the function's range over the closed ball, or the fixed
     interval `box`; `leaf` is evaluated on every iterated slice, or with
     `cycle` on its boundary (see `_tensor_eval`), and integrated by the
@@ -533,14 +506,13 @@ def _level_box(ctx: BallContext, leaf, grid, functions=None, witnesses=None, box
             )
         fns = [distance_function(K, w) for w in wit]
     else:
-        fns = [ctx.refinement.transfer_function(f) for f in (functions or [])]
+        fns = [ctx.transfer_function(f) for f in (functions or [])]
     _check_axis_count(len(fns), ctx.dim, cycle)
     grids = _level_axes([box or ctx.support_range(f) for f in fns], grid)
     if points:
         values, skipped = _point_axes(ctx.boundary, ctx.rows, fns, grids, leaf)
     else:
-        start = ctx.current  # built before its boundary is read, which is then the cut ball's
-        values, skipped = _tensor_eval(start, fns, grids, leaf, cycle=cycle, start_boundary=ctx.boundary if cycle else None)
+        values, skipped = _tensor_eval(ctx.current, fns, grids, leaf, cycle=cycle)
     integral = _tensor_trapezoid(values, grids)
     estimate = _richardson_estimate(values, grids)
     lips = [f.lip for f in fns]
@@ -577,20 +549,20 @@ def sliced_fill(
 ) -> SlicedFillReport:
     """Quadrature of level -> FillVol(boundary of slice) over the level box.
 
-    `functions` are PL functions on T's complex, or `witnesses` are vertex
-    ids of the ball's refined complex (T's vertices, then the ball's cut
-    points in cut order: the discrete sphere) whose distance functions are
-    used.  With neither, the witness is the sphere's first vertex (a
-    one-candidate search); `witnesses=[]` is the box with no axes.  Each
-    axis spans its function's range over the closed ball.  The integral
-    divided by the product of Lipschitz constants is a lower bound for the
-    ball's mass.  `context`, when given, must be `ball_context(T, p, r)`;
-    it is read instead of building the ball again.
+    `functions` are PL functions on T's complex (one value per vertex, or
+    ArgumentError), or `witnesses` are vertex ids of the ball's refined
+    complex (T's vertices, then the ball's cut points in cut order: the
+    discrete sphere) whose distance functions are used.  With neither, the
+    witness is the sphere's first vertex (a one-candidate search);
+    `witnesses=[]` is the box with no axes.  Each axis spans its
+    function's range over the closed ball.  The integral divided by the
+    product of Lipschitz constants, each taken over the ball's complex, is
+    a lower bound for the ball's mass.  `context`, when given, must be
+    `ball_context(T, p, r)`; it is read instead of building the ball again.
     """
     witnesses = None if witnesses is None else tuple(witnesses)
     if context is None:
-        axes = 1 if witnesses is None else len(witnesses)  # the default witness search has one axis
-        ctx = ball_context(T, p, r, level_set=functions is None and _point_box(T.dim, axes))
+        ctx = ball_context(T, p, r)
     elif context.T != T or (context.center, context.radius) != (p, r):
         other = "" if context.T == T else " of another chain"
         raise ArgumentError(
@@ -633,7 +605,7 @@ def sliced_interval_fill(
     def leaf(current):
         return interval_filling_volume(current, epsilon).value / epsilon
 
-    return _level_box(ball_context(T, p, r, level_set=False), leaf, grid, functions, witnesses, cycle=False)
+    return _level_box(ball_context(T, p, r), leaf, grid, functions, witnesses, cycle=False)
 
 
 def _tensor_trapezoid(values, grids):
@@ -689,8 +661,6 @@ def _witness_search(ctx: BallContext, k, candidates, leaf, grid, box=None) -> Sl
     _check_axis_count(k, ctx.dim, cycle=True)
     if candidates < 1:
         raise ArgumentError(f"need at least one candidate witness tuple, got {candidates}")
-    if not _point_box(ctx.dim, k):
-        ctx.refinement  # the box slices the cut ball: cut it first, and read the sphere off it
     sphere = ctx.sphere_vertices()
     if k > 0 and not sphere:
         grids = _level_axes([box] * k if box else [], grid)
@@ -726,7 +696,7 @@ def sf_k(
     """
     if k < 0:
         raise ArgumentError("need k >= 0 witnesses")
-    return _witness_search(ball_context(T, p, r, level_set=_point_box(T.dim, k)), k, candidates, fill_value_of_boundary, grid)
+    return _witness_search(ball_context(T, p, r), k, candidates, fill_value_of_boundary, grid)
 
 
 def tetra_check(
@@ -756,7 +726,7 @@ def tetra_check(
         raise ArgumentError(f"the tetra volume bound C (2 beta)^(m-1) r^m overflows a float at C = {C}, r = {r}")
     merge_tol = POINT_MERGE_REL * r
     best = _witness_search(
-        ball_context(T, p, r, level_set=_point_box(m, m - 1)), m - 1, candidates, lambda B: h_min_distance(B, merge_tol), samples,
+        ball_context(T, p, r), m - 1, candidates, lambda B: h_min_distance(B, merge_tol), samples,
         box=((1 - beta) * r, (1 + beta) * r),
     )
     passed = bool(best.values.min() >= C * r)

@@ -63,7 +63,6 @@ class Refinement:
     parameter `cut_t[i]` from u.  Every piece of a split simplex is kept, so
     `dropped` is always 0."""
 
-    source: GeometricComplex
     complex: GeometricComplex
     level: float
     values: np.ndarray
@@ -422,7 +421,6 @@ def subdivide_at_level(C: GeometricComplex, values, s) -> Refinement:
             np.concatenate([np.ones(len(untouched), dtype=np.int64), signs[d]])[by_parent],
         )
     return Refinement(
-        source=C,
         complex=GeometricComplex(metric.grown(points), arrays, volumes),
         level=level,
         values=np.concatenate([values, np.full(len(edges), level)]),

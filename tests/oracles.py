@@ -367,7 +367,6 @@ def subdivide_oracle(C: GeometricComplex, values, s) -> Refinement:
         children[k] = ChildTable(ptr, child, sign)
 
     return Refinement(
-        source=C,
         complex=new_complex,
         level=level,
         values=np.concatenate([values, np.full(len(cut_edges), level)]),
@@ -464,6 +463,20 @@ def level_star(T: SimplicialCurrent, values, s, crossing) -> SimplicialCurrent:
     if crossing:
         keep &= ~below.all(axis=1)
     return support_closure(T.restricted(keep))
+
+
+def cut_ball(T: SimplicialCurrent, rho_values, radius, level):
+    """The ball of T on {rho < level} by a cut, as (refinement, ball): the
+    closure of the simplices with a vertex below the snapped `level` (no
+    other simplex has a part below) cut at `radius`, and the ball on that
+    cut re-rooted on the face closure of its support.  When T's complex is
+    the closure of its support, the closure holds every crossing edge, so
+    the cut has the full cut's cut ids.  `slicedfill.BallContext` reads
+    the same ball off its level set, with no cut."""
+    below = (rho_values < level)[T.complex.simplex_array(T.dim)]
+    star = support_closure(T.restricted(below.any(axis=1)))
+    ref = subdivide_at_level(star.complex, rho_values, radius)
+    return ref, support_closure(ref.transfer_current(star).restricted(ref.below(T.dim)))
 
 
 def tensor_eval_oracle(start: SimplicialCurrent, functions, grids, leaf):

@@ -60,7 +60,7 @@ def test_criterion_1_sphere_sliced_filling():
     p1 = equator_vertex(C, 50, 100)
     r = math.pi / 2
     ctx = ball_context(T, 0, r)
-    assert ctx.refinement.values[p1] == pytest.approx(r, abs=1e-12)
+    assert ctx.rho.values[p1] == pytest.approx(r, abs=1e-12)
     rep = sliced_fill(T, 0, r, witnesses=[p1], grid=128, context=ctx)
     expected = math.pi**2 / 2
     elapsed = time.time() - start

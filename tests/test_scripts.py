@@ -48,3 +48,16 @@ def test_workload_digests_script():
     assert float(rel_err.split("=")[1]) < 0.05
     unknown = run_script("workload_digests.py", "no_such_workload")
     assert unknown.returncode != 0 and "unknown workload" in unknown.stderr
+
+
+def test_cli_digests_script():
+    proc = run_script("cli_digests.py", "grid")
+    assert proc.returncode == 0, proc.stderr
+    lines = [line.split() for line in proc.stdout.splitlines()]
+    assert [line[1] for line in lines] == ["sf", "sfk1", "sif0", "sif1", "sif2", "tetra", "coarea", "slice", "ball", "sphere"]
+    for name, _, code, digest in lines:
+        assert (name, code) == ("grid", "exit=0")
+        assert digest.startswith("sha256=") and len(digest) == len("sha256=") + 64
+    assert len({digest for *_, digest in lines}) == len(lines)
+    unknown = run_script("cli_digests.py", "no_such_input")
+    assert unknown.returncode != 0 and "unknown input" in unknown.stderr

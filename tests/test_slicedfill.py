@@ -40,7 +40,7 @@ from currentlab.slicedfill import (
     fill_value_of_boundary,
 )
 
-from oracles import level_star, tensor_eval_oracle
+from oracles import cut_ball, level_star, tensor_eval_oracle
 from test_slicing import _metric_state, _rows, _subdivide_cases
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
@@ -204,19 +204,21 @@ class TestLevelStar:
         ids=["sphere", "disk", "box"],
     )
     def test_ball_context_equals_full_cut(self, mesh, point, r):
-        """The ball cut only on the simplices with a vertex inside it has the
-        full cut's arrays, masses, face index, coefficients, cut function
-        and cut points."""
+        """The ball read off its level set, and the ball cut only on the
+        simplices with a vertex inside it, have the full cut's arrays,
+        masses, face index, coefficients, cut function and cut points."""
         C, T = mesh()
         p = 37 if point is None else nearest_vertex(C, point)
         ctx = ball_context(T, p, r)
         ref, want = _full_cut_ball(T, p, r)
-        _assert_same_complex(ctx.complex, want.complex)
-        assert np.array_equal(ctx.current.idx, want.idx) and np.array_equal(ctx.current.coeff, want.coeff)
-        assert np.array_equal(ctx.refinement.values, ref.values)
-        assert np.array_equal(ctx.refinement.cut_edges, ref.cut_edges)
-        assert np.array_equal(ctx.refinement.cut_t, ref.cut_t)
-        assert ctx.refinement.source.count(T.dim) < C.count(T.dim)
+        star_ref, cut = cut_ball(T, ctx.rho.values, r, ctx.level)
+        for got in (ctx.current, cut):
+            _assert_same_complex(got.complex, want.complex)
+            assert np.array_equal(got.idx, want.idx) and np.array_equal(got.coeff, want.coeff)
+        assert np.array_equal(star_ref.values, ref.values)
+        for lv in (star_ref, ctx.level_set):
+            assert np.array_equal(lv.cut_edges, ref.cut_edges) and np.array_equal(lv.cut_t, ref.cut_t)
+        assert len(star_ref.children[T.dim].ptr) - 1 < C.count(T.dim)
 
     def test_ball_and_its_sphere_look_up_no_face_index(self, monkeypatch):
         """A 2-d ball context and its discrete sphere make no facet lookup:
@@ -240,15 +242,12 @@ class TestLevelStar:
         """A sphere sliced fill makes no cut: the ball is read off its level
         set, and the 9 levels of the axis read the cut points of the
         crossing edges of the ball's boundary (the cycle -<d ball, f, t>)."""
-        import currentlab.slicedfill as slicedfill
         import currentlab.slicing as slicing
 
         C, T = sphere_mesh(20, 40)
         witness = ball_context(T, 37, 1.1).sphere_vertices()[5]
-        cuts = []
-        for module in (slicing, slicedfill):
-            original = module.subdivide_at_level
-            monkeypatch.setattr(module, "subdivide_at_level", lambda C, *a, _o=original: cuts.append(C) or _o(C, *a))
+        cuts, original = [], slicing.subdivide_at_level
+        monkeypatch.setattr(slicing, "subdivide_at_level", lambda C, *a: cuts.append(C) or original(C, *a))
         rep = sliced_fill(T, 37, 1.1, witnesses=[witness], grid=9)
         assert rep.integral > 0 and cuts == []
 
@@ -292,30 +291,33 @@ class TestLevelStar:
 
 
 def _assert_level_set_is_the_cut(T, p, r):
-    """The ball read off its level set has the cut ball's boundary (rows
-    and coefficients), discrete sphere, cut edges and parameters, grown
-    metric, rows, support range and mass, bit for bit; the level set's
-    values are read before the cut is built."""
+    """The ball read off its level set has the cut ball's (`cut_ball`)
+    boundary (rows and coefficients), discrete sphere, cut edges and
+    parameters, grown metric, rows, support range and mass, bit for bit,
+    all read before its chain is built; that chain is the cut ball, on a
+    complex with the cut ball's arrays, masses and face index."""
     ctx = ball_context(T, p, r)
     k = T.dim
     lv, ball_mass, sphere, got = ctx.level_set, ctx.ball_mass, ctx.sphere_vertices(), ctx.boundary
     f = distance_function(got.complex, sphere[0] if sphere else p)
     support = ctx.support_range(f)
-    assert "_cut" not in vars(ctx) and got.complex.dims == [k - 1]
-    want, ref = boundary(ctx.current), ctx.refinement
+    assert "current" not in vars(ctx) and got.complex.dims == [k - 1]
+    ref, cut = cut_ball(T, ctx.rho.values, r, ctx.level)
+    want = boundary(cut)
     assert np.array_equal(got.complex.simplex_array(k - 1)[got.idx], want.complex.simplex_array(k - 1)[want.idx])
     assert np.array_equal(got.coeff, want.coeff)
     assert sphere == [v for v in want.support_vertices() if v >= T.complex.n_vertices]
     assert np.array_equal(lv.cut_edges, ref.cut_edges) and np.array_equal(lv.cut_t, ref.cut_t)
-    assert np.array_equal(_metric_state(lv.metric), _metric_state(ctx.complex.metric))
+    assert np.array_equal(_metric_state(lv.metric), _metric_state(cut.complex.metric))
     for v in sphere[:3] + [p]:
-        assert np.array_equal(lv.metric.row(v), ctx.complex.metric.row(v))
+        assert np.array_equal(lv.metric.row(v), cut.complex.metric.row(v))
     rows, coeff = ctx.rows
-    assert np.array_equal(rows, ctx.complex.simplex_array(k)[ctx.current.idx]) and np.array_equal(coeff, ctx.current.coeff)
-    verts = ctx.current.support_vertices()
-    assert support == (PLFunction(ctx.complex, f.values).range(verts) if verts else (0.0, 0.0))
-    assert ball_mass == mass(ctx.current)
-    assert ctx.boundary is not got and ctx.boundary.complex is ctx.complex  # once cut, the cut's
+    assert np.array_equal(rows, cut.complex.simplex_array(k)[cut.idx]) and np.array_equal(coeff, cut.coeff)
+    verts = cut.support_vertices()
+    assert support == (PLFunction(cut.complex, f.values).range(verts) if verts else (0.0, 0.0))
+    assert ball_mass == mass(cut)
+    _assert_same_complex(ctx.complex, cut.complex)
+    assert np.array_equal(ctx.current.idx, cut.idx) and np.array_equal(ctx.current.coeff, cut.coeff)
     return ctx
 
 
@@ -461,32 +463,43 @@ class TestLevelSet:
         assert rep.h_values.tobytes() == search.values.tobytes() == want.tobytes()
         assert (want[samples // 2] == 0).all() and (want > 0).any()
 
-    def test_paths_that_slice_the_cut_ball_run_no_level_pass(self, monkeypatch):
+    def test_every_path_reads_its_ball_off_one_level_pass(self, monkeypatch):
         """sfk --k 1 and witnesses=[] on a 3-d ball, and sif, lab's fillvol,
-        functions= and witnesses=[] on a 2-d one, read the cut ball alone:
-        the level pass never runs.  A default context runs it once, and the
-        default witness search on it cuts nothing."""
+        functions= and witnesses=[] on a 2-d one, each run the level pass
+        once for their ball and cut no star of T: every cut is of a complex
+        that holds the ball's cut points.  A default context runs the pass
+        once, and the default witness search on it cuts nothing."""
         import currentlab.slicedfill as slicedfill
+        import currentlab.slicing as slicing
         from currentlab.convergence import _member_value
         from currentlab.slicedfill import sliced_interval_fill
 
-        passes, cuts, original = [], [], slicedfill._level_set
-        monkeypatch.setattr(slicedfill, "_level_set", lambda *a: passes.append(a[0].dim) or original(*a))
+        passes, cuts = [], []
+        level_set, subdivide = slicedfill._level_set, slicing.subdivide_at_level
+        monkeypatch.setattr(slicedfill, "_level_set", lambda *a: passes.append(a[0].dim) or level_set(*a))
+        monkeypatch.setattr(slicing, "subdivide_at_level", lambda C, *a: cuts.append(C.n_vertices) or subdivide(C, *a))
         C3, T3 = euclidean_box_mesh(0.65, 6)
         p3 = nearest_vertex(C3, (0.0, 0.0, 0.0))
-        assert sf_k(T3, p3, 0.5, 1, candidates=1, grid=3).integral > 0
-        assert sliced_fill(T3, p3, 0.5, witnesses=[]).integral > 0
         C2, T2 = disk_mesh(h=0.25)
-        assert sliced_interval_fill(T2, 0, 0.6, epsilon=0.2).integral > 0
-        assert sliced_interval_fill(T2, 0, 0.6, witnesses=[0], epsilon=0.2, grid=3).integral > 0
-        assert sliced_fill(T2, 0, 0.6, functions=[coordinate_function(C2, 0)], grid=5).integral > 0
-        assert sliced_fill(T2, 0, 0.6, witnesses=[]).integral > 0
-        assert _member_value(C2, T2, "fillvol", {"radius": 0.6}, (0.0, 0.0)) > 0
-        assert passes == []
+        runs = [
+            (C3, lambda: sf_k(T3, p3, 0.5, 1, candidates=1, grid=3).integral),
+            (C3, lambda: sliced_fill(T3, p3, 0.5, witnesses=[]).integral),
+            (C2, lambda: sliced_interval_fill(T2, 0, 0.6, epsilon=0.2).integral),
+            (C2, lambda: sliced_interval_fill(T2, 0, 0.6, witnesses=[0], epsilon=0.2, grid=3).integral),
+            (C2, lambda: sliced_fill(T2, 0, 0.6, functions=[coordinate_function(C2, 0)], grid=5).integral),
+            (C2, lambda: sliced_fill(T2, 0, 0.6, witnesses=[]).integral),
+            (C2, lambda: _member_value(C2, T2, "fillvol", {"radius": 0.6}, (0.0, 0.0))),
+        ]
+        for C, run in runs:
+            passes.clear()
+            assert run() > 0 and passes == [C.top_dim]
+            assert C.n_vertices not in cuts
+        assert cuts  # sfk --k 1 and sif with a witness slice the ball
+        passes.clear()
+        cuts.clear()
         ctx = ball_context(T2, 0, 0.6)
-        monkeypatch.setattr(slicedfill, "subdivide_at_level", lambda *a: cuts.append(a) or None)
         assert sliced_fill(T2, 0, 0.6, grid=5, context=ctx).integral > 0
-        assert passes == [2] and cuts == [] and "_cut" not in vars(ctx)
+        assert passes == [2] and cuts == []
 
     def test_sliced_fill_on_a_2d_ball_takes_no_closure_or_boundary(self, monkeypatch):
         """sf, sfk --k 1 and the default witness on a 2-d ball build no
@@ -517,6 +530,50 @@ class TestLevelSet:
         ctx = ball_context(T, 5, 0.6)
         with_ctx, without = (sliced_fill(T, 5, 0.6, witnesses=[w], grid=5, context=c) for c in (ctx, None))
         assert with_ctx.to_json() == without.to_json()
+
+
+def _zero_chain(case):
+    """(Z, p, r, M(ball)) for a 0-chain Z of disk_mesh(0.15): d of an open
+    path along dT (its two ends, -1 and +1), whose ball about one end holds
+    that end alone, or +-1..3 on every other vertex, in a ball about the
+    centre.  Neither chain lies on the vertices 0..len(Z) - 1 alone."""
+    C, T = disk_mesh(h=0.15)
+    if case == "path_ends":
+        dT = boundary(T)
+        angle = np.arctan2(C.coords()[:, 1], C.coords()[:, 0])
+        arc = ((angle > 0) & (angle < 1.2))[dT.rows[0]].all(axis=1)
+        keep = np.zeros(C.count(1), dtype=bool)
+        keep[dT.idx[arc]] = True
+        Z = boundary(dT.restricted(keep))
+        return Z, int(Z.rows[0][0, 0]), 0.3, 1.0
+    rng = np.random.default_rng(3)
+    idx = np.arange(0, C.n_vertices, 2)
+    coeff = rng.integers(1, 4, size=len(idx)) * rng.choice([-1, 1], size=len(idx))
+    return SimplicialCurrent.from_arrays(C, 0, idx, coeff), 0, 0.5, 33.0
+
+
+@pytest.mark.parametrize("case", ["path_ends", "vertices"])
+def test_zero_chain_ball_is_the_cut_ball(case):
+    """A 0-chain's ball is its vertices below the level: the ball context
+    reads the cut ball's chain, mass and sif value, has an empty discrete
+    sphere, and refuses slicing functions as a 0-current must."""
+    from currentlab.product import interval_filling_volume
+    from currentlab.slicedfill import sliced_interval_fill
+
+    Z, p, r, ball_mass = _zero_chain(case)
+    ctx = ball_context(Z, p, r)
+    _, cut = cut_ball(Z, ctx.rho.values, r, ctx.level)
+    assert ctx.ball_mass == mass(cut) == ball_mass
+    assert np.array_equal(ctx.current.idx, cut.idx) and np.array_equal(ctx.current.coeff, cut.coeff)
+    assert ctx.complex.dims == cut.complex.dims == [0]
+    assert ctx.complex.n_vertices == cut.complex.n_vertices == Z.complex.n_vertices
+    assert np.array_equal(ctx.complex.simplex_array(0), cut.complex.simplex_array(0))
+    assert ctx.sphere_vertices() == []
+    assert sliced_interval_fill(Z, p, r, epsilon=0.1).integral == interval_filling_volume(cut, 0.1).value / 0.1
+    with pytest.raises(ArgumentError, match="at most -1 slicing functions on a 0-current"):
+        sliced_fill(Z, p, r, witnesses=[])
+    with pytest.raises(ArgumentError, match="at most 0 slicing functions on a 0-current"):
+        sliced_interval_fill(Z, p, r, witnesses=[p])
 
 
 def _torus_tetra_ball(eps=0.4, divisor=8):
@@ -695,8 +752,8 @@ class TestBatchedAxes:
 
         T, p, r, _ = _torus_tetra_ball()
         cuts, closures = [], []
-        for module, name, seen in [(slicing, "subdivide_at_level", cuts), (slicedfill, "subdivide_at_level", cuts),
-                                   (slicing, "face_closure", closures), (complexes, "face_closure", closures)]:
+        for module, name, seen in [(slicing, "subdivide_at_level", cuts), (slicing, "face_closure", closures),
+                                   (complexes, "face_closure", closures), (slicedfill, "face_closure", closures)]:
             original = getattr(module, name)
             monkeypatch.setattr(module, name, lambda *a, _o=original, _s=seen, **kw: _s.append(a[0]) or _o(*a, **kw))
         rep = tetra_check(T, p, r, C=0.9 * C_E3_BAND_INTEGRAL, beta=0.5, samples=5, candidates=1)

@@ -31,7 +31,7 @@ from currentlab.meshes import (
     square_complex,
     torus_patch_mesh,
 )
-from currentlab.slicedfill import _tensor_eval, ball_context
+from currentlab.slicedfill import _tensor_eval, ball_context, sliced_fill, sliced_interval_fill
 from currentlab.slicing import (
     SNAP_REL,
     annulus_mass,
@@ -52,6 +52,7 @@ from oracles import (
     barycenter_values,
     boundary_oracle,
     children_dict,
+    cut_ball,
     cut_edge_triples,
     face_index_oracle,
     level_star,
@@ -336,7 +337,7 @@ def test_star_slice_equals_full_cut_slice(C, values):
     f = PLFunction(C, values)
     for level in _oracle_levels(C, values):
         star, full = _assert_star_slice_is_full_slice(T, f, level)
-        assert star.refinement.source.count(k) < C.count(k)
+        assert len(star.refinement.children[k].ptr) - 1 < C.count(k)
 
 
 def test_star_slice_equals_full_cut_slice_on_a_sphere_ball():
@@ -352,18 +353,22 @@ def test_star_slice_equals_full_cut_slice_on_a_sphere_ball():
 
 
 def test_level_star_keeps_below_simplices_for_restriction():
-    """`ball_context` cuts the closure of the simplices with a vertex below
-    the snapped level, and its ball is `ball`'s sublevel chain."""
+    """`cut_ball` cuts the closure of the simplices with a vertex below the
+    snapped level, and its ball and the ball context's are `ball`'s
+    sublevel chain."""
     C, T = disk_mesh(h=0.2)
     p = nearest_vertex(C, (0.2, 0.1))
     f = distance_function(C, p)
     ctx = ball_context(T, p, 0.5)
     below = (f.values < snap_level(f.values, 0.5)[0])[C.simplex_array(2)].any(axis=1)
-    assert np.array_equal(ctx.refinement.source.simplex_array(2), C.simplex_array(2)[below])
-    got, want = ctx.current, ball(T, p, 0.5)
-    assert np.array_equal(got.complex.simplex_array(2)[got.idx], want.complex.simplex_array(2)[want.idx])
-    assert np.array_equal(got.coeff, want.coeff)
-    assert mass(got) == mass(want)
+    assert np.array_equal(level_star(T, f.values, 0.5, crossing=False).rows[0], C.simplex_array(2)[below])
+    ref, cut = cut_ball(T, f.values, 0.5, ctx.level)
+    assert len(ref.children[2].ptr) - 1 == below.sum()
+    want = ball(T, p, 0.5)
+    for got in (ctx.current, cut):
+        assert np.array_equal(got.complex.simplex_array(2)[got.idx], want.complex.simplex_array(2)[want.idx])
+        assert np.array_equal(got.coeff, want.coeff)
+        assert mass(got) == mass(want)
 
 
 def _assert_same_complex(A, B):
@@ -378,14 +383,13 @@ def _assert_same_complex(A, B):
 
 def _assert_same_slice(got, want):
     """Two SliceResults agree field for field: the slice, its complex and
-    cut function, and every field of the refinement, its source included."""
+    cut function, and every field of the refinement."""
     assert got.refinement.level == want.refinement.level and got.warnings == want.warnings
     a, b = got.current, want.current
     assert a.dim == b.dim and np.array_equal(a.idx, b.idx) and np.array_equal(a.coeff, b.coeff)
     _assert_same_complex(got.complex, want.complex)
     r, q = got.refinement, want.refinement
     assert r.complex is got.complex
-    _assert_same_complex(r.source, q.source)
     assert (r.level, r.snapped, r.n_old_vertices, r.dropped, r.warnings) == (
         q.level, q.snapped, q.n_old_vertices, q.dropped, q.warnings
     )
@@ -448,7 +452,7 @@ class TestSliceLevels:
         f = coordinate_function(C, 0)
         got = _assert_levels_match_stars(T, f, [0.0, 5.0])
         assert got[1].current.is_zero() and not got[0].current.is_zero()
-        assert got[1].refinement.source.dims == C.dims and got[1].refinement.source.count(2) == 0
+        assert list(got[1].refinement.children) == C.dims and len(got[1].refinement.children[2].ptr) == 1
         assert all(r.current.is_zero() for r in _assert_levels_match_stars(SimplicialCurrent(C, 2, {}), f, [0.0]))
 
     def test_a_raising_level_skips_only_itself(self):
@@ -580,14 +584,15 @@ def _transfer_matrix(ref, k):
     """The transfer of k-chains as a sparse integer matrix, new x old."""
     table = ref.children[k]
     parent = np.repeat(np.arange(len(table.ptr) - 1), np.diff(table.ptr))
-    return coo_matrix((table.sign, (table.child, parent)), shape=(ref.complex.count(k), ref.source.count(k))).tocsr()
+    return coo_matrix((table.sign, (table.child, parent)), shape=(ref.complex.count(k), len(table.ptr) - 1)).tocsr()
 
 
-def _cut_determinants(ref, k):
-    """The sign of every child of every k-simplex and its barycentric
-    determinant in the parent at the actual cut (1 for an untouched simplex)."""
+def _cut_determinants(ref, source, k):
+    """The sign of every child of every k-simplex of the complex `source`
+    cut by `ref`, and its barycentric determinant in the parent at the
+    actual cut (1 for an untouched simplex)."""
     table = ref.children[k]
-    parents = ref.source.simplex_array(k)[np.repeat(np.arange(len(table.ptr) - 1), np.diff(table.ptr))]
+    parents = source.simplex_array(k)[np.repeat(np.arange(len(table.ptr) - 1), np.diff(table.ptr))]
     pieces = ref.complex.simplex_array(k)[table.child]
     ends, t = ref.cut_edges, ref.cut_t
     is_cut = pieces >= ref.n_old_vertices
@@ -624,7 +629,7 @@ def test_template_signs_match_the_actual_cut(C, values):
     for level in _oracle_levels(C, values):
         ref = subdivide_at_level(C, values, level)
         for k in C.dims[1:]:
-            sign, det = _cut_determinants(ref, k)
+            sign, det = _cut_determinants(ref, C, k)
             clear = np.abs(det) >= 1e-12
             assert np.array_equal(sign[clear], np.sign(det[clear]).astype(sign.dtype))
             compared += int(clear.sum())
@@ -1386,6 +1391,8 @@ OTHER_MESH_CALLS = {
     "restrict_sublevel": lambda T, f: restrict_sublevel(T, f, 0.5),
     "annulus_mass": lambda T, f: annulus_mass(T, f, 0.3, 0.6),
     "point_slices": lambda T, f: point_slices(boundary(T).rows, f.values, T.complex.metric, [0.5]),
+    "sliced_fill": lambda T, f: sliced_fill(T, 0, 0.5, functions=[f]),
+    "sliced_interval_fill": lambda T, f: sliced_interval_fill(T, 0, 0.5, functions=[f]),
 }
 
 
